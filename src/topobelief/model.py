@@ -164,13 +164,7 @@ def range_pairs(
     top: Topology, cls: ScenarioClass, budget: int = DEFAULT_SCENARIO_BUDGET
 ) -> list[tuple[int, int]]:
     """All (u, v) range pairs of the class, canonical order, budget-guarded."""
-    cost = len(top.opens) ** 2 * top.n
-    if cost > budget:
-        raise BudgetError(
-            f"scenario sweep cost {cost} exceeds budget {budget}"
-            f" ({len(top.opens)} opens on {top.n} worlds)"
-        )
-    return [(u, v) for u, vs in _range_groups(top, cls) for v in vs]
+    return [(u, v) for u, vs in range_groups(top, cls, budget) for v in vs]
 
 
 @lru_cache(maxsize=4096)

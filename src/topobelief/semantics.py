@@ -13,6 +13,15 @@ K and box read the same in all three: truth everywhere on U, and
 membership in the interior of the extension.  The translation through
 K-dia-box is kept in the test suite as an independent oracle for the
 strong belief clause; the two are never reconciled silently.
+
+Soundness sweeps use BatchEvaluator, which compiles a formula set once
+and evaluates it lane-packed: consecutive models of a stream that share a
+topology form one group, each value holds one bit per (world, model), and
+every connective, interior and closure acts on the whole group at once.
+K, box and B depend only on the topology and the ranges, so an
+exhaustive batch (all valuations of each topology) costs about one pass
+per topology and range instead of one per model.  Failures are reported
+exactly as a model-by-model scan finds them.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterable, Iterator, Literal
+from functools import lru_cache, partial
+from operator import attrgetter
+from typing import Iterable, Iterator, Literal, Mapping
 
 from . import formula as fm
 from .formula import Formula
@@ -38,7 +48,7 @@ from .model import (
     random_model,
     range_groups,
 )
-from .topology import enumerate_topologies
+from .topology import Topology, enumerate_topologies
 
 
 class SemanticsError(Exception):
@@ -70,6 +80,14 @@ def _interior(mnb: tuple[int, ...], a: int) -> int:
     m = 0
     for x, nb in enumerate(mnb):
         if nb & ~a == 0:
+            m |= 1 << x
+    return m
+
+
+def _closure(mnb: tuple[int, ...], a: int) -> int:
+    m = 0
+    for x, nb in enumerate(mnb):
+        if nb & a:
             m |= 1 << x
     return m
 
@@ -177,6 +195,15 @@ def _trace(ev: Evaluator, f: Formula, s: EDScenario) -> tuple[tuple[str, bool], 
     return tuple(entries)
 
 
+def _scenario_stream(
+    model: SubsetModel, kind: Semantics, cls: ScenarioClass, budget: int
+) -> Iterator[EDScenario]:
+    """Epistemic scenarios under strong semantics (no budget), else the class's."""
+    if kind is Semantics.STRONG:
+        return epistemic_scenarios(model)
+    return ed_scenarios(model, cls, budget)
+
+
 def valid_in_model(
     model: SubsetModel,
     f: Formula,
@@ -190,11 +217,7 @@ def valid_in_model(
     class is irrelevant; under e-d semantics the class filters (U, V).
     """
     ev = Evaluator(model, kind)
-    if kind is Semantics.STRONG:
-        stream: Iterator[EDScenario] = epistemic_scenarios(model)
-    else:
-        stream = ed_scenarios(model, scenario_class, budget)
-    for s in stream:
+    for s in _scenario_stream(model, kind, scenario_class, budget):
         ext = ev.extension(f, s.u, s.v)
         if not ext >> s.x & 1:
             return Verdict(False, Witness(s, _trace(ev, f, s)))
@@ -215,14 +238,6 @@ class SearchOutcome:
     model: SubsetModel | None
     scenario: EDScenario | None
     evaluations: int
-
-
-def _scenario_stream(
-    model: SubsetModel, kind: Semantics, cls: ScenarioClass, budget: int
-) -> Iterator[EDScenario]:
-    if kind is Semantics.STRONG:
-        return epistemic_scenarios(model)
-    return ed_scenarios(model, cls, budget)
 
 
 def find_countermodel(
@@ -302,13 +317,105 @@ _BINARY = {fm.And: _OP_AND, fm.Or: _OP_OR, fm.Implies: _OP_IMP, fm.Iff: _OP_IFF}
 _UNARY = {fm.K: _OP_K, fm.Box: _OP_BOX, fm.Bel: _OP_BEL}
 
 
+class _Lanes:
+    """Packing of W models that share one topology into one int per value.
+
+    World x owns the block of bits x*W .. x*W+W-1, and bit j of every
+    block is lane j, the group's j-th model, so one bigint operation acts
+    on all W models at once.  With W = 1 a packed value is the plain
+    subset mask, and interior and closure are the scalar formulas.
+    """
+
+    def __init__(self, top: Topology, width: int):
+        self.width = width
+        self.ones = (1 << width) - 1
+        self.shifts = tuple(x * width for x in range(top.n))
+        mnb = top.min_neighborhoods
+        if width == 1:
+            self.interior = partial(_interior, mnb)
+            self.closure = partial(_closure, mnb)
+        else:
+            # the worlds of mnb(x) other than x
+            self._others = tuple(
+                tuple(y for y in range(top.n) if y != x and nb >> y & 1)
+                for x, nb in enumerate(mnb)
+            )
+            self.interior = self._interior
+            self.closure = self._closure
+
+    def replicate(self, m: int) -> int:
+        """Bit 0 of the block of every world of m; times a lane mask it copies the mask there."""
+        return sum(1 << s for x, s in enumerate(self.shifts) if m >> x & 1)
+
+    def spread(self, m: int) -> int:
+        """The subset m as it reads in every lane: all ones on m's blocks."""
+        return self.replicate(m) * self.ones
+
+    def pack(self, models: list[SubsetModel], names: Iterable[str]) -> Mapping[str, int]:
+        """Each atom's packed truth value across the group's models."""
+        out = {}
+        for name in names:
+            packed = 0
+            for j, model in enumerate(models):
+                mask = model.valuation.get(name, 0)
+                while mask:
+                    low = mask & -mask
+                    packed |= 1 << (self.shifts[low.bit_length() - 1] + j)
+                    mask ^= low
+            out[name] = packed
+        return out
+
+    def least_world(self, m: int, lane: int) -> int:
+        """Least world whose block has the lane's bit set in m."""
+        return next(x for x, s in enumerate(self.shifts) if m >> (s + lane) & 1)
+
+    def fold(self, m: int) -> int:
+        """OR of all blocks of m: the lanes in which m is nonempty."""
+        out = 0
+        for s in self.shifts:
+            out |= m >> s
+        return out & self.ones
+
+    def _blocks(self, a: int) -> list[int]:
+        ones = self.ones
+        return [a >> s & ones for s in self.shifts]
+
+    def _interior(self, a: int) -> int:
+        """box at x is the AND of the blocks of mnb(x)."""
+        block = self._blocks(a)
+        out = 0
+        for x, others in enumerate(self._others):
+            acc = block[x]
+            for y in others:
+                if not acc:
+                    break
+                acc &= block[y]
+            out |= acc << self.shifts[x]
+        return out
+
+    def _closure(self, a: int) -> int:
+        """cl at x is the OR of the blocks of mnb(x)."""
+        block = self._blocks(a)
+        out = 0
+        for x, others in enumerate(self._others):
+            acc = block[x]
+            for y in others:
+                acc |= block[y]
+            out |= acc << self.shifts[x]
+        return out
+
+
 class BatchEvaluator:
     """Extension engine over a fixed formula set, shared across models.
 
     Compiles the distinct subformulas of all roots into one postorder node
-    list; a sweep over a model then runs one linear pass per epistemic
-    range, plus a short overlay pass per doxastic range for the nodes that
-    depend on it.  Agreement with Evaluator is pinned by tests.
+    list.  One linear pass per epistemic range computes every node that
+    does not read the doxastic range, and a short overlay pass per doxastic
+    range fills the nodes that do.  A pass runs on a group of W models
+    that share a topology, each value packed W lanes wide (see _Lanes):
+    sweep_validity packs whole groups, while base_pass and overlay_pass
+    are the W = 1 case and return plain subset masks.  Agreement with
+    Evaluator and with the definitional oracle is pinned by tests.
     """
 
     def __init__(self, roots: Iterable[Formula], kind: Semantics):
@@ -316,6 +423,7 @@ class BatchEvaluator:
         self.nodes: list[tuple] = []  # (opcode, arg1, arg2)
         self.index: dict[Formula, int] = {}
         self.roots = {f: self._add(f) for f in roots}
+        self.atom_names = tuple(a for op, a, _ in self.nodes if op == _OP_ATOM)
         if kind is Semantics.STRONG:
             self._vdep = [False] * len(self.nodes)
         else:
@@ -364,7 +472,8 @@ class BatchEvaluator:
     def base_pass(self, model: SubsetModel, u: int) -> list[int]:
         """Extensions of all doxastic-range-independent nodes under u."""
         vals = [0] * len(self.nodes)
-        self._run(model, u, None, vals, self.base_order)
+        lanes = _Lanes(model.topology, 1)
+        self._run(lanes, model.valuation, u, u, 0, vals, self.base_order)
         return vals
 
     def overlay_pass(self, model: SubsetModel, u: int, v: int, vals: list[int]) -> None:
@@ -373,54 +482,74 @@ class BatchEvaluator:
         Overlay nodes are recomputed wholesale on every call, so reusing
         one array across successive doxastic ranges is safe.
         """
-        self._run(model, u, v, vals, self.overlay_order)
+        lanes = _Lanes(model.topology, 1)
+        self._run(lanes, model.valuation, u, u, v, vals, self.overlay_order)
 
     def _run(
-        self, model: SubsetModel, u: int, v: int | None, vals: list[int], order: list[int]
+        self,
+        lanes: _Lanes,
+        atoms: Mapping[str, int],
+        us: int,
+        ru: int,
+        vs: int,
+        vals: list[int],
+        order: list[int],
     ) -> None:
-        top = model.topology
-        mnb = top.min_neighborhoods
-        full = top.full
-        valuation = model.valuation
+        """One pass over `order`; us and vs are the ranges spread over all
+        lanes, ru is u's replicator (all three are the plain masks at W = 1).
+
+        K and B fold the worlds of U (or V) where the operand is missing
+        into the lanes that miss some world, and broadcast the lanes where
+        the modality holds back to every world of U by multiplying with ru.
+        """
+        ones = lanes.ones
+        wide = lanes.width > 1  # in one model a failing modality is just empty
+        interior = lanes.interior
+        closure = lanes.closure
+        fold = lanes.fold
         kind = self.kind
         nodes = self.nodes
         for i in order:
             op, a, b = nodes[i]
             if op == _OP_ATOM:
-                out = valuation.get(a, 0) & u
+                out = atoms.get(a, 0) & us
             elif op == _OP_NOT:
-                out = u & ~vals[a]
+                out = us & ~vals[a]
             elif op == _OP_AND:
                 out = vals[a] & vals[b]
             elif op == _OP_OR:
                 out = vals[a] | vals[b]
             elif op == _OP_IMP:
-                out = (u & ~vals[a]) | vals[b]
+                out = (us & ~vals[a]) | vals[b]
             elif op == _OP_IFF:
-                out = u & ~(vals[a] ^ vals[b])
+                out = us & ~(vals[a] ^ vals[b])
             elif op == _OP_K:
-                out = u if vals[a] == u else 0
+                sub = vals[a]
+                if sub == us:
+                    out = us
+                elif wide:
+                    out = ru * (ones & ~fold(us & ~sub))
+                else:
+                    out = 0
             elif op == _OP_BOX:
-                out = _interior(mnb, vals[a])
+                out = interior(vals[a])
             elif op == _OP_BEL:
                 sub = vals[a]
                 if kind is Semantics.STRONG:
-                    if sub == u:
-                        out = u
-                    else:
-                        dense_part = full & ~_interior(mnb, full & ~_interior(mnb, sub))
-                        out = u if u & ~dense_part == 0 else 0
+                    missing = 0 if sub == us else us & ~closure(interior(sub))
                 elif kind is Semantics.ED:
-                    out = u if v & ~sub == 0 else 0
+                    missing = vs & ~sub
                 else:
-                    rest = v & ~sub
-                    if rest == 0:
-                        out = u
-                    else:
-                        cl = full & ~_interior(mnb, full & ~rest)
-                        out = u if _interior(mnb, cl) == 0 else 0
+                    rest = vs & ~sub
+                    missing = rest and interior(closure(rest))
+                if not missing:
+                    out = us
+                elif wide:
+                    out = ru * (ones & ~fold(missing))
+                else:
+                    out = 0
             elif op == _OP_TOP:
-                out = u
+                out = us
             else:
                 out = 0
             vals[i] = out
@@ -445,39 +574,70 @@ def sweep_validity(
     A root with no entry in the result is valid on every model of the
     stream (restricted to scenarios of the class).  Roots in `skip` or
     already failed are not re-checked.
+
+    Each run of consecutive models with the same topology is evaluated as
+    one group, model j in lane j, while the stream is read lazily one group
+    at a time.  A root's failure is the one a model-by-model scan finds:
+    the stream's first failing model, its first failing range in canonical
+    order, and the least world missing there.
     """
+    skip = skip or set()
+    live = [idx for f, idx in engine.roots.items() if f not in skip]
+    formula_of = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
-    skip = set(skip or ())
-    live = [(f, idx) for f, idx in engine.roots.items() if f not in skip]
-    for model in models:
-        if failures:
-            live = [(f, idx) for f, idx in live if f not in failures]
+    for top, run in itertools.groupby(models, key=attrgetter("topology")):
         if not live:
             break
-        top = model.topology
+        group = list(run)
         if engine.kind is Semantics.STRONG:
-            for u in top.opens:
-                if u == 0:
-                    continue
-                vals = engine.base_pass(model, u)
-                for f, idx in live:
-                    ext = vals[idx]
-                    if ext != u and f not in failures:
-                        x = _least_missing(u, ext)
-                        failures[f] = BatchFailure(f, model, EDScenario(x, u))
+            ranges = [(u, (None,)) for u in top.opens if u]
         else:
-            for u, vs in range_groups(top, scenario_class, budget):
-                vals = engine.base_pass(model, u)
-                for v in vs:
-                    engine.overlay_pass(model, u, v, vals)
-                    for f, idx in live:
-                        ext = vals[idx]
-                        if ext != u and f not in failures:
-                            x = _least_missing(u, ext)
-                            failures[f] = BatchFailure(f, model, EDScenario(x, u, v))
+            ranges = range_groups(top, scenario_class, budget)
+        found = _group_failures(engine, top, group, ranges, live)
+        if found:
+            for idx, (lane, s) in found.items():
+                failures[formula_of[idx]] = BatchFailure(formula_of[idx], group[lane], s)
+            live = [idx for idx in live if idx not in found]
     return failures
 
 
-def _least_missing(u: int, ext: int) -> int:
-    missing = u & ~ext
-    return (missing & -missing).bit_length() - 1
+def _group_failures(
+    engine: BatchEvaluator,
+    top: Topology,
+    group: list[SubsetModel],
+    ranges: Iterable[tuple[int, tuple[int | None, ...]]],
+    live: list[int],
+) -> dict[int, tuple[int, EDScenario]]:
+    """Lowest failing lane and its first failing scenario, per live root."""
+    lanes = _Lanes(top, len(group))
+    atoms = lanes.pack(group, engine.atom_names)
+    found: dict[int, tuple[int, EDScenario]] = {}
+    pending = live  # roots that may still fail in a lower lane
+    vals = [0] * len(engine.nodes)
+    for u, vs in ranges:
+        us = lanes.spread(u)
+        ru = lanes.replicate(u)
+        engine._run(lanes, atoms, us, ru, 0, vals, engine.base_order)
+        for v in vs:
+            if v is not None:
+                engine._run(lanes, atoms, us, ru, lanes.spread(v), vals, engine.overlay_order)
+            settled = set()
+            for idx in pending:
+                ext = vals[idx]
+                if ext == us:
+                    continue
+                missing = us & ~ext
+                failing = lanes.fold(missing)
+                hit = found.get(idx)
+                if hit is not None:
+                    failing &= (1 << hit[0]) - 1
+                if failing:
+                    lane = (failing & -failing).bit_length() - 1
+                    found[idx] = (lane, EDScenario(lanes.least_world(missing, lane), u, v))
+                    if lane == 0:
+                        settled.add(idx)
+            if settled:
+                pending = [idx for idx in pending if idx not in settled]
+                if not pending:
+                    return found
+    return found

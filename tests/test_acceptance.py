@@ -124,6 +124,8 @@ def test_criterion_05_range_semantics_matrix():
         report = run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls)
         bad = [r for r in report.results if r.status != "valid"]
         assert report.clean, (name, bad[:3])
+    elapsed = time.perf_counter() - started
+    assert elapsed < 60.0, f"runtime target exceeded: {elapsed:.1f}s"
     _report(5, "doxastic-range suite matrix sound", started)
 
 
