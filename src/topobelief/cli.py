@@ -40,22 +40,16 @@ _ERRORS = (
 )
 
 
-def _load_model(path: str):
+_MODEL_KINDS = {SubsetModel: "subset", RelationalModel: "relational"}
+
+
+def _load_model(path: str, cls: type):
+    """The model document at path; it must hold a model of class cls."""
     with open(path, encoding="utf-8") as handle:
-        return load(handle.read())
-
-
-def _load_subset_model(path: str) -> SubsetModel:
-    model = _load_model(path)
-    if not isinstance(model, SubsetModel):
-        raise ModelError(f"{path} holds a relational model; this command needs a subset model")
-    return model
-
-
-def _load_relational_model(path: str) -> RelationalModel:
-    model = _load_model(path)
-    if not isinstance(model, RelationalModel):
-        raise ModelError(f"{path} holds a subset model; this command needs a relational model")
+        model = load(handle.read())
+    if not isinstance(model, cls):
+        held, need = _MODEL_KINDS[type(model)], _MODEL_KINDS[cls]
+        raise ModelError(f"{path} holds a {held} model; this command needs a {need} model")
     return model
 
 
@@ -64,7 +58,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_eval(args) -> int:
-    model = _load_subset_model(args.model)
+    model = _load_model(args.model, SubsetModel)
     scenario = parse_scenario(args.scenario)
     value = satisfies(model, scenario, parse(args.formula), Semantics(args.semantics))
     if args.json:
@@ -75,7 +69,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    model = _load_subset_model(args.model)
+    model = _load_model(args.model, SubsetModel)
     verdict = valid_in_model(
         model,
         parse(args.formula),
@@ -158,7 +152,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    model = _load_relational_model(args.model)
+    model = _load_model(args.model, RelationalModel)
     subset = to_subset_model(model)
     document = dump(subset)
     if args.out:
@@ -174,7 +168,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    model = _load_relational_model(args.model)
+    model = _load_model(args.model, RelationalModel)
     dec = decompose(model)
     if args.json:
         _print_json(

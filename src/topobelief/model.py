@@ -55,9 +55,6 @@ class SubsetModel:
     def n(self) -> int:
         return self.topology.n
 
-    def atom_mask(self, name: str) -> int:
-        return self.valuation.get(name, 0)
-
 
 @dataclass(frozen=True)
 class EDScenario:

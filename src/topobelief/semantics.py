@@ -1,7 +1,9 @@
 """The three satisfaction relations and validity/countermodel machinery.
 
-Extensions are computed bottom-up over subformulas and memoized per range
-pair.  The belief clause is implemented directly per semantics:
+One engine, BatchEvaluator, computes extensions: it compiles formulas into
+a postorder list of shared subformula nodes and evaluates that list in one
+linear pass per range pair.  The belief clause is implemented directly per
+semantics:
 
   strong  B phi holds on (x, U) iff the interior of phi's extension is
           dense in U (equivalently U is inside cl(int(ext)))
@@ -14,14 +16,16 @@ membership in the interior of the extension.  The translation through
 K-dia-box is kept in the test suite as an independent oracle for the
 strong belief clause; the two are never reconciled silently.
 
-Soundness sweeps use BatchEvaluator, which compiles a formula set once
-and evaluates it lane-packed: consecutive models of a stream that share a
-topology form one group, each value holds one bit per (world, model), and
-every connective, interior and closure acts on the whole group at once.
-K, box and B depend only on the topology and the ranges, so an
-exhaustive batch (all valuations of each topology) costs about one pass
-per topology and range instead of one per model.  Failures are reported
-exactly as a model-by-model scan finds them.
+Evaluator is the engine's view of a single model: it compiles formulas
+as they are asked for and keeps one value list per range pair.
+Soundness sweeps compile a formula set once and evaluate it lane-packed:
+consecutive models of a stream that share a topology form one group, each
+value holds one bit per (world, model), and every connective, interior
+and closure acts on the whole group at once.  K, box and B depend only on
+the topology and the ranges, so an exhaustive batch (all valuations of
+each topology) costs about one pass per topology and range instead of one
+per model.  Failures are reported exactly as a model-by-model scan finds
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Literal, Mapping
 
@@ -48,7 +52,7 @@ from .model import (
     random_model,
     range_groups,
 )
-from .topology import Topology, enumerate_topologies
+from .topology import Topology, enumerate_topologies, mnb_closure, mnb_interior
 
 
 class SemanticsError(Exception):
@@ -65,43 +69,20 @@ class Semantics(Enum):
         return self is not Semantics.STRONG
 
 
-@lru_cache(maxsize=None)
-def _contains_bel(f: Formula) -> bool:
-    if isinstance(f, fm.Bel):
-        return True
-    if isinstance(f, (fm.Not, fm.K, fm.Box)):
-        return _contains_bel(f.sub)
-    if isinstance(f, (fm.And, fm.Or, fm.Implies, fm.Iff)):
-        return _contains_bel(f.left) or _contains_bel(f.right)
-    return False
-
-
-def _interior(mnb: tuple[int, ...], a: int) -> int:
-    m = 0
-    for x, nb in enumerate(mnb):
-        if nb & ~a == 0:
-            m |= 1 << x
-    return m
-
-
-def _closure(mnb: tuple[int, ...], a: int) -> int:
-    m = 0
-    for x, nb in enumerate(mnb):
-        if nb & a:
-            m |= 1 << x
-    return m
-
-
 class Evaluator:
-    """Reference extension computer for one model and one semantics."""
+    """Extensions of formulas in one model under one semantics.
+
+    The single-lane view of BatchEvaluator: formulas join one engine as
+    they are asked for, and each range pair keeps one value list, filled
+    up to the engine's node count when an extension reads past its end.
+    """
 
     def __init__(self, model: SubsetModel, kind: Semantics):
         self.model = model
         self.kind = kind
-        self.top = model.topology
-        self._mnb = model.topology.min_neighborhoods
-        self._full = model.topology.full
-        self._memo: dict = {}
+        self._engine = BatchEvaluator((), kind)
+        self._lanes = _Lanes(model.topology, 1)
+        self._vals: dict[tuple[int, int | None], list[int]] = {}
 
     def extension(self, f: Formula, u: int, v: int | None = None) -> int:
         """Worlds of u satisfying f under the ranges (a subset mask)."""
@@ -110,49 +91,15 @@ class Evaluator:
                 raise SemanticsError(f"{self.kind.value} semantics needs a doxastic range")
         elif v is not None:
             raise SemanticsError("strong semantics takes no doxastic range")
-        return self._ext(f, u, v)
-
-    def _ext(self, f: Formula, u: int, v: int | None) -> int:
-        key = (f, u, v if _contains_bel(f) else None)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._compute(f, u, v)
-        self._memo[key] = out
-        return out
-
-    def _compute(self, f: Formula, u: int, v: int | None) -> int:
-        if isinstance(f, fm.Atom):
-            return self.model.atom_mask(f.name) & u
-        if isinstance(f, fm.Top):
-            return u
-        if isinstance(f, fm.Bot):
-            return 0
-        if isinstance(f, fm.Not):
-            return u & ~self._ext(f.sub, u, v)
-        if isinstance(f, fm.And):
-            return self._ext(f.left, u, v) & self._ext(f.right, u, v)
-        if isinstance(f, fm.Or):
-            return self._ext(f.left, u, v) | self._ext(f.right, u, v)
-        if isinstance(f, fm.Implies):
-            return (u & ~self._ext(f.left, u, v)) | self._ext(f.right, u, v)
-        if isinstance(f, fm.Iff):
-            a = self._ext(f.left, u, v)
-            b = self._ext(f.right, u, v)
-            return u & ~(a ^ b)
-        if isinstance(f, fm.K):
-            return u if self._ext(f.sub, u, v) == u else 0
-        if isinstance(f, fm.Box):
-            return _interior(self._mnb, self._ext(f.sub, u, v))
-        if isinstance(f, fm.Bel):
-            a = self._ext(f.sub, u, v)
-            if self.kind is Semantics.STRONG:
-                dense_part = self.top.closure(_interior(self._mnb, a))
-                return u if u & ~dense_part == 0 else 0
-            if self.kind is Semantics.ED:
-                return u if v & ~a == 0 else 0
-            return u if self.top.almost_subset(v, a) else 0
-        raise SemanticsError(f"cannot evaluate node {f!r}")
+        engine = self._engine
+        idx = engine.add(f)
+        vals = self._vals.setdefault((u, v), [])
+        filled = len(vals)
+        if idx >= filled:
+            count = len(engine.nodes)
+            vals.extend([0] * (count - filled))
+            engine._run(self._lanes, self.model.valuation, u, u, v or 0, vals, range(filled, count))
+        return vals[idx]
 
 
 def extension(
@@ -308,7 +255,7 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 
 
 # ---------------------------------------------------------------------------
-# shared-subformula batch engine for soundness sweeps
+# the compiled extension engine, shared-subformula and lane-packed
 
 _OP_ATOM, _OP_TOP, _OP_BOT, _OP_NOT, _OP_AND, _OP_OR, _OP_IMP, _OP_IFF = range(8)
 _OP_K, _OP_BOX, _OP_BEL = 8, 9, 10
@@ -323,7 +270,8 @@ class _Lanes:
     World x owns the block of bits x*W .. x*W+W-1, and bit j of every
     block is lane j, the group's j-th model, so one bigint operation acts
     on all W models at once.  With W = 1 a packed value is the plain
-    subset mask, and interior and closure are the scalar formulas.
+    subset mask, and interior and closure are topology.mnb_interior and
+    mnb_closure.
     """
 
     def __init__(self, top: Topology, width: int):
@@ -332,8 +280,8 @@ class _Lanes:
         self.shifts = tuple(x * width for x in range(top.n))
         mnb = top.min_neighborhoods
         if width == 1:
-            self.interior = partial(_interior, mnb)
-            self.closure = partial(_closure, mnb)
+            self.interior = partial(mnb_interior, mnb)
+            self.closure = partial(mnb_closure, mnb)
         else:
             # the worlds of mnb(x) other than x
             self._others = tuple(
@@ -406,68 +354,63 @@ class _Lanes:
 
 
 class BatchEvaluator:
-    """Extension engine over a fixed formula set, shared across models.
+    """The extension engine: one compiled formula set, shared across models.
 
     Compiles the distinct subformulas of all roots into one postorder node
-    list.  One linear pass per epistemic range computes every node that
-    does not read the doxastic range, and a short overlay pass per doxastic
-    range fills the nodes that do.  A pass runs on a group of W models
-    that share a topology, each value packed W lanes wide (see _Lanes):
-    sweep_validity packs whole groups, while base_pass and overlay_pass
-    are the W = 1 case and return plain subset masks.  Agreement with
-    Evaluator and with the definitional oracle is pinned by tests.
+    list; add() extends it later.  One linear pass per epistemic range
+    computes every node that does not read the doxastic range, and a short
+    overlay pass per doxastic range fills the nodes that do.  A pass runs
+    on a group of W models that share a topology, each value packed W
+    lanes wide (see _Lanes): sweep_validity packs whole groups, while
+    base_pass, overlay_pass and Evaluator are the W = 1 case on plain
+    subset masks.  Agreement with the definitional oracle is pinned by
+    tests.
     """
 
     def __init__(self, roots: Iterable[Formula], kind: Semantics):
         self.kind = kind
         self.nodes: list[tuple] = []  # (opcode, arg1, arg2)
         self.index: dict[Formula, int] = {}
-        self.roots = {f: self._add(f) for f in roots}
-        self.atom_names = tuple(a for op, a, _ in self.nodes if op == _OP_ATOM)
-        if kind is Semantics.STRONG:
-            self._vdep = [False] * len(self.nodes)
-        else:
-            self._vdep = self._doxastic_dependence()
-        order = range(len(self.nodes))
-        self.base_order = [i for i in order if not self._vdep[i]]
-        self.overlay_order = [i for i in order if self._vdep[i]]
+        self.atom_names: tuple[str, ...] = ()
+        self.base_order: list[int] = []
+        self.overlay_order: list[int] = []  # nodes that read the doxastic range
+        self._reads_v: list[bool] = []
+        self.roots = {f: self.add(f) for f in roots}
 
-    def _add(self, f: Formula) -> int:
+    def add(self, f: Formula) -> int:
+        """Node index of f, compiling f and its subformulas if they are new."""
         hit = self.index.get(f)
         if hit is not None:
             return hit
         cls = type(f)
         if cls is fm.Atom:
             node = (_OP_ATOM, f.name, 0)
+            self.atom_names += (f.name,)
         elif cls is fm.Top:
             node = (_OP_TOP, 0, 0)
         elif cls is fm.Bot:
             node = (_OP_BOT, 0, 0)
         elif cls is fm.Not:
-            node = (_OP_NOT, self._add(f.sub), 0)
+            node = (_OP_NOT, self.add(f.sub), 0)
         elif cls in _BINARY:
-            node = (_BINARY[cls], self._add(f.left), self._add(f.right))
+            node = (_BINARY[cls], self.add(f.left), self.add(f.right))
         elif cls in _UNARY:
-            node = (_UNARY[cls], self._add(f.sub), 0)
+            node = (_UNARY[cls], self.add(f.sub), 0)
         else:
             raise SemanticsError(f"cannot compile node {f!r}")
+        op, a, b = node
+        if op == _OP_BEL:
+            reads_v = self.kind is not Semantics.STRONG
+        elif op in (_OP_ATOM, _OP_TOP, _OP_BOT):
+            reads_v = False
+        else:
+            reads_v = self._reads_v[a] or (cls in _BINARY and self._reads_v[b])
         idx = len(self.nodes)
         self.nodes.append(node)
         self.index[f] = idx
+        self._reads_v.append(reads_v)
+        (self.overlay_order if reads_v else self.base_order).append(idx)
         return idx
-
-    def _doxastic_dependence(self) -> list[bool]:
-        dep = [False] * len(self.nodes)
-        for i, (op, a, b) in enumerate(self.nodes):
-            if op == _OP_BEL:
-                dep[i] = True
-            elif op in (_OP_ATOM, _OP_TOP, _OP_BOT):
-                pass
-            elif op in (_OP_NOT, _OP_K, _OP_BOX):
-                dep[i] = dep[a]
-            else:
-                dep[i] = dep[a] or dep[b]
-        return dep
 
     def base_pass(self, model: SubsetModel, u: int) -> list[int]:
         """Extensions of all doxastic-range-independent nodes under u."""
@@ -493,7 +436,7 @@ class BatchEvaluator:
         ru: int,
         vs: int,
         vals: list[int],
-        order: list[int],
+        order: Iterable[int],
     ) -> None:
         """One pass over `order`; us and vs are the ranges spread over all
         lanes, ru is u's replicator (all three are the plain masks at W = 1).

@@ -326,7 +326,7 @@ def run_suite(
     The semantics/class arguments override the suite's declared pair (used
     for cross-checks such as running a suite over a broader scenario
     class).  The first failing model yields a canonical witness, replayable
-    through the reference evaluator.
+    one scenario at a time through satisfies.
     """
     kind = semantics or suite.semantics
     cls = scenario_class or suite.scenario_class

@@ -5,7 +5,8 @@ A topology stores its full open-set family explicitly, deduplicated and in
 canonical order (cardinality, then numeric bit pattern), so dumps and
 reports are deterministic.  A lazily cached minimal-open-neighborhood
 table backs the interior/closure operators; every finite space is
-Alexandroff, so the table always exists.
+Alexandroff, so the table always exists.  mnb_interior and mnb_closure
+are those operators without the subset check, for the evaluation engine.
 """
 
 from __future__ import annotations
@@ -170,16 +171,12 @@ class Topology:
     def interior(self, a: int) -> int:
         """Largest open set contained in a."""
         _check_subset(self.n, a)
-        m = 0
-        for x, nbhd in enumerate(self.min_neighborhoods):
-            if nbhd & ~a == 0:
-                m |= 1 << x
-        return m
+        return mnb_interior(self.min_neighborhoods, a)
 
     def closure(self, a: int) -> int:
-        """Complement of the interior of the complement."""
+        """Smallest closed set containing a."""
         _check_subset(self.n, a)
-        return self.full & ~self.interior(self.full & ~a)
+        return mnb_closure(self.min_neighborhoods, a)
 
     def is_dense_in(self, a: int, u: int) -> bool:
         """Whether u is contained in the closure of a."""
@@ -196,6 +193,30 @@ class Topology:
         _check_subset(self.n, a)
         _check_subset(self.n, b)
         return self.is_nowhere_dense(a & ~b)
+
+
+def mnb_interior(mnb: tuple[int, ...], a: int) -> int:
+    """Interior of a from the minimal-neighborhood table, unchecked.
+
+    x is interior exactly when its minimal open neighborhood lies in a.
+    """
+    m = 0
+    for x, nb in enumerate(mnb):
+        if nb & ~a == 0:
+            m |= 1 << x
+    return m
+
+
+def mnb_closure(mnb: tuple[int, ...], a: int) -> int:
+    """Closure of a from the minimal-neighborhood table, unchecked.
+
+    x is in the closure exactly when its minimal open neighborhood meets a.
+    """
+    m = 0
+    for x, nb in enumerate(mnb):
+        if nb & a:
+            m |= 1 << x
+    return m
 
 
 def _check_carrier(n: int) -> None:

@@ -8,6 +8,10 @@ cross-check.
 
 from itertools import product
 
+from topobelief import formula as fm
+from topobelief.semantics import Semantics
+from topobelief.topology import bits
+
 
 def brute_interior(opens, a):
     """Union of all opens contained in a (the definition)."""
@@ -89,11 +93,59 @@ def all_relations(n):
 
 def count_nodes(f, cls):
     """Occurrences of a node class in the tree (multiset, not deduplicated)."""
-    from topobelief import formula as fm
-
     count = isinstance(f, cls)
     if isinstance(f, (fm.Not, fm.K, fm.Box, fm.Bel)):
         return count + count_nodes(f.sub, cls)
     if isinstance(f, (fm.And, fm.Or, fm.Implies, fm.Iff)):
         return count + count_nodes(f.left, cls) + count_nodes(f.right, cls)
     return count
+
+
+def def_truth(model, x, u, v, f, kind):
+    """Truth of f at (x, u, v) by pointwise recursion on the definitions.
+
+    Knowledge and belief quantify over worlds directly, knowability
+    existentially quantifies over the open family, and the topological
+    operators are brute_interior and brute_closure.
+    """
+    top = model.topology
+    if isinstance(f, fm.Atom):
+        return bool(model.valuation.get(f.name, 0) >> x & 1)
+    if isinstance(f, fm.Top):
+        return True
+    if isinstance(f, fm.Bot):
+        return False
+    if isinstance(f, fm.Not):
+        return not def_truth(model, x, u, v, f.sub, kind)
+    if isinstance(f, fm.And):
+        return def_truth(model, x, u, v, f.left, kind) and def_truth(model, x, u, v, f.right, kind)
+    if isinstance(f, fm.Or):
+        return def_truth(model, x, u, v, f.left, kind) or def_truth(model, x, u, v, f.right, kind)
+    if isinstance(f, fm.Implies):
+        return (not def_truth(model, x, u, v, f.left, kind)) or def_truth(
+            model, x, u, v, f.right, kind
+        )
+    if isinstance(f, fm.Iff):
+        return def_truth(model, x, u, v, f.left, kind) == def_truth(model, x, u, v, f.right, kind)
+    if isinstance(f, fm.K):
+        return all(def_truth(model, y, u, v, f.sub, kind) for y in bits(u))
+    if isinstance(f, fm.Box):
+        # some open evidence containing x entails the subformula within u
+        return any(
+            o >> x & 1 and o & ~u == 0 and all(def_truth(model, y, u, v, f.sub, kind) for y in bits(o))
+            for o in top.opens
+        )
+    if isinstance(f, fm.Bel):
+        if kind is Semantics.ED:
+            return all(def_truth(model, y, u, v, f.sub, kind) for y in bits(v))
+        sat = 0
+        for y in bits(u):
+            if def_truth(model, y, u, v, f.sub, kind):
+                sat |= 1 << y
+        if kind is Semantics.STRONG:
+            dense_part = brute_closure(top.n, top.opens, brute_interior(top.opens, sat))
+            return u & ~dense_part == 0
+        rest = v & ~sat
+        closure = brute_closure(top.n, top.opens, rest)
+        return brute_interior(top.opens, closure) == 0
+    raise AssertionError(f)

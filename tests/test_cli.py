@@ -54,6 +54,16 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    def test_relational_model_is_input_error(self, capsys, pin_path):
+        code, out, err = run(
+            capsys, "eval", "--model", pin_path, "--scenario", "x=1;U=0,1", "--formula", "p"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {pin_path} holds a relational model; this command needs a subset model\n"
+        )
+
     def test_missing_model_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -179,6 +189,9 @@ class TestConvertDecompose:
     def test_convert_rejects_subset_input(self, capsys, sierp_path):
         code, _, err = run(capsys, "convert", "--model", sierp_path)
         assert code == 2
+        assert err == (
+            f"error: {sierp_path} holds a subset model; this command needs a relational model\n"
+        )
 
     def test_decompose(self, capsys, pin_path):
         code, out, _ = run(capsys, "decompose", "--model", pin_path)

@@ -1,15 +1,12 @@
 """Differential check against a from-the-definitions evaluator.
 
-This re-implements satisfaction by naive pointwise recursion: knowledge
-and belief quantify over worlds directly, knowability existentially
-quantifies over the open family, and the topological operators come from
-the brute-force oracles.  No extensions, no caching, no sharing with the
+The oracle is def_truth (tests/oracles.py), satisfaction by naive
+pointwise recursion with no extensions, no caching and no sharing with the
 library's evaluation path; disagreement on any scenario is a bug in one
 of the two.
 """
 
-from oracles import brute_closure, brute_interior
-from topobelief import formula as fm
+from oracles import def_truth
 from topobelief.formula import formula_corpus, parse
 from topobelief.model import (
     EDScenario,
@@ -22,50 +19,6 @@ from topobelief.model import (
 from topobelief.semantics import BatchEvaluator, Semantics, satisfies, sweep_validity
 from topobelief.suites import Batch
 from topobelief.topology import Topology, bits, enumerate_topologies
-
-
-def def_truth(model, x, u, v, f, kind):
-    top = model.topology
-    if isinstance(f, fm.Atom):
-        return bool(model.valuation.get(f.name, 0) >> x & 1)
-    if isinstance(f, fm.Top):
-        return True
-    if isinstance(f, fm.Bot):
-        return False
-    if isinstance(f, fm.Not):
-        return not def_truth(model, x, u, v, f.sub, kind)
-    if isinstance(f, fm.And):
-        return def_truth(model, x, u, v, f.left, kind) and def_truth(model, x, u, v, f.right, kind)
-    if isinstance(f, fm.Or):
-        return def_truth(model, x, u, v, f.left, kind) or def_truth(model, x, u, v, f.right, kind)
-    if isinstance(f, fm.Implies):
-        return (not def_truth(model, x, u, v, f.left, kind)) or def_truth(
-            model, x, u, v, f.right, kind
-        )
-    if isinstance(f, fm.Iff):
-        return def_truth(model, x, u, v, f.left, kind) == def_truth(model, x, u, v, f.right, kind)
-    if isinstance(f, fm.K):
-        return all(def_truth(model, y, u, v, f.sub, kind) for y in bits(u))
-    if isinstance(f, fm.Box):
-        # some open evidence containing x entails the subformula within u
-        return any(
-            o >> x & 1 and o & ~u == 0 and all(def_truth(model, y, u, v, f.sub, kind) for y in bits(o))
-            for o in top.opens
-        )
-    if isinstance(f, fm.Bel):
-        if kind is Semantics.ED:
-            return all(def_truth(model, y, u, v, f.sub, kind) for y in bits(v))
-        sat = 0
-        for y in bits(u):
-            if def_truth(model, y, u, v, f.sub, kind):
-                sat |= 1 << y
-        if kind is Semantics.STRONG:
-            dense_part = brute_closure(top.n, top.opens, brute_interior(top.opens, sat))
-            return u & ~dense_part == 0
-        rest = v & ~sat
-        closure = brute_closure(top.n, top.opens, rest)
-        return brute_interior(top.opens, closure) == 0
-    raise AssertionError(f)
 
 
 def _exhaustive_models(max_n):

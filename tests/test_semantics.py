@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import def_truth
 from topobelief.formula import (
     ALPHA_MAP,
     Bel,
@@ -283,31 +284,67 @@ class TestFindCountermodel:
         )
 
 
+def _assert_oracle_bits(m, kind, u, v, f, ext):
+    """ext is the definitional extension of f under (u, v), world by world."""
+    for x in range(m.n):
+        want = bool(u >> x & 1) and def_truth(m, x, u, v, f, kind)
+        assert bool(ext >> x & 1) == want, (kind.value, x, u, v, str(f))
+
+
 class TestBatchEvaluatorAgreement:
     @given(st.integers(0, 10_000), st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
     def test_matches_reference_evaluator(self, seed, n):
+        """Every node value of base_pass/overlay_pass against def_truth."""
         m = random_model(seed, n)
-        corpus = formula_corpus()[:30]
+        # binary roots that read the doxastic range through one side only
+        mixed = ("p -> B p", "B q & q", "box p <-> K B p")
+        corpus = formula_corpus()[:30] + tuple(parse(t) for t in mixed)
         for kind in (STRONG, ED, AE):
             engine = BatchEvaluator(corpus, kind)
-            ev = Evaluator(m, kind)
             if kind is STRONG:
-                for u in m.topology.opens:
-                    vals = engine.base_pass(m, u)
-                    for f in corpus:
-                        assert vals[engine.roots[f]] == ev.extension(f, u)
+                by_u = {u: [None] for u in m.topology.opens}
             else:
-                pairs = range_pairs(m.topology, ScenarioClass.ALL)
-                by_u: dict[int, list[int]] = {}
-                for u, v in pairs:
+                by_u = {}
+                for u, v in range_pairs(m.topology, ScenarioClass.ALL):
                     by_u.setdefault(u, []).append(v)
-                for u, vs in by_u.items():
-                    vals = engine.base_pass(m, u)
-                    for v in vs:
+            for u, vs in by_u.items():
+                vals = engine.base_pass(m, u)
+                for v in vs:
+                    if v is not None:
                         engine.overlay_pass(m, u, v, vals)
-                        for f in corpus:
-                            assert vals[engine.roots[f]] == ev.extension(f, u, v)
+                    for f, idx in engine.index.items():
+                        _assert_oracle_bits(m, kind, u, v, f, vals[idx])
+
+    def test_growing_evaluator_matches_oracle(self):
+        """One Evaluator per model and semantics, asked formula by formula.
+
+        Later formulas share subformulas with earlier ones after a range
+        pair's value list exists, and v alternates under one u, so a fill-up
+        that skipped newly compiled nodes would show.
+        """
+        texts = (
+            "p",
+            "B p",
+            "box B p -> q",
+            "q",
+            "K (p & q) | B p",
+            "! box B p <-> B ! q",
+            "B p",
+            "K B (p -> q) & box (p -> q)",
+        )
+        for seed in range(8):
+            m = random_model(seed, 2 + seed % 3)
+            for kind in (STRONG, ED, AE):
+                if kind is STRONG:
+                    pairs = [(u, None) for u in m.topology.opens]
+                else:
+                    pairs = range_pairs(m.topology, ScenarioClass.ALL)
+                ev = Evaluator(m, kind)
+                for k, text in enumerate(texts):
+                    f = parse(text)
+                    for u, v in pairs if k % 2 else reversed(pairs):
+                        _assert_oracle_bits(m, kind, u, v, f, ev.extension(f, u, v))
 
     def test_sweep_finds_nothing_on_sound_schemes(self):
         roots = (parse("K p -> p"), parse("B p -> K B p"))
