@@ -25,7 +25,8 @@ print("X almost-in {1}:", sierp.almost_subset(0b11, 0b10))
 # Families that fail to be topologies are reported with a witness.
 print(find_violation(3, [0b000, 0b001, 0b010, 0b111]))
 
-# Generation closes a subbasis under pairwise union/intersection.
+# Generation: each point's smallest open is the intersection of the subbasis
+# members around it, and the opens are the unions of those sets.
 t = generate_from_subbasis(3, [0b001, 0b010])
 print("generated opens:", [format_mask(o) for o in t.opens])
 

@@ -147,9 +147,24 @@ class ScenarioClass(Enum):
         return v == u
 
 
-def epistemic_scenarios(model: SubsetModel) -> Iterator[EDScenario]:
-    """All (x, U) with x in U open, x ascending then U in canonical order."""
+def charge_budget(top: Topology, cost: int, budget: int) -> None:
+    """Raise BudgetError when a sweep of the given cost exceeds the budget."""
+    if cost > budget:
+        raise BudgetError(
+            f"scenario sweep cost {cost} exceeds budget {budget}"
+            f" ({len(top.opens)} opens on {top.n} worlds)"
+        )
+
+
+def epistemic_scenarios(
+    model: SubsetModel, budget: int = DEFAULT_SCENARIO_BUDGET
+) -> Iterator[EDScenario]:
+    """All (x, U) with x in U open, x ascending then U in canonical order.
+
+    The sweep costs |opens| × worlds against the budget.
+    """
     top = model.topology
+    charge_budget(top, len(top.opens) * top.n, budget)
     for x in range(top.n):
         bit = 1 << x
         for u in top.opens:
@@ -179,13 +194,11 @@ def _range_groups(top: Topology, cls: ScenarioClass) -> tuple[tuple[int, tuple[i
 def range_groups(
     top: Topology, cls: ScenarioClass, budget: int = DEFAULT_SCENARIO_BUDGET
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """range_pairs grouped by epistemic range; cached per topology."""
-    cost = len(top.opens) ** 2 * top.n
-    if cost > budget:
-        raise BudgetError(
-            f"scenario sweep cost {cost} exceeds budget {budget}"
-            f" ({len(top.opens)} opens on {top.n} worlds)"
-        )
+    """range_pairs grouped by epistemic range; cached per topology.
+
+    The sweep costs |opens|² × worlds against the budget.
+    """
+    charge_budget(top, len(top.opens) ** 2 * top.n, budget)
     return _range_groups(top, cls)
 
 

@@ -46,6 +46,7 @@ from .model import (
     EDScenario,
     ScenarioClass,
     SubsetModel,
+    charge_budget,
     check_scenario,
     ed_scenarios,
     epistemic_scenarios,
@@ -145,9 +146,10 @@ def _trace(ev: Evaluator, f: Formula, s: EDScenario) -> tuple[tuple[str, bool], 
 def _scenario_stream(
     model: SubsetModel, kind: Semantics, cls: ScenarioClass, budget: int
 ) -> Iterator[EDScenario]:
-    """Epistemic scenarios under strong semantics (no budget), else the class's."""
+    """Epistemic scenarios under strong semantics, else the class's; both
+    charge the budget (|opens| × worlds and |opens|² × worlds)."""
     if kind is Semantics.STRONG:
-        return epistemic_scenarios(model)
+        return epistemic_scenarios(model, budget)
     return ed_scenarios(model, cls, budget)
 
 
@@ -162,6 +164,7 @@ def valid_in_model(
 
     Under strong semantics the scenarios are the epistemic ones and the
     class is irrelevant; under e-d semantics the class filters (U, V).
+    Raises BudgetError when the sweep's cost exceeds the budget.
     """
     ev = Evaluator(model, kind)
     for s in _scenario_stream(model, kind, scenario_class, budget):
@@ -533,6 +536,7 @@ def sweep_validity(
             break
         group = list(run)
         if engine.kind is Semantics.STRONG:
+            charge_budget(top, len(top.opens) * top.n, budget)
             ranges = [(u, (None,)) for u in top.opens if u]
         else:
             ranges = range_groups(top, scenario_class, budget)

@@ -3,10 +3,17 @@
 Subsets of the carrier are plain ints used as bitmasks (world i is bit i).
 A topology stores its full open-set family explicitly, deduplicated and in
 canonical order (cardinality, then numeric bit pattern), so dumps and
-reports are deterministic.  A lazily cached minimal-open-neighborhood
-table backs the interior/closure operators; every finite space is
-Alexandroff, so the table always exists.  mnb_interior and mnb_closure
-are those operators without the subset check, for the evaluation engine.
+reports are deterministic.
+
+Every finite space is Alexandroff: each point x has a smallest open
+neighborhood mnb(x), and the opens are exactly the unions of mnb sets.
+That table (the specialization preorder, as successor masks) is how every
+topology is built and checked.  Generation ANDs the subbasis members
+around each point, enumeration walks preorders, and validation compares a
+family with the unions of its own derived table; each then folds the table
+into its unions in O(F·n) for F opens.  The table also backs the
+interior/closure operators; mnb_interior and mnb_closure are those
+operators without the subset check, for the evaluation engine.
 """
 
 from __future__ import annotations
@@ -50,7 +57,50 @@ def format_mask(mask: int) -> str:
 
 
 def _canon(opens: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(opens), key=lambda m: (m.bit_count(), m)))
+    # numeric order, then a stable sort by cardinality
+    return tuple(sorted(sorted(set(opens)), key=int.bit_count))
+
+
+def _min_neighborhoods(n: int, opens: Iterable[int]) -> tuple[int, ...]:
+    """AND of the members around each point (the carrier where none is)."""
+    full = full_mask(n)
+    table = [full] * n
+    for o in opens:
+        m = o & full  # bits past the carrier belong to no point
+        while m:
+            x = (m & -m).bit_length() - 1
+            table[x] &= o
+            m &= m - 1
+    return tuple(table)
+
+
+def _unions(table: Iterable[int], within: set[int] | None = None) -> set[int] | None:
+    """Every union of the table's sets, the empty union included.
+
+    Folds one set at a time into the union-closed family built so far, so a
+    result of F sets costs O(F·n).  With `within`, stops and returns None as
+    soon as a union falls outside it.
+    """
+    family = {0}
+    for m in table:
+        if m in family:
+            continue  # the family is union-closed, so m adds nothing
+        grown = {u | m for u in family}
+        if within is not None and not grown <= within:
+            return None
+        family |= grown
+    return family
+
+
+def _table_if_topology(n: int, family: set[int]) -> tuple[int, ...] | None:
+    """The family's minimal-neighborhood table if it is a topology, else None.
+
+    A finite family is a topology exactly when it equals the unions of its
+    own derived table: that table is a preorder's successor masks, whose
+    unions are the preorder's up-sets, a topology.
+    """
+    table = _min_neighborhoods(n, family)
+    return table if _unions(table, family) == family else None
 
 
 @dataclass(frozen=True)
@@ -78,7 +128,9 @@ def find_violation(n: int, opens: Iterable[int]) -> TopologyViolation | None:
     """First reason the family is not a topology, or None when it is one.
 
     Checks membership of the empty set and the carrier, then scans pairs in
-    canonical order for a missing union or intersection.
+    canonical order for a missing union or intersection.  That scan is
+    O(F²); from_opens and verify run it only to name the violation of a
+    family that has already failed the O(F·n) table check.
     """
     family = set(opens)
     if 0 not in family:
@@ -97,6 +149,8 @@ def find_violation(n: int, opens: Iterable[int]) -> TopologyViolation | None:
 
 def verify(t: "Topology") -> TopologyViolation | None:
     """Re-check a topology's family against the closure conditions."""
+    if _table_if_topology(t.n, set(t.opens)) is not None:
+        return None
     return find_violation(t.n, t.opens)
 
 
@@ -105,21 +159,31 @@ class Topology:
 
     __slots__ = ("n", "opens", "__dict__")
 
-    def __init__(self, n: int, opens: tuple[int, ...]):
-        # private; use from_opens / generate_from_subbasis for validated input
+    def __init__(self, n: int, opens: tuple[int, ...], mnb: tuple[int, ...] | None = None):
+        # private; use from_opens / generate_from_subbasis for validated input.
+        # mnb, when given, must be the family's minimal-neighborhood table.
         self.n = n
         self.opens = opens
+        if mnb is not None:
+            self.__dict__["min_neighborhoods"] = mnb
 
     @classmethod
     def from_opens(cls, n: int, opens: Iterable[int]) -> "Topology":
+        """Validated topology with exactly the given opens.
+
+        The family is accepted when it equals the unions of its own
+        minimal-neighborhood table (O(F·n)); otherwise the TopologyError
+        names the first violation find_violation reports.
+        """
         _check_carrier(n)
         opens = list(opens)
         for o in opens:
             _check_subset(n, o)
-        violation = find_violation(n, opens)
-        if violation is not None:
-            raise TopologyError(str(violation))
-        return cls(n, _canon(opens))
+        family = set(opens)
+        mnb = _table_if_topology(n, family)
+        if mnb is None:
+            raise TopologyError(str(find_violation(n, family)))
+        return cls(n, _canon(family), mnb)
 
     @classmethod
     def discrete(cls, n: int) -> "Topology":
@@ -158,15 +222,7 @@ class Topology:
     @cached_property
     def min_neighborhoods(self) -> tuple[int, ...]:
         """Smallest open around each point (finite spaces are Alexandroff)."""
-        out = []
-        for x in range(self.n):
-            nbhd = self.full
-            bit = 1 << x
-            for o in self.opens:
-                if o & bit:
-                    nbhd &= o
-            out.append(nbhd)
-        return tuple(out)
+        return _min_neighborhoods(self.n, self.opens)
 
     def interior(self, a: int) -> int:
         """Largest open set contained in a."""
@@ -232,24 +288,16 @@ def _check_subset(n: int, a: int) -> None:
 def generate_from_subbasis(n: int, subbasis: Iterable[int]) -> Topology:
     """Smallest topology containing the subbasis.
 
-    Starts from the subbasis plus the empty set and the carrier and closes
-    under pairwise intersection and union to a fixpoint; on a finite
-    carrier this captures arbitrary unions as well.
+    Each point's minimal open neighborhood is the AND of the carrier and
+    every subbasis member containing it, O(n·|subbasis|); the opens are
+    then exactly the unions of those neighborhoods.
     """
     _check_carrier(n)
-    family = {0, full_mask(n)}
+    subbasis = list(subbasis)
     for s in subbasis:
         _check_subset(n, s)
-        family.add(s)
-    queue = list(family)
-    while queue:
-        a = queue.pop()
-        for b in list(family):
-            for c in (a | b, a & b):
-                if c not in family:
-                    family.add(c)
-                    queue.append(c)
-    return Topology(n, _canon(family))
+    mnb = _min_neighborhoods(n, subbasis)
+    return Topology(n, _canon(_unions(mnb)), mnb)
 
 
 def _preorders(n: int) -> Iterator[tuple[int, ...]]:
@@ -278,33 +326,16 @@ def _is_transitive(succ: list[int]) -> bool:
     return True
 
 
-def upset_topology(succ: tuple[int, ...]) -> tuple[int, ...]:
-    """Open-set family of a preorder: subsets closed under successors."""
-    n = len(succ)
-    opens = []
-    for s in range(1 << n):
-        m = s
-        ok = True
-        while m:
-            x = (m & -m).bit_length() - 1
-            if succ[x] & ~s:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            opens.append(s)
-    return _canon(opens)
-
-
 def enumerate_topologies(n: int) -> Iterator[Topology]:
     """Every labeled topology on n points, exactly once, in canonical order.
 
-    Finite topologies are Alexandroff, so they are exactly the up-set
-    families of reflexive transitive relations; the n <= 4 gate keeps the
-    sweep inside the exhaustive-testing budget.
+    Finite topologies correspond one to one with preorders: a preorder's
+    successor masks are the minimal-neighborhood table of its up-set
+    topology.  The n <= 4 gate keeps the sweep inside the
+    exhaustive-testing budget.
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise TopologyError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
-    families = {upset_topology(succ) for succ in _preorders(n)}
-    for opens in sorted(families, key=lambda fam: (len(fam), fam)):
-        yield Topology(n, opens)
+    tops = [Topology(n, _canon(_unions(succ)), succ) for succ in _preorders(n)]
+    tops.sort(key=lambda t: (len(t.opens), t.opens))
+    yield from tops

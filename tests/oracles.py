@@ -32,6 +32,37 @@ def brute_closure(n, opens, a):
     return out
 
 
+def closure_oracle(n, subbasis):
+    """Smallest topology containing the subbasis, as a set of opens.
+
+    Closes the subbasis plus the empty set and the carrier under pairwise
+    union and intersection until nothing new appears (the definition; on a
+    finite carrier pairwise closure gives arbitrary unions too).
+    """
+    family = {0, (1 << n) - 1} | set(subbasis)
+    queue = list(family)
+    while queue:
+        a = queue.pop()
+        for b in list(family):
+            for c in (a | b, a & b):
+                if c not in family:
+                    family.add(c)
+                    queue.append(c)
+    return frozenset(family)
+
+
+def brute_min_neighborhoods(n, opens):
+    """Per point, the intersection of every open containing it."""
+    out = []
+    for x in range(n):
+        m = (1 << n) - 1
+        for o in opens:
+            if o >> x & 1:
+                m &= o
+        out.append(m)
+    return tuple(out)
+
+
 def reflexive_transitive_relations(n):
     """All preorders on n points as successor-mask tuples (matrix method)."""
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]

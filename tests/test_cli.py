@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from topobelief.cli import main
-from topobelief.model import dump, sierpinski_model
+from topobelief.model import dump, random_model, sierpinski_model
 from topobelief.relational import RelationalModel
 
 
@@ -94,6 +95,16 @@ class TestValid:
         assert payload["valid"] is False
         assert payload["witness"]["scenario"] == "x=1;U=0,1"
 
+    def test_strong_budget_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "sixteen.json"
+        path.write_text(dump(random_model(1, 16)))
+        code, _, err = run(
+            capsys, "valid", "--model", str(path), "--semantics", "strong",
+            "--formula", "K p -> p", "--budget", "1000",
+        )
+        assert code == 2
+        assert "scenario sweep cost 11440 exceeds budget 1000 (715 opens on 16 worlds)" in err
+
 
 class TestCountermodel:
     def test_finds_and_dumps(self, capsys, tmp_path):
@@ -134,6 +145,16 @@ class TestCountermodel:
         )
         assert code == 2
         assert "budget" in err
+
+    def test_sixteen_worlds_within_budget(self, capsys):
+        started = time.perf_counter()
+        code, _, _ = run(
+            capsys, "countermodel", "--formula", "K p -> p", "--max-n", "16",
+            "--budget", "200000",
+        )
+        elapsed = time.perf_counter() - started
+        assert code in (0, 1, 2)
+        assert elapsed < 30.0, f"runtime target exceeded: {elapsed:.1f}s"
 
     def test_conflicting_modes_rejected(self, capsys):
         code, _, err = run(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracles import brute_closure
+from oracles import brute_closure, brute_min_neighborhoods
 from topobelief.model import (
     BudgetError,
     EDScenario,
@@ -158,6 +158,10 @@ class TestScenarios:
     def test_budget_guard(self, wedge):
         with pytest.raises(BudgetError):
             list(ed_scenarios(wedge, ScenarioClass.ALL, budget=10))
+        # 5 opens on 3 worlds: the epistemic sweep costs 15
+        assert len(list(epistemic_scenarios(wedge, budget=15))) == 7
+        with pytest.raises(BudgetError, match="cost 15 exceeds budget 14"):
+            list(epistemic_scenarios(wedge, budget=14))
 
     def test_check_scenario(self, sierpinski):
         check_scenario(sierpinski, EDScenario(0, 0b01))
@@ -210,3 +214,12 @@ class TestRandomModel:
     def test_size_bound(self):
         with pytest.raises(ModelError):
             random_model(0, 17)
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_large_models_round_trip(self, n):
+        # seed 4 on 16 worlds generates the discrete topology (65 536 opens)
+        for seed in (1, 2, 4):
+            m = random_model(seed, n)
+            text = dump(m)
+            assert dump(load(text)) == text
+            assert m.topology.min_neighborhoods == brute_min_neighborhoods(n, m.topology.opens)

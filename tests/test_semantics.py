@@ -11,6 +11,7 @@ from topobelief.formula import (
     translate,
 )
 from topobelief.model import (
+    BudgetError,
     EDScenario,
     ScenarioClass,
     SubsetModel,
@@ -107,6 +108,15 @@ class TestValidInModel:
         verdict = valid_in_model(wedge, f, STRONG)
         assert not verdict.valid
         assert not satisfies(wedge, verdict.witness.scenario, f, STRONG)
+
+    def test_strong_sweeps_charge_the_budget(self, wedge):
+        # 5 opens on 3 worlds cost 15 under strong semantics
+        f = parse("K p -> p")
+        assert valid_in_model(wedge, f, STRONG, budget=15).valid
+        with pytest.raises(BudgetError, match="cost 15 exceeds budget 14"):
+            valid_in_model(wedge, f, STRONG, budget=14)
+        with pytest.raises(BudgetError, match="cost 15 exceeds budget 14"):
+            sweep_validity(BatchEvaluator((f,), STRONG), [wedge], budget=14)
 
     def test_reduction_equivalence_small(self):
         eqv = parse("B p <-> K dia box p")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_topologies_oracle, brute_closure, brute_interior
+from oracles import all_topologies_oracle, brute_closure, brute_interior, closure_oracle
 from topobelief.topology import (
     Topology,
     TopologyError,
@@ -50,6 +50,38 @@ class TestGeneration:
                 continue
             rest = [x for x in t.opens if x != o]
             assert find_violation(n, rest) is not None
+
+
+class TestAgainstOracles:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generation_matches_closure_oracle(self, data):
+        n = data.draw(st.integers(1, 8))
+        subbasis = data.draw(st.lists(st.integers(0, full_mask(n)), max_size=8))
+        t = generate_from_subbasis(n, subbasis)
+        assert set(t.opens) == closure_oracle(n, subbasis)
+        assert list(t.opens) == sorted(t.opens, key=lambda m: (bin(m).count("1"), m))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_from_opens_accepts_exactly_the_topologies(self, data):
+        # perturb a topology by one open; the table check must agree with
+        # the pair scan, and a rejection must carry its exact message
+        n = data.draw(st.integers(1, 5))
+        subbasis = data.draw(st.lists(st.integers(0, full_mask(n)), max_size=6))
+        family = list(generate_from_subbasis(n, subbasis).opens)
+        if data.draw(st.booleans()):
+            family.remove(data.draw(st.sampled_from(family)))
+        else:
+            family.append(data.draw(st.integers(0, full_mask(n))))
+        violation = find_violation(n, family)
+        assert verify(Topology(n, tuple(family))) == violation
+        if violation is None:
+            assert set(Topology.from_opens(n, family).opens) == set(family)
+        else:
+            with pytest.raises(TopologyError) as info:
+                Topology.from_opens(n, family)
+            assert str(info.value) == str(violation)
 
 
 class TestVerify:
