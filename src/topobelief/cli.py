@@ -25,7 +25,7 @@ from .model import (
 )
 from .relational import RelationalError, RelationalModel, decompose, to_subset_model
 from .semantics import Semantics, SemanticsError, find_countermodel, satisfies, valid_in_model
-from .suites import Batch, SuiteError, get_suite, run_suite, suite_names
+from .suites import SuiteError, get_suite, run_suite, soundness_batch, suite_names
 from .topology import TopologyError, bits, enumerate_topologies
 
 _ERRORS = (
@@ -132,15 +132,14 @@ def _cmd_countermodel(args) -> int:
 
 def _cmd_suite(args) -> int:
     suite = get_suite(args.name)
-    sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
-    if args.models:
-        seeds = tuple(range(args.seed, args.seed + args.models))
-        cycle = tuple(sizes[i % len(sizes)] for i in range(args.models))
+    try:
+        sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
+    except ValueError:
+        raise SuiteError(f"--sizes {args.sizes!r} is not a comma list of world counts") from None
+    if args.exhaustive or args.models:
+        batch = soundness_batch(args.exhaustive or 0, args.models, sizes, args.seed)
     else:
-        seeds, cycle = (), ()
-    batch = Batch(exhaustive_n=args.exhaustive or 0, seeds=seeds, sizes=cycle)
-    if not args.exhaustive and not args.models:
-        batch = Batch(exhaustive_n=3)
+        batch = soundness_batch(random_count=0)
     report = run_suite(
         suite,
         batch,

@@ -221,10 +221,6 @@ def ed_scenarios(
 # model documents
 
 
-def _subsets_to_lists(opens: tuple[int, ...]) -> list[list[int]]:
-    return [bits(o) for o in opens]
-
-
 def dump(model) -> str:
     """Canonical JSON document for a subset or relational model."""
     from .relational import RelationalModel
@@ -233,7 +229,7 @@ def dump(model) -> str:
         doc = {
             "type": "subset",
             "worlds": model.n,
-            "opens": _subsets_to_lists(model.topology.opens),
+            "opens": [bits(o) for o in model.topology.opens],
             "valuation": {atom: bits(mask) for atom, mask in sorted(model.valuation.items())},
         }
     elif isinstance(model, RelationalModel):

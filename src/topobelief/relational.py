@@ -42,13 +42,6 @@ class RelationalModel:
             if subset < 0 or subset & ~full:
                 raise RelationalError(f"valuation of {atom!r} out of carrier range")
 
-    def successors(self, x: int) -> int:
-        m = 0
-        for a, b in self.rel:
-            if a == x:
-                m |= 1 << b
-        return m
-
     def successor_masks(self) -> list[int]:
         out = [0] * self.n
         for a, b in self.rel:

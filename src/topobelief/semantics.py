@@ -24,8 +24,10 @@ value holds one bit per (world, model), and every connective, interior
 and closure acts on the whole group at once.  K, box and B depend only on
 the topology and the ranges, so an exhaustive batch (all valuations of
 each topology) costs about one pass per topology and range instead of one
-per model.  Failures are reported exactly as a model-by-model scan finds
-them.
+per model.  valid_in_model, find_countermodel and suite runs all use this
+one sweep, and a failure is the one a scenario-by-scenario scan finds: the
+first failing model, the least world missing there, then the first (U, V)
+in canonical order that misses that world.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from operator import attrgetter
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
 from .formula import Formula
@@ -48,8 +50,6 @@ from .model import (
     SubsetModel,
     charge_budget,
     check_scenario,
-    ed_scenarios,
-    epistemic_scenarios,
     random_model,
     range_groups,
 )
@@ -143,16 +143,6 @@ def _trace(ev: Evaluator, f: Formula, s: EDScenario) -> tuple[tuple[str, bool], 
     return tuple(entries)
 
 
-def _scenario_stream(
-    model: SubsetModel, kind: Semantics, cls: ScenarioClass, budget: int
-) -> Iterator[EDScenario]:
-    """Epistemic scenarios under strong semantics, else the class's; both
-    charge the budget (|opens| × worlds and |opens|² × worlds)."""
-    if kind is Semantics.STRONG:
-        return epistemic_scenarios(model, budget)
-    return ed_scenarios(model, cls, budget)
-
-
 def valid_in_model(
     model: SubsetModel,
     f: Formula,
@@ -166,12 +156,10 @@ def valid_in_model(
     class is irrelevant; under e-d semantics the class filters (U, V).
     Raises BudgetError when the sweep's cost exceeds the budget.
     """
-    ev = Evaluator(model, kind)
-    for s in _scenario_stream(model, kind, scenario_class, budget):
-        ext = ev.extension(f, s.u, s.v)
-        if not ext >> s.x & 1:
-            return Verdict(False, Witness(s, _trace(ev, f, s)))
-    return Verdict(True)
+    hit = sweep_validity(BatchEvaluator((f,), kind), (model,), scenario_class, budget).get(f)
+    if hit is None:
+        return Verdict(True)
+    return Verdict(False, Witness(hit.scenario, _trace(Evaluator(model, kind), f, hit.scenario)))
 
 
 @dataclass(frozen=True)
@@ -206,48 +194,70 @@ def find_countermodel(
     exceeds 4, a seeded random phase follows until the budget runs out.
     Results are deterministic for a fixed seed, and a larger budget can
     only extend the search, never change an already found witness.
+
+    Each run of same-topology models is swept lane-packed and the budget's
+    scenario count worked out from run sizes; a run whose sweep would cost
+    over 10^6 is skipped and not counted.
     """
     if not 1 <= max_n <= 16:
         raise SemanticsError(f"max_n {max_n} outside 1..16")
     names = sorted(fm.atoms(f))
+    engine = BatchEvaluator((f,), kind)
+    root = engine.roots[f]
     evaluations = 0
-    exhaustive_cap = min(max_n, 4)
-
-    def check_model(model: SubsetModel) -> SearchOutcome | None:
-        nonlocal evaluations
-        ev = Evaluator(model, kind)
+    for top, models in _search_runs(names, max_n, seed):
         try:
-            for s in _scenario_stream(model, kind, scenario_class, DEFAULT_SCENARIO_BUDGET):
-                if evaluations >= budget:
-                    return SearchOutcome("budget", None, None, evaluations)
-                evaluations += 1
-                ext = ev.extension(f, s.u, s.v)
-                if not ext >> s.x & 1:
-                    return SearchOutcome("found", model, s, evaluations)
+            ranges = _sweep_ranges(top, kind, scenario_class, DEFAULT_SCENARIO_BUDGET)
         except BudgetError:
-            return None  # scenario space too large; skip this model
-        return None
-
-    for n in range(1, exhaustive_cap + 1):
-        for top in enumerate_topologies(n):
-            for masks in itertools.product(range(1 << n), repeat=len(names)):
-                model = SubsetModel(top, dict(zip(names, masks)))
-                hit = check_model(model)
-                if hit is not None:
-                    return hit
-
-    if max_n <= 4:
-        return SearchOutcome("exhausted", None, None, evaluations)
-
-    sizes = list(range(5, max_n + 1))
-    draw = 0
-    while evaluations < budget:
-        model = _search_model(seed + draw, sizes[draw % len(sizes)], names)
-        draw += 1
-        hit = check_model(model)
+            continue  # scenario space too large; skip the run
+        per_model = sum(u.bit_count() * len(vs) for u, vs in ranges)
+        # the models whose first scenario the remaining budget still reaches
+        reach = max(0, -(-(budget - evaluations) // per_model))
+        group = list(itertools.islice(models, reach))
+        if not group:
+            break
+        hit = _group_failures(engine, group, ranges, [root]).get(root)
         if hit is not None:
-            return hit
-    return SearchOutcome("budget", None, None, evaluations)
+            lane, s = hit
+            evaluations += lane * per_model + _stream_position(ranges, s)
+            if evaluations <= budget:
+                return SearchOutcome("found", group[lane], s, evaluations)
+            break
+        evaluations += len(group) * per_model
+        if evaluations > budget or next(models, None) is not None:
+            break
+    else:
+        return SearchOutcome("exhausted", None, None, evaluations)
+    # every break above means the budget ran out; a negative one reads as 0
+    return SearchOutcome("budget", None, None, max(budget, 0))
+
+
+_RUN_LANES = 4096  # models per search run at most: three atoms on four worlds
+
+
+def _search_runs(
+    names: list[str], max_n: int, seed: int
+) -> Iterator[tuple[Topology, Iterator[SubsetModel]]]:
+    """find_countermodel's model stream in same-topology runs: the
+    valuations of each topology on 1..min(max_n, 4) points, then, when
+    max_n exceeds 4, one seeded draw per run without end."""
+    for n in range(1, min(max_n, 4) + 1):
+        for top in enumerate_topologies(n):
+            masks = itertools.product(range(1 << n), repeat=len(names))
+            while chunk := list(itertools.islice(masks, _RUN_LANES)):
+                yield top, (SubsetModel(top, dict(zip(names, m))) for m in chunk)
+    if max_n > 4:
+        sizes = range(5, max_n + 1)
+        for draw in itertools.count():
+            model = _search_model(seed + draw, sizes[draw % len(sizes)], names)
+            yield model.topology, iter((model,))
+
+
+def _stream_position(ranges: Sequence[tuple[int, tuple[int | None, ...]]], s: EDScenario) -> int:
+    """1-based position of s in its model's scenario stream: x, then U, then V."""
+    pairs = [(u, v) for u, vs in ranges for v in vs]
+    lower = sum((u & ((1 << s.x) - 1)).bit_count() for u, _ in pairs)
+    return lower + [p for p in pairs if p[0] >> s.x & 1].index((s.u, s.v)) + 1
 
 
 def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
@@ -513,53 +523,57 @@ def sweep_validity(
     models: Iterable[SubsetModel],
     scenario_class: ScenarioClass = ScenarioClass.ALL,
     budget: int = DEFAULT_SCENARIO_BUDGET,
-    skip: set[Formula] | None = None,
 ) -> dict[Formula, BatchFailure]:
-    """First failure per root formula across a model stream.
+    """First failure per root formula across a model stream, in scan order.
 
     A root with no entry in the result is valid on every model of the
-    stream (restricted to scenarios of the class).  Roots in `skip` or
-    already failed are not re-checked.
+    stream (restricted to scenarios of the class).  A failed root is not
+    re-checked.
 
     Each run of consecutive models with the same topology is evaluated as
     one group, model j in lane j, while the stream is read lazily one group
-    at a time.  A root's failure is the one a model-by-model scan finds:
-    the stream's first failing model, its first failing range in canonical
-    order, and the least world missing there.
+    at a time.  A root's failure is the one a scenario-by-scenario scan
+    finds: the stream's first failing model, the least world missing
+    there, then the first (U, V) in canonical order that misses that world
+    (the order epistemic_scenarios and ed_scenarios yield).  Raises
+    BudgetError when a group's sweep costs more than the budget.
     """
-    skip = skip or set()
-    live = [idx for f, idx in engine.roots.items() if f not in skip]
-    formula_of = {idx: f for f, idx in engine.roots.items()}
+    live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     for top, run in itertools.groupby(models, key=attrgetter("topology")):
         if not live:
             break
         group = list(run)
-        if engine.kind is Semantics.STRONG:
-            charge_budget(top, len(top.opens) * top.n, budget)
-            ranges = [(u, (None,)) for u in top.opens if u]
-        else:
-            ranges = range_groups(top, scenario_class, budget)
-        found = _group_failures(engine, top, group, ranges, live)
-        if found:
-            for idx, (lane, s) in found.items():
-                failures[formula_of[idx]] = BatchFailure(formula_of[idx], group[lane], s)
-            live = [idx for idx in live if idx not in found]
+        ranges = _sweep_ranges(top, engine.kind, scenario_class, budget)
+        for idx, (lane, s) in _group_failures(engine, group, ranges, list(live)).items():
+            f = live.pop(idx)
+            failures[f] = BatchFailure(f, group[lane], s)
     return failures
+
+
+def _sweep_ranges(
+    top: Topology, kind: Semantics, cls: ScenarioClass, budget: int
+) -> Sequence[tuple[int, tuple[int | None, ...]]]:
+    """(U, Vs) groups in canonical order (V None under strong semantics),
+    charged |opens| × worlds under strong, else range_groups' |opens|² × worlds."""
+    if kind is Semantics.STRONG:
+        charge_budget(top, len(top.opens) * top.n, budget)
+        return [(u, (None,)) for u in top.opens if u]
+    return range_groups(top, cls, budget)
 
 
 def _group_failures(
     engine: BatchEvaluator,
-    top: Topology,
     group: list[SubsetModel],
     ranges: Iterable[tuple[int, tuple[int | None, ...]]],
     live: list[int],
 ) -> dict[int, tuple[int, EDScenario]]:
-    """Lowest failing lane and its first failing scenario, per live root."""
-    lanes = _Lanes(top, len(group))
+    """Per live root, the lowest failing lane and its least missing world,
+    kept at the first range that misses it; lane 0, world 0 settles a root."""
+    lanes = _Lanes(group[0].topology, len(group))
     atoms = lanes.pack(group, engine.atom_names)
     found: dict[int, tuple[int, EDScenario]] = {}
-    pending = live  # roots that may still fail in a lower lane
+    pending = live  # roots not yet failing at lane 0, world 0
     vals = [0] * len(engine.nodes)
     for u, vs in ranges:
         us = lanes.spread(u)
@@ -577,11 +591,14 @@ def _group_failures(
                 failing = lanes.fold(missing)
                 hit = found.get(idx)
                 if hit is not None:
-                    failing &= (1 << hit[0]) - 1
-                if failing:
-                    lane = (failing & -failing).bit_length() - 1
-                    found[idx] = (lane, EDScenario(lanes.least_world(missing, lane), u, v))
-                    if lane == 0:
+                    failing &= (2 << hit[0]) - 1  # lanes up to the hit's
+                if not failing:
+                    continue
+                lane = (failing & -failing).bit_length() - 1
+                x = lanes.least_world(missing, lane)
+                if hit is None or (lane, x) < (hit[0], hit[1].x):
+                    found[idx] = (lane, EDScenario(x, u, v))
+                    if lane == 0 and x == 0:
                         settled.add(idx)
             if settled:
                 pending = [idx for idx in pending if idx not in settled]

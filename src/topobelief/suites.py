@@ -19,13 +19,7 @@ from typing import Iterator, Sequence
 from . import formula as fm
 from .formula import Formula, Scheme, get_scheme, instantiate, parse
 from .model import EDScenario, ScenarioClass, SubsetModel, dump, parse_scenario, random_model
-from .semantics import (
-    BatchEvaluator,
-    Semantics,
-    satisfies,
-    sweep_validity,
-    valid_in_model,
-)
+from .semantics import BatchEvaluator, Evaluator, Semantics, _trace, satisfies, sweep_validity
 from .topology import Topology, enumerate_topologies, mask_of
 
 
@@ -170,6 +164,8 @@ class Batch:
     density: float = 0.3
 
     def __post_init__(self):
+        if self.exhaustive_n < 0:
+            raise SuiteError(f"exhaustive size {self.exhaustive_n} is negative")
         if len(self.seeds) != len(self.sizes):
             raise SuiteError("seeds and sizes must align")
 
@@ -198,8 +194,12 @@ def soundness_batch(
     first_seed: int = 1,
 ) -> Batch:
     """The standard batch: exhaustive n<=3 plus seeded random models."""
+    if random_count < 0:
+        raise SuiteError(f"random model count {random_count} is negative")
+    if random_count and not sizes:
+        raise SuiteError("random models need at least one size")
     seeds = tuple(range(first_seed, first_seed + random_count))
-    cycle = tuple(sizes[i % len(sizes)] for i in range(random_count)) if random_count else ()
+    cycle = tuple(sizes[i % len(sizes)] for i in range(random_count))
     return Batch(exhaustive_n=exhaustive_n, seeds=seeds, sizes=cycle)
 
 
@@ -343,14 +343,10 @@ def run_suite(
         for premise in premises:
             rule_rows.append((f"Nec_{mod}", premise, op(premise)))
 
-    roots: dict[Formula, None] = {}
-    for _, inst in rows:
-        roots.setdefault(inst, None)
-    for _, premise, wrapped in rule_rows:
-        roots.setdefault(premise, None)
-        roots.setdefault(wrapped, None)
-
-    engine = BatchEvaluator(tuple(roots), kind)
+    # the engine keeps each distinct root once, in first-seen order
+    roots = [inst for _, inst in rows]
+    roots += [g for _, premise, wrapped in rule_rows for g in (premise, wrapped)]
+    engine = BatchEvaluator(roots, kind)
     failures = sweep_validity(engine, batch.models(), cls)
 
     results = []
@@ -359,16 +355,14 @@ def run_suite(
         if failure is None:
             results.append(SchemeResult(name, fm.to_text(inst), "valid"))
         else:
-            verdict = valid_in_model(failure.model, inst, kind, cls)
-            witness = verdict.witness
             results.append(
                 SchemeResult(
                     name,
                     fm.to_text(inst),
                     "countermodel",
                     witness_model=json.loads(dump(failure.model)),
-                    witness_scenario=witness.scenario.literal(),
-                    witness_trace=witness.trace,
+                    witness_scenario=failure.scenario.literal(),
+                    witness_trace=_trace(Evaluator(failure.model, kind), inst, failure.scenario),
                 )
             )
 

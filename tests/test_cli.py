@@ -191,6 +191,22 @@ class TestSuite:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "batch_args",
+        [
+            ["--models", "3", "--sizes", ","],
+            ["--models", "3", "--sizes", "4,x"],
+            ["--models", "-1"],
+            ["--exhaustive", "-1"],
+        ],
+    )
+    def test_bad_batch_is_input_error(self, capsys, batch_args):
+        # exit 1 would read as "countermodel found", exit 0 as a vacuous pass
+        code, out, err = run(capsys, "suite", "--name", "sel", *batch_args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "suite", "--name", "mystery")
         assert code == 2

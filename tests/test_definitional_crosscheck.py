@@ -6,19 +6,30 @@ library's evaluation path; disagreement on any scenario is a bug in one
 of the two.
 """
 
+from itertools import count, product
+
 from oracles import def_truth
-from topobelief.formula import formula_corpus, parse
+from topobelief.formula import atoms, formula_corpus, parse
 from topobelief.model import (
+    BudgetError,
     EDScenario,
     ScenarioClass,
     SubsetModel,
+    dump,
     ed_scenarios,
     epistemic_scenarios,
     random_model,
 )
-from topobelief.semantics import BatchEvaluator, Semantics, satisfies, sweep_validity
+from topobelief.semantics import (
+    BatchEvaluator,
+    Semantics,
+    _search_model,
+    find_countermodel,
+    satisfies,
+    sweep_validity,
+)
 from topobelief.suites import Batch
-from topobelief.topology import Topology, bits, enumerate_topologies
+from topobelief.topology import Topology, enumerate_topologies
 
 
 def _exhaustive_models(max_n):
@@ -84,11 +95,12 @@ def _ranges(top, kind):
 
 
 def _first_failure(models, f, kind):
-    """Model-by-model scan: first model, first range, least world."""
+    """Scan order: first model, least world, then first range holding it."""
     for pos, model in enumerate(models):
-        for u, v in _ranges(model.topology, kind):
-            for x in bits(u):
-                if not def_truth(model, x, u, v, f, kind):
+        ranges = list(_ranges(model.topology, kind))
+        for x in range(model.n):
+            for u, v in ranges:
+                if u >> x & 1 and not def_truth(model, x, u, v, f, kind):
                     return pos, EDScenario(x, u, v)
     return None
 
@@ -143,3 +155,124 @@ def test_sweep_matches_scan_on_hand_built_streams():
     for models in (regrouped, late_lane_zero):
         for kind in (Semantics.STRONG, Semantics.ED, Semantics.AE):
             _check_sweep(models, kind)
+
+
+def test_scan_order_where_range_order_differs():
+    """Least world first, then range: the order ed_scenarios and
+    epistemic_scenarios yield, not first range, then least world."""
+    disc = Topology.discrete(2)  # opens {}, {0}, {1}, {0,1} in canonical order
+    point_p = SubsetModel(disc, {"p": 1})
+    cases = (
+        # U={1} misses world 1 before U={0,1} misses world 0
+        ("K p", Semantics.STRONG, "x=0;U=0,1"),
+        ("B p", Semantics.ED, "x=0;U=0,1;V=1"),
+    )
+    for text, kind, literal in cases:
+        f = parse(text)
+        hit = sweep_validity(BatchEvaluator((f,), kind), [point_p])[f]
+        assert hit.scenario.literal() == literal, (text, kind)
+        assert hit.scenario == next(
+            s
+            for s in (epistemic_scenarios if kind is Semantics.STRONG else ed_scenarios)(point_p)
+            if not def_truth(point_p, s.x, s.u, s.v, f, kind)
+        )
+    # lane 1 fails at the first range; lane 0 misses world 1 at U={1} and
+    # world 0 only later, at U={0,1}, where its failure settles
+    group = [point_p, SubsetModel(disc, {})]
+    f = parse("K p")
+    hit = sweep_validity(BatchEvaluator((f,), Semantics.STRONG), group)[f]
+    assert hit.model is group[0]
+    assert hit.scenario.literal() == "x=0;U=0,1"
+    for kind in (Semantics.STRONG, Semantics.ED, Semantics.AE):
+        _check_sweep(group, kind)
+
+
+def _search_stream(names, max_n, seed):
+    """find_countermodel's models: all valuations of every topology on
+    1..min(max_n, 4) points, then seeded draws of sizes 5..max_n in turn."""
+    for n in range(1, min(max_n, 4) + 1):
+        for top in enumerate_topologies(n):
+            for masks in product(range(1 << n), repeat=len(names)):
+                yield SubsetModel(top, dict(zip(names, masks)))
+    if max_n > 4:
+        sizes = range(5, max_n + 1)
+        for draw in count():
+            yield _search_model(seed + draw, sizes[draw % len(sizes)], names)
+
+
+def _search_events(f, kind, cls, max_n, seed=0):
+    """Each scenario of the search stream with its def_truth verdict, one by
+    one, up to the first falsifying one; a model whose scenario sweep goes
+    over the library's budget is skipped."""
+    for model in _search_stream(sorted(atoms(f)), max_n, seed):
+        try:
+            if kind is Semantics.STRONG:
+                scenarios = list(epistemic_scenarios(model))
+            else:
+                scenarios = list(ed_scenarios(model, cls))
+        except BudgetError:
+            continue
+        for s in scenarios:
+            holds = def_truth(model, s.x, s.u, s.v, f, kind)
+            yield model, s, holds
+            if not holds:
+                return
+
+
+def _counting_scan(events, budget):
+    """(status, evaluations, model document, scenario) of a scan that
+    counts one evaluation per scenario and stops at the budget."""
+    evaluations = 0
+    for model, s, holds in events:
+        if evaluations >= budget:
+            return "budget", evaluations, None, None
+        evaluations += 1
+        if not holds:
+            return "found", evaluations, dump(model), s.literal()
+    return "exhausted", evaluations, None, None
+
+
+def _search(f, kind, cls, max_n, budget, seed=0):
+    out = find_countermodel(f, kind, cls, max_n=max_n, budget=budget, seed=seed)
+    model = dump(out.model) if out.model is not None else None
+    return out.status, out.evaluations, model, out.scenario and out.scenario.literal()
+
+
+SEARCH_ROOTS = (
+    "K p -> p",
+    "B p -> p",
+    "B p -> ! B ! p",
+    "! box p -> box ! box p",
+    "B (box p | box ! box p)",
+)
+
+
+def test_countermodel_counts_match_a_counting_scan():
+    statuses = set()
+    for text in SEARCH_ROOTS:
+        f = parse(text)
+        for kind in (Semantics.STRONG, Semantics.ED, Semantics.AE):
+            classes = [ScenarioClass.ALL] if kind is Semantics.STRONG else list(ScenarioClass)
+            for cls in classes:
+                events = list(_search_events(f, kind, cls, 3))
+                total = _counting_scan(events, len(events))[1]
+                for budget in sorted({1, total // 2, total - 1, total, total + 1} - {0}):
+                    want = _counting_scan(events, budget)
+                    assert _search(f, kind, cls, 3, budget) == want, (text, kind, cls, budget)
+                    statuses.add(want[0])
+    assert statuses == {"found", "exhausted", "budget"}
+
+
+def test_countermodel_counts_match_a_counting_scan_into_the_random_phase():
+    f = parse("K p -> p")
+    events, exhaustive = [], None
+    for event in _search_events(f, Semantics.STRONG, ScenarioClass.ALL, 5, seed=3):
+        if exhaustive is None and event[0].n > 4:
+            exhaustive = len(events)  # the first scenario of the random draws
+        events.append(event)
+        if exhaustive is not None and len(events) > exhaustive + 400:
+            break
+    for budget in (exhaustive - 1, exhaustive, exhaustive + 1, exhaustive + 137, exhaustive + 400):
+        want = _counting_scan(events, budget)
+        assert _search(f, Semantics.STRONG, ScenarioClass.ALL, 5, budget, seed=3) == want, budget
+        assert want[:2] == ("budget", budget)

@@ -217,6 +217,15 @@ class TestBatch:
         assert batch.seeds == (1, 2, 3, 4, 5, 6)
         assert batch.sizes == (4, 5, 6, 4, 5, 6)
 
+    def test_bad_shapes_are_rejected(self):
+        with pytest.raises(SuiteError, match="at least one size"):
+            soundness_batch(random_count=3, sizes=())
+        with pytest.raises(SuiteError, match="negative"):
+            soundness_batch(random_count=-1)
+        with pytest.raises(SuiteError, match="negative"):
+            soundness_batch(exhaustive_n=-1)
+        assert soundness_batch(random_count=0, sizes=()) == Batch(exhaustive_n=3)
+
     def test_describe_is_json_ready(self):
         batch = soundness_batch(random_count=2)
         json.dumps(batch.describe())
