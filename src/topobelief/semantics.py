@@ -232,7 +232,7 @@ def find_countermodel(
     return SearchOutcome("budget", None, None, max(budget, 0))
 
 
-_RUN_LANES = 4096  # models per search run at most: three atoms on four worlds
+_RUN_LANES = 4096  # models one search run holds at most (three atoms on four worlds)
 
 
 def _search_runs(
