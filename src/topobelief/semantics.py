@@ -19,15 +19,16 @@ strong belief clause; the two are never reconciled silently.
 Evaluator is the engine's view of a single model: it compiles formulas
 as they are asked for and keeps one value list per range pair.
 Soundness sweeps compile a formula set once and evaluate it lane-packed:
-consecutive models of a stream that share a topology form one group, each
-value holds one bit per (world, model), and every connective, interior
-and closure acts on the whole group at once.  K, box and B depend only on
-the topology and the ranges, so an exhaustive batch (all valuations of
-each topology) costs about one pass per topology and range instead of one
-per model.  valid_in_model, find_countermodel and suite runs all use this
-one sweep, and a failure is the one a scenario-by-scenario scan finds: the
-first failing model, the least world missing there, then the first (U, V)
-in canonical order that misses that world.
+a group of up to 4096 consecutive models of a stream, of any topologies
+and carrier sizes, holds one bit per (world, model) in each value, and
+every connective, interior and closure acts on the whole group at once.
+Interior and closure read each lane's own minimal-neighborhood table, and
+pass k evaluates each lane under its own k-th range pair, so a group costs
+as many passes as its longest list of range pairs instead of one pass per
+model and range.  valid_in_model, find_countermodel and suite runs all use
+this one sweep, and a failure is the one a scenario-by-scenario scan
+finds: the first failing model, the least world missing there, then the
+first (U, V) in canonical order that misses that world.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import attrgetter
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
@@ -53,7 +53,7 @@ from .model import (
     random_model,
     range_groups,
 )
-from .topology import Topology, enumerate_topologies, mnb_closure, mnb_interior
+from .topology import Topology, bits, enumerate_topologies, mnb_closure, mnb_interior
 
 
 class SemanticsError(Exception):
@@ -82,7 +82,7 @@ class Evaluator:
         self.model = model
         self.kind = kind
         self._engine = BatchEvaluator((), kind)
-        self._lanes = _Lanes(model.topology, 1)
+        self._lanes = _Lanes((model,))
         self._vals: dict[tuple[int, int | None], list[int]] = {}
 
     def extension(self, f: Formula, u: int, v: int | None = None) -> int:
@@ -99,7 +99,7 @@ class Evaluator:
         if idx >= filled:
             count = len(engine.nodes)
             vals.extend([0] * (count - filled))
-            engine._run(self._lanes, self.model.valuation, u, u, v or 0, vals, range(filled, count))
+            engine._run(self._lanes, self.model.valuation, u, v or 0, vals, range(filled, count))
         return vals[idx]
 
 
@@ -216,7 +216,7 @@ def find_countermodel(
         group = list(itertools.islice(models, reach))
         if not group:
             break
-        hit = _group_failures(engine, group, ranges, [root]).get(root)
+        hit = _group_failures(engine, [(ranges, group)], [root]).get(root)
         if hit is not None:
             lane, s = hit
             evaluations += lane * per_model + _stream_position(ranges, s)
@@ -232,19 +232,17 @@ def find_countermodel(
     return SearchOutcome("budget", None, None, max(budget, 0))
 
 
-_RUN_LANES = 4096  # models one search run holds at most (three atoms on four worlds)
-
-
 def _search_runs(
     names: list[str], max_n: int, seed: int
 ) -> Iterator[tuple[Topology, Iterator[SubsetModel]]]:
     """find_countermodel's model stream in same-topology runs: the
-    valuations of each topology on 1..min(max_n, 4) points, then, when
-    max_n exceeds 4, one seeded draw per run without end."""
+    valuations of each topology on 1..min(max_n, 4) points, at most
+    _MAX_LANES at a time, then, when max_n exceeds 4, one seeded draw per
+    run without end."""
     for n in range(1, min(max_n, 4) + 1):
         for top in enumerate_topologies(n):
             masks = itertools.product(range(1 << n), repeat=len(names))
-            while chunk := list(itertools.islice(masks, _RUN_LANES)):
+            while chunk := list(itertools.islice(masks, _MAX_LANES)):
                 yield top, (SubsetModel(top, dict(zip(names, m))) for m in chunk)
     if max_n > 4:
         sizes = range(5, max_n + 1)
@@ -253,9 +251,9 @@ def _search_runs(
             yield model.topology, iter((model,))
 
 
-def _stream_position(ranges: Sequence[tuple[int, tuple[int | None, ...]]], s: EDScenario) -> int:
+def _stream_position(ranges: Ranges, s: EDScenario) -> int:
     """1-based position of s in its model's scenario stream: x, then U, then V."""
-    pairs = [(u, v) for u, vs in ranges for v in vs]
+    pairs = list(_pairs(ranges))
     lower = sum((u & ((1 << s.x) - 1)).bit_count() for u, _ in pairs)
     return lower + [p for p in pairs if p[0] >> s.x & 1].index((s.u, s.v)) + 1
 
@@ -270,6 +268,11 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 # ---------------------------------------------------------------------------
 # the compiled extension engine, shared-subformula and lane-packed
 
+_MAX_LANES = 4096  # models one lane group holds at most (three atoms on four worlds)
+
+Ranges = Sequence[tuple[int, tuple[int | None, ...]]]  # (U, Vs) groups in canonical order
+
+
 _OP_ATOM, _OP_TOP, _OP_BOT, _OP_NOT, _OP_AND, _OP_OR, _OP_IMP, _OP_IFF = range(8)
 _OP_K, _OP_BOX, _OP_BEL = 8, 9, 10
 
@@ -278,46 +281,69 @@ _UNARY = {fm.K: _OP_K, fm.Box: _OP_BOX, fm.Bel: _OP_BEL}
 
 
 class _Lanes:
-    """Packing of W models that share one topology into one int per value.
+    """Packing of W models, of any topologies and sizes, into one int per value.
 
-    World x owns the block of bits x*W .. x*W+W-1, and bit j of every
-    block is lane j, the group's j-th model, so one bigint operation acts
-    on all W models at once.  With W = 1 a packed value is the plain
-    subset mask, and interior and closure are topology.mnb_interior and
-    mnb_closure.
+    The carrier is padded to the group's largest n.  World x owns the block
+    of bits x*W .. x*W+W-1, and bit j of every block is lane j, the group's
+    j-th model, so one bigint operation acts on all W models at once.  A
+    world past a lane's own carrier is its own minimal neighborhood and lies
+    in no range, so it stays empty in every value of that lane.  With W = 1
+    a packed value is the plain subset mask, and interior and closure are
+    topology.mnb_interior and mnb_closure.
     """
 
-    def __init__(self, top: Topology, width: int):
-        self.width = width
-        self.ones = (1 << width) - 1
-        self.shifts = tuple(x * width for x in range(top.n))
-        mnb = top.min_neighborhoods
+    def __init__(self, models: Sequence[SubsetModel]):
+        self.models = models
+        self.width = width = len(models)
+        self.ones = ones = (1 << width) - 1
+        # the lanes of each run of models that share a topology object
+        runs = []
+        start = 0
+        for end in range(1, width + 1):
+            if end == width or models[end].topology is not models[start].topology:
+                runs.append((((1 << (end - start)) - 1) << start, models[start].topology))
+                start = end
+        n = max(top.n for _, top in runs)
+        self.shifts = tuple(x * width for x in range(n))
+        self.rep = self.replicate((1 << n) - 1)
         if width == 1:
+            mnb = models[0].topology.min_neighborhoods
             self.interior = partial(mnb_interior, mnb)
             self.closure = partial(mnb_closure, mnb)
-        else:
-            # the worlds of mnb(x) other than x
-            self._others = tuple(
-                tuple(y for y in range(top.n) if y != x and nb >> y & 1)
-                for x, nb in enumerate(mnb)
-            )
-            self.interior = self._interior
-            self.closure = self._closure
+            return
+        # holds[x][y]: the lanes whose mnb(x) holds y, for each y != x
+        holds: list[dict[int, int]] = [{} for _ in range(n)]
+        for lanes, top in runs:
+            for x, nb in enumerate(top.min_neighborhoods):
+                row = holds[x]
+                for y in bits(nb & ~(1 << x)):
+                    row[y] = row.get(y, 0) | lanes
+        # per world x: the y that every lane's mnb(x) holds, and the other y
+        # with the lanes where it does not and where it does
+        self._meets = []
+        for row in holds:
+            everywhere, partly = [], []
+            for y, m in row.items():
+                if m == ones:
+                    everywhere.append(y)
+                else:
+                    partly.append((y, ones & ~m, m))
+            self._meets.append((everywhere, partly))
+        self.interior = self._interior
+        self.closure = self._closure
 
     def replicate(self, m: int) -> int:
         """Bit 0 of the block of every world of m; times a lane mask it copies the mask there."""
+        if self.width == 1:
+            return m
         return sum(1 << s for x, s in enumerate(self.shifts) if m >> x & 1)
 
-    def spread(self, m: int) -> int:
-        """The subset m as it reads in every lane: all ones on m's blocks."""
-        return self.replicate(m) * self.ones
-
-    def pack(self, models: list[SubsetModel], names: Iterable[str]) -> Mapping[str, int]:
+    def pack(self, names: Iterable[str]) -> Mapping[str, int]:
         """Each atom's packed truth value across the group's models."""
         out = {}
         for name in names:
             packed = 0
-            for j, model in enumerate(models):
+            for j, model in enumerate(self.models):
                 mask = model.valuation.get(name, 0)
                 while mask:
                     low = mask & -mask
@@ -342,26 +368,28 @@ class _Lanes:
         return [a >> s & ones for s in self.shifts]
 
     def _interior(self, a: int) -> int:
-        """box at x is the AND of the blocks of mnb(x)."""
+        """box at x is the AND over y of block[y], in the lanes whose mnb(x) holds y."""
         block = self._blocks(a)
         out = 0
-        for x, others in enumerate(self._others):
+        for x, (everywhere, partly) in enumerate(self._meets):
             acc = block[x]
-            for y in others:
-                if not acc:
-                    break
+            for y in everywhere:
                 acc &= block[y]
+            for y, outside, _ in partly:
+                acc &= block[y] | outside
             out |= acc << self.shifts[x]
         return out
 
     def _closure(self, a: int) -> int:
-        """cl at x is the OR of the blocks of mnb(x)."""
+        """cl at x is the OR over y of block[y], in the lanes whose mnb(x) holds y."""
         block = self._blocks(a)
         out = 0
-        for x, others in enumerate(self._others):
+        for x, (everywhere, partly) in enumerate(self._meets):
             acc = block[x]
-            for y in others:
+            for y in everywhere:
                 acc |= block[y]
+            for y, _, inside in partly:
+                acc |= block[y] & inside
             out |= acc << self.shifts[x]
         return out
 
@@ -373,11 +401,11 @@ class BatchEvaluator:
     list; add() extends it later.  One linear pass per epistemic range
     computes every node that does not read the doxastic range, and a short
     overlay pass per doxastic range fills the nodes that do.  A pass runs
-    on a group of W models that share a topology, each value packed W
-    lanes wide (see _Lanes): sweep_validity packs whole groups, while
-    base_pass, overlay_pass and Evaluator are the W = 1 case on plain
-    subset masks.  Agreement with the definitional oracle is pinned by
-    tests.
+    on a group of W models, each value packed W lanes wide (see _Lanes),
+    and each lane under its own ranges: sweep_validity packs whole groups,
+    while base_pass, overlay_pass and Evaluator are the W = 1 case on
+    plain subset masks.  Agreement with the definitional oracle is pinned
+    by tests.
     """
 
     def __init__(self, roots: Iterable[Formula], kind: Semantics):
@@ -428,8 +456,7 @@ class BatchEvaluator:
     def base_pass(self, model: SubsetModel, u: int) -> list[int]:
         """Extensions of all doxastic-range-independent nodes under u."""
         vals = [0] * len(self.nodes)
-        lanes = _Lanes(model.topology, 1)
-        self._run(lanes, model.valuation, u, u, 0, vals, self.base_order)
+        self._run(_Lanes((model,)), model.valuation, u, 0, vals, self.base_order)
         return vals
 
     def overlay_pass(self, model: SubsetModel, u: int, v: int, vals: list[int]) -> None:
@@ -438,27 +465,27 @@ class BatchEvaluator:
         Overlay nodes are recomputed wholesale on every call, so reusing
         one array across successive doxastic ranges is safe.
         """
-        lanes = _Lanes(model.topology, 1)
-        self._run(lanes, model.valuation, u, u, v, vals, self.overlay_order)
+        self._run(_Lanes((model,)), model.valuation, u, v, vals, self.overlay_order)
 
     def _run(
         self,
         lanes: _Lanes,
         atoms: Mapping[str, int],
         us: int,
-        ru: int,
         vs: int,
         vals: list[int],
         order: Iterable[int],
     ) -> None:
-        """One pass over `order`; us and vs are the ranges spread over all
-        lanes, ru is u's replicator (all three are the plain masks at W = 1).
+        """One pass over `order`; us and vs hold each lane's own ranges,
+        packed (the plain masks at W = 1).
 
         K and B fold the worlds of U (or V) where the operand is missing
         into the lanes that miss some world, and broadcast the lanes where
-        the modality holds back to every world of U by multiplying with ru.
+        the modality holds back to each lane's own U: us & (rep * ok),
+        where rep * ok copies the lane mask ok into every block.
         """
         ones = lanes.ones
+        rep = lanes.rep
         wide = lanes.width > 1  # in one model a failing modality is just empty
         interior = lanes.interior
         closure = lanes.closure
@@ -484,7 +511,7 @@ class BatchEvaluator:
                 if sub == us:
                     out = us
                 elif wide:
-                    out = ru * (ones & ~fold(us & ~sub))
+                    out = us & rep * (ones & ~fold(us & ~sub))
                 else:
                     out = 0
             elif op == _OP_BOX:
@@ -501,7 +528,7 @@ class BatchEvaluator:
                 if not missing:
                     out = us
                 elif wide:
-                    out = ru * (ones & ~fold(missing))
+                    out = us & rep * (ones & ~fold(missing))
                 else:
                     out = 0
             elif op == _OP_TOP:
@@ -530,30 +557,76 @@ def sweep_validity(
     stream (restricted to scenarios of the class).  A failed root is not
     re-checked.
 
-    Each run of consecutive models with the same topology is evaluated as
-    one group, model j in lane j, while the stream is read lazily one group
-    at a time.  A root's failure is the one a scenario-by-scenario scan
+    The stream is read lazily one lane group at a time (see _sweep_groups),
+    model j of a group in lane j; a group's models may differ in topology
+    and size.  A root's failure is the one a scenario-by-scenario scan
     finds: the stream's first failing model, the least world missing
     there, then the first (U, V) in canonical order that misses that world
     (the order epistemic_scenarios and ed_scenarios yield).  Raises
-    BudgetError when a group's sweep costs more than the budget.
+    BudgetError on reaching a model whose sweep costs more than the budget
+    while some root is still live.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
-    for top, run in itertools.groupby(models, key=attrgetter("topology")):
-        if not live:
-            break
-        group = list(run)
-        ranges = _sweep_ranges(top, engine.kind, scenario_class, budget)
-        for idx, (lane, s) in _group_failures(engine, group, ranges, list(live)).items():
+    if not live:
+        return failures
+    for runs in _sweep_groups(models, engine.kind, scenario_class, budget):
+        group = [model for _, run in runs for model in run]
+        for idx, (lane, s) in _group_failures(engine, runs, list(live)).items():
             f = live.pop(idx)
             failures[f] = BatchFailure(f, group[lane], s)
+        if not live:
+            break
     return failures
 
 
-def _sweep_ranges(
-    top: Topology, kind: Semantics, cls: ScenarioClass, budget: int
-) -> Sequence[tuple[int, tuple[int | None, ...]]]:
+def _sweep_groups(
+    models: Iterable[SubsetModel], kind: Semantics, cls: ScenarioClass, budget: int
+) -> Iterator[list[tuple[Ranges, list[SubsetModel]]]]:
+    """The stream in lane groups, each a list of (ranges, run) in stream order.
+
+    A run is a stretch of consecutive models with one topology, cut at
+    _MAX_LANES, and ranges are that topology's (U, Vs) groups.  Consecutive
+    runs merge into one group of at most _MAX_LANES lanes, except that a
+    run of one model (a random draw) never shares a group with a longer
+    run (the valuations of one topology): the lanes of a group all take
+    as many passes as its longest list of (U, V) pairs, and a draw's pairs
+    outnumber a small exhaustive topology's many times over.  Raises
+    BudgetError at the first run whose ranges cost more than the budget,
+    once the groups before it are yielded.
+    """
+    group: list[tuple[Ranges, list[SubsetModel]]] = []
+    width, draws = 0, False
+    for top, run in _runs(models):
+        try:
+            ranges = _sweep_ranges(top, kind, cls, budget)
+        except BudgetError:
+            if group:
+                yield group
+            raise
+        if group and (width + len(run) > _MAX_LANES or (len(run) == 1) != draws):
+            yield group
+            group, width = [], 0
+        group.append((ranges, run))
+        width += len(run)
+        draws = width == len(group)  # every run of the group holds one model
+    if group:
+        yield group
+
+
+def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[SubsetModel]]]:
+    """Consecutive models of one topology, at most _MAX_LANES at a time."""
+    run: list[SubsetModel] = []
+    for model in models:
+        if run and (len(run) == _MAX_LANES or model.topology != run[0].topology):
+            yield run[0].topology, run
+            run = []
+        run.append(model)
+    if run:
+        yield run[0].topology, run
+
+
+def _sweep_ranges(top: Topology, kind: Semantics, cls: ScenarioClass, budget: int) -> Ranges:
     """(U, Vs) groups in canonical order (V None under strong semantics),
     charged |opens| × worlds under strong, else range_groups' |opens|² × worlds."""
     if kind is Semantics.STRONG:
@@ -562,46 +635,69 @@ def _sweep_ranges(
     return range_groups(top, cls, budget)
 
 
+def _pairs(ranges: Ranges) -> Iterator[tuple[int, int | None]]:
+    """The (U, V) pairs of the ranges, in canonical order."""
+    return ((u, v) for u, vs in ranges for v in vs)
+
+
 def _group_failures(
     engine: BatchEvaluator,
-    group: list[SubsetModel],
-    ranges: Iterable[tuple[int, tuple[int | None, ...]]],
+    runs: Sequence[tuple[Ranges, Sequence[SubsetModel]]],
     live: list[int],
 ) -> dict[int, tuple[int, EDScenario]]:
     """Per live root, the lowest failing lane and its least missing world,
-    kept at the first range that misses it; lane 0, world 0 settles a root."""
-    lanes = _Lanes(group[0].topology, len(group))
-    atoms = lanes.pack(group, engine.atom_names)
+    kept at the first of that lane's pairs that misses it; lane 0, world 0
+    settles a root.
+
+    Pass k evaluates every lane under its own run's k-th (U, V) pair, and a
+    lane whose pairs have run out under U = V = 0, where nothing fails.
+    The base pass is rerun only when some lane's U changes.
+    """
+    group = [model for _, run in runs for model in run]
+    lanes = _Lanes(group)
+    atoms = lanes.pack(engine.atom_names)
+    # the packed ranges of every pass, and each lane's own ranges
+    passes = [[0, 0] for _ in range(max(sum(len(vs) for _, vs in r) for r, _ in runs))]
+    lane_ranges: list[Ranges] = []
+    for ranges, run in runs:
+        mask = ((1 << len(run)) - 1) << len(lane_ranges)
+        spread = {o: lanes.replicate(o) * mask for o in run[0].topology.opens}
+        for packed, (u, v) in zip(passes, _pairs(ranges)):
+            packed[0] |= spread[u]
+            if v:
+                packed[1] |= spread[v]
+        lane_ranges += [ranges] * len(run)
     found: dict[int, tuple[int, EDScenario]] = {}
     pending = live  # roots not yet failing at lane 0, world 0
     vals = [0] * len(engine.nodes)
-    for u, vs in ranges:
-        us = lanes.spread(u)
-        ru = lanes.replicate(u)
-        engine._run(lanes, atoms, us, ru, 0, vals, engine.base_order)
-        for v in vs:
-            if v is not None:
-                engine._run(lanes, atoms, us, ru, lanes.spread(v), vals, engine.overlay_order)
-            settled = set()
-            for idx in pending:
-                ext = vals[idx]
-                if ext == us:
-                    continue
-                missing = us & ~ext
-                failing = lanes.fold(missing)
-                hit = found.get(idx)
-                if hit is not None:
-                    failing &= (2 << hit[0]) - 1  # lanes up to the hit's
-                if not failing:
-                    continue
-                lane = (failing & -failing).bit_length() - 1
-                x = lanes.least_world(missing, lane)
-                if hit is None or (lane, x) < (hit[0], hit[1].x):
-                    found[idx] = (lane, EDScenario(x, u, v))
-                    if lane == 0 and x == 0:
-                        settled.add(idx)
-            if settled:
-                pending = [idx for idx in pending if idx not in settled]
-                if not pending:
-                    return found
+    last_us = None
+    for k, (us, vs) in enumerate(passes):
+        if us != last_us:
+            engine._run(lanes, atoms, us, 0, vals, engine.base_order)
+            last_us = us
+        if engine.overlay_order:
+            engine._run(lanes, atoms, us, vs, vals, engine.overlay_order)
+        settled = set()
+        for idx in pending:
+            ext = vals[idx]
+            if ext == us:
+                continue
+            missing = us & ~ext
+            failing = lanes.fold(missing)
+            hit = found.get(idx)
+            if hit is not None:
+                failing &= (2 << hit[0]) - 1  # lanes up to the hit's
+            if not failing:
+                continue
+            lane = (failing & -failing).bit_length() - 1
+            x = lanes.least_world(missing, lane)
+            if hit is None or (lane, x) < (hit[0], hit[1].x):
+                u, v = next(itertools.islice(_pairs(lane_ranges[lane]), k, None))
+                found[idx] = (lane, EDScenario(x, u, v))
+                if lane == 0 and x == 0:
+                    settled.add(idx)
+        if settled:
+            pending = [idx for idx in pending if idx not in settled]
+            if not pending:
+                return found
     return found

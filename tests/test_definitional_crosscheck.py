@@ -7,10 +7,12 @@ of the two.
 """
 
 from itertools import count, product
+from random import Random
 
-from oracles import def_truth
+from oracles import brute_closure, def_truth
 from topobelief.formula import atoms, formula_corpus, parse
 from topobelief.model import (
+    DEFAULT_SCENARIO_BUDGET,
     BudgetError,
     EDScenario,
     ScenarioClass,
@@ -21,9 +23,11 @@ from topobelief.model import (
     random_model,
 )
 from topobelief.semantics import (
+    _MAX_LANES,
     BatchEvaluator,
     Semantics,
     _search_model,
+    _sweep_groups,
     find_countermodel,
     satisfies,
     sweep_validity,
@@ -81,8 +85,9 @@ SWEEP_ROOTS = (
 )
 
 
-def _ranges(top, kind):
-    """(U, V) in canonical order read off the open family, class ALL."""
+def _ranges(top, kind, cls=ScenarioClass.ALL):
+    """(U, V) in canonical order read off the open family, class ALL or
+    DENSE (U inside the closure of V)."""
     for u in top.opens:
         if not u:
             continue
@@ -90,23 +95,34 @@ def _ranges(top, kind):
             yield u, None
         else:
             for v in top.opens:
-                if v & ~u == 0:
+                if v & ~u == 0 and (
+                    cls is ScenarioClass.ALL or u & ~brute_closure(top.n, top.opens, v) == 0
+                ):
                     yield u, v
+
+
+def _model_failure(model, f, kind, cls=ScenarioClass.ALL):
+    """Scan order within one model: least world, then first range holding it."""
+    ranges = list(_ranges(model.topology, kind, cls))
+    for x in range(model.n):
+        for u, v in ranges:
+            if u >> x & 1 and not def_truth(model, x, u, v, f, kind):
+                return EDScenario(x, u, v)
+    return None
 
 
 def _first_failure(models, f, kind):
     """Scan order: first model, least world, then first range holding it."""
     for pos, model in enumerate(models):
-        ranges = list(_ranges(model.topology, kind))
-        for x in range(model.n):
-            for u, v in ranges:
-                if u >> x & 1 and not def_truth(model, x, u, v, f, kind):
-                    return pos, EDScenario(x, u, v)
+        s = _model_failure(model, f, kind)
+        if s is not None:
+            return pos, s
     return None
 
 
 def _check_sweep(models, kind):
-    """Sweep failures equal the scan's; returns each failure's lane in its group."""
+    """Sweep failures equal the scan's; returns, per failure, its position
+    in its run of same-topology models."""
     roots = [parse(text) for text in SWEEP_ROOTS]
     failures = sweep_validity(BatchEvaluator(roots, kind), iter(models))
     lanes = []
@@ -185,6 +201,81 @@ def test_scan_order_where_range_order_differs():
     assert hit.scenario.literal() == "x=0;U=0,1"
     for kind in (Semantics.STRONG, Semantics.ED, Semantics.AE):
         _check_sweep(group, kind)
+
+
+MIXED_ROOTS = SWEEP_ROOTS + (
+    "p -> box p",
+    "box (p | q) -> box p | box q",
+    "B (p | q) -> B p | B q",
+    "K (p -> box q) | B ! q",
+)
+
+
+def test_mixed_groups_match_scan():
+    """Lane groups whose models differ in topology and carrier size (1 to
+    6 worlds), so lanes run out of range pairs at different passes: each
+    root's failure is the def_truth scan's, for every rotation of the
+    stream (each rotation puts another model in lane 0)."""
+    rng = Random(7)
+    draws = [random_model(seed, 1 + seed % 6) for seed in range(12)]
+    tops = (random_model(20, 2).topology, random_model(21, 5).topology, Topology.discrete(3))
+    runs = [
+        SubsetModel(top, {"p": rng.getrandbits(top.n), "q": rng.getrandbits(top.n)})
+        for top in tops
+        for _ in range(3)
+    ]
+    roots = [parse(text) for text in MIXED_ROOTS]
+    later_lanes = 0
+    for kind, cls in (
+        (Semantics.STRONG, ScenarioClass.ALL),
+        (Semantics.ED, ScenarioClass.ALL),
+        (Semantics.AE, ScenarioClass.ALL),
+        (Semantics.ED, ScenarioClass.DENSE),
+    ):
+        for models in (draws, runs):
+            (group,) = _sweep_groups(models, kind, cls, DEFAULT_SCENARIO_BUDGET)
+            assert len({m.n for m in models}) >= 3
+            assert len({len(pairs) for pairs, _ in group}) >= 3  # lanes run out of pairs apart
+            oracle = [{f: _model_failure(m, f, kind, cls) for f in roots} for m in models]
+            for r in range(len(models)):
+                order = list(range(r, len(models))) + list(range(r))
+                stream = [models[i] for i in order]
+                failures = sweep_validity(BatchEvaluator(roots, kind), stream, cls)
+                for f in roots:
+                    lane = next((j for j, i in enumerate(order) if oracle[i][f]), None)
+                    got = failures.get(f)
+                    if lane is None:
+                        assert got is None, (kind, cls, r, str(f))
+                        continue
+                    want = (stream[lane], oracle[order[lane]][f])
+                    assert got is not None, (kind, cls, r, str(f))
+                    assert (got.model, got.scenario) == want, (kind, cls, r, str(f))
+                    later_lanes += lane > 0
+    assert later_lanes >= 50, later_lanes
+
+
+def test_failure_past_the_lane_bound():
+    """A same-topology run longer than the lane bound is cut into groups of
+    at most _MAX_LANES lanes, and a failure in a later group is still the
+    (model, scenario) the def_truth scan finds."""
+    sierp = Topology.from_opens(2, [0, 1, 3])
+    models = [SubsetModel(sierp, {"p": 3}) for _ in range(_MAX_LANES + 100)]
+    models[_MAX_LANES + 50] = SubsetModel(sierp, {"p": 1})
+    roots = [parse(text) for text in ("p", "K p", "box p", "p -> B p", "K p -> p")]
+    for kind in (Semantics.STRONG, Semantics.ED):
+        widths = [
+            sum(len(run) for _, run in group)
+            for group in _sweep_groups(models, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+        ]
+        assert widths == [_MAX_LANES, 100]
+        failures = sweep_validity(BatchEvaluator(roots, kind), models)
+        for f in roots:
+            expected = _first_failure(models, f, kind)
+            hit = failures.get(f)
+            got = hit and (models.index(hit.model), hit.scenario)
+            assert got == expected, (kind, str(f))
+        assert {str(f) for f in failures} >= {"p", "K p", "box p"}
+        assert all(hit.model is models[_MAX_LANES + 50] for hit in failures.values())
 
 
 def _search_stream(names, max_n, seed):

@@ -362,6 +362,26 @@ class TestBatchEvaluatorAgreement:
         models = [random_model(seed, 4) for seed in range(10)]
         assert sweep_validity(engine, models) == {}
 
+    def test_sweep_budget_order(self, wedge):
+        """A model over the budget raises only if a root is still live when
+        the stream reaches it: models before it are swept first, and none
+        after it are charged up front."""
+        point = Topology.discrete(1)
+        fails_all = SubsetModel(point, {})  # p false at the only world
+        fails_none = SubsetModel(point, {"p": 1})
+        roots = (parse("p"), parse("K p"), parse("B p"))
+        # the wedge's 5 opens on 3 worlds cost 15 under strong, 75 under ed
+        for kind, budget in ((STRONG, 14), (ED, 74)):
+            engine = BatchEvaluator(roots, kind)
+            failures = sweep_validity(engine, [fails_all, wedge], budget=budget)
+            assert set(failures) == set(roots)
+            assert all(hit.model is fails_all for hit in failures.values())
+            # "K p -> p" never fails, so it is live when the wedge comes
+            engine = BatchEvaluator(roots + (parse("K p -> p"),), kind)
+            for stream in ([wedge, fails_all], [fails_none, wedge], [fails_all, fails_all, wedge]):
+                with pytest.raises(BudgetError, match=f"exceeds budget {budget}"):
+                    sweep_validity(engine, stream, budget=budget)
+
     def test_sweep_failure_replays(self, wedge):
         f = parse("box p | box ! box p")
         engine = BatchEvaluator((f,), STRONG)

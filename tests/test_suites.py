@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -21,6 +23,19 @@ from topobelief.suites import (
     stalnaker_images,
     suite_names,
 )
+
+
+# sha256 of run_suite(...).to_json() per DEFAULT_MATRIX row on soundness_batch()
+MATRIX_REPORT_SHA256 = {
+    ("el_kbox", None, None): "70863928b783c75438043774f513dfc51d83a43d6bd1ba4329af42cd52c61bcd",
+    ("sel", None, None): "122c5d6170ce51845ae214d2a62a14164240d4dec281833b54d9243aee8d775c",
+    ("sel", "ae", "total"): "7a58d6fe13f70925b482d801765a86a64858ed0e211389ca96c009eb83dc49d1",
+    ("el_kboxb", None, None): "0e0b89d01f65c07c44188c80feea534c03f36ffeefa3711933536e7f324f0a7f",
+    ("el_kboxb_d", None, None): "6f623ad36c9520fefb475a5502138d573a47498b78df6409324e77cce6154aa7",
+    ("el_kboxb_wf", None, None): "17297584c1fa939d47948c0e187f44eccf950a3f7edf22547bc39b418ffa8dd4",
+    ("el_kboxb_cb", None, None): "ddaec42f3b796de4fc6183805f267647b12f8e36cc65281de43b71f470719d78",
+    ("kd45_b", None, None): "faa38c86613528a8e3b1bde576bca10685aa05a936ecd613639b3e89055ffccc",
+}
 
 
 class TestSuiteContents:
@@ -144,6 +159,23 @@ class TestRunSuite:
             assert kind is None or isinstance(kind, Semantics)
             assert cls is None or isinstance(cls, ScenarioClass)
             assert suite.schemes
+
+    def test_matrix_reports_are_pinned(self):
+        """Every DEFAULT_MATRIX report on the standard batch, byte for byte.
+
+        Runtime target 10 s for the eight runs (about 4 s on a 2-vCPU VM).
+        """
+        started = time.perf_counter()
+        digests = {}
+        for name, kind, cls in DEFAULT_MATRIX:
+            text = run_suite(
+                get_suite(name), soundness_batch(), semantics=kind, scenario_class=cls
+            ).to_json()
+            key = (name, kind and kind.value, cls and cls.value)
+            digests[key] = hashlib.sha256(text.encode()).hexdigest()
+        elapsed = time.perf_counter() - started
+        assert digests == MATRIX_REPORT_SHA256
+        assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
 
 
 class TestClassMonotonicity:
