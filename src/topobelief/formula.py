@@ -1,16 +1,19 @@
 """Formulas of the trimodal language of knowledge (K), knowability (box), belief (B).
 
 The AST is a small family of frozen dataclasses.  The surface syntax is
-ASCII only; `hatK`, `dia` and `hatB` are parser sugar for the dual
-modalities and are stored desugared as not-op-not.  The printer resugars
-those patterns, so parse/to_text round-trip on the desugared form.
+ASCII only and is defined once, in CONNECTIVES: each connective's word,
+precedence and operand contexts, from which the parser, the printer and
+the arity of every node are read.  `hatK`, `dia` and `hatB` are parser
+sugar for the dual modalities and are stored desugared as not-op-not.
+The printer resugars those patterns, so parse/to_text round-trip on the
+desugared form.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 
 class FormulaError(Exception):
@@ -124,14 +127,52 @@ def hat_b(f: Formula) -> Formula:
     return Not(Bel(Not(f)))
 
 
+class Connective(NamedTuple):
+    """How one connective is written and where it binds.
+
+    A unary connective is written `word sub`, a binary one `left word
+    right`.  Each operand is rendered at its context precedence and
+    parenthesized when its own connective binds more loosely; the parser
+    groups by the same numbers, so a binary connective whose right context
+    is its own precedence is right-associative.  A modality's dual is the
+    word for not-op-not, which parse reads as sugar and to_text writes back.
+    """
+
+    word: str
+    prec: int
+    operands: tuple[int, ...]  # the context precedence of each operand
+    dual: str | None = None
+
+
+_PREC_UNARY = 5
+
+# the one definition of every connective's surface syntax
+CONNECTIVES: dict[type[Formula], Connective] = {
+    Not: Connective("!", _PREC_UNARY, (_PREC_UNARY,)),
+    K: Connective("K", _PREC_UNARY, (_PREC_UNARY,), dual="hatK"),
+    Box: Connective("box", _PREC_UNARY, (_PREC_UNARY,), dual="dia"),
+    Bel: Connective("B", _PREC_UNARY, (_PREC_UNARY,), dual="hatB"),
+    And: Connective("&", 4, (4, 5)),
+    Or: Connective("|", 3, (3, 4)),
+    Implies: Connective("->", 2, (3, 2)),
+    Iff: Connective("<->", 1, (2, 1)),
+}
+
+# modality word -> node class, in the order K, box, B
+MODALITIES: dict[str, type[Formula]] = {c.word: cls for cls, c in CONNECTIVES.items() if c.dual}
+
 TOP = Top()
 BOT = Bot()
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
+_INFIX = {c.word: (cls, c) for cls, c in CONNECTIVES.items() if len(c.operands) == 2}
+_PREFIX: dict[str, Callable[[Formula], Formula]] = {"~": Not}
+_PREFIX |= {c.word: cls for cls, c in CONNECTIVES.items() if len(c.operands) == 1}
+_PREFIX |= {c.dual: lambda f, op=cls: Not(op(Not(f))) for cls, c in CONNECTIVES.items() if c.dual}
+
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_KEYWORDS = {"K", "B", "box", "dia", "hatK", "hatB", "true", "false"}
-_SYMBOLS = ("<->", "->", "|", "&", "!", "~", "(", ")")
+_SYMBOLS = (*_INFIX, *(w for w in _PREFIX if not w.isalpha()), "(", ")")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -179,63 +220,24 @@ class _Parser:
             raise ParseError(f"expected {sym!r}", offset)
         self.advance()
 
-    def at_sym(self, sym: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "sym" and value == sym
-
-    # precedence low -> high: <->, ->, |, &, unary; -> and <-> right-associative
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        parts = [self.imp()]
-        while self.at_sym("<->"):
-            self.advance()
-            parts.append(self.imp())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Iff(part, out)
-        return out
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.at_sym("->"):
-            self.advance()
-            return Implies(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.at_sym("|"):
-            self.advance()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
+    def formula(self, context: int = 0) -> Formula:
+        """The longest formula whose binary connectives bind at least as
+        tightly as the context (precedence climbing over CONNECTIVES)."""
         out = self.unary()
-        while self.at_sym("&"):
+        while True:
+            hit = _INFIX.get(self.peek()[1])
+            if hit is None or hit[1].prec < context:
+                return out
             self.advance()
-            out = And(out, self.unary())
-        return out
-
-    _UNARY: dict[str, Callable[[Formula], Formula]] = {
-        "K": K,
-        "B": Bel,
-        "box": Box,
-        "dia": dia,
-        "hatK": hat_k,
-        "hatB": hat_b,
-    }
+            cls, c = hit
+            out = cls(out, self.formula(c.operands[1]))
 
     def unary(self) -> Formula:
-        kind, value, offset = self.peek()
-        if kind == "sym" and value in ("!", "~"):
-            self.advance()
-            return Not(self.unary())
-        if kind == "word" and value in self._UNARY:
-            self.advance()
-            return self._UNARY[value](self.unary())
-        return self.atom()
+        op = _PREFIX.get(self.peek()[1])
+        if op is None:
+            return self.atom()
+        self.advance()
+        return op(self.unary())
 
     def atom(self) -> Formula:
         kind, value, offset = self.advance()
@@ -264,68 +266,32 @@ def parse(text: str) -> Formula:
     return out
 
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
-
-
-def _resugar(f: Formula) -> tuple[str, Formula] | None:
-    if isinstance(f, Not):
-        inner = f.sub
-        if isinstance(inner, K) and isinstance(inner.sub, Not):
-            return "hatK", inner.sub.sub
-        if isinstance(inner, Box) and isinstance(inner.sub, Not):
-            return "dia", inner.sub.sub
-        if isinstance(inner, Bel) and isinstance(inner.sub, Not):
-            return "hatB", inner.sub.sub
-    return None
-
-
 def _render(f: Formula, context: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Meta):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    sugar = _resugar(f)
-    if sugar is not None:
-        text = f"{sugar[0]} {_render(sugar[1], _PREC_UNARY)}"
-        prec = _PREC_UNARY
-    elif isinstance(f, Not):
-        text = f"! {_render(f.sub, _PREC_UNARY)}"
-        prec = _PREC_UNARY
-    elif isinstance(f, K):
-        text = f"K {_render(f.sub, _PREC_UNARY)}"
-        prec = _PREC_UNARY
-    elif isinstance(f, Box):
-        text = f"box {_render(f.sub, _PREC_UNARY)}"
-        prec = _PREC_UNARY
-    elif isinstance(f, Bel):
-        text = f"B {_render(f.sub, _PREC_UNARY)}"
-        prec = _PREC_UNARY
-    elif isinstance(f, And):
-        text = f"{_render(f.left, _PREC_AND)} & {_render(f.right, _PREC_AND + 1)}"
-        prec = _PREC_AND
-    elif isinstance(f, Or):
-        text = f"{_render(f.left, _PREC_OR)} | {_render(f.right, _PREC_OR + 1)}"
-        prec = _PREC_OR
-    elif isinstance(f, Implies):
-        text = f"{_render(f.left, _PREC_IMP + 1)} -> {_render(f.right, _PREC_IMP)}"
-        prec = _PREC_IMP
-    elif isinstance(f, Iff):
-        text = f"{_render(f.left, _PREC_IFF + 1)} <-> {_render(f.right, _PREC_IFF)}"
-        prec = _PREC_IFF
-    else:
+    cls = type(f)
+    c = CONNECTIVES.get(cls)
+    if c is None:
+        if cls is Atom or cls is Meta:
+            return f.name
+        if cls is Top:
+            return "true"
+        if cls is Bot:
+            return "false"
         raise FormulaError(f"not a formula node: {f!r}")
-    if prec < context:
-        return f"({text})"
-    return text
+    if len(c.operands) == 2:
+        left, right = c.operands
+        text = f"{_render(f.left, left)} {c.word} {_render(f.right, right)}"
+    else:
+        word, sub = c.word, f.sub
+        inner = CONNECTIVES.get(type(sub))
+        if cls is Not and inner is not None and inner.dual and type(sub.sub) is Not:
+            word, sub = inner.dual, sub.sub.sub
+        text = f"{word} {_render(sub, c.operands[0])}"
+    return f"({text})" if c.prec < context else text
 
 
 def to_text(f: Formula) -> str:
     """Canonical rendering; round-trips through parse."""
-    return _render(f, _PREC_IFF)
+    return _render(f, 0)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
@@ -342,21 +308,16 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Not, K, Box, Bel)):
-        return (f.sub,)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (f.left, f.right)
-    return ()
+    c = CONNECTIVES.get(type(f))
+    if c is None:
+        return ()
+    return (f.sub,) if len(c.operands) == 1 else (f.left, f.right)
 
 
 def _map_nodes(f: Formula, fn: Callable[[Formula], Formula | None]) -> Formula:
     """Rebuild bottom-up; fn may replace a node (given its rebuilt children)."""
-    if isinstance(f, (Not, K, Box, Bel)):
-        g = type(f)(_map_nodes(f.sub, fn))
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        g = type(f)(_map_nodes(f.left, fn), _map_nodes(f.right, fn))
-    else:
-        g = f
+    kids = _children(f)
+    g = type(f)(*[_map_nodes(h, fn) for h in kids]) if kids else f
     replaced = fn(g)
     return g if replaced is None else replaced
 
@@ -387,22 +348,13 @@ def atoms(f: Formula) -> frozenset[str]:
 
 
 def modalities(f: Formula) -> frozenset[str]:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, K):
-            out.add("K")
-        elif isinstance(g, Box):
-            out.add("box")
-        elif isinstance(g, Bel):
-            out.add("B")
-    return frozenset(out)
+    kinds = {type(g) for g in subformulas(f)}
+    return frozenset(word for word, cls in MODALITIES.items() if cls in kinds)
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (K, Box, Bel)):
-        return 1 + modal_depth(f.sub)
-    kids = _children(f)
-    return max((modal_depth(g) for g in kids), default=0)
+    depth = max((modal_depth(g) for g in _children(f)), default=0)
+    return depth + 1 if type(f) in MODALITIES.values() else depth
 
 
 @dataclass(frozen=True)
@@ -433,12 +385,9 @@ def instantiate(scheme: Scheme, subst: Mapping[str, Formula]) -> Formula:
 PHI = Meta("phi")
 PSI = Meta("psi")
 
-_STAR_OPS: dict[str, Callable[[Formula], Formula]] = {"K": K, "box": Box, "B": Bel}
-
-
 def _star_schemes() -> dict[str, Scheme]:
     out = {}
-    for star, op in _STAR_OPS.items():
+    for star, op in MODALITIES.items():
         out[f"K_{star}"] = Scheme(
             f"K_{star}", Implies(op(Implies(PHI, PSI)), Implies(op(PHI), op(PSI)))
         )
@@ -476,7 +425,6 @@ def get_scheme(name: str) -> Scheme:
 
 def formula_corpus(
     connectives: tuple[str, ...] = ("K", "box", "B"),
-    extra_depth3: bool = True,
 ) -> tuple[Formula, ...]:
     """A fixed, deterministic formula corpus over atoms p, q.
 
@@ -486,7 +434,7 @@ def formula_corpus(
     this list, so its content is versioned: do not reorder casually.
     """
     p, q = Atom("p"), Atom("q")
-    ops = [_STAR_OPS[c] for c in connectives]
+    ops = [MODALITIES[c] for c in connectives]
     size1: list[Formula] = [p, q]
     size2: list[Formula] = [Not(f) for f in size1]
     size2 += [op(f) for op in ops for f in size1]
@@ -494,14 +442,11 @@ def formula_corpus(
     size3 += [op(f) for op in ops for f in size2]
     size3 += [cls(a, b) for cls in (And, Or, Implies) for a in size1 for b in size1]
     corpus = size1 + size2 + size3
-    if extra_depth3:
-        deep: list[Formula] = []
-        for op1 in ops:
-            for op2 in ops:
-                for op3 in ops:
-                    deep.append(op1(op2(op3(p))))
-        deep.append(Not(ops[0](Not(ops[-1](And(p, q))))))
-        deep.append(Implies(ops[-1](p), ops[0](Not(ops[-1](Not(q))))))
-        corpus += deep
+    for op1 in ops:
+        for op2 in ops:
+            for op3 in ops:
+                corpus.append(op1(op2(op3(p))))
+    corpus.append(Not(ops[0](Not(ops[-1](And(p, q))))))
+    corpus.append(Implies(ops[-1](p), ops[0](Not(ops[-1](Not(q))))))
     seen: dict[Formula, None] = dict.fromkeys(corpus)
     return tuple(seen)

@@ -1,5 +1,11 @@
 """Topological subset models, scenarios, file I/O, and random generation.
 
+range_groups is the one definition of the scenarios a sweep visits and of
+their cost: the (U, Vs) groups of a topology, with V None under strong
+semantics, charged against a budget before any is built.  Every sweep
+reads its ranges from it, and the scan order (x ascending, then U, then V
+in canonical order) is defined once, by _scenarios, beside it.
+
 A model document is a UTF-8 JSON object; `dump` produces the bit-exact
 canonical form (sorted keys, two-space indent, canonically ordered opens),
 so loading and re-dumping a canonical document is the identity.
@@ -83,7 +89,10 @@ def parse_scenario(text: str) -> EDScenario:
         if "=" not in part:
             raise ModelError(f"bad scenario field {part!r}")
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ModelError(f"scenario field {key!r} given twice in {text!r}")
+        fields[key] = value.strip()
     unknown = set(fields) - {"x", "U", "V"}
     if unknown or "x" not in fields or "U" not in fields:
         raise ModelError(f"scenario literal needs x and U (got {sorted(fields)})")
@@ -147,40 +156,34 @@ class ScenarioClass(Enum):
         return v == u
 
 
-def charge_budget(top: Topology, cost: int, budget: int) -> None:
-    """Raise BudgetError when a sweep of the given cost exceeds the budget."""
+Ranges = tuple[tuple[int, tuple[int | None, ...]], ...]  # (U, Vs) groups in canonical order
+
+
+def range_groups(
+    top: Topology, cls: ScenarioClass | None, budget: int = DEFAULT_SCENARIO_BUDGET
+) -> Ranges:
+    """The (U, Vs) groups a sweep of the topology visits.
+
+    cls None is strong semantics: each nonempty open U with V None, at a
+    cost of |opens| × worlds.  Under a class, each nonempty open U with the
+    open V inside it that the class admits, at |opens|² × worlds, cached
+    per topology.  Raises BudgetError when the cost exceeds the budget.
+    """
+    cost = len(top.opens) ** (1 if cls is None else 2) * top.n
     if cost > budget:
         raise BudgetError(
             f"scenario sweep cost {cost} exceeds budget {budget}"
             f" ({len(top.opens)} opens on {top.n} worlds)"
         )
-
-
-def epistemic_scenarios(
-    model: SubsetModel, budget: int = DEFAULT_SCENARIO_BUDGET
-) -> Iterator[EDScenario]:
-    """All (x, U) with x in U open, x ascending then U in canonical order.
-
-    The sweep costs |opens| × worlds against the budget.
-    """
-    top = model.topology
-    charge_budget(top, len(top.opens) * top.n, budget)
-    for x in range(top.n):
-        bit = 1 << x
-        for u in top.opens:
-            if u & bit:
-                yield EDScenario(x, u)
-
-
-def range_pairs(
-    top: Topology, cls: ScenarioClass, budget: int = DEFAULT_SCENARIO_BUDGET
-) -> list[tuple[int, int]]:
-    """All (u, v) range pairs of the class, canonical order, budget-guarded."""
-    return [(u, v) for u, vs in range_groups(top, cls, budget) for v in vs]
+    if cls is None:
+        # one pass over the opens; a cache would keep alive up to 4096 of a
+        # random search's drawn topologies
+        return tuple((u, (None,)) for u in top.opens if u)
+    return _range_groups(top, cls)
 
 
 @lru_cache(maxsize=4096)
-def _range_groups(top: Topology, cls: ScenarioClass) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _range_groups(top: Topology, cls: ScenarioClass) -> Ranges:
     out = []
     for u in top.opens:
         if u == 0:
@@ -191,15 +194,22 @@ def _range_groups(top: Topology, cls: ScenarioClass) -> tuple[tuple[int, tuple[i
     return tuple(out)
 
 
-def range_groups(
-    top: Topology, cls: ScenarioClass, budget: int = DEFAULT_SCENARIO_BUDGET
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """range_pairs grouped by epistemic range; cached per topology.
+def range_pairs(
+    top: Topology, cls: ScenarioClass | None, budget: int = DEFAULT_SCENARIO_BUDGET
+) -> list[tuple[int, int | None]]:
+    """All (U, V) range pairs of range_groups, in canonical order."""
+    return list(_pairs(range_groups(top, cls, budget)))
 
-    The sweep costs |opens|² × worlds against the budget.
-    """
-    charge_budget(top, len(top.opens) ** 2 * top.n, budget)
-    return _range_groups(top, cls)
+
+def _pairs(ranges: Ranges) -> Iterator[tuple[int, int | None]]:
+    return ((u, v) for u, vs in ranges for v in vs)
+
+
+def epistemic_scenarios(
+    model: SubsetModel, budget: int = DEFAULT_SCENARIO_BUDGET
+) -> Iterator[EDScenario]:
+    """All (x, U) with x in U open, in scan order (see _scenarios)."""
+    return _scenarios(model, None, budget)
 
 
 def ed_scenarios(
@@ -207,7 +217,13 @@ def ed_scenarios(
     cls: ScenarioClass = ScenarioClass.ALL,
     budget: int = DEFAULT_SCENARIO_BUDGET,
 ) -> Iterator[EDScenario]:
-    """All (x, U, V) of the class; x ascending, then U, then V canonically."""
+    """All (x, U, V) of the class, in scan order (see _scenarios)."""
+    return _scenarios(model, cls, budget)
+
+
+def _scenarios(model: SubsetModel, cls: ScenarioClass | None, budget: int) -> Iterator[EDScenario]:
+    """The scan order of a model's scenarios: x ascending, then each (U, V)
+    of range_groups whose U holds x, in canonical order."""
     top = model.topology
     pairs = range_pairs(top, cls, budget)
     for x in range(top.n):
@@ -215,6 +231,13 @@ def ed_scenarios(
         for u, v in pairs:
             if u & bit:
                 yield EDScenario(x, u, v)
+
+
+def _stream_position(ranges: Ranges, s: EDScenario) -> int:
+    """1-based position of s in its model's scan order, given its ranges."""
+    pairs = list(_pairs(ranges))
+    lower = sum((u & ((1 << s.x) - 1)).bit_count() for u, _ in pairs)
+    return lower + [p for p in pairs if p[0] >> s.x & 1].index((s.u, s.v)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +348,7 @@ def _mask_field(n: int, indices, what: str) -> int:
 ATOM_NAMES = ("p", "q", "r", "s")
 
 SUBBASIS_TRIALS_PER_WORLD = 3  # bounded coin flips in random_model
+SUBBASIS_DENSITY = 0.3  # the chance that each flip adds its subset to the subbasis
 
 
 def atom_names(count: int) -> tuple[str, ...]:
@@ -333,11 +357,12 @@ def atom_names(count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def random_model(seed: int, n: int, atoms: int = 2, density: float = 0.3) -> SubsetModel:
+def random_model(seed: int, n: int, atoms: int = 2) -> SubsetModel:
     """Deterministic random model: seeded subbasis draw plus uniform valuation.
 
     Each of a bounded number of uniformly random subsets joins the subbasis
-    with the given probability; the topology it generates always verifies.
+    with probability SUBBASIS_DENSITY; the topology it generates always
+    verifies.
     """
     if not 1 <= n <= MAX_WORLDS:
         raise ModelError(f"size {n} outside 1..{MAX_WORLDS}")
@@ -345,7 +370,7 @@ def random_model(seed: int, n: int, atoms: int = 2, density: float = 0.3) -> Sub
     subbasis = []
     for _ in range(SUBBASIS_TRIALS_PER_WORLD * n):
         candidate = rng.randrange(1 << n)
-        if rng.random() < density:
+        if rng.random() < SUBBASIS_DENSITY:
             subbasis.append(candidate)
     topology = generate_from_subbasis(n, subbasis)
     valuation = {name: rng.getrandbits(n) for name in atom_names(atoms)}

@@ -41,14 +41,16 @@ from functools import partial
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
-from .formula import Formula
+from .formula import And, Atom, Bel, Bot, Box, Formula, Iff, Implies, K, Not, Or, Top
 from .model import (
     DEFAULT_SCENARIO_BUDGET,
     BudgetError,
     EDScenario,
+    Ranges,
     ScenarioClass,
     SubsetModel,
-    charge_budget,
+    _pairs,
+    _stream_position,
     check_scenario,
     random_model,
     range_groups,
@@ -204,10 +206,11 @@ def find_countermodel(
     names = sorted(fm.atoms(f))
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
+    cls = None if kind is Semantics.STRONG else scenario_class
     evaluations = 0
     for top, models in _search_runs(names, max_n, seed):
         try:
-            ranges = _sweep_ranges(top, kind, scenario_class, DEFAULT_SCENARIO_BUDGET)
+            ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
         except BudgetError:
             continue  # scenario space too large; skip the run
         per_model = sum(u.bit_count() * len(vs) for u, vs in ranges)
@@ -251,13 +254,6 @@ def _search_runs(
             yield model.topology, iter((model,))
 
 
-def _stream_position(ranges: Ranges, s: EDScenario) -> int:
-    """1-based position of s in its model's scenario stream: x, then U, then V."""
-    pairs = list(_pairs(ranges))
-    lower = sum((u & ((1 << s.x) - 1)).bit_count() for u, _ in pairs)
-    return lower + [p for p in pairs if p[0] >> s.x & 1].index((s.u, s.v)) + 1
-
-
 def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
     """Random-phase draw: seeded topology plus valuations of the given atoms."""
     base = random_model(seed, size, atoms=0)
@@ -269,15 +265,6 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 # the compiled extension engine, shared-subformula and lane-packed
 
 _MAX_LANES = 4096  # models one lane group holds at most (three atoms on four worlds)
-
-Ranges = Sequence[tuple[int, tuple[int | None, ...]]]  # (U, Vs) groups in canonical order
-
-
-_OP_ATOM, _OP_TOP, _OP_BOT, _OP_NOT, _OP_AND, _OP_OR, _OP_IMP, _OP_IFF = range(8)
-_OP_K, _OP_BOX, _OP_BEL = 8, 9, 10
-
-_BINARY = {fm.And: _OP_AND, fm.Or: _OP_OR, fm.Implies: _OP_IMP, fm.Iff: _OP_IFF}
-_UNARY = {fm.K: _OP_K, fm.Box: _OP_BOX, fm.Bel: _OP_BEL}
 
 
 class _Lanes:
@@ -410,7 +397,7 @@ class BatchEvaluator:
 
     def __init__(self, roots: Iterable[Formula], kind: Semantics):
         self.kind = kind
-        self.nodes: list[tuple] = []  # (opcode, arg1, arg2)
+        self.nodes: list[tuple] = []  # (node class, arg1, arg2)
         self.index: dict[Formula, int] = {}
         self.atom_names: tuple[str, ...] = ()
         self.base_order: list[int] = []
@@ -424,30 +411,22 @@ class BatchEvaluator:
         if hit is not None:
             return hit
         cls = type(f)
-        if cls is fm.Atom:
-            node = (_OP_ATOM, f.name, 0)
+        c = fm.CONNECTIVES.get(cls)
+        if c is not None and len(c.operands) == 1:
+            a, b = self.add(f.sub), 0
+            reads_v = self._reads_v[a] or (cls is Bel and self.kind is not Semantics.STRONG)
+        elif c is not None:
+            a, b = self.add(f.left), self.add(f.right)
+            reads_v = self._reads_v[a] or self._reads_v[b]
+        elif cls is Atom:
+            a, b, reads_v = f.name, 0, False
             self.atom_names += (f.name,)
-        elif cls is fm.Top:
-            node = (_OP_TOP, 0, 0)
-        elif cls is fm.Bot:
-            node = (_OP_BOT, 0, 0)
-        elif cls is fm.Not:
-            node = (_OP_NOT, self.add(f.sub), 0)
-        elif cls in _BINARY:
-            node = (_BINARY[cls], self.add(f.left), self.add(f.right))
-        elif cls in _UNARY:
-            node = (_UNARY[cls], self.add(f.sub), 0)
+        elif cls is Top or cls is Bot:
+            a, b, reads_v = 0, 0, False
         else:
             raise SemanticsError(f"cannot compile node {f!r}")
-        op, a, b = node
-        if op == _OP_BEL:
-            reads_v = self.kind is not Semantics.STRONG
-        elif op in (_OP_ATOM, _OP_TOP, _OP_BOT):
-            reads_v = False
-        else:
-            reads_v = self._reads_v[a] or (cls in _BINARY and self._reads_v[b])
         idx = len(self.nodes)
-        self.nodes.append(node)
+        self.nodes.append((cls, a, b))
         self.index[f] = idx
         self._reads_v.append(reads_v)
         (self.overlay_order if reads_v else self.base_order).append(idx)
@@ -494,19 +473,19 @@ class BatchEvaluator:
         nodes = self.nodes
         for i in order:
             op, a, b = nodes[i]
-            if op == _OP_ATOM:
+            if op is Atom:
                 out = atoms.get(a, 0) & us
-            elif op == _OP_NOT:
+            elif op is Not:
                 out = us & ~vals[a]
-            elif op == _OP_AND:
+            elif op is And:
                 out = vals[a] & vals[b]
-            elif op == _OP_OR:
+            elif op is Or:
                 out = vals[a] | vals[b]
-            elif op == _OP_IMP:
+            elif op is Implies:
                 out = (us & ~vals[a]) | vals[b]
-            elif op == _OP_IFF:
+            elif op is Iff:
                 out = us & ~(vals[a] ^ vals[b])
-            elif op == _OP_K:
+            elif op is K:
                 sub = vals[a]
                 if sub == us:
                     out = us
@@ -514,9 +493,9 @@ class BatchEvaluator:
                     out = us & rep * (ones & ~fold(us & ~sub))
                 else:
                     out = 0
-            elif op == _OP_BOX:
+            elif op is Box:
                 out = interior(vals[a])
-            elif op == _OP_BEL:
+            elif op is Bel:
                 sub = vals[a]
                 if kind is Semantics.STRONG:
                     missing = 0 if sub == us else us & ~closure(interior(sub))
@@ -531,7 +510,7 @@ class BatchEvaluator:
                     out = us & rep * (ones & ~fold(missing))
                 else:
                     out = 0
-            elif op == _OP_TOP:
+            elif op is Top:
                 out = us
             else:
                 out = 0
@@ -597,9 +576,11 @@ def _sweep_groups(
     """
     group: list[tuple[Ranges, list[SubsetModel]]] = []
     width, draws = 0, False
+    if kind is Semantics.STRONG:
+        cls = None  # strong ranges: each nonempty open U, no V
     for top, run in _runs(models):
         try:
-            ranges = _sweep_ranges(top, kind, cls, budget)
+            ranges = range_groups(top, cls, budget)
         except BudgetError:
             if group:
                 yield group
@@ -624,20 +605,6 @@ def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[Subset
         run.append(model)
     if run:
         yield run[0].topology, run
-
-
-def _sweep_ranges(top: Topology, kind: Semantics, cls: ScenarioClass, budget: int) -> Ranges:
-    """(U, Vs) groups in canonical order (V None under strong semantics),
-    charged |opens| × worlds under strong, else range_groups' |opens|² × worlds."""
-    if kind is Semantics.STRONG:
-        charge_budget(top, len(top.opens) * top.n, budget)
-        return [(u, (None,)) for u in top.opens if u]
-    return range_groups(top, cls, budget)
-
-
-def _pairs(ranges: Ranges) -> Iterator[tuple[int, int | None]]:
-    """The (U, V) pairs of the ranges, in canonical order."""
-    return ((u, v) for u, vs in ranges for v in vs)
 
 
 def _group_failures(

@@ -18,9 +18,17 @@ from typing import Iterator, Sequence
 
 from . import formula as fm
 from .formula import Formula, Scheme, get_scheme, instantiate, parse
-from .model import EDScenario, ScenarioClass, SubsetModel, dump, parse_scenario, random_model
+from .model import (
+    SUBBASIS_DENSITY,
+    EDScenario,
+    ScenarioClass,
+    SubsetModel,
+    dump,
+    parse_scenario,
+    random_model,
+)
 from .semantics import BatchEvaluator, Evaluator, Semantics, _trace, satisfies, sweep_validity
-from .topology import Topology, enumerate_topologies, mask_of
+from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, enumerate_topologies, mask_of
 
 
 class SuiteError(Exception):
@@ -161,13 +169,17 @@ class Batch:
     atoms: tuple[str, ...] = ("p", "q")
     seeds: tuple[int, ...] = ()
     sizes: tuple[int, ...] = ()
-    density: float = 0.3
 
     def __post_init__(self):
         if self.exhaustive_n < 0:
             raise SuiteError(f"exhaustive size {self.exhaustive_n} is negative")
+        if self.exhaustive_n > ENUMERATION_MAX:
+            raise SuiteError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
         if len(self.seeds) != len(self.sizes):
             raise SuiteError("seeds and sizes must align")
+        for size in self.sizes:
+            if not 1 <= size <= MAX_WORLDS:
+                raise SuiteError(f"size {size} outside 1..{MAX_WORLDS}")
 
     def models(self) -> Iterator[SubsetModel]:
         for n in range(1, self.exhaustive_n + 1):
@@ -175,7 +187,7 @@ class Batch:
                 for masks in itertools.product(range(1 << n), repeat=len(self.atoms)):
                     yield SubsetModel(top, dict(zip(self.atoms, masks)))
         for seed, size in zip(self.seeds, self.sizes):
-            yield random_model(seed, size, atoms=len(self.atoms), density=self.density)
+            yield random_model(seed, size, atoms=len(self.atoms))
 
     def describe(self) -> dict:
         return {
@@ -183,7 +195,7 @@ class Batch:
             "atoms": list(self.atoms),
             "seeds": list(self.seeds),
             "sizes": list(self.sizes),
-            "density": self.density,
+            "density": SUBBASIS_DENSITY,
         }
 
 
@@ -311,9 +323,6 @@ def scheme_instances(
     return tuple(out)
 
 
-_RULE_OPS = {"K": fm.K, "box": fm.Box, "B": fm.Bel}
-
-
 def run_suite(
     suite: LogicSuite,
     batch: Batch,
@@ -339,7 +348,7 @@ def run_suite(
     premises = list(dict.fromkeys(instantiation))
     rule_rows: list[tuple[str, Formula, Formula]] = []
     for mod in suite.rules:
-        op = _RULE_OPS[mod]
+        op = fm.MODALITIES[mod]
         for premise in premises:
             rule_rows.append((f"Nec_{mod}", premise, op(premise)))
 

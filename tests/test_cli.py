@@ -198,14 +198,20 @@ class TestSuite:
             ["--models", "3", "--sizes", "4,x"],
             ["--models", "-1"],
             ["--exhaustive", "-1"],
+            ["--exhaustive", "5"],
+            ["--exhaustive", "4", "--models", "2", "--sizes", "17"],
+            ["--models", "2", "--sizes", "4,0"],
         ],
     )
     def test_bad_batch_is_input_error(self, capsys, batch_args):
         # exit 1 would read as "countermodel found", exit 0 as a vacuous pass
+        started = time.perf_counter()
         code, out, err = run(capsys, "suite", "--name", "sel", *batch_args)
+        elapsed = time.perf_counter() - started
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert elapsed < 1.0, elapsed  # rejected before any model is swept
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "suite", "--name", "mystery")

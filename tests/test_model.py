@@ -190,15 +190,24 @@ class TestScenarioLiterals:
         assert parse_scenario("x=0;U=0,2").v is None
 
     def test_bad_literals(self):
-        for text in ("x=0", "U=0,1", "x=a;U=0", "x=0;U=0;W=1", "x=0;U=-1", "x=99;U=0"):
+        for text in (
+            "x=0",
+            "U=0,1",
+            "x=a;U=0",
+            "x=0;U=0;W=1",
+            "x=0;U=-1",
+            "x=99;U=0",
+            "x=0;U=0;U=0,1",
+            "x=0;x=1;U=0,1",
+        ):
             with pytest.raises(ModelError):
                 parse_scenario(text)
 
 
 class TestRandomModel:
     def test_deterministic(self):
-        a = random_model(1, 3, atoms=2, density=0.3)
-        b = random_model(1, 3, atoms=2, density=0.3)
+        a = random_model(1, 3, atoms=2)
+        b = random_model(1, 3, atoms=2)
         assert a.topology.opens == b.topology.opens
         assert a.valuation == b.valuation
 

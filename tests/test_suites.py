@@ -256,6 +256,12 @@ class TestBatch:
             soundness_batch(random_count=-1)
         with pytest.raises(SuiteError, match="negative"):
             soundness_batch(exhaustive_n=-1)
+        with pytest.raises(SuiteError, match=r"exhaustive enumeration gated at n <= 4"):
+            soundness_batch(exhaustive_n=5)
+        with pytest.raises(SuiteError, match=r"size 17 outside 1\.\.16"):
+            soundness_batch(exhaustive_n=4, random_count=2, sizes=(17,))
+        with pytest.raises(SuiteError, match=r"size 0 outside 1\.\.16"):
+            Batch(seeds=(1,), sizes=(0,))
         assert soundness_batch(random_count=0, sizes=()) == Batch(exhaustive_n=3)
 
     def test_describe_is_json_ready(self):
