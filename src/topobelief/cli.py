@@ -26,7 +26,7 @@ from .model import (
 from .relational import RelationalError, RelationalModel, decompose, to_subset_model
 from .semantics import Semantics, SemanticsError, find_countermodel, satisfies, valid_in_model
 from .suites import SuiteError, get_suite, run_suite, soundness_batch, suite_names
-from .topology import TopologyError, bits, enumerate_topologies
+from .topology import ENUMERATION_MAX, TopologyError, bits, enumerate_topologies
 
 _ERRORS = (
     BudgetError,
@@ -100,8 +100,8 @@ def _cmd_countermodel(args) -> int:
     max_n = args.exhaustive if args.exhaustive is not None else args.max_n
     if max_n is None:
         max_n = 3
-    if args.exhaustive is not None and max_n > 4:
-        raise SemanticsError("exhaustive search is gated at 4 worlds")
+    if args.exhaustive is not None and max_n > ENUMERATION_MAX:
+        raise SemanticsError(f"exhaustive search is gated at {ENUMERATION_MAX} worlds")
     outcome = find_countermodel(
         parse(args.formula),
         Semantics(args.semantics),
@@ -136,10 +136,10 @@ def _cmd_suite(args) -> int:
         sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
     except ValueError:
         raise SuiteError(f"--sizes {args.sizes!r} is not a comma list of world counts") from None
-    if args.exhaustive or args.models:
-        batch = soundness_batch(args.exhaustive or 0, args.models, sizes, args.seed)
-    else:
-        batch = soundness_batch(random_count=0)
+    exhaustive = args.exhaustive
+    if exhaustive is None:
+        exhaustive = 0 if args.models else 3
+    batch = soundness_batch(exhaustive, args.models, sizes, args.seed)
     report = run_suite(
         suite,
         batch,

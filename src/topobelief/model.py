@@ -1,4 +1,4 @@
-"""Topological subset models, scenarios, file I/O, and random generation.
+"""Topological subset models, scenarios, file I/O, and model generation.
 
 range_groups is the one definition of the scenarios a sweep visits and of
 their cost: the (U, Vs) groups of a topology, with V None under strong
@@ -13,12 +13,12 @@ so loading and re-dumping a canonical document is the identity.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .formula import ATOM_RE
 from .topology import (
@@ -26,6 +26,7 @@ from .topology import (
     Topology,
     TopologyError,
     bits,
+    enumerate_topologies,
     generate_from_subbasis,
     mask_of,
 )
@@ -166,8 +167,8 @@ def range_groups(
 
     cls None is strong semantics: each nonempty open U with V None, at a
     cost of |opens| × worlds.  Under a class, each nonempty open U with the
-    open V inside it that the class admits, at |opens|² × worlds, cached
-    per topology.  Raises BudgetError when the cost exceeds the budget.
+    open V inside it that the class admits, at |opens|² × worlds.  Raises
+    BudgetError when the cost exceeds the budget.
     """
     cost = len(top.opens) ** (1 if cls is None else 2) * top.n
     if cost > budget:
@@ -176,14 +177,7 @@ def range_groups(
             f" ({len(top.opens)} opens on {top.n} worlds)"
         )
     if cls is None:
-        # one pass over the opens; a cache would keep alive up to 4096 of a
-        # random search's drawn topologies
         return tuple((u, (None,)) for u in top.opens if u)
-    return _range_groups(top, cls)
-
-
-@lru_cache(maxsize=4096)
-def _range_groups(top: Topology, cls: ScenarioClass) -> Ranges:
     out = []
     for u in top.opens:
         if u == 0:
@@ -343,7 +337,7 @@ def _mask_field(n: int, indices, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# random generation
+# exhaustive and random generation
 
 ATOM_NAMES = ("p", "q", "r", "s")
 
@@ -355,6 +349,16 @@ def atom_names(count: int) -> tuple[str, ...]:
     names = list(ATOM_NAMES[:count])
     names += [f"a{i}" for i in range(len(names), count)]
     return tuple(names)
+
+
+def exhaustive_models(max_n: int, atoms: Sequence[str]) -> Iterator[SubsetModel]:
+    """Every valuation of the atoms on every topology of 1..max_n points:
+    topologies in enumeration order, each with its valuations in product
+    order, so each topology's models are one consecutive run."""
+    for n in range(1, max_n + 1):
+        for top in enumerate_topologies(n):
+            for masks in itertools.product(range(1 << n), repeat=len(atoms)):
+                yield SubsetModel(top, dict(zip(atoms, masks)))
 
 
 def random_model(seed: int, n: int, atoms: int = 2) -> SubsetModel:

@@ -18,7 +18,7 @@ from . import formula as fm
 from .formula import Formula
 from .model import SubsetModel, EDScenario, atom_names
 from .semantics import Semantics, satisfies
-from .topology import bits, format_mask, full_mask, generate_from_subbasis
+from .topology import _is_transitive, bits, format_mask, full_mask, generate_from_subbasis
 
 
 class RelationalError(Exception):
@@ -64,17 +64,9 @@ def classify(m: RelationalModel) -> FrameProperties:
     """Direct quantifier checks for the frame conditions."""
     succ = m.successor_masks()
     serial = all(s != 0 for s in succ)
-    transitive = True
+    transitive = _is_transitive(succ)
     euclidean = True
     for x in range(m.n):
-        reach = 0
-        rest = succ[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            reach |= succ[y]
-            rest &= rest - 1
-        if reach & ~succ[x]:
-            transitive = False
         rest = succ[x]
         while rest:
             y = (rest & -rest).bit_length() - 1
@@ -153,9 +145,9 @@ def to_subset_model(m: RelationalModel) -> SubsetModel:
     Needs a transitive relation; each closed successor set then comes out
     as the smallest open neighborhood of its world.
     """
-    if not classify(m).transitive:
-        raise RelationalError("frame-to-topology construction needs a transitive relation")
     succ = m.successor_masks()
+    if not _is_transitive(succ):
+        raise RelationalError("frame-to-topology construction needs a transitive relation")
     basis = [succ[x] | (1 << x) for x in range(m.n)]
     topology = generate_from_subbasis(m.n, basis)
     return SubsetModel(topology, dict(m.valuation))

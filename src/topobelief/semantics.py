@@ -25,10 +25,12 @@ every connective, interior and closure acts on the whole group at once.
 Interior and closure read each lane's own minimal-neighborhood table, and
 pass k evaluates each lane under its own k-th range pair, so a group costs
 as many passes as its longest list of range pairs instead of one pass per
-model and range.  valid_in_model, find_countermodel and suite runs all use
-this one sweep, and a failure is the one a scenario-by-scenario scan
-finds: the first failing model, the least world missing there, then the
-first (U, V) in canonical order that misses that world.
+model and range.  valid_in_model and suite runs sweep lane groups of
+their stream's same-topology runs, find_countermodel sweeps the same runs
+one at a time to count its budget, and a failure is the one a
+scenario-by-scenario scan finds: the first failing model, the least world
+missing there, then the first (U, V) in canonical order that misses that
+world.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ from .model import (
     _pairs,
     _stream_position,
     check_scenario,
+    exhaustive_models,
     random_model,
     range_groups,
 )
-from .topology import Topology, bits, enumerate_topologies, mnb_closure, mnb_interior
+from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, mnb_closure, mnb_interior
 
 
 class SemanticsError(Exception):
@@ -84,7 +87,7 @@ class Evaluator:
         self.model = model
         self.kind = kind
         self._engine = BatchEvaluator((), kind)
-        self._lanes = _Lanes((model,))
+        self._lanes = _Lanes(((model,),))
         self._vals: dict[tuple[int, int | None], list[int]] = {}
 
     def extension(self, f: Formula, u: int, v: int | None = None) -> int:
@@ -190,68 +193,55 @@ def find_countermodel(
 ) -> SearchOutcome:
     """Search for a model and scenario falsifying f.
 
-    Exhaustive phase first: every topology on 1..min(max_n, 4) points
-    crossed with every valuation of f's atoms, scenarios in canonical
-    order, so the first hit is the canonically least witness.  If max_n
-    exceeds 4, a seeded random phase follows until the budget runs out.
-    Results are deterministic for a fixed seed, and a larger budget can
-    only extend the search, never change an already found witness.
+    Exhaustive phase first: every topology on 1..min(max_n, ENUMERATION_MAX)
+    points crossed with every valuation of f's atoms (exhaustive_models),
+    scenarios in canonical order, so the first hit is the canonically least
+    witness.  If max_n exceeds ENUMERATION_MAX, a seeded random phase
+    follows until the budget runs out.  Results are deterministic for a
+    fixed seed, and a larger budget can only extend the search, never change
+    an already found witness.
 
-    Each run of same-topology models is swept lane-packed and the budget's
-    scenario count worked out from run sizes; a run whose sweep would cost
-    over 10^6 is skipped and not counted.
+    The stream is read in the same-topology runs of _runs, each swept
+    whole and lane-packed.  The budget counts scenarios, worked out from
+    run sizes up to the first hit, which counts only within the budget; a
+    run whose sweep would cost over 10^6 is skipped and not counted.
     """
-    if not 1 <= max_n <= 16:
-        raise SemanticsError(f"max_n {max_n} outside 1..16")
+    if not 1 <= max_n <= MAX_WORLDS:
+        raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
     names = sorted(fm.atoms(f))
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
     cls = None if kind is Semantics.STRONG else scenario_class
+    models: Iterable[SubsetModel] = exhaustive_models(min(max_n, ENUMERATION_MAX), names)
+    if max_n > ENUMERATION_MAX:
+        sizes = range(ENUMERATION_MAX + 1, max_n + 1)
+        draws = (
+            _search_model(seed + d, sizes[d % len(sizes)], names) for d in itertools.count()
+        )
+        models = itertools.chain(models, draws)
     evaluations = 0
-    for top, models in _search_runs(names, max_n, seed):
+    for top, run in _runs(models):
+        if evaluations >= budget:
+            break
         try:
             ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
         except BudgetError:
             continue  # scenario space too large; skip the run
         per_model = sum(u.bit_count() * len(vs) for u, vs in ranges)
-        # the models whose first scenario the remaining budget still reaches
-        reach = max(0, -(-(budget - evaluations) // per_model))
-        group = list(itertools.islice(models, reach))
-        if not group:
-            break
-        hit = _group_failures(engine, [(ranges, group)], [root]).get(root)
+        hit = _group_failures(engine, [(ranges, run)], [root]).get(root)
         if hit is not None:
             lane, s = hit
             evaluations += lane * per_model + _stream_position(ranges, s)
             if evaluations <= budget:
-                return SearchOutcome("found", group[lane], s, evaluations)
+                return SearchOutcome("found", run[lane], s, evaluations)
             break
-        evaluations += len(group) * per_model
-        if evaluations > budget or next(models, None) is not None:
+        evaluations += len(run) * per_model
+        if evaluations > budget:
             break
     else:
         return SearchOutcome("exhausted", None, None, evaluations)
     # every break above means the budget ran out; a negative one reads as 0
     return SearchOutcome("budget", None, None, max(budget, 0))
-
-
-def _search_runs(
-    names: list[str], max_n: int, seed: int
-) -> Iterator[tuple[Topology, Iterator[SubsetModel]]]:
-    """find_countermodel's model stream in same-topology runs: the
-    valuations of each topology on 1..min(max_n, 4) points, at most
-    _MAX_LANES at a time, then, when max_n exceeds 4, one seeded draw per
-    run without end."""
-    for n in range(1, min(max_n, 4) + 1):
-        for top in enumerate_topologies(n):
-            masks = itertools.product(range(1 << n), repeat=len(names))
-            while chunk := list(itertools.islice(masks, _MAX_LANES)):
-                yield top, (SubsetModel(top, dict(zip(names, m))) for m in chunk)
-    if max_n > 4:
-        sizes = range(5, max_n + 1)
-        for draw in itertools.count():
-            model = _search_model(seed + draw, sizes[draw % len(sizes)], names)
-            yield model.topology, iter((model,))
 
 
 def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
@@ -270,6 +260,7 @@ _MAX_LANES = 4096  # models one lane group holds at most (three atoms on four wo
 class _Lanes:
     """Packing of W models, of any topologies and sizes, into one int per value.
 
+    The models come as runs that each share one topology, in lane order.
     The carrier is padded to the group's largest n.  World x owns the block
     of bits x*W .. x*W+W-1, and bit j of every block is lane j, the group's
     j-th model, so one bigint operation acts on all W models at once.  A
@@ -279,18 +270,11 @@ class _Lanes:
     topology.mnb_interior and mnb_closure.
     """
 
-    def __init__(self, models: Sequence[SubsetModel]):
-        self.models = models
+    def __init__(self, runs: Sequence[Sequence[SubsetModel]]):
+        self.models = models = [model for run in runs for model in run]
         self.width = width = len(models)
         self.ones = ones = (1 << width) - 1
-        # the lanes of each run of models that share a topology object
-        runs = []
-        start = 0
-        for end in range(1, width + 1):
-            if end == width or models[end].topology is not models[start].topology:
-                runs.append((((1 << (end - start)) - 1) << start, models[start].topology))
-                start = end
-        n = max(top.n for _, top in runs)
+        n = max(run[0].n for run in runs)
         self.shifts = tuple(x * width for x in range(n))
         self.rep = self.replicate((1 << n) - 1)
         if width == 1:
@@ -300,8 +284,11 @@ class _Lanes:
             return
         # holds[x][y]: the lanes whose mnb(x) holds y, for each y != x
         holds: list[dict[int, int]] = [{} for _ in range(n)]
-        for lanes, top in runs:
-            for x, nb in enumerate(top.min_neighborhoods):
+        start = 0
+        for run in runs:
+            lanes = ((1 << len(run)) - 1) << start
+            start += len(run)
+            for x, nb in enumerate(run[0].topology.min_neighborhoods):
                 row = holds[x]
                 for y in bits(nb & ~(1 << x)):
                     row[y] = row.get(y, 0) | lanes
@@ -435,7 +422,7 @@ class BatchEvaluator:
     def base_pass(self, model: SubsetModel, u: int) -> list[int]:
         """Extensions of all doxastic-range-independent nodes under u."""
         vals = [0] * len(self.nodes)
-        self._run(_Lanes((model,)), model.valuation, u, 0, vals, self.base_order)
+        self._run(_Lanes(((model,),)), model.valuation, u, 0, vals, self.base_order)
         return vals
 
     def overlay_pass(self, model: SubsetModel, u: int, v: int, vals: list[int]) -> None:
@@ -444,7 +431,7 @@ class BatchEvaluator:
         Overlay nodes are recomputed wholesale on every call, so reusing
         one array across successive doxastic ranges is safe.
         """
-        self._run(_Lanes((model,)), model.valuation, u, v, vals, self.overlay_order)
+        self._run(_Lanes(((model,),)), model.valuation, u, v, vals, self.overlay_order)
 
     def _run(
         self,
@@ -620,8 +607,7 @@ def _group_failures(
     lane whose pairs have run out under U = V = 0, where nothing fails.
     The base pass is rerun only when some lane's U changes.
     """
-    group = [model for _, run in runs for model in run]
-    lanes = _Lanes(group)
+    lanes = _Lanes([run for _, run in runs])
     atoms = lanes.pack(engine.atom_names)
     # the packed ranges of every pass, and each lane's own ranges
     passes = [[0, 0] for _ in range(max(sum(len(vs) for _, vs in r) for r, _ in runs))]

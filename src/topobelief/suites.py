@@ -24,11 +24,12 @@ from .model import (
     ScenarioClass,
     SubsetModel,
     dump,
+    exhaustive_models,
     parse_scenario,
     random_model,
 )
 from .semantics import BatchEvaluator, Evaluator, Semantics, _trace, satisfies, sweep_validity
-from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, enumerate_topologies, mask_of
+from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, mask_of
 
 
 class SuiteError(Exception):
@@ -182,10 +183,7 @@ class Batch:
                 raise SuiteError(f"size {size} outside 1..{MAX_WORLDS}")
 
     def models(self) -> Iterator[SubsetModel]:
-        for n in range(1, self.exhaustive_n + 1):
-            for top in enumerate_topologies(n):
-                for masks in itertools.product(range(1 << n), repeat=len(self.atoms)):
-                    yield SubsetModel(top, dict(zip(self.atoms, masks)))
+        yield from exhaustive_models(self.exhaustive_n, self.atoms)
         for seed, size in zip(self.seeds, self.sizes):
             yield random_model(seed, size, atoms=len(self.atoms))
 
@@ -210,6 +208,8 @@ def soundness_batch(
         raise SuiteError(f"random model count {random_count} is negative")
     if random_count and not sizes:
         raise SuiteError("random models need at least one size")
+    if not exhaustive_n and not random_count:
+        raise SuiteError("the batch holds no models: give an exhaustive size or random models")
     seeds = tuple(range(first_seed, first_seed + random_count))
     cycle = tuple(sizes[i % len(sizes)] for i in range(random_count))
     return Batch(exhaustive_n=exhaustive_n, seeds=seeds, sizes=cycle)

@@ -191,6 +191,16 @@ class TestSuite:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_exhaustive_zero_is_no_exhaustive_part(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "suite", "--name", "kd45_b", "--exhaustive", "0", "--models", "2", "--json",
+        )
+        assert code == 0
+        batch = json.loads(out)["batch"]
+        assert batch["exhaustive_n"] == 0
+        assert batch["seeds"] == [1, 2]
+
     @pytest.mark.parametrize(
         "batch_args",
         [
@@ -201,6 +211,7 @@ class TestSuite:
             ["--exhaustive", "5"],
             ["--exhaustive", "4", "--models", "2", "--sizes", "17"],
             ["--models", "2", "--sizes", "4,0"],
+            ["--exhaustive", "0"],
         ],
     )
     def test_bad_batch_is_input_error(self, capsys, batch_args):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -279,6 +281,38 @@ class TestFindCountermodel:
     def test_max_n_validation(self):
         with pytest.raises(SemanticsError):
             find_countermodel(parse("p"), STRONG, max_n=0)
+
+    def test_search_past_the_lane_bound(self):
+        # five atoms give 32 768 valuations per 3-point topology, 8 runs of
+        # 4 096; the first failure is valuation 12 800 of the indiscrete
+        # space, lane 512 of its fourth run
+        f = parse(
+            "! (hatK (a & b) & hatK (a & ! b) & hatK ! a)"
+            " | (c & ! c) | (d & ! d) | (e & ! e)"
+        )
+        out = find_countermodel(f, STRONG, max_n=3)
+        assert out.status == "found"
+        assert out.scenario == parse_scenario("x=0;U=0,1,2")
+        assert out.model.topology.opens == (0, 0b111)
+        assert out.model.valuation == {"a": 0b011, "b": 0b001, "c": 0, "d": 0, "e": 0}
+        # n = 1: 32 models × 1 scenario; n = 2: 1 024 valuations × (2 + 3 + 3
+        # + 4) scenarios; then 12 800 indiscrete models × 3 and the hit
+        assert out.evaluations == 32 + 12_288 + 12_800 * 3 + 1 == 50_721
+        short = find_countermodel(f, STRONG, max_n=3, budget=50_720)
+        assert (short.status, short.evaluations) == ("budget", 50_720)
+
+    def test_no_drawn_topology_outlives_a_search(self):
+        def live_large_topologies():
+            gc.collect()
+            return sum(
+                1 for obj in gc.get_objects() if isinstance(obj, Topology) and obj.n > 4
+            )
+
+        before = live_large_topologies()
+        # the exhaustive part is 354 708 evaluations, so random draws follow
+        out = find_countermodel(parse("K p -> p"), ED, max_n=8, budget=400_000)
+        assert out.status == "budget"
+        assert live_large_topologies() == before
 
     def test_random_phase_draws_cover_the_formula_atoms(self):
         from topobelief.semantics import _search_model

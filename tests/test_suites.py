@@ -262,6 +262,8 @@ class TestBatch:
             soundness_batch(exhaustive_n=4, random_count=2, sizes=(17,))
         with pytest.raises(SuiteError, match=r"size 0 outside 1\.\.16"):
             Batch(seeds=(1,), sizes=(0,))
+        with pytest.raises(SuiteError, match="holds no models"):
+            soundness_batch(exhaustive_n=0, random_count=0)
         assert soundness_batch(random_count=0, sizes=()) == Batch(exhaustive_n=3)
 
     def test_describe_is_json_ready(self):
