@@ -185,6 +185,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.max_n < 1:
+        raise TopologyError(f"--max-n {args.max_n} is below 1")
     counts = {}
     for n in range(1, args.max_n + 1):
         counts[str(n)] = sum(1 for _ in enumerate_topologies(n))

@@ -30,18 +30,6 @@ class ParseError(FormulaError):
 class Formula:
     """Base class; every node is one of the variants below."""
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
-
     def __str__(self) -> str:
         return to_text(self)
 

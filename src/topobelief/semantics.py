@@ -201,10 +201,12 @@ def find_countermodel(
     fixed seed, and a larger budget can only extend the search, never change
     an already found witness.
 
-    The stream is read in the same-topology runs of _runs, each swept
-    whole and lane-packed.  The budget counts scenarios, worked out from
-    run sizes up to the first hit, which counts only within the budget; a
-    run whose sweep would cost over 10^6 is skipped and not counted.
+    The exhaustive stream is read in the same-topology runs of _runs, each
+    swept whole and lane-packed; each random draw is a run of its own, made
+    only once the run before it is swept.  The budget counts scenarios,
+    worked out from run sizes up to the first hit, which counts only within
+    the budget; a run whose sweep would cost over 10^6 is skipped and not
+    counted.
     """
     if not 1 <= max_n <= MAX_WORLDS:
         raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
@@ -212,15 +214,15 @@ def find_countermodel(
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
     cls = None if kind is Semantics.STRONG else scenario_class
-    models: Iterable[SubsetModel] = exhaustive_models(min(max_n, ENUMERATION_MAX), names)
+    runs = _runs(exhaustive_models(min(max_n, ENUMERATION_MAX), names))
     if max_n > ENUMERATION_MAX:
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
         draws = (
             _search_model(seed + d, sizes[d % len(sizes)], names) for d in itertools.count()
         )
-        models = itertools.chain(models, draws)
+        runs = itertools.chain(runs, ((model.topology, [model]) for model in draws))
     evaluations = 0
-    for top, run in _runs(models):
+    for top, run in runs:
         if evaluations >= budget:
             break
         try:
@@ -265,9 +267,11 @@ class _Lanes:
     of bits x*W .. x*W+W-1, and bit j of every block is lane j, the group's
     j-th model, so one bigint operation acts on all W models at once.  A
     world past a lane's own carrier is its own minimal neighborhood and lies
-    in no range, so it stays empty in every value of that lane.  With W = 1
-    a packed value is the plain subset mask, and interior and closure are
-    topology.mnb_interior and mnb_closure.
+    in no range, so it stays empty in every value of that lane.  Interior
+    and closure read one table per world x of (y, outside, inside) triples:
+    the lanes whose mnb(x) lacks y, and those whose mnb(x) holds it.  With
+    W = 1 a packed value is the plain subset mask, and interior and closure
+    are topology.mnb_interior and mnb_closure.
     """
 
     def __init__(self, runs: Sequence[Sequence[SubsetModel]]):
@@ -292,17 +296,7 @@ class _Lanes:
                 row = holds[x]
                 for y in bits(nb & ~(1 << x)):
                     row[y] = row.get(y, 0) | lanes
-        # per world x: the y that every lane's mnb(x) holds, and the other y
-        # with the lanes where it does not and where it does
-        self._meets = []
-        for row in holds:
-            everywhere, partly = [], []
-            for y, m in row.items():
-                if m == ones:
-                    everywhere.append(y)
-                else:
-                    partly.append((y, ones & ~m, m))
-            self._meets.append((everywhere, partly))
+        self._meets = [[(y, ones & ~m, m) for y, m in row.items()] for row in holds]
         self.interior = self._interior
         self.closure = self._closure
 
@@ -314,17 +308,13 @@ class _Lanes:
 
     def pack(self, names: Iterable[str]) -> Mapping[str, int]:
         """Each atom's packed truth value across the group's models."""
-        out = {}
-        for name in names:
-            packed = 0
-            for j, model in enumerate(self.models):
-                mask = model.valuation.get(name, 0)
-                while mask:
-                    low = mask & -mask
-                    packed |= 1 << (self.shifts[low.bit_length() - 1] + j)
-                    mask ^= low
-            out[name] = packed
-        return out
+        return {
+            name: sum(
+                self.replicate(model.valuation.get(name, 0)) << j
+                for j, model in enumerate(self.models)
+            )
+            for name in names
+        }
 
     def least_world(self, m: int, lane: int) -> int:
         """Least world whose block has the lane's bit set in m."""
@@ -345,11 +335,9 @@ class _Lanes:
         """box at x is the AND over y of block[y], in the lanes whose mnb(x) holds y."""
         block = self._blocks(a)
         out = 0
-        for x, (everywhere, partly) in enumerate(self._meets):
+        for x, meets in enumerate(self._meets):
             acc = block[x]
-            for y in everywhere:
-                acc &= block[y]
-            for y, outside, _ in partly:
+            for y, outside, _ in meets:
                 acc &= block[y] | outside
             out |= acc << self.shifts[x]
         return out
@@ -358,11 +346,9 @@ class _Lanes:
         """cl at x is the OR over y of block[y], in the lanes whose mnb(x) holds y."""
         block = self._blocks(a)
         out = 0
-        for x, (everywhere, partly) in enumerate(self._meets):
+        for x, meets in enumerate(self._meets):
             acc = block[x]
-            for y in everywhere:
-                acc |= block[y]
-            for y, _, inside in partly:
+            for y, _, inside in meets:
                 acc |= block[y] & inside
             out |= acc << self.shifts[x]
         return out
@@ -445,10 +431,12 @@ class BatchEvaluator:
         """One pass over `order`; us and vs hold each lane's own ranges,
         packed (the plain masks at W = 1).
 
-        K and B fold the worlds of U (or V) where the operand is missing
-        into the lanes that miss some world, and broadcast the lanes where
-        the modality holds back to each lane's own U: us & (rep * ok),
-        where rep * ok copies the lane mask ok into every block.
+        K and B share one broadcast: each clause works out the worlds its
+        modality misses (K: of U outside the operand; strong B: of U outside
+        cl(int(operand)); ed B: of V outside the operand; ae B: the interior
+        of the closure of those), and the modality holds on a lane's whole U
+        where that lane misses none: us & (rep * ok), where rep * ok copies
+        the lane mask ok = ones & ~fold(missing) into every block.
         """
         ones = lanes.ones
         rep = lanes.rep
@@ -472,19 +460,11 @@ class BatchEvaluator:
                 out = (us & ~vals[a]) | vals[b]
             elif op is Iff:
                 out = us & ~(vals[a] ^ vals[b])
-            elif op is K:
+            elif op is K or op is Bel:
                 sub = vals[a]
-                if sub == us:
-                    out = us
-                elif wide:
-                    out = us & rep * (ones & ~fold(us & ~sub))
-                else:
-                    out = 0
-            elif op is Box:
-                out = interior(vals[a])
-            elif op is Bel:
-                sub = vals[a]
-                if kind is Semantics.STRONG:
+                if op is K:
+                    missing = 0 if sub == us else us & ~sub
+                elif kind is Semantics.STRONG:
                     missing = 0 if sub == us else us & ~closure(interior(sub))
                 elif kind is Semantics.ED:
                     missing = vs & ~sub
@@ -497,6 +477,8 @@ class BatchEvaluator:
                     out = us & rep * (ones & ~fold(missing))
                 else:
                     out = 0
+            elif op is Box:
+                out = interior(vals[a])
             elif op is Top:
                 out = us
             else:

@@ -185,7 +185,9 @@ class Batch:
     def models(self) -> Iterator[SubsetModel]:
         yield from exhaustive_models(self.exhaustive_n, self.atoms)
         for seed, size in zip(self.seeds, self.sizes):
-            yield random_model(seed, size, atoms=len(self.atoms))
+            drawn = random_model(seed, size, atoms=len(self.atoms))
+            # the drawn masks, in draw order, valuate the batch's own atoms
+            yield SubsetModel(drawn.topology, dict(zip(self.atoms, drawn.valuation.values())))
 
     def describe(self) -> dict:
         return {

@@ -278,6 +278,12 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--max-n", "6")
         assert code == 2
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_below_one_is_input_error(self, capsys, max_n):
+        code, out, err = run(capsys, "enumerate", "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestUsage:
     def test_unknown_verb(self, capsys):

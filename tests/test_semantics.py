@@ -314,6 +314,30 @@ class TestFindCountermodel:
         assert out.status == "budget"
         assert live_large_topologies() == before
 
+    def test_every_draw_is_swept(self, monkeypatch):
+        from topobelief import semantics
+
+        f = parse("K p -> p")
+        exhaustive = find_countermodel(f, STRONG, max_n=4).evaluations
+        drawn, swept = [], set()
+        draw, sweep = semantics._search_model, semantics._group_failures
+
+        def recording_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def recording_sweep(engine, runs, live):
+            swept.update(id(model) for _, run in runs for model in run)
+            return sweep(engine, runs, live)
+
+        monkeypatch.setattr(semantics, "_search_model", recording_draw)
+        monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
+        # the first draws cost 10, 39, 14 and 43 scenarios: the fourth ends the search
+        out = find_countermodel(f, STRONG, max_n=6, budget=exhaustive + 100)
+        assert out.status == "budget"
+        assert len(drawn) == 4
+        assert [id(model) in swept for model in drawn] == [True] * len(drawn)
+
     def test_random_phase_draws_cover_the_formula_atoms(self):
         from topobelief.semantics import _search_model
 

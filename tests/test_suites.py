@@ -266,6 +266,16 @@ class TestBatch:
             soundness_batch(exhaustive_n=0, random_count=0)
         assert soundness_batch(random_count=0, sizes=()) == Batch(exhaustive_n=3)
 
+    def test_random_models_valuate_the_batch_atoms(self):
+        batch = Batch(exhaustive_n=1, atoms=("q",), seeds=(1, 2), sizes=(4, 4))
+        drawn = list(batch.models())[2:]
+        assert [m.valuation for m in drawn] == [{"q": 10}, {"q": 8}]
+        # on the default atoms the draws are random_model's own
+        batch = Batch(seeds=(1, 2), sizes=(4, 4))
+        assert [m.valuation for m in batch.models()] == [
+            random_model(seed, 4).valuation for seed in (1, 2)
+        ]
+
     def test_describe_is_json_ready(self):
         batch = soundness_batch(random_count=2)
         json.dumps(batch.describe())
