@@ -278,7 +278,7 @@ def load(text: str):
 
     kind = doc.get("type")
     n = doc.get("worlds")
-    if not isinstance(n, int) or not 1 <= n <= MAX_WORLDS:
+    if type(n) is not int or not 1 <= n <= MAX_WORLDS:  # bool is an int subclass
         raise ModelError(f"worlds must be an integer in 1..{MAX_WORLDS}")
 
     valuation = {}
@@ -311,7 +311,7 @@ def load(text: str):
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(w, int) and 0 <= w < n for w in pair)
+                or not all(type(w) is int and 0 <= w < n for w in pair)
             ):
                 raise ModelError(f"bad relation pair {pair!r}")
             rel.add((pair[0], pair[1]))
@@ -328,7 +328,7 @@ def _list_field(doc: dict, key: str) -> list:
 
 
 def _mask_field(n: int, indices, what: str) -> int:
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
+    if not isinstance(indices, list) or not all(type(i) is int for i in indices):
         raise ModelError(f"{what} must be a list of world indices")
     for i in indices:
         if not 0 <= i < n:

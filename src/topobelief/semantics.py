@@ -203,10 +203,10 @@ def find_countermodel(
 
     The exhaustive stream is read in the same-topology runs of _runs, each
     swept whole and lane-packed; each random draw is a run of its own, made
-    only once the run before it is swept.  The budget counts scenarios,
-    worked out from run sizes up to the first hit, which counts only within
-    the budget; a run whose sweep would cost over 10^6 is skipped and not
-    counted.
+    only once the run before it is swept and only while budget is left.  The
+    budget counts scenarios, worked out from run sizes up to the first hit,
+    which counts only within the budget; a run whose sweep would cost over
+    10^6 is skipped and not counted.
     """
     if not 1 <= max_n <= MAX_WORLDS:
         raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
@@ -214,14 +214,13 @@ def find_countermodel(
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
     cls = None if kind is Semantics.STRONG else scenario_class
+    evaluations = 0
     runs = _runs(exhaustive_models(min(max_n, ENUMERATION_MAX), names))
     if max_n > ENUMERATION_MAX:
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
-        draws = (
-            _search_model(seed + d, sizes[d % len(sizes)], names) for d in itertools.count()
-        )
+        ds = itertools.takewhile(lambda _: evaluations < budget, itertools.count())
+        draws = (_search_model(seed + d, sizes[d % len(sizes)], names) for d in ds)
         runs = itertools.chain(runs, ((model.topology, [model]) for model in draws))
-    evaluations = 0
     for top, run in runs:
         if evaluations >= budget:
             break
@@ -241,8 +240,9 @@ def find_countermodel(
         if evaluations > budget:
             break
     else:
-        return SearchOutcome("exhausted", None, None, evaluations)
-    # every break above means the budget ran out; a negative one reads as 0
+        if max_n <= ENUMERATION_MAX:  # draws, if any, stop only on a spent budget
+            return SearchOutcome("exhausted", None, None, evaluations)
+    # every other way out means the budget ran out; a negative one reads as 0
     return SearchOutcome("budget", None, None, max(budget, 0))
 
 

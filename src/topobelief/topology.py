@@ -1,25 +1,23 @@
 """Finite topological spaces on carriers of at most 16 points.
 
 Subsets of the carrier are plain ints used as bitmasks (world i is bit i).
-A topology stores its full open-set family explicitly, deduplicated and in
-canonical order (cardinality, then numeric bit pattern), so dumps and
-reports are deterministic.
-
 Every finite space is Alexandroff: each point x has a smallest open
 neighborhood mnb(x), and the opens are exactly the unions of mnb sets.
-That table (the specialization preorder, as successor masks) is how every
-topology is built and checked.  Generation ANDs the subbasis members
-around each point, enumeration walks preorders, and validation compares a
-family with the unions of its own derived table; each then folds the table
-into its unions in O(F·n) for F opens.  The table also backs the
-interior/closure operators; mnb_interior and mnb_closure are those
-operators without the subset check, for the evaluation engine.
+That table (the specialization preorder, as successor masks) is what a
+Topology is: every builder hands one over, and the open-set family is
+derived from it, deduplicated and in canonical order (cardinality, then
+numeric bit pattern), so dumps and reports are deterministic.  Generation
+ANDs the subbasis members around each point, enumeration walks preorders,
+and validation compares a family with the unions of its own derived
+table; each then folds the table into its unions in O(F·n) for F opens.
+The table also backs equality, hashing and the interior/closure
+operators; mnb_interior and mnb_closure are those operators without the
+subset check, for the evaluation engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 MAX_WORLDS = 16
@@ -74,33 +72,17 @@ def _min_neighborhoods(n: int, opens: Iterable[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _unions(table: Iterable[int], within: set[int] | None = None) -> set[int] | None:
+def _unions(table: Iterable[int]) -> set[int]:
     """Every union of the table's sets, the empty union included.
 
     Folds one set at a time into the union-closed family built so far, so a
-    result of F sets costs O(F·n).  With `within`, stops and returns None as
-    soon as a union falls outside it.
+    result of F sets costs O(F·n).
     """
     family = {0}
     for m in table:
-        if m in family:
-            continue  # the family is union-closed, so m adds nothing
-        grown = {u | m for u in family}
-        if within is not None and not grown <= within:
-            return None
-        family |= grown
+        if m not in family:  # the family is union-closed, else m adds nothing
+            family |= {u | m for u in family}
     return family
-
-
-def _table_if_topology(n: int, family: set[int]) -> tuple[int, ...] | None:
-    """The family's minimal-neighborhood table if it is a topology, else None.
-
-    A finite family is a topology exactly when it equals the unions of its
-    own derived table: that table is a preorder's successor masks, whose
-    unions are the preorder's up-sets, a topology.
-    """
-    table = _min_neighborhoods(n, family)
-    return table if _unions(table, family) == family else None
 
 
 @dataclass(frozen=True)
@@ -149,23 +131,33 @@ def find_violation(n: int, opens: Iterable[int]) -> TopologyViolation | None:
 
 def verify(t: "Topology") -> TopologyViolation | None:
     """Re-check a topology's family against the closure conditions."""
-    if _table_if_topology(t.n, set(t.opens)) is not None:
+    if _as_topology(t.n, set(t.opens)) is not None:
         return None
     return find_violation(t.n, t.opens)
 
 
+def _as_topology(n: int, family: set[int]) -> "Topology | None":
+    """The topology whose opens are exactly the family, or None if none is.
+
+    A finite family is a topology exactly when it equals the unions of its
+    own derived table: that table is a preorder's successor masks, whose
+    unions are the preorder's up-sets, a topology.
+    """
+    t = Topology(n, _min_neighborhoods(n, family))
+    return t if set(t.opens) == family else None
+
+
 class Topology:
-    """Carrier size plus explicit open-set family; immutable once built."""
+    """Carrier size plus minimal-neighborhood table, opens derived; immutable."""
 
-    __slots__ = ("n", "opens", "__dict__")
+    __slots__ = ("n", "min_neighborhoods", "opens")
 
-    def __init__(self, n: int, opens: tuple[int, ...], mnb: tuple[int, ...] | None = None):
+    def __init__(self, n: int, mnb: tuple[int, ...]):
         # private; use from_opens / generate_from_subbasis for validated input.
-        # mnb, when given, must be the family's minimal-neighborhood table.
+        # mnb must be a preorder's successor masks for the result to verify.
         self.n = n
-        self.opens = opens
-        if mnb is not None:
-            self.__dict__["min_neighborhoods"] = mnb
+        self.min_neighborhoods = mnb
+        self.opens = _canon(_unions(mnb))
 
     @classmethod
     def from_opens(cls, n: int, opens: Iterable[int]) -> "Topology":
@@ -179,50 +171,38 @@ class Topology:
         opens = list(opens)
         for o in opens:
             _check_subset(n, o)
-        family = set(opens)
-        mnb = _table_if_topology(n, family)
-        if mnb is None:
-            raise TopologyError(str(find_violation(n, family)))
-        return cls(n, _canon(family), mnb)
+        t = _as_topology(n, set(opens))
+        if t is None:
+            raise TopologyError(str(find_violation(n, opens)))
+        return t
 
     @classmethod
     def discrete(cls, n: int) -> "Topology":
         _check_carrier(n)
-        return cls(n, _canon(range(1 << n)))
+        return cls(n, tuple(1 << x for x in range(n)))
 
     @classmethod
     def indiscrete(cls, n: int) -> "Topology":
         _check_carrier(n)
-        return cls(n, (0, full_mask(n)))
+        return cls(n, (full_mask(n),) * n)
 
     @property
     def full(self) -> int:
         return full_mask(self.n)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Topology) and self.n == other.n and self.opens == other.opens
-        )
+        # the table has one entry per point, so it fixes n as well
+        return isinstance(other, Topology) and self.min_neighborhoods == other.min_neighborhoods
 
     def __hash__(self) -> int:
-        return hash((self.n, self.opens))
+        return hash(self.min_neighborhoods)
 
     def __repr__(self) -> str:
         body = ",".join(format_mask(o) for o in self.opens)
         return f"Topology(n={self.n}, opens=[{body}])"
 
     def is_open(self, a: int) -> bool:
-        _check_subset(self.n, a)
-        return a in self._open_set
-
-    @cached_property
-    def _open_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
-
-    @cached_property
-    def min_neighborhoods(self) -> tuple[int, ...]:
-        """Smallest open around each point (finite spaces are Alexandroff)."""
-        return _min_neighborhoods(self.n, self.opens)
+        return self.interior(a) == a
 
     def interior(self, a: int) -> int:
         """Largest open set contained in a."""
@@ -296,8 +276,7 @@ def generate_from_subbasis(n: int, subbasis: Iterable[int]) -> Topology:
     subbasis = list(subbasis)
     for s in subbasis:
         _check_subset(n, s)
-    mnb = _min_neighborhoods(n, subbasis)
-    return Topology(n, _canon(_unions(mnb)), mnb)
+    return Topology(n, _min_neighborhoods(n, subbasis))
 
 
 def _preorders(n: int) -> Iterator[tuple[int, ...]]:
@@ -336,6 +315,6 @@ def enumerate_topologies(n: int) -> Iterator[Topology]:
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise TopologyError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
-    tops = [Topology(n, _canon(_unions(succ)), succ) for succ in _preorders(n)]
+    tops = [Topology(n, succ) for succ in _preorders(n)]
     tops.sort(key=lambda t: (len(t.opens), t.opens))
     yield from tops

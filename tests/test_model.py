@@ -78,6 +78,24 @@ class TestLoad:
         with pytest.raises(ModelError, match="not both"):
             load(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"type": "subset", "worlds": True, "opens": [[], [0]]}, "worlds must be an integer"),
+            ({"type": "subset", "worlds": 2, "opens": [[], [True], [0, 1]]}, "open must be"),
+            ({"type": "subset", "worlds": 2, "subbasis": [[True]]}, "subbasis member must be"),
+            (
+                {"type": "subset", "worlds": 2, "opens": [[], [0, 1]], "valuation": {"p": [True]}},
+                "valuation of 'p' must be",
+            ),
+            ({"type": "relational", "worlds": 2, "rel": [[False, True]]}, "bad relation pair"),
+        ],
+        ids=["worlds", "opens", "subbasis", "valuation", "rel"],
+    )
+    def test_booleans_are_not_world_numbers(self, doc, message):
+        with pytest.raises(ModelError, match=message):
+            load(json.dumps(doc))
+
     def test_bad_atom_name(self):
         doc = json.dumps(
             {"type": "subset", "worlds": 1, "opens": [[], [0]], "valuation": {"P": [0]}}

@@ -314,7 +314,10 @@ class TestFindCountermodel:
         assert out.status == "budget"
         assert live_large_topologies() == before
 
-    def test_every_draw_is_swept(self, monkeypatch):
+    # the first draws cost 10, 39, 14 and 43 scenarios: the last one drawn ends the
+    # search, and a budget spent exactly by a draw draws no further model
+    @pytest.mark.parametrize("extra, draws", [(10, 1), (49, 2), (63, 3), (100, 4)])
+    def test_every_draw_is_swept(self, monkeypatch, extra, draws):
         from topobelief import semantics
 
         f = parse("K p -> p")
@@ -332,10 +335,9 @@ class TestFindCountermodel:
 
         monkeypatch.setattr(semantics, "_search_model", recording_draw)
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
-        # the first draws cost 10, 39, 14 and 43 scenarios: the fourth ends the search
-        out = find_countermodel(f, STRONG, max_n=6, budget=exhaustive + 100)
+        out = find_countermodel(f, STRONG, max_n=6, budget=exhaustive + extra)
         assert out.status == "budget"
-        assert len(drawn) == 4
+        assert len(drawn) == draws
         assert [id(model) in swept for model in drawn] == [True] * len(drawn)
 
     def test_random_phase_draws_cover_the_formula_atoms(self):

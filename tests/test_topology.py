@@ -75,7 +75,10 @@ class TestAgainstOracles:
         else:
             family.append(data.draw(st.integers(0, full_mask(n))))
         violation = find_violation(n, family)
-        assert verify(Topology(n, tuple(family))) == violation
+        # a table that need not be a preorder's can derive a non-topology
+        table = data.draw(st.lists(st.integers(0, full_mask(n)), min_size=n, max_size=n))
+        broken = Topology(n, tuple(table))
+        assert verify(broken) == find_violation(n, broken.opens)
         if violation is None:
             assert set(Topology.from_opens(n, family).opens) == set(family)
         else:
@@ -109,8 +112,9 @@ class TestVerify:
 
     def test_verify_wrapper(self):
         assert verify(SIERP) is None
-        mangled = Topology(3, (0b000, 0b001, 0b010, 0b111))
-        assert verify(mangled) is not None
+        # not a preorder's table: its unions miss {0,1} n {1,2} = {1}
+        broken = Topology(3, (0b011, 0b110, 0b100))
+        assert verify(broken) is not None
 
 
 class TestInteriorClosure:
@@ -188,6 +192,17 @@ class TestEnumeration:
     def test_gate(self):
         with pytest.raises(TopologyError):
             next(enumerate_topologies(5))
+
+    def test_every_route_gives_one_identity(self):
+        for n in (1, 2, 3):
+            tops = list(enumerate_topologies(n))
+            assert len(set(tops)) == len(tops)
+            for t in tops:
+                again = Topology.from_opens(n, reversed(t.opens))
+                assert again == t and hash(again) == hash(t)
+                assert generate_from_subbasis(n, t.opens) == t
+                for a in range(1 << n):
+                    assert t.is_open(a) == (a in t.opens)
 
     def test_all_verify(self):
         for t in enumerate_topologies(4):
