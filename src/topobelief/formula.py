@@ -1,9 +1,10 @@
 """Formulas of the trimodal language of knowledge (K), knowability (box), belief (B).
 
 The AST is a small family of frozen dataclasses.  The surface syntax is
-ASCII only and is defined once, in CONNECTIVES: each connective's word,
-precedence and operand contexts, from which the parser, the printer and
-the arity of every node are read.  `hatK`, `dia` and `hatB` are parser
+ASCII only.  Each connective, `true` and `false` included, is defined once,
+in CONNECTIVES: its word, precedence and operand contexts, which the parser,
+the printer and every node's arity read, and a Boolean one's truth
+function, which both evaluators read.  `hatK`, `dia` and `hatB` are parser
 sugar for the dual modalities and are stored desugared as not-op-not.
 The printer resugars those patterns, so parse/to_text round-trip on the
 desugared form.
@@ -116,41 +117,44 @@ def hat_b(f: Formula) -> Formula:
 
 
 class Connective(NamedTuple):
-    """How one connective is written and where it binds.
+    """How one connective is written, where it binds and what it means.
 
-    A unary connective is written `word sub`, a binary one `left word
-    right`.  Each operand is rendered at its context precedence and
-    parenthesized when its own connective binds more loosely; the parser
-    groups by the same numbers, so a binary connective whose right context
-    is its own precedence is right-associative.  A modality's dual is the
-    word for not-op-not, which parse reads as sugar and to_text writes back.
+    A constant is written `word`, a unary connective `word sub`, a binary
+    one `left word right`.  Each operand is rendered at its context
+    precedence and parenthesized when its own connective binds more
+    loosely; the parser groups by the same numbers, so a binary connective
+    whose right context is its own precedence is right-associative.  A
+    modality's dual is the word for not-op-not, which parse reads as sugar
+    and to_text writes back.  A Boolean connective's truth(u, a, b) maps
+    the universe and its operands' extensions to its own, ignoring any
+    operand past its arity.
     """
 
     word: str
     prec: int
     operands: tuple[int, ...]  # the context precedence of each operand
     dual: str | None = None
+    truth: Callable[[int, int, int], int] | None = None
 
 
 _PREC_UNARY = 5
 
-# the one definition of every connective's surface syntax
+# the one definition of every connective's syntax and Boolean truth function
 CONNECTIVES: dict[type[Formula], Connective] = {
-    Not: Connective("!", _PREC_UNARY, (_PREC_UNARY,)),
+    Top: Connective("true", _PREC_UNARY, (), truth=lambda u, a, b: u),
+    Bot: Connective("false", _PREC_UNARY, (), truth=lambda u, a, b: 0),
+    Not: Connective("!", _PREC_UNARY, (_PREC_UNARY,), truth=lambda u, a, b: u & ~a),
     K: Connective("K", _PREC_UNARY, (_PREC_UNARY,), dual="hatK"),
     Box: Connective("box", _PREC_UNARY, (_PREC_UNARY,), dual="dia"),
     Bel: Connective("B", _PREC_UNARY, (_PREC_UNARY,), dual="hatB"),
-    And: Connective("&", 4, (4, 5)),
-    Or: Connective("|", 3, (3, 4)),
-    Implies: Connective("->", 2, (3, 2)),
-    Iff: Connective("<->", 1, (2, 1)),
+    And: Connective("&", 4, (4, 5), truth=lambda u, a, b: a & b),
+    Or: Connective("|", 3, (3, 4), truth=lambda u, a, b: a | b),
+    Implies: Connective("->", 2, (3, 2), truth=lambda u, a, b: (u & ~a) | b),
+    Iff: Connective("<->", 1, (2, 1), truth=lambda u, a, b: u & ~(a ^ b)),
 }
 
 # modality word -> node class, in the order K, box, B
 MODALITIES: dict[str, type[Formula]] = {c.word: cls for cls, c in CONNECTIVES.items() if c.dual}
-
-TOP = Top()
-BOT = Bot()
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -158,6 +162,7 @@ _INFIX = {c.word: (cls, c) for cls, c in CONNECTIVES.items() if len(c.operands) 
 _PREFIX: dict[str, Callable[[Formula], Formula]] = {"~": Not}
 _PREFIX |= {c.word: cls for cls, c in CONNECTIVES.items() if len(c.operands) == 1}
 _PREFIX |= {c.dual: lambda f, op=cls: Not(op(Not(f))) for cls, c in CONNECTIVES.items() if c.dual}
+_CONSTANTS = {c.word: cls() for cls, c in CONNECTIVES.items() if not c.operands}
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _SYMBOLS = (*_INFIX, *(w for w in _PREFIX if not w.isalpha()), "(", ")")
@@ -230,10 +235,8 @@ class _Parser:
     def atom(self) -> Formula:
         kind, value, offset = self.advance()
         if kind == "word":
-            if value == "true":
-                return TOP
-            if value == "false":
-                return BOT
+            if value in _CONSTANTS:
+                return _CONSTANTS[value]
             if ATOM_RE.match(value):
                 return Atom(value)
             raise ParseError(f"unknown operator token {value!r}", offset)
@@ -260,12 +263,10 @@ def _render(f: Formula, context: int) -> str:
     if c is None:
         if cls is Atom or cls is Meta:
             return f.name
-        if cls is Top:
-            return "true"
-        if cls is Bot:
-            return "false"
         raise FormulaError(f"not a formula node: {f!r}")
-    if len(c.operands) == 2:
+    if not c.operands:
+        text = c.word
+    elif len(c.operands) == 2:
         left, right = c.operands
         text = f"{_render(f.left, left)} {c.word} {_render(f.right, right)}"
     else:
@@ -297,7 +298,7 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 def _children(f: Formula) -> tuple[Formula, ...]:
     c = CONNECTIVES.get(type(f))
-    if c is None:
+    if c is None or not c.operands:
         return ()
     return (f.sub,) if len(c.operands) == 1 else (f.left, f.right)
 

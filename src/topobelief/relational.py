@@ -5,7 +5,8 @@ brushes: cells of the derived equivalence x ~ y iff some z has xRz and
 yRz, each cell relating totally onto its nonempty final cluster of
 reflexive points.  The reflexive closure's successor sets form a basis
 whose generated Alexandroff topology interprets the same belief formulas
-at scenarios (x, cell-of-x) under strong semantics.
+at scenarios (x, cell-of-x) under strong semantics.  Relational evaluation
+computes extensions, through the truth functions of formula.CONNECTIVES.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class RelationalModel:
                 raise RelationalError(f"pair ({x},{y}) out of range")
         full = full_mask(self.n)
         for atom, subset in self.valuation.items():
+            if not fm.ATOM_RE.match(atom):
+                raise RelationalError(f"bad atom name {atom!r}")
             if subset < 0 or subset & ~full:
                 raise RelationalError(f"valuation of {atom!r} out of carrier range")
 
@@ -157,38 +160,29 @@ def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
     """Standard Kripke evaluation of a pure-belief formula at world x."""
     if not 0 <= x < m.n:
         raise RelationalError(f"world {x} out of range")
-    bad = fm.modalities(f) - {"B"}
-    if bad:
-        raise RelationalError(f"relational evaluation is for the B fragment only (found {sorted(bad)})")
-    return _eval(m, m.successor_masks(), x, f)
+    return bool(_extension(m, f) >> x & 1)
 
 
-def _eval(m: RelationalModel, succ: list[int], x: int, f: Formula) -> bool:
-    if isinstance(f, fm.Atom):
-        return bool(m.valuation.get(f.name, 0) >> x & 1)
-    if isinstance(f, fm.Top):
-        return True
-    if isinstance(f, fm.Bot):
-        return False
-    if isinstance(f, fm.Not):
-        return not _eval(m, succ, x, f.sub)
-    if isinstance(f, fm.And):
-        return _eval(m, succ, x, f.left) and _eval(m, succ, x, f.right)
-    if isinstance(f, fm.Or):
-        return _eval(m, succ, x, f.left) or _eval(m, succ, x, f.right)
-    if isinstance(f, fm.Implies):
-        return not _eval(m, succ, x, f.left) or _eval(m, succ, x, f.right)
-    if isinstance(f, fm.Iff):
-        return _eval(m, succ, x, f.left) == _eval(m, succ, x, f.right)
-    if isinstance(f, fm.Bel):
-        rest = succ[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            if not _eval(m, succ, y, f.sub):
-                return False
-            rest &= rest - 1
-        return True
-    raise RelationalError(f"cannot evaluate node {f!r}")
+def _extension(m: RelationalModel, f: Formula) -> int:
+    """The worlds where f holds, bottom-up: B g holds where every successor satisfies g."""
+    succ, full = m.successor_masks(), full_mask(m.n)
+
+    def walk(g: Formula) -> int:
+        cls = type(g)
+        if cls is fm.Atom:
+            return m.valuation.get(g.name, 0)
+        if cls is fm.Bel:
+            sub = walk(g.sub)
+            return sum(1 << x for x, s in enumerate(succ) if not s & ~sub)
+        c = fm.CONNECTIVES.get(cls)
+        if c is None or c.truth is None:
+            bad = sorted(fm.modalities(f) - {"B"})
+            found = f"relational evaluation is for the B fragment only (found {bad})"
+            raise RelationalError(found if bad else f"cannot evaluate node {g!r}")
+        a, b, *_ = [walk(h) for h in fm._children(g)] + [0, 0]
+        return c.truth(full, a, b)
+
+    return walk(f)
 
 
 def check_modal_equivalence(m: RelationalModel, f: Formula) -> int | None:
@@ -202,11 +196,10 @@ def check_modal_equivalence(m: RelationalModel, f: Formula) -> int | None:
         raise RelationalError("bridge check needs a belief frame")
     dec = decompose(m)
     subset = to_subset_model(m)
+    relational = _extension(m, f)
     for x in range(m.n):
-        relational = eval_relational(m, x, f)
-        scenario = EDScenario(x, dec.cell_of(x))
-        topological = satisfies(subset, scenario, f, Semantics.STRONG)
-        if relational != topological:
+        topological = satisfies(subset, EDScenario(x, dec.cell_of(x)), f, Semantics.STRONG)
+        if bool(relational >> x & 1) != topological:
             return x
     return None
 

@@ -43,7 +43,7 @@ from functools import partial
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
-from .formula import And, Atom, Bel, Bot, Box, Formula, Iff, Implies, K, Not, Or, Top
+from .formula import Atom, Bel, Box, Formula, K
 from .model import (
     DEFAULT_SCENARIO_BUDGET,
     BudgetError,
@@ -307,14 +307,22 @@ class _Lanes:
         return sum(1 << s for x, s in enumerate(self.shifts) if m >> x & 1)
 
     def pack(self, names: Iterable[str]) -> Mapping[str, int]:
-        """Each atom's packed truth value across the group's models."""
-        return {
-            name: sum(
-                self.replicate(model.valuation.get(name, 0)) << j
-                for j, model in enumerate(self.models)
-            )
-            for name in names
-        }
+        """Each atom's packed truth value across the group's models.
+
+        World x's column collects the lanes whose model makes the atom
+        true at x; the packed value places each column at x's block.
+        """
+        out = {}
+        for name in names:
+            cols = [0] * len(self.shifts)
+            for j, model in enumerate(self.models):
+                m = model.valuation.get(name, 0)
+                while m:
+                    low = m & -m
+                    cols[low.bit_length() - 1] |= 1 << j
+                    m ^= low
+            out[name] = sum(col << s for col, s in zip(cols, self.shifts))
+        return out
 
     def least_world(self, m: int, lane: int) -> int:
         """Least world whose block has the lane's bit set in m."""
@@ -370,7 +378,7 @@ class BatchEvaluator:
 
     def __init__(self, roots: Iterable[Formula], kind: Semantics):
         self.kind = kind
-        self.nodes: list[tuple] = []  # (node class, arg1, arg2)
+        self.nodes: list[tuple] = []  # (op, arg1, arg2), op as _run reads it
         self.index: dict[Formula, int] = {}
         self.atom_names: tuple[str, ...] = ()
         self.base_order: list[int] = []
@@ -385,21 +393,18 @@ class BatchEvaluator:
             return hit
         cls = type(f)
         c = fm.CONNECTIVES.get(cls)
-        if c is not None and len(c.operands) == 1:
-            a, b = self.add(f.sub), 0
-            reads_v = self._reads_v[a] or (cls is Bel and self.kind is not Semantics.STRONG)
-        elif c is not None:
-            a, b = self.add(f.left), self.add(f.right)
-            reads_v = self._reads_v[a] or self._reads_v[b]
+        if c is not None:
+            kids = [self.add(g) for g in fm._children(f)]
+            a, b, *_ = kids + [0, 0]
+            reads_v = cls is Bel and self.kind is not Semantics.STRONG
+            reads_v = reads_v or any(self._reads_v[k] for k in kids)
         elif cls is Atom:
             a, b, reads_v = f.name, 0, False
             self.atom_names += (f.name,)
-        elif cls is Top or cls is Bot:
-            a, b, reads_v = 0, 0, False
         else:
             raise SemanticsError(f"cannot compile node {f!r}")
         idx = len(self.nodes)
-        self.nodes.append((cls, a, b))
+        self.nodes.append((cls if c is None or c.truth is None else c.truth, a, b))
         self.index[f] = idx
         self._reads_v.append(reads_v)
         (self.overlay_order if reads_v else self.base_order).append(idx)
@@ -431,6 +436,8 @@ class BatchEvaluator:
         """One pass over `order`; us and vs hold each lane's own ranges,
         packed (the plain masks at W = 1).
 
+        A node's op is its class for an atom or a modality, and otherwise
+        its connective's truth function, applied to us and the operands.
         K and B share one broadcast: each clause works out the worlds its
         modality misses (K: of U outside the operand; strong B: of U outside
         cl(int(operand)); ed B: of V outside the operand; ae B: the interior
@@ -450,16 +457,6 @@ class BatchEvaluator:
             op, a, b = nodes[i]
             if op is Atom:
                 out = atoms.get(a, 0) & us
-            elif op is Not:
-                out = us & ~vals[a]
-            elif op is And:
-                out = vals[a] & vals[b]
-            elif op is Or:
-                out = vals[a] | vals[b]
-            elif op is Implies:
-                out = (us & ~vals[a]) | vals[b]
-            elif op is Iff:
-                out = us & ~(vals[a] ^ vals[b])
             elif op is K or op is Bel:
                 sub = vals[a]
                 if op is K:
@@ -479,10 +476,8 @@ class BatchEvaluator:
                     out = 0
             elif op is Box:
                 out = interior(vals[a])
-            elif op is Top:
-                out = us
             else:
-                out = 0
+                out = op(us, vals[a], vals[b])
             vals[i] = out
 
 

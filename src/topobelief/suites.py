@@ -178,6 +178,11 @@ class Batch:
             raise SuiteError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
         if len(self.seeds) != len(self.sizes):
             raise SuiteError("seeds and sizes must align")
+        for i, name in enumerate(self.atoms):
+            if not fm.ATOM_RE.match(name):
+                raise SuiteError(f"bad atom name {name!r}")
+            if name in self.atoms[:i]:
+                raise SuiteError(f"repeated atom name {name!r}")
         for size in self.sizes:
             if not 1 <= size <= MAX_WORLDS:
                 raise SuiteError(f"size {size} outside 1..{MAX_WORLDS}")

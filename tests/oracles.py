@@ -180,3 +180,31 @@ def def_truth(model, x, u, v, f, kind):
         closure = brute_closure(top.n, top.opens, rest)
         return brute_interior(top.opens, closure) == 0
     raise AssertionError(f)
+
+
+def kripke_truth(m, x, f):
+    """Truth of a pure-belief formula at world x of a relational model.
+
+    Pointwise recursion on the definitions: belief holds when every
+    R-successor of x satisfies the operand.  No extension masks, and no
+    reading of the library's connective table.
+    """
+    if isinstance(f, fm.Atom):
+        return bool(m.valuation.get(f.name, 0) >> x & 1)
+    if isinstance(f, fm.Top):
+        return True
+    if isinstance(f, fm.Bot):
+        return False
+    if isinstance(f, fm.Not):
+        return not kripke_truth(m, x, f.sub)
+    if isinstance(f, fm.And):
+        return kripke_truth(m, x, f.left) and kripke_truth(m, x, f.right)
+    if isinstance(f, fm.Or):
+        return kripke_truth(m, x, f.left) or kripke_truth(m, x, f.right)
+    if isinstance(f, fm.Implies):
+        return (not kripke_truth(m, x, f.left)) or kripke_truth(m, x, f.right)
+    if isinstance(f, fm.Iff):
+        return kripke_truth(m, x, f.left) == kripke_truth(m, x, f.right)
+    if isinstance(f, fm.Bel):
+        return all(kripke_truth(m, y, f.sub) for w, y in m.rel if w == x)
+    raise AssertionError(f)

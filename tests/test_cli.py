@@ -262,6 +262,14 @@ class TestConvertDecompose:
         code, _, err = run(capsys, "decompose", "--model", str(path))
         assert code == 2
 
+    def test_decompose_rejects_bad_atom_name(self, capsys, tmp_path):
+        path = tmp_path / "bad_atom.json"
+        path.write_text(
+            '{"type": "relational", "worlds": 1, "rel": [[0, 0]], "valuation": {"P!": [0]}}'
+        )
+        code, out, err = run(capsys, "decompose", "--model", str(path))
+        assert (code, out, err) == (2, "", "error: bad atom name 'P!'\n")
+
 
 class TestEnumerate:
     def test_counts(self, capsys):

@@ -1,7 +1,9 @@
 import pytest
 
-from oracles import all_relations, is_belief_relation
-from topobelief.formula import parse
+from itertools import product
+
+from oracles import all_relations, is_belief_relation, kripke_truth
+from topobelief.formula import formula_corpus, parse
 from topobelief.relational import (
     RelationalError,
     RelationalModel,
@@ -169,6 +171,28 @@ class TestEvalRelational:
     def test_world_range(self):
         with pytest.raises(RelationalError):
             eval_relational(PIN, 5, parse("p"))
+
+    def test_rejects_bad_atom_name(self):
+        with pytest.raises(RelationalError, match="bad atom name 'P!'"):
+            RelationalModel(1, frozenset({(0, 0)}), {"P!": 0b1})
+
+    @staticmethod
+    def _agrees_with_kripke_oracle(n, rel):
+        corpus = formula_corpus(connectives=("B",))
+        for p, q in product(range(1 << n), repeat=2):
+            m = RelationalModel(n, rel, {"p": p, "q": q})
+            for f in corpus:
+                for x in range(n):
+                    assert eval_relational(m, x, f) == kripke_truth(m, x, f), (m, x, str(f))
+
+    def test_matches_kripke_oracle_on_every_belief_frame(self):
+        for n in (1, 2, 3):
+            for frame in all_belief_frames(n):
+                self._agrees_with_kripke_oracle(n, frame.rel)
+
+    def test_matches_kripke_oracle_on_every_relation(self):
+        for rel in all_relations(2):
+            self._agrees_with_kripke_oracle(2, rel)
 
 
 class TestBridge:

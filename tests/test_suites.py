@@ -266,6 +266,19 @@ class TestBatch:
             soundness_batch(exhaustive_n=0, random_count=0)
         assert soundness_batch(random_count=0, sizes=()) == Batch(exhaustive_n=3)
 
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (("p", "p"), "repeated atom name 'p'"),
+            (("p", "q", "p"), "repeated atom name 'p'"),
+            (("P!",), r"bad atom name 'P!'"),
+            (("q", "2p"), "bad atom name '2p'"),
+        ],
+    )
+    def test_bad_atom_names_are_rejected(self, atoms, message):
+        with pytest.raises(SuiteError, match=message):
+            Batch(exhaustive_n=2, atoms=atoms)
+
     def test_random_models_valuate_the_batch_atoms(self):
         batch = Batch(exhaustive_n=1, atoms=("q",), seeds=(1, 2), sizes=(4, 4))
         drawn = list(batch.models())[2:]
