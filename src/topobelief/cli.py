@@ -2,8 +2,9 @@
 
 Exit codes carry the logical verdict so shell harnesses need no output
 parsing: 0 for holds/valid/suite-clean/converted, 1 for fails/countermodel
-found, 2 for usage or input errors (including exceeded budgets).  All
-output is deterministic for fixed inputs and seed.
+found, 2 for usage or input errors (including exceeded budgets and input
+nested too deeply to evaluate).  All output is deterministic for fixed
+inputs and seed.
 """
 
 from __future__ import annotations
@@ -292,6 +293,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a crash must not read as the exit-1 verdict
+        print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
         return 2
 
 

@@ -271,7 +271,7 @@ def load(text: str):
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelError(f"bad model document: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")

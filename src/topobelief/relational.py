@@ -1,12 +1,14 @@
 """Relational frames for the pure belief fragment and their topology bridge.
 
-A belief frame (serial + transitive + Euclidean) decomposes into disjoint
-brushes: cells of the derived equivalence x ~ y iff some z has xRz and
-yRz, each cell relating totally onto its nonempty final cluster of
-reflexive points.  The reflexive closure's successor sets form a basis
-whose generated Alexandroff topology interprets the same belief formulas
-at scenarios (x, cell-of-x) under strong semantics.  Relational evaluation
-computes extensions, through the truth functions of formula.CONNECTIVES.
+A model's successor table (one mask per world) is derived once, when it
+is built, and every algorithm here reads it.  A belief frame (serial +
+transitive + Euclidean) decomposes into disjoint brushes: the classes of
+equal successor sets, each relating totally onto its nonempty final
+cluster of reflexive points.  The reflexive closure's successor sets form
+a basis whose generated Alexandroff topology interprets the same belief
+formulas at scenarios (x, cell-of-x) under strong semantics.  Relational
+evaluation computes extensions, through the truth functions of
+formula.CONNECTIVES.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from . import formula as fm
 from .formula import Formula
 from .model import SubsetModel, EDScenario, atom_names
 from .semantics import Semantics, satisfies
-from .topology import _is_transitive, bits, format_mask, full_mask, generate_from_subbasis
+from .topology import MAX_WORLDS, _is_transitive, bits, format_mask, full_mask
+from .topology import generate_from_subbasis
 
 
 class RelationalError(Exception):
@@ -33,23 +36,23 @@ class RelationalModel:
     n: int
     rel: frozenset[tuple[int, int]]
     valuation: Mapping[str, int] = field(default_factory=dict)
+    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)  # x -> R(x) mask
 
     def __post_init__(self):
+        if not 1 <= self.n <= MAX_WORLDS:
+            raise RelationalError(f"world count {self.n} outside 1..{MAX_WORLDS}")
+        succ = [0] * self.n
         for x, y in self.rel:
             if not (0 <= x < self.n and 0 <= y < self.n):
                 raise RelationalError(f"pair ({x},{y}) out of range")
+            succ[x] |= 1 << y
+        object.__setattr__(self, "succ", tuple(succ))
         full = full_mask(self.n)
         for atom, subset in self.valuation.items():
             if not fm.ATOM_RE.match(atom):
                 raise RelationalError(f"bad atom name {atom!r}")
             if subset < 0 or subset & ~full:
                 raise RelationalError(f"valuation of {atom!r} out of carrier range")
-
-    def successor_masks(self) -> list[int]:
-        out = [0] * self.n
-        for a, b in self.rel:
-            out[a] |= 1 << b
-        return out
 
 
 @dataclass(frozen=True)
@@ -65,19 +68,12 @@ class FrameProperties:
 
 def classify(m: RelationalModel) -> FrameProperties:
     """Direct quantifier checks for the frame conditions."""
-    succ = m.successor_masks()
-    serial = all(s != 0 for s in succ)
+    succ = m.succ
+    serial = all(succ)
     transitive = _is_transitive(succ)
-    euclidean = True
-    for x in range(m.n):
-        rest = succ[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            if succ[x] & ~succ[y]:
-                euclidean = False
-            rest &= rest - 1
+    euclidean = all(not s & ~succ[y] for s in succ for y in bits(s))
     belief = serial and transitive and euclidean
-    cluster = succ[0] if m.n else 0
+    cluster = succ[0]
     brush = cluster != 0 and all(s == cluster for s in succ)
     pin = brush and m.n - cluster.bit_count() == 1
     return FrameProperties(
@@ -116,30 +112,18 @@ class BrushDecomposition:
 def decompose(m: RelationalModel) -> BrushDecomposition:
     """Split a belief frame into brush components.
 
-    x ~ y iff some z has xRz and yRz; the cells are the ~-classes and each
-    final cluster collects the cell's reflexive points.  Components are
-    reported sorted by least world.
+    The cells are the classes of x ~ y iff some z has xRz and yRz, and in a
+    belief frame that forces R(x) = R(y) (for w in R(x), Euclideanness gives
+    zRw, transitivity yRw).  So each cell is a class of equal successor sets
+    and its final cluster, its reflexive points, is that common set.
+    Components are reported sorted by least world.
     """
-    props = classify(m)
-    if not props.belief_frame:
+    if not classify(m).belief_frame:
         raise RelationalError("not a belief frame (needs serial, transitive, Euclidean)")
-    succ = m.successor_masks()
-    assigned = 0
-    components = []
-    for x in range(m.n):
-        if assigned >> x & 1:
-            continue
-        cell = 0
-        for y in range(m.n):
-            if succ[x] & succ[y]:
-                cell |= 1 << y
-        cluster = 0
-        for y in bits(cell):
-            if succ[y] >> y & 1:
-                cluster |= 1 << y
-        components.append(BrushComponent(cell, cluster))
-        assigned |= cell
-    return BrushDecomposition(tuple(components))
+    cells: dict[int, int] = {}  # successor set -> cell, in least-world order
+    for x, s in enumerate(m.succ):
+        cells[s] = cells.get(s, 0) | 1 << x
+    return BrushDecomposition(tuple(BrushComponent(c, s) for s, c in cells.items()))
 
 
 def to_subset_model(m: RelationalModel) -> SubsetModel:
@@ -148,10 +132,9 @@ def to_subset_model(m: RelationalModel) -> SubsetModel:
     Needs a transitive relation; each closed successor set then comes out
     as the smallest open neighborhood of its world.
     """
-    succ = m.successor_masks()
-    if not _is_transitive(succ):
+    if not _is_transitive(m.succ):
         raise RelationalError("frame-to-topology construction needs a transitive relation")
-    basis = [succ[x] | (1 << x) for x in range(m.n)]
+    basis = [s | 1 << x for x, s in enumerate(m.succ)]
     topology = generate_from_subbasis(m.n, basis)
     return SubsetModel(topology, dict(m.valuation))
 
@@ -165,7 +148,7 @@ def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
 
 def _extension(m: RelationalModel, f: Formula) -> int:
     """The worlds where f holds, bottom-up: B g holds where every successor satisfies g."""
-    succ, full = m.successor_masks(), full_mask(m.n)
+    succ, full = m.succ, full_mask(m.n)
 
     def walk(g: Formula) -> int:
         cls = type(g)
@@ -191,8 +174,7 @@ def check_modal_equivalence(m: RelationalModel, f: Formula) -> int | None:
     Returns None when every world agrees, otherwise the first world where
     the two sides differ.
     """
-    props = classify(m)
-    if not props.belief_frame:
+    if not classify(m).belief_frame:
         raise RelationalError("bridge check needs a belief frame")
     dec = decompose(m)
     subset = to_subset_model(m)

@@ -8,8 +8,9 @@ Topology is: every builder hands one over, and the open-set family is
 derived from it, deduplicated and in canonical order (cardinality, then
 numeric bit pattern), so dumps and reports are deterministic.  Generation
 ANDs the subbasis members around each point, enumeration walks preorders,
-and validation compares a family with the unions of its own derived
-table; each then folds the table into its unions in O(F·n) for F opens.
+and validation takes each point's first containing open as its table and
+compares the family with that table's unions; each then folds the table
+into its unions in O(F·n) for F opens.
 The table also backs equality, hashing and the interior/closure
 operators; mnb_interior and mnb_closure are those operators without the
 subset check, for the evaluation engine.
@@ -139,11 +140,22 @@ def verify(t: "Topology") -> TopologyViolation | None:
 def _as_topology(n: int, family: set[int]) -> "Topology | None":
     """The topology whose opens are exactly the family, or None if none is.
 
-    A finite family is a topology exactly when it equals the unions of its
-    own derived table: that table is a preorder's successor masks, whose
-    unions are the preorder's up-sets, a topology.
+    In a topology a point's smallest open is its first containing open in
+    canonical order, as every other open containing it is a strict
+    superset.  So the table takes each point's first containing open, and
+    the family is a topology exactly when that table is a preorder (every
+    point covered, transitive) whose unions, its up-sets, are the family.
     """
-    t = Topology(n, _min_neighborhoods(n, family))
+    table, uncovered = [0] * n, full_mask(n)
+    for o in _canon(family):
+        for x in bits(o & uncovered):
+            table[x] = o
+        uncovered &= ~o
+        if not uncovered:
+            break
+    if uncovered or not _is_transitive(table):
+        return None
+    t = Topology(n, tuple(table))
     return t if set(t.opens) == family else None
 
 
@@ -163,9 +175,9 @@ class Topology:
     def from_opens(cls, n: int, opens: Iterable[int]) -> "Topology":
         """Validated topology with exactly the given opens.
 
-        The family is accepted when it equals the unions of its own
-        minimal-neighborhood table (O(F·n)); otherwise the TopologyError
-        names the first violation find_violation reports.
+        The family is accepted when it equals the unions of the table of
+        each point's first containing open (O(F·n)); otherwise the
+        TopologyError names the first violation find_violation reports.
         """
         _check_carrier(n)
         opens = list(opens)

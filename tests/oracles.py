@@ -116,6 +116,24 @@ def is_belief_relation(n, rel):
     return serial and transitive and euclidean
 
 
+def brush_components(n, rel):
+    """A belief frame's brushes from the definition, as (cell, cluster) masks.
+
+    The cells are the classes of x ~ y iff some z has xRz and yRz, and each
+    cell's final cluster is the set of its reflexive points; listed by
+    least world.  Reads only the pair set.
+    """
+    out, covered = [], set()
+    for x in range(n):
+        if x in covered:
+            continue
+        cell = [y for y in range(n) if any((x, z) in rel and (y, z) in rel for z in range(n))]
+        covered.update(cell)
+        cluster = [y for y in cell if (y, y) in rel]
+        out.append((sum(1 << y for y in cell), sum(1 << y for y in cluster)))
+    return out
+
+
 def all_relations(n):
     pairs = [(x, y) for x in range(n) for y in range(n)]
     for choice in product([False, True], repeat=len(pairs)):

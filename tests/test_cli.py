@@ -302,3 +302,54 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["enumerate", "--worlds", "3"]) == 2
+
+
+def _nested(shape, depth):
+    return {
+        "conjuncts": " & ".join(["p"] * depth),
+        "negations": "!" * depth + "p",
+        "beliefs": "B " * depth + "p",
+        "parentheses": "(" * depth + "p" + ")" * depth,
+    }[shape]
+
+
+SHAPES = ("conjuncts", "negations", "beliefs", "parentheses")
+
+
+class TestDeepInput:
+    """Input too deep to evaluate is an input error (exit 2), never a verdict."""
+
+    @staticmethod
+    def _formula_argv(verb, model_path):
+        return {
+            "eval": ["eval", "--model", model_path, "--scenario", "x=1;U=0,1"],
+            "valid": ["valid", "--model", model_path],
+            "countermodel": ["countermodel", "--exhaustive", "2"],
+        }[verb]
+
+    @pytest.mark.parametrize("verb", ["eval", "valid", "countermodel"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deep_formula_is_input_error(self, capsys, sierp_path, verb, shape):
+        argv = self._formula_argv(verb, sierp_path) + ["--formula", _nested(shape, 2_000)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: input nested too deeply (recursion limit reached)\n"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_formula_of_depth_100_still_answers(self, capsys, sierp_path, shape):
+        argv = self._formula_argv("eval", sierp_path) + ["--formula", _nested(shape, 100)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) in ((0, "true\n", ""), (1, "false\n", ""))
+
+    @pytest.mark.parametrize("verb", ["eval", "valid", "convert", "decompose"])
+    def test_deep_model_document_is_input_error(self, capsys, tmp_path, verb):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [verb, "--model", str(path)]
+        if verb == "eval":
+            argv += ["--scenario", "x=0;U=0", "--formula", "p"]
+        if verb == "valid":
+            argv += ["--formula", "p"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad model document: maximum recursion depth exceeded")

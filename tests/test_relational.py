@@ -2,7 +2,7 @@ import pytest
 
 from itertools import product
 
-from oracles import all_relations, is_belief_relation, kripke_truth
+from oracles import all_relations, brush_components, is_belief_relation, kripke_truth
 from topobelief.formula import formula_corpus, parse
 from topobelief.relational import (
     RelationalError,
@@ -17,9 +17,27 @@ from topobelief.relational import (
     to_subset_model,
 )
 from topobelief.semantics import Semantics, satisfies
-from topobelief.topology import bits
+from topobelief.topology import MAX_WORLDS, bits
 
 PIN = RelationalModel(2, frozenset({(0, 1), (1, 1)}), {"p": 0b10})
+
+
+class TestWorldCount:
+    @pytest.mark.parametrize("n", [0, -2, 17])
+    def test_outside_one_to_sixteen_is_rejected(self, n):
+        with pytest.raises(RelationalError):
+            RelationalModel(n, frozenset(), {})
+        with pytest.raises(RelationalError):
+            random_belief_frame(0, n)
+
+    def test_no_frames_on_zero_worlds(self):
+        with pytest.raises(RelationalError):
+            list(all_belief_frames(0))
+
+    @pytest.mark.parametrize("n", [1, MAX_WORLDS])
+    def test_one_and_sixteen_build(self, n):
+        assert RelationalModel(n, frozenset({(n - 1, n - 1)}), {}).succ[n - 1] == 1 << n - 1
+        assert random_belief_frame(0, n).n == n
 
 
 class TestClassify:
@@ -91,6 +109,19 @@ class TestDecompose:
             for m in all_belief_frames(n):
                 assert decompose(m).reconstruct() == m.rel
 
+    def test_matches_brush_definition_on_every_belief_frame(self):
+        for n in range(1, 6):
+            for m in all_belief_frames(n):
+                got = [(c.cell, c.final_cluster) for c in decompose(m).components]
+                assert got == brush_components(n, m.rel), sorted(m.rel)
+
+    def test_rejects_every_other_relation(self):
+        for n in (1, 2, 3):
+            for rel in all_relations(n):
+                if not is_belief_relation(n, rel):
+                    with pytest.raises(RelationalError, match="not a belief frame"):
+                        decompose(RelationalModel(n, rel, {}))
+
     def test_belief_frame_counts(self):
         # cross-check the constructive sweep against relation filtering
         for n in (1, 2, 3):
@@ -123,7 +154,7 @@ class TestToSubsetModel:
         for seed in range(20):
             m = random_belief_frame(seed, 5)
             sm = to_subset_model(m)
-            succ = m.successor_masks()
+            succ = m.succ
             for x in range(m.n):
                 assert sm.topology.min_neighborhoods[x] == succ[x] | (1 << x)
 

@@ -86,6 +86,24 @@ class TestAgainstOracles:
                 Topology.from_opens(n, family)
             assert str(info.value) == str(violation)
 
+    def test_from_opens_accepts_exactly_the_topologies_exhaustively(self):
+        # every family on at most 3 points: accepted exactly when the pair
+        # scan finds no violation, otherwise rejected with its message
+        for n in (1, 2, 3):
+            accepted = set()
+            for choice in range(1 << (1 << n)):
+                family = [s for s in range(1 << n) if choice >> s & 1]
+                violation = find_violation(n, family)
+                if violation is None:
+                    t = Topology.from_opens(n, family)
+                    assert set(t.opens) == set(family) and verify(t) is None
+                    accepted.add(frozenset(family))
+                else:
+                    with pytest.raises(TopologyError) as info:
+                        Topology.from_opens(n, family)
+                    assert str(info.value) == str(violation)
+            assert accepted == all_topologies_oracle(n)
+
 
 class TestVerify:
     def test_nested_chain_ok(self):
