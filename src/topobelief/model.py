@@ -1,4 +1,4 @@
-"""Topological subset models, scenarios, file I/O, and model generation.
+"""Subset and relational models, scenarios, documents, and generation.
 
 range_groups is the one definition of the scenarios a sweep visits and of
 their cost: the (U, Vs) groups of a topology, with V None under strong
@@ -6,9 +6,9 @@ semantics, charged against a budget before any is built.  Every sweep
 reads its ranges from it, and the scan order (x ascending, then U, then V
 in canonical order) is defined once, by _scenarios, beside it.
 
-A model document is a UTF-8 JSON object; `dump` produces the bit-exact
-canonical form (sorted keys, two-space indent, canonically ordered opens),
-so loading and re-dumping a canonical document is the identity.
+A model document, "subset" (opens) or "relational" (pairs), is a UTF-8
+JSON object; `dump` produces the bit-exact canonical form (sorted keys,
+two-space indent, canonical opens), so load then dump is the identity.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
@@ -27,12 +27,17 @@ from .topology import (
     TopologyError,
     bits,
     enumerate_topologies,
+    full_mask,
     generate_from_subbasis,
     mask_of,
 )
 
 
 class ModelError(Exception):
+    pass
+
+
+class RelationalError(Exception):
     pass
 
 
@@ -51,16 +56,62 @@ class SubsetModel:
     valuation: Mapping[str, int]
 
     def __post_init__(self):
-        full = self.topology.full
-        for atom, subset in self.valuation.items():
-            if not ATOM_RE.match(atom):
-                raise ModelError(f"bad atom name {atom!r}")
-            if subset < 0 or subset & ~full:
-                raise ModelError(f"valuation of {atom!r} out of carrier range")
+        object.__setattr__(self, "valuation", _valuation(self.valuation, self.n, ModelError))
 
     @property
     def n(self) -> int:
         return self.topology.n
+
+
+@dataclass(frozen=True)
+class RelationalModel:
+    """Worlds 0..n-1, a binary relation, and a valuation atom -> mask."""
+
+    n: int
+    rel: frozenset[tuple[int, int]]
+    valuation: Mapping[str, int] = field(default_factory=dict)
+    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)  # x -> R(x) mask
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_WORLDS:
+            raise RelationalError(f"world count {self.n} outside 1..{MAX_WORLDS}")
+        succ = [0] * self.n
+        for x, y in self.rel:
+            if not (0 <= x < self.n and 0 <= y < self.n):
+                raise RelationalError(f"pair ({x},{y}) out of range")
+            succ[x] |= 1 << y
+        object.__setattr__(self, "succ", tuple(succ))
+        object.__setattr__(self, "valuation", _valuation(self.valuation, self.n, RelationalError))
+
+
+class _FrozenValuation(dict):
+    """A model's checked valuation: a dict that refuses change, so a model is
+    frozen in fact and hashable, and that pickles as a plain dict."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a model's valuation is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _FrozenValuation, (dict(self),)
+
+
+def _valuation(valuation: Mapping[str, int], n: int, error: type[Exception]) -> _FrozenValuation:
+    """The valuation check of both model kinds: atom names, then mask ranges."""
+    full = full_mask(n)
+    for atom, subset in valuation.items():
+        if not ATOM_RE.match(atom):
+            raise error(f"bad atom name {atom!r}")
+        if subset < 0 or subset & ~full:
+            raise error(f"valuation of {atom!r} out of carrier range")
+    return _FrozenValuation(valuation)
 
 
 @dataclass(frozen=True)
@@ -240,24 +291,14 @@ def _stream_position(ranges: Ranges, s: EDScenario) -> int:
 
 def dump(model) -> str:
     """Canonical JSON document for a subset or relational model."""
-    from .relational import RelationalModel
-
     if isinstance(model, SubsetModel):
-        doc = {
-            "type": "subset",
-            "worlds": model.n,
-            "opens": [bits(o) for o in model.topology.opens],
-            "valuation": {atom: bits(mask) for atom, mask in sorted(model.valuation.items())},
-        }
+        doc = {"type": "subset", "opens": [bits(o) for o in model.topology.opens]}
     elif isinstance(model, RelationalModel):
-        doc = {
-            "type": "relational",
-            "worlds": model.n,
-            "rel": [list(pair) for pair in sorted(model.rel)],
-            "valuation": {atom: bits(mask) for atom, mask in sorted(model.valuation.items())},
-        }
+        doc = {"type": "relational", "rel": [list(pair) for pair in sorted(model.rel)]}
     else:
         raise ModelError(f"cannot dump {type(model).__name__}")
+    doc["worlds"] = model.n
+    doc["valuation"] = {atom: bits(mask) for atom, mask in sorted(model.valuation.items())}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -267,8 +308,6 @@ def load(text: str):
     Returns a SubsetModel (type "subset", from explicit opens or from a
     subbasis) or a RelationalModel (type "relational").
     """
-    from .relational import RelationalModel
-
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

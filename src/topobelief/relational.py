@@ -1,58 +1,26 @@
-"""Relational frames for the pure belief fragment and their topology bridge.
+"""Algorithms over relational frames for the pure belief fragment.
 
-A model's successor table (one mask per world) is derived once, when it
-is built, and every algorithm here reads it.  A belief frame (serial +
-transitive + Euclidean) decomposes into disjoint brushes: the classes of
-equal successor sets, each relating totally onto its nonempty final
-cluster of reflexive points.  The reflexive closure's successor sets form
-a basis whose generated Alexandroff topology interprets the same belief
+The frame type, RelationalModel, lives in model.py; its successor table
+(one mask per world) is derived once, when it is built, and every
+algorithm here reads it.  A belief frame (serial + transitive +
+Euclidean) decomposes into disjoint brushes: the classes of equal
+successor sets, each relating totally onto its nonempty final cluster of
+reflexive points.  A transitive frame's reflexive successor sets are the
+minimal neighborhoods of a topology that interprets the same belief
 formulas at scenarios (x, cell-of-x) under strong semantics.  Relational
-evaluation computes extensions, through the truth functions of
-formula.CONNECTIVES.
+evaluation reads formula.CONNECTIVES, and B off the table (mnb_interior).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from . import formula as fm
 from .formula import Formula
-from .model import SubsetModel, EDScenario, atom_names
+from .model import EDScenario, RelationalError, RelationalModel, SubsetModel, atom_names
 from .semantics import Semantics, satisfies
-from .topology import MAX_WORLDS, _is_transitive, bits, format_mask, full_mask
-from .topology import generate_from_subbasis
-
-
-class RelationalError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class RelationalModel:
-    """Worlds 0..n-1, a binary relation, and a valuation atom -> mask."""
-
-    n: int
-    rel: frozenset[tuple[int, int]]
-    valuation: Mapping[str, int] = field(default_factory=dict)
-    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)  # x -> R(x) mask
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_WORLDS:
-            raise RelationalError(f"world count {self.n} outside 1..{MAX_WORLDS}")
-        succ = [0] * self.n
-        for x, y in self.rel:
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise RelationalError(f"pair ({x},{y}) out of range")
-            succ[x] |= 1 << y
-        object.__setattr__(self, "succ", tuple(succ))
-        full = full_mask(self.n)
-        for atom, subset in self.valuation.items():
-            if not fm.ATOM_RE.match(atom):
-                raise RelationalError(f"bad atom name {atom!r}")
-            if subset < 0 or subset & ~full:
-                raise RelationalError(f"valuation of {atom!r} out of carrier range")
+from .topology import Topology, _is_transitive, bits, format_mask, full_mask, mnb_interior
 
 
 @dataclass(frozen=True)
@@ -127,16 +95,16 @@ def decompose(m: RelationalModel) -> BrushDecomposition:
 
 
 def to_subset_model(m: RelationalModel) -> SubsetModel:
-    """Topology generated by the reflexive-closure successor sets.
+    """The topology whose minimal neighborhoods are the reflexive successor sets.
 
-    Needs a transitive relation; each closed successor set then comes out
-    as the smallest open neighborhood of its world.
+    Needs a transitive R: then S(x) = R(x) | {x} holds x, and x in S(y)
+    gives S(x) within S(y), so S is a preorder's table (and S(x) is the
+    AND of the members of {S(y)} that hold x, as a subbasis would give).
     """
     if not _is_transitive(m.succ):
         raise RelationalError("frame-to-topology construction needs a transitive relation")
-    basis = [s | 1 << x for x, s in enumerate(m.succ)]
-    topology = generate_from_subbasis(m.n, basis)
-    return SubsetModel(topology, dict(m.valuation))
+    topology = Topology(m.n, tuple(s | 1 << x for x, s in enumerate(m.succ)))
+    return SubsetModel(topology, m.valuation)
 
 
 def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
@@ -155,8 +123,7 @@ def _extension(m: RelationalModel, f: Formula) -> int:
         if cls is fm.Atom:
             return m.valuation.get(g.name, 0)
         if cls is fm.Bel:
-            sub = walk(g.sub)
-            return sum(1 << x for x, s in enumerate(succ) if not s & ~sub)
+            return mnb_interior(succ, walk(g.sub))
         c = fm.CONNECTIVES.get(cls)
         if c is None or c.truth is None:
             bad = sorted(fm.modalities(f) - {"B"})
@@ -213,13 +180,13 @@ def random_belief_frame(seed: int, n: int, atoms: int = 2) -> RelationalModel:
     return RelationalModel(n, frozenset(rel), valuation)
 
 
-def all_belief_frames(n: int, valuation: Mapping[str, int] | None = None):
+def all_belief_frames(n: int):
     """Every belief frame on n worlds, via partitions and clusters (tests)."""
     if n > 5:
         raise RelationalError("exhaustive belief-frame sweep gated at n <= 5")
     for partition in _partitions(list(range(n))):
         for rel in _cluster_choices(partition):
-            yield RelationalModel(n, frozenset(rel), dict(valuation or {}))
+            yield RelationalModel(n, frozenset(rel), {})
 
 
 def _partitions(items: list[int]):

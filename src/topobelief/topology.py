@@ -7,10 +7,11 @@ That table (the specialization preorder, as successor masks) is what a
 Topology is: every builder hands one over, and the open-set family is
 derived from it, deduplicated and in canonical order (cardinality, then
 numeric bit pattern), so dumps and reports are deterministic.  Generation
-ANDs the subbasis members around each point, enumeration walks preorders,
-and validation takes each point's first containing open as its table and
-compares the family with that table's unions; each then folds the table
-into its unions in O(F·n) for F opens.
+ANDs the subbasis members around each point, enumeration extends each
+preorder on n - 1 points by one more point, and validation takes each
+point's first containing open as its table and compares the family with
+that table's unions; each then folds the table into its unions in O(F·n)
+for F opens.
 The table also backs equality, hashing and the interior/closure
 operators; mnb_interior and mnb_closure are those operators without the
 subset check, for the evaluation engine.
@@ -244,9 +245,10 @@ class Topology:
 
 
 def mnb_interior(mnb: tuple[int, ...], a: int) -> int:
-    """Interior of a from the minimal-neighborhood table, unchecked.
+    """The x whose table entry lies inside a, unchecked.
 
-    x is interior exactly when its minimal open neighborhood lies in a.
+    Over a topology's minimal-neighborhood table that is the interior of a;
+    over a relation's successor sets it is the Kripke box of a.
     """
     m = 0
     for x, nb in enumerate(mnb):
@@ -292,16 +294,24 @@ def generate_from_subbasis(n: int, subbasis: Iterable[int]) -> Topology:
 
 
 def _preorders(n: int) -> Iterator[tuple[int, ...]]:
-    """All reflexive transitive relations as per-point successor masks."""
-    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    base = [1 << x for x in range(n)]
-    for choice in range(1 << len(pairs)):
-        succ = base[:]
-        for k, (x, y) in enumerate(pairs):
-            if choice >> k & 1:
-                succ[x] |= 1 << y
-        if _is_transitive(succ):
-            yield tuple(succ)
+    """All reflexive transitive relations as per-point successor masks.
+
+    Each preorder on n points arises exactly once from its restriction to
+    the first n - 1 points, by adding the last point z: z's successors S
+    are an up-set (an open of the smaller preorder), its predecessors D a
+    down-set (the complement of one), and every member of D already
+    reaches all of S.
+    """
+    if n == 0:
+        yield ()
+        return
+    z, full = 1 << n - 1, full_mask(n - 1)
+    for succ in _preorders(n - 1):
+        ups = _unions(succ)
+        for s in ups:
+            for d in (full & ~u for u in ups):
+                if all(not s & ~succ[x] for x in bits(d)):
+                    yield tuple(t | z if d >> x & 1 else t for x, t in enumerate(succ)) + (s | z,)
 
 
 def _is_transitive(succ: list[int]) -> bool:

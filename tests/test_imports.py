@@ -1,0 +1,76 @@
+"""The package's import graph: acyclic, with every import at module level."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "topobelief"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _trees():
+    paths = sorted(PACKAGE.glob("*.py"))
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
+def _targets(node) -> set[str]:
+    """The package modules one relative import reads, at any depth."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return set()
+    if node.module:
+        return {node.module.split(".")[0]}
+    # "from . import x": x is a module, or else a name read from __init__
+    return {a.name if a.name in MODULES else "__init__" for a in node.names}
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {
+        name: set().union(*(_targets(node) for node in ast.walk(tree)))
+        for name, tree in _trees().items()
+    }
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the graph as a closed path [a, b, ..., a], or None."""
+    state: dict[str, str] = {}
+
+    def visit(path: list[str]) -> list[str] | None:
+        state[path[-1]] = "open"
+        for nxt in sorted(graph.get(path[-1], ())):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt) :] + [nxt]
+            if nxt not in state and (found := visit(path + [nxt])):
+                return found
+        state[path[-1]] = "done"
+        return None
+
+    for node in sorted(graph):
+        if node not in state and (found := visit([node])):
+            return found
+    return None
+
+
+def test_cycle_finder_names_the_cycle():
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_graph_reads_imports_inside_functions():
+    tree = ast.parse("def f():\n    from .model import dump\n    from . import cli\n")
+    assert set().union(*(_targets(n) for n in ast.walk(tree))) == {"model", "cli"}
+
+
+def test_package_import_graph_is_acyclic():
+    graph = import_graph()
+    assert {"model", "relational", "semantics"} <= set(graph)
+    cycle = find_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_no_import_inside_a_function():
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [
+                    n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))
+                ]
+                assert not inner, f"{name}.py: import inside {fn.name} at lines {inner}"

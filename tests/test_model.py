@@ -1,4 +1,7 @@
+import copy
 import json
+import operator
+import pickle
 
 import pytest
 
@@ -7,6 +10,7 @@ from topobelief.model import (
     BudgetError,
     EDScenario,
     ModelError,
+    RelationalModel,
     ScenarioClass,
     SubsetModel,
     check_scenario,
@@ -17,7 +21,6 @@ from topobelief.model import (
     parse_scenario,
     random_model,
 )
-from topobelief.relational import RelationalModel
 from topobelief.topology import Topology, find_violation
 
 SIERP_DOC = """
@@ -121,6 +124,52 @@ class TestDump:
         doc = json.loads(d)
         assert list(doc) == sorted(doc)
         assert doc["opens"] == [[], [0], [0, 1]]
+
+
+MODEL_KINDS = {
+    "subset": lambda valuation: SubsetModel(Topology.from_opens(2, [0, 1, 3]), valuation),
+    "relational": lambda valuation: RelationalModel(2, frozenset({(0, 1), (1, 1)}), valuation),
+}
+MUTATORS = (
+    lambda v: operator.setitem(v, "p", 99),
+    lambda v: operator.delitem(v, "p"),
+    lambda v: operator.ior(v, {"q": 1}),
+    lambda v: v.clear(),
+    lambda v: v.pop("p"),
+    lambda v: v.popitem(),
+    lambda v: v.setdefault("q", 1),
+    lambda v: v.update(q=1),
+)
+
+
+@pytest.mark.parametrize("build", MODEL_KINDS.values(), ids=MODEL_KINDS.keys())
+class TestFrozenValuation:
+    def test_source_dict_changes_do_not_reach_the_model(self, build):
+        source = {"p": 0b01}
+        m = build(source)
+        source["p"] = 99
+        source["q"] = 0b10
+        assert m.valuation == {"p": 0b01}
+
+    def test_every_mutation_is_refused(self, build):
+        m = build({"p": 0b01})
+        for mutate in MUTATORS:
+            with pytest.raises(TypeError):
+                mutate(m.valuation)
+        assert m.valuation == {"p": 0b01}
+        assert dump(load(dump(m))) == dump(m)
+
+    def test_equal_models_hash_equal(self, build):
+        a, b = build({"p": 0b01, "q": 0b10}), build({"q": 0b10, "p": 0b01})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert build({"p": 0b01}) not in {a}
+
+    def test_pickle_and_deepcopy_round_trip(self, build):
+        m = build({"p": 0b01})
+        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert again == m and repr(again) == repr(m) and dump(again) == dump(m)
+            assert type(again.valuation) is type(m.valuation)
 
 
 class TestScenarios:

@@ -3,6 +3,7 @@ import pytest
 from itertools import product
 
 from oracles import all_relations, brush_components, is_belief_relation, kripke_truth
+from topobelief import model, relational
 from topobelief.formula import formula_corpus, parse
 from topobelief.relational import (
     RelationalError,
@@ -17,7 +18,7 @@ from topobelief.relational import (
     to_subset_model,
 )
 from topobelief.semantics import Semantics, satisfies
-from topobelief.topology import MAX_WORLDS, bits
+from topobelief.topology import MAX_WORLDS, bits, generate_from_subbasis
 
 PIN = RelationalModel(2, frozenset({(0, 1), (1, 1)}), {"p": 0b10})
 
@@ -149,6 +150,22 @@ class TestToSubsetModel:
         m = RelationalModel(3, frozenset({(0, 1), (1, 2)}), {})
         with pytest.raises(RelationalError, match="transitive"):
             to_subset_model(m)
+
+    def test_table_is_the_topology_its_subbasis_generates(self):
+        frames = [RelationalModel(n, rel, {}) for n in (1, 2, 3) for rel in all_relations(n)]
+        frames += [m for n in range(1, 6) for m in all_belief_frames(n)]
+        checked = 0
+        for m in frames:
+            if classify(m).transitive:
+                subbasis = [s | 1 << x for x, s in enumerate(m.succ)]
+                assert to_subset_model(m).topology == generate_from_subbasis(m.n, subbasis)
+                checked += 1
+        # transitive relations on 1..3 worlds (OEIS A006905), belief frames on 1..5
+        assert checked == 2 + 13 + 171 + 1 + 4 + 17 + 89 + 552
+
+    def test_model_types_live_in_model(self):
+        assert relational.RelationalModel is model.RelationalModel
+        assert relational.RelationalError is model.RelationalError
 
     def test_closed_successor_sets_are_minimal_neighborhoods(self):
         for seed in range(20):

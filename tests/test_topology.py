@@ -12,6 +12,7 @@ from topobelief.topology import (
     mask_of,
     verify,
 )
+from topobelief.topology import _is_transitive, _preorders
 
 SIERP = Topology.from_opens(2, [0b00, 0b01, 0b11])
 
@@ -197,6 +198,14 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_topologies(2)) == 4
         assert sum(1 for _ in enumerate_topologies(3)) == 29
         assert sum(1 for _ in enumerate_topologies(4)) == 355
+
+    def test_preorders_are_built_once_each(self):
+        # OEIS A000798: labeled preorders on n points
+        for n, count in enumerate((1, 1, 4, 29, 355, 6942)):
+            tables = list(_preorders(n))
+            assert len(tables) == len(set(tables)) == count
+            assert all(t[x] >> x & 1 for t in tables for x in range(n))
+            assert all(_is_transitive(t) for t in tables)
 
     def test_matches_preorder_oracle_exactly(self):
         for n in (1, 2, 3):
