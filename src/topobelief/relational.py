@@ -111,10 +111,10 @@ def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
     """Standard Kripke evaluation of a pure-belief formula at world x."""
     if not 0 <= x < m.n:
         raise RelationalError(f"world {x} out of range")
-    return bool(_extension(m, f) >> x & 1)
+    return bool(relational_extension(m, f) >> x & 1)
 
 
-def _extension(m: RelationalModel, f: Formula) -> int:
+def relational_extension(m: RelationalModel, f: Formula) -> int:
     """The worlds where f holds, bottom-up: B g holds where every successor satisfies g."""
     succ, full = m.succ, full_mask(m.n)
 
@@ -145,7 +145,7 @@ def check_modal_equivalence(m: RelationalModel, f: Formula) -> int | None:
         raise RelationalError("bridge check needs a belief frame")
     dec = decompose(m)
     subset = to_subset_model(m)
-    relational = _extension(m, f)
+    relational = relational_extension(m, f)
     for x in range(m.n):
         topological = satisfies(subset, EDScenario(x, dec.cell_of(x)), f, Semantics.STRONG)
         if bool(relational >> x & 1) != topological:

@@ -19,15 +19,18 @@ strong belief clause; the two are never reconciled silently.
 Evaluator is the engine's view of a single model: it compiles formulas
 as they are asked for and keeps one value list per range pair.
 Soundness sweeps compile a formula set once and evaluate it lane-packed:
-a group of up to 4096 consecutive models of a stream, of any topologies
-and carrier sizes, holds one bit per (world, model) in each value, and
-every connective, interior and closure acts on the whole group at once.
-Interior and closure read each lane's own minimal-neighborhood table, and
-pass k evaluates each lane under its own k-th range pair, so a group costs
-as many passes as its longest list of range pairs instead of one pass per
-model and range.  valid_in_model and suite runs sweep lane groups of
-their stream's same-topology runs, find_countermodel sweeps the same runs
-one at a time to count its budget, and a failure is the one a
+a group of consecutive models of a stream, of any topologies and carrier
+sizes, holds one bit per (world, lane) in each value, and every
+connective, interior and closure acts on the whole group at once.  A lane
+is a model and a chunk of its list of range pairs: the valuations of one
+topology take one lane each, their whole list, while random draws (each
+its own topology) cut their lists into chunks as long as the group's
+shortest, so a group of draws costs a few passes, not as many as its
+longest list.  Interior and closure read each lane's own
+minimal-neighborhood table, and pass k evaluates each lane under its
+chunk's k-th range pair.  valid_in_model and suite runs sweep lane groups
+of their stream's same-topology runs, find_countermodel sweeps the same
+runs one at a time to count its budget, and a failure is the one a
 scenario-by-scenario scan finds: the first failing model, the least world
 missing there, then the first (U, V) in canonical order that misses that
 world.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -87,7 +91,7 @@ class Evaluator:
         self.model = model
         self.kind = kind
         self._engine = BatchEvaluator((), kind)
-        self._lanes = _Lanes(((model,),))
+        self._lanes = _Lanes(((model,),), (1,))
         self._vals: dict[tuple[int, int | None], list[int]] = {}
 
     def extension(self, f: Formula, u: int, v: int | None = None) -> int:
@@ -231,10 +235,10 @@ def find_countermodel(
         per_model = sum(u.bit_count() * len(vs) for u, vs in ranges)
         hit = _group_failures(engine, [(ranges, run)], [root]).get(root)
         if hit is not None:
-            lane, s = hit
-            evaluations += lane * per_model + _stream_position(ranges, s)
+            pos, s = hit
+            evaluations += pos * per_model + _stream_position(ranges, s)
             if evaluations <= budget:
-                return SearchOutcome("found", run[lane], s, evaluations)
+                return SearchOutcome("found", run[pos], s, evaluations)
             break
         evaluations += len(run) * per_model
         if evaluations > budget:
@@ -257,41 +261,43 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 # the compiled extension engine, shared-subformula and lane-packed
 
 _MAX_LANES = 4096  # models one lane group holds at most (three atoms on four worlds)
+_MAX_CHUNK_BITS = 6144  # lanes × carrier of a group of draws (the n <= 3 group packs 5 772)
 
 
 class _Lanes:
-    """Packing of W models, of any topologies and sizes, into one int per value.
+    """Packing of W lanes, over models of any topologies and sizes, into one int per value.
 
-    The models come as runs that each share one topology, in lane order.
-    The carrier is padded to the group's largest n.  World x owns the block
-    of bits x*W .. x*W+W-1, and bit j of every block is lane j, the group's
-    j-th model, so one bigint operation acts on all W models at once.  A
-    world past a lane's own carrier is its own minimal neighborhood and lies
-    in no range, so it stays empty in every value of that lane.  Interior
-    and closure read one table per world x of (y, outside, inside) triples:
-    the lanes whose mnb(x) lacks y, and those whose mnb(x) holds it.  With
-    W = 1 a packed value is the plain subset mask, and interior and closure
-    are topology.mnb_interior and mnb_closure.
+    The models come as runs that each share one topology, in lane order,
+    and every model of run r takes chunks[r] consecutive lanes, one per
+    chunk of its range pairs.  The carrier is padded to the group's largest
+    n.  World x owns the block of bits x*W .. x*W+W-1, and bit j of every
+    block is lane j, so one bigint operation acts on all W lanes at once.
+    A world past a lane's own carrier is its own minimal neighborhood and
+    lies in no range, so it stays empty in every value of that lane.
+    Interior and closure read one table per world x of (y, outside, inside)
+    triples: the lanes whose mnb(x) lacks y, and those whose mnb(x) holds
+    it.  With W = 1 a packed value is the plain subset mask, and interior
+    and closure are topology.mnb_interior and mnb_closure.
     """
 
-    def __init__(self, runs: Sequence[Sequence[SubsetModel]]):
-        self.models = models = [model for run in runs for model in run]
-        self.width = width = len(models)
+    def __init__(self, runs: Sequence[Sequence[SubsetModel]], chunks: Sequence[int]):
+        self.runs = list(zip(runs, chunks))
+        self.width = width = sum(len(run) * c for run, c in self.runs)
         self.ones = ones = (1 << width) - 1
         n = max(run[0].n for run in runs)
         self.shifts = tuple(x * width for x in range(n))
         self.rep = self.replicate((1 << n) - 1)
         if width == 1:
-            mnb = models[0].topology.min_neighborhoods
+            mnb = runs[0][0].topology.min_neighborhoods
             self.interior = partial(mnb_interior, mnb)
             self.closure = partial(mnb_closure, mnb)
             return
         # holds[x][y]: the lanes whose mnb(x) holds y, for each y != x
         holds: list[dict[int, int]] = [{} for _ in range(n)]
         start = 0
-        for run in runs:
-            lanes = ((1 << len(run)) - 1) << start
-            start += len(run)
+        for run, c in self.runs:
+            lanes = ((1 << len(run) * c) - 1) << start
+            start += len(run) * c
             for x, nb in enumerate(run[0].topology.min_neighborhoods):
                 row = holds[x]
                 for y in bits(nb & ~(1 << x)):
@@ -307,7 +313,7 @@ class _Lanes:
         return sum(1 << s for x, s in enumerate(self.shifts) if m >> x & 1)
 
     def pack(self, names: Iterable[str]) -> Mapping[str, int]:
-        """Each atom's packed truth value across the group's models.
+        """Each atom's packed truth value across the group's lanes.
 
         World x's column collects the lanes whose model makes the atom
         true at x; the packed value places each column at x's block.
@@ -315,18 +321,25 @@ class _Lanes:
         out = {}
         for name in names:
             cols = [0] * len(self.shifts)
-            for j, model in enumerate(self.models):
-                m = model.valuation.get(name, 0)
-                while m:
-                    low = m & -m
-                    cols[low.bit_length() - 1] |= 1 << j
-                    m ^= low
+            start = 0
+            for run, c in self.runs:
+                own = (1 << c) - 1
+                for model in run:
+                    lanes = own << start
+                    start += c
+                    m = model.valuation.get(name, 0)
+                    while m:
+                        low = m & -m
+                        cols[low.bit_length() - 1] |= lanes
+                        m ^= low
             out[name] = sum(col << s for col, s in zip(cols, self.shifts))
         return out
 
-    def least_world(self, m: int, lane: int) -> int:
-        """Least world whose block has the lane's bit set in m."""
-        return next(x for x, s in enumerate(self.shifts) if m >> (s + lane) & 1)
+    def first_miss(self, m: int, mask: int) -> tuple[int, int]:
+        """Least world whose block of m meets the lane mask, and the lowest lane of mask there."""
+        hits = ((x, m >> s & mask) for x, s in enumerate(self.shifts))
+        x, hit = next((x, hit) for x, hit in hits if hit)
+        return x, (hit & -hit).bit_length() - 1
 
     def fold(self, m: int) -> int:
         """OR of all blocks of m: the lanes in which m is nonempty."""
@@ -369,7 +382,7 @@ class BatchEvaluator:
     list; add() extends it later.  One linear pass per epistemic range
     computes every node that does not read the doxastic range, and a short
     overlay pass per doxastic range fills the nodes that do.  A pass runs
-    on a group of W models, each value packed W lanes wide (see _Lanes),
+    on a group of W lanes, each value packed W lanes wide (see _Lanes),
     and each lane under its own ranges: sweep_validity packs whole groups,
     while base_pass, overlay_pass and Evaluator are the W = 1 case on
     plain subset masks.  Agreement with the definitional oracle is pinned
@@ -413,7 +426,7 @@ class BatchEvaluator:
     def base_pass(self, model: SubsetModel, u: int) -> list[int]:
         """Extensions of all doxastic-range-independent nodes under u."""
         vals = [0] * len(self.nodes)
-        self._run(_Lanes(((model,),)), model.valuation, u, 0, vals, self.base_order)
+        self._run(_Lanes(((model,),), (1,)), model.valuation, u, 0, vals, self.base_order)
         return vals
 
     def overlay_pass(self, model: SubsetModel, u: int, v: int, vals: list[int]) -> None:
@@ -422,7 +435,7 @@ class BatchEvaluator:
         Overlay nodes are recomputed wholesale on every call, so reusing
         one array across successive doxastic ranges is safe.
         """
-        self._run(_Lanes(((model,),)), model.valuation, u, v, vals, self.overlay_order)
+        self._run(_Lanes(((model,),), (1,)), model.valuation, u, v, vals, self.overlay_order)
 
     def _run(
         self,
@@ -501,13 +514,13 @@ def sweep_validity(
     re-checked.
 
     The stream is read lazily one lane group at a time (see _sweep_groups),
-    model j of a group in lane j; a group's models may differ in topology
-    and size.  A root's failure is the one a scenario-by-scenario scan
-    finds: the stream's first failing model, the least world missing
-    there, then the first (U, V) in canonical order that misses that world
-    (the order epistemic_scenarios and ed_scenarios yield).  Raises
-    BudgetError on reaching a model whose sweep costs more than the budget
-    while some root is still live.
+    each model in one or more lanes (see _chunks); a group's models may
+    differ in topology and size.  A root's failure is the one a
+    scenario-by-scenario scan finds: the stream's first failing model, the
+    least world missing there, then the first (U, V) in canonical order
+    that misses that world (the order epistemic_scenarios and ed_scenarios
+    yield).  Raises BudgetError on reaching a model whose sweep costs more
+    than the budget while some root is still live.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
@@ -515,9 +528,9 @@ def sweep_validity(
         return failures
     for runs in _sweep_groups(models, engine.kind, scenario_class, budget):
         group = [model for _, run in runs for model in run]
-        for idx, (lane, s) in _group_failures(engine, runs, list(live)).items():
+        for idx, (pos, s) in _group_failures(engine, runs, list(live)).items():
             f = live.pop(idx)
-            failures[f] = BatchFailure(f, group[lane], s)
+            failures[f] = BatchFailure(f, group[pos], s)
         if not live:
             break
     return failures
@@ -530,16 +543,18 @@ def _sweep_groups(
 
     A run is a stretch of consecutive models with one topology, cut at
     _MAX_LANES, and ranges are that topology's (U, Vs) groups.  Consecutive
-    runs merge into one group of at most _MAX_LANES lanes, except that a
-    run of one model (a random draw) never shares a group with a longer
-    run (the valuations of one topology): the lanes of a group all take
-    as many passes as its longest list of (U, V) pairs, and a draw's pairs
-    outnumber a small exhaustive topology's many times over.  Raises
-    BudgetError at the first run whose ranges cost more than the budget,
-    once the groups before it are yielded.
+    runs share a group, but a run of one model (a random draw) never shares
+    one with a longer run (the valuations of one topology): _chunks gives
+    each model of a longer run its whole list in one lane, and a draw's
+    list outnumbers a small topology's many times over.  A group of longer
+    runs holds at most _MAX_LANES models, and a group of draws at most
+    _MAX_CHUNK_BITS lanes × carrier bits: each value holds that many bits,
+    one value per compiled node.  Raises BudgetError at the first run whose ranges cost
+    more than the budget, once the groups before it are yielded.
     """
     group: list[tuple[Ranges, list[SubsetModel]]] = []
-    width, draws = 0, False
+    counts: list[int] = []  # the pair count of each draw, in a group of draws
+    lanes = carrier = short = 0  # the group's lanes and carrier; its draws' shortest list
     if kind is Semantics.STRONG:
         cls = None  # strong ranges: each nonempty open U, no V
     for top, run in _runs(models):
@@ -549,14 +564,43 @@ def _sweep_groups(
             if group:
                 yield group
             raise
-        if group and (width + len(run) > _MAX_LANES or (len(run) == 1) != draws):
+        count = sum(len(vs) for _, vs in ranges)
+        draw = len(run) == 1
+        if group and draw == bool(counts):
+            if draw:  # the lanes _chunks lays the group out in with this draw
+                least = min(short, count)
+                grown = sum(-(-p // least) for p in counts) if least < short else lanes
+                grown += -(-count // least)
+                fits = grown * max(carrier, top.n) <= _MAX_CHUNK_BITS
+            else:
+                least, grown = short, lanes + len(run)
+                fits = grown <= _MAX_LANES
+            if fits:
+                group.append((ranges, run))
+                counts += [count] if draw else []
+                lanes, carrier, short = grown, max(carrier, top.n), least
+                continue
+        if group:
             yield group
-            group, width = [], 0
-        group.append((ranges, run))
-        width += len(run)
-        draws = width == len(group)  # every run of the group holds one model
+        group, counts = [(ranges, run)], [count] if draw else []
+        lanes, carrier, short = len(run), top.n, count
     if group:
         yield group
+
+
+def _chunks(shape: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Pairs per chunk, and chunks per model of each run, for a group given
+    as (pair count, models) per run.
+
+    A group of draws (runs of one model) cuts each draw's pairs into chunks
+    as long as its shortest list, so every lane does real work at nearly
+    every pass; any other group gives each model one chunk, its whole list,
+    so a same-topology run shares its base passes.  A lone model is one
+    chunk either way.
+    """
+    draws = all(models == 1 for _, models in shape)
+    size = (min if draws else max)(count for count, _ in shape)
+    return size, [-(-count // size) for count, _ in shape]
 
 
 def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[SubsetModel]]]:
@@ -576,29 +620,43 @@ def _group_failures(
     runs: Sequence[tuple[Ranges, Sequence[SubsetModel]]],
     live: list[int],
 ) -> dict[int, tuple[int, EDScenario]]:
-    """Per live root, the lowest failing lane and its least missing world,
-    kept at the first of that lane's pairs that misses it; lane 0, world 0
-    settles a root.
+    """Per live root, the group's first failure in scan order: the lowest
+    failing model (its position in the group), the least world missing in
+    any of its chunks, then the first of its pairs that misses that world.
 
-    Pass k evaluates every lane under its own run's k-th (U, V) pair, and a
-    lane whose pairs have run out under U = V = 0, where nothing fails.
-    The base pass is rerun only when some lane's U changes.
+    Each model's (U, V) pairs, in canonical order, are cut into chunks as
+    _chunks lays them out, one lane per chunk in (model, chunk) order.
+    Pass k evaluates every lane under its chunk's k-th pair, and a lane
+    whose chunk has run out under U = V = 0, where nothing fails; the base
+    pass is rerun only when some lane's U changes.  A failure of model 0 at
+    world 0 in its first chunk settles a root, since no pair of the group
+    comes before it in scan order.
     """
-    lanes = _Lanes([run for _, run in runs])
+    size, chunks = _chunks([(sum(len(vs) for _, vs in ranges), len(run)) for ranges, run in runs])
+    lanes = _Lanes([run for _, run in runs], chunks)
     atoms = lanes.pack(engine.atom_names)
-    # the packed ranges of every pass, and each lane's own ranges
-    passes = [[0, 0] for _ in range(max(sum(len(vs) for _, vs in r) for r, _ in runs))]
-    lane_ranges: list[Ranges] = []
-    for ranges, run in runs:
-        mask = ((1 << len(run)) - 1) << len(lane_ranges)
-        spread = {o: lanes.replicate(o) * mask for o in run[0].topology.opens}
-        for packed, (u, v) in zip(passes, _pairs(ranges)):
-            packed[0] |= spread[u]
-            if v:
-                packed[1] |= spread[v]
-        lane_ranges += [ranges] * len(run)
-    found: dict[int, tuple[int, EDScenario]] = {}
-    pending = live  # roots not yet failing at lane 0, world 0
+    # the packed ranges of every pass, where model m of a run takes lanes
+    # start + m*c .. start + m*c + c - 1 and its chunk j runs pairs[j*size + k]
+    # at pass k; and the first lane and first model of every run
+    passes = [[0, 0] for _ in range(size)]
+    starts: list[int] = []
+    firsts: list[int] = []
+    start = first = 0
+    for (ranges, run), c in zip(runs, chunks):
+        starts.append(start)
+        firsts.append(first)
+        every = ((1 << len(run) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
+        spread = {o: lanes.replicate(o) * every for o in run[0].topology.opens}
+        pairs = _pairs(ranges)
+        for j in range(c):  # j > 0 only in a group of draws; a shift copies the int
+            for packed, (u, v) in zip(passes, pairs):  # the next `size` pairs
+                packed[0] |= spread[u] << j if j else spread[u]
+                if v:
+                    packed[1] |= spread[v] << j if j else spread[v]
+        start += len(run) * c
+        first += len(run)
+    found: dict[int, tuple[tuple[int, int, int], int, int]] = {}  # (model, world, pair), end lane, run
+    pending = live  # roots not yet settled
     vals = [0] * len(engine.nodes)
     last_us = None
     for k, (us, vs) in enumerate(passes):
@@ -616,18 +674,25 @@ def _group_failures(
             failing = lanes.fold(missing)
             hit = found.get(idx)
             if hit is not None:
-                failing &= (2 << hit[0]) - 1  # lanes up to the hit's
+                failing &= (1 << hit[1]) - 1  # lanes up to the hit's model's last
             if not failing:
                 continue
             lane = (failing & -failing).bit_length() - 1
-            x = lanes.least_world(missing, lane)
-            if hit is None or (lane, x) < (hit[0], hit[1].x):
-                u, v = next(itertools.islice(_pairs(lane_ranges[lane]), k, None))
-                found[idx] = (lane, EDScenario(x, u, v))
-                if lane == 0 and x == 0:
+            r = bisect_right(starts, lane) - 1
+            m = (lane - starts[r]) // chunks[r]
+            low = starts[r] + m * chunks[r]
+            end = low + chunks[r]
+            x, lane = lanes.first_miss(missing, failing & ((1 << end) - (1 << low)))
+            key = (firsts[r] + m, x, (lane - low) * size + k)
+            if hit is None or key < hit[0]:
+                found[idx] = (key, end, r)
+                if key[:2] == (0, 0) and lane == 0:
                     settled.add(idx)
         if settled:
             pending = [idx for idx in pending if idx not in settled]
             if not pending:
-                return found
-    return found
+                break
+    return {
+        idx: (i, EDScenario(x, *next(itertools.islice(_pairs(runs[r][0]), p, None))))
+        for idx, ((i, x, p), _, r) in found.items()
+    }

@@ -26,6 +26,7 @@ from topobelief.semantics import (
     _MAX_LANES,
     BatchEvaluator,
     Semantics,
+    _chunks,
     _search_model,
     _sweep_groups,
     find_countermodel,
@@ -211,11 +212,54 @@ MIXED_ROOTS = SWEEP_ROOTS + (
 )
 
 
+KINDS = (
+    (Semantics.STRONG, ScenarioClass.ALL),
+    (Semantics.ED, ScenarioClass.ALL),
+    (Semantics.AE, ScenarioClass.ALL),
+    (Semantics.ED, ScenarioClass.DENSE),
+)
+
+
+def _lane_lengths(group):
+    """Each lane's pair count, as _group_failures lays the group out."""
+    counts = [(sum(len(vs) for _, vs in ranges), len(run)) for ranges, run in group]
+    size, chunks = _chunks(counts)
+    return [
+        min(size, count - j * size)
+        for (count, models), c in zip(counts, chunks)
+        for _ in range(models)
+        for j in range(c)
+    ]
+
+
+def _check_rotations(models, roots, kind, cls):
+    """Each root's sweep failure is the def_truth scan's for every rotation
+    of the stream (each rotation puts another model in lane 0); yields the
+    stream and, per failing root, the position of its failing model."""
+    oracle = [{f: _model_failure(m, f, kind, cls) for f in roots} for m in models]
+    for r in range(len(models)):
+        order = list(range(r, len(models))) + list(range(r))
+        stream = [models[i] for i in order]
+        failures = sweep_validity(BatchEvaluator(roots, kind), stream, cls)
+        positions = []
+        for f in roots:
+            pos = next((j for j, i in enumerate(order) if oracle[i][f]), None)
+            got = failures.get(f)
+            if pos is None:
+                assert got is None, (kind, cls, r, str(f))
+                continue
+            assert got is not None, (kind, cls, r, str(f))
+            want = oracle[order[pos]][f]
+            assert got.model is stream[pos] and got.scenario == want, (kind, cls, r, str(f))
+            positions.append(pos)
+        yield stream, positions
+
+
 def test_mixed_groups_match_scan():
     """Lane groups whose models differ in topology and carrier size (1 to
     6 worlds), so lanes run out of range pairs at different passes: each
     root's failure is the def_truth scan's, for every rotation of the
-    stream (each rotation puts another model in lane 0)."""
+    stream."""
     rng = Random(7)
     draws = [random_model(seed, 1 + seed % 6) for seed in range(12)]
     tops = (random_model(20, 2).topology, random_model(21, 5).topology, Topology.discrete(3))
@@ -226,32 +270,58 @@ def test_mixed_groups_match_scan():
     ]
     roots = [parse(text) for text in MIXED_ROOTS]
     later_lanes = 0
-    for kind, cls in (
-        (Semantics.STRONG, ScenarioClass.ALL),
-        (Semantics.ED, ScenarioClass.ALL),
-        (Semantics.AE, ScenarioClass.ALL),
-        (Semantics.ED, ScenarioClass.DENSE),
-    ):
+    draw_lengths = set()
+    for kind, cls in KINDS:
         for models in (draws, runs):
             (group,) = _sweep_groups(models, kind, cls, DEFAULT_SCENARIO_BUDGET)
             assert len({m.n for m in models}) >= 3
-            assert len({len(pairs) for pairs, _ in group}) >= 3  # lanes run out of pairs apart
-            oracle = [{f: _model_failure(m, f, kind, cls) for f in roots} for m in models]
-            for r in range(len(models)):
-                order = list(range(r, len(models))) + list(range(r))
-                stream = [models[i] for i in order]
-                failures = sweep_validity(BatchEvaluator(roots, kind), stream, cls)
-                for f in roots:
-                    lane = next((j for j, i in enumerate(order) if oracle[i][f]), None)
-                    got = failures.get(f)
-                    if lane is None:
-                        assert got is None, (kind, cls, r, str(f))
-                        continue
-                    want = (stream[lane], oracle[order[lane]][f])
-                    assert got is not None, (kind, cls, r, str(f))
-                    assert (got.model, got.scenario) == want, (kind, cls, r, str(f))
-                    later_lanes += lane > 0
+            lengths = set(_lane_lengths(group))
+            if models is runs:
+                assert len(lengths) >= 3  # one chunk per model: lanes run out of pairs apart
+            else:
+                draw_lengths.add(len(lengths))
+            for _, positions in _check_rotations(models, roots, kind, cls):
+                later_lanes += sum(pos > 0 for pos in positions)
+    assert max(draw_lengths) >= 2  # a draw's last chunk runs out before the others
     assert later_lanes >= 50, later_lanes
+
+
+def test_chunked_draw_groups_match_scan():
+    """A stream of draws (consecutive models of different topologies) too
+    wide for one group, so it spans at least two groups of chunked lanes
+    under every semantics and in every rotation; each root's failure is the
+    def_truth scan's.  On the discrete two-point space with p = {0}, K p
+    misses world 1 at U = {1} and world 0 only at U = {0,1}, a later chunk
+    when chunks are short: the least world still wins."""
+    rng = Random(5)
+    fillers = [
+        SubsetModel(top, {"p": (1 << top.n) - 1, "q": rng.getrandbits(top.n)})
+        for top in list(enumerate_topologies(4))[::5]
+    ]
+    late = SubsetModel(Topology.discrete(2), {"p": 1})
+    wide = SubsetModel(Topology.indiscrete(16), {"p": 0xFFFF, "q": 0x00FF})
+    models = fillers[:10] + [late] + fillers[10:40] + [wide] + fillers[40:]
+    roots = [parse(text) for text in MIXED_ROOTS]
+    k_p = roots[1]
+    later_chunk = second_group = 0
+    for kind, cls in KINDS:
+        for stream, positions in _check_rotations(models, roots, kind, cls):
+            groups = list(_sweep_groups(stream, kind, cls, DEFAULT_SCENARIO_BUDGET))
+            assert len(groups) >= 2, (kind, cls)
+            first = sum(len(run) for _, run in groups[0])
+            second_group += sum(pos >= first for pos in positions)
+            # the chunk of late's first pair missing each world
+            (group,) = [g for g in groups if any(run[0] is late for _, run in g)]
+            size, _ = _chunks([(sum(len(vs) for _, vs in r), len(run)) for r, run in group])
+            pairs = list(_ranges(late.topology, kind, cls))
+            chunk = {}
+            for i, (u, v) in enumerate(pairs):
+                for x in range(late.n):
+                    if u >> x & 1 and not def_truth(late, x, u, v, k_p, kind):
+                        chunk.setdefault(x, i // size)
+            later_chunk += min(chunk) == 0 and chunk[0] > min(chunk.values())
+    assert second_group >= 20, second_group
+    assert later_chunk >= 20, later_chunk
 
 
 def test_failure_past_the_lane_bound():

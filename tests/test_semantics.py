@@ -24,6 +24,8 @@ from topobelief.model import (
     range_pairs,
 )
 from topobelief.semantics import (
+    _MAX_CHUNK_BITS,
+    _MAX_LANES,
     BatchEvaluator,
     Evaluator,
     Semantics,
@@ -34,6 +36,7 @@ from topobelief.semantics import (
     sweep_validity,
     valid_in_model,
 )
+from topobelief.suites import get_suite, run_suite, soundness_batch
 from topobelief.topology import Topology, enumerate_topologies
 
 STRONG, ED, AE = Semantics.STRONG, Semantics.ED, Semantics.AE
@@ -449,3 +452,63 @@ class TestBatchEvaluatorAgreement:
         assert f in failures
         hit = failures[f]
         assert not satisfies(hit.model, hit.scenario, f, STRONG)
+
+
+class TestLaneWork:
+    """The work of lane groups, read off the engine's passes."""
+
+    @staticmethod
+    def _passes(monkeypatch):
+        """(lanes, packed U) of every pass the engine runs from here on: a
+        pass runs the nodes that read V once, or the base nodes when none
+        does (under strong every pass changes some lane's U, so none is
+        skipped)."""
+        seen = []
+        run = BatchEvaluator._run
+
+        def spy(engine, lanes, atoms, us, vs, vals, order):
+            if order is engine.overlay_order or not engine.overlay_order:
+                seen.append((lanes, us))
+            return run(engine, lanes, atoms, us, vs, vals, order)
+
+        monkeypatch.setattr(BatchEvaluator, "_run", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "name, kind, cls",
+        [
+            ("kd45_b", STRONG, ScenarioClass.ALL),
+            ("el_kboxb_cb", AE, ScenarioClass.ALL),
+            ("el_kboxb_wf", ED, ScenarioClass.DENSE),
+        ],
+    )
+    def test_draw_groups_run_real_pairs(self, monkeypatch, name, kind, cls):
+        """On soundness_batch() at least 90% of the draw groups' lane-passes
+        carry a real (U, V) pair (a lane out of pairs runs at U = 0), and no
+        group is wider than its bound."""
+        suite = get_suite(name)
+        assert (suite.semantics, suite.scenario_class) == (kind, cls)
+        seen = self._passes(monkeypatch)
+        assert run_suite(suite, soundness_batch()).clean
+        useful = lane_passes = 0
+        for lanes, us in seen:
+            assert lanes.width <= _MAX_LANES
+            if lanes.width > 1 and all(len(run) == 1 for run, _ in lanes.runs):  # draws
+                assert lanes.width * len(lanes.shifts) <= _MAX_CHUNK_BITS
+                useful += lanes.fold(us).bit_count()
+                lane_passes += lanes.width
+        assert useful >= 0.9 * lane_passes > 0, (useful, lane_passes)
+
+    def test_a_lone_model_is_one_lane(self, monkeypatch):
+        """valid_in_model and each random draw of find_countermodel sweep
+        one model as one lane: the plain subset masks of W = 1."""
+        seen = self._passes(monkeypatch)
+        model = random_model(3, 6)
+        for kind in (STRONG, ED, AE):
+            valid_in_model(model, parse("B (p | q) -> B p | B q"), kind)
+        f = parse("K p -> p")
+        exhaustive = find_countermodel(f, STRONG, max_n=4).evaluations
+        assert find_countermodel(f, STRONG, max_n=8, budget=exhaustive + 500).status == "budget"
+        lone = [lanes for lanes, _ in seen if sum(len(run) for run, _ in lanes.runs) == 1]
+        assert {lanes.width for lanes in lone} == {1}
+        assert any(lanes.runs[0][0][0].n > 4 for lanes in lone)  # a draw of the random phase
