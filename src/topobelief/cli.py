@@ -46,8 +46,12 @@ _MODEL_KINDS = {SubsetModel: "subset", RelationalModel: "relational"}
 
 def _load_model(path: str, cls: type):
     """The model document at path; it must hold a model of class cls."""
-    with open(path, encoding="utf-8") as handle:
-        model = load(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"bad model document: {exc}") from None
+    model = load(text)
     if not isinstance(model, cls):
         held, need = _MODEL_KINDS[type(model)], _MODEL_KINDS[cls]
         raise ModelError(f"{path} holds a {held} model; this command needs a {need} model")

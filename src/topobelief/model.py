@@ -30,6 +30,7 @@ from .topology import (
     full_mask,
     generate_from_subbasis,
     mask_of,
+    mnb_closure,
 )
 
 
@@ -191,21 +192,13 @@ def check_scenario(model: SubsetModel, s: EDScenario, need_v: bool | None = None
 
 class ScenarioClass(Enum):
     """Admissible doxastic ranges: ALL admits empty v, CONSISTENT requires
-    v nonempty, DENSE requires u inside cl(v), TOTAL forces v = u."""
+    v nonempty, DENSE requires u inside cl(v), TOTAL forces v = u (see
+    range_groups)."""
 
     ALL = "all"
     CONSISTENT = "consistent"
     DENSE = "dense"
     TOTAL = "total"
-
-    def admits(self, top: Topology, u: int, v: int) -> bool:
-        if self is ScenarioClass.ALL:
-            return True
-        if self is ScenarioClass.CONSISTENT:
-            return v != 0
-        if self is ScenarioClass.DENSE:
-            return top.is_dense_in(v, u)
-        return v == u
 
 
 Ranges = tuple[tuple[int, tuple[int | None, ...]], ...]  # (U, Vs) groups in canonical order
@@ -229,13 +222,20 @@ def range_groups(
         )
     if cls is None:
         return tuple((u, (None,)) for u in top.opens if u)
+    if cls is ScenarioClass.DENSE:  # each open's closure, once per topology
+        closure = {v: mnb_closure(top.min_neighborhoods, v) for v in top.opens}
     out = []
     for u in top.opens:
         if u == 0:
             continue
-        vs = tuple(v for v in top.opens if v & ~u == 0 and cls.admits(top, u, v))
-        if vs:
-            out.append((u, vs))
+        inside = [v for v in top.opens if v & ~u == 0]
+        if cls is ScenarioClass.CONSISTENT:
+            inside = [v for v in inside if v]
+        elif cls is ScenarioClass.DENSE:
+            inside = [v for v in inside if u & ~closure[v] == 0]
+        elif cls is ScenarioClass.TOTAL:
+            inside = [u]
+        out.append((u, tuple(inside)))  # every class admits V = U
     return tuple(out)
 
 

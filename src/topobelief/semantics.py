@@ -22,11 +22,10 @@ Soundness sweeps compile a formula set once and evaluate it lane-packed:
 a group of consecutive models of a stream, of any topologies and carrier
 sizes, holds one bit per (world, lane) in each value, and every
 connective, interior and closure acts on the whole group at once.  A lane
-is a model and a chunk of its list of range pairs: the valuations of one
-topology take one lane each, their whole list, while random draws (each
-its own topology) cut their lists into chunks as long as the group's
-shortest, so a group of draws costs a few passes, not as many as its
-longest list.  Interior and closure read each lane's own
+is a model and a chunk of its list of range pairs, every chunk as long as
+the group's shortest list, so a group costs about as many passes as that
+list, not as its longest; a group of one topology's valuations gives each
+model one lane, its whole list.  Interior and closure read each lane's own
 minimal-neighborhood table, and pass k evaluates each lane under its
 chunk's k-th range pair.  valid_in_model and suite runs sweep lane groups
 of their stream's same-topology runs, find_countermodel sweeps the same
@@ -260,8 +259,7 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 # ---------------------------------------------------------------------------
 # the compiled extension engine, shared-subformula and lane-packed
 
-_MAX_LANES = 4096  # models one lane group holds at most (three atoms on four worlds)
-_MAX_CHUNK_BITS = 6144  # lanes × carrier of a group of draws (the n <= 3 group packs 5 772)
+_MAX_GROUP_BITS = 6144  # lanes × carrier of a lane group, and of a run swept alone
 
 
 class _Lanes:
@@ -541,20 +539,16 @@ def _sweep_groups(
 ) -> Iterator[list[tuple[Ranges, list[SubsetModel]]]]:
     """The stream in lane groups, each a list of (ranges, run) in stream order.
 
-    A run is a stretch of consecutive models with one topology, cut at
-    _MAX_LANES, and ranges are that topology's (U, Vs) groups.  Consecutive
-    runs share a group, but a run of one model (a random draw) never shares
-    one with a longer run (the valuations of one topology): _chunks gives
-    each model of a longer run its whole list in one lane, and a draw's
-    list outnumbers a small topology's many times over.  A group of longer
-    runs holds at most _MAX_LANES models, and a group of draws at most
-    _MAX_CHUNK_BITS lanes × carrier bits: each value holds that many bits,
-    one value per compiled node.  Raises BudgetError at the first run whose ranges cost
-    more than the budget, once the groups before it are yielded.
+    A run is a stretch of consecutive models with one topology (see _runs),
+    and ranges are that topology's (U, Vs) groups.  Consecutive runs share
+    a group while the lanes _chunks lays it out in, times its largest
+    carrier, stay within _MAX_GROUP_BITS: each value holds that many bits,
+    one value per compiled node.  Raises BudgetError at the first run whose
+    ranges cost more than the budget, once the groups before it are yielded.
     """
     group: list[tuple[Ranges, list[SubsetModel]]] = []
-    counts: list[int] = []  # the pair count of each draw, in a group of draws
-    lanes = carrier = short = 0  # the group's lanes and carrier; its draws' shortest list
+    shape: list[tuple[int, int]] = []  # (pair count, models) of each run, as _chunks reads it
+    lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
     if kind is Semantics.STRONG:
         cls = None  # strong ranges: each nonempty open U, no V
     for top, run in _runs(models):
@@ -564,50 +558,48 @@ def _sweep_groups(
             if group:
                 yield group
             raise
-        count = sum(len(vs) for _, vs in ranges)
-        draw = len(run) == 1
-        if group and draw == bool(counts):
-            if draw:  # the lanes _chunks lays the group out in with this draw
-                least = min(short, count)
-                grown = sum(-(-p // least) for p in counts) if least < short else lanes
-                grown += -(-count // least)
-                fits = grown * max(carrier, top.n) <= _MAX_CHUNK_BITS
-            else:
-                least, grown = short, lanes + len(run)
-                fits = grown <= _MAX_LANES
-            if fits:
-                group.append((ranges, run))
-                counts += [count] if draw else []
-                lanes, carrier, short = grown, max(carrier, top.n), least
-                continue
+        entry = (sum(len(vs) for _, vs in ranges), len(run))
         if group:
+            # the lanes of the grown group: while the chunk length holds, the
+            # runs already in keep their chunks; when it shrinks, all are recut
+            least = min(size, entry[0])
+            new, grown = ([entry], lanes) if least == size else (shape + [entry], 0)
+            _, chunks = _chunks(new, least)
+            grown += sum(models * c for (_, models), c in zip(new, chunks))
+            if grown * max(carrier, top.n) <= _MAX_GROUP_BITS:
+                group.append((ranges, run))
+                shape.append(entry)
+                lanes, carrier, size = grown, max(carrier, top.n), least
+                continue
             yield group
-        group, counts = [(ranges, run)], [count] if draw else []
-        lanes, carrier, short = len(run), top.n, count
+        group, shape = [(ranges, run)], [entry]
+        lanes, carrier, size = len(run), top.n, entry[0]
     if group:
         yield group
 
 
-def _chunks(shape: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+def _chunks(shape: Sequence[tuple[int, int]], size: int = 0) -> tuple[int, list[int]]:
     """Pairs per chunk, and chunks per model of each run, for a group given
     as (pair count, models) per run.
 
-    A group of draws (runs of one model) cuts each draw's pairs into chunks
-    as long as its shortest list, so every lane does real work at nearly
-    every pass; any other group gives each model one chunk, its whole list,
-    so a same-topology run shares its base passes.  A lone model is one
-    chunk either way.
+    Every chunk is as long as the group's shortest list (size, when given,
+    is the shortest of a group these runs are part of), so every lane does
+    real work at nearly every pass.  A run alone, or any run whose list is
+    that short, is one chunk per model, so its models share their base
+    passes; a lone model is one lane.
     """
-    draws = all(models == 1 for _, models in shape)
-    size = (min if draws else max)(count for count, _ in shape)
+    size = size or min(count for count, _ in shape)
     return size, [-(-count // size) for count, _ in shape]
 
 
 def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[SubsetModel]]]:
-    """Consecutive models of one topology, at most _MAX_LANES at a time."""
+    """Consecutive models of one topology, cut where one lane per model
+    would pass _MAX_GROUP_BITS (models × carrier)."""
     run: list[SubsetModel] = []
     for model in models:
-        if run and (len(run) == _MAX_LANES or model.topology != run[0].topology):
+        if run and (
+            (len(run) + 1) * model.n > _MAX_GROUP_BITS or model.topology != run[0].topology
+        ):
             yield run[0].topology, run
             run = []
         run.append(model)
@@ -625,7 +617,8 @@ def _group_failures(
     any of its chunks, then the first of its pairs that misses that world.
 
     Each model's (U, V) pairs, in canonical order, are cut into chunks as
-    _chunks lays them out, one lane per chunk in (model, chunk) order.
+    long as the group's shortest list (see _chunks), one lane per chunk in
+    (model, chunk) order.
     Pass k evaluates every lane under its chunk's k-th pair, and a lane
     whose chunk has run out under U = V = 0, where nothing fails; the base
     pass is rerun only when some lane's U changes.  A failure of model 0 at
@@ -648,7 +641,7 @@ def _group_failures(
         every = ((1 << len(run) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
         spread = {o: lanes.replicate(o) * every for o in run[0].topology.opens}
         pairs = _pairs(ranges)
-        for j in range(c):  # j > 0 only in a group of draws; a shift copies the int
+        for j in range(c):  # j > 0 only for a list longer than the group's shortest
             for packed, (u, v) in zip(passes, pairs):  # the next `size` pairs
                 packed[0] |= spread[u] << j if j else spread[u]
                 if v:

@@ -314,6 +314,17 @@ def _nested(shape, depth):
 
 
 SHAPES = ("conjuncts", "negations", "beliefs", "parentheses")
+MODEL_VERBS = ("eval", "valid", "convert", "decompose")
+
+
+def _model_argv(verb, path):
+    """A call of the verb that reads the model document at path."""
+    argv = [verb, "--model", str(path)]
+    if verb == "eval":
+        argv += ["--scenario", "x=0;U=0", "--formula", "p"]
+    if verb == "valid":
+        argv += ["--formula", "p"]
+    return argv
 
 
 class TestDeepInput:
@@ -341,15 +352,22 @@ class TestDeepInput:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) in ((0, "true\n", ""), (1, "false\n", ""))
 
-    @pytest.mark.parametrize("verb", ["eval", "valid", "convert", "decompose"])
+    @pytest.mark.parametrize("verb", MODEL_VERBS)
     def test_deep_model_document_is_input_error(self, capsys, tmp_path, verb):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        argv = [verb, "--model", str(path)]
-        if verb == "eval":
-            argv += ["--scenario", "x=0;U=0", "--formula", "p"]
-        if verb == "valid":
-            argv += ["--formula", "p"]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *_model_argv(verb, path))
         assert (code, out) == (2, "")
         assert err.startswith("error: bad model document: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("verb", MODEL_VERBS)
+def test_model_document_not_utf8_is_input_error(capsys, tmp_path, verb):
+    """A model file that does not decode as UTF-8 is a bad model document
+    (exit 2, one error line), not a crash that reads as the exit-1 verdict."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + dump(sierpinski_model(0)).encode("utf-16-le"))
+    code, out, err = run(capsys, *_model_argv(verb, path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad model document: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -23,7 +23,7 @@ from topobelief.model import (
     random_model,
 )
 from topobelief.semantics import (
-    _MAX_LANES,
+    _MAX_GROUP_BITS,
     BatchEvaluator,
     Semantics,
     _chunks,
@@ -277,7 +277,7 @@ def test_mixed_groups_match_scan():
             assert len({m.n for m in models}) >= 3
             lengths = set(_lane_lengths(group))
             if models is runs:
-                assert len(lengths) >= 3  # one chunk per model: lanes run out of pairs apart
+                assert len(lengths) >= 2  # a model's last chunk runs out before the others
             else:
                 draw_lengths.add(len(lengths))
             for _, positions in _check_rotations(models, roots, kind, cls):
@@ -325,19 +325,21 @@ def test_chunked_draw_groups_match_scan():
 
 
 def test_failure_past_the_lane_bound():
-    """A same-topology run longer than the lane bound is cut into groups of
-    at most _MAX_LANES lanes, and a failure in a later group is still the
-    (model, scenario) the def_truth scan finds."""
+    """A same-topology run too wide for the bit cap (one lane per model
+    times its two worlds) is cut into groups of at most _MAX_GROUP_BITS
+    bits, and a failure in a later group is still the (model, scenario) the
+    def_truth scan finds."""
     sierp = Topology.from_opens(2, [0, 1, 3])
-    models = [SubsetModel(sierp, {"p": 3}) for _ in range(_MAX_LANES + 100)]
-    models[_MAX_LANES + 50] = SubsetModel(sierp, {"p": 1})
+    cap = _MAX_GROUP_BITS // 2
+    models = [SubsetModel(sierp, {"p": 3}) for _ in range(cap + 100)]
+    models[cap + 50] = SubsetModel(sierp, {"p": 1})
     roots = [parse(text) for text in ("p", "K p", "box p", "p -> B p", "K p -> p")]
     for kind in (Semantics.STRONG, Semantics.ED):
         widths = [
             sum(len(run) for _, run in group)
             for group in _sweep_groups(models, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
         ]
-        assert widths == [_MAX_LANES, 100]
+        assert widths == [cap, 100]
         failures = sweep_validity(BatchEvaluator(roots, kind), models)
         for f in roots:
             expected = _first_failure(models, f, kind)
@@ -345,7 +347,7 @@ def test_failure_past_the_lane_bound():
             got = hit and (models.index(hit.model), hit.scenario)
             assert got == expected, (kind, str(f))
         assert {str(f) for f in failures} >= {"p", "K p", "box p"}
-        assert all(hit.model is models[_MAX_LANES + 50] for hit in failures.values())
+        assert all(hit.model is models[cap + 50] for hit in failures.values())
 
 
 def _search_stream(names, max_n, seed):

@@ -24,8 +24,7 @@ from topobelief.model import (
     range_pairs,
 )
 from topobelief.semantics import (
-    _MAX_CHUNK_BITS,
-    _MAX_LANES,
+    _MAX_GROUP_BITS,
     BatchEvaluator,
     Evaluator,
     Semantics,
@@ -474,7 +473,23 @@ class TestLaneWork:
         monkeypatch.setattr(BatchEvaluator, "_run", spy)
         return seen
 
-    @pytest.mark.parametrize(
+    @classmethod
+    def _groups(cls, monkeypatch, name, kind, scenario_class):
+        """Per lane group of the suite's run on soundness_batch(): its
+        lanes, the lane-passes that carry a real (U, V) pair (a lane out of
+        pairs runs at U = 0), and all its lane-passes."""
+        suite = get_suite(name)
+        assert (suite.semantics, suite.scenario_class) == (kind, scenario_class)
+        seen = cls._passes(monkeypatch)
+        assert run_suite(suite, soundness_batch()).clean
+        groups = {}  # keyed by the group's _Lanes, one per group
+        for lanes, us in seen:
+            work = groups.setdefault(lanes, [0, 0])
+            work[0] += lanes.fold(us).bit_count()
+            work[1] += lanes.width
+        return [(lanes, useful, lane_passes) for lanes, (useful, lane_passes) in groups.items()]
+
+    SUITES = pytest.mark.parametrize(
         "name, kind, cls",
         [
             ("kd45_b", STRONG, ScenarioClass.ALL),
@@ -482,22 +497,30 @@ class TestLaneWork:
             ("el_kboxb_wf", ED, ScenarioClass.DENSE),
         ],
     )
+
+    @SUITES
     def test_draw_groups_run_real_pairs(self, monkeypatch, name, kind, cls):
         """On soundness_batch() at least 90% of the draw groups' lane-passes
-        carry a real (U, V) pair (a lane out of pairs runs at U = 0), and no
-        group is wider than its bound."""
-        suite = get_suite(name)
-        assert (suite.semantics, suite.scenario_class) == (kind, cls)
-        seen = self._passes(monkeypatch)
-        assert run_suite(suite, soundness_batch()).clean
+        carry a real (U, V) pair, and no group packs more than _MAX_GROUP_BITS
+        bits (lanes × carrier) in a value."""
         useful = lane_passes = 0
-        for lanes, us in seen:
-            assert lanes.width <= _MAX_LANES
+        for lanes, group_useful, group_passes in self._groups(monkeypatch, name, kind, cls):
+            assert lanes.width * len(lanes.shifts) <= _MAX_GROUP_BITS
             if lanes.width > 1 and all(len(run) == 1 for run, _ in lanes.runs):  # draws
-                assert lanes.width * len(lanes.shifts) <= _MAX_CHUNK_BITS
-                useful += lanes.fold(us).bit_count()
-                lane_passes += lanes.width
+                useful += group_useful
+                lane_passes += group_passes
         assert useful >= 0.9 * lane_passes > 0, (useful, lane_passes)
+
+    @SUITES
+    def test_every_group_runs_real_pairs(self, monkeypatch, name, kind, cls):
+        """Every group of two or more lanes, the exhaustive ones included,
+        carries a real pair in at least 70% of its lane-passes: its lanes
+        are chunked to its shortest list, not padded to its longest."""
+        groups = self._groups(monkeypatch, name, kind, cls)
+        wide = [(useful, lane_passes) for lanes, useful, lane_passes in groups if lanes.width > 1]
+        assert wide
+        for useful, lane_passes in wide:
+            assert useful >= 0.7 * lane_passes, (useful, lane_passes)
 
     def test_a_lone_model_is_one_lane(self, monkeypatch):
         """valid_in_model and each random draw of find_countermodel sweep
