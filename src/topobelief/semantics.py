@@ -27,12 +27,12 @@ the group's shortest list, so a group costs about as many passes as that
 list, not as its longest; a group of one topology's valuations gives each
 model one lane, its whole list.  Interior and closure read each lane's own
 minimal-neighborhood table, and pass k evaluates each lane under its
-chunk's k-th range pair.  valid_in_model and suite runs sweep lane groups
-of their stream's same-topology runs, find_countermodel sweeps the same
-runs one at a time to count its budget, and a failure is the one a
-scenario-by-scenario scan finds: the first failing model, the least world
-missing there, then the first (U, V) in canonical order that misses that
-world.
+chunk's k-th range pair.  valid_in_model, suite runs and find_countermodel
+sweep lane groups of their stream's same-topology runs, the search's groups
+growing as it goes (each at most as many runs as all before it), and a
+failure is the one a scenario-by-scenario scan finds: the first failing
+model, the least world missing there, then the first (U, V) in canonical
+order that misses that world.
 """
 
 from __future__ import annotations
@@ -204,42 +204,45 @@ def find_countermodel(
     fixed seed, and a larger budget can only extend the search, never change
     an already found witness.
 
-    The exhaustive stream is read in the same-topology runs of _runs, each
-    swept whole and lane-packed; each random draw is a run of its own, made
-    only once the run before it is swept and only while budget is left.  The
-    budget counts scenarios, worked out from run sizes up to the first hit,
-    which counts only within the budget; a run whose sweep would cost over
-    10^6 is skipped and not counted.
+    The exhaustive stream is swept in _sweep_groups' growing lane groups
+    of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
+    its own, made only once the group before it is counted and only while
+    budget is left.  The budget counts scenarios, worked out from run sizes
+    up to the first hit, which counts only within the budget; a draw whose
+    sweep would cost over 10^6 is skipped and not counted.
     """
     if not 1 <= max_n <= MAX_WORLDS:
         raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
     names = sorted(fm.atoms(f))
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
-    cls = None if kind is Semantics.STRONG else scenario_class
     evaluations = 0
-    runs = _runs(exhaustive_models(min(max_n, ENUMERATION_MAX), names))
-    if max_n > ENUMERATION_MAX:
+    models = exhaustive_models(min(max_n, ENUMERATION_MAX), names)
+    groups = _sweep_groups(models, kind, scenario_class, DEFAULT_SCENARIO_BUDGET, grow=True)
+
+    def drawn():  # each random draw a group of its own, made while budget is left
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
-        ds = itertools.takewhile(lambda _: evaluations < budget, itertools.count())
-        draws = (_search_model(seed + d, sizes[d % len(sizes)], names) for d in ds)
-        runs = itertools.chain(runs, ((model.topology, [model]) for model in draws))
-    for top, run in runs:
+        for d in itertools.takewhile(lambda _: evaluations < budget, itertools.count()):
+            model = _search_model(seed + d, sizes[d % len(sizes)], names)
+            try:
+                yield from _sweep_groups((model,), kind, scenario_class, DEFAULT_SCENARIO_BUDGET)
+            except BudgetError:
+                continue  # scenario space too large; skip the draw
+    if max_n > ENUMERATION_MAX:
+        groups = itertools.chain(groups, drawn())
+    for runs in groups:
         if evaluations >= budget:
             break
-        try:
-            ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
-        except BudgetError:
-            continue  # scenario space too large; skip the run
-        per_model = sum(u.bit_count() * len(vs) for u, vs in ranges)
-        hit = _group_failures(engine, [(ranges, run)], [root]).get(root)
-        if hit is not None:
-            pos, s = hit
-            evaluations += pos * per_model + _stream_position(ranges, s)
-            if evaluations <= budget:
-                return SearchOutcome("found", run[pos], s, evaluations)
-            break
-        evaluations += len(run) * per_model
+        pos, s = _group_failures(engine, runs, [root]).get(root, (-1, None))
+        for ranges, run in runs:  # count run by run, up to the hit
+            per_model = sum(u.bit_count() * len(vs) for u, vs in ranges)
+            if 0 <= pos < len(run):
+                evaluations += pos * per_model + _stream_position(ranges, s)
+                if evaluations <= budget:
+                    return SearchOutcome("found", run[pos], s, evaluations)
+                break
+            evaluations += len(run) * per_model
+            pos -= len(run)
         if evaluations > budget:
             break
     else:
@@ -535,7 +538,7 @@ def sweep_validity(
 
 
 def _sweep_groups(
-    models: Iterable[SubsetModel], kind: Semantics, cls: ScenarioClass, budget: int
+    models: Iterable[SubsetModel], kind: Semantics, cls: ScenarioClass, budget: int, *, grow=False
 ) -> Iterator[list[tuple[Ranges, list[SubsetModel]]]]:
     """The stream in lane groups, each a list of (ranges, run) in stream order.
 
@@ -543,12 +546,17 @@ def _sweep_groups(
     and ranges are that topology's (U, Vs) groups.  Consecutive runs share
     a group while the lanes _chunks lays it out in, times its largest
     carrier, stay within _MAX_GROUP_BITS: each value holds that many bits,
-    one value per compiled node.  Raises BudgetError at the first run whose
-    ranges cost more than the budget, once the groups before it are yielded.
+    one value per compiled node.  With grow, which only find_countermodel
+    sets, a group holds at most as many runs as all before it, so groups
+    take 1, 1, 2, 4, ... runs: an early hit costs a small sweep and a long
+    hunt few groups, while a sweep's first small groups would only cost it
+    passes.  Raises BudgetError at the first run whose ranges cost more than
+    the budget, once the groups before it are yielded.
     """
     group: list[tuple[Ranges, list[SubsetModel]]] = []
     shape: list[tuple[int, int]] = []  # (pair count, models) of each run, as _chunks reads it
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
+    done = 0  # runs of the groups yielded so far
     if kind is Semantics.STRONG:
         cls = None  # strong ranges: each nonempty open U, no V
     for top, run in _runs(models):
@@ -559,7 +567,7 @@ def _sweep_groups(
                 yield group
             raise
         entry = (sum(len(vs) for _, vs in ranges), len(run))
-        if group:
+        if group and (len(group) < done or not grow):
             # the lanes of the grown group: while the chunk length holds, the
             # runs already in keep their chunks; when it shrinks, all are recut
             least = min(size, entry[0])
@@ -571,7 +579,9 @@ def _sweep_groups(
                 shape.append(entry)
                 lanes, carrier, size = grown, max(carrier, top.n), least
                 continue
+        if group:
             yield group
+            done += len(group)
         group, shape = [(ranges, run)], [entry]
         lanes, carrier, size = len(run), top.n, entry[0]
     if group:

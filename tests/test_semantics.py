@@ -342,6 +342,24 @@ class TestFindCountermodel:
         assert len(drawn) == draws
         assert [id(model) in swept for model in drawn] == [True] * len(drawn)
 
+    @pytest.mark.parametrize("text, kind", [("K p -> p", STRONG), ("B (box p | box ! box p)", AE)])
+    def test_a_hunt_sweeps_growing_groups(self, monkeypatch, text, kind):
+        # one sweep per same-topology run would be 389 sweeps to 4 worlds
+        from topobelief import semantics
+
+        sizes, sweep = [], semantics._group_failures
+
+        def recording_sweep(engine, runs, live):
+            sizes.append(len(runs))
+            return sweep(engine, runs, live)
+
+        monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
+        out = find_countermodel(parse(text), kind, max_n=4, budget=10**6)
+        assert out.status == "exhausted"
+        assert len(sizes) <= 16
+        assert sizes[0] == 1
+        assert all(size <= sum(sizes[:i]) for i, size in enumerate(sizes) if i)
+
     def test_random_phase_draws_cover_the_formula_atoms(self):
         from topobelief.semantics import _search_model
 
