@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import formula as fm
 from .formula import Formula
 from .model import EDScenario, RelationalError, RelationalModel, SubsetModel, atom_names
-from .semantics import Semantics, satisfies
+from .semantics import Evaluator, Semantics
 from .topology import Topology, _is_transitive, bits, format_mask, full_mask, mnb_interior
 
 
@@ -144,13 +144,10 @@ def check_modal_equivalence(m: RelationalModel, f: Formula) -> int | None:
     if not classify(m).belief_frame:
         raise RelationalError("bridge check needs a belief frame")
     dec = decompose(m)
-    subset = to_subset_model(m)
     relational = relational_extension(m, f)
-    for x in range(m.n):
-        topological = satisfies(subset, EDScenario(x, dec.cell_of(x)), f, Semantics.STRONG)
-        if bool(relational >> x & 1) != topological:
-            return x
-    return None
+    ev = Evaluator(to_subset_model(m), Semantics.STRONG)
+    differs = (x for x in range(m.n) if (relational ^ ev.extension(f, dec.cell_of(x))) >> x & 1)
+    return next(differs, None)
 
 
 def random_belief_frame(seed: int, n: int, atoms: int = 2) -> RelationalModel:

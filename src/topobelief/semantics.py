@@ -27,12 +27,13 @@ the group's shortest list, so a group costs about as many passes as that
 list, not as its longest; a group of one topology's valuations gives each
 model one lane, its whole list.  Interior and closure read each lane's own
 minimal-neighborhood table, and pass k evaluates each lane under its
-chunk's k-th range pair.  valid_in_model, suite runs and find_countermodel
-sweep lane groups of their stream's same-topology runs, the search's groups
-growing as it goes (each at most as many runs as all before it), and a
-failure is the one a scenario-by-scenario scan finds: the first failing
-model, the least world missing there, then the first (U, V) in canonical
-order that misses that world.
+chunk's k-th range pair; _passes lays out this one schedule of every
+sweep, and _values runs it.  valid_in_model, suite runs and
+find_countermodel sweep lane groups of their stream's same-topology runs,
+the search's groups growing as it goes (each at most as many runs as all
+before it), and a failure is the one a scenario-by-scenario scan finds:
+the first failing model, the least world missing there, then the first
+(U, V) in canonical order that misses that world.
 """
 
 from __future__ import annotations
@@ -384,10 +385,10 @@ class BatchEvaluator:
     computes every node that does not read the doxastic range, and a short
     overlay pass per doxastic range fills the nodes that do.  A pass runs
     on a group of W lanes, each value packed W lanes wide (see _Lanes),
-    and each lane under its own ranges: sweep_validity packs whole groups,
-    while base_pass, overlay_pass and Evaluator are the W = 1 case on
-    plain subset masks.  Agreement with the definitional oracle is pinned
-    by tests.
+    and each lane under its own ranges, as _passes schedules them and
+    _values runs them; Evaluator, base_pass and overlay_pass are the W = 1
+    case on plain subset masks.  Agreement with the definitional oracle is
+    pinned by tests.
     """
 
     def __init__(self, roots: Iterable[Formula], kind: Semantics):
@@ -425,13 +426,16 @@ class BatchEvaluator:
         return idx
 
     def base_pass(self, model: SubsetModel, u: int) -> list[int]:
-        """Extensions of all doxastic-range-independent nodes under u."""
+        """Extensions of all doxastic-range-independent nodes under u, in one
+        W = 1 pass.  No sweep calls it (sweeps run _values); the benchmark's
+        probes and spans do."""
         vals = [0] * len(self.nodes)
         self._run(_Lanes(((model,),), (1,)), model.valuation, u, 0, vals, self.base_order)
         return vals
 
     def overlay_pass(self, model: SubsetModel, u: int, v: int, vals: list[int]) -> None:
-        """Fill the nodes that read v, in place over a base pass.
+        """Fill the nodes that read v, in place over a base pass; like
+        base_pass, it is kept for the benchmark's probes and spans.
 
         Overlay nodes are recomputed wholesale on every call, so reusing
         one array across successive doxastic ranges is safe.
@@ -617,37 +621,22 @@ def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[Subset
         yield run[0].topology, run
 
 
-def _group_failures(
-    engine: BatchEvaluator,
+def _passes(
     runs: Sequence[tuple[Ranges, Sequence[SubsetModel]]],
-    live: list[int],
-) -> dict[int, tuple[int, EDScenario]]:
-    """Per live root, the group's first failure in scan order: the lowest
-    failing model (its position in the group), the least world missing in
-    any of its chunks, then the first of its pairs that misses that world.
+) -> tuple[_Lanes, int, list[list[int]]]:
+    """A lane group's one pass schedule: its _Lanes, chunk length and each
+    pass's packed [U, V], for runs given as (ranges, run) in stream order.
 
     Each model's (U, V) pairs, in canonical order, are cut into chunks as
     long as the group's shortest list (see _chunks), one lane per chunk in
-    (model, chunk) order.
-    Pass k evaluates every lane under its chunk's k-th pair, and a lane
-    whose chunk has run out under U = V = 0, where nothing fails; the base
-    pass is rerun only when some lane's U changes.  A failure of model 0 at
-    world 0 in its first chunk settles a root, since no pair of the group
-    comes before it in scan order.
+    (model, chunk) order, and pass k runs each chunk's k-th pair; a lane
+    whose chunk has run out runs under U = V = 0, where nothing fails.
     """
     size, chunks = _chunks([(sum(len(vs) for _, vs in ranges), len(run)) for ranges, run in runs])
     lanes = _Lanes([run for _, run in runs], chunks)
-    atoms = lanes.pack(engine.atom_names)
-    # the packed ranges of every pass, where model m of a run takes lanes
-    # start + m*c .. start + m*c + c - 1 and its chunk j runs pairs[j*size + k]
-    # at pass k; and the first lane and first model of every run
     passes = [[0, 0] for _ in range(size)]
-    starts: list[int] = []
-    firsts: list[int] = []
-    start = first = 0
+    start = 0
     for (ranges, run), c in zip(runs, chunks):
-        starts.append(start)
-        firsts.append(first)
         every = ((1 << len(run) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
         spread = {o: lanes.replicate(o) * every for o in run[0].topology.opens}
         pairs = _pairs(ranges)
@@ -657,17 +646,44 @@ def _group_failures(
                 if v:
                     packed[1] |= spread[v] << j if j else spread[v]
         start += len(run) * c
-        first += len(run)
-    found: dict[int, tuple[tuple[int, int, int], int, int]] = {}  # (model, world, pair), end lane, run
-    pending = live  # roots not yet settled
+    return lanes, size, passes
+
+
+def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator[list[int]]:
+    """Every node's packed values at each pass in turn, in one list that
+    the next pass overwrites; the base nodes rerun only when U changes."""
+    atoms = lanes.pack(engine.atom_names)
     vals = [0] * len(engine.nodes)
     last_us = None
-    for k, (us, vs) in enumerate(passes):
+    for us, vs in passes:
         if us != last_us:
             engine._run(lanes, atoms, us, 0, vals, engine.base_order)
             last_us = us
         if engine.overlay_order:
             engine._run(lanes, atoms, us, vs, vals, engine.overlay_order)
+        yield vals
+
+
+def _group_failures(
+    engine: BatchEvaluator,
+    runs: Sequence[tuple[Ranges, Sequence[SubsetModel]]],
+    live: list[int],
+) -> dict[int, tuple[int, EDScenario]]:
+    """Per live root, the group's first failure in scan order: the lowest
+    failing model (its position in the group), the least world missing in
+    any of its chunks, then the first of its pairs that misses that world,
+    over the passes of _passes as _values evaluates them.  A failure of
+    model 0 at world 0 in its first chunk settles a root, since no pair of
+    the group comes before it in scan order.
+    """
+    lanes, size, passes = _passes(runs)
+    chunks = [c for _, c in lanes.runs]
+    # the first lane and first model of every run
+    starts = list(itertools.accumulate((len(run) * c for run, c in lanes.runs), initial=0))
+    firsts = list(itertools.accumulate((len(run) for run, _ in lanes.runs), initial=0))
+    found: dict[int, tuple[tuple[int, int, int], int, int]] = {}  # (model, world, pair), end lane, run
+    pending = live  # roots not yet settled
+    for k, ((us, _), vals) in enumerate(zip(passes, _values(engine, lanes, passes))):
         settled = set()
         for idx in pending:
             ext = vals[idx]

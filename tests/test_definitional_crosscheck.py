@@ -26,7 +26,7 @@ from topobelief.semantics import (
     _MAX_GROUP_BITS,
     BatchEvaluator,
     Semantics,
-    _chunks,
+    _passes,
     _search_model,
     _sweep_groups,
     find_countermodel,
@@ -221,15 +221,10 @@ KINDS = (
 
 
 def _lane_lengths(group):
-    """Each lane's pair count, as _group_failures lays the group out."""
-    counts = [(sum(len(vs) for _, vs in ranges), len(run)) for ranges, run in group]
-    size, chunks = _chunks(counts)
-    return [
-        min(size, count - j * size)
-        for (count, models), c in zip(counts, chunks)
-        for _ in range(models)
-        for j in range(c)
-    ]
+    """Each lane's pair count: the passes of _passes where its U is nonempty."""
+    lanes, _, passes = _passes(group)
+    live = [lanes.fold(us) for us, _ in passes]
+    return [sum(fold >> lane & 1 for fold in live) for lane in range(lanes.width)]
 
 
 def _check_rotations(models, roots, kind, cls):
@@ -312,7 +307,7 @@ def test_chunked_draw_groups_match_scan():
             second_group += sum(pos >= first for pos in positions)
             # the chunk of late's first pair missing each world
             (group,) = [g for g in groups if any(run[0] is late for _, run in g)]
-            size, _ = _chunks([(sum(len(vs) for _, vs in r), len(run)) for r, run in group])
+            _, size, _ = _passes(group)
             pairs = list(_ranges(late.topology, kind, cls))
             chunk = {}
             for i, (u, v) in enumerate(pairs):

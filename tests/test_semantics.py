@@ -13,6 +13,7 @@ from topobelief.formula import (
     translate,
 )
 from topobelief.model import (
+    DEFAULT_SCENARIO_BUDGET,
     BudgetError,
     EDScenario,
     ScenarioClass,
@@ -29,6 +30,9 @@ from topobelief.semantics import (
     Evaluator,
     Semantics,
     SemanticsError,
+    _passes,
+    _sweep_groups,
+    _values,
     extension,
     find_countermodel,
     satisfies,
@@ -381,30 +385,69 @@ def _assert_oracle_bits(m, kind, u, v, f, ext):
         assert bool(ext >> x & 1) == want, (kind.value, x, u, v, str(f))
 
 
+def _lane_values(engine, lanes, passes):
+    """Each lane's model, U, V and every node's value, decoded to plain
+    subset masks, at each of the passes where the lane has a (U, V) pair."""
+    models = [model for run, c in lanes.runs for model in run for _ in range(c)]
+
+    def mask(packed, lane):
+        return sum(1 << x for x, s in enumerate(lanes.shifts) if packed >> s + lane & 1)
+
+    for (us, vs), vals in zip(passes, _values(engine, lanes, passes)):
+        for lane, model in enumerate(models):
+            u = mask(us, lane)
+            if u:
+                yield model, u, mask(vs, lane), [mask(val, lane) for val in vals]
+
+
+# the corpus's first 30 formulas, and binary roots that read the doxastic
+# range through one side only
+AGREEMENT_CORPUS = formula_corpus()[:30] + tuple(
+    parse(t) for t in ("p -> B p", "B q & q", "box p <-> K B p")
+)
+
+
 class TestBatchEvaluatorAgreement:
     @given(st.integers(0, 10_000), st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
     def test_matches_reference_evaluator(self, seed, n):
-        """Every node value of base_pass/overlay_pass against def_truth."""
-        m = random_model(seed, n)
-        # binary roots that read the doxastic range through one side only
-        mixed = ("p -> B p", "B q & q", "box p <-> K B p")
-        corpus = formula_corpus()[:30] + tuple(parse(t) for t in mixed)
+        """Every node value of every lane of the sweep's passes against
+        def_truth: a group of random models on 2, 3 and 4 worlds, whose
+        lanes run the wide interior and closure, and a lone model on n
+        worlds, one lane on plain subset masks.  Each model's lanes cover
+        its range pairs exactly."""
+        group = [random_model(seed + 1 + i, 2 + (n + i) % 3) for i in range(3)]
+        lone = [random_model(seed, n)]
         for kind in (STRONG, ED, AE):
-            engine = BatchEvaluator(corpus, kind)
-            if kind is STRONG:
-                by_u = {u: [None] for u in m.topology.opens}
-            else:
-                by_u = {}
-                for u, v in range_pairs(m.topology, ScenarioClass.ALL):
-                    by_u.setdefault(u, []).append(v)
-            for u, vs in by_u.items():
-                vals = engine.base_pass(m, u)
-                for v in vs:
-                    if v is not None:
-                        engine.overlay_pass(m, u, v, vals)
+            engine = BatchEvaluator(AGREEMENT_CORPUS, kind)
+            cls = None if kind is STRONG else ScenarioClass.ALL
+            for models in (group, lone):
+                (runs,) = _sweep_groups(models, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+                lanes, _, passes = _passes(runs)
+                assert (lanes.width == 1) == (models is lone)
+                seen = {id(m): set() for m in models}
+                for m, u, v, masks in _lane_values(engine, lanes, passes):
+                    v = None if kind is STRONG else v
+                    seen[id(m)].add((u, v))
                     for f, idx in engine.index.items():
-                        _assert_oracle_bits(m, kind, u, v, f, vals[idx])
+                        _assert_oracle_bits(m, kind, u, v, f, masks[idx])
+                for m in models:
+                    assert seen[id(m)] == set(range_pairs(m.topology, cls)), kind.value
+
+    def test_one_lane_passes_match_values(self):
+        """base_pass and overlay_pass, which the benchmark's probes and
+        spans time, give a lone model's one-lane _values, node for node."""
+        for seed in range(6):
+            m = random_model(seed, 2 + seed % 4)
+            for kind in (STRONG, ED, AE):
+                engine = BatchEvaluator(AGREEMENT_CORPUS, kind)
+                (runs,) = _sweep_groups([m], kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+                lanes, _, passes = _passes(runs)
+                assert lanes.width == 1
+                for (u, v), vals in zip(passes, _values(engine, lanes, passes)):
+                    got = engine.base_pass(m, u)
+                    engine.overlay_pass(m, u, v, got)
+                    assert got == vals, (seed, kind.value, u, v)
 
     def test_growing_evaluator_matches_oracle(self):
         """One Evaluator per model and semantics, asked formula by formula.
@@ -475,7 +518,7 @@ class TestLaneWork:
     """The work of lane groups, read off the engine's passes."""
 
     @staticmethod
-    def _passes(monkeypatch):
+    def _spied_passes(monkeypatch):
         """(lanes, packed U) of every pass the engine runs from here on: a
         pass runs the nodes that read V once, or the base nodes when none
         does (under strong every pass changes some lane's U, so none is
@@ -498,7 +541,7 @@ class TestLaneWork:
         pairs runs at U = 0), and all its lane-passes."""
         suite = get_suite(name)
         assert (suite.semantics, suite.scenario_class) == (kind, scenario_class)
-        seen = cls._passes(monkeypatch)
+        seen = cls._spied_passes(monkeypatch)
         assert run_suite(suite, soundness_batch()).clean
         groups = {}  # keyed by the group's _Lanes, one per group
         for lanes, us in seen:
@@ -543,7 +586,7 @@ class TestLaneWork:
     def test_a_lone_model_is_one_lane(self, monkeypatch):
         """valid_in_model and each random draw of find_countermodel sweep
         one model as one lane: the plain subset masks of W = 1."""
-        seen = self._passes(monkeypatch)
+        seen = self._spied_passes(monkeypatch)
         model = random_model(3, 6)
         for kind in (STRONG, ED, AE):
             valid_in_model(model, parse("B (p | q) -> B p | B q"), kind)
