@@ -25,15 +25,16 @@ connective, interior and closure acts on the whole group at once.  A lane
 is a model and a chunk of its list of range pairs, every chunk as long as
 the group's shortest list, so a group costs about as many passes as that
 list, not as its longest; a group of one topology's valuations gives each
-model one lane, its whole list.  Interior and closure read each lane's own
-minimal-neighborhood table, and pass k evaluates each lane under its
-chunk's k-th range pair; _passes lays out this one schedule of every
-sweep, and _values runs it.  valid_in_model, suite runs and
-find_countermodel sweep lane groups of their stream's same-topology runs,
-the search's groups growing as it goes (each at most as many runs as all
-before it), and a failure is the one a scenario-by-scenario scan finds:
-the first failing model, the least world missing there, then the first
-(U, V) in canonical order that misses that world.
+model one lane, its whole list.  Interior reads each lane's own
+minimal-neighborhood table, closure is its dual, and pass k evaluates
+each lane under its chunk's k-th range pair; _passes lays out this one
+schedule of every sweep, and _values runs it.  valid_in_model, suite
+runs and find_countermodel sweep lane groups of their stream's
+same-topology runs, the search's groups growing as it goes (each at most
+as many runs as all before it), and a failure is the one a
+scenario-by-scenario scan finds: the first failing model, the least
+world missing there, then the first (U, V) in canonical order that
+misses that world.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .model import (
     Ranges,
     ScenarioClass,
     SubsetModel,
-    _pairs,
     _stream_position,
     check_scenario,
     exhaustive_models,
@@ -236,7 +236,7 @@ def find_countermodel(
             break
         pos, s = _group_failures(engine, runs, [root]).get(root, (-1, None))
         for ranges, run in runs:  # count run by run, up to the hit
-            per_model = sum(u.bit_count() * len(vs) for u, vs in ranges)
+            per_model = sum(u.bit_count() for u, _ in ranges)
             if 0 <= pos < len(run):
                 evaluations += pos * per_model + _stream_position(ranges, s)
                 if evaluations <= budget:
@@ -264,6 +264,7 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 # the compiled extension engine, shared-subformula and lane-packed
 
 _MAX_GROUP_BITS = 6144  # lanes × carrier of a lane group, and of a run swept alone
+_Group = Sequence[tuple[Ranges, Sequence[SubsetModel]]]  # (ranges, run) per run, in stream order
 
 
 class _Lanes:
@@ -276,10 +277,11 @@ class _Lanes:
     block is lane j, so one bigint operation acts on all W lanes at once.
     A world past a lane's own carrier is its own minimal neighborhood and
     lies in no range, so it stays empty in every value of that lane.
-    Interior and closure read one table per world x of (y, outside, inside)
-    triples: the lanes whose mnb(x) lacks y, and those whose mnb(x) holds
-    it.  With W = 1 a packed value is the plain subset mask, and interior
-    and closure are topology.mnb_interior and mnb_closure.
+    Interior reads one table per world x of (y, outside) pairs, outside
+    being the lanes whose mnb(x) lacks y; closure is its dual, the
+    complement of the interior of the complement within every lane of
+    every world.  With W = 1 a packed value is the plain subset mask, and
+    interior and closure are topology.mnb_interior and mnb_closure.
     """
 
     def __init__(self, runs: Sequence[Sequence[SubsetModel]], chunks: Sequence[int]):
@@ -304,7 +306,8 @@ class _Lanes:
                 row = holds[x]
                 for y in bits(nb & ~(1 << x)):
                     row[y] = row.get(y, 0) | lanes
-        self._meets = [[(y, ones & ~m, m) for y, m in row.items()] for row in holds]
+        self._meets = [[(y, ones & ~m) for y, m in row.items()] for row in holds]
+        self.all = ones * self.rep  # every lane of every world
         self.interior = self._interior
         self.closure = self._closure
 
@@ -350,31 +353,21 @@ class _Lanes:
             out |= m >> s
         return out & self.ones
 
-    def _blocks(self, a: int) -> list[int]:
-        ones = self.ones
-        return [a >> s & ones for s in self.shifts]
-
     def _interior(self, a: int) -> int:
-        """box at x is the AND over y of block[y], in the lanes whose mnb(x) holds y."""
-        block = self._blocks(a)
+        """box at x is the AND over y of a's block at y, in the lanes whose mnb(x) holds y."""
+        ones = self.ones
+        block = [a >> s & ones for s in self.shifts]
         out = 0
         for x, meets in enumerate(self._meets):
             acc = block[x]
-            for y, outside, _ in meets:
+            for y, outside in meets:
                 acc &= block[y] | outside
             out |= acc << self.shifts[x]
         return out
 
     def _closure(self, a: int) -> int:
-        """cl at x is the OR over y of block[y], in the lanes whose mnb(x) holds y."""
-        block = self._blocks(a)
-        out = 0
-        for x, meets in enumerate(self._meets):
-            acc = block[x]
-            for y, _, inside in meets:
-                acc |= block[y] & inside
-            out |= acc << self.shifts[x]
-        return out
+        """cl is the dual of interior: all & ~interior(all & ~a)."""
+        return self.all & ~self._interior(self.all & ~a)
 
 
 class BatchEvaluator:
@@ -547,18 +540,19 @@ def _sweep_groups(
     """The stream in lane groups, each a list of (ranges, run) in stream order.
 
     A run is a stretch of consecutive models with one topology (see _runs),
-    and ranges are that topology's (U, Vs) groups.  Consecutive runs share
-    a group while the lanes _chunks lays it out in, times its largest
-    carrier, stay within _MAX_GROUP_BITS: each value holds that many bits,
-    one value per compiled node.  With grow, which only find_countermodel
-    sets, a group holds at most as many runs as all before it, so groups
-    take 1, 1, 2, 4, ... runs: an early hit costs a small sweep and a long
-    hunt few groups, while a sweep's first small groups would only cost it
-    passes.  Raises BudgetError at the first run whose ranges cost more than
-    the budget, once the groups before it are yielded.
+    and ranges are that topology's (U, V) pairs from range_groups, read as
+    they are by _chunks, _passes and the failure decoding.  Consecutive
+    runs share a group while the lanes _chunks lays it out in, times its
+    largest carrier, stay within _MAX_GROUP_BITS: each value holds that
+    many bits, one value per compiled node.  With grow, which only
+    find_countermodel sets, a group holds at most as many runs as all
+    before it, so groups take 1, 1, 2, 4, ... runs: an early hit costs a
+    small sweep and a long hunt few groups, while a sweep's first small
+    groups would only cost it passes.  Raises BudgetError at the first run
+    whose ranges cost more than the budget, once the groups before it are
+    yielded.
     """
     group: list[tuple[Ranges, list[SubsetModel]]] = []
-    shape: list[tuple[int, int]] = []  # (pair count, models) of each run, as _chunks reads it
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
     done = 0  # runs of the groups yielded so far
     if kind is Semantics.STRONG:
@@ -570,31 +564,29 @@ def _sweep_groups(
             if group:
                 yield group
             raise
-        entry = (sum(len(vs) for _, vs in ranges), len(run))
         if group and (len(group) < done or not grow):
             # the lanes of the grown group: while the chunk length holds, the
             # runs already in keep their chunks; when it shrinks, all are recut
-            least = min(size, entry[0])
-            new, grown = ([entry], lanes) if least == size else (shape + [entry], 0)
+            least = min(size, len(ranges))
+            new, grown = ([(ranges, run)], lanes) if least == size else (group + [(ranges, run)], 0)
             _, chunks = _chunks(new, least)
-            grown += sum(models * c for (_, models), c in zip(new, chunks))
+            grown += sum(len(models) * c for (_, models), c in zip(new, chunks))
             if grown * max(carrier, top.n) <= _MAX_GROUP_BITS:
                 group.append((ranges, run))
-                shape.append(entry)
                 lanes, carrier, size = grown, max(carrier, top.n), least
                 continue
         if group:
             yield group
             done += len(group)
-        group, shape = [(ranges, run)], [entry]
-        lanes, carrier, size = len(run), top.n, entry[0]
+        group = [(ranges, run)]
+        lanes, carrier, size = len(run), top.n, len(ranges)
     if group:
         yield group
 
 
-def _chunks(shape: Sequence[tuple[int, int]], size: int = 0) -> tuple[int, list[int]]:
+def _chunks(runs: _Group, size: int = 0) -> tuple[int, list[int]]:
     """Pairs per chunk, and chunks per model of each run, for a group given
-    as (pair count, models) per run.
+    as (ranges, run) per run, a run's list being its len(ranges) pairs.
 
     Every chunk is as long as the group's shortest list (size, when given,
     is the shortest of a group these runs are part of), so every lane does
@@ -602,8 +594,8 @@ def _chunks(shape: Sequence[tuple[int, int]], size: int = 0) -> tuple[int, list[
     that short, is one chunk per model, so its models share their base
     passes; a lone model is one lane.
     """
-    size = size or min(count for count, _ in shape)
-    return size, [-(-count // size) for count, _ in shape]
+    size = size or min(len(ranges) for ranges, _ in runs)
+    return size, [-(-len(ranges) // size) for ranges, _ in runs]
 
 
 def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[SubsetModel]]]:
@@ -621,32 +613,31 @@ def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[Subset
         yield run[0].topology, run
 
 
-def _passes(
-    runs: Sequence[tuple[Ranges, Sequence[SubsetModel]]],
-) -> tuple[_Lanes, int, list[list[int]]]:
-    """A lane group's one pass schedule: its _Lanes, chunk length and each
-    pass's packed [U, V], for runs given as (ranges, run) in stream order.
+def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
+    """A lane group's one pass schedule: its _Lanes and each pass's packed
+    [U, V], one pass per pair of a chunk, for runs given as (ranges, run)
+    in stream order.
 
     Each model's (U, V) pairs, in canonical order, are cut into chunks as
     long as the group's shortest list (see _chunks), one lane per chunk in
     (model, chunk) order, and pass k runs each chunk's k-th pair; a lane
     whose chunk has run out runs under U = V = 0, where nothing fails.
     """
-    size, chunks = _chunks([(sum(len(vs) for _, vs in ranges), len(run)) for ranges, run in runs])
+    size, chunks = _chunks(runs)
     lanes = _Lanes([run for _, run in runs], chunks)
     passes = [[0, 0] for _ in range(size)]
     start = 0
     for (ranges, run), c in zip(runs, chunks):
         every = ((1 << len(run) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
         spread = {o: lanes.replicate(o) * every for o in run[0].topology.opens}
-        pairs = _pairs(ranges)
+        pairs = iter(ranges)
         for j in range(c):  # j > 0 only for a list longer than the group's shortest
             for packed, (u, v) in zip(passes, pairs):  # the next `size` pairs
                 packed[0] |= spread[u] << j if j else spread[u]
                 if v:
                     packed[1] |= spread[v] << j if j else spread[v]
         start += len(run) * c
-    return lanes, size, passes
+    return lanes, passes
 
 
 def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator[list[int]]:
@@ -665,9 +656,7 @@ def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator
 
 
 def _group_failures(
-    engine: BatchEvaluator,
-    runs: Sequence[tuple[Ranges, Sequence[SubsetModel]]],
-    live: list[int],
+    engine: BatchEvaluator, runs: _Group, live: list[int]
 ) -> dict[int, tuple[int, EDScenario]]:
     """Per live root, the group's first failure in scan order: the lowest
     failing model (its position in the group), the least world missing in
@@ -676,7 +665,7 @@ def _group_failures(
     model 0 at world 0 in its first chunk settles a root, since no pair of
     the group comes before it in scan order.
     """
-    lanes, size, passes = _passes(runs)
+    lanes, passes = _passes(runs)
     chunks = [c for _, c in lanes.runs]
     # the first lane and first model of every run
     starts = list(itertools.accumulate((len(run) * c for run, c in lanes.runs), initial=0))
@@ -702,7 +691,7 @@ def _group_failures(
             low = starts[r] + m * chunks[r]
             end = low + chunks[r]
             x, lane = lanes.first_miss(missing, failing & ((1 << end) - (1 << low)))
-            key = (firsts[r] + m, x, (lane - low) * size + k)
+            key = (firsts[r] + m, x, (lane - low) * len(passes) + k)
             if hit is None or key < hit[0]:
                 found[idx] = (key, end, r)
                 if key[:2] == (0, 0) and lane == 0:
@@ -712,6 +701,6 @@ def _group_failures(
             if not pending:
                 break
     return {
-        idx: (i, EDScenario(x, *next(itertools.islice(_pairs(runs[r][0]), p, None))))
+        idx: (i, EDScenario(x, *runs[r][0][p]))
         for idx, ((i, x, p), _, r) in found.items()
     }

@@ -128,7 +128,7 @@ def test_criterion_04_reduction_equivalence():
     engine = BatchEvaluator(tuple(dict.fromkeys(roots)), Semantics.STRONG)
     failures = set()
     checked = 0  # lane-passes with a (U, V) pair
-    for lanes, _, passes in _lane_groups(Semantics.STRONG, 4):
+    for lanes, passes in _lane_groups(Semantics.STRONG, 4):
         for (us, _), vals in zip(passes, _values(engine, lanes, passes)):
             checked += lanes.fold(us).bit_count()
             failures.update(str(f) for f, idx in engine.roots.items() if vals[idx] != us)
@@ -188,7 +188,7 @@ def _differing(images: dict[Formula, Formula], max_n: int) -> tuple[list, int]:
     pairs = [(f, ae_engine.roots[f], ed_engine.roots[g]) for f, g in images.items()]
     out = []
     checked = 0
-    for lanes, _, passes in _lane_groups(Semantics.AE, max_n):
+    for lanes, passes in _lane_groups(Semantics.AE, max_n):
         values = zip(passes, _values(ae_engine, lanes, passes), _values(ed_engine, lanes, passes))
         for k, ((us, _), ae_vals, ed_vals) in enumerate(values):
             checked += lanes.fold(us).bit_count()

@@ -222,7 +222,7 @@ KINDS = (
 
 def _lane_lengths(group):
     """Each lane's pair count: the passes of _passes where its U is nonempty."""
-    lanes, _, passes = _passes(group)
+    lanes, passes = _passes(group)
     live = [lanes.fold(us) for us, _ in passes]
     return [sum(fold >> lane & 1 for fold in live) for lane in range(lanes.width)]
 
@@ -307,7 +307,7 @@ def test_chunked_draw_groups_match_scan():
             second_group += sum(pos >= first for pos in positions)
             # the chunk of late's first pair missing each world
             (group,) = [g for g in groups if any(run[0] is late for _, run in g)]
-            _, size, _ = _passes(group)
+            size = len(_passes(group)[1])
             pairs = list(_ranges(late.topology, kind, cls))
             chunk = {}
             for i, (u, v) in enumerate(pairs):

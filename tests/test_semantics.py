@@ -387,7 +387,12 @@ def _assert_oracle_bits(m, kind, u, v, f, ext):
 
 def _lane_values(engine, lanes, passes):
     """Each lane's model, U, V and every node's value, decoded to plain
-    subset masks, at each of the passes where the lane has a (U, V) pair."""
+    subset masks, at each of the passes where the lane has a (U, V) pair.
+
+    Checks on the way that at every pass every node value of every lane,
+    one out of pairs included, is empty at the worlds past that lane's own
+    carrier: the wide closure, the dual of interior over every world of
+    the padded carrier, is exact only then."""
     models = [model for run, c in lanes.runs for model in run for _ in range(c)]
 
     def mask(packed, lane):
@@ -395,6 +400,8 @@ def _lane_values(engine, lanes, passes):
 
     for (us, vs), vals in zip(passes, _values(engine, lanes, passes)):
         for lane, model in enumerate(models):
+            padded = [s + lane for s in lanes.shifts[model.n :]]
+            assert not any(val >> b & 1 for val in vals for b in padded), (lane, model.n)
             u = mask(us, lane)
             if u:
                 yield model, u, mask(vs, lane), [mask(val, lane) for val in vals]
@@ -423,7 +430,7 @@ class TestBatchEvaluatorAgreement:
             cls = None if kind is STRONG else ScenarioClass.ALL
             for models in (group, lone):
                 (runs,) = _sweep_groups(models, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
-                lanes, _, passes = _passes(runs)
+                lanes, passes = _passes(runs)
                 assert (lanes.width == 1) == (models is lone)
                 seen = {id(m): set() for m in models}
                 for m, u, v, masks in _lane_values(engine, lanes, passes):
@@ -442,7 +449,7 @@ class TestBatchEvaluatorAgreement:
             for kind in (STRONG, ED, AE):
                 engine = BatchEvaluator(AGREEMENT_CORPUS, kind)
                 (runs,) = _sweep_groups([m], kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
-                lanes, _, passes = _passes(runs)
+                lanes, passes = _passes(runs)
                 assert lanes.width == 1
                 for (u, v), vals in zip(passes, _values(engine, lanes, passes)):
                     got = engine.base_pass(m, u)

@@ -152,8 +152,20 @@ class TestInteriorClosure:
         assert SIERP.closure(0b10) == 0b10
 
     def test_out_of_range(self):
-        with pytest.raises(TopologyError):
-            SIERP.interior(0b100)
+        """Every operator rejects a set off the carrier; a closure computed
+        through complements (full & ~a) would mask the bad bits away."""
+        for bad in (0b100, -1):
+            calls = (
+                lambda: SIERP.interior(bad),
+                lambda: SIERP.closure(bad),
+                lambda: SIERP.is_dense_in(bad, 0b11),
+                lambda: SIERP.is_dense_in(0b01, bad),
+                lambda: SIERP.almost_subset(bad, 0b01),
+                lambda: SIERP.almost_subset(0b01, bad),
+            )
+            for call in calls:
+                with pytest.raises(TopologyError):
+                    call()
 
     def test_matches_brute_force_everywhere(self):
         for n in (1, 2, 3):
