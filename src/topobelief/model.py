@@ -406,6 +406,8 @@ def random_model(seed: int, n: int, atoms: int = 2) -> SubsetModel:
     """
     if not 1 <= n <= MAX_WORLDS:
         raise ModelError(f"size {n} outside 1..{MAX_WORLDS}")
+    if atoms < 0:
+        raise ModelError(f"atom count {atoms} is negative")
     rng = random.Random(seed)
     subbasis = []
     for _ in range(SUBBASIS_TRIALS_PER_WORLD * n):

@@ -141,9 +141,7 @@ def check_modal_equivalence(m: RelationalModel, f: Formula) -> int | None:
     Returns None when every world agrees, otherwise the first world where
     the two sides differ.
     """
-    if not classify(m).belief_frame:
-        raise RelationalError("bridge check needs a belief frame")
-    dec = decompose(m)
+    dec = decompose(m)  # raises RelationalError unless m is a belief frame
     relational = relational_extension(m, f)
     ev = Evaluator(to_subset_model(m), Semantics.STRONG)
     differs = (x for x in range(m.n) if (relational ^ ev.extension(f, dec.cell_of(x))) >> x & 1)
@@ -159,6 +157,8 @@ def random_belief_frame(seed: int, n: int, atoms: int = 2) -> RelationalModel:
     """
     if n < 1:
         raise RelationalError("need at least one world")
+    if atoms < 0:
+        raise RelationalError(f"atom count {atoms} is negative")
     rng = random.Random(seed)
     cells: list[list[int]] = []
     for w in range(n):

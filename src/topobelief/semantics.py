@@ -209,8 +209,8 @@ def find_countermodel(
     of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
     its own, made only once the group before it is counted and only while
     budget is left.  The budget counts scenarios, worked out from run sizes
-    up to the first hit, which counts only within the budget; a draw whose
-    sweep would cost over 10^6 is skipped and not counted.
+    up to the hit's run and model; a hit counts only within the budget, and
+    a draw whose sweep would cost over 10^6 is skipped and not counted.
     """
     if not 1 <= max_n <= MAX_WORLDS:
         raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
@@ -234,16 +234,13 @@ def find_countermodel(
     for runs in groups:
         if evaluations >= budget:
             break
-        pos, s = _group_failures(engine, runs, [root]).get(root, (-1, None))
-        for ranges, run in runs:  # count run by run, up to the hit
-            per_model = sum(u.bit_count() for u, _ in ranges)
-            if 0 <= pos < len(run):
-                evaluations += pos * per_model + _stream_position(ranges, s)
-                if evaluations <= budget:
-                    return SearchOutcome("found", run[pos], s, evaluations)
-                break
-            evaluations += len(run) * per_model
-            pos -= len(run)
+        r, m, s = _group_failures(engine, runs, [root]).get(root, (len(runs), 0, None))
+        per_model = [sum(u.bit_count() for u, _ in ranges) for ranges, _ in runs]
+        evaluations += sum(len(run) * c for (_, run), c in zip(runs[:r], per_model))
+        if s is not None:  # the hit's run counts up to the hit
+            evaluations += m * per_model[r] + _stream_position(runs[r][0], s)
+            if evaluations <= budget:
+                return SearchOutcome("found", runs[r][1][m], s, evaluations)
         if evaluations > budget:
             break
     else:
@@ -272,9 +269,10 @@ class _Lanes:
 
     The models come as runs that each share one topology, in lane order,
     and every model of run r takes chunks[r] consecutive lanes, one per
-    chunk of its range pairs.  The carrier is padded to the group's largest
-    n.  World x owns the block of bits x*W .. x*W+W-1, and bit j of every
-    block is lane j, so one bigint operation acts on all W lanes at once.
+    chunk of its range pairs, from lane starts[r] on (starts[-1] is W).
+    The carrier is padded to the group's largest n.  World x owns the
+    block of bits x*W .. x*W+W-1, and bit j of every block is lane j, so
+    one bigint operation acts on all W lanes at once.
     A world past a lane's own carrier is its own minimal neighborhood and
     lies in no range, so it stays empty in every value of that lane.
     Interior reads one table per world x of (y, outside) pairs, outside
@@ -286,7 +284,9 @@ class _Lanes:
 
     def __init__(self, runs: Sequence[Sequence[SubsetModel]], chunks: Sequence[int]):
         self.runs = list(zip(runs, chunks))
-        self.width = width = sum(len(run) * c for run, c in self.runs)
+        lengths = (len(run) * c for run, c in self.runs)
+        self.starts = starts = list(itertools.accumulate(lengths, initial=0))
+        self.width = width = starts[-1]
         self.ones = ones = (1 << width) - 1
         n = max(run[0].n for run in runs)
         self.shifts = tuple(x * width for x in range(n))
@@ -298,10 +298,8 @@ class _Lanes:
             return
         # holds[x][y]: the lanes whose mnb(x) holds y, for each y != x
         holds: list[dict[int, int]] = [{} for _ in range(n)]
-        start = 0
-        for run, c in self.runs:
-            lanes = ((1 << len(run) * c) - 1) << start
-            start += len(run) * c
+        for (run, _), start, end in zip(self.runs, starts, starts[1:]):
+            lanes = (1 << end) - (1 << start)
             for x, nb in enumerate(run[0].topology.min_neighborhoods):
                 row = holds[x]
                 for y in bits(nb & ~(1 << x)):
@@ -326,17 +324,15 @@ class _Lanes:
         out = {}
         for name in names:
             cols = [0] * len(self.shifts)
-            start = 0
-            for run, c in self.runs:
-                own = (1 << c) - 1
+            for (run, c), start in zip(self.runs, self.starts):
+                lanes = ((1 << c) - 1) << start  # the lanes of the run's first model
                 for model in run:
-                    lanes = own << start
-                    start += c
                     m = model.valuation.get(name, 0)
                     while m:
                         low = m & -m
                         cols[low.bit_length() - 1] |= lanes
                         m ^= low
+                    lanes <<= c
             out[name] = sum(col << s for col, s in zip(cols, self.shifts))
         return out
 
@@ -517,18 +513,18 @@ def sweep_validity(
     scenario-by-scenario scan finds: the stream's first failing model, the
     least world missing there, then the first (U, V) in canonical order
     that misses that world (the order epistemic_scenarios and ed_scenarios
-    yield).  Raises BudgetError on reaching a model whose sweep costs more
-    than the budget while some root is still live.
+    yield).  A group names each failure by its run and its model in that
+    run (see _group_failures).  Raises BudgetError on reaching a model whose
+    sweep costs more than the budget while some root is still live.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
     for runs in _sweep_groups(models, engine.kind, scenario_class, budget):
-        group = [model for _, run in runs for model in run]
-        for idx, (pos, s) in _group_failures(engine, runs, list(live)).items():
+        for idx, (r, m, s) in _group_failures(engine, runs, list(live)).items():
             f = live.pop(idx)
-            failures[f] = BatchFailure(f, group[pos], s)
+            failures[f] = BatchFailure(f, runs[r][1][m], s)
         if not live:
             break
     return failures
@@ -599,18 +595,12 @@ def _chunks(runs: _Group, size: int = 0) -> tuple[int, list[int]]:
 
 
 def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[SubsetModel]]]:
-    """Consecutive models of one topology, cut where one lane per model
-    would pass _MAX_GROUP_BITS (models × carrier)."""
-    run: list[SubsetModel] = []
-    for model in models:
-        if run and (
-            (len(run) + 1) * model.n > _MAX_GROUP_BITS or model.topology != run[0].topology
-        ):
-            yield run[0].topology, run
-            run = []
-        run.append(model)
-    if run:
-        yield run[0].topology, run
+    """Each stretch of consecutive models of one topology (one that comes
+    back starts a new stretch), cut into runs of _MAX_GROUP_BITS // n
+    models: one lane per model times the carrier n stays under the cap."""
+    for top, stretch in itertools.groupby(models, key=lambda model: model.topology):
+        while run := list(itertools.islice(stretch, _MAX_GROUP_BITS // top.n)):
+            yield top, run
 
 
 def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
@@ -626,8 +616,7 @@ def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
     size, chunks = _chunks(runs)
     lanes = _Lanes([run for _, run in runs], chunks)
     passes = [[0, 0] for _ in range(size)]
-    start = 0
-    for (ranges, run), c in zip(runs, chunks):
+    for (ranges, run), c, start in zip(runs, chunks, lanes.starts):
         every = ((1 << len(run) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
         spread = {o: lanes.replicate(o) * every for o in run[0].topology.opens}
         pairs = iter(ranges)
@@ -636,7 +625,6 @@ def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
                 packed[0] |= spread[u] << j if j else spread[u]
                 if v:
                     packed[1] |= spread[v] << j if j else spread[v]
-        start += len(run) * c
     return lanes, passes
 
 
@@ -658,19 +646,18 @@ def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator
 def _group_failures(
     engine: BatchEvaluator, runs: _Group, live: list[int]
 ) -> dict[int, tuple[int, EDScenario]]:
-    """Per live root, the group's first failure in scan order: the lowest
-    failing model (its position in the group), the least world missing in
-    any of its chunks, then the first of its pairs that misses that world,
-    over the passes of _passes as _values evaluates them.  A failure of
-    model 0 at world 0 in its first chunk settles a root, since no pair of
-    the group comes before it in scan order.
+    """Per live root, the group's first failure in scan order, as (r, m,
+    scenario) with runs[r][1][m] the failing model: the lowest failing
+    (run, model), the least world missing in any of its chunks, then the
+    first of its pairs that misses that world, over the passes of _passes
+    as _values evaluates them.  A failure at world 0 in lane 0 (run 0's
+    model 0, its first chunk) settles a root, since no pair of the group
+    comes before it in scan order.
     """
     lanes, passes = _passes(runs)
-    chunks = [c for _, c in lanes.runs]
-    # the first lane and first model of every run
-    starts = list(itertools.accumulate((len(run) * c for run, c in lanes.runs), initial=0))
-    firsts = list(itertools.accumulate((len(run) for run, _ in lanes.runs), initial=0))
-    found: dict[int, tuple[tuple[int, int, int], int, int]] = {}  # (model, world, pair), end lane, run
+    starts, chunks = lanes.starts, [c for _, c in lanes.runs]
+    # per root, the least (run, model, world, pair) yet and the end lane of its model
+    found: dict[int, tuple[tuple[int, int, int, int], int]] = {}
     pending = live  # roots not yet settled
     for k, ((us, _), vals) in enumerate(zip(passes, _values(engine, lanes, passes))):
         settled = set()
@@ -691,16 +678,13 @@ def _group_failures(
             low = starts[r] + m * chunks[r]
             end = low + chunks[r]
             x, lane = lanes.first_miss(missing, failing & ((1 << end) - (1 << low)))
-            key = (firsts[r] + m, x, (lane - low) * len(passes) + k)
+            key = (r, m, x, (lane - low) * len(passes) + k)
             if hit is None or key < hit[0]:
-                found[idx] = (key, end, r)
-                if key[:2] == (0, 0) and lane == 0:
+                found[idx] = (key, end)
+                if x == 0 and lane == 0:
                     settled.add(idx)
         if settled:
             pending = [idx for idx in pending if idx not in settled]
             if not pending:
                 break
-    return {
-        idx: (i, EDScenario(x, *runs[r][0][p]))
-        for idx, ((i, x, p), _, r) in found.items()
-    }
+    return {idx: (r, m, EDScenario(x, *runs[r][0][p])) for idx, ((r, m, x, p), _) in found.items()}

@@ -27,6 +27,7 @@ from topobelief.semantics import (
     BatchEvaluator,
     Semantics,
     _passes,
+    _runs,
     _search_model,
     _sweep_groups,
     find_countermodel,
@@ -151,27 +152,42 @@ def test_sweep_matches_scan_on_exhaustive_and_random_models():
     assert sum(lane > 0 for lane in lanes) >= 3, lanes
 
 
+SIERP = Topology.from_opens(2, [0, 1, 3])
+DISC = Topology.discrete(2)
+# one topology object comes back after another one, valuations name
+# different atoms (a missing atom is false everywhere), and p first
+# fails on the discrete space, before the Sierpinski space returns
+REGROUPED = (
+    SubsetModel(SIERP, {"p": 3, "q": 1}),
+    SubsetModel(SIERP, {"p": 3, "r": 2}),
+    SubsetModel(DISC, {"q": 3}),
+    SubsetModel(DISC, {"p": 3}),
+    SubsetModel(SIERP, {"p": 1, "r": 2}),
+    SubsetModel(SIERP, {"r": 1}),
+    SubsetModel(SIERP, {"p": 2, "q": 1}),
+    SubsetModel(DISC, {"p": 1, "q": 3}),
+)
+
+
 def test_sweep_matches_scan_on_hand_built_streams():
-    sierp = Topology.from_opens(2, [0, 1, 3])
-    disc = Topology.discrete(2)
-    # one topology object comes back after another one, valuations name
-    # different atoms (a missing atom is false everywhere), and p first
-    # fails on the discrete space, before the Sierpinski space returns
-    regrouped = [
-        SubsetModel(sierp, {"p": 3, "q": 1}),
-        SubsetModel(sierp, {"p": 3, "r": 2}),
-        SubsetModel(disc, {"q": 3}),
-        SubsetModel(disc, {"p": 3}),
-        SubsetModel(sierp, {"p": 1, "r": 2}),
-        SubsetModel(sierp, {"r": 1}),
-        SubsetModel(sierp, {"p": 2, "q": 1}),
-        SubsetModel(disc, {"p": 1, "q": 3}),
-    ]
     # p fails in lane 1 at the first range, and in lane 0 only at the second
-    late_lane_zero = [SubsetModel(sierp, {"p": 1}), SubsetModel(sierp, {"q": 1})]
-    for models in (regrouped, late_lane_zero):
+    late_lane_zero = [SubsetModel(SIERP, {"p": 1}), SubsetModel(SIERP, {"q": 1})]
+    for models in (REGROUPED, late_lane_zero):
         for kind in (Semantics.STRONG, Semantics.ED, Semantics.AE):
             _check_sweep(models, kind)
+
+
+def test_runs_are_adjacent_stretches_cut_at_the_bit_cap():
+    """A run is a stretch of consecutive models of equal topologies (one
+    object or many), so a topology that comes back starts a new run; and a
+    run holds at most _MAX_GROUP_BITS // n models."""
+    runs = list(_runs(REGROUPED))
+    assert [len(run) for _, run in runs] == [2, 2, 3, 1]
+    assert [top for top, _ in runs] == [SIERP, DISC, SIERP, DISC]
+    assert [model for _, run in runs for model in run] == list(REGROUPED)
+    cap = _MAX_GROUP_BITS // 3
+    models = [SubsetModel(Topology.discrete(3), {"p": i % 8}) for i in range(2 * cap + 5)]
+    assert [len(run) for _, run in _runs(models)] == [cap, cap, 5]
 
 
 def test_scan_order_where_range_order_differs():

@@ -74,3 +74,23 @@ def test_no_import_inside_a_function():
                     n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))
                 ]
                 assert not inner, f"{name}.py: import inside {fn.name} at lines {inner}"
+
+
+def _bound_names(node) -> list[str]:
+    """The names one import statement binds in its module."""
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def test_every_module_import_is_read():
+    """No stale import: every name a module-level import binds is read
+    somewhere in its module (the package's re-exports excepted)."""
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread = [bound for bound in _bound_names(node) if bound not in read]
+                assert not unread, f"{name}.py: unread import {unread} at line {node.lineno}"

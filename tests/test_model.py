@@ -291,6 +291,11 @@ class TestRandomModel:
         with pytest.raises(ModelError):
             random_model(0, 17)
 
+    def test_negative_atom_count(self):
+        # a negative count would slice ATOM_NAMES from its end: -1 drew p, q, r
+        with pytest.raises(ModelError, match="negative"):
+            random_model(1, 3, atoms=-1)
+
     @pytest.mark.parametrize("n", [13, 14, 15, 16])
     def test_large_models_round_trip(self, n):
         # seed 4 on 16 worlds generates the discrete topology (65 536 opens)

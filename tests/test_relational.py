@@ -282,6 +282,11 @@ class TestRandomBeliefFrame:
         b = random_belief_frame(9, 6)
         assert a.rel == b.rel and a.valuation == b.valuation
 
+    def test_negative_atom_count(self):
+        # a negative count would slice ATOM_NAMES from its end: -2 drew p, q
+        with pytest.raises(RelationalError, match="negative"):
+            random_belief_frame(1, 3, atoms=-2)
+
     def test_always_a_belief_frame(self):
         for seed in range(60):
             m = random_belief_frame(seed, 1 + seed % 6)
