@@ -1,6 +1,11 @@
 """Formulas of the trimodal language of knowledge (K), knowability (box), belief (B).
 
-The AST is a small family of frozen dataclasses.  The surface syntax is
+The AST is a small family of frozen dataclasses whose nodes are interned
+(hash-consed, after Filliatre & Conchon, "Type-safe modular hash-consing",
+2006): building a node returns the one already made from the same class
+and fields, so equal formulas are one object, `==` is identity and hashing
+is O(1) at any depth.  Each node keeps its children, and postorder(f)
+lists f's distinct subformulas children first.  The surface syntax is
 ASCII only.  Each connective, `true` and `false` included, is defined once,
 in CONNECTIVES: its word, precedence and operand contexts, which the parser,
 the printer and every node's arity read, and a Boolean one's truth
@@ -27,74 +32,106 @@ class ParseError(FormulaError):
         self.position = position
 
 
-@dataclass(frozen=True)
+# (class, *fields) -> the one node with them; nodes live as long as the process
+_NODES: dict[tuple, Formula] = {}
+
+
+@dataclass(frozen=True, eq=False)
 class Formula:
-    """Base class; every node is one of the variants below."""
+    """Base class; every node is one of the variants below.
+
+    Nodes are interned: __new__ hands back the node already built from the
+    same class and fields, so hash and == are the identity's.  A node
+    stores its children once, when it is built; Atom and Meta carry a name,
+    and every other node's fields are its children.
+    """
+
+    _postorder = None  # set by postorder(f), on f alone
+
+    def __new__(cls, *fields, **named):
+        names = cls.__dataclass_fields__
+        if named:  # bind keywords in field order, as __init__ does
+            fields += tuple(named[name] for name in list(names)[len(fields) :] if name in named)
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = super().__new__(cls)
+            if len(fields) != len(names):
+                return node  # not interned: __init__ reports the bad call
+            for name, value in zip(names, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_children", () if cls is Atom or cls is Meta else fields)
+            _NODES[key] = node
+        return node
+
+    def __reduce__(self):
+        """Pickle and copy rebuild through the constructor, so they get this node."""
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class K(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bel(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Meta(Formula):
     """Metavariable; only legal inside scheme templates."""
 
@@ -283,24 +320,38 @@ def to_text(f: Formula) -> str:
     return _render(f, 0)
 
 
+def postorder(f: Formula) -> tuple[Formula, ...]:
+    """f's distinct subformulas, each after its children, left to right.
+
+    One iterative depth-first walk, so any depth is fine; the tuple is
+    stored on f alone, not on its descendants, so a chain's memory stays
+    linear in its length.
+    """
+    out = f._postorder
+    if out is None:
+        order: list[Formula] = []
+        seen: set[Formula] = set()
+        stack = [(f, False)]
+        while stack:
+            g, expanded = stack.pop()
+            if expanded:  # its children are listed
+                order.append(g)
+            elif g not in seen:
+                seen.add(g)
+                stack.append((g, True))
+                stack.extend((h, False) for h in reversed(g._children))
+        out = tuple(order)
+        object.__setattr__(f, "_postorder", out)
+    return out
+
+
 def subformulas(f: Formula) -> frozenset[Formula]:
-    """The formula and all of its descendants, deduplicated structurally."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        stack.extend(_children(g))
-    return frozenset(out)
+    """The formula and all of its descendants, each once."""
+    return frozenset(postorder(f))
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    c = CONNECTIVES.get(type(f))
-    if c is None or not c.operands:
-        return ()
-    return (f.sub,) if len(c.operands) == 1 else (f.left, f.right)
+    return f._children
 
 
 def _map_nodes(f: Formula, fn: Callable[[Formula], Formula | None]) -> Formula:
@@ -333,11 +384,11 @@ def translate(f: Formula, mapping: str) -> Formula:
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
+    return frozenset(g.name for g in postorder(f) if type(g) is Atom)
 
 
 def modalities(f: Formula) -> frozenset[str]:
-    kinds = {type(g) for g in subformulas(f)}
+    kinds = {type(g) for g in postorder(f)}
     return frozenset(word for word, cls in MODALITIES.items() if cls in kinds)
 
 
@@ -354,7 +405,7 @@ class Scheme:
     template: Formula
 
     def metavariables(self) -> frozenset[str]:
-        return frozenset(g.name for g in subformulas(self.template) if isinstance(g, Meta))
+        return frozenset(g.name for g in postorder(self.template) if type(g) is Meta)
 
 
 def instantiate(scheme: Scheme, subst: Mapping[str, Formula]) -> Formula:

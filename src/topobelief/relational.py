@@ -115,24 +115,26 @@ def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
 
 
 def relational_extension(m: RelationalModel, f: Formula) -> int:
-    """The worlds where f holds, bottom-up: B g holds where every successor satisfies g."""
-    succ, full = m.succ, full_mask(m.n)
-
-    def walk(g: Formula) -> int:
+    """The worlds where f holds, bottom-up over postorder(f): B g holds
+    where every successor satisfies g."""
+    succ, full, valuation = m.succ, full_mask(m.n), m.valuation
+    ext: dict[Formula, int] = {}
+    for g in fm.postorder(f):
         cls = type(g)
         if cls is fm.Atom:
-            return m.valuation.get(g.name, 0)
-        if cls is fm.Bel:
-            return mnb_interior(succ, walk(g.sub))
-        c = fm.CONNECTIVES.get(cls)
-        if c is None or c.truth is None:
-            bad = sorted(fm.modalities(f) - {"B"})
-            found = f"relational evaluation is for the B fragment only (found {bad})"
-            raise RelationalError(found if bad else f"cannot evaluate node {g!r}")
-        a, b, *_ = [walk(h) for h in fm._children(g)] + [0, 0]
-        return c.truth(full, a, b)
-
-    return walk(f)
+            ext[g] = valuation.get(g.name, 0)
+        elif cls is fm.Bel:
+            ext[g] = mnb_interior(succ, ext[g.sub])
+        else:
+            c = fm.CONNECTIVES.get(cls)
+            if c is None or c.truth is None:
+                bad = sorted(fm.modalities(f) - {"B"})
+                found = f"relational evaluation is for the B fragment only (found {bad})"
+                raise RelationalError(found if bad else f"cannot evaluate node {g!r}")
+            kids = fm._children(g)  # truth ignores an operand past its arity
+            a, b = (ext[kids[0]], ext[kids[-1]]) if kids else (0, 0)
+            ext[g] = c.truth(full, a, b)
+    return ext[f]
 
 
 def check_modal_equivalence(m: RelationalModel, f: Formula) -> int | None:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +18,7 @@ from topobelief.formula import (
     Iff,
     Implies,
     K,
+    Meta,
     Not,
     ParseError,
     T_MAP,
@@ -25,6 +30,7 @@ from topobelief.formula import (
     hat_k,
     instantiate,
     parse,
+    postorder,
     subformulas,
     to_text,
     translate,
@@ -227,3 +233,130 @@ class TestCorpus:
         corpus = formula_corpus(connectives=("B",))
         assert all(fm.modalities(f) <= {"B"} for f in corpus)
         assert any(fm.modal_depth(f) == 3 for f in corpus)
+
+
+class TestInterning:
+    """Equal formulas are one node, however they are built."""
+
+    TEXTS = ("K p -> B p", "hatB (p & ! q)", "B (box p | box ! box p)", "true <-> false")
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_parse_gives_one_object(self, text):
+        assert parse(text) is parse(text)
+
+    def test_builders_give_the_parsed_objects(self):
+        assert translate(Bel(p), E_MAP) is parse("K dia box p")
+        assert translate(Bel(Bel(p)), ALPHA_MAP) is parse("B dia box B dia box p")
+        assert translate(Box(K(p)), T_MAP) is parse("K K p")
+        for scheme in fm.SCHEMES.values():
+            inst = instantiate(scheme, {"phi": p, "psi": fm.And(q, Bel(r))})
+            assert parse(to_text(inst)) is inst, scheme.name
+        for f in formula_corpus():
+            assert parse(to_text(f)) is f
+
+    def test_keywords_build_the_same_node(self):
+        assert Implies(left=Bel(sub=Atom(name="p")), right=p) is parse("B p -> p")
+
+    REPRS = {
+        Atom("p"): "Atom(name='p')",
+        Top(): "Top()",
+        Bot(): "Bot()",
+        Not(p): "Not(sub=Atom(name='p'))",
+        fm.And(p, q): "And(left=Atom(name='p'), right=Atom(name='q'))",
+        fm.Or(p, q): "Or(left=Atom(name='p'), right=Atom(name='q'))",
+        Implies(Bel(p), p): "Implies(left=Bel(sub=Atom(name='p')), right=Atom(name='p'))",
+        Iff(p, q): "Iff(left=Atom(name='p'), right=Atom(name='q'))",
+        K(p): "K(sub=Atom(name='p'))",
+        Box(p): "Box(sub=Atom(name='p'))",
+        Bel(p): "Bel(sub=Atom(name='p'))",
+        Meta("phi"): "Meta(name='phi')",
+    }
+
+    def test_repr_of_every_node_class(self):
+        assert {type(f) for f in self.REPRS} == set(fm.Formula.__subclasses__())
+        for f, text in self.REPRS.items():
+            assert repr(f) == text
+
+    def test_nodes_stay_frozen(self):
+        f = parse("B p")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.sub = q
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.name = "q"
+        assert f.sub is p and p.name == "p"
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_pickle_and_copy_give_the_same_node(self, text):
+        f = parse(text)
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert copy.deepcopy([f, Meta("phi")])[1] is Meta("phi")
+
+    def test_table_holds_only_whole_nodes(self):
+        pickle.loads(pickle.dumps(parse("K (p | ! q)")))
+        with pytest.raises(TypeError):
+            Not()
+        with pytest.raises(TypeError):
+            fm.And(p)
+        with pytest.raises(TypeError):
+            Bel(p, q)
+        for cls, *fields in fm._NODES:
+            assert len(fields) == len(dataclasses.fields(cls)), (cls, fields)
+
+
+class TestPostorder:
+    @given(formulas)
+    def test_children_come_first(self, f):
+        order = postorder(f)
+        assert set(order) == subformulas(f)
+        assert len(order) == len(subformulas(f))
+        assert order[-1] is f
+        seen = set()
+        for g in order:
+            assert all(child in seen for child in fm._children(g))
+            seen.add(g)
+
+    def test_left_to_right(self):
+        assert postorder(parse("(p & q) | (q & p)")) == (
+            p,
+            q,
+            fm.And(p, q),
+            fm.And(q, p),
+            parse("(p & q) | (q & p)"),
+        )
+
+    def test_shared_subformula_listed_once(self):
+        f = parse("B p & ! B p")
+        assert postorder(f) == (p, Bel(p), Not(Bel(p)), f)
+
+    def test_stored_on_the_node_asked_only(self):
+        inner = parse("! B ! asked_only")  # an atom no other test builds
+        outer = K(inner)
+        assert postorder(outer) is postorder(outer)
+        assert inner._postorder is None
+
+    def test_atoms_and_modalities(self):
+        f = parse("B (p | K q) -> box r")
+        assert fm.atoms(f) == {"p", "q", "r"}
+        assert fm.modalities(f) == {"K", "box", "B"}
+
+
+class TestDeepChain:
+    """A formula built bottom-up in a loop works at any depth."""
+
+    DEPTH = 5_000
+
+    def test_hash_and_postorder_of_a_deep_chain(self):
+        f = p
+        for _ in range(self.DEPTH):
+            f = Bel(Not(f))
+        assert hash(f) == hash(f)
+        assert f in {f}
+        assert len(postorder(f)) == 2 * self.DEPTH + 1
+        assert len(subformulas(f)) == 2 * self.DEPTH + 1
+        assert postorder(f)[0] is p and postorder(f)[-1] is f
+
+    def test_parsing_still_stops_at_the_recursion_limit(self):
+        with pytest.raises(RecursionError):
+            parse("B ! " * self.DEPTH + "p")

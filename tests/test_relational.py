@@ -4,7 +4,7 @@ from itertools import product
 
 from oracles import all_relations, brush_components, is_belief_relation, kripke_truth
 from topobelief import model, relational
-from topobelief.formula import formula_corpus, parse
+from topobelief.formula import Atom, Bel, Meta, Not, formula_corpus, get_scheme, parse
 from topobelief.relational import (
     RelationalError,
     RelationalModel,
@@ -15,6 +15,7 @@ from topobelief.relational import (
     decompose,
     eval_relational,
     random_belief_frame,
+    relational_extension,
     to_subset_model,
 )
 from topobelief.semantics import Semantics, satisfies
@@ -241,6 +242,46 @@ class TestEvalRelational:
     def test_matches_kripke_oracle_on_every_relation(self):
         for rel in all_relations(2):
             self._agrees_with_kripke_oracle(2, rel)
+
+
+class TestRelationalExtension:
+    def test_other_modalities_are_named(self):
+        message = "relational evaluation is for the B fragment only (found ['K'])"
+        with pytest.raises(RelationalError) as err:
+            relational_extension(PIN, parse("K p"))
+        assert str(err.value) == message
+        with pytest.raises(RelationalError) as err:
+            relational_extension(PIN, parse("B p & (box q | K p)"))
+        assert str(err.value) == "relational evaluation is for the B fragment only (found ['K', 'box'])"
+
+    def test_a_metavariable_is_named(self):
+        with pytest.raises(RelationalError) as err:
+            relational_extension(PIN, Bel(Meta("phi")))
+        assert str(err.value) == "cannot evaluate node Meta(name='phi')"
+        with pytest.raises(RelationalError) as err:
+            relational_extension(PIN, get_scheme("K_B").template)
+        assert str(err.value) == "cannot evaluate node Meta(name='phi')"
+
+    def test_matches_kripke_oracle_on_random_frames(self):
+        corpus = formula_corpus(connectives=("B",))
+        for seed in range(240):
+            m = random_belief_frame(seed, 1 + seed % 7)
+            for f in corpus:
+                ext = relational_extension(m, f)
+                for x in range(m.n):
+                    assert bool(ext >> x & 1) == kripke_truth(m, x, f), (seed, x, str(f))
+
+    def test_deep_chain(self):
+        depth = 5_000
+        f = Atom("p")
+        for _ in range(depth):
+            f = Bel(Not(f))
+        m = random_belief_frame(4, 6)
+        # B ! g holds at x iff no successor of x satisfies g
+        expected = m.valuation["p"]
+        for _ in range(depth):
+            expected = sum(1 << x for x, s in enumerate(m.succ) if not s & expected)
+        assert relational_extension(m, f) == expected
 
 
 class TestBridge:
