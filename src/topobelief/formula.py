@@ -355,11 +355,18 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 
 
 def _map_nodes(f: Formula, fn: Callable[[Formula], Formula | None]) -> Formula:
-    """Rebuild bottom-up; fn may replace a node (given its rebuilt children)."""
-    kids = _children(f)
-    g = type(f)(*[_map_nodes(h, fn) for h in kids]) if kids else f
-    replaced = fn(g)
-    return g if replaced is None else replaced
+    """Rebuild bottom-up; fn may replace a node (given its rebuilt children).
+
+    One loop over postorder(f), so each distinct subformula is rebuilt
+    once, at any depth.
+    """
+    out: dict[Formula, Formula] = {}
+    for g in postorder(f):
+        kids = g._children
+        h = type(g)(*[out[k] for k in kids]) if kids else g
+        replaced = fn(h)
+        out[g] = h if replaced is None else replaced
+    return out[f]
 
 
 T_MAP = "T"
@@ -393,8 +400,14 @@ def modalities(f: Formula) -> frozenset[str]:
 
 
 def modal_depth(f: Formula) -> int:
-    depth = max((modal_depth(g) for g in _children(f)), default=0)
-    return depth + 1 if type(f) in MODALITIES.values() else depth
+    """Most modalities on one path from f down to a leaf; one loop over
+    postorder(f), so each distinct subformula is visited once."""
+    modal = set(MODALITIES.values())
+    depth: dict[Formula, int] = {}
+    for g in postorder(f):
+        d = max((depth[h] for h in g._children), default=0)
+        depth[g] = d + 1 if type(g) in modal else d
+    return depth[f]
 
 
 @dataclass(frozen=True)

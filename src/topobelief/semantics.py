@@ -9,7 +9,8 @@ semantics:
           dense in U (equivalently U is inside cl(int(ext)))
   ed      B phi holds on (x, U, V) iff V is inside phi's extension
   ae      B phi holds on (x, U, V) iff V minus phi's extension is nowhere
-          dense (almost-all quantification)
+          dense (almost-all quantification), that is, iff it misses Max,
+          the union of the maximal clusters (Topology.maximal)
 
 K and box read the same in all three: truth everywhere on U, and
 membership in the interior of the extension.  The translation through
@@ -34,7 +35,8 @@ same-topology runs, the search's groups growing as it goes (each at most
 as many runs as all before it), and a failure is the one a
 scenario-by-scenario scan finds: the first failing model, the least
 world missing there, then the first (U, V) in canonical order that
-misses that world.
+misses that world.  An ae validity sweep visits only the (U, V) whose V
+lies inside Max, which finds the same failures (see sweep_validity).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
@@ -211,6 +213,8 @@ def find_countermodel(
     budget is left.  The budget counts scenarios, worked out from run sizes
     up to the hit's run and model; a hit counts only within the budget, and
     a draw whose sweep would cost over 10^6 is skipped and not counted.
+    Unlike sweep_validity, the search sweeps every pair under ae too, so
+    its counts read the full pair lists.
     """
     if not 1 <= max_n <= MAX_WORLDS:
         raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
@@ -261,6 +265,8 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 # the compiled extension engine, shared-subformula and lane-packed
 
 _MAX_GROUP_BITS = 6144  # lanes × carrier of a lane group, and of a run swept alone
+# the classes that admit V & Max wherever they admit V (see sweep_validity)
+_MAXIMAL_CLASSES = (ScenarioClass.ALL, ScenarioClass.CONSISTENT, ScenarioClass.DENSE)
 _Group = Sequence[tuple[Ranges, Sequence[SubsetModel]]]  # (ranges, run) per run, in stream order
 
 
@@ -308,6 +314,17 @@ class _Lanes:
         self.all = ones * self.rep  # every lane of every world
         self.interior = self._interior
         self.closure = self._closure
+
+    @cached_property
+    def maximal(self) -> int:
+        """Each lane's Topology.maximal, packed (the plain mask at W = 1);
+        packed once, when the ae clause first reads it.  World x's column
+        collects the lanes whose Max holds x, as in pack."""
+        cols = [0] * len(self.shifts)
+        for (run, _), start, end in zip(self.runs, self.starts, self.starts[1:]):
+            for x in bits(run[0].topology.maximal):
+                cols[x] |= (1 << end) - (1 << start)
+        return sum(col << s for col, s in zip(cols, self.shifts))
 
     def replicate(self, m: int) -> int:
         """Bit 0 of the block of every world of m; times a lane mask it copies the mask there."""
@@ -447,10 +464,11 @@ class BatchEvaluator:
         its connective's truth function, applied to us and the operands.
         K and B share one broadcast: each clause works out the worlds its
         modality misses (K: of U outside the operand; strong B: of U outside
-        cl(int(operand)); ed B: of V outside the operand; ae B: the interior
-        of the closure of those), and the modality holds on a lane's whole U
-        where that lane misses none: us & (rep * ok), where rep * ok copies
-        the lane mask ok = ones & ~fold(missing) into every block.
+        cl(int(operand)); ed B: of V outside the operand; ae B: those of
+        them in the lane's Max, since V minus the operand is nowhere dense
+        exactly when it misses Max), and the modality holds on a lane's
+        whole U where that lane misses none: us & (rep * ok), where rep * ok
+        copies the lane mask ok = ones & ~fold(missing) into every block.
         """
         ones = lanes.ones
         rep = lanes.rep
@@ -473,8 +491,7 @@ class BatchEvaluator:
                 elif kind is Semantics.ED:
                     missing = vs & ~sub
                 else:
-                    rest = vs & ~sub
-                    missing = rest and interior(closure(rest))
+                    missing = vs & ~sub & lanes.maximal
                 if not missing:
                     out = us
                 elif wide:
@@ -516,12 +533,18 @@ def sweep_validity(
     yield).  A group names each failure by its run and its model in that
     run (see _group_failures).  Raises BudgetError on reaching a model whose
     sweep costs more than the budget while some root is still live.
+
+    Under ae with class all, consistent or dense, each topology is swept
+    only at its pairs whose V lies inside Max (Topology.maximal).  This
+    finds the same failures: every (U, V) has the extensions of (U, V & Max),
+    an open the class admits and the first V in canonical order to share
+    it.  The budget is still charged for every pair.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
-    for runs in _sweep_groups(models, engine.kind, scenario_class, budget):
+    for runs in _sweep_groups(models, engine.kind, scenario_class, budget, maximal=True):
         for idx, (r, m, s) in _group_failures(engine, runs, list(live)).items():
             f = live.pop(idx)
             failures[f] = BatchFailure(f, runs[r][1][m], s)
@@ -531,7 +554,13 @@ def sweep_validity(
 
 
 def _sweep_groups(
-    models: Iterable[SubsetModel], kind: Semantics, cls: ScenarioClass, budget: int, *, grow=False
+    models: Iterable[SubsetModel],
+    kind: Semantics,
+    cls: ScenarioClass,
+    budget: int,
+    *,
+    grow=False,
+    maximal=False,
 ) -> Iterator[list[tuple[Ranges, list[SubsetModel]]]]:
     """The stream in lane groups, each a list of (ranges, run) in stream order.
 
@@ -544,15 +573,19 @@ def _sweep_groups(
     find_countermodel sets, a group holds at most as many runs as all
     before it, so groups take 1, 1, 2, 4, ... runs: an early hit costs a
     small sweep and a long hunt few groups, while a sweep's first small
-    groups would only cost it passes.  Raises BudgetError at the first run
-    whose ranges cost more than the budget, once the groups before it are
-    yielded.
+    groups would only cost it passes.  With maximal, which only
+    sweep_validity sets, an ae sweep under class all, consistent or dense
+    keeps only the pairs whose V lies inside the topology's Max (see
+    sweep_validity); under total each U has one pair, and nothing is
+    dropped.  Raises BudgetError at the first run whose ranges cost more
+    than the budget, once the groups before it are yielded.
     """
     group: list[tuple[Ranges, list[SubsetModel]]] = []
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
     done = 0  # runs of the groups yielded so far
     if kind is Semantics.STRONG:
         cls = None  # strong ranges: each nonempty open U, no V
+    maximal = maximal and kind is Semantics.AE and cls in _MAXIMAL_CLASSES
     for top, run in _runs(models):
         try:
             ranges = range_groups(top, cls, budget)
@@ -560,6 +593,8 @@ def _sweep_groups(
             if group:
                 yield group
             raise
+        if maximal:
+            ranges = tuple(p for p in ranges if p[1] & ~top.maximal == 0)
         if group and (len(group) < done or not grow):
             # the lanes of the grown group: while the chunk length holds, the
             # runs already in keep their chunks; when it shrinks, all are recut

@@ -14,7 +14,10 @@ that table's unions; each then folds the table into its unions in O(F·n)
 for F opens.
 The table also backs equality, hashing and the interior/closure
 operators; mnb_interior and mnb_closure are those operators without the
-subset check, for the evaluation engine.
+subset check, for the evaluation engine.  It also gives Max, the union of
+the maximal clusters (the minimal nonempty opens), once per topology: a
+subset is nowhere dense exactly when it misses Max (McKinsey & Tarski,
+"The algebra of topology", 1944, for finite spaces).
 """
 
 from __future__ import annotations
@@ -161,9 +164,9 @@ def _as_topology(n: int, family: set[int]) -> "Topology | None":
 
 
 class Topology:
-    """Carrier size plus minimal-neighborhood table, opens derived; immutable."""
+    """Carrier size plus minimal-neighborhood table, opens and Max derived; immutable."""
 
-    __slots__ = ("n", "min_neighborhoods", "opens")
+    __slots__ = ("n", "min_neighborhoods", "opens", "maximal")
 
     def __init__(self, n: int, mnb: tuple[int, ...]):
         # private; use from_opens / generate_from_subbasis for validated input.
@@ -171,6 +174,7 @@ class Topology:
         self.n = n
         self.min_neighborhoods = mnb
         self.opens = _canon(_unions(mnb))
+        self.maximal = _maximal(mnb)
 
     @classmethod
     def from_opens(cls, n: int, opens: Iterable[int]) -> "Topology":
@@ -234,14 +238,34 @@ class Topology:
         return u & ~self.closure(a) == 0
 
     def is_nowhere_dense(self, a: int) -> bool:
-        """Whether the closure of a has empty interior."""
-        return self.interior(self.closure(a)) == 0
+        """Whether the closure of a has empty interior, that is, whether a
+        misses every maximal cluster (see _maximal)."""
+        _check_subset(self.n, a)
+        return a & self.maximal == 0
 
     def almost_subset(self, a: int, b: int) -> bool:
         """a minus b is nowhere dense ('almost all' of a lies in b)."""
         _check_subset(self.n, a)
         _check_subset(self.n, b)
         return self.is_nowhere_dense(a & ~b)
+
+
+def _maximal(mnb: tuple[int, ...]) -> int:
+    """Max: the union of mnb(x) over the maximal x, those whose every y in
+    mnb(x) has mnb(y) == mnb(x).
+
+    The points sharing x's table entry are x's cluster, which lies in
+    mnb(x), so x is maximal exactly when that entry is held by as many
+    points as it has.  Each such mnb(x) is a maximal cluster and a minimal
+    nonempty open.  If a meets one, that cluster lies in int(cl a); and a
+    nonempty open inside cl a holds some maximal cluster, which must then
+    meet a.  So a is nowhere dense exactly when a & Max is empty.
+    """
+    out = 0
+    for nb in mnb:
+        if mnb.count(nb) == nb.bit_count():
+            out |= nb
+    return out
 
 
 def mnb_interior(mnb: tuple[int, ...], a: int) -> int:

@@ -32,6 +32,7 @@ from topobelief.relational import (
     relational_extension,
     to_subset_model,
 )
+from topobelief import semantics
 from topobelief.semantics import (
     BatchEvaluator,
     Evaluator,
@@ -210,6 +211,26 @@ def test_criterion_07_almost_everywhere_alpha_bridge():
     assert untranslated
     assert all("B" in modalities(f) for _, f in untranslated)
     _report(7, "almost-everywhere satisfaction equals alpha image", started)
+
+
+def test_criterion_07_reduced_ae_sweep_matches_full_layout(monkeypatch):
+    """Tightened check: the el_kboxb_cb report under ae/all on
+    Batch(exhaustive_n=4), swept as sweep_validity sweeps it (only the
+    pairs whose V lies inside Max), equals the report over the full pair
+    lists, byte for byte."""
+    started = time.perf_counter()
+    batch = Batch(exhaustive_n=4)
+    suite = get_suite("el_kboxb_cb")
+    reduced = run_suite(suite, batch, semantics=Semantics.AE, scenario_class=ScenarioClass.ALL)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 15.0, f"runtime target exceeded: {elapsed:.1f}s"
+    full_groups = semantics._sweep_groups
+    monkeypatch.setattr(
+        semantics, "_sweep_groups", lambda *args, maximal=False, **kw: full_groups(*args, **kw)
+    )
+    full = run_suite(suite, batch, semantics=Semantics.AE, scenario_class=ScenarioClass.ALL)
+    assert reduced.to_json() == full.to_json()
+    _report(7, "reduced almost-everywhere sweep equals the full layout", started)
 
 
 def test_criterion_08_relational_bridge_on_random_belief_frames():

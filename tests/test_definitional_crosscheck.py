@@ -21,7 +21,9 @@ from topobelief.model import (
     ed_scenarios,
     epistemic_scenarios,
     random_model,
+    range_pairs,
 )
+from topobelief import semantics
 from topobelief.semantics import (
     _MAX_GROUP_BITS,
     BatchEvaluator,
@@ -34,8 +36,8 @@ from topobelief.semantics import (
     satisfies,
     sweep_validity,
 )
-from topobelief.suites import Batch
-from topobelief.topology import Topology, enumerate_topologies
+from topobelief.suites import Batch, get_suite, run_suite, soundness_batch, suite_names
+from topobelief.topology import Topology, enumerate_topologies, generate_from_subbasis
 
 
 def _exhaustive_models(max_n):
@@ -469,3 +471,115 @@ def test_countermodel_counts_match_a_counting_scan_into_the_random_phase():
         want = _counting_scan(events, budget)
         assert _search(f, Semantics.STRONG, ScenarioClass.ALL, 5, budget, seed=3) == want, budget
         assert want[:2] == ("budget", budget)
+
+
+# maximal clusters of two or more points, with points below them: {0,1}
+# over 2; {0,1} and {2,3} over 4, which lies below {0,1} only; {1,2} and
+# {0} over 3, which lies below {0} only
+CLUSTERED = (
+    generate_from_subbasis(3, [0b011]),
+    generate_from_subbasis(5, [0b00011, 0b01100, 0b10011]),
+    generate_from_subbasis(4, [0b0001, 0b0110, 0b1001]),
+)
+
+AE_ROOTS = MIXED_ROOTS + (
+    "B p -> p",
+    "B p -> B K p",
+    "B (box p | box ! box p)",
+    "B p -> K B p",
+    "! B false",
+    "B box p -> box B p",
+)
+
+REDUCED_CLASSES = (ScenarioClass.ALL, ScenarioClass.CONSISTENT, ScenarioClass.DENSE)
+
+
+def _full_layout(monkeypatch):
+    """Make sweep_validity lay every ae sweep out over the full pair lists,
+    as _sweep_groups does by default, for the rest of the test."""
+    reduced = semantics._sweep_groups
+    monkeypatch.setattr(
+        semantics, "_sweep_groups", lambda *args, maximal=False, **kw: reduced(*args, **kw)
+    )
+
+
+def _clustered_stream():
+    """Every valuation of p and q on each clustered topology, the three
+    interleaved, so runs of one topology come back after the others."""
+    per_top = [
+        [
+            SubsetModel(top, {"p": vp, "q": vq})
+            for vp in range(1 << top.n)
+            for vq in range(0, 1 << top.n, 3)
+        ]
+        for top in CLUSTERED
+    ]
+    out = []
+    for k in range(0, max(len(models) for models in per_top), 16):
+        for models in per_top:
+            out += models[k : k + 16]
+    return out
+
+
+def test_clustered_spaces_have_points_outside_max():
+    for top in CLUSTERED:
+        clusters = {top.min_neighborhoods[x] for x in range(top.n) if top.maximal >> x & 1}
+        assert max(c.bit_count() for c in clusters) >= 2
+        assert top.maximal != top.full
+    for cls in REDUCED_CLASSES:
+        full = sum(len(range_pairs(top, cls)) for top in CLUSTERED)
+        kept = sum(v & ~top.maximal == 0 for top in CLUSTERED for _, v in range_pairs(top, cls))
+        assert kept < full, cls
+
+
+def test_reduced_ae_sweeps_match_full_sweeps(monkeypatch):
+    """sweep_validity's ae sweeps, which visit only the pairs whose V lies
+    inside Max (every pair under total, where V = U), find every root's
+    failure of the full layout, and each failure replays false under
+    def_truth: over the interleaved stream, each topology's own stream,
+    and each model alone."""
+    models = _clustered_stream()
+    streams = [models] + [[m for m in models if m.topology == top] for top in CLUSTERED]
+    streams += [[m] for m in models]
+    roots = [parse(text) for text in AE_ROOTS]
+
+    def sweeps():
+        return [
+            sweep_validity(BatchEvaluator(roots, Semantics.AE), stream, cls)
+            for cls in ScenarioClass
+            for stream in streams
+        ]
+
+    reduced = sweeps()
+    _full_layout(monkeypatch)
+    full = sweeps()
+    outside = failures = 0  # failures, and those at a world outside Max
+    for got, want in zip(reduced, full):
+        assert got.keys() == want.keys()
+        for f, hit in want.items():
+            assert got[f].model is hit.model and got[f].scenario == hit.scenario, str(f)
+            s = hit.scenario
+            assert not def_truth(hit.model, s.x, s.u, s.v, f, Semantics.AE), str(f)
+            failures += 1
+            outside += not hit.model.topology.maximal >> s.x & 1
+    assert failures >= 1000 and outside >= 100, (failures, outside)
+
+
+def test_reduced_ae_suite_reports_match_full_reports(monkeypatch):
+    """Every suite under ae with class all, consistent and dense gives the
+    same report bytes over the reduced and the full layout."""
+    batches = (soundness_batch(), Batch(exhaustive_n=3))
+    cases = [(name, cls) for name in suite_names() for cls in REDUCED_CLASSES]
+
+    def reports():
+        return [
+            run_suite(get_suite(name), batch, semantics=Semantics.AE, scenario_class=cls).to_json()
+            for batch in batches
+            for name, cls in cases
+        ]
+
+    reduced = reports()
+    _full_layout(monkeypatch)
+    assert reports() == reduced
+    assert len(reduced) == 2 * 7 * 3
+    assert any('"countermodel"' in report for report in reduced)

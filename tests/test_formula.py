@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -360,3 +361,41 @@ class TestDeepChain:
     def test_parsing_still_stops_at_the_recursion_limit(self):
         with pytest.raises(RecursionError):
             parse("B ! " * self.DEPTH + "p")
+
+    def test_modal_depth_translate_and_instantiate_of_a_deep_chain(self):
+        def chain(leaf, wrap):
+            f = leaf
+            for _ in range(self.DEPTH):
+                f = wrap(f)
+            return f
+
+        f = chain(p, lambda g: Bel(Not(g)))
+        assert fm.modal_depth(f) == self.DEPTH
+        assert translate(f, T_MAP) is f
+        assert translate(f, ALPHA_MAP) is chain(p, lambda g: Bel(dia(Box(Not(g)))))
+        assert translate(f, E_MAP) is chain(p, lambda g: K(dia(Box(Not(g)))))
+        scheme = fm.Scheme("deep", chain(Meta("phi"), lambda g: Bel(Not(g))))
+        assert instantiate(scheme, {"phi": p}) is f
+
+
+class TestSharedSubformulas:
+    """Walks over a formula visit each distinct subformula once, so a DAG
+    with 2^levels paths but 2 * levels + 1 nodes is cheap."""
+
+    @pytest.mark.parametrize("levels", [22, 60])
+    def test_walks_are_linear_in_distinct_nodes(self, levels):
+        def dag(leaf, belief):
+            f = leaf
+            for _ in range(levels):
+                f = fm.And(belief(f), belief(f))
+            return f
+
+        f = dag(p, Bel)
+        started = time.perf_counter()
+        assert len(postorder(f)) == 2 * levels + 1
+        assert fm.modal_depth(f) == levels
+        assert translate(f, ALPHA_MAP) is dag(p, lambda g: Bel(dia(Box(g))))
+        assert translate(f, E_MAP) is dag(p, lambda g: K(dia(Box(g))))
+        assert instantiate(fm.Scheme("dag", dag(Meta("phi"), Bel)), {"phi": q}) is dag(q, Bel)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"runtime target exceeded: {elapsed:.2f}s"

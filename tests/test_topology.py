@@ -1,10 +1,20 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_topologies_oracle, brute_closure, brute_interior, closure_oracle
+from oracles import (
+    all_topologies_oracle,
+    brute_closure,
+    brute_interior,
+    brute_min_neighborhoods,
+    closure_oracle,
+)
+from topobelief.model import random_model
 from topobelief.topology import (
     Topology,
     TopologyError,
+    bits,
     enumerate_topologies,
     find_violation,
     full_mask,
@@ -202,6 +212,54 @@ class TestDensityNotions:
                         lhs = t.almost_subset(a, b)
                         rhs = a & ~t.closure(t.interior(b)) == 0
                         assert lhs == rhs
+
+
+def _nowhere_dense_oracle(t, a):
+    """int(cl a) is empty, from the definitions over the open family."""
+    return brute_interior(t.opens, brute_closure(t.n, t.opens, a)) == 0
+
+
+def _check_maximal(t, subsets):
+    """Topology.maximal against the definitions: it decides nowhere density
+    as int(cl a) does, each maximal cluster is open, every nonempty open
+    meets it, and it is the union of the minimal nonempty opens."""
+    for a in subsets:
+        assert (a & t.maximal == 0) == _nowhere_dense_oracle(t, a), (t, a)
+        assert t.is_nowhere_dense(a) == (a & t.maximal == 0)
+    table = brute_min_neighborhoods(t.n, t.opens)
+    for x in bits(t.maximal):  # x's cluster: the points with x's least open
+        cluster = sum(1 << y for y in range(t.n) if table[y] == table[x])
+        assert cluster in t.opens and cluster & ~t.maximal == 0, (t, x)
+    assert all(o & t.maximal for o in t.opens if o)
+    least = []  # the minimal nonempty opens: each holds no smaller one
+    for o in t.opens[1:]:  # by size, the empty open first
+        if not any(m & ~o == 0 for m in least):
+            least.append(o)
+    assert t.maximal == sum(least)  # they are disjoint
+
+
+class TestMaximal:
+    def test_every_subset_of_every_topology_to_four_points(self):
+        for n in (1, 2, 3, 4):
+            for t in enumerate_topologies(n):
+                _check_maximal(t, range(1 << n))
+
+    def test_random_topologies_of_five_to_sixteen_points(self):
+        rng = Random(11)
+        for n in range(5, 17):
+            for seed in range(3):
+                t = random_model(seed, n).topology
+                singles = [1 << x for x in range(n)]
+                _check_maximal(t, singles + [rng.getrandbits(n) for _ in range(8)])
+
+    def test_clusters_of_several_points(self):
+        # {0,1} is the one maximal cluster; 2 lies below it and 3 below 2
+        t = Topology.from_opens(4, [0, 0b0011, 0b0111, 0b1111])
+        assert t.maximal == 0b0011
+        assert SIERP.maximal == 0b01
+        assert Topology.indiscrete(3).maximal == 0b111
+        assert Topology.discrete(3).maximal == 0b111
+        _check_maximal(t, range(16))
 
 
 class TestEnumeration:
