@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
-from .formula import ATOM_RE
+from .formula import ATOM_RE, Formula
 from .topology import (
     MAX_WORLDS,
     Topology,
@@ -72,6 +72,8 @@ class RelationalModel:
     rel: frozenset[tuple[int, int]]
     valuation: Mapping[str, int] = field(default_factory=dict)
     succ: tuple[int, ...] = field(init=False, repr=False, compare=False)  # x -> R(x) mask
+    # formula -> extension mask, filled by relational.relational_extension
+    _extensions: dict[Formula, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_WORLDS:
@@ -83,6 +85,7 @@ class RelationalModel:
             succ[x] |= 1 << y
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "valuation", _valuation(self.valuation, self.n, RelationalError))
+        object.__setattr__(self, "_extensions", {})
 
 
 class _FrozenValuation(dict):

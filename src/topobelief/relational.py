@@ -2,10 +2,12 @@
 
 The frame type, RelationalModel, lives in model.py; its successor table
 (one mask per world) is derived once, when it is built, and every
-algorithm here reads it.  A belief frame (serial + transitive +
-Euclidean) decomposes into disjoint brushes: the classes of equal
-successor sets, each relating totally onto its nonempty final cluster of
-reflexive points.  A transitive frame's reflexive successor sets are the
+algorithm here reads it.  A frame also keeps the extensions computed on
+it, so asking a formula per world costs one extension per (frame,
+formula), and a later formula reuses the subformulas already stored.
+A belief frame (serial + transitive + Euclidean) decomposes into
+disjoint brushes: the classes of equal successor sets, each relating
+totally onto its nonempty final cluster of reflexive points.  A transitive frame's reflexive successor sets are the
 minimal neighborhoods of a topology that interprets the same belief
 formulas at scenarios (x, cell-of-x) under strong semantics.  Relational
 evaluation reads formula.CONNECTIVES, and B off the table (mnb_interior).
@@ -108,7 +110,10 @@ def to_subset_model(m: RelationalModel) -> SubsetModel:
 
 
 def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
-    """Standard Kripke evaluation of a pure-belief formula at world x."""
+    """Standard Kripke evaluation of a pure-belief formula at world x.
+
+    It reads f's extension from the frame's table, so asking every world
+    computes the extension once."""
     if not 0 <= x < m.n:
         raise RelationalError(f"world {x} out of range")
     return bool(relational_extension(m, f) >> x & 1)
@@ -116,10 +121,19 @@ def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
 
 def relational_extension(m: RelationalModel, f: Formula) -> int:
     """The worlds where f holds, bottom-up over postorder(f): B g holds
-    where every successor satisfies g."""
+    where every successor satisfies g.
+
+    Each extension is stored in the frame's table, and a node already there
+    is not evaluated again: one extension per (frame, formula).  A node
+    outside the B fragment is never stored, so it raises on every call."""
+    ext = m._extensions
+    hit = ext.get(f)
+    if hit is not None:
+        return hit
     succ, full, valuation = m.succ, full_mask(m.n), m.valuation
-    ext: dict[Formula, int] = {}
     for g in fm.postorder(f):
+        if g in ext:
+            continue
         cls = type(g)
         if cls is fm.Atom:
             ext[g] = valuation.get(g.name, 0)

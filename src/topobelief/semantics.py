@@ -92,19 +92,22 @@ class Evaluator:
     def __init__(self, model: SubsetModel, kind: Semantics):
         self.model = model
         self.kind = kind
+        self._needs_v = kind.needs_doxastic_range
         self._engine = BatchEvaluator((), kind)
         self._lanes = _Lanes(((model,),), (1,))
         self._vals: dict[tuple[int, int | None], list[int]] = {}
 
     def extension(self, f: Formula, u: int, v: int | None = None) -> int:
         """Worlds of u satisfying f under the ranges (a subset mask)."""
-        if self.kind.needs_doxastic_range:
+        if self._needs_v:
             if v is None:
                 raise SemanticsError(f"{self.kind.value} semantics needs a doxastic range")
         elif v is not None:
             raise SemanticsError("strong semantics takes no doxastic range")
         engine = self._engine
-        idx = engine.add(f)
+        idx = engine.index.get(f)
+        if idx is None:
+            idx = engine.add(f)
         vals = self._vals.setdefault((u, v), [])
         filled = len(vals)
         if idx >= filled:

@@ -1,10 +1,13 @@
+import pickle
+import random
+
 import pytest
 
 from itertools import product
 
 from oracles import all_relations, brush_components, is_belief_relation, kripke_truth
 from topobelief import model, relational
-from topobelief.formula import Atom, Bel, Meta, Not, formula_corpus, get_scheme, parse
+from topobelief.formula import Atom, Bel, Meta, Not, formula_corpus, get_scheme, parse, postorder
 from topobelief.relational import (
     RelationalError,
     RelationalModel,
@@ -282,6 +285,101 @@ class TestRelationalExtension:
         for _ in range(depth):
             expected = sum(1 << x for x, s in enumerate(m.succ) if not s & expected)
         assert relational_extension(m, f) == expected
+
+
+class TestExtensionTable:
+    """A frame keeps the extensions computed on it; every answer read from
+    the table must equal the oracle's and a fresh frame's, in any order."""
+
+    CORPUS = formula_corpus(connectives=("B",))
+    SUBFORMULAS = tuple(dict.fromkeys(g for f in CORPUS for g in postorder(f)))
+
+    @classmethod
+    def _orders(cls, n, seed):
+        """Ways to ask the corpus: (formula, world) pairs, world None for a
+        whole extension."""
+        shuffled = list(cls.SUBFORMULAS)
+        random.Random(seed).shuffle(shuffled)
+        largest_first = sorted(cls.SUBFORMULAS, key=lambda f: -len(postorder(f)))
+        return {
+            "largest first": [(f, None) for f in largest_first],
+            "subformulas first": [(f, None) for f in cls.SUBFORMULAS],
+            "shuffled": [(f, None) for f in shuffled],
+            "per world": [(f, x) for x in range(n) for f in cls.CORPUS],
+            "per world, shuffled": [(f, x) for f in shuffled for x in reversed(range(n))],
+        }
+
+    def test_every_order_matches_the_oracle_and_a_fresh_frame(self):
+        for n in (1, 2, 3, 4):
+            for i, frame in enumerate(all_belief_frames(n)):
+                full = (1 << n) - 1
+                valuation = {"p": i * 5 & full, "q": (i * 3 + 1) & full}
+                fresh = {
+                    f: relational_extension(RelationalModel(n, frame.rel, valuation), f)
+                    for f in self.SUBFORMULAS
+                }
+                oracle = RelationalModel(n, frame.rel, valuation)
+                for f in self.SUBFORMULAS:
+                    assert all(bool(fresh[f] >> x & 1) == kripke_truth(oracle, x, f) for x in range(n))
+                for name, asks in self._orders(n, i).items():
+                    m = RelationalModel(n, frame.rel, valuation)
+                    for f, x in asks:
+                        if x is None:
+                            assert relational_extension(m, f) == fresh[f], (name, n, i, str(f))
+                        else:
+                            assert eval_relational(m, x, f) == bool(fresh[f] >> x & 1), (name, x)
+
+    def test_a_non_b_formula_raises_on_every_call(self):
+        mixed = parse("B p & (box q | K p)")
+        message = "relational evaluation is for the B fragment only (found ['K', 'box'])"
+        m = random_belief_frame(5, 4)
+        for before in ((), (parse("B p"),), (parse("B p"), parse("q"))):
+            for f in before:
+                relational_extension(m, f)
+            for _ in range(2):
+                with pytest.raises(RelationalError) as err:
+                    relational_extension(m, mixed)
+                assert str(err.value) == message
+                for x in range(m.n):
+                    with pytest.raises(RelationalError, match="fragment"):
+                        eval_relational(m, x, mixed)
+        for _ in range(2):
+            with pytest.raises(RelationalError, match="cannot evaluate node Meta"):
+                relational_extension(m, Bel(Meta("phi")))
+        assert set(m._extensions) == {parse("p"), parse("B p"), parse("q")}
+        assert relational_extension(m, parse("B p")) == relational_extension(
+            random_belief_frame(5, 4), parse("B p")
+        )
+
+    def test_the_table_leaves_identity_alone(self):
+        a, b = random_belief_frame(11, 5), random_belief_frame(11, 5)
+        for f in self.CORPUS:
+            relational_extension(a, f)
+        relational_extension(b, parse("B ! p"))
+        assert len(a._extensions) != len(b._extensions)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == repr(b) and model.dump(a) == model.dump(b)
+        for m in (a, b):
+            again = pickle.loads(pickle.dumps(m))
+            assert again == m and repr(again) == repr(m) and model.dump(again) == model.dump(m)
+            for f in self.CORPUS:
+                assert relational_extension(again, f) == relational_extension(m, f)
+
+    def test_one_b_interior_per_distinct_b_subformula(self, monkeypatch):
+        calls = []
+        interior = relational.mnb_interior
+
+        def counted(succ, a):
+            calls.append(a)
+            return interior(succ, a)
+
+        monkeypatch.setattr(relational, "mnb_interior", counted)
+        m = random_belief_frame(2, 6)
+        for _ in range(2):
+            for x in range(m.n):
+                for f in self.CORPUS:
+                    eval_relational(m, x, f)
+        assert len(calls) == sum(type(f) is Bel for f in self.SUBFORMULAS)
 
 
 class TestBridge:

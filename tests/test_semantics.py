@@ -64,6 +64,21 @@ class TestExtension:
         with pytest.raises(SemanticsError):
             extension(sierpinski, parse("p"), ED, 0b11)
 
+    def test_kind_range_mismatch_on_a_compiled_formula(self, sierpinski):
+        # the range check comes before the engine's index is read
+        f = parse("B p")
+        for kind in (ED, AE):
+            ev = Evaluator(sierpinski, kind)
+            ev.extension(f, 0b11, 0b01)
+            for g in (f, parse("p")):
+                with pytest.raises(SemanticsError, match="needs a doxastic range"):
+                    ev.extension(g, 0b11)
+        ev = Evaluator(sierpinski, STRONG)
+        ev.extension(f, 0b11)
+        for g in (f, parse("p")):
+            with pytest.raises(SemanticsError, match="takes no doxastic range"):
+                ev.extension(g, 0b11, 0b01)
+
     def test_non_open_range_rejected(self, sierpinski):
         with pytest.raises(SemanticsError):
             extension(sierpinski, parse("p"), STRONG, 0b10)
