@@ -30,7 +30,6 @@ from .topology import (
     full_mask,
     generate_from_subbasis,
     mask_of,
-    mnb_closure,
 )
 
 
@@ -227,8 +226,6 @@ def range_groups(
         )
     if cls is None:
         return tuple((u, None) for u in top.opens if u)
-    if cls is ScenarioClass.DENSE:  # each open's closure, once per topology
-        closure = {v: mnb_closure(top.min_neighborhoods, v) for v in top.opens}
     out = []
     for u in top.opens:
         if u == 0:
@@ -236,8 +233,8 @@ def range_groups(
         inside = [v for v in top.opens if v & ~u == 0]
         if cls is ScenarioClass.CONSISTENT:
             inside = [v for v in inside if v]
-        elif cls is ScenarioClass.DENSE:
-            inside = [v for v in inside if u & ~closure[v] == 0]
+        elif cls is ScenarioClass.DENSE:  # V open: U in cl V iff U ∩ Max in V
+            inside = [v for v in inside if u & top.maximal & ~v == 0]
         elif cls is ScenarioClass.TOTAL:
             inside = [u]
         out.extend((u, v) for v in inside)  # every class admits V = U

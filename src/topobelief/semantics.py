@@ -6,7 +6,8 @@ linear pass per range pair.  The belief clause is implemented directly per
 semantics:
 
   strong  B phi holds on (x, U) iff the interior of phi's extension is
-          dense in U (equivalently U is inside cl(int(ext)))
+          dense in U (U is inside cl(int(ext))), that is, iff U ∩ Max is
+          inside the extension: the ae clause read at V = U
   ed      B phi holds on (x, U, V) iff V is inside phi's extension
   ae      B phi holds on (x, U, V) iff V minus phi's extension is nowhere
           dense (almost-all quantification), that is, iff it misses Max,
@@ -22,20 +23,20 @@ as they are asked for and keeps one value list per range pair.
 Soundness sweeps compile a formula set once and evaluate it lane-packed:
 a group of consecutive models of a stream, of any topologies and carrier
 sizes, holds one bit per (world, lane) in each value, and every
-connective, interior and closure acts on the whole group at once.  A lane
-is a model and a chunk of its list of range pairs, every chunk as long as
-the group's shortest list, so a group costs about as many passes as that
-list, not as its longest; a group of one topology's valuations gives each
-model one lane, its whole list.  Interior reads each lane's own
-minimal-neighborhood table, closure is its dual, and pass k evaluates
-each lane under its chunk's k-th range pair; _passes lays out this one
-schedule of every sweep, and _values runs it.  valid_in_model, suite
-runs and find_countermodel sweep lane groups of their stream's
-same-topology runs, the search's groups growing as it goes (each at most
-as many runs as all before it), and a failure is the one a
-scenario-by-scenario scan finds: the first failing model, the least
-world missing there, then the first (U, V) in canonical order that
-misses that world.  An ae validity sweep visits only the (U, V) whose V
+connective, interior and belief clause acts on the whole group at once.
+A lane is a model and a chunk of its list of range pairs, every chunk as
+long as the group's shortest list, so a group costs about as many passes
+as that list, not as its longest; a group of one topology's valuations
+gives each model one lane, its whole list.  Interior reads each lane's
+own minimal-neighborhood table, belief each lane's own Max (no clause
+needs a closure), and pass k evaluates each lane under its chunk's k-th
+range pair; _passes lays out this one schedule of every sweep, and
+_values runs it.  valid_in_model, suite runs and find_countermodel sweep
+lane groups of their stream's same-topology runs, the search's groups
+growing as it goes (each at most as many runs as all before it), and a
+failure is the one a scenario-by-scenario scan finds: the first failing
+model, the least world missing there, then the first (U, V) in canonical
+order that misses that world.  An ae validity sweep visits only the (U, V) whose V
 lies inside Max, which finds the same failures (see sweep_validity).
 """
 
@@ -64,7 +65,7 @@ from .model import (
     random_model,
     range_groups,
 )
-from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, mnb_closure, mnb_interior
+from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, mnb_interior
 
 
 class SemanticsError(Exception):
@@ -285,10 +286,9 @@ class _Lanes:
     A world past a lane's own carrier is its own minimal neighborhood and
     lies in no range, so it stays empty in every value of that lane.
     Interior reads one table per world x of (y, outside) pairs, outside
-    being the lanes whose mnb(x) lacks y; closure is its dual, the
-    complement of the interior of the complement within every lane of
-    every world.  With W = 1 a packed value is the plain subset mask, and
-    interior and closure are topology.mnb_interior and mnb_closure.
+    being the lanes whose mnb(x) lacks y, and belief reads each lane's Max
+    (maximal).  With W = 1 a packed value is the plain subset mask,
+    interior is topology.mnb_interior and maximal is Topology.maximal.
     """
 
     def __init__(self, runs: Sequence[Sequence[SubsetModel]], chunks: Sequence[int]):
@@ -301,9 +301,9 @@ class _Lanes:
         self.shifts = tuple(x * width for x in range(n))
         self.rep = self.replicate((1 << n) - 1)
         if width == 1:
-            mnb = runs[0][0].topology.min_neighborhoods
-            self.interior = partial(mnb_interior, mnb)
-            self.closure = partial(mnb_closure, mnb)
+            top = runs[0][0].topology
+            self.interior = partial(mnb_interior, top.min_neighborhoods)
+            self.maximal = top.maximal
             return
         # holds[x][y]: the lanes whose mnb(x) holds y, for each y != x
         holds: list[dict[int, int]] = [{} for _ in range(n)]
@@ -314,14 +314,12 @@ class _Lanes:
                 for y in bits(nb & ~(1 << x)):
                     row[y] = row.get(y, 0) | lanes
         self._meets = [[(y, ones & ~m) for y, m in row.items()] for row in holds]
-        self.all = ones * self.rep  # every lane of every world
         self.interior = self._interior
-        self.closure = self._closure
 
     @cached_property
     def maximal(self) -> int:
-        """Each lane's Topology.maximal, packed (the plain mask at W = 1);
-        packed once, when the ae clause first reads it.  World x's column
+        """Each lane's Topology.maximal, packed once, when a strong or ae B
+        first reads it (set in __init__ at W = 1).  World x's column
         collects the lanes whose Max holds x, as in pack."""
         cols = [0] * len(self.shifts)
         for (run, _), start, end in zip(self.runs, self.starts, self.starts[1:]):
@@ -380,10 +378,6 @@ class _Lanes:
                 acc &= block[y] | outside
             out |= acc << self.shifts[x]
         return out
-
-    def _closure(self, a: int) -> int:
-        """cl is the dual of interior: all & ~interior(all & ~a)."""
-        return self.all & ~self._interior(self.all & ~a)
 
 
 class BatchEvaluator:
@@ -466,18 +460,19 @@ class BatchEvaluator:
         A node's op is its class for an atom or a modality, and otherwise
         its connective's truth function, applied to us and the operands.
         K and B share one broadcast: each clause works out the worlds its
-        modality misses (K: of U outside the operand; strong B: of U outside
-        cl(int(operand)); ed B: of V outside the operand; ae B: those of
-        them in the lane's Max, since V minus the operand is nowhere dense
-        exactly when it misses Max), and the modality holds on a lane's
-        whole U where that lane misses none: us & (rep * ok), where rep * ok
-        copies the lane mask ok = ones & ~fold(missing) into every block.
+        modality misses (K: of U outside the operand; ed B: of V outside
+        the operand; ae B: those of them in the lane's Max, since V minus
+        the operand is nowhere dense exactly when it misses Max; strong B:
+        the ae clause at V = U, since the open U lies in cl(int(operand))
+        exactly when U ∩ Max lies in the operand, see topology._maximal),
+        and the modality holds on a lane's whole U where that lane misses
+        none: us & (rep * ok), where rep * ok copies the lane mask
+        ok = ones & ~fold(missing) into every block.
         """
         ones = lanes.ones
         rep = lanes.rep
         wide = lanes.width > 1  # in one model a failing modality is just empty
         interior = lanes.interior
-        closure = lanes.closure
         fold = lanes.fold
         kind = self.kind
         nodes = self.nodes
@@ -489,12 +484,10 @@ class BatchEvaluator:
                 sub = vals[a]
                 if op is K:
                     missing = 0 if sub == us else us & ~sub
-                elif kind is Semantics.STRONG:
-                    missing = 0 if sub == us else us & ~closure(interior(sub))
                 elif kind is Semantics.ED:
                     missing = vs & ~sub
-                else:
-                    missing = vs & ~sub & lanes.maximal
+                else:  # strong reads U where ae reads V
+                    missing = (us if kind is Semantics.STRONG else vs) & ~sub & lanes.maximal
                 if not missing:
                     out = us
                 elif wide:

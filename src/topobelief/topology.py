@@ -13,11 +13,13 @@ point's first containing open as its table and compares the family with
 that table's unions; each then folds the table into its unions in O(F·n)
 for F opens.
 The table also backs equality, hashing and the interior/closure
-operators; mnb_interior and mnb_closure are those operators without the
-subset check, for the evaluation engine.  It also gives Max, the union of
-the maximal clusters (the minimal nonempty opens), once per topology: a
-subset is nowhere dense exactly when it misses Max (McKinsey & Tarski,
-"The algebra of topology", 1944, for finite spaces).
+operators; mnb_interior is interior without the subset check, for the
+evaluation engine and relational B.  It also gives Max, the union of the
+maximal clusters (the minimal nonempty opens), once per topology: a subset
+is nowhere dense exactly when it misses Max (McKinsey & Tarski, "The
+algebra of topology", 1944, for finite spaces), and an open U lies in
+cl(int a) exactly when U ∩ Max lies in a (see _maximal), so the engine
+reads density, strong belief included, through Max and needs no closure.
 """
 
 from __future__ import annotations
@@ -227,9 +229,14 @@ class Topology:
         return mnb_interior(self.min_neighborhoods, a)
 
     def closure(self, a: int) -> int:
-        """Smallest closed set containing a."""
+        """Smallest closed set containing a: the x whose minimal open
+        neighborhood meets a."""
         _check_subset(self.n, a)
-        return mnb_closure(self.min_neighborhoods, a)
+        m = 0
+        for x, nb in enumerate(self.min_neighborhoods):
+            if nb & a:
+                m |= 1 << x
+        return m
 
     def is_dense_in(self, a: int, u: int) -> bool:
         """Whether u is contained in the closure of a."""
@@ -260,6 +267,13 @@ def _maximal(mnb: tuple[int, ...]) -> int:
     nonempty open.  If a meets one, that cluster lies in int(cl a); and a
     nonempty open inside cl a holds some maximal cluster, which must then
     meet a.  So a is nowhere dense exactly when a & Max is empty.
+
+    Density reads the same way: an open U lies in cl(int a) exactly when
+    U & Max lies in a.  If it does, each x in U has mnb(x) inside U, and
+    mnb(x) holds a maximal cluster C, so C lies in U & Max, hence in a;
+    C is open, so mnb(x) meets int a.  Conversely U & Max is the union of
+    the maximal clusters C inside U; each is a minimal nonempty open, and
+    mnb(c) = C meets int a for c in C, so C lies in int a.
     """
     out = 0
     for nb in mnb:
@@ -277,18 +291,6 @@ def mnb_interior(mnb: tuple[int, ...], a: int) -> int:
     m = 0
     for x, nb in enumerate(mnb):
         if nb & ~a == 0:
-            m |= 1 << x
-    return m
-
-
-def mnb_closure(mnb: tuple[int, ...], a: int) -> int:
-    """Closure of a from the minimal-neighborhood table, unchecked.
-
-    x is in the closure exactly when its minimal open neighborhood meets a.
-    """
-    m = 0
-    for x, nb in enumerate(mnb):
-        if nb & a:
             m |= 1 << x
     return m
 

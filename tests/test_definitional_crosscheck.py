@@ -10,7 +10,7 @@ from itertools import count, product
 from random import Random
 
 from oracles import brute_closure, def_truth
-from topobelief.formula import atoms, formula_corpus, parse
+from topobelief.formula import atoms, formula_corpus, modalities, parse
 from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
     BudgetError,
@@ -563,6 +563,41 @@ def test_reduced_ae_sweeps_match_full_sweeps(monkeypatch):
             failures += 1
             outside += not hit.model.topology.maximal >> s.x & 1
     assert failures >= 1000 and outside >= 100, (failures, outside)
+
+
+def test_strong_sweeps_match_scan_where_max_is_not_the_carrier():
+    """Strong B reads U ∩ Max, the ae clause at V = U.  Over the clustered
+    stream, whose maximal clusters have points below them, each root's
+    strong sweep failure is the def_truth scan's, whose B reads
+    U inside cl(int(ext)), in every rotation of the stream."""
+    models = _clustered_stream()
+    roots = [parse(text) for text in AE_ROOTS]
+    kind, cls = Semantics.STRONG, ScenarioClass.ALL
+    later_lanes = 0
+    for _, positions in _check_rotations(models, roots, kind, cls):
+        later_lanes += sum(pos > 0 for pos in positions)
+    failed = set(sweep_validity(BatchEvaluator(roots, kind), models, cls))
+    belief = {f for f in roots if "B" in modalities(f)}
+    assert len(failed & belief) >= 3 and belief - failed, sorted(map(str, failed))
+    assert later_lanes >= 1000, later_lanes
+
+
+def test_strong_belief_agrees_on_random_models_of_five_to_eight_worlds():
+    """Single-lane satisfies against def_truth for every corpus formula
+    with a B, at every epistemic scenario of random models larger than the
+    gate's criterion 04 reaches, where Max is not the carrier."""
+    corpus = [f for f in formula_corpus() if "B" in modalities(f)]
+    draws = [random_model(seed, n) for n in range(5, 9) for seed in range(3)]
+    # def_truth's box ranges over the open family: a draw of 72 opens takes it seconds
+    draws = [model for model in draws if len(model.topology.opens) <= 30]
+    assert len({model.n for model in draws}) == 4 and len(draws) >= 10
+    assert all(model.topology.maximal != model.topology.full for model in draws)
+    for model in draws:
+        for s in epistemic_scenarios(model):
+            for f in corpus:
+                ours = satisfies(model, s, f, Semantics.STRONG)
+                naive = def_truth(model, s.x, s.u, None, f, Semantics.STRONG)
+                assert ours == naive, (dump(model), s.literal(), str(f))
 
 
 def test_reduced_ae_suite_reports_match_full_reports(monkeypatch):

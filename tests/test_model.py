@@ -2,6 +2,7 @@ import copy
 import json
 import operator
 import pickle
+import time
 
 import pytest
 
@@ -20,8 +21,9 @@ from topobelief.model import (
     load,
     parse_scenario,
     random_model,
+    range_groups,
 )
-from topobelief.topology import Topology, find_violation
+from topobelief.topology import Topology, enumerate_topologies, find_violation
 
 SIERP_DOC = """
 { "type": "subset", "worlds": 2,
@@ -217,6 +219,21 @@ class TestScenarios:
                         assert s.u & ~brute_closure(top.n, top.opens, s.v) == 0
                     elif cls is ScenarioClass.TOTAL:
                         assert s.v == s.u
+
+    def test_dense_ranges_are_the_dense_pairs_of_all(self):
+        """range_groups under dense reads U in cl V through Max; it must keep
+        exactly the pairs of all whose U lies in the brute-force closure of V,
+        on every topology to 4 points and on random draws of 5 to 10."""
+        started = time.perf_counter()
+        tops = [t for n in range(1, 5) for t in enumerate_topologies(n)]
+        tops += [random_model(seed, n).topology for n in range(5, 11) for seed in range(8)]
+        for top in tops:
+            closure = {v: brute_closure(top.n, top.opens, v) for v in top.opens}
+            pairs = range_groups(top, ScenarioClass.ALL, budget=10**9)
+            dense = tuple((u, v) for u, v in pairs if u & ~closure[v] == 0)
+            assert range_groups(top, ScenarioClass.DENSE, budget=10**9) == dense, top
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
 
     def test_dense_stream_is_consistent(self, wedge):
         for s in ed_scenarios(wedge, ScenarioClass.DENSE):

@@ -221,11 +221,17 @@ def _nowhere_dense_oracle(t, a):
 
 def _check_maximal(t, subsets):
     """Topology.maximal against the definitions: it decides nowhere density
-    as int(cl a) does, each maximal cluster is open, every nonempty open
-    meets it, and it is the union of the minimal nonempty opens."""
+    as int(cl a) does, it decides density as cl(int a) does (an open U lies
+    in cl(int a) exactly when U & Max lies in a, the identity the engine's
+    strong belief clause and dense ranges read), each maximal cluster is
+    open, every nonempty open meets it, and it is the union of the minimal
+    nonempty opens."""
     for a in subsets:
         assert (a & t.maximal == 0) == _nowhere_dense_oracle(t, a), (t, a)
         assert t.is_nowhere_dense(a) == (a & t.maximal == 0)
+        dense = brute_closure(t.n, t.opens, brute_interior(t.opens, a))
+        for u in t.opens:
+            assert (u & ~dense == 0) == (u & t.maximal & ~a == 0), (t, a, u)
     table = brute_min_neighborhoods(t.n, t.opens)
     for x in bits(t.maximal):  # x's cluster: the points with x's least open
         cluster = sum(1 << y for y in range(t.n) if table[y] == table[x])
