@@ -2,9 +2,10 @@
 
 Exit codes carry the logical verdict so shell harnesses need no output
 parsing: 0 for holds/valid/suite-clean/converted, 1 for fails/countermodel
-found, 2 for usage or input errors (including exceeded budgets and input
-nested too deeply to evaluate).  All output is deterministic for fixed
-inputs and seed.
+found, 2 for usage or input errors (including exceeded budgets, a
+formula nested deeper than formula.MAX_DEPTH, which parse refuses, and a
+model document too deep for the JSON reader).  All output is deterministic
+for fixed inputs and seed.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Formulas of the trimodal language of knowledge (K), knowability (box), belief (B).
 
-The AST is a small family of frozen dataclasses whose nodes are interned
-(hash-consed, after Filliatre & Conchon, "Type-safe modular hash-consing",
-2006): building a node returns the one already made from the same class
-and fields, so equal formulas are one object, `==` is identity and hashing
-is O(1) at any depth.  Each node keeps its children, and postorder(f)
-lists f's distinct subformulas children first.  The surface syntax is
+The AST is a small family of immutable slotted classes whose nodes are
+interned (hash-consed, after Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): building a node returns the one already made from
+the same class and fields, so equal formulas are one object, `==` is
+identity and hashing is O(1) at any depth.  Each node keeps its children
+and its depth, and postorder(f) lists f's distinct subformulas children
+first.  Every walk over a formula is a loop, so every function here works
+at any depth except parse, the one place that limits it: parse refuses
+input nested deeper than MAX_DEPTH with NestingError.  The surface syntax is
 ASCII only.  Each connective, `true` and `false` included, is defined once,
 in CONNECTIVES: its word, precedence and operand contexts, which the parser,
 the printer and every node's arity read, and a Boolean one's truth
@@ -18,7 +21,7 @@ desugared form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Mapping, NamedTuple
 
 
@@ -32,110 +35,138 @@ class ParseError(FormulaError):
         self.position = position
 
 
+class NestingError(FormulaError, RecursionError):
+    """Input that parse refuses as too deep (see MAX_DEPTH)."""
+
+    def __init__(self, message: str = "input nested too deeply (recursion limit reached)"):
+        super().__init__(message)
+
+
+# The deepest input parse reads: a formula's depth (connectives on its
+# longest path down to a leaf) and the parentheses open at once may each
+# reach it.  The parser spends at most four stack frames per level, on
+# `p & (p & (...))`, so input at the limit takes about 520 of Python's
+# default 1 000 and leaves the rest to the caller.
+MAX_DEPTH = 128
+
+
 # (class, *fields) -> the one node with them; nodes live as long as the process
 _NODES: dict[tuple, Formula] = {}
 
 
-@dataclass(frozen=True, eq=False)
 class Formula:
     """Base class; every node is one of the variants below.
 
-    Nodes are interned: __new__ hands back the node already built from the
-    same class and fields, so hash and == are the identity's.  A node
-    stores its children once, when it is built; Atom and Meta carry a name,
-    and every other node's fields are its children.
+    Nodes are interned: __new__ is the only code that builds one, and it
+    hands back the node already built from the same class and fields, so
+    hash and == are the identity's and a node never changes.  A node
+    stores its children and its depth once, when it is built; Atom and
+    Meta carry a name, and every other node's fields are its children.
     """
 
-    _postorder = None  # set by postorder(f), on f alone
+    # _postorder is set by postorder(f), on f alone
+    __slots__ = ("_children", "_depth", "_postorder")
+    _fields: tuple[str, ...] = ()  # each variant's, in constructor order
 
     def __new__(cls, *fields, **named):
-        names = cls.__dataclass_fields__
-        if named:  # bind keywords in field order, as __init__ does
-            fields += tuple(named[name] for name in list(names)[len(fields) :] if name in named)
+        if named:  # bind keywords in field order
+            fields += tuple(named.pop(name) for name in cls._fields[len(fields) :] if name in named)
         key = (cls, *fields)
         node = _NODES.get(key)
-        if node is None:
-            node = super().__new__(cls)
-            if len(fields) != len(names):
-                return node  # not interned: __init__ reports the bad call
-            for name, value in zip(names, fields):
+        if node is None or named:  # a keyword left over, unknown or given twice, is an error
+            if named or len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+            node = object.__new__(cls)
+            kids = () if cls is Atom or cls is Meta else fields
+            for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_children", () if cls is Atom or cls is Meta else fields)
+            object.__setattr__(node, "_children", kids)
+            depth = 1 + max(getattr(k, "_depth", 0) for k in kids) if kids else 0
+            object.__setattr__(node, "_depth", depth)
+            object.__setattr__(node, "_postorder", None)
             _NODES[key] = node
         return node
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
         """Pickle and copy rebuild through the constructor, so they get this node."""
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        """Name(field=value!r, ...), as a dataclass writes it, at any depth:
+        one explicit stack of pending text and nodes."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if type(g) is str:
+                out.append(g)
+                continue
+            out.append(f"{type(g).__name__}(")
+            stack.append(")")
+            for i in reversed(range(len(g._fields))):
+                value = getattr(g, g._fields[i])
+                stack.append(value if isinstance(value, Formula) else repr(value))
+                stack.append(f"{', ' if i else ''}{g._fields[i]}=")
+        return "".join(out)
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True, eq=False)
 class Top(Formula):
-    pass
+    __slots__ = _fields = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Bot(Formula):
-    pass
+    __slots__ = _fields = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True, eq=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class K(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True, eq=False)
 class Box(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True, eq=False)
 class Bel(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True, eq=False)
 class Meta(Formula):
     """Metavariable; only legal inside scheme templates."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
 
 def hat_k(f: Formula) -> Formula:
@@ -206,9 +237,11 @@ _SYMBOLS = (*_INFIX, *(w for w in _PREFIX if not w.isalpha()), "(", ")")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Yield (kind, value, offset) triples; kinds: word, sym, end."""
+    """Yield (kind, value, offset) triples; kinds: word, sym, end.
+
+    Raises NestingError once more than MAX_DEPTH parentheses are open."""
     tokens = []
-    i = 0
+    i = opened = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
@@ -223,6 +256,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text.startswith(sym, i):
                 tokens.append(("sym", sym, i))
                 i += len(sym)
+                opened += (sym == "(") - (sym == ")")
+                if opened > MAX_DEPTH:
+                    raise NestingError()
                 break
         else:
             raise ParseError(f"unknown operator token {text[i]!r}", i)
@@ -285,39 +321,62 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse the ASCII surface syntax into a (desugared) Formula."""
+    """Parse the ASCII surface syntax into a (desugared) Formula.
+
+    The one depth check in the package: input nested deeper than
+    MAX_DEPTH, or too deep for the parser's stack, raises NestingError.
+    Formulas built in code have no depth limit.
+    """
     p = _Parser(text)
-    out = p.formula()
+    try:
+        out = p.formula()
+    except RecursionError:
+        raise NestingError() from None
     kind, value, offset = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected {value!r}", offset)
+    if out._depth > MAX_DEPTH:
+        raise NestingError()
     return out
 
 
-def _render(f: Formula, context: int) -> str:
-    cls = type(f)
-    c = CONNECTIVES.get(cls)
-    if c is None:
-        if cls is Atom or cls is Meta:
-            return f.name
-        raise FormulaError(f"not a formula node: {f!r}")
-    if not c.operands:
-        text = c.word
-    elif len(c.operands) == 2:
-        left, right = c.operands
-        text = f"{_render(f.left, left)} {c.word} {_render(f.right, right)}"
-    else:
-        word, sub = c.word, f.sub
-        inner = CONNECTIVES.get(type(sub))
-        if cls is Not and inner is not None and inner.dual and type(sub.sub) is Not:
-            word, sub = inner.dual, sub.sub.sub
-        text = f"{word} {_render(sub, c.operands[0])}"
-    return f"({text})" if c.prec < context else text
-
-
 def to_text(f: Formula) -> str:
-    """Canonical rendering; round-trips through parse."""
-    return _render(f, 0)
+    """Canonical rendering; round-trips through parse.
+
+    Written left to right with an explicit stack of pending text and
+    (subformula, context) pairs, so it is linear in the text at any depth.
+    """
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, context = item
+        cls = type(g)
+        c = CONNECTIVES.get(cls)
+        if c is None:
+            if cls is Atom or cls is Meta:
+                out.append(g.name)
+                continue
+            raise FormulaError(f"not a formula node: {g!r}")
+        if c.prec < context:
+            out.append("(")
+            stack.append(")")
+        if not c.operands:
+            out.append(c.word)
+        elif len(c.operands) == 2:
+            left, right = c.operands
+            stack += [(g.right, right), f" {c.word} ", (g.left, left)]
+        else:
+            word, sub = c.word, g.sub
+            inner = CONNECTIVES.get(type(sub))
+            if cls is Not and inner is not None and inner.dual and type(sub.sub) is Not:
+                word, sub = inner.dual, sub.sub.sub
+            out.append(f"{word} ")
+            stack.append((sub, c.operands[0]))
+    return "".join(out)
 
 
 def postorder(f: Formula) -> tuple[Formula, ...]:
@@ -348,10 +407,6 @@ def postorder(f: Formula) -> tuple[Formula, ...]:
 def subformulas(f: Formula) -> frozenset[Formula]:
     """The formula and all of its descendants, each once."""
     return frozenset(postorder(f))
-
-
-def _children(f: Formula) -> tuple[Formula, ...]:
-    return f._children
 
 
 def _map_nodes(f: Formula, fn: Callable[[Formula], Formula | None]) -> Formula:

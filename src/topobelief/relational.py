@@ -145,7 +145,7 @@ def relational_extension(m: RelationalModel, f: Formula) -> int:
                 bad = sorted(fm.modalities(f) - {"B"})
                 found = f"relational evaluation is for the B fragment only (found {bad})"
                 raise RelationalError(found if bad else f"cannot evaluate node {g!r}")
-            kids = fm._children(g)  # truth ignores an operand past its arity
+            kids = g._children  # truth ignores an operand past its arity
             a, b = (ext[kids[0]], ext[kids[-1]]) if kids else (0, 0)
             ext[g] = c.truth(full, a, b)
     return ext[f]

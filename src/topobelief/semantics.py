@@ -405,28 +405,37 @@ class BatchEvaluator:
         self.roots = {f: self.add(f) for f in roots}
 
     def add(self, f: Formula) -> int:
-        """Node index of f, compiling f and its subformulas if they are new."""
-        hit = self.index.get(f)
+        """Node index of f, compiling f and its subformulas if they are new.
+
+        One loop over postorder(f), children first and left to right, so
+        any depth is fine; a node that cannot compile raises with the
+        nodes before it in that order already added.
+        """
+        index = self.index
+        hit = index.get(f)
         if hit is not None:
             return hit
-        cls = type(f)
-        c = fm.CONNECTIVES.get(cls)
-        if c is not None:
-            kids = [self.add(g) for g in fm._children(f)]
-            a, b, *_ = kids + [0, 0]
-            reads_v = cls is Bel and self.kind is not Semantics.STRONG
-            reads_v = reads_v or any(self._reads_v[k] for k in kids)
-        elif cls is Atom:
-            a, b, reads_v = f.name, 0, False
-            self.atom_names += (f.name,)
-        else:
-            raise SemanticsError(f"cannot compile node {f!r}")
-        idx = len(self.nodes)
-        self.nodes.append((cls if c is None or c.truth is None else c.truth, a, b))
-        self.index[f] = idx
-        self._reads_v.append(reads_v)
-        (self.overlay_order if reads_v else self.base_order).append(idx)
-        return idx
+        for g in fm.postorder(f):
+            if g in index:
+                continue
+            cls = type(g)
+            c = fm.CONNECTIVES.get(cls)
+            if c is not None:
+                kids = [index[k] for k in g._children]
+                a, b, *_ = kids + [0, 0]
+                reads_v = cls is Bel and self.kind is not Semantics.STRONG
+                reads_v = reads_v or any(self._reads_v[k] for k in kids)
+            elif cls is Atom:
+                a, b, reads_v = g.name, 0, False
+                self.atom_names += (g.name,)
+            else:
+                raise SemanticsError(f"cannot compile node {g!r}")
+            idx = len(self.nodes)
+            self.nodes.append((cls if c is None or c.truth is None else c.truth, a, b))
+            index[g] = idx
+            self._reads_v.append(reads_v)
+            (self.overlay_order if reads_v else self.base_order).append(idx)
+        return index[f]
 
     def base_pass(self, model: SubsetModel, u: int) -> list[int]:
         """Extensions of all doxastic-range-independent nodes under u, in one

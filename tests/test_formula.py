@@ -219,7 +219,7 @@ class TestSubformulas:
         subs = subformulas(f)
         assert f in subs
         for g in subs:
-            for child in fm._children(g):
+            for child in g._children:
                 assert child in subs
 
 
@@ -303,7 +303,7 @@ class TestInterning:
         with pytest.raises(TypeError):
             Bel(p, q)
         for cls, *fields in fm._NODES:
-            assert len(fields) == len(dataclasses.fields(cls)), (cls, fields)
+            assert len(fields) == len(cls._fields), (cls, fields)
 
 
 class TestPostorder:
@@ -315,7 +315,7 @@ class TestPostorder:
         assert order[-1] is f
         seen = set()
         for g in order:
-            assert all(child in seen for child in fm._children(g))
+            assert all(child in seen for child in g._children)
             seen.add(g)
 
     def test_left_to_right(self):
@@ -376,6 +376,71 @@ class TestDeepChain:
         assert translate(f, E_MAP) is chain(p, lambda g: K(dia(Box(Not(g)))))
         scheme = fm.Scheme("deep", chain(Meta("phi"), lambda g: Bel(Not(g))))
         assert instantiate(scheme, {"phi": p}) is f
+
+    def test_text_and_repr_of_a_deep_chain(self):
+        f = p
+        for _ in range(self.DEPTH):
+            f = Bel(Not(f))
+        started = time.perf_counter()
+        # ! B ! g prints as hatB g, so the chain reads B hatB B hatB ... p
+        expected = "p"
+        for _ in range(self.DEPTH // 2):
+            expected = "B hatB " + expected
+        assert to_text(f) == str(f) == expected
+        text = repr(f)
+        assert text.startswith("Bel(sub=Not(sub=Bel(sub=Not(sub=")
+        assert text.endswith("Atom(name='p')" + "))" * self.DEPTH)
+        assert len(text) == len("Bel(sub=Not(sub=))") * self.DEPTH + len(repr(p))
+        elapsed = time.perf_counter() - started
+        assert elapsed < 2.0, f"runtime target exceeded: {elapsed:.2f}s"
+
+
+class TestParseLimit:
+    """parse reads input nested up to MAX_DEPTH and refuses deeper input
+    with one error, which is both a FormulaError and a RecursionError."""
+
+    # TestDeepInput's shapes (tests/test_cli.py), each nested `depth` deep:
+    # a formula of that depth, or that many parentheses open at once
+    SHAPES = {
+        "conjuncts": lambda depth: " & ".join(["p"] * (depth + 1)),
+        "negations": lambda depth: "!" * depth + "p",
+        "beliefs": lambda depth: "B " * depth + "p",
+        "parentheses": lambda depth: "(" * depth + "p" + ")" * depth,
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_shape_at_the_limit_round_trips(self, shape):
+        f = parse(self.SHAPES[shape](fm.MAX_DEPTH))
+        assert f._depth == (0 if shape == "parentheses" else fm.MAX_DEPTH)
+        assert parse(to_text(f)) is f
+
+    @pytest.mark.parametrize("depth", [fm.MAX_DEPTH + 1, 2_000])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_shape_past_the_limit_raises_the_one_error(self, shape, depth):
+        with pytest.raises(fm.NestingError) as err:
+            parse(self.SHAPES[shape](depth))
+        assert isinstance(err.value, FormulaError) and isinstance(err.value, RecursionError)
+        assert str(err.value) == "input nested too deeply (recursion limit reached)"
+
+    @pytest.mark.parametrize("words", [("&",), ("|",), ("->",), ("<->",), ("&", "|")])
+    def test_worst_case_round_trips_200_frames_down(self, words):
+        """A right operand in parentheses at every level takes the parser
+        four frames a level, its most; at MAX_DEPTH that still leaves
+        room for 200 frames above parse."""
+        text = "p"
+        for i in range(fm.MAX_DEPTH):
+            text = f"p {words[i % len(words)]} ({text})"
+
+        def round_trip(frames):
+            if frames:
+                return round_trip(frames - 1)
+            f = parse(text)
+            return f, parse(to_text(f))
+
+        f, again = round_trip(200)
+        assert f._depth == fm.MAX_DEPTH and again is f
+        with pytest.raises(fm.NestingError):
+            parse(f"p & ({text})")
 
 
 class TestSharedSubformulas:

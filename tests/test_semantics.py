@@ -1,4 +1,5 @@
 import gc
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import def_truth
 from topobelief.formula import (
     ALPHA_MAP,
+    Atom,
     Bel,
     E_MAP,
+    Not,
     formula_corpus,
     parse,
+    postorder,
     translate,
 )
 from topobelief.model import (
@@ -40,7 +44,7 @@ from topobelief.semantics import (
     valid_in_model,
 )
 from topobelief.suites import get_suite, run_suite, soundness_batch
-from topobelief.topology import Topology, enumerate_topologies
+from topobelief.topology import Topology, bits, enumerate_topologies
 
 STRONG, ED, AE = Semantics.STRONG, Semantics.ED, Semantics.AE
 
@@ -82,6 +86,47 @@ class TestExtension:
     def test_non_open_range_rejected(self, sierpinski):
         with pytest.raises(SemanticsError):
             extension(sierpinski, parse("p"), STRONG, 0b10)
+
+
+class TestDeepChain:
+    """B ! B ! ... p, 5 000 deep, compiles and evaluates like any formula."""
+
+    DEPTH = 5_000
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        f = Atom("p")
+        for _ in range(self.DEPTH):
+            f = Bel(Not(f))
+        return f
+
+    def test_compiles_every_node_in_postorder(self, chain):
+        started = time.perf_counter()
+        for kind in Semantics:
+            engine = BatchEvaluator([chain], kind)
+            assert len(engine.nodes) == 2 * self.DEPTH + 1
+            assert [engine.index[g] for g in postorder(chain)] == list(range(2 * self.DEPTH + 1))
+            assert engine.roots == {chain: 2 * self.DEPTH}
+        elapsed = time.perf_counter() - started
+        assert elapsed < 3.0, f"runtime target exceeded: {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("kind", list(Semantics))
+    def test_extension_and_satisfies_match_a_loop(self, chain, kind):
+        """The expectation steps one level at a time: B ! q with q valued
+        as the level below, at the same ranges."""
+        model = random_model(4, 5)
+        step = Bel(Not(Atom("q")))
+        pairs = range_pairs(model.topology, None if kind is STRONG else ScenarioClass.ALL)
+        started = time.perf_counter()
+        for u, v in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
+            ext = Evaluator(model, kind).extension(Atom("p"), u, v)
+            for _ in range(self.DEPTH):
+                ext = Evaluator(SubsetModel(model.topology, {"q": ext}), kind).extension(step, u, v)
+            assert Evaluator(model, kind).extension(chain, u, v) == ext
+            for x in bits(u):
+                assert satisfies(model, EDScenario(x, u, v), chain, kind) == bool(ext >> x & 1)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.2f}s"
 
 
 class TestSatisfies:
