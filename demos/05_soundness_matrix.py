@@ -7,22 +7,11 @@ runs the full exhaustive-plus-random batches.
 """
 
 from topobelief.model import ScenarioClass
-from topobelief.semantics import Semantics
-from topobelief.suites import Batch, get_suite, run_suite, stalnaker_images
+from topobelief.suites import DEFAULT_MATRIX, Batch, get_suite, run_suite, stalnaker_images
 
 batch = Batch(exhaustive_n=2, seeds=(1, 2, 3, 4, 5), sizes=(4, 4, 5, 5, 6))
 
-rows = (
-    ("el_kbox", None, None),
-    ("sel", None, None),
-    ("sel", Semantics.AE, ScenarioClass.TOTAL),
-    ("el_kboxb", None, None),
-    ("el_kboxb_d", None, None),
-    ("el_kboxb_wf", None, None),
-    ("el_kboxb_cb", None, None),
-    ("kd45_b", None, None),
-)
-for name, kind, cls in rows:
+for name, kind, cls in DEFAULT_MATRIX:
     report = run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls)
     print(f"{name:>12} {report.semantics:>6}/{report.scenario_class:<10}"
           f" {'clean' if report.clean else 'COUNTERMODEL'}"

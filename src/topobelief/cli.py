@@ -19,13 +19,15 @@ from .formula import FormulaError, parse
 from .model import (
     BudgetError,
     ModelError,
+    RelationalError,
+    RelationalModel,
     ScenarioClass,
     SubsetModel,
     dump,
     load,
     parse_scenario,
 )
-from .relational import RelationalError, RelationalModel, decompose, to_subset_model
+from .relational import decompose, to_subset_model
 from .semantics import Semantics, SemanticsError, find_countermodel, satisfies, valid_in_model
 from .suites import SuiteError, get_suite, run_suite, soundness_batch, suite_names
 from .topology import ENUMERATION_MAX, TopologyError, bits, enumerate_topologies

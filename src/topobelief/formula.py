@@ -94,8 +94,16 @@ class Formula:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        """Pickle and copy rebuild through the constructor, so they get this node."""
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        """Pickle and copy rebuild through the constructor, so they get this
+        node, from a flat list that _rebuild reads in one loop, at any depth:
+        per node of postorder(self), its class and its fields, a child as
+        its index in that list and any other field wrapped in a 1-tuple."""
+        index = {g: i for i, g in enumerate(postorder(self))}
+        entries = []
+        for g in index:
+            values = (getattr(g, name) for name in g._fields)
+            entries.append((type(g), *(index[v] if isinstance(v, Formula) else (v,) for v in values)))
+        return _rebuild, (tuple(entries),)
 
     def __repr__(self) -> str:
         """Name(field=value!r, ...), as a dataclass writes it, at any depth:
@@ -402,6 +410,14 @@ def postorder(f: Formula) -> tuple[Formula, ...]:
         out = tuple(order)
         object.__setattr__(f, "_postorder", out)
     return out
+
+
+def _rebuild(entries: tuple[tuple, ...]) -> Formula:
+    """The node of Formula.__reduce__'s entries: each built from the ones before it."""
+    built: list[Formula] = []
+    for cls, *fields in entries:
+        built.append(cls(*(built[v] if type(v) is int else v[0] for v in fields)))
+    return built[-1]
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:

@@ -417,9 +417,3 @@ def random_model(seed: int, n: int, atoms: int = 2) -> SubsetModel:
     topology = generate_from_subbasis(n, subbasis)
     valuation = {name: rng.getrandbits(n) for name in atom_names(atoms)}
     return SubsetModel(topology, valuation)
-
-
-def sierpinski_model(p_at: int = 0) -> SubsetModel:
-    """Two worlds, opens {{}, {0}, {0,1}}, one atom p true at the given world."""
-    top = Topology.from_opens(2, [0, 1, 3])
-    return SubsetModel(top, {"p": 1 << p_at})

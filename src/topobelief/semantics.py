@@ -47,7 +47,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
@@ -149,11 +149,13 @@ class Verdict:
     witness: Witness | None = None
 
 
-def _trace(ev: Evaluator, f: Formula, s: EDScenario) -> tuple[tuple[str, bool], ...]:
-    entries = []
-    for g in fm.subformulas(f):
-        ext = ev.extension(g, s.u, s.v)
-        entries.append((fm.to_text(g), bool(ext >> s.x & 1)))
+def _trace(
+    engine: BatchEvaluator, model: SubsetModel, f: Formula, s: EDScenario
+) -> tuple[tuple[str, bool], ...]:
+    """Truth at s of each subformula of f, a root of the engine, read from
+    one W = 1 pass of that engine, shortest text first."""
+    vals = next(_values(engine, _Lanes(((model,),), (1,)), [(s.u, s.v or 0)]))
+    entries = [(fm.to_text(g), bool(vals[engine.index[g]] >> s.x & 1)) for g in fm.postorder(f)]
     entries.sort(key=lambda item: (len(item[0]), item[0]))
     return tuple(entries)
 
@@ -171,10 +173,11 @@ def valid_in_model(
     class is irrelevant; under e-d semantics the class filters (U, V).
     Raises BudgetError when the sweep's cost exceeds the budget.
     """
-    hit = sweep_validity(BatchEvaluator((f,), kind), (model,), scenario_class, budget).get(f)
+    engine = BatchEvaluator((f,), kind)
+    hit = sweep_validity(engine, (model,), scenario_class, budget).get(f)
     if hit is None:
         return Verdict(True)
-    return Verdict(False, Witness(hit.scenario, _trace(Evaluator(model, kind), f, hit.scenario)))
+    return Verdict(False, Witness(hit.scenario, _trace(engine, model, f, hit.scenario)))
 
 
 @dataclass(frozen=True)
@@ -300,32 +303,21 @@ class _Lanes:
         n = max(run[0].n for run in runs)
         self.shifts = tuple(x * width for x in range(n))
         self.rep = self.replicate((1 << n) - 1)
+        tops = [run[0].topology for run in runs]
+        spans = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]  # each run's lanes
+        self.maximal = sum(self.replicate(top.maximal) * lanes for top, lanes in zip(tops, spans))
         if width == 1:
-            top = runs[0][0].topology
-            self.interior = partial(mnb_interior, top.min_neighborhoods)
-            self.maximal = top.maximal
+            self.interior = partial(mnb_interior, tops[0].min_neighborhoods)
             return
         # holds[x][y]: the lanes whose mnb(x) holds y, for each y != x
         holds: list[dict[int, int]] = [{} for _ in range(n)]
-        for (run, _), start, end in zip(self.runs, starts, starts[1:]):
-            lanes = (1 << end) - (1 << start)
-            for x, nb in enumerate(run[0].topology.min_neighborhoods):
+        for top, lanes in zip(tops, spans):
+            for x, nb in enumerate(top.min_neighborhoods):
                 row = holds[x]
                 for y in bits(nb & ~(1 << x)):
                     row[y] = row.get(y, 0) | lanes
         self._meets = [[(y, ones & ~m) for y, m in row.items()] for row in holds]
         self.interior = self._interior
-
-    @cached_property
-    def maximal(self) -> int:
-        """Each lane's Topology.maximal, packed once, when a strong or ae B
-        first reads it (set in __init__ at W = 1).  World x's column
-        collects the lanes whose Max holds x, as in pack."""
-        cols = [0] * len(self.shifts)
-        for (run, _), start, end in zip(self.runs, self.starts, self.starts[1:]):
-            for x in bits(run[0].topology.maximal):
-                cols[x] |= (1 << end) - (1 << start)
-        return sum(col << s for col, s in zip(cols, self.shifts))
 
     def replicate(self, m: int) -> int:
         """Bit 0 of the block of every world of m; times a lane mask it copies the mask there."""
@@ -423,7 +415,7 @@ class BatchEvaluator:
             if c is not None:
                 kids = [index[k] for k in g._children]
                 a, b, *_ = kids + [0, 0]
-                reads_v = cls is Bel and self.kind is not Semantics.STRONG
+                reads_v = cls is Bel and self.kind.needs_doxastic_range
                 reads_v = reads_v or any(self._reads_v[k] for k in kids)
             elif cls is Atom:
                 a, b, reads_v = g.name, 0, False
@@ -588,8 +580,8 @@ def _sweep_groups(
     group: list[tuple[Ranges, list[SubsetModel]]] = []
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
     done = 0  # runs of the groups yielded so far
-    if kind is Semantics.STRONG:
-        cls = None  # strong ranges: each nonempty open U, no V
+    if not kind.needs_doxastic_range:
+        cls = None  # epistemic ranges: each nonempty open U, no V
     maximal = maximal and kind is Semantics.AE and cls in _MAXIMAL_CLASSES
     for top, run in _runs(models):
         try:

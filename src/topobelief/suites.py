@@ -28,7 +28,7 @@ from .model import (
     parse_scenario,
     random_model,
 )
-from .semantics import BatchEvaluator, Evaluator, Semantics, _trace, satisfies, sweep_validity
+from .semantics import BatchEvaluator, Semantics, _trace, satisfies, sweep_validity
 from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, mask_of
 
 
@@ -378,7 +378,7 @@ def run_suite(
                     "countermodel",
                     witness_model=json.loads(dump(failure.model)),
                     witness_scenario=failure.scenario.literal(),
-                    witness_trace=_trace(Evaluator(failure.model, kind), inst, failure.scenario),
+                    witness_trace=_trace(engine, failure.model, inst, failure.scenario),
                 )
             )
 

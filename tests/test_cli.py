@@ -4,14 +4,14 @@ import time
 import pytest
 
 from topobelief.cli import main
-from topobelief.model import dump, random_model, sierpinski_model
+from topobelief.model import dump, random_model
 from topobelief.relational import RelationalModel
 
 
 @pytest.fixture
-def sierp_path(tmp_path):
+def sierp_path(tmp_path, sierpinski):
     path = tmp_path / "sierp.json"
-    path.write_text(dump(sierpinski_model(0)))
+    path.write_text(dump(sierpinski))
     return str(path)
 
 @pytest.fixture
@@ -362,11 +362,11 @@ class TestDeepInput:
 
 
 @pytest.mark.parametrize("verb", MODEL_VERBS)
-def test_model_document_not_utf8_is_input_error(capsys, tmp_path, verb):
+def test_model_document_not_utf8_is_input_error(capsys, tmp_path, verb, sierpinski):
     """A model file that does not decode as UTF-8 is a bad model document
     (exit 2, one error line), not a crash that reads as the exit-1 verdict."""
     path = tmp_path / "utf16.json"
-    path.write_bytes(b"\xff\xfe" + dump(sierpinski_model(0)).encode("utf-16-le"))
+    path.write_bytes(b"\xff\xfe" + dump(sierpinski).encode("utf-16-le"))
     code, out, err = run(capsys, *_model_argv(verb, path))
     assert (code, out) == (2, "")
     assert err.startswith("error: bad model document: 'utf-8' codec can't decode")

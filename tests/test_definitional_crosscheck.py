@@ -337,6 +337,33 @@ def test_chunked_draw_groups_match_scan():
     assert later_chunk >= 20, later_chunk
 
 
+def test_packed_max_decodes_to_each_lanes_maximal():
+    """_Lanes.maximal over one group that mixes topologies and carrier
+    sizes: lane j's bits, block by block, are its own model's
+    Topology.maximal, with nothing past that model's carrier."""
+    rng = Random(5)
+    models = [
+        SubsetModel(top, {"p": rng.getrandbits(top.n)})
+        for n in (3, 1, 4, 2)
+        for top in list(enumerate_topologies(n))[::3]
+    ]
+    group = next(_sweep_groups(models, Semantics.ED, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET))
+    lanes, _ = _passes(group)
+    assert len({run[0].n for _, run in group}) == 4
+    width, n = lanes.width, len(lanes.shifts)
+    assert width > len(group) and lanes.maximal < 1 << n * width
+    short = 0  # lanes whose Max is not their whole carrier
+    for (_, run), start, end in zip(group, lanes.starts, lanes.starts[1:]):
+        top = run[0].topology
+        for lane in range(start, end):
+            got = sum(1 << x for x in range(n) if lanes.maximal >> x * width + lane & 1)
+            assert got == top.maximal, (lane, top)
+            short += got != (1 << top.n) - 1
+    assert short > 0
+    model = group[0][1][0]  # alone, it is one lane and Max the plain mask
+    assert _passes([(group[0][0], [model])])[0].maximal == model.topology.maximal
+
+
 def test_failure_past_the_lane_bound():
     """A same-topology run too wide for the bit cap (one lane per model
     times its two worlds) is cut into groups of at most _MAX_GROUP_BITS

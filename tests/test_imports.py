@@ -1,4 +1,5 @@
-"""The package's import graph: acyclic, with every import at module level."""
+"""The package's import graph: acyclic, with every import at module level,
+and every imported name read from the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,44 @@ def test_every_module_import_is_read():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 unread = [bound for bound in _bound_names(node) if bound not in read]
                 assert not unread, f"{name}.py: unread import {unread} at line {node.lineno}"
+
+
+def _defined(tree) -> set[str]:
+    """The names a module defines itself: its module-level defs, classes
+    and assignment targets."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def foreign_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """Each `from .m import name` whose name m does not define itself."""
+    defined = {name: _defined(tree) for name, tree in trees.items()}
+    return [
+        f"{name}.py line {node.lineno}: {a.name} is not defined in {node.module}.py"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for a in node.names
+        if a.name not in defined[node.module]
+    ]
+
+
+def test_owner_finder_names_a_name_read_through_another_module():
+    trees = {
+        "a": ast.parse("from .b import f, X, Y\n"),
+        "b": ast.parse("from .c import X\nY: int = 1\ndef f():\n    return X\n"),
+        "c": ast.parse("class X:\n    pass\n"),
+    }
+    assert foreign_imports(trees) == ["a.py line 1: X is not defined in b.py"]
+
+
+def test_every_name_is_imported_from_its_owner():
+    """A relative import names something its module defines, not something
+    that module imported, so each name has one import path."""
+    assert foreign_imports(_trees()) == []

@@ -7,7 +7,11 @@ whose depth is a number of worlds, at most 5.
 """
 
 import ast
+import copy
+import pickle
 from pathlib import Path
+
+from topobelief.formula import Atom, Bel, Not
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "topobelief"
 
@@ -133,3 +137,14 @@ class Walker:
 
 def test_only_the_parser_and_the_small_enumerators_recurse():
     assert on_cycles(call_graph(_trees())) == ALLOWED
+
+
+def test_pickle_and_copy_of_a_deep_chain_give_the_same_node():
+    """Formula.__reduce__ hands the standard library one flat list of
+    nodes, so pickle and copy do not recurse per level either."""
+    f = Atom("p")
+    for _ in range(5_000):
+        f = Bel(Not(f))
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
