@@ -153,10 +153,10 @@ def parse_scenario(text: str) -> EDScenario:
         raise ModelError(f"scenario literal needs x and U (got {sorted(fields)})")
 
     def world(token: str) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            raise ModelError(f"bad world index {token!r} in scenario {text!r}") from None
+        digits = token.strip()
+        if not (digits.isascii() and digits.isdigit()):  # int() also reads 1_0, +0, Unicode digits
+            raise ModelError(f"bad world index {token!r} in scenario {text!r}")
+        value = int(digits)
         if not 0 <= value < MAX_WORLDS:
             raise ModelError(f"world index {value} outside 0..{MAX_WORLDS - 1}")
         return value

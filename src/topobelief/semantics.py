@@ -152,10 +152,14 @@ class Verdict:
 def _trace(
     engine: BatchEvaluator, model: SubsetModel, f: Formula, s: EDScenario
 ) -> tuple[tuple[str, bool], ...]:
-    """Truth at s of each subformula of f, a root of the engine, read from
-    one W = 1 pass of that engine, shortest text first."""
-    vals = next(_values(engine, _Lanes(((model,),), (1,)), [(s.u, s.v or 0)]))
-    entries = [(fm.to_text(g), bool(vals[engine.index[g]] >> s.x & 1)) for g in fm.postorder(f)]
+    """Truth at s of each subformula of f, a root of the engine, shortest
+    text first: one W = 1 pass of that engine over f's own nodes alone, in
+    index order (children first), the fill Evaluator.extension does."""
+    subs = fm.postorder(f)
+    vals = [0] * len(engine.nodes)
+    order = sorted(engine.index[g] for g in subs)
+    engine._run(_Lanes(((model,),), (1,)), model.valuation, s.u, s.v or 0, vals, order)
+    entries = [(fm.to_text(g), bool(vals[engine.index[g]] >> s.x & 1)) for g in subs]
     entries.sort(key=lambda item: (len(item[0]), item[0]))
     return tuple(entries)
 

@@ -4,9 +4,11 @@ Each suite pairs a scheme list with the semantics and scenario class it is
 sound for.  Suite runs instantiate every scheme over a fixed, versioned
 substitution set and check validity on a deterministic model batch:
 exhaustive small topologies crossed with all valuations, then seeded
-random models.  Necessitation is not a scheme, so the runs check its
-semantic counterpart instead: whenever a substitution-set formula is valid
-on the whole batch, so must be its necessitation.
+random models.  Necessitation is a rule, not a scheme, and it is sound
+model by model: if a formula holds at every scenario of a model, so do its
+K, box and B under every semantics and class (K and B read ranges where it
+holds, and an open U is its own interior).  So a rule row reads only its
+premise: vacuous if the premise fails on the batch, else valid.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ class SchemeResult:
 class RuleResult:
     rule: str
     premise: str
-    status: str  # "vacuous" | "valid" | "countermodel"
+    status: str  # "vacuous" | "valid"
 
 
 @dataclass(frozen=True)
@@ -254,9 +256,7 @@ class SuiteReport:
 
     @property
     def clean(self) -> bool:
-        return all(r.status == "valid" for r in self.results) and all(
-            r.status != "countermodel" for r in self.rules
-        )
+        return all(r.status == "valid" for r in self.results)
 
     def to_dict(self) -> dict:
         return {
@@ -342,7 +342,9 @@ def run_suite(
     The semantics/class arguments override the suite's declared pair (used
     for cross-checks such as running a suite over a broader scenario
     class).  The first failing model yields a canonical witness, replayable
-    one scenario at a time through satisfies.
+    one scenario at a time through satisfies.  Necessitation is sound on
+    each model, so a rule row is valid exactly when its premise holds on
+    the whole batch (else vacuous), and no necessitated formula is swept.
     """
     kind = semantics or suite.semantics
     cls = scenario_class or suite.scenario_class
@@ -353,16 +355,8 @@ def run_suite(
             rows.append((name, inst))
 
     premises = list(dict.fromkeys(instantiation))
-    rule_rows: list[tuple[str, Formula, Formula]] = []
-    for mod in suite.rules:
-        op = fm.MODALITIES[mod]
-        for premise in premises:
-            rule_rows.append((f"Nec_{mod}", premise, op(premise)))
-
     # the engine keeps each distinct root once, in first-seen order
-    roots = [inst for _, inst in rows]
-    roots += [g for _, premise, wrapped in rule_rows for g in (premise, wrapped)]
-    engine = BatchEvaluator(roots, kind)
+    engine = BatchEvaluator([inst for _, inst in rows] + premises, kind)
     failures = sweep_validity(engine, batch.models(), cls)
 
     results = []
@@ -382,24 +376,12 @@ def run_suite(
                 )
             )
 
-    rule_results = []
-    for rule, premise, wrapped in rule_rows:
-        if premise in failures:
-            status = "vacuous"
-        elif wrapped in failures:
-            status = "countermodel"
-        else:
-            status = "valid"
-        rule_results.append(RuleResult(rule, fm.to_text(premise), status))
-
-    return SuiteReport(
-        suite.name,
-        kind.value,
-        cls.value,
-        batch.describe(),
-        tuple(results),
-        tuple(rule_results),
+    rules = tuple(
+        RuleResult(f"Nec_{mod}", fm.to_text(premise), "vacuous" if premise in failures else "valid")
+        for mod in suite.rules
+        for premise in premises
     )
+    return SuiteReport(suite.name, kind.value, cls.value, batch.describe(), tuple(results), rules)
 
 
 # ---------------------------------------------------------------------------

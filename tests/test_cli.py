@@ -55,6 +55,18 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "scenario", ["x=+1;U=0,1", "x=-0;U=0,1", "x=1;U=0,\u0661", "x=1_0;U=0,1"]
+    )
+    def test_world_index_outside_grammar_is_input_error(self, capsys, sierp_path, scenario):
+        # int() reads each of these as a world; the grammar allows ASCII digits only
+        code, out, err = run(
+            capsys, "eval", "--model", sierp_path, "--scenario", scenario, "--formula", "p"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad world index")
+
     def test_relational_model_is_input_error(self, capsys, pin_path):
         code, out, err = run(
             capsys, "eval", "--model", pin_path, "--scenario", "x=1;U=0,1", "--formula", "p"
@@ -223,6 +235,18 @@ class TestSuite:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert elapsed < 1.0, elapsed  # rejected before any model is swept
+
+    def test_over_budget_suite_stops_at_the_first_costly_model(self, capsys):
+        # the first 14-world draw costs over the budget while the scheme instances are live
+        code, out, err = run(
+            capsys,
+            "suite", "--name", "el_kboxb", "--exhaustive", "1", "--models", "3", "--sizes", "14",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: scenario sweep cost 2860256 exceeds budget 1000000 (452 opens on 14 worlds)\n"
+        )
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "suite", "--name", "mystery")

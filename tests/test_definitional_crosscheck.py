@@ -10,7 +10,7 @@ from itertools import count, product
 from random import Random
 
 from oracles import brute_closure, def_truth
-from topobelief.formula import atoms, formula_corpus, modalities, parse
+from topobelief.formula import MODALITIES, atoms, formula_corpus, modalities, parse, postorder
 from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
     BudgetError,
@@ -23,7 +23,7 @@ from topobelief.model import (
     random_model,
     range_pairs,
 )
-from topobelief import semantics
+from topobelief import semantics, suites
 from topobelief.semantics import (
     _MAX_GROUP_BITS,
     BatchEvaluator,
@@ -36,7 +36,14 @@ from topobelief.semantics import (
     satisfies,
     sweep_validity,
 )
-from topobelief.suites import Batch, get_suite, run_suite, soundness_batch, suite_names
+from topobelief.suites import (
+    DEFAULT_INSTANTIATION,
+    Batch,
+    get_suite,
+    run_suite,
+    soundness_batch,
+    suite_names,
+)
 from topobelief.topology import Topology, enumerate_topologies, generate_from_subbasis
 
 
@@ -645,3 +652,75 @@ def test_reduced_ae_suite_reports_match_full_reports(monkeypatch):
     assert reports() == reduced
     assert len(reduced) == 2 * 7 * 3
     assert any('"countermodel"' in report for report in reduced)
+
+
+def _class_scenarios(model, kind, cls):
+    if kind is Semantics.STRONG:
+        return list(epistemic_scenarios(model))
+    return list(ed_scenarios(model, cls))
+
+
+def test_necessitation_is_sound_model_by_model():
+    """Wherever a premise holds at every scenario of one model, its K, box
+    and B do too, under every semantics and class, by def_truth: the
+    argument run_suite reads its rule rows from.  Every default premise and
+    a few formulas valid on every model, on every model of
+    Batch(exhaustive_n=2).  Runtime target 10 s."""
+    premises = DEFAULT_INSTANTIATION + tuple(map(parse, ("true", "p | ! p", "K p -> p")))
+    cases = [(Semantics.STRONG, ScenarioClass.ALL)]
+    cases += [(kind, cls) for kind in (Semantics.ED, Semantics.AE) for cls in ScenarioClass]
+    checked = 0
+    for model in Batch(exhaustive_n=2).models():
+        for kind, cls in cases:
+            scenarios = _class_scenarios(model, kind, cls)
+            for f in premises:
+                if not all(def_truth(model, s.x, s.u, s.v, f, kind) for s in scenarios):
+                    continue
+                for op in MODALITIES.values():
+                    for s in scenarios:
+                        assert def_truth(model, s.x, s.u, s.v, op(f), kind), (
+                            dump(model), kind, cls, s.literal(), str(op(f))
+                        )
+                        checked += 1
+    assert checked >= 40_000, checked  # 42 807 scenario checks of 3 199 valid premises
+
+
+def test_suite_traces_read_only_their_instance(monkeypatch):
+    """Every witness trace of every suite x semantics x class on a small
+    exhaustive-plus-random batch equals a trace from a fresh engine of its
+    instance alone, and its one pass evaluates exactly the instance's
+    nodes of the larger suite engine; each entry agrees with def_truth."""
+    calls = []
+
+    def recording(engine, model, f, s):
+        calls.append((engine, model, f, s))
+        return semantics._trace(engine, model, f, s)
+
+    monkeypatch.setattr(suites, "_trace", recording)
+    batch = Batch(exhaustive_n=2, seeds=(1, 2, 3), sizes=(3, 4, 3))
+    for name in suite_names():
+        for kind in Semantics:
+            for cls in ScenarioClass:
+                run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls)
+    monkeypatch.undo()
+    assert len(calls) >= 100, len(calls)
+
+    evaluated = []
+    real_run = BatchEvaluator._run
+
+    def counting(self, lanes, packed, us, vs, vals, order):
+        order = list(order)
+        evaluated.append(len(order))
+        real_run(self, lanes, packed, us, vs, vals, order)
+
+    for engine, model, inst, s in calls:
+        subs = postorder(inst)
+        assert len(engine.nodes) > len(subs)
+        evaluated.clear()
+        monkeypatch.setattr(BatchEvaluator, "_run", counting)
+        trace = semantics._trace(engine, model, inst, s)
+        monkeypatch.undo()
+        assert evaluated == [len(subs)], (str(inst), evaluated)
+        assert trace == semantics._trace(BatchEvaluator((inst,), engine.kind), model, inst, s)
+        truth = {str(g): def_truth(model, s.x, s.u, s.v, g, engine.kind) for g in subs}
+        assert dict(trace) == truth, (str(inst), s.literal())

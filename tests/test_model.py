@@ -287,6 +287,22 @@ class TestScenarioLiterals:
             with pytest.raises(ModelError):
                 parse_scenario(text)
 
+    def test_world_index_is_ascii_digits(self):
+        # int() reads 1_0 as 10, Arabic-Indic and superscript digits, and signs
+        for text in (
+            "x=0;U=1_0",
+            "x=0;U=\u0661",
+            "x=0;U=0,\u00b2",
+            "x=+0;U=0",
+            "x=-0;U=0",
+            "x=0;U=0;V=+0",
+            "x=0;U=0,,1",
+            "x= ;U=0",
+        ):
+            with pytest.raises(ModelError, match="bad world index"):
+                parse_scenario(text)
+        assert parse_scenario(" x = 1 ;U= 0 , 1 ;V= 1 ") == parse_scenario("x=1;U=0,1;V=1")
+
 
 class TestRandomModel:
     def test_deterministic(self):
