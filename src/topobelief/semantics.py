@@ -37,7 +37,9 @@ growing as it goes (each at most as many runs as all before it), and a
 failure is the one a scenario-by-scenario scan finds: the first failing
 model, the least world missing there, then the first (U, V) in canonical
 order that misses that world.  An ae validity sweep visits only the (U, V) whose V
-lies inside Max, which finds the same failures (see sweep_validity).
+lies inside Max, and a validity sweep skips each model isomorphic to an
+earlier one of its stream; both find the same failures (see
+sweep_validity).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .model import (
     random_model,
     range_groups,
 )
-from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, mnb_interior
+from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, canonical_form, mnb_interior
 
 
 class SemanticsError(Exception):
@@ -540,11 +542,24 @@ def sweep_validity(
     finds the same failures: every (U, V) has the extensions of (U, V & Max),
     an open the class admits and the first V in canonical order to share
     it.  The budget is still charged for every pair.
+
+    The stream is swept without the models isomorphic to an earlier model
+    of it (see _isomorph_free), which finds the same failures and the same
+    BudgetError, for any stream.  An isomorphism is a homeomorphism that
+    carries the valuation along, so it preserves truth at corresponding
+    scenarios, and every class (all, consistent, dense, total) is
+    topological, so it maps the class's scenarios of one model onto the
+    other's at the same cost.  A skipped model's earlier copy comes first,
+    fails every root the skipped model fails and costs what it costs, so
+    no root's first failure and no over-budget model that stops a sweep is
+    ever skipped.  find_countermodel, exhaustive_models and Batch.models()
+    stay labeled.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
+    models = _isomorph_free(models)
     for runs in _sweep_groups(models, engine.kind, scenario_class, budget, maximal=True):
         for idx, (r, m, s) in _group_failures(engine, runs, list(live)).items():
             f = live.pop(idx)
@@ -552,6 +567,33 @@ def sweep_validity(
         if not live:
             break
     return failures
+
+
+def _isomorph_free(models: Iterable[SubsetModel]) -> Iterator[SubsetModel]:
+    """The stream without every model isomorphic to an earlier model of it.
+
+    Two models are isomorphic when a relabeling of the worlds carries one's
+    opens and valuation onto the other's, atom names kept.  A model seen
+    through a relabeling that reaches its topology's least table
+    (topology.canonical_form) is a valuation on that table; a kept model
+    adds the valuations it reads as through every such relabeling, and a
+    later model is isomorphic to it exactly when it reads as one of them.
+    Models of more than ENUMERATION_MAX worlds always pass.
+    """
+    seen = set()
+    top = table = None
+    for model in models:
+        if model.topology is not top:  # a run of one topology looks its form up once
+            top = model.topology
+            table, images = canonical_form(top) if top.n <= ENUMERATION_MAX else (None, ())
+        if table is None:
+            yield model
+            continue
+        names = sorted(model.valuation)
+        masks = [model.valuation[a] for a in names]
+        if (table, *names, *[images[0][m] for m in masks]) not in seen:
+            seen.update((table, *names, *[i[m] for m in masks]) for i in images)
+            yield model
 
 
 def _sweep_groups(

@@ -20,10 +20,15 @@ is nowhere dense exactly when it misses Max (McKinsey & Tarski, "The
 algebra of topology", 1944, for finite spaces), and an open U lies in
 cl(int a) exactly when U ∩ Max lies in a (see _maximal), so the engine
 reads density, strong belief included, through Max and needs no closure.
+On at most ENUMERATION_MAX points the table also gives a canonical form,
+the least relabeled table, so two topologies are homeomorphic exactly
+when their canonical forms are equal (canonical_form).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -366,3 +371,41 @@ def enumerate_topologies(n: int) -> Iterator[Topology]:
     tops = [Topology(n, succ) for succ in _preorders(n)]
     tops.sort(key=lambda t: (len(t.opens), t.opens))
     yield from tops
+
+
+def canonical_form(top: Topology) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The least relabeled minimal-neighborhood table of a topology on at
+    most ENUMERATION_MAX points, and the relabelings that reach it.
+
+    A relabeling is a permutation p of the points, given as the image of
+    every subset of the carrier (image[a] is p(a)); it carries the table
+    mnb to the table mnb' with mnb'(p(x)) = p(mnb(x)).  Two topologies are
+    homeomorphic exactly when their least tables are equal, and the
+    relabelings reaching one topology's least table are its automorphisms
+    followed by any one of them.  All n! permutations are tried, once per
+    table per process.
+    """
+    if not 1 <= top.n <= ENUMERATION_MAX:
+        raise TopologyError(f"canonical forms gated at n <= {ENUMERATION_MAX}")
+    return _canonical(top.min_neighborhoods)
+
+
+@functools.cache
+def _canonical(mnb: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    relabeled = []
+    for image in _relabelings(len(mnb)):
+        table = [0] * len(mnb)
+        for x, nb in enumerate(mnb):
+            table[image[1 << x].bit_length() - 1] = image[nb]
+        relabeled.append((tuple(table), image))
+    least = min(table for table, _ in relabeled)
+    return least, tuple(image for table, image in relabeled if table == least)
+
+
+@functools.cache
+def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every permutation of n points, as the image of every subset."""
+    return tuple(
+        tuple(mask_of(p[x] for x in bits(a)) for a in range(1 << n))
+        for p in itertools.permutations(range(n))
+    )

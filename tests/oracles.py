@@ -6,7 +6,7 @@ no bit tricks beyond masks), so a test that compares the two is a real
 cross-check.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from topobelief import formula as fm
 from topobelief.semantics import Semantics
@@ -94,6 +94,31 @@ def upset_family(n, succ):
 def all_topologies_oracle(n):
     """Set of open-set families of every labeled topology on n points."""
     return {upset_family(n, succ) for succ in reflexive_transitive_relations(n)}
+
+
+def relabel(n, perm, a):
+    """Image of the subset a under the relabeling x -> perm[x]."""
+    return sum(1 << perm[x] for x in range(n) if a >> x & 1)
+
+
+def model_form(model, perm=None):
+    """A subset model as (worlds, opens, valuation) sets, relabeled by perm."""
+    n = model.n
+    perm = perm or range(n)
+    opens = frozenset(relabel(n, perm, o) for o in model.topology.opens)
+    valuation = frozenset((a, relabel(n, perm, m)) for a, m in model.valuation.items())
+    return n, opens, valuation
+
+
+def relabelings(model):
+    """The model's form under every relabeling of its worlds."""
+    return {model_form(model, perm) for perm in permutations(range(model.n))}
+
+
+def isomorphic(a, b):
+    """Whether some relabeling of a's worlds carries a's opens and valuation
+    onto b's, atom names kept (tries every relabeling)."""
+    return model_form(b) in relabelings(a)
 
 
 def is_belief_relation(n, rel):

@@ -89,12 +89,17 @@ def test_criterion_02_almost_subset_characterization():
     _report(2, "almost-subset matches cl-int containment for open sets", started)
 
 
+# the standard batch, and every labeled model to 4 worlds (a tightened check)
+GATE_BATCHES = (soundness_batch(), Batch(exhaustive_n=4))
+
+
 def test_criterion_03_full_belief_soundness():
     started = time.perf_counter()
-    report = run_suite(get_suite("sel"), soundness_batch())
-    bad = [r for r in report.results if r.status != "valid"]
-    assert not bad, bad[:3]
-    assert report.clean
+    for batch in GATE_BATCHES:
+        report = run_suite(get_suite("sel"), batch)
+        bad = [r for r in report.results if r.status != "valid"]
+        assert not bad, bad[:3]
+        assert report.clean
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"runtime target exceeded: {elapsed:.1f}s"
     _report(3, "full-belief suite sound on exhaustive and random batch", started)
@@ -142,7 +147,6 @@ def test_criterion_04_reduction_equivalence():
 
 def test_criterion_05_range_semantics_matrix():
     started = time.perf_counter()
-    batch = soundness_batch()
     runs = (
         ("el_kboxb", None, None),
         ("el_kboxb_d", None, None),
@@ -150,10 +154,11 @@ def test_criterion_05_range_semantics_matrix():
         ("el_kboxb_cb", None, None),
         ("sel", Semantics.AE, ScenarioClass.TOTAL),
     )
-    for name, kind, cls in runs:
-        report = run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls)
-        bad = [r for r in report.results if r.status != "valid"]
-        assert report.clean, (name, bad[:3])
+    for batch in GATE_BATCHES:
+        for name, kind, cls in runs:
+            report = run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls)
+            bad = [r for r in report.results if r.status != "valid"]
+            assert report.clean, (name, batch.exhaustive_n, bad[:3])
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"runtime target exceeded: {elapsed:.1f}s"
     _report(5, "doxastic-range suite matrix sound", started)
@@ -252,10 +257,11 @@ def test_criterion_08_relational_bridge_on_random_belief_frames():
 
 def test_criterion_09_pure_belief_suite_under_strong_semantics():
     started = time.perf_counter()
-    report = run_suite(get_suite("kd45_b"), soundness_batch())
-    assert report.clean
-    schemes = {r.scheme for r in report.results}
-    assert schemes == {"K_B", "D_B", "4_B", "5_B"}
+    for batch in GATE_BATCHES:
+        report = run_suite(get_suite("kd45_b"), batch)
+        assert report.clean
+        schemes = {r.scheme for r in report.results}
+        assert schemes == {"K_B", "D_B", "4_B", "5_B"}
     _report(9, "pure belief axioms sound under strong semantics", started)
 
 

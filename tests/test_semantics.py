@@ -4,7 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import def_truth
+from oracles import def_truth, isomorphic, model_form, relabelings
+from topobelief import semantics
 from topobelief.formula import (
     ALPHA_MAP,
     Atom,
@@ -34,6 +35,7 @@ from topobelief.semantics import (
     Evaluator,
     Semantics,
     SemanticsError,
+    _isomorph_free,
     _passes,
     _sweep_groups,
     _values,
@@ -43,7 +45,7 @@ from topobelief.semantics import (
     sweep_validity,
     valid_in_model,
 )
-from topobelief.suites import get_suite, run_suite, soundness_batch
+from topobelief.suites import Batch, get_suite, run_suite, soundness_batch
 from topobelief.topology import Topology, bits, enumerate_topologies
 
 STRONG, ED, AE = Semantics.STRONG, Semantics.ED, Semantics.AE
@@ -663,3 +665,94 @@ class TestLaneWork:
         lone = [lanes for lanes, _ in seen if sum(len(run) for run, _ in lanes.runs) == 1]
         assert {lanes.width for lanes in lone} == {1}
         assert any(lanes.runs[0][0][0].n > 4 for lanes in lone)  # a draw of the random phase
+
+
+class TestIsomorphFree:
+    """sweep_validity skips every model isomorphic to an earlier model of its
+    stream, and finds what the labeled stream finds."""
+
+    @staticmethod
+    def _labeled(monkeypatch):
+        monkeypatch.setattr(semantics, "_isomorph_free", lambda models: models)
+
+    def test_keeps_the_first_model_of_each_class(self):
+        """On Batch(exhaustive_n=3), exactly the models that no relabeling
+        carries onto an earlier model are kept, in stream order."""
+        models = list(Batch(exhaustive_n=3).models())
+        earlier, first = set(), []
+        for m in models:
+            if not relabelings(m) & earlier:
+                first.append(m)
+            earlier.add(model_form(m))
+        kept = list(_isomorph_free(models))
+        assert [id(m) for m in kept] == [id(m) for m in first]
+        assert (len(models), len(kept)) == (1924, 408)
+
+    def test_sweep_validity_sweeps_the_kept_models(self, monkeypatch):
+        swept = []
+        groups = semantics._sweep_groups
+
+        def spy(models, *args, **kwargs):
+            swept.extend(models)
+            return groups(swept, *args, **kwargs)
+
+        monkeypatch.setattr(semantics, "_sweep_groups", spy)
+        models = list(Batch(exhaustive_n=3).models())
+        assert sweep_validity(BatchEvaluator((parse("K p -> p"),), STRONG), models) == {}
+        assert [id(m) for m in swept] == [id(m) for m in _isomorph_free(models)]
+        assert len(swept) == 408
+
+    def test_kept_count_to_four_worlds(self):
+        models = list(Batch(exhaustive_n=4).models())
+        assert (len(models), sum(1 for _ in _isomorph_free(models))) == (92804, 5089)
+
+    def test_a_relabeled_copy_before_the_first_labeled_member(self, monkeypatch):
+        """Only the later of two isomorphic models is skipped, whichever
+        comes first in enumeration order, and the failures stay on it."""
+        sierpinski, copy_top = list(enumerate_topologies(2))[1:3]  # {0} open, then {1}
+        labeled = SubsetModel(sierpinski, {"p": 0b01})
+        copy = SubsetModel(copy_top, {"p": 0b10})
+        assert isomorphic(copy, labeled) and copy != labeled
+        stream = [copy, labeled]
+        assert [id(m) for m in _isomorph_free(stream)] == [id(copy)]
+        roots = (parse("p -> K p"), parse("B p -> p"), parse("K p -> p"))
+        engine = BatchEvaluator(roots, STRONG)
+        reduced = sweep_validity(engine, stream)
+        assert set(reduced) == set(roots[:2])
+        assert all(hit.model is copy for hit in reduced.values())
+        self._labeled(monkeypatch)
+        assert sweep_validity(engine, stream) == reduced
+
+    def test_models_past_four_worlds_always_pass(self):
+        five = random_model(1, 5)
+        same = SubsetModel(five.topology, dict(five.valuation))
+        assert list(_isomorph_free([five, same, five])) == [five, same, five]
+        four = random_model(1, 4)
+        assert list(_isomorph_free([four, four])) == [four]
+
+    def test_budget_error_at_the_same_model(self, monkeypatch):
+        """The sweep stops with the same BudgetError, at the same topology's
+        ranges, as the labeled sweep: the first labeled model over the
+        budget is the first of its class."""
+        asked = []
+        ranges = semantics.range_groups
+
+        def spy(top, cls, budget):
+            asked.append(top)
+            return ranges(top, cls, budget)
+
+        monkeypatch.setattr(semantics, "range_groups", spy)
+        # D_B fails on the first model; K p -> p stays live to the budget
+        engine = BatchEvaluator((parse("B p -> ! B ! p"), parse("K p -> p")), ED)
+
+        def stop():
+            asked.clear()
+            with pytest.raises(BudgetError) as info:
+                sweep_validity(engine, Batch(exhaustive_n=3).models(), budget=100)
+            return str(info.value), asked[-1]
+
+        reduced = stop()
+        self._labeled(monkeypatch)
+        assert stop() == reduced
+        # 6 opens on 3 worlds cost 108 under ed/all
+        assert reduced[1] == next(t for t in enumerate_topologies(3) if len(t.opens) == 6)

@@ -1,3 +1,4 @@
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -9,12 +10,15 @@ from oracles import (
     brute_interior,
     brute_min_neighborhoods,
     closure_oracle,
+    relabel,
+    upset_family,
 )
 from topobelief.model import random_model
 from topobelief.topology import (
     Topology,
     TopologyError,
     bits,
+    canonical_form,
     enumerate_topologies,
     find_violation,
     full_mask,
@@ -310,6 +314,44 @@ class TestEnumeration:
     def test_all_verify(self):
         for t in enumerate_topologies(4):
             assert find_violation(4, t.opens) is None
+
+
+class TestCanonicalForm:
+    def test_class_counts(self):
+        # OEIS A001930: topologies on n points up to homeomorphism
+        for n, count in zip((1, 2, 3, 4), (1, 3, 9, 33)):
+            assert len({canonical_form(t)[0] for t in enumerate_topologies(n)}) == count
+
+    def test_matches_brute_force_relabeling(self):
+        """The least of the relabeled families' tables; equal exactly for the
+        topologies some relabeling of the opens carries onto each other; and
+        the relabelings given are exactly those carrying the opens onto the
+        least table's up-sets."""
+        for n in (1, 2, 3, 4):
+            classes, oracle_classes = {}, {}
+            for t in enumerate_topologies(n):
+                table, images = canonical_form(t)
+                family = frozenset(t.opens)
+                relabeled = {
+                    p: frozenset(relabel(n, p, o) for o in t.opens)
+                    for p in permutations(range(n))
+                }
+                assert table == min(brute_min_neighborhoods(n, fam) for fam in relabeled.values())
+                target = upset_family(n, table)
+                reaching = [p for p, fam in relabeled.items() if fam == target]
+                expected = [tuple(relabel(n, p, a) for a in range(1 << n)) for p in reaching]
+                assert sorted(images) == sorted(expected)
+                automorphisms = sum(fam == family for fam in relabeled.values())
+                assert len(images) == automorphisms
+                classes.setdefault(table, set()).add(family)
+                least = min(tuple(sorted(fam)) for fam in relabeled.values())
+                oracle_classes.setdefault(least, set()).add(family)
+            partition = set(map(frozenset, classes.values()))
+            assert partition == set(map(frozenset, oracle_classes.values()))
+
+    def test_gate(self):
+        with pytest.raises(TopologyError, match="gated at n <= 4"):
+            canonical_form(Topology.discrete(5))
 
 
 @st.composite
