@@ -39,7 +39,9 @@ model, the least world missing there, then the first (U, V) in canonical
 order that misses that world.  An ae validity sweep visits only the (U, V) whose V
 lies inside Max, and a validity sweep skips each model isomorphic to an
 earlier one of its stream; both find the same failures (see
-sweep_validity).
+sweep_validity).  The search's exhaustive phase builds only the first
+model of each isomorphism class and counts the others where they stand
+(see find_countermodel).
 """
 
 from __future__ import annotations
@@ -63,11 +65,18 @@ from .model import (
     SubsetModel,
     _stream_position,
     check_scenario,
-    exhaustive_models,
     random_model,
     range_groups,
 )
-from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, canonical_form, mnb_interior
+from .topology import (
+    ENUMERATION_MAX,
+    MAX_WORLDS,
+    Topology,
+    bits,
+    canonical_form,
+    enumerate_topologies,
+    mnb_interior,
+)
 
 
 class SemanticsError(Exception):
@@ -220,14 +229,26 @@ def find_countermodel(
     fixed seed, and a larger budget can only extend the search, never change
     an already found witness.
 
+    The exhaustive phase builds and sweeps only the first labeled model of
+    each isomorphism class (_isomorph_free_models), and still counts as the
+    labeled stream.  A skipped model's earlier copy fails first and costs
+    the same (see sweep_validity), so it never holds the first hit, and its
+    scenarios are counted where it stood: a model's count starts at the
+    labeled scenarios before its topology plus its valuation's product
+    index times its cost.  The count through the last model is the labeled
+    total, since the last labeled model, the full valuation on the discrete
+    space, is alone in its class.
+
     The exhaustive stream is swept in _sweep_groups' growing lane groups
     of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
     its own, made only once the group before it is counted and only while
-    budget is left.  The budget counts scenarios, worked out from run sizes
-    up to the hit's run and model; a hit counts only within the budget, and
-    a draw whose sweep would cost over 10^6 is skipped and not counted.
-    Unlike sweep_validity, the search sweeps every pair under ae too, so
-    its counts read the full pair lists.
+    budget is left.  The budget counts scenarios: after a group, the count
+    runs up to the hit, or else through the group's last model.  A hit
+    counts only within the budget, and a draw whose sweep would cost over
+    10^6 is skipped and not counted.  So found (the hit's count within the
+    budget) and exhausted (the total within it) read as on the labeled
+    stream, however it is grouped.  Unlike sweep_validity, the search
+    sweeps every pair under ae too, so its counts read the full pair lists.
     """
     if not 1 <= max_n <= MAX_WORLDS:
         raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
@@ -235,8 +256,19 @@ def find_countermodel(
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
     evaluations = 0
-    models = exhaustive_models(min(max_n, ENUMERATION_MAX), names)
+    starts: dict[Topology, int] = {}  # labeled scenarios before each swept topology
+    cls = scenario_class if kind.needs_doxastic_range else None
+    models = _isomorph_free_models(min(max_n, ENUMERATION_MAX), names, cls, starts)
     groups = _sweep_groups(models, kind, scenario_class, DEFAULT_SCENARIO_BUDGET, grow=True)
+
+    def before(model: SubsetModel, cost: int) -> int:  # scenarios counted before the model
+        start = starts.get(model.topology)
+        if start is None:  # a random draw, a group of its own
+            return evaluations
+        index = 0
+        for name in names:
+            index = index << model.n | model.valuation[name]
+        return start + index * cost
 
     def drawn():  # each random draw a group of its own, made while budget is left
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
@@ -251,13 +283,13 @@ def find_countermodel(
     for runs in groups:
         if evaluations >= budget:
             break
-        r, m, s = _group_failures(engine, runs, [root]).get(root, (len(runs), 0, None))
-        per_model = [sum(u.bit_count() for u, _ in ranges) for ranges, _ in runs]
-        evaluations += sum(len(run) * c for (_, run), c in zip(runs[:r], per_model))
-        if s is not None:  # the hit's run counts up to the hit
-            evaluations += m * per_model[r] + _stream_position(runs[r][0], s)
-            if evaluations <= budget:
-                return SearchOutcome("found", runs[r][1][m], s, evaluations)
+        # the hit's model counts up to the hit, else the group's last model in full
+        r, m, s = _group_failures(engine, runs, [root]).get(root, (-1, -1, None))
+        ranges, run = runs[r]
+        cost = sum(u.bit_count() for u, _ in ranges)
+        evaluations = before(run[m], cost) + (cost if s is None else _stream_position(ranges, s))
+        if s is not None and evaluations <= budget:
+            return SearchOutcome("found", run[m], s, evaluations)
         if evaluations > budget:
             break
     else:
@@ -552,8 +584,9 @@ def sweep_validity(
     other's at the same cost.  A skipped model's earlier copy comes first,
     fails every root the skipped model fails and costs what it costs, so
     no root's first failure and no over-budget model that stops a sweep is
-    ever skipped.  find_countermodel, exhaustive_models and Batch.models()
-    stay labeled.
+    ever skipped.  exhaustive_models and Batch.models() stay labeled;
+    find_countermodel reads the same first models from a source that
+    builds no others (_isomorph_free_models).
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
@@ -594,6 +627,40 @@ def _isomorph_free(models: Iterable[SubsetModel]) -> Iterator[SubsetModel]:
         if (table, *names, *[images[0][m] for m in masks]) not in seen:
             seen.update((table, *names, *[i[m] for m in masks]) for i in images)
             yield model
+
+
+def _isomorph_free_models(
+    max_n: int, names: Sequence[str], cls: ScenarioClass | None, starts: dict[Topology, int]
+) -> Iterator[SubsetModel]:
+    """The models _isomorph_free keeps of exhaustive_models(max_n, names),
+    in the same order, built without the others; starts gets, for each
+    topology that has models here, the labeled scenarios before its first
+    one, each labeled model costing its ranges under cls (range_groups).
+
+    Every topology of a homeomorphism class carries a copy of each model
+    on another, so a model's first labeled copy lies on the first topology
+    of its class.  There it is the least, in product order, of its
+    valuation's images under the automorphisms, which are g⁻¹∘h for the
+    relabelings g, h that reach the least table (canonical_form).  So a
+    topology homeomorphic to an earlier one is skipped before any of its
+    models is built, and is charged 2^(n·atoms) times its class's cost,
+    the same on every topology of the class.
+    """
+    start = 0
+    costs: dict[tuple[int, ...], int] = {}  # per least table
+    for n in range(1, max_n + 1):
+        for top in enumerate_topologies(n):
+            table, images = canonical_form(top)
+            if table not in costs:
+                ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
+                costs[table] = sum(u.bit_count() for u, _ in ranges)
+                starts[top] = start
+                inverse = {image: a for a, image in enumerate(images[0])}
+                automorphisms = [[inverse[image] for image in h] for h in images[1:]]
+                for masks in itertools.product(range(1 << n), repeat=len(names)):
+                    if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
+                        yield SubsetModel(top, dict(zip(names, masks)))
+            start += costs[table] << n * len(names)
 
 
 def _sweep_groups(

@@ -6,6 +6,7 @@ library's evaluation path; disagreement on any scenario is a bug in one
 of the two.
 """
 
+import time
 from itertools import count, product
 from random import Random
 
@@ -505,6 +506,42 @@ def test_countermodel_counts_match_a_counting_scan_into_the_random_phase():
         want = _counting_scan(events, budget)
         assert _search(f, Semantics.STRONG, ScenarioClass.ALL, 5, budget, seed=3) == want, budget
         assert want[:2] == ("budget", budget)
+
+
+# to 4 worlds, where the search sweeps the first model of each isomorphism
+# class: a hit on the 32nd topology of 4 worlds (opens {0,1} and {2,3}), past
+# 23 topologies of 4 worlds it skips; an exhausted search; and a three-atom
+# hit on 3 worlds, past the skipped copy of the Sierpinski space
+FOUR_WORLD_SEARCHES = (
+    (
+        "! (hatK (box p & q) & hatK (box p & ! q) & hatK (! p & q) & hatK (! p & ! q)"
+        " & hatK (box ! p))",
+        Semantics.STRONG,
+        ScenarioClass.ALL,
+    ),
+    ("K p -> p", Semantics.STRONG, ScenarioClass.ALL),
+    ("! (hatK (p & q & r) & hatK (p & ! q) & hatK ! p)", Semantics.AE, ScenarioClass.DENSE),
+)
+
+
+def test_countermodel_counts_match_a_counting_scan_to_four_worlds():
+    started = time.perf_counter()
+    statuses = set()
+    for text, kind, cls in FOUR_WORLD_SEARCHES:
+        f = parse(text)
+        events = list(_search_events(f, kind, cls, 4))
+        total = len(events)
+        # the last labeled runs up to the hit or the end, cut at each topology
+        tops = [model.topology for model, _, _ in events]
+        ends = [i + 1 for i in range(total - 1) if tops[i] != tops[i + 1]][-3:]
+        budgets = {b for end in ends + [total] for b in (end - 1, end, end + 1)}
+        for budget in sorted(budgets):
+            want = _counting_scan(events, budget)
+            assert _search(f, kind, cls, 4, budget) == want, (text, budget)
+            statuses.add(want[0])
+    assert statuses == {"found", "exhausted", "budget"}
+    elapsed = time.perf_counter() - started
+    assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
 
 
 # maximal clusters of two or more points, with points below them: {0,1}

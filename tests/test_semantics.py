@@ -25,6 +25,7 @@ from topobelief.model import (
     SubsetModel,
     ed_scenarios,
     epistemic_scenarios,
+    exhaustive_models,
     parse_scenario,
     random_model,
     range_pairs,
@@ -36,7 +37,9 @@ from topobelief.semantics import (
     Semantics,
     SemanticsError,
     _isomorph_free,
+    _isomorph_free_models,
     _passes,
+    _runs,
     _sweep_groups,
     _values,
     extension,
@@ -46,7 +49,7 @@ from topobelief.semantics import (
     valid_in_model,
 )
 from topobelief.suites import Batch, get_suite, run_suite, soundness_batch
-from topobelief.topology import Topology, bits, enumerate_topologies
+from topobelief.topology import Topology, bits, canonical_form, enumerate_topologies
 
 STRONG, ED, AE = Semantics.STRONG, Semantics.ED, Semantics.AE
 
@@ -410,7 +413,8 @@ class TestFindCountermodel:
 
     @pytest.mark.parametrize("text, kind", [("K p -> p", STRONG), ("B (box p | box ! box p)", AE)])
     def test_a_hunt_sweeps_growing_groups(self, monkeypatch, text, kind):
-        # one sweep per same-topology run would be 389 sweeps to 4 worlds
+        # one sweep per same-topology run would be 46 sweeps to 4 worlds, a run
+        # per homeomorphism class (389 on the labeled stream); grown groups take 7
         from topobelief import semantics
 
         sizes, sweep = [], semantics._group_failures
@@ -756,3 +760,62 @@ class TestIsomorphFree:
         assert stop() == reduced
         # 6 opens on 3 worlds cost 108 under ed/all
         assert reduced[1] == next(t for t in enumerate_topologies(3) if len(t.opens) == 6)
+
+
+class TestIsomorphFreeSearch:
+    """find_countermodel's exhaustive phase builds and sweeps only the first
+    labeled model of each isomorphism class, and counts as the labeled stream."""
+
+    @pytest.mark.parametrize("names, kept", [([], 46), (["p"], 425), (["p", "q"], 5089)])
+    def test_source_is_the_isomorph_free_stream(self, names, kept):
+        got = list(_isomorph_free_models(4, names, None, {}))
+        assert got == list(_isomorph_free(exhaustive_models(4, names)))
+        assert len(got) == kept
+
+    def test_three_atoms_split_into_runs(self):
+        """On the 4-point chain, the first class of 4 worlds with no
+        automorphism but the identity, all 4 096 valuations of three atoms
+        are kept, in runs of 1 536; the stream through them is the filtered
+        labeled stream."""
+        names = ["p", "q", "r"]
+        chain = next(t for t in enumerate_topologies(4) if len(canonical_form(t)[1]) == 1)
+        head, runs = [], []
+        for top, run in _runs(_isomorph_free_models(4, names, None, {})):
+            if runs and top != chain:
+                break
+            head.extend(run)
+            if top == chain:
+                runs.append(len(run))
+        assert runs == [1536, 1536, 1024]
+        labeled = _isomorph_free(exhaustive_models(4, names))
+        assert head == [next(labeled) for _ in head]
+
+    @pytest.mark.parametrize("kind, cls", [(STRONG, ScenarioClass.ALL), (AE, ScenarioClass.DENSE)])
+    def test_starts_count_every_labeled_model_before(self, kind, cls):
+        """Each swept topology starts at the scenarios of every labeled
+        model before its first one, skipped topologies and valuations included."""
+        names = ["p"]
+        rcls = cls if kind.needs_doxastic_range else None
+        starts = {}
+        kept = {m.topology for m in _isomorph_free_models(4, names, rcls, starts)}
+        assert set(starts) == kept and len(kept) == 46
+        labeled, count = {}, 0
+        for model in exhaustive_models(4, names):
+            labeled.setdefault(model.topology, count)
+            count += sum(u.bit_count() for u, _ in range_pairs(model.topology, rcls))
+        assert starts == {top: labeled[top] for top in kept}
+
+    def test_builds_only_the_kept_models(self, monkeypatch):
+        built = []
+        check = SubsetModel.__post_init__
+
+        def spy(model):
+            built.append(model)
+            check(model)
+
+        monkeypatch.setattr(SubsetModel, "__post_init__", spy)
+        out = find_countermodel(parse("K p -> p"), STRONG, max_n=4, budget=10**6)
+        assert (out.status, out.evaluations) == ("exhausted", 76_426)
+        assert len(built) == 425  # of 5 930 labeled models
+        monkeypatch.undo()
+        assert built == list(_isomorph_free(exhaustive_models(4, ["p"])))
