@@ -39,9 +39,10 @@ model, the least world missing there, then the first (U, V) in canonical
 order that misses that world.  An ae validity sweep visits only the (U, V) whose V
 lies inside Max, and a validity sweep skips each model isomorphic to an
 earlier one of its stream; both find the same failures (see
-sweep_validity).  The search's exhaustive phase builds only the first
-model of each isomorphism class and counts the others where they stand
-(see find_countermodel).
+sweep_validity).  The search's exhaustive phase, and the exhaustive part
+of the batch a suite run sweeps, build only the first model of each
+isomorphism class (_isomorph_free_models); the search counts the others
+where they stand (see find_countermodel).
 """
 
 from __future__ import annotations
@@ -584,9 +585,12 @@ def sweep_validity(
     other's at the same cost.  A skipped model's earlier copy comes first,
     fails every root the skipped model fails and costs what it costs, so
     no root's first failure and no over-budget model that stops a sweep is
-    ever skipped.  exhaustive_models and Batch.models() stay labeled;
-    find_countermodel reads the same first models from a source that
-    builds no others (_isomorph_free_models).
+    ever skipped.  exhaustive_models and Batch.models() stay labeled.  Its
+    readers: run_suite, which hands it Batch.isomorph_free_models, whose
+    exhaustive part is built without the copies and whose draws this
+    filter reduces, and valid_in_model, one model.  find_countermodel
+    reads the same first models from _isomorph_free_models, without this
+    sweep.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
@@ -636,15 +640,17 @@ def _isomorph_free_models(
     in the same order, built without the others; starts gets, for each
     topology that has models here, the labeled scenarios before its first
     one, each labeled model costing its ranges under cls (range_groups).
+    Its readers: find_countermodel's exhaustive phase, which reads starts,
+    and Batch.isomorph_free_models, the exhaustive part of every suite run.
 
     Every topology of a homeomorphism class carries a copy of each model
     on another, so a model's first labeled copy lies on the first topology
-    of its class.  There it is the least, in product order, of its
-    valuation's images under the automorphisms, which are g⁻¹∘h for the
-    relabelings g, h that reach the least table (canonical_form).  So a
-    topology homeomorphic to an earlier one is skipped before any of its
-    models is built, and is charged 2^(n·atoms) times its class's cost,
-    the same on every topology of the class.
+    of its class.  There it is the least, in product order of names as
+    given, of its valuation's images under the automorphisms, which are
+    g⁻¹∘h for the relabelings g, h that reach the least table
+    (canonical_form).  So a topology homeomorphic to an earlier one is
+    skipped before any of its models is built, and is charged 2^(n·atoms)
+    times its class's cost, the same on every topology of the class.
     """
     start = 0
     costs: dict[tuple[int, ...], int] = {}  # per least table

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from . import formula as fm
@@ -30,7 +30,14 @@ from .model import (
     parse_scenario,
     random_model,
 )
-from .semantics import BatchEvaluator, Semantics, _trace, satisfies, sweep_validity
+from .semantics import (
+    BatchEvaluator,
+    Semantics,
+    _isomorph_free_models,
+    _trace,
+    satisfies,
+    sweep_validity,
+)
 from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, mask_of
 
 
@@ -166,7 +173,15 @@ def stalnaker_images() -> dict[str, Formula]:
 
 @dataclass(frozen=True)
 class Batch:
-    """Deterministic model stream: exhaustive part, then seeded random part."""
+    """Deterministic model stream: exhaustive part, then seeded random part.
+
+    models() is the labeled stream: every valuation of the atoms on every
+    topology to exhaustive_n points (exhaustive_models), then one draw per
+    (seed, size).  perfbench's work counters and known answers walk it, as
+    do the checks that state labeled coverage.  isomorph_free_models() is
+    what run_suite sweeps: the same stream with its exhaustive part built
+    without the models isomorphic to an earlier one.
+    """
 
     exhaustive_n: int = 0
     atoms: tuple[str, ...] = ("p", "q")
@@ -195,6 +210,22 @@ class Batch:
             drawn = random_model(seed, size, atoms=len(self.atoms))
             # the drawn masks, in draw order, valuate the batch's own atoms
             yield SubsetModel(drawn.topology, dict(zip(self.atoms, drawn.valuation.values())))
+
+    def isomorph_free_models(self) -> Iterator[SubsetModel]:
+        """The exhaustive part without the models isomorphic to an earlier
+        one, built without them, then every draw: _isomorph_free of this
+        stream is _isomorph_free(self.models()), model for model.
+
+        The exhaustive part is _isomorph_free_models over the atoms in
+        their own order, the order of exhaustive_models' product.  The
+        draws come from models() of the batch without its exhaustive part,
+        the one draw loop.  A draw of at most exhaustive_n worlds valuates
+        the same atoms on one of the enumerated topologies, so it is
+        isomorphic to a kept exhaustive model, and sweep_validity's filter
+        drops it, as it drops a draw isomorphic to an earlier draw.
+        """
+        yield from _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
+        yield from replace(self, exhaustive_n=0).models()
 
     def describe(self) -> dict:
         return {
@@ -357,7 +388,7 @@ def run_suite(
     premises = list(dict.fromkeys(instantiation))
     # the engine keeps each distinct root once, in first-seen order
     engine = BatchEvaluator([inst for _, inst in rows] + premises, kind)
-    failures = sweep_validity(engine, batch.models(), cls)
+    failures = sweep_validity(engine, batch.isomorph_free_models(), cls)
 
     results = []
     for name, inst in rows:

@@ -6,9 +6,17 @@ import pytest
 
 from oracles import count_nodes
 from topobelief import formula as fm
-from topobelief import semantics
+from topobelief import semantics, suites
 from topobelief.formula import parse
-from topobelief.model import ScenarioClass, ed_scenarios, load, parse_scenario, random_model
+from topobelief.model import (
+    ScenarioClass,
+    SubsetModel,
+    ed_scenarios,
+    exhaustive_models,
+    load,
+    parse_scenario,
+    random_model,
+)
 from topobelief.semantics import Semantics, find_countermodel, satisfies, valid_in_model
 from topobelief.suites import (
     BASE_SCHEMES,
@@ -180,9 +188,9 @@ class TestRunSuite:
 
 
 class TestIsomorphFreeSweeps:
-    """Suite reports from sweep_validity's isomorph-free streams equal, byte
-    for byte, the reports of the labeled streams (the filter replaced by the
-    identity)."""
+    """Suite reports from the isomorph-free batch source equal, byte for
+    byte, the reports of the labeled streams (run_suite sent back to
+    batch.models() and sweep_validity's filter replaced by the identity)."""
 
     # every suite under its own pair, and every DEFAULT_MATRIX row
     ROWS = tuple(dict.fromkeys([(name, None, None) for name in suite_names()] + [*DEFAULT_MATRIX]))
@@ -194,26 +202,104 @@ class TestIsomorphFreeSweeps:
             for name, kind, cls in rows
         ]
 
+    @staticmethod
+    def _labeled(monkeypatch):
+        """Every later sweep reads every labeled model: the batch hands
+        run_suite its labeled stream, and the sweep keeps all of it."""
+        swept = []
+        groups = semantics._sweep_groups
+
+        def spy(models, *args, **kwargs):
+            models = list(models)
+            swept.append(len(models))
+            return groups(models, *args, **kwargs)
+
+        monkeypatch.setattr(Batch, "isomorph_free_models", Batch.models)
+        monkeypatch.setattr(semantics, "_isomorph_free", lambda models: models)
+        monkeypatch.setattr(semantics, "_sweep_groups", spy)
+        return swept
+
     @pytest.mark.parametrize(
         "batch", [soundness_batch(), Batch(exhaustive_n=3)], ids=["soundness", "exhaustive_3"]
     )
     def test_reports_equal_the_labeled_sweep(self, monkeypatch, batch):
         reduced = self._reports(self.ROWS, batch)
-        monkeypatch.setattr(semantics, "_isomorph_free", lambda models: models)
+        swept = self._labeled(monkeypatch)
         assert self._reports(self.ROWS, batch) == reduced
+        assert set(swept) == {sum(1 for _ in batch.models())}  # 2 124 and 1 924
 
     def test_four_world_report_equals_the_labeled_sweep(self, monkeypatch):
         """el_kboxb_cb under ae/all on every model to 4 worlds (5 089 of the
         92 804 swept).  Runtime target 5 s for the isomorph-free run (about
-        1 s on a 2-vCPU VM)."""
+        0.2-0.3 s on a 2-vCPU VM)."""
         rows = [("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL)]
         batch = Batch(exhaustive_n=4)
         started = time.perf_counter()
         reduced = self._reports(rows, batch)
         elapsed = time.perf_counter() - started
-        monkeypatch.setattr(semantics, "_isomorph_free", lambda models: models)
+        swept = self._labeled(monkeypatch)
         assert self._reports(rows, batch) == reduced
+        assert swept == [92_804]
         assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
+
+
+class TestIsomorphFreeBatch:
+    """Batch.isomorph_free_models, filtered as sweep_validity filters it, is
+    _isomorph_free(batch.models()) model for model and in order, and its
+    exhaustive part builds none of the models that filter drops."""
+
+    @staticmethod
+    def _models(stream):
+        return [(m.topology, tuple(m.valuation.items())) for m in stream]
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            soundness_batch(),
+            soundness_batch(first_seed=2),
+            *[Batch(exhaustive_n=k, atoms=tuple(atoms)) for k in range(5) for atoms in ("p", "pq")],
+            Batch(exhaustive_n=3, atoms=("q", "p")),  # product order of the atoms as given
+            Batch(exhaustive_n=3, atoms=("p", "q", "r")),
+            # draws of 1 and 2 worlds are labeled exhaustive models; seed 2 on 4 worlds repeats
+            Batch(exhaustive_n=2, seeds=(1, 2, 3, 2, 4, 5, 6), sizes=(1, 4, 2, 4, 3, 6, 4)),
+        ],
+        ids=[
+            "soundness-1",
+            "soundness-2",
+            *[f"{atoms}-{k}" for k in range(5) for atoms in ("p", "pq")],
+            "qp-3",
+            "pqr-3",
+            "mixed-draws",
+        ],
+    )
+    def test_source_is_the_filtered_labeled_stream(self, batch):
+        got = self._models(semantics._isomorph_free(batch.isomorph_free_models()))
+        assert got == self._models(semantics._isomorph_free(batch.models()))
+
+    def test_a_suite_run_builds_only_the_kept_models(self, monkeypatch):
+        built, draws = [], []
+        check, draw = SubsetModel.__post_init__, suites.random_model
+
+        def spy(model):
+            built.append(model)
+            check(model)
+
+        def drawn(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(SubsetModel, "__post_init__", spy)
+        monkeypatch.setattr(suites, "random_model", drawn)
+        batch = soundness_batch()
+        report = run_suite(get_suite("sel"), batch)
+        monkeypatch.undo()
+        assert report.clean
+        # 408 exhaustive models, not the 1 924 labeled ones; each of the 200
+        # draws is random_model's model and its copy on the batch's atoms
+        assert len(draws) == 200
+        exhaustive = [m for m in built if m.n <= batch.exhaustive_n]
+        assert exhaustive == list(semantics._isomorph_free(exhaustive_models(3, batch.atoms)))
+        assert (len(exhaustive), len(built)) == (408, 408 + 2 * 200)
 
 
 class TestClassMonotonicity:
