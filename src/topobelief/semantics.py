@@ -37,12 +37,11 @@ growing as it goes (each at most as many runs as all before it), and a
 failure is the one a scenario-by-scenario scan finds: the first failing
 model, the least world missing there, then the first (U, V) in canonical
 order that misses that world.  An ae validity sweep visits only the (U, V) whose V
-lies inside Max, and a validity sweep skips each model isomorphic to an
-earlier one of its stream; both find the same failures (see
-sweep_validity).  The search's exhaustive phase, and the exhaustive part
-of the batch a suite run sweeps, build only the first model of each
-isomorphism class (_isomorph_free_models); the search counts the others
-where they stand (see find_countermodel).
+lies inside Max, which finds the same failures (see sweep_validity).  The
+search's exhaustive phase, and the exhaustive part of the batch a suite
+run sweeps, hold only the first model of each isomorphism class
+(_isomorph_free_models, which says why that finds the same failures); the
+search counts the others where they stand (see find_countermodel).
 """
 
 from __future__ import annotations
@@ -233,9 +232,9 @@ def find_countermodel(
     The exhaustive phase builds and sweeps only the first labeled model of
     each isomorphism class (_isomorph_free_models), and still counts as the
     labeled stream.  A skipped model's earlier copy fails first and costs
-    the same (see sweep_validity), so it never holds the first hit, and its
-    scenarios are counted where it stood: a model's count starts at the
-    labeled scenarios before its topology plus its valuation's product
+    the same (see _isomorph_free_models), so it never holds the first hit,
+    and its scenarios are counted where it stood: a model's count starts at
+    the labeled scenarios before its topology plus its valuation's product
     index times its cost.  The count through the last model is the labeled
     total, since the last labeled model, the full valuation on the discrete
     space, is alone in its class.
@@ -576,27 +575,13 @@ def sweep_validity(
     an open the class admits and the first V in canonical order to share
     it.  The budget is still charged for every pair.
 
-    The stream is swept without the models isomorphic to an earlier model
-    of it (see _isomorph_free), which finds the same failures and the same
-    BudgetError, for any stream.  An isomorphism is a homeomorphism that
-    carries the valuation along, so it preserves truth at corresponding
-    scenarios, and every class (all, consistent, dense, total) is
-    topological, so it maps the class's scenarios of one model onto the
-    other's at the same cost.  A skipped model's earlier copy comes first,
-    fails every root the skipped model fails and costs what it costs, so
-    no root's first failure and no over-budget model that stops a sweep is
-    ever skipped.  exhaustive_models and Batch.models() stay labeled.  Its
-    readers: run_suite, which hands it Batch.isomorph_free_models, whose
-    exhaustive part is built without the copies and whose draws this
-    filter reduces, and valid_in_model, one model.  find_countermodel
-    reads the same first models from _isomorph_free_models, without this
-    sweep.
+    Every model of the stream is swept.  A stream without isomorphic
+    copies is made at its source (see _isomorph_free_models).
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
-    models = _isomorph_free(models)
     for runs in _sweep_groups(models, engine.kind, scenario_class, budget, maximal=True):
         for idx, (r, m, s) in _group_failures(engine, runs, list(live)).items():
             f = live.pop(idx)
@@ -606,42 +591,28 @@ def sweep_validity(
     return failures
 
 
-def _isomorph_free(models: Iterable[SubsetModel]) -> Iterator[SubsetModel]:
-    """The stream without every model isomorphic to an earlier model of it.
-
-    Two models are isomorphic when a relabeling of the worlds carries one's
-    opens and valuation onto the other's, atom names kept.  A model seen
-    through a relabeling that reaches its topology's least table
-    (topology.canonical_form) is a valuation on that table; a kept model
-    adds the valuations it reads as through every such relabeling, and a
-    later model is isomorphic to it exactly when it reads as one of them.
-    Models of more than ENUMERATION_MAX worlds always pass.
-    """
-    seen = set()
-    top = table = None
-    for model in models:
-        if model.topology is not top:  # a run of one topology looks its form up once
-            top = model.topology
-            table, images = canonical_form(top) if top.n <= ENUMERATION_MAX else (None, ())
-        if table is None:
-            yield model
-            continue
-        names = sorted(model.valuation)
-        masks = [model.valuation[a] for a in names]
-        if (table, *names, *[images[0][m] for m in masks]) not in seen:
-            seen.update((table, *names, *[i[m] for m in masks]) for i in images)
-            yield model
-
-
 def _isomorph_free_models(
     max_n: int, names: Sequence[str], cls: ScenarioClass | None, starts: dict[Topology, int]
 ) -> Iterator[SubsetModel]:
-    """The models _isomorph_free keeps of exhaustive_models(max_n, names),
-    in the same order, built without the others; starts gets, for each
-    topology that has models here, the labeled scenarios before its first
-    one, each labeled model costing its ranges under cls (range_groups).
-    Its readers: find_countermodel's exhaustive phase, which reads starts,
-    and Batch.isomorph_free_models, the exhaustive part of every suite run.
+    """The first labeled member of each isomorphism class of
+    exhaustive_models(max_n, names), in the same order, built without the
+    others; starts gets, for each topology that has models here, the
+    labeled scenarios before its first one, each labeled model costing its
+    ranges under cls (range_groups).  Its readers: find_countermodel's
+    exhaustive phase, which reads starts, and Batch.isomorph_free_models,
+    the exhaustive part of every suite run.
+
+    Two models are isomorphic when a relabeling of the worlds carries one's
+    opens and valuation onto the other's, atom names kept.  Such a
+    relabeling is a homeomorphism that carries the valuation along, so it
+    preserves truth at corresponding scenarios, and every class (all,
+    consistent, dense, total) is topological, so it maps one model's
+    scenarios of the class onto the other's at the same cost.  The first
+    labeled member of a class comes before every other member, fails every
+    root they fail and costs what they cost, so a later member is never a
+    root's first failure and never the first model over a budget: a sweep
+    of this stream finds the failures and the BudgetError of the labeled
+    one.
 
     Every topology of a homeomorphism class carries a copy of each model
     on another, so a model's first labeled copy lies on the first topology

@@ -180,7 +180,8 @@ class Batch:
     (seed, size).  perfbench's work counters and known answers walk it, as
     do the checks that state labeled coverage.  isomorph_free_models() is
     what run_suite sweeps: the same stream with its exhaustive part built
-    without the models isomorphic to an earlier one.
+    without the models isomorphic to an earlier one, and its draws as
+    drawn.
     """
 
     exhaustive_n: int = 0
@@ -213,16 +214,15 @@ class Batch:
 
     def isomorph_free_models(self) -> Iterator[SubsetModel]:
         """The exhaustive part without the models isomorphic to an earlier
-        one, built without them, then every draw: _isomorph_free of this
-        stream is _isomorph_free(self.models()), model for model.
+        one, built without them, then every draw, as drawn.
 
         The exhaustive part is _isomorph_free_models over the atoms in
         their own order, the order of exhaustive_models' product.  The
         draws come from models() of the batch without its exhaustive part,
-        the one draw loop.  A draw of at most exhaustive_n worlds valuates
-        the same atoms on one of the enumerated topologies, so it is
-        isomorphic to a kept exhaustive model, and sweep_validity's filter
-        drops it, as it drops a draw isomorphic to an earlier draw.
+        the one draw loop.  A draw isomorphic to an earlier model, such as
+        one of at most exhaustive_n worlds, is never a first failure nor
+        the first model over a budget (see _isomorph_free_models), so
+        sweeping it changes no report.
         """
         yield from _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
         yield from replace(self, exhaustive_n=0).models()

@@ -10,7 +10,7 @@ from itertools import permutations, product
 
 from topobelief import formula as fm
 from topobelief.semantics import Semantics
-from topobelief.topology import bits
+from topobelief.topology import ENUMERATION_MAX, bits, canonical_form
 
 
 def brute_interior(opens, a):
@@ -119,6 +119,35 @@ def isomorphic(a, b):
     """Whether some relabeling of a's worlds carries a's opens and valuation
     onto b's, atom names kept (tries every relabeling)."""
     return model_form(b) in relabelings(a)
+
+
+def isomorph_free(models):
+    """The stream without every model isomorphic to an earlier model of it.
+
+    The reference that the isomorph-free sources are checked against.
+    Unlike the rest of this module it reads the library's
+    topology.canonical_form, so it is itself checked against relabelings
+    (tests/test_semantics.py::TestIsomorphFree).  A model seen through a
+    relabeling that reaches its topology's least table is a valuation on
+    that table; a kept model adds the valuations it reads as through every
+    such relabeling, and a later model is isomorphic to it exactly when it
+    reads as one of them.  Models of more than ENUMERATION_MAX worlds
+    always pass.
+    """
+    seen = set()
+    top = table = None
+    for model in models:
+        if model.topology is not top:  # a run of one topology looks its form up once
+            top = model.topology
+            table, images = canonical_form(top) if top.n <= ENUMERATION_MAX else (None, ())
+        if table is None:
+            yield model
+            continue
+        names = sorted(model.valuation)
+        masks = [model.valuation[a] for a in names]
+        if (table, *names, *[images[0][m] for m in masks]) not in seen:
+            seen.update((table, *names, *[i[m] for m in masks]) for i in images)
+            yield model
 
 
 def is_belief_relation(n, rel):

@@ -136,3 +136,41 @@ def test_every_name_is_imported_from_its_owner():
     """A relative import names something its module defines, not something
     that module imported, so each name has one import path."""
     assert foreign_imports(_trees()) == []
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Each module-level private name of a module (def, class or assigned
+    constant) that nothing in the package reads: no Name load, no
+    attribute of that name, and no import of it from another module."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update(a.name for a in node.names)
+    return [
+        f"{name}.py: {defined} is read nowhere in the package"
+        for name, tree in trees.items()
+        for defined in sorted(_defined(tree))
+        if defined.startswith("_") and not defined.startswith("__") and defined not in read
+    ]
+
+
+def test_unread_finder_names_each_private_name_nothing_reads():
+    trees = {
+        "a": ast.parse("from .b import _used\n_CONST = 1\ndef _orphan():\n    return _used\n"),
+        "b": ast.parse("def _used():\n    return b._attr\n_attr = 2\n"),
+    }
+    assert unread_private_names(trees) == [
+        "a.py: _CONST is read nowhere in the package",
+        "a.py: _orphan is read nowhere in the package",
+    ]
+
+
+def test_every_private_name_is_read_in_the_package():
+    """Code that only the tests read belongs with the tests: every private
+    name a module defines at module level is read somewhere in src/."""
+    assert unread_private_names(_trees()) == []

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import def_truth, isomorphic, model_form, relabelings
+from oracles import def_truth, isomorph_free, isomorphic, model_form, relabelings
 from topobelief import semantics
 from topobelief.formula import (
     ALPHA_MAP,
@@ -36,7 +36,6 @@ from topobelief.semantics import (
     Evaluator,
     Semantics,
     SemanticsError,
-    _isomorph_free,
     _isomorph_free_models,
     _passes,
     _runs,
@@ -672,12 +671,8 @@ class TestLaneWork:
 
 
 class TestIsomorphFree:
-    """sweep_validity skips every model isomorphic to an earlier model of its
-    stream, and finds what the labeled stream finds."""
-
-    @staticmethod
-    def _labeled(monkeypatch):
-        monkeypatch.setattr(semantics, "_isomorph_free", lambda models: models)
+    """The reference filter (oracles.isomorph_free) keeps the first model of
+    each isomorphism class, and a suite run sweeps its source as built."""
 
     def test_keeps_the_first_model_of_each_class(self):
         """On Batch(exhaustive_n=3), exactly the models that no relabeling
@@ -688,11 +683,13 @@ class TestIsomorphFree:
             if not relabelings(m) & earlier:
                 first.append(m)
             earlier.add(model_form(m))
-        kept = list(_isomorph_free(models))
+        kept = list(isomorph_free(models))
         assert [id(m) for m in kept] == [id(m) for m in first]
         assert (len(models), len(kept)) == (1924, 408)
 
-    def test_sweep_validity_sweeps_the_kept_models(self, monkeypatch):
+    def test_a_suite_run_sweeps_its_source_as_built(self, monkeypatch):
+        """sweep_validity drops nothing: a suite run sweeps the first labeled
+        model of each class, then every draw, in order."""
         swept = []
         groups = semantics._sweep_groups
 
@@ -701,65 +698,32 @@ class TestIsomorphFree:
             return groups(swept, *args, **kwargs)
 
         monkeypatch.setattr(semantics, "_sweep_groups", spy)
-        models = list(Batch(exhaustive_n=3).models())
-        assert sweep_validity(BatchEvaluator((parse("K p -> p"),), STRONG), models) == {}
-        assert [id(m) for m in swept] == [id(m) for m in _isomorph_free(models)]
-        assert len(swept) == 408
+        batch = soundness_batch()
+        assert run_suite(get_suite("sel"), batch).clean
+        monkeypatch.undo()
+        draws = list(batch.models())[1924:]
+        assert swept == list(_isomorph_free_models(3, ("p", "q"), None, {})) + draws
+        assert (len(swept), len(draws)) == (408 + 200, 200)
 
     def test_kept_count_to_four_worlds(self):
         models = list(Batch(exhaustive_n=4).models())
-        assert (len(models), sum(1 for _ in _isomorph_free(models))) == (92804, 5089)
+        assert (len(models), sum(1 for _ in isomorph_free(models))) == (92804, 5089)
 
-    def test_a_relabeled_copy_before_the_first_labeled_member(self, monkeypatch):
+    def test_a_relabeled_copy_before_the_first_labeled_member(self):
         """Only the later of two isomorphic models is skipped, whichever
-        comes first in enumeration order, and the failures stay on it."""
+        comes first in enumeration order."""
         sierpinski, copy_top = list(enumerate_topologies(2))[1:3]  # {0} open, then {1}
         labeled = SubsetModel(sierpinski, {"p": 0b01})
         copy = SubsetModel(copy_top, {"p": 0b10})
         assert isomorphic(copy, labeled) and copy != labeled
-        stream = [copy, labeled]
-        assert [id(m) for m in _isomorph_free(stream)] == [id(copy)]
-        roots = (parse("p -> K p"), parse("B p -> p"), parse("K p -> p"))
-        engine = BatchEvaluator(roots, STRONG)
-        reduced = sweep_validity(engine, stream)
-        assert set(reduced) == set(roots[:2])
-        assert all(hit.model is copy for hit in reduced.values())
-        self._labeled(monkeypatch)
-        assert sweep_validity(engine, stream) == reduced
+        assert [id(m) for m in isomorph_free([copy, labeled])] == [id(copy)]
 
     def test_models_past_four_worlds_always_pass(self):
         five = random_model(1, 5)
         same = SubsetModel(five.topology, dict(five.valuation))
-        assert list(_isomorph_free([five, same, five])) == [five, same, five]
+        assert list(isomorph_free([five, same, five])) == [five, same, five]
         four = random_model(1, 4)
-        assert list(_isomorph_free([four, four])) == [four]
-
-    def test_budget_error_at_the_same_model(self, monkeypatch):
-        """The sweep stops with the same BudgetError, at the same topology's
-        ranges, as the labeled sweep: the first labeled model over the
-        budget is the first of its class."""
-        asked = []
-        ranges = semantics.range_groups
-
-        def spy(top, cls, budget):
-            asked.append(top)
-            return ranges(top, cls, budget)
-
-        monkeypatch.setattr(semantics, "range_groups", spy)
-        # D_B fails on the first model; K p -> p stays live to the budget
-        engine = BatchEvaluator((parse("B p -> ! B ! p"), parse("K p -> p")), ED)
-
-        def stop():
-            asked.clear()
-            with pytest.raises(BudgetError) as info:
-                sweep_validity(engine, Batch(exhaustive_n=3).models(), budget=100)
-            return str(info.value), asked[-1]
-
-        reduced = stop()
-        self._labeled(monkeypatch)
-        assert stop() == reduced
-        # 6 opens on 3 worlds cost 108 under ed/all
-        assert reduced[1] == next(t for t in enumerate_topologies(3) if len(t.opens) == 6)
+        assert list(isomorph_free([four, four])) == [four]
 
 
 class TestIsomorphFreeSearch:
@@ -769,7 +733,7 @@ class TestIsomorphFreeSearch:
     @pytest.mark.parametrize("names, kept", [([], 46), (["p"], 425), (["p", "q"], 5089)])
     def test_source_is_the_isomorph_free_stream(self, names, kept):
         got = list(_isomorph_free_models(4, names, None, {}))
-        assert got == list(_isomorph_free(exhaustive_models(4, names)))
+        assert got == list(isomorph_free(exhaustive_models(4, names)))
         assert len(got) == kept
 
     def test_three_atoms_split_into_runs(self):
@@ -787,7 +751,7 @@ class TestIsomorphFreeSearch:
             if top == chain:
                 runs.append(len(run))
         assert runs == [1536, 1536, 1024]
-        labeled = _isomorph_free(exhaustive_models(4, names))
+        labeled = isomorph_free(exhaustive_models(4, names))
         assert head == [next(labeled) for _ in head]
 
     @pytest.mark.parametrize("kind, cls", [(STRONG, ScenarioClass.ALL), (AE, ScenarioClass.DENSE)])
@@ -818,4 +782,4 @@ class TestIsomorphFreeSearch:
         assert (out.status, out.evaluations) == ("exhausted", 76_426)
         assert len(built) == 425  # of 5 930 labeled models
         monkeypatch.undo()
-        assert built == list(_isomorph_free(exhaustive_models(4, ["p"])))
+        assert built == list(isomorph_free(exhaustive_models(4, ["p"])))

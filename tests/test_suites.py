@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from oracles import count_nodes
+from oracles import count_nodes, isomorph_free
 from topobelief import formula as fm
 from topobelief import semantics, suites
 from topobelief.formula import parse
@@ -190,7 +190,7 @@ class TestRunSuite:
 class TestIsomorphFreeSweeps:
     """Suite reports from the isomorph-free batch source equal, byte for
     byte, the reports of the labeled streams (run_suite sent back to
-    batch.models() and sweep_validity's filter replaced by the identity)."""
+    batch.models())."""
 
     # every suite under its own pair, and every DEFAULT_MATRIX row
     ROWS = tuple(dict.fromkeys([(name, None, None) for name in suite_names()] + [*DEFAULT_MATRIX]))
@@ -205,7 +205,7 @@ class TestIsomorphFreeSweeps:
     @staticmethod
     def _labeled(monkeypatch):
         """Every later sweep reads every labeled model: the batch hands
-        run_suite its labeled stream, and the sweep keeps all of it."""
+        run_suite its labeled stream."""
         swept = []
         groups = semantics._sweep_groups
 
@@ -215,18 +215,24 @@ class TestIsomorphFreeSweeps:
             return groups(models, *args, **kwargs)
 
         monkeypatch.setattr(Batch, "isomorph_free_models", Batch.models)
-        monkeypatch.setattr(semantics, "_isomorph_free", lambda models: models)
         monkeypatch.setattr(semantics, "_sweep_groups", spy)
         return swept
 
     @pytest.mark.parametrize(
-        "batch", [soundness_batch(), Batch(exhaustive_n=3)], ids=["soundness", "exhaustive_3"]
+        "batch",
+        [
+            soundness_batch(),
+            Batch(exhaustive_n=3),
+            # draws of 1 to 3 worlds copy exhaustive models; some 4-world draws copy others
+            Batch(exhaustive_n=3, seeds=tuple(range(1, 41)), sizes=(1, 2, 3, 4) * 10),
+        ],
+        ids=["soundness", "exhaustive_3", "duplicate_draws"],
     )
     def test_reports_equal_the_labeled_sweep(self, monkeypatch, batch):
         reduced = self._reports(self.ROWS, batch)
         swept = self._labeled(monkeypatch)
         assert self._reports(self.ROWS, batch) == reduced
-        assert set(swept) == {sum(1 for _ in batch.models())}  # 2 124 and 1 924
+        assert set(swept) == {sum(1 for _ in batch.models())}  # 2 124, 1 924 and 1 964
 
     def test_four_world_report_equals_the_labeled_sweep(self, monkeypatch):
         """el_kboxb_cb under ae/all on every model to 4 worlds (5 089 of the
@@ -244,9 +250,10 @@ class TestIsomorphFreeSweeps:
 
 
 class TestIsomorphFreeBatch:
-    """Batch.isomorph_free_models, filtered as sweep_validity filters it, is
-    _isomorph_free(batch.models()) model for model and in order, and its
-    exhaustive part builds none of the models that filter drops."""
+    """Batch.isomorph_free_models, filtered by the reference filter
+    (oracles.isomorph_free), is isomorph_free(batch.models()) model for
+    model and in order, and its exhaustive part builds none of the models
+    that filter drops."""
 
     @staticmethod
     def _models(stream):
@@ -273,8 +280,8 @@ class TestIsomorphFreeBatch:
         ],
     )
     def test_source_is_the_filtered_labeled_stream(self, batch):
-        got = self._models(semantics._isomorph_free(batch.isomorph_free_models()))
-        assert got == self._models(semantics._isomorph_free(batch.models()))
+        got = self._models(isomorph_free(batch.isomorph_free_models()))
+        assert got == self._models(isomorph_free(batch.models()))
 
     def test_a_suite_run_builds_only_the_kept_models(self, monkeypatch):
         built, draws = [], []
@@ -298,7 +305,7 @@ class TestIsomorphFreeBatch:
         # draws is random_model's model and its copy on the batch's atoms
         assert len(draws) == 200
         exhaustive = [m for m in built if m.n <= batch.exhaustive_n]
-        assert exhaustive == list(semantics._isomorph_free(exhaustive_models(3, batch.atoms)))
+        assert exhaustive == list(isomorph_free(exhaustive_models(3, batch.atoms)))
         assert (len(exhaustive), len(built)) == (408, 408 + 2 * 200)
 
 
