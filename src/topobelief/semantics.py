@@ -68,15 +68,7 @@ from .model import (
     random_model,
     range_groups,
 )
-from .topology import (
-    ENUMERATION_MAX,
-    MAX_WORLDS,
-    Topology,
-    bits,
-    canonical_form,
-    enumerate_topologies,
-    mnb_interior,
-)
+from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, _classes, bits, mnb_interior
 
 
 class SemanticsError(Exception):
@@ -617,27 +609,24 @@ def _isomorph_free_models(
     Every topology of a homeomorphism class carries a copy of each model
     on another, so a model's first labeled copy lies on the first topology
     of its class.  There it is the least, in product order of names as
-    given, of its valuation's images under the automorphisms, which are
-    g⁻¹∘h for the relabelings g, h that reach the least table
-    (canonical_form).  So a topology homeomorphic to an earlier one is
+    given, of its valuation's images under the automorphisms, its
+    stabilizer, which the class table gives (_classes: one orbit walk per
+    class, when its first member appears).  So every other member is
     skipped before any of its models is built, and is charged 2^(n·atoms)
     times its class's cost, the same on every topology of the class.
     """
     start = 0
-    costs: dict[tuple[int, ...], int] = {}  # per least table
     for n in range(1, max_n + 1):
-        for top in enumerate_topologies(n):
-            table, images = canonical_form(top)
-            if table not in costs:
+        costs: dict[int, int] = {}  # per class, by its first member's position
+        for i, (top, first, automorphisms) in enumerate(_classes(n)):
+            if i == first:
                 ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
-                costs[table] = sum(u.bit_count() for u, _ in ranges)
+                costs[i] = sum(u.bit_count() for u, _ in ranges)
                 starts[top] = start
-                inverse = {image: a for a, image in enumerate(images[0])}
-                automorphisms = [[inverse[image] for image in h] for h in images[1:]]
                 for masks in itertools.product(range(1 << n), repeat=len(names)):
                     if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
                         yield SubsetModel(top, dict(zip(names, masks)))
-            start += costs[table] << n * len(names)
+            start += costs[first] << n * len(names)
 
 
 def _sweep_groups(

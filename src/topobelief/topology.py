@@ -20,16 +20,16 @@ is nowhere dense exactly when it misses Max (McKinsey & Tarski, "The
 algebra of topology", 1944, for finite spaces), and an open U lies in
 cl(int a) exactly when U ∩ Max lies in a (see _maximal), so the engine
 reads density, strong belief included, through Max and needs no closure.
-On at most ENUMERATION_MAX points the table also gives a canonical form,
-the least relabeled table, so two topologies are homeomorphic exactly
-when their canonical forms are equal (canonical_form).
+On at most ENUMERATION_MAX points the tables of each carrier size are
+split into homeomorphism classes once per process, by walking each class's
+orbit under the relabelings once (_classes).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
 MAX_WORLDS = 16
@@ -178,10 +178,19 @@ class Topology:
     def __init__(self, n: int, mnb: tuple[int, ...]):
         # private; use from_opens / generate_from_subbasis for validated input.
         # mnb must be a preorder's successor masks for the result to verify.
-        self.n = n
-        self.min_neighborhoods = mnb
-        self.opens = _canon(_unions(mnb))
-        self.maximal = _maximal(mnb)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "min_neighborhoods", mnb)
+        object.__setattr__(self, "opens", _canon(_unions(mnb)))
+        object.__setattr__(self, "maximal", _maximal(mnb))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Topology, (self.n, self.min_neighborhoods)
 
     @classmethod
     def from_opens(cls, n: int, opens: Iterable[int]) -> "Topology":
@@ -373,33 +382,35 @@ def enumerate_topologies(n: int) -> Iterator[Topology]:
     yield from tops
 
 
-def canonical_form(top: Topology) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The least relabeled minimal-neighborhood table of a topology on at
-    most ENUMERATION_MAX points, and the relabelings that reach it.
+@functools.cache
+def _classes(n: int) -> tuple[tuple[Topology, int, tuple[tuple[int, ...], ...]], ...]:
+    """Per topology on n points, in enumerate_topologies order: the topology,
+    the position of its homeomorphism class's first member and, for a first
+    member only, its non-identity automorphisms.
 
     A relabeling is a permutation p of the points, given as the image of
-    every subset of the carrier (image[a] is p(a)); it carries the table
-    mnb to the table mnb' with mnb'(p(x)) = p(mnb(x)).  Two topologies are
-    homeomorphic exactly when their least tables are equal, and the
-    relabelings reaching one topology's least table are its automorphisms
-    followed by any one of them.  All n! permutations are tried, once per
-    table per process.
+    every subset (image[a] is p(a)); it carries the table mnb to mnb' with
+    mnb'(p(x)) = p(mnb(x)).  A topology not yet marked starts a class: its
+    relabeled tables are marked with its position, and the relabelings that
+    fix it are its automorphisms.  So each class's orbit is walked once,
+    classes × n! relabelings in all, and no table is canonicalized.
     """
-    if not 1 <= top.n <= ENUMERATION_MAX:
-        raise TopologyError(f"canonical forms gated at n <= {ENUMERATION_MAX}")
-    return _canonical(top.min_neighborhoods)
-
-
-@functools.cache
-def _canonical(mnb: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    relabeled = []
-    for image in _relabelings(len(mnb)):
-        table = [0] * len(mnb)
-        for x, nb in enumerate(mnb):
-            table[image[1 << x].bit_length() - 1] = image[nb]
-        relabeled.append((tuple(table), image))
-    least = min(table for table, _ in relabeled)
-    return least, tuple(image for table, image in relabeled if table == least)
+    tops = list(enumerate_topologies(n))
+    position = {top.min_neighborhoods: i for i, top in enumerate(tops)}
+    first, automorphisms = [-1] * len(tops), [()] * len(tops)
+    for i, top in enumerate(tops):
+        if first[i] < 0:
+            fixing = []
+            for image in _relabelings(n):
+                table = [0] * n
+                for x, nb in enumerate(top.min_neighborhoods):
+                    table[image[1 << x].bit_length() - 1] = image[nb]
+                j = position[tuple(table)]
+                first[j] = i
+                if j == i:
+                    fixing.append(image)
+            automorphisms[i] = tuple(fixing[1:])  # the identity comes first
+    return tuple(zip(tops, first, automorphisms))
 
 
 @functools.cache

@@ -6,11 +6,12 @@ no bit tricks beyond masks), so a test that compares the two is a real
 cross-check.
 """
 
+import functools
 from itertools import permutations, product
 
 from topobelief import formula as fm
 from topobelief.semantics import Semantics
-from topobelief.topology import ENUMERATION_MAX, bits, canonical_form
+from topobelief.topology import ENUMERATION_MAX, Topology, TopologyError, _relabelings, bits
 
 
 def brute_interior(opens, a):
@@ -121,12 +122,42 @@ def isomorphic(a, b):
     return model_form(b) in relabelings(a)
 
 
+def canonical_form(top: Topology) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The least relabeled minimal-neighborhood table of a topology on at
+    most ENUMERATION_MAX points, and the relabelings that reach it.
+
+    A relabeling is a permutation p of the points, given as the image of
+    every subset of the carrier (image[a] is p(a)); it carries the table
+    mnb to the table mnb' with mnb'(p(x)) = p(mnb(x)).  Two topologies are
+    homeomorphic exactly when their least tables are equal, and the
+    relabelings reaching one topology's least table are its automorphisms
+    followed by any one of them.  All n! permutations are tried, once per
+    table per process.  The brute reference for topology._classes, which
+    walks each homeomorphism class's orbit once instead.
+    """
+    if not 1 <= top.n <= ENUMERATION_MAX:
+        raise TopologyError(f"canonical forms gated at n <= {ENUMERATION_MAX}")
+    return _canonical(top.min_neighborhoods)
+
+
+@functools.cache
+def _canonical(mnb: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    relabeled = []
+    for image in _relabelings(len(mnb)):
+        table = [0] * len(mnb)
+        for x, nb in enumerate(mnb):
+            table[image[1 << x].bit_length() - 1] = image[nb]
+        relabeled.append((tuple(table), image))
+    least = min(table for table, _ in relabeled)
+    return least, tuple(image for table, image in relabeled if table == least)
+
+
 def isomorph_free(models):
     """The stream without every model isomorphic to an earlier model of it.
 
     The reference that the isomorph-free sources are checked against.
-    Unlike the rest of this module it reads the library's
-    topology.canonical_form, so it is itself checked against relabelings
+    It reads canonical_form above, which shares the library's relabelings,
+    so it is itself checked against relabelings
     (tests/test_semantics.py::TestIsomorphFree).  A model seen through a
     relabeling that reaches its topology's least table is a valuation on
     that table; a kept model adds the valuations it reads as through every

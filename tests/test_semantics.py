@@ -4,7 +4,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import def_truth, isomorph_free, isomorphic, model_form, relabelings
+from oracles import (
+    canonical_form,
+    def_truth,
+    isomorph_free,
+    isomorphic,
+    model_form,
+    relabelings,
+)
 from topobelief import semantics
 from topobelief.formula import (
     ALPHA_MAP,
@@ -48,7 +55,7 @@ from topobelief.semantics import (
     valid_in_model,
 )
 from topobelief.suites import Batch, get_suite, run_suite, soundness_batch
-from topobelief.topology import Topology, bits, canonical_form, enumerate_topologies
+from topobelief.topology import Topology, _classes, bits, enumerate_topologies
 
 STRONG, ED, AE = Semantics.STRONG, Semantics.ED, Semantics.AE
 
@@ -768,6 +775,24 @@ class TestIsomorphFreeSearch:
             labeled.setdefault(model.topology, count)
             count += sum(u.bit_count() for u, _ in range_pairs(model.topology, rcls))
         assert starts == {top: labeled[top] for top in kept}
+
+    def test_warm_searches_equal_cold_ones(self):
+        """The class table is built once per process and shared: a second
+        pair of hunts, after a 4-world suite run, gives every outcome of the
+        first pair, which started from an empty table."""
+        hunts = [
+            (parse("K p -> p"), STRONG, ScenarioClass.ALL),
+            (parse("B (box p | box ! box p)"), AE, ScenarioClass.ALL),
+        ]
+
+        def search():
+            return [find_countermodel(f, kind, cls, max_n=4, budget=10**6) for f, kind, cls in hunts]
+
+        _classes.cache_clear()
+        cold = search()
+        assert run_suite(get_suite("sel"), Batch(exhaustive_n=4)).clean
+        assert search() == cold
+        assert [(o.status, o.evaluations) for o in cold] == [("exhausted", 76_426), ("exhausted", 354_708)]
 
     def test_builds_only_the_kept_models(self, monkeypatch):
         built = []

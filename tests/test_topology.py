@@ -9,6 +9,7 @@ from oracles import (
     brute_closure,
     brute_interior,
     brute_min_neighborhoods,
+    canonical_form,
     closure_oracle,
     relabel,
     upset_family,
@@ -18,7 +19,6 @@ from topobelief.topology import (
     Topology,
     TopologyError,
     bits,
-    canonical_form,
     enumerate_topologies,
     find_violation,
     full_mask,
@@ -26,7 +26,8 @@ from topobelief.topology import (
     mask_of,
     verify,
 )
-from topobelief.topology import _is_transitive, _preorders
+from topobelief import topology
+from topobelief.topology import _classes, _is_transitive, _preorders
 
 SIERP = Topology.from_opens(2, [0b00, 0b01, 0b11])
 
@@ -351,7 +352,52 @@ class TestCanonicalForm:
 
     def test_gate(self):
         with pytest.raises(TopologyError, match="gated at n <= 4"):
-            canonical_form(Topology.discrete(5))
+            _classes(5)
+
+
+class TestClassTable:
+    """topology._classes, pinned to the brute least tables of
+    oracles.canonical_form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_classes_as_the_least_tables(self, n):
+        """The same partition, each class led by its first topology in
+        enumeration order, and a first member's automorphisms exactly the
+        g⁻¹∘h, other than the identity, of the relabelings g, h reaching its
+        least table."""
+        table = _classes(n)
+        assert [top for top, _, _ in table] == list(enumerate_topologies(n))
+        leads: dict[tuple[int, ...], int] = {}
+        for i, (top, first, automorphisms) in enumerate(table):
+            least, images = canonical_form(top)
+            assert first == leads.setdefault(least, i)
+            if i != first:
+                assert automorphisms == ()
+                continue
+            inverse = {image: a for a, image in enumerate(images[0])}
+            expected = {tuple(inverse[image] for image in h) for h in images}
+            assert set(automorphisms) | {tuple(range(1 << n))} == expected
+            assert len(set(automorphisms)) == len(automorphisms) == len(images) - 1
+        assert len(leads) == (1, 3, 9, 33)[n - 1]  # OEIS A001930
+
+    def test_one_orbit_walk_per_class(self, monkeypatch):
+        """classes × n! relabelings to 4 worlds (1 + 6 + 54 + 792), not
+        tables × n! (8 703)."""
+        tried = []
+        relabelings = topology._relabelings
+
+        def spy(n):
+            for image in relabelings(n):
+                tried.append(image)
+                yield image
+
+        monkeypatch.setattr(topology, "_relabelings", spy)
+        for n in (1, 2, 3, 4):
+            _classes.__wrapped__(n)  # built afresh, past the cache
+        assert len(tried) == 853
+
+    def test_built_once_per_process(self):
+        assert all(_classes(n) is _classes(n) for n in (1, 2, 3, 4))
 
 
 @st.composite
@@ -402,6 +448,15 @@ class TestBounds:
             Topology.from_opens(17, [0])
         with pytest.raises(TopologyError):
             generate_from_subbasis(0, [])
+
+    def test_read_only(self):
+        t = Topology.discrete(2)
+        for name in Topology.__slots__:
+            with pytest.raises(AttributeError, match=name):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(AttributeError, match=name):
+                delattr(t, name)
+        assert t == Topology.discrete(2) and t.opens == (0, 1, 2, 3)
 
     def test_canonical_order(self):
         t = Topology.from_opens(2, [0b11, 0b01, 0b00])
