@@ -23,6 +23,7 @@ from .model import (
     RelationalModel,
     ScenarioClass,
     SubsetModel,
+    _document,
     dump,
     load,
     parse_scenario,
@@ -126,7 +127,7 @@ def _cmd_countermodel(args) -> int:
     if args.json:
         payload = {"status": outcome.status, "evaluations": outcome.evaluations}
         if outcome.status == "found":
-            payload["model"] = json.loads(dump(outcome.model))
+            payload["model"] = _document(outcome.model)
             payload["scenario"] = outcome.scenario.literal()
         _print_json(payload)
     elif outcome.status == "found":

@@ -177,19 +177,9 @@ class Meta(Formula):
     __slots__ = _fields = ("name",)
 
 
-def hat_k(f: Formula) -> Formula:
-    """hatK f, stored as !K!f."""
-    return Not(K(Not(f)))
-
-
 def dia(f: Formula) -> Formula:
     """dia f, stored as !box!f."""
     return Not(Box(Not(f)))
-
-
-def hat_b(f: Formula) -> Formula:
-    """hatB f, stored as !B!f."""
-    return Not(Bel(Not(f)))
 
 
 class Connective(NamedTuple):

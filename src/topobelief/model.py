@@ -288,6 +288,10 @@ def _stream_position(ranges: Ranges, s: EDScenario) -> int:
 
 def dump(model) -> str:
     """Canonical JSON document for a subset or relational model."""
+    return json.dumps(_document(model), sort_keys=True, indent=2) + "\n"
+
+
+def _document(model) -> dict:
     if isinstance(model, SubsetModel):
         doc = {"type": "subset", "opens": [bits(o) for o in model.topology.opens]}
     elif isinstance(model, RelationalModel):
@@ -296,7 +300,7 @@ def dump(model) -> str:
         raise ModelError(f"cannot dump {type(model).__name__}")
     doc["worlds"] = model.n
     doc["valuation"] = {atom: bits(mask) for atom, mask in sorted(model.valuation.items())}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return doc
 
 
 def load(text: str):

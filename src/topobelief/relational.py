@@ -193,38 +193,6 @@ def random_belief_frame(seed: int, n: int, atoms: int = 2) -> RelationalModel:
     return RelationalModel(n, frozenset(rel), valuation)
 
 
-def all_belief_frames(n: int):
-    """Every belief frame on n worlds, via partitions and clusters (tests)."""
-    if n > 5:
-        raise RelationalError("exhaustive belief-frame sweep gated at n <= 5")
-    for partition in _partitions(list(range(n))):
-        for rel in _cluster_choices(partition):
-            yield RelationalModel(n, frozenset(rel), {})
-
-
-def _partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    head, *rest = items
-    for sub in _partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
-        yield [[head]] + sub
-
-
-def _cluster_choices(partition: list[list[int]]):
-    if not partition:
-        yield []
-        return
-    cell, *rest = partition
-    for tail in _cluster_choices(rest):
-        for cluster_mask in range(1, 1 << len(cell)):
-            cluster = [cell[i] for i in bits(cluster_mask)]
-            pairs = [(x, y) for x in cell for y in cluster]
-            yield pairs + tail
-
-
 def cell_scenario(m: RelationalModel, x: int) -> EDScenario:
     """The strong-semantics scenario matching relational evaluation at x."""
     return EDScenario(x, decompose(m).cell_of(x))

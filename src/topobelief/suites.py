@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from . import formula as fm
@@ -25,7 +25,7 @@ from .model import (
     EDScenario,
     ScenarioClass,
     SubsetModel,
-    dump,
+    _document,
     exhaustive_models,
     parse_scenario,
     random_model,
@@ -175,19 +175,19 @@ def stalnaker_images() -> dict[str, Formula]:
 class Batch:
     """Deterministic model stream: exhaustive part, then seeded random part.
 
-    models() is the labeled stream: every valuation of the atoms on every
-    topology to exhaustive_n points (exhaustive_models), then one draw per
-    (seed, size).  perfbench's work counters and known answers walk it, as
-    do the checks that state labeled coverage.  isomorph_free_models() is
-    what run_suite sweeps: the same stream with its exhaustive part built
-    without the models isomorphic to an earlier one, and its draws as
-    drawn.
+    draws, one model per (seed, size), is drawn once, when the batch is
+    built.  models() is the labeled stream: every valuation of the atoms
+    on every topology to exhaustive_n points (exhaustive_models), then the
+    draws, which perfbench's counters and the labeled-coverage checks walk.
+    isomorph_free_models() is what run_suite sweeps: the same stream, its
+    exhaustive part without the models isomorphic to an earlier one.
     """
 
     exhaustive_n: int = 0
     atoms: tuple[str, ...] = ("p", "q")
     seeds: tuple[int, ...] = ()
     sizes: tuple[int, ...] = ()
+    draws: tuple[SubsetModel, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exhaustive_n < 0:
@@ -204,13 +204,17 @@ class Batch:
         for size in self.sizes:
             if not 1 <= size <= MAX_WORLDS:
                 raise SuiteError(f"size {size} outside 1..{MAX_WORLDS}")
-
-    def models(self) -> Iterator[SubsetModel]:
-        yield from exhaustive_models(self.exhaustive_n, self.atoms)
+        draws = []
         for seed, size in zip(self.seeds, self.sizes):
             drawn = random_model(seed, size, atoms=len(self.atoms))
             # the drawn masks, in draw order, valuate the batch's own atoms
-            yield SubsetModel(drawn.topology, dict(zip(self.atoms, drawn.valuation.values())))
+            valuation = dict(zip(self.atoms, drawn.valuation.values()))
+            draws.append(SubsetModel(drawn.topology, valuation))
+        object.__setattr__(self, "draws", tuple(draws))
+
+    def models(self) -> Iterator[SubsetModel]:
+        yield from exhaustive_models(self.exhaustive_n, self.atoms)
+        yield from self.draws
 
     def isomorph_free_models(self) -> Iterator[SubsetModel]:
         """The exhaustive part without the models isomorphic to an earlier
@@ -218,14 +222,14 @@ class Batch:
 
         The exhaustive part is _isomorph_free_models over the atoms in
         their own order, the order of exhaustive_models' product.  The
-        draws come from models() of the batch without its exhaustive part,
-        the one draw loop.  A draw isomorphic to an earlier model, such as
-        one of at most exhaustive_n worlds, is never a first failure nor
-        the first model over a budget (see _isomorph_free_models), so
-        sweeping it changes no report.
+        draws are the batch's own, the objects models() yields.  A draw
+        isomorphic to an earlier model, such as one of at most
+        exhaustive_n worlds, is never a first failure nor the first model
+        over a budget (see _isomorph_free_models), so sweeping it changes
+        no report.
         """
         yield from _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
-        yield from replace(self, exhaustive_n=0).models()
+        yield from self.draws
 
     def describe(self) -> dict:
         return {
@@ -401,7 +405,7 @@ def run_suite(
                     name,
                     fm.to_text(inst),
                     "countermodel",
-                    witness_model=json.loads(dump(failure.model)),
+                    witness_model=_document(failure.model),
                     witness_scenario=failure.scenario.literal(),
                     witness_trace=_trace(engine, failure.model, inst, failure.scenario),
                 )

@@ -10,6 +10,7 @@ import functools
 from itertools import permutations, product
 
 from topobelief import formula as fm
+from topobelief.model import RelationalError, RelationalModel
 from topobelief.semantics import Semantics
 from topobelief.topology import ENUMERATION_MAX, Topology, TopologyError, _relabelings, bits
 
@@ -311,3 +312,35 @@ def kripke_truth(m, x, f):
     if isinstance(f, fm.Bel):
         return all(kripke_truth(m, y, f.sub) for w, y in m.rel if w == x)
     raise AssertionError(f)
+
+
+def all_belief_frames(n: int):
+    """Every belief frame on n worlds, via partitions and clusters (tests)."""
+    if n > 5:
+        raise RelationalError("exhaustive belief-frame sweep gated at n <= 5")
+    for partition in _partitions(list(range(n))):
+        for rel in _cluster_choices(partition):
+            yield RelationalModel(n, frozenset(rel), {})
+
+
+def _partitions(items: list[int]):
+    if not items:
+        yield []
+        return
+    head, *rest = items
+    for sub in _partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
+        yield [[head]] + sub
+
+
+def _cluster_choices(partition: list[list[int]]):
+    if not partition:
+        yield []
+        return
+    cell, *rest = partition
+    for tail in _cluster_choices(rest):
+        for cluster_mask in range(1, 1 << len(cell)):
+            cluster = [cell[i] for i in bits(cluster_mask)]
+            pairs = [(x, y) for x in cell for y in cluster]
+            yield pairs + tail

@@ -3,8 +3,8 @@
 perfbench/spans.py rebinds public functions and methods of every layer by
 name for a traced run (`--trace 1`).  A rename or deletion under src/ breaks
 only that traced run, so this test installs the hooks on a fresh Tracer,
-runs a tiny search and a tiny suite through them, and checks that restoring
-puts every original function and method back.
+runs a tiny search, a tiny suite and a batch's labeled stream through them,
+and checks that restoring puts every original function and method back.
 """
 
 import importlib.util
@@ -49,7 +49,9 @@ def test_hooks_trace_a_search_and_a_suite_then_restore():
         outcome = semantics.find_countermodel(
             formula.parse("B p -> p"), semantics.Semantics.ED, max_n=2
         )
-        report = suites.run_suite(suites.get_suite("kd45_b"), suites.Batch(exhaustive_n=1))
+        batch = suites.Batch(exhaustive_n=1)
+        list(batch.models())  # run_suite sweeps the isomorph-free stream, not models()
+        report = suites.run_suite(suites.get_suite("kd45_b"), batch)
         report.to_json()
     finally:
         restore()

@@ -27,8 +27,6 @@ from topobelief.formula import (
     dia,
     formula_corpus,
     get_scheme,
-    hat_b,
-    hat_k,
     instantiate,
     parse,
     postorder,
@@ -92,7 +90,7 @@ class TestPrint:
         assert to_text(Implies(Bel(p), dia(p))) == "B p -> dia p"
 
     def test_nested_negation_under_sugar(self):
-        f = hat_k(Not(p))
+        f = Not(K(Not(Not(p))))
         assert to_text(f) == "hatK ! p"
         assert parse(to_text(f)) == f
 
@@ -114,9 +112,9 @@ formulas = st.recursive(
         st.builds(fm.Or, kids, kids),
         st.builds(Implies, kids, kids),
         st.builds(Iff, kids, kids),
-        st.builds(hat_k, kids),
+        st.builds(lambda f: Not(K(Not(f))), kids),
         st.builds(dia, kids),
-        st.builds(hat_b, kids),
+        st.builds(lambda f: Not(Bel(Not(f))), kids),
     ),
     max_leaves=12,
 )

@@ -4,6 +4,8 @@ and every imported name read from the module that defines it."""
 import ast
 from pathlib import Path
 
+import topobelief
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "topobelief"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
@@ -138,10 +140,9 @@ def test_every_name_is_imported_from_its_owner():
     assert foreign_imports(_trees()) == []
 
 
-def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Each module-level private name of a module (def, class or assigned
-    constant) that nothing in the package reads: no Name load, no
-    attribute of that name, and no import of it from another module."""
+def _read(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name the trees read: Name loads, attribute names, and names
+    imported from the package (relatively, or from topobelief)."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -149,8 +150,18 @@ def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            elif isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "topobelief"
+            ):
                 read.update(a.name for a in node.names)
+    return read
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Each module-level private name of a module (def, class or assigned
+    constant) that nothing in the package reads: no Name load, no
+    attribute of that name, and no import of it from another module."""
+    read = _read(trees)
     return [
         f"{name}.py: {defined} is read nowhere in the package"
         for name, tree in trees.items()
@@ -174,3 +185,41 @@ def test_every_private_name_is_read_in_the_package():
     """Code that only the tests read belongs with the tests: every private
     name a module defines at module level is read somewhere in src/."""
     assert unread_private_names(_trees()) == []
+
+
+def unread_public_names(
+    trees: dict[str, ast.Module], exported: set[str], outside: dict[str, ast.Module]
+) -> list[str]:
+    """Each public module-level def or class of the package that is not
+    read in the package (counted as for private names), not exported in
+    topobelief.__all__, and not read in the outside trees."""
+    read = _read(trees) | exported | _read(outside)
+    return [
+        f"{name}.py: {node.name} is read nowhere in the package, the demos or the benchmark"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_public_finder_names_each_public_name_nothing_reads():
+    trees = {
+        "a": ast.parse("from .b import used\ndef orphan():\n    pass\nclass Shown:\n    pass\n"),
+        "b": ast.parse("def used():\n    pass\ndef demo_only():\n    pass\nX = 1\n"),
+    }
+    outside = {"demo": ast.parse("from topobelief.b import demo_only\n")}
+    assert unread_public_names(trees, {"Shown"}, outside) == [
+        "a.py: orphan is read nowhere in the package, the demos or the benchmark"
+    ]
+
+
+def test_every_public_name_is_read_exported_or_used_outside():
+    """Code that only the tests read belongs with the tests: every public
+    def or class is read in src/, exported from the package, or read by a
+    demo or the benchmark."""
+    root = PACKAGE.parents[1]
+    paths = sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    outside = {str(p): ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    assert unread_public_names(_trees(), set(topobelief.__all__), outside) == []

@@ -2,8 +2,8 @@
 
 Every walk over a formula is a loop over postorder(f) or an explicit
 stack, so it works at any depth.  The exceptions are the recursive-descent
-parser, which parse bounds by formula.MAX_DEPTH, and three enumerators
-whose depth is a number of worlds, at most 5.
+parser, which parse bounds by formula.MAX_DEPTH, and the preorder
+enumerator, whose depth is a number of worlds, at most 4.
 """
 
 import ast
@@ -21,8 +21,6 @@ ALLOWED = {
     "formula._Parser.unary",
     "formula._Parser.atom",
     "topology._preorders",  # depth n <= ENUMERATION_MAX = 4
-    "relational._partitions",  # depth n <= 5, all_belief_frames' gate
-    "relational._cluster_choices",  # depth: the cells of those partitions
 }
 
 

@@ -5,13 +5,18 @@ import pytest
 
 from itertools import product
 
-from oracles import all_relations, brush_components, is_belief_relation, kripke_truth
+from oracles import (
+    all_belief_frames,
+    all_relations,
+    brush_components,
+    is_belief_relation,
+    kripke_truth,
+)
 from topobelief import model, relational
 from topobelief.formula import Atom, Bel, Meta, Not, formula_corpus, get_scheme, parse, postorder
 from topobelief.relational import (
     RelationalError,
     RelationalModel,
-    all_belief_frames,
     cell_scenario,
     check_modal_equivalence,
     classify,

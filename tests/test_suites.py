@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import pickle
 import time
 
 import pytest
@@ -307,6 +309,63 @@ class TestIsomorphFreeBatch:
         exhaustive = [m for m in built if m.n <= batch.exhaustive_n]
         assert exhaustive == list(isomorph_free(exhaustive_models(3, batch.atoms)))
         assert (len(exhaustive), len(built)) == (408, 408 + 2 * 200)
+
+
+class TestDrawnOnce:
+    """A batch draws its random part once, when it is built: every stream
+    read and suite run after that reads the same draw objects."""
+
+    @staticmethod
+    def _spy(monkeypatch, target, name):
+        calls = []
+        original = getattr(target, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, spy)
+        return calls
+
+    def test_no_read_or_run_draws_again(self, monkeypatch):
+        draws = self._spy(monkeypatch, suites, "random_model")
+        batch = soundness_batch()
+        assert len(draws) == 200
+        list(batch.models())
+        list(batch.isomorph_free_models())
+        for _ in range(2):
+            run_suite(get_suite("kd45_b"), batch)
+        assert len(draws) == 200
+
+    def test_both_streams_yield_the_batch_draws(self):
+        batch = soundness_batch()
+        labeled = list(batch.models())[-200:]
+        reduced = list(batch.isomorph_free_models())[-200:]
+        assert len(batch.draws) == 200
+        assert all(a is d and b is d for a, b, d in zip(labeled, reduced, batch.draws))
+
+    def test_a_second_run_builds_only_the_exhaustive_models(self, monkeypatch):
+        batch = soundness_batch()
+        run_suite(get_suite("sel"), batch)
+        built = self._spy(monkeypatch, SubsetModel, "__post_init__")
+        assert run_suite(get_suite("sel"), batch).clean
+        assert len(built) == 408 and all(m.n <= batch.exhaustive_n for (m,) in built)
+
+    def test_draws_stay_out_of_equality_hash_repr_and_describe(self):
+        batch = soundness_batch(random_count=4)
+        fields = (3, ("p", "q"), (1, 2, 3, 4), (4, 5, 6, 4))
+        assert batch == soundness_batch(random_count=4) != Batch(exhaustive_n=3)
+        assert hash(batch) == hash(fields)
+        assert repr(batch) == (
+            "Batch(exhaustive_n=3, atoms=('p', 'q'), seeds=(1, 2, 3, 4), sizes=(4, 5, 6, 4))"
+        )
+        assert list(batch.describe()) == ["exhaustive_n", "atoms", "seeds", "sizes", "density"]
+
+    def test_replace_and_pickle_keep_the_draws(self):
+        batch = soundness_batch(random_count=6)
+        for again in (dataclasses.replace(batch), pickle.loads(pickle.dumps(batch))):
+            assert again == batch and again.draws == batch.draws
+        assert dataclasses.replace(batch, exhaustive_n=0).draws == batch.draws
 
 
 class TestClassMonotonicity:
