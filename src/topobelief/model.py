@@ -9,6 +9,8 @@ in canonical order) is defined once, by _scenarios, beside it.
 A model document, "subset" (opens) or "relational" (pairs), is a UTF-8
 JSON object; `dump` produces the bit-exact canonical form (sorted keys,
 two-space indent, canonical opens), so load then dump is the identity.
+The model streams live here too: exhaustive_models, the labeled one, and
+_isomorph_free_models, which the search and every batch's swept stream read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .topology import (
     MAX_WORLDS,
     Topology,
     TopologyError,
+    _classes,
     bits,
     enumerate_topologies,
     full_mask,
@@ -177,11 +180,13 @@ def check_scenario(model: SubsetModel, s: EDScenario, need_v: bool | None = None
     top = model.topology
     if not 0 <= s.x < top.n:
         raise ModelError(f"world {s.x} out of range")
+    _check_range(top.n, s.u, "epistemic", ModelError)
     if not top.is_open(s.u):
         raise ModelError("epistemic range is not open")
     if not s.u >> s.x & 1:
         raise ModelError("world not inside its epistemic range")
     if s.v is not None:
+        _check_range(top.n, s.v, "doxastic", ModelError)
         if not top.is_open(s.v):
             raise ModelError("doxastic range is not open")
         if s.v & ~s.u:
@@ -190,6 +195,13 @@ def check_scenario(model: SubsetModel, s: EDScenario, need_v: bool | None = None
         raise ModelError("scenario needs a doxastic range for this semantics")
     if need_v is False and s.v is not None:
         raise ModelError("scenario must not carry a doxastic range for this semantics")
+
+
+def _check_range(n: int, mask: int, kind: str, error: type[Exception]) -> None:
+    """Raise error naming a scenario range's least world past the carrier."""
+    if stray := mask & ~full_mask(n):  # a negative mask holds every world past it
+        world = (stray & -stray).bit_length() - 1
+        raise error(f"{kind} range: world {world} out of range 0..{n - 1}")
 
 
 class ScenarioClass(Enum):
@@ -399,6 +411,52 @@ def exhaustive_models(max_n: int, atoms: Sequence[str]) -> Iterator[SubsetModel]
         for top in enumerate_topologies(n):
             for masks in itertools.product(range(1 << n), repeat=len(atoms)):
                 yield SubsetModel(top, dict(zip(atoms, masks)))
+
+
+def _isomorph_free_models(
+    max_n: int, names: Sequence[str], cls: ScenarioClass | None, starts: dict[Topology, int]
+) -> Iterator[SubsetModel]:
+    """The first labeled member of each isomorphism class of
+    exhaustive_models(max_n, names), in the same order, built without the
+    others; starts gets, for each topology that has models here, the
+    labeled scenarios before its first one, each labeled model costing its
+    ranges under cls (range_groups).  Its readers: find_countermodel's
+    exhaustive phase, which reads starts, and Batch, whose swept stream,
+    the one every suite run sweeps, starts with it.
+
+    Two models are isomorphic when a relabeling of the worlds carries one's
+    opens and valuation onto the other's, atom names kept.  Such a
+    relabeling is a homeomorphism that carries the valuation along, so it
+    preserves truth at corresponding scenarios, and every class (all,
+    consistent, dense, total) is topological, so it maps one model's
+    scenarios of the class onto the other's at the same cost.  The first
+    labeled member of a class comes before every other member, fails every
+    root they fail and costs what they cost, so a later member is never a
+    root's first failure and never the first model over a budget: a sweep
+    of this stream finds the failures and the BudgetError of the labeled
+    one.
+
+    Every topology of a homeomorphism class carries a copy of each model
+    on another, so a model's first labeled copy lies on the first topology
+    of its class.  There it is the least, in product order of names as
+    given, of its valuation's images under the automorphisms, its
+    stabilizer, which the class table gives (_classes: one orbit walk per
+    class, when its first member appears).  So every other member is
+    skipped before any of its models is built, and is charged 2^(n·atoms)
+    times its class's cost, the same on every topology of the class.
+    """
+    start = 0
+    for n in range(1, max_n + 1):
+        costs: dict[int, int] = {}  # per class, by its first member's position
+        for i, (top, first, automorphisms) in enumerate(_classes(n)):
+            if i == first:
+                ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
+                costs[i] = sum(u.bit_count() for u, _ in ranges)
+                starts[top] = start
+                for masks in itertools.product(range(1 << n), repeat=len(names)):
+                    if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
+                        yield SubsetModel(top, dict(zip(names, masks)))
+            start += costs[first] << n * len(names)
 
 
 def random_model(seed: int, n: int, atoms: int = 2) -> SubsetModel:

@@ -38,10 +38,11 @@ failure is the one a scenario-by-scenario scan finds: the first failing
 model, the least world missing there, then the first (U, V) in canonical
 order that misses that world.  An ae validity sweep visits only the (U, V) whose V
 lies inside Max, which finds the same failures (see sweep_validity).  The
-search's exhaustive phase, and the exhaustive part of the batch a suite
-run sweeps, hold only the first model of each isomorphism class
-(_isomorph_free_models, which says why that finds the same failures); the
-search counts the others where they stand (see find_countermodel).
+search's exhaustive phase, and the exhaustive part of the stream a batch
+holds for its suite runs, hold only the first model of each isomorphism
+class (model._isomorph_free_models, which says why that finds the same
+failures); the search counts the others where they stand (see
+find_countermodel).
 """
 
 from __future__ import annotations
@@ -63,12 +64,14 @@ from .model import (
     Ranges,
     ScenarioClass,
     SubsetModel,
+    _check_range,
+    _isomorph_free_models,
     _stream_position,
     check_scenario,
     random_model,
     range_groups,
 )
-from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, _classes, bits, mnb_interior
+from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, mnb_interior
 
 
 class SemanticsError(Exception):
@@ -126,8 +129,10 @@ def extension(
 ) -> int:
     """One-shot extension; ranges must satisfy the scenario invariants."""
     top = model.topology
+    _check_range(top.n, u, "epistemic", SemanticsError)
     if not top.is_open(u):
         raise SemanticsError("epistemic range is not open")
+    _check_range(top.n, v or 0, "doxastic", SemanticsError)
     if v is not None and (not top.is_open(v) or v & ~u):
         raise SemanticsError("doxastic range must be an open subset of the epistemic range")
     return Evaluator(model, kind).extension(f, u, v)
@@ -581,52 +586,6 @@ def sweep_validity(
         if not live:
             break
     return failures
-
-
-def _isomorph_free_models(
-    max_n: int, names: Sequence[str], cls: ScenarioClass | None, starts: dict[Topology, int]
-) -> Iterator[SubsetModel]:
-    """The first labeled member of each isomorphism class of
-    exhaustive_models(max_n, names), in the same order, built without the
-    others; starts gets, for each topology that has models here, the
-    labeled scenarios before its first one, each labeled model costing its
-    ranges under cls (range_groups).  Its readers: find_countermodel's
-    exhaustive phase, which reads starts, and Batch.isomorph_free_models,
-    the exhaustive part of every suite run.
-
-    Two models are isomorphic when a relabeling of the worlds carries one's
-    opens and valuation onto the other's, atom names kept.  Such a
-    relabeling is a homeomorphism that carries the valuation along, so it
-    preserves truth at corresponding scenarios, and every class (all,
-    consistent, dense, total) is topological, so it maps one model's
-    scenarios of the class onto the other's at the same cost.  The first
-    labeled member of a class comes before every other member, fails every
-    root they fail and costs what they cost, so a later member is never a
-    root's first failure and never the first model over a budget: a sweep
-    of this stream finds the failures and the BudgetError of the labeled
-    one.
-
-    Every topology of a homeomorphism class carries a copy of each model
-    on another, so a model's first labeled copy lies on the first topology
-    of its class.  There it is the least, in product order of names as
-    given, of its valuation's images under the automorphisms, its
-    stabilizer, which the class table gives (_classes: one orbit walk per
-    class, when its first member appears).  So every other member is
-    skipped before any of its models is built, and is charged 2^(n·atoms)
-    times its class's cost, the same on every topology of the class.
-    """
-    start = 0
-    for n in range(1, max_n + 1):
-        costs: dict[int, int] = {}  # per class, by its first member's position
-        for i, (top, first, automorphisms) in enumerate(_classes(n)):
-            if i == first:
-                ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
-                costs[i] = sum(u.bit_count() for u, _ in ranges)
-                starts[top] = start
-                for masks in itertools.product(range(1 << n), repeat=len(names)):
-                    if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
-                        yield SubsetModel(top, dict(zip(names, masks)))
-            start += costs[first] << n * len(names)
 
 
 def _sweep_groups(

@@ -26,6 +26,7 @@ from .model import (
     ScenarioClass,
     SubsetModel,
     _document,
+    _isomorph_free_models,
     exhaustive_models,
     parse_scenario,
     random_model,
@@ -33,7 +34,6 @@ from .model import (
 from .semantics import (
     BatchEvaluator,
     Semantics,
-    _isomorph_free_models,
     _trace,
     satisfies,
     sweep_validity,
@@ -175,12 +175,13 @@ def stalnaker_images() -> dict[str, Formula]:
 class Batch:
     """Deterministic model stream: exhaustive part, then seeded random part.
 
-    draws, one model per (seed, size), is drawn once, when the batch is
-    built.  models() is the labeled stream: every valuation of the atoms
-    on every topology to exhaustive_n points (exhaustive_models), then the
-    draws, which perfbench's counters and the labeled-coverage checks walk.
-    isomorph_free_models() is what run_suite sweeps: the same stream, its
-    exhaustive part without the models isomorphic to an earlier one.
+    Built once, with the batch: draws, one model per (seed, size), and
+    swept, what run_suite sweeps: the isomorph-free exhaustive part
+    (_isomorph_free_models, atoms in their own order), then the draws.  A
+    draw isomorphic to an earlier model never fails first nor goes over a
+    budget first, so sweeping it changes no report.  models() is the
+    labeled stream (exhaustive_models, then the draws), for perfbench's
+    counters and the labeled-coverage checks.
     """
 
     exhaustive_n: int = 0
@@ -188,6 +189,7 @@ class Batch:
     seeds: tuple[int, ...] = ()
     sizes: tuple[int, ...] = ()
     draws: tuple[SubsetModel, ...] = field(init=False, repr=False, compare=False)
+    swept: tuple[SubsetModel, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exhaustive_n < 0:
@@ -211,24 +213,11 @@ class Batch:
             valuation = dict(zip(self.atoms, drawn.valuation.values()))
             draws.append(SubsetModel(drawn.topology, valuation))
         object.__setattr__(self, "draws", tuple(draws))
+        exhaustive = _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
+        object.__setattr__(self, "swept", (*exhaustive, *self.draws))
 
     def models(self) -> Iterator[SubsetModel]:
         yield from exhaustive_models(self.exhaustive_n, self.atoms)
-        yield from self.draws
-
-    def isomorph_free_models(self) -> Iterator[SubsetModel]:
-        """The exhaustive part without the models isomorphic to an earlier
-        one, built without them, then every draw, as drawn.
-
-        The exhaustive part is _isomorph_free_models over the atoms in
-        their own order, the order of exhaustive_models' product.  The
-        draws are the batch's own, the objects models() yields.  A draw
-        isomorphic to an earlier model, such as one of at most
-        exhaustive_n worlds, is never a first failure nor the first model
-        over a budget (see _isomorph_free_models), so sweeping it changes
-        no report.
-        """
-        yield from _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
         yield from self.draws
 
     def describe(self) -> dict:
@@ -392,7 +381,7 @@ def run_suite(
     premises = list(dict.fromkeys(instantiation))
     # the engine keeps each distinct root once, in first-seen order
     engine = BatchEvaluator([inst for _, inst in rows] + premises, kind)
-    failures = sweep_validity(engine, batch.isomorph_free_models(), cls)
+    failures = sweep_validity(engine, batch.swept, cls)
 
     results = []
     for name, inst in rows:

@@ -20,9 +20,9 @@ is nowhere dense exactly when it misses Max (McKinsey & Tarski, "The
 algebra of topology", 1944, for finite spaces), and an open U lies in
 cl(int a) exactly when U ∩ Max lies in a (see _maximal), so the engine
 reads density, strong belief included, through Max and needs no closure.
-On at most ENUMERATION_MAX points the tables of each carrier size are
-split into homeomorphism classes once per process, by walking each class's
-orbit under the relabelings once (_classes).
+On at most ENUMERATION_MAX points the topologies of each carrier size are
+built, sorted and split into homeomorphism classes once per process, one
+orbit walk per class (_classes), and enumeration reads that table.
 """
 
 from __future__ import annotations
@@ -214,11 +214,6 @@ class Topology:
         _check_carrier(n)
         return cls(n, tuple(1 << x for x in range(n)))
 
-    @classmethod
-    def indiscrete(cls, n: int) -> "Topology":
-        _check_carrier(n)
-        return cls(n, (full_mask(n),) * n)
-
     @property
     def full(self) -> int:
         return full_mask(self.n)
@@ -368,25 +363,16 @@ def _is_transitive(succ: list[int]) -> bool:
 
 
 def enumerate_topologies(n: int) -> Iterator[Topology]:
-    """Every labeled topology on n points, exactly once, in canonical order.
-
-    Finite topologies correspond one to one with preorders: a preorder's
-    successor masks are the minimal-neighborhood table of its up-set
-    topology.  The n <= 4 gate keeps the sweep inside the
-    exhaustive-testing budget.
-    """
-    if not 1 <= n <= ENUMERATION_MAX:
-        raise TopologyError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
-    tops = [Topology(n, succ) for succ in _preorders(n)]
-    tops.sort(key=lambda t: (len(t.opens), t.opens))
-    yield from tops
+    """Every labeled topology on n points, once each, in the class table's order."""
+    for top, _, _ in _classes(n):
+        yield top
 
 
 @functools.cache
 def _classes(n: int) -> tuple[tuple[Topology, int, tuple[tuple[int, ...], ...]], ...]:
-    """Per topology on n points, in enumerate_topologies order: the topology,
-    the position of its homeomorphism class's first member and, for a first
-    member only, its non-identity automorphisms.
+    """Per labeled topology on n points, exactly once, in canonical order:
+    the topology, the position of its homeomorphism class's first member
+    and, for a first member only, its non-identity automorphisms.
 
     A relabeling is a permutation p of the points, given as the image of
     every subset (image[a] is p(a)); it carries the table mnb to mnb' with
@@ -394,8 +380,15 @@ def _classes(n: int) -> tuple[tuple[Topology, int, tuple[tuple[int, ...], ...]],
     relabeled tables are marked with its position, and the relabelings that
     fix it are its automorphisms.  So each class's orbit is walked once,
     classes × n! relabelings in all, and no table is canonicalized.
+
+    Topologies are preorders (successor masks are minimal-neighborhood
+    tables), so the table holds _preorders(n), sorted by opens, gated at
+    n <= 4 to keep the sweep inside the exhaustive-testing budget.
     """
-    tops = list(enumerate_topologies(n))
+    if not 1 <= n <= ENUMERATION_MAX:
+        raise TopologyError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
+    tops = [Topology(n, succ) for succ in _preorders(n)]
+    tops.sort(key=lambda t: (len(t.opens), t.opens))
     position = {top.min_neighborhoods: i for i, top in enumerate(tops)}
     first, automorphisms = [-1] * len(tops), [()] * len(tops)
     for i, top in enumerate(tops):

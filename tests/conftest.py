@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import indiscrete
 from topobelief.model import SubsetModel
 from topobelief.topology import Topology
 
@@ -19,7 +20,7 @@ def wedge():
 
 @pytest.fixture
 def indiscrete2():
-    return SubsetModel(Topology.indiscrete(2), {"p": 0b01})
+    return SubsetModel(indiscrete(2), {"p": 0b01})
 
 
 @pytest.fixture

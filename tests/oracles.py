@@ -53,6 +53,11 @@ def closure_oracle(n, subbasis):
     return frozenset(family)
 
 
+def indiscrete(n):
+    """The indiscrete topology on n points: opens {}, X only."""
+    return Topology.from_opens(n, [0, (1 << n) - 1])
+
+
 def brute_min_neighborhoods(n, opens):
     """Per point, the intersection of every open containing it."""
     out = []

@@ -55,6 +55,12 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    def test_range_past_the_carrier_names_its_world(self, capsys, sierp_path):
+        code, out, err = run(
+            capsys, "eval", "--model", sierp_path, "--scenario", "x=0;U=0,5", "--formula", "p"
+        )
+        assert (code, out, err) == (2, "", "error: epistemic range: world 5 out of range 0..1\n")
+
     @pytest.mark.parametrize(
         "scenario", ["x=+1;U=0,1", "x=-0;U=0,1", "x=1;U=0,\u0661", "x=1_0;U=0,1"]
     )

@@ -10,7 +10,7 @@ import time
 from itertools import count, product
 from random import Random
 
-from oracles import brute_closure, def_truth
+from oracles import brute_closure, def_truth, indiscrete
 from topobelief.formula import MODALITIES, atoms, formula_corpus, modalities, parse, postorder
 from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
@@ -320,7 +320,7 @@ def test_chunked_draw_groups_match_scan():
         for top in list(enumerate_topologies(4))[::5]
     ]
     late = SubsetModel(Topology.discrete(2), {"p": 1})
-    wide = SubsetModel(Topology.indiscrete(16), {"p": 0xFFFF, "q": 0x00FF})
+    wide = SubsetModel(indiscrete(16), {"p": 0xFFFF, "q": 0x00FF})
     models = fillers[:10] + [late] + fillers[10:40] + [wide] + fillers[40:]
     roots = [parse(text) for text in MIXED_ROOTS]
     k_p = roots[1]

@@ -215,11 +215,61 @@ def test_public_finder_names_each_public_name_nothing_reads():
     ]
 
 
+def _outside() -> dict[str, ast.Module]:
+    """The demos and the benchmark, the package's readers outside src/."""
+    root = PACKAGE.parents[1]
+    paths = sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    return {str(p): ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
 def test_every_public_name_is_read_exported_or_used_outside():
     """Code that only the tests read belongs with the tests: every public
     def or class is read in src/, exported from the package, or read by a
     demo or the benchmark."""
-    root = PACKAGE.parents[1]
-    paths = sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
-    outside = {str(p): ast.parse(p.read_text(), filename=str(p)) for p in paths}
-    assert unread_public_names(_trees(), set(topobelief.__all__), outside) == []
+    assert unread_public_names(_trees(), set(topobelief.__all__), _outside()) == []
+
+
+def unread_public_methods(
+    trees: dict[str, ast.Module], outside: dict[str, ast.Module]
+) -> list[str]:
+    """Each public method, classmethod or property of a module-level class
+    of the package that is read nowhere in the package or the outside trees
+    (counted as for public names); dunders are exempt."""
+    read = _read(trees) | _read(outside)
+    return [
+        f"{name}.py: {cls.name}.{node.name} is read nowhere in the package, the demos"
+        " or the benchmark"
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_method_finder_names_each_public_method_nothing_reads():
+    trees = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def used(self):\n        return self.shown\n"
+            "    @property\n    def shown(self):\n        pass\n"
+            "    @classmethod\n    def orphan(cls):\n        pass\n"
+            "    def __eq__(self, other):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+            "C().used()\n"
+        ),
+        "b": ast.parse("class D:\n    def demo_only(self):\n        pass\n"),
+    }
+    outside = {"demo": ast.parse("from topobelief.b import D\nD().demo_only()\n")}
+    assert unread_public_methods(trees, outside) == [
+        "a.py: C.orphan is read nowhere in the package, the demos or the benchmark"
+    ]
+
+
+def test_every_public_method_is_read_in_the_package_or_outside():
+    """Code that only the tests read belongs with the tests: every public
+    method, classmethod or property of a package class is read in src/, or
+    by a demo or the benchmark."""
+    assert unread_public_methods(_trees(), _outside()) == []

@@ -257,6 +257,10 @@ class TestScenarios:
             check_scenario(sierpinski, EDScenario(0, 0b01, 0b11))
         with pytest.raises(ModelError, match="doxastic"):
             check_scenario(sierpinski, EDScenario(0, 0b01), need_v=True)
+        with pytest.raises(ModelError, match="^epistemic range: world 5 out of range 0..1$"):
+            check_scenario(sierpinski, EDScenario(0, 0b100001))
+        with pytest.raises(ModelError, match="^doxastic range: world 3 out of range 0..1$"):
+            check_scenario(sierpinski, EDScenario(0, 0b11, 0b1001))
 
 
 class TestScenarioLiterals:

@@ -28,8 +28,10 @@ from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
     BudgetError,
     EDScenario,
+    ModelError,
     ScenarioClass,
     SubsetModel,
+    _isomorph_free_models,
     ed_scenarios,
     epistemic_scenarios,
     exhaustive_models,
@@ -43,7 +45,6 @@ from topobelief.semantics import (
     Evaluator,
     Semantics,
     SemanticsError,
-    _isomorph_free_models,
     _passes,
     _runs,
     _sweep_groups,
@@ -97,6 +98,28 @@ class TestExtension:
     def test_non_open_range_rejected(self, sierpinski):
         with pytest.raises(SemanticsError):
             extension(sierpinski, parse("p"), STRONG, 0b10)
+
+    def test_doxastic_range_must_be_an_open_subset(self, wedge):
+        message = "doxastic range must be an open subset of the epistemic range"
+        with pytest.raises(SemanticsError, match=message):  # {2} is not open
+            extension(wedge, parse("p"), ED, 0b111, 0b100)
+        with pytest.raises(SemanticsError, match=message):  # {1} is open, outside {0}
+            extension(wedge, parse("p"), ED, 0b001, 0b010)
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            (0b100001, None, "epistemic range: world 5 out of range 0..1"),
+            (-1, None, "epistemic range: world 2 out of range 0..1"),
+            (0b11, 0b101, "doxastic range: world 2 out of range 0..1"),
+        ],
+    )
+    def test_range_past_the_carrier_names_its_world(self, sierpinski, u, v, message):
+        kind = STRONG if v is None else ED
+        with pytest.raises(SemanticsError, match=f"^{message}$"):
+            extension(sierpinski, parse("p"), kind, u, v)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            satisfies(sierpinski, EDScenario(0, u, v), parse("p"), kind)
 
 
 class TestDeepChain:
@@ -793,6 +816,34 @@ class TestIsomorphFreeSearch:
         assert run_suite(get_suite("sel"), Batch(exhaustive_n=4)).clean
         assert search() == cold
         assert [(o.status, o.evaluations) for o in cold] == [("exhausted", 76_426), ("exhausted", 354_708)]
+
+    @pytest.mark.parametrize("search_first", [True, False], ids=["search_first", "enumerate_first"])
+    def test_topologies_are_built_once_per_process(self, monkeypatch, search_first):
+        """A search to 4 worlds and enumerate_topologies(1..4) read one class
+        table: whichever comes second builds no topology."""
+
+        def search():
+            assert find_countermodel(parse("K p -> p"), STRONG, max_n=4).status == "exhausted"
+
+        def enumerate_all():
+            assert sum(sum(1 for _ in enumerate_topologies(n)) for n in (1, 2, 3, 4)) == 389
+
+        first, second = (search, enumerate_all) if search_first else (enumerate_all, search)
+        _classes.cache_clear()
+        first()
+        built = []
+        init = Topology.__init__
+
+        def spy(top, *args):
+            built.append(args)
+            init(top, *args)
+
+        monkeypatch.setattr(Topology, "__init__", spy)
+        second()
+        assert built == []
+        _classes.cache_clear()
+        first()
+        assert len(built) == 389
 
     def test_builds_only_the_kept_models(self, monkeypatch):
         built = []

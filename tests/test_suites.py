@@ -13,6 +13,7 @@ from topobelief.formula import parse
 from topobelief.model import (
     ScenarioClass,
     SubsetModel,
+    _isomorph_free_models,
     ed_scenarios,
     exhaustive_models,
     load,
@@ -205,9 +206,9 @@ class TestIsomorphFreeSweeps:
         ]
 
     @staticmethod
-    def _labeled(monkeypatch):
-        """Every later sweep reads every labeled model: the batch hands
-        run_suite its labeled stream."""
+    def _labeled(monkeypatch, batch):
+        """A copy of the batch whose swept stream is its labeled one, and
+        the length of every stream swept after that."""
         swept = []
         groups = semantics._sweep_groups
 
@@ -216,9 +217,10 @@ class TestIsomorphFreeSweeps:
             swept.append(len(models))
             return groups(models, *args, **kwargs)
 
-        monkeypatch.setattr(Batch, "isomorph_free_models", Batch.models)
+        labeled = dataclasses.replace(batch)
+        object.__setattr__(labeled, "swept", tuple(labeled.models()))
         monkeypatch.setattr(semantics, "_sweep_groups", spy)
-        return swept
+        return labeled, swept
 
     @pytest.mark.parametrize(
         "batch",
@@ -232,8 +234,8 @@ class TestIsomorphFreeSweeps:
     )
     def test_reports_equal_the_labeled_sweep(self, monkeypatch, batch):
         reduced = self._reports(self.ROWS, batch)
-        swept = self._labeled(monkeypatch)
-        assert self._reports(self.ROWS, batch) == reduced
+        labeled, swept = self._labeled(monkeypatch, batch)
+        assert self._reports(self.ROWS, labeled) == reduced
         assert set(swept) == {sum(1 for _ in batch.models())}  # 2 124, 1 924 and 1 964
 
     def test_four_world_report_equals_the_labeled_sweep(self, monkeypatch):
@@ -245,17 +247,16 @@ class TestIsomorphFreeSweeps:
         started = time.perf_counter()
         reduced = self._reports(rows, batch)
         elapsed = time.perf_counter() - started
-        swept = self._labeled(monkeypatch)
-        assert self._reports(rows, batch) == reduced
+        labeled, swept = self._labeled(monkeypatch, batch)
+        assert self._reports(rows, labeled) == reduced
         assert swept == [92_804]
         assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
 
 
 class TestIsomorphFreeBatch:
-    """Batch.isomorph_free_models, filtered by the reference filter
-    (oracles.isomorph_free), is isomorph_free(batch.models()) model for
-    model and in order, and its exhaustive part builds none of the models
-    that filter drops."""
+    """Batch.swept, filtered by the reference filter (oracles.isomorph_free),
+    is isomorph_free(batch.models()) model for model and in order, and its
+    exhaustive part builds none of the models that filter drops."""
 
     @staticmethod
     def _models(stream):
@@ -282,7 +283,7 @@ class TestIsomorphFreeBatch:
         ],
     )
     def test_source_is_the_filtered_labeled_stream(self, batch):
-        got = self._models(isomorph_free(batch.isomorph_free_models()))
+        got = self._models(isomorph_free(batch.swept))
         assert got == self._models(isomorph_free(batch.models()))
 
     def test_a_suite_run_builds_only_the_kept_models(self, monkeypatch):
@@ -332,7 +333,6 @@ class TestDrawnOnce:
         batch = soundness_batch()
         assert len(draws) == 200
         list(batch.models())
-        list(batch.isomorph_free_models())
         for _ in range(2):
             run_suite(get_suite("kd45_b"), batch)
         assert len(draws) == 200
@@ -340,16 +340,9 @@ class TestDrawnOnce:
     def test_both_streams_yield_the_batch_draws(self):
         batch = soundness_batch()
         labeled = list(batch.models())[-200:]
-        reduced = list(batch.isomorph_free_models())[-200:]
+        reduced = batch.swept[-200:]
         assert len(batch.draws) == 200
         assert all(a is d and b is d for a, b, d in zip(labeled, reduced, batch.draws))
-
-    def test_a_second_run_builds_only_the_exhaustive_models(self, monkeypatch):
-        batch = soundness_batch()
-        run_suite(get_suite("sel"), batch)
-        built = self._spy(monkeypatch, SubsetModel, "__post_init__")
-        assert run_suite(get_suite("sel"), batch).clean
-        assert len(built) == 408 and all(m.n <= batch.exhaustive_n for (m,) in built)
 
     def test_draws_stay_out_of_equality_hash_repr_and_describe(self):
         batch = soundness_batch(random_count=4)
@@ -365,7 +358,33 @@ class TestDrawnOnce:
         batch = soundness_batch(random_count=6)
         for again in (dataclasses.replace(batch), pickle.loads(pickle.dumps(batch))):
             assert again == batch and again.draws == batch.draws
+            assert again.swept == batch.swept
         assert dataclasses.replace(batch, exhaustive_n=0).draws == batch.draws
+        assert dataclasses.replace(batch, exhaustive_n=0).swept == batch.draws
+
+
+class TestBuiltOnce:
+    """A batch builds the stream its suite runs sweep once, when it is
+    built: the isomorph-free exhaustive part, then its draw objects."""
+
+    @pytest.mark.parametrize(
+        "batch, kept",
+        [(soundness_batch(), 408), (Batch(exhaustive_n=4), 5089), (Batch(), 0)],
+        ids=["soundness", "exhaustive_4", "empty"],
+    )
+    def test_swept_is_the_source_then_the_draws(self, batch, kept):
+        exhaustive = list(_isomorph_free_models(batch.exhaustive_n, batch.atoms, None, {}))
+        assert batch.swept == (*exhaustive, *batch.draws) and len(exhaustive) == kept
+        assert all(a is d for a, d in zip(batch.swept[kept:], batch.draws, strict=True))
+
+    @pytest.mark.parametrize(
+        "batch", [soundness_batch(), Batch(exhaustive_n=4)], ids=["soundness", "exhaustive_4"]
+    )
+    def test_no_run_builds_a_model(self, monkeypatch, batch):
+        built = TestDrawnOnce._spy(monkeypatch, SubsetModel, "__post_init__")
+        assert run_suite(get_suite("sel"), batch).clean
+        assert run_suite(get_suite("el_kboxb_cb"), batch).clean
+        assert built == []
 
 
 class TestClassMonotonicity:

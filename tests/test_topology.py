@@ -11,6 +11,7 @@ from oracles import (
     brute_min_neighborhoods,
     canonical_form,
     closure_oracle,
+    indiscrete,
     relabel,
     upset_family,
 )
@@ -268,7 +269,7 @@ class TestMaximal:
         t = Topology.from_opens(4, [0, 0b0011, 0b0111, 0b1111])
         assert t.maximal == 0b0011
         assert SIERP.maximal == 0b01
-        assert Topology.indiscrete(3).maximal == 0b111
+        assert indiscrete(3).maximal == 0b111
         assert Topology.discrete(3).maximal == 0b111
         _check_maximal(t, range(16))
 
