@@ -323,10 +323,13 @@ class _Lanes:
     one bigint operation acts on all W lanes at once.
     A world past a lane's own carrier is its own minimal neighborhood and
     lies in no range, so it stays empty in every value of that lane.
-    Interior reads one table per world x of (y, outside) pairs, outside
-    being the lanes whose mnb(x) lacks y, and belief reads each lane's Max
-    (maximal).  With W = 1 a packed value is the plain subset mask,
-    interior is topology.mnb_interior and maximal is Topology.maximal.
+    A packed value is built as the sum of col_x << x*W, col_x being the
+    W-bit lane mask of world x (place): the atoms, the passes of _passes
+    and maximal, each lane's Max, whose column at x is the lanes of the
+    runs whose Max holds x.  rep is bit 0 of every block.  Interior reads
+    one table per world x of (y, outside) pairs, outside being the lanes
+    whose mnb(x) lacks y.  With W = 1 a packed value is the plain subset
+    mask, interior is topology.mnb_interior and maximal is Topology.maximal.
     """
 
     def __init__(self, runs: Sequence[Sequence[SubsetModel]], chunks: Sequence[int]):
@@ -337,28 +340,30 @@ class _Lanes:
         self.ones = ones = (1 << width) - 1
         n = max(run[0].n for run in runs)
         self.shifts = tuple(x * width for x in range(n))
-        self.rep = self.replicate((1 << n) - 1)
+        self.rep = sum(1 << s for s in self.shifts)
         tops = [run[0].topology for run in runs]
-        spans = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]  # each run's lanes
-        self.maximal = sum(self.replicate(top.maximal) * lanes for top, lanes in zip(tops, spans))
         if width == 1:
+            self.maximal = tops[0].maximal
             self.interior = partial(mnb_interior, tops[0].min_neighborhoods)
             return
+        spans = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]  # each run's lanes
+        maximal = [0] * n  # each world's column of Max
         # holds[x][y]: the lanes whose mnb(x) holds y, for each y != x
         holds: list[dict[int, int]] = [{} for _ in range(n)]
         for top, lanes in zip(tops, spans):
+            for x in bits(top.maximal):
+                maximal[x] |= lanes
             for x, nb in enumerate(top.min_neighborhoods):
                 row = holds[x]
                 for y in bits(nb & ~(1 << x)):
                     row[y] = row.get(y, 0) | lanes
+        self.maximal = self.place(maximal)
         self._meets = [[(y, ones & ~m) for y, m in row.items()] for row in holds]
         self.interior = self._interior
 
-    def replicate(self, m: int) -> int:
-        """Bit 0 of the block of every world of m; times a lane mask it copies the mask there."""
-        if self.width == 1:
-            return m
-        return sum(1 << s for x, s in enumerate(self.shifts) if m >> x & 1)
+    def place(self, cols: Sequence[int]) -> int:
+        """The packed value whose block at world x is the lane mask cols[x]."""
+        return sum(col << s for col, s in zip(cols, self.shifts) if col)
 
     def pack(self, names: Iterable[str]) -> Mapping[str, int]:
         """Each atom's packed truth value across the group's lanes.
@@ -378,7 +383,7 @@ class _Lanes:
                         cols[low.bit_length() - 1] |= lanes
                         m ^= low
                     lanes <<= c
-            out[name] = sum(col << s for col, s in zip(cols, self.shifts))
+            out[name] = self.place(cols)
         return out
 
     def first_miss(self, m: int, mask: int) -> tuple[int, int]:
@@ -682,20 +687,33 @@ def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
     long as the group's shortest list (see _chunks), one lane per chunk in
     (model, chunk) order, and pass k runs each chunk's k-th pair; a lane
     whose chunk has run out runs under U = V = 0, where nothing fails.
+    The passes are laid out by world columns: pair i of a run falls in
+    chunk j = i // size at pass k = i % size, and the lanes every << j
+    (every being each model's chunk 0) join pass k's U column of each
+    world of U, and its V column of each world of V; each pass's columns
+    are placed once.  A lone model (W = 1) keeps its pairs as the plain
+    masks, V = None read as 0.
     """
     size, chunks = _chunks(runs)
     lanes = _Lanes([run for _, run in runs], chunks)
-    passes = [[0, 0] for _ in range(size)]
+    if lanes.width == 1:
+        return lanes, [[u, v or 0] for u, v in runs[0][0]]
+    n = len(lanes.shifts)
+    cols = [([0] * n, [0] * n) for _ in range(size)]  # each pass's U and V column per world
+    opens = {o for _, run in runs for o in run[0].topology.opens}
+    worlds = {o: bits(o) for o in opens}  # each mask's worlds, looked up once
     for (ranges, run), c, start in zip(runs, chunks, lanes.starts):
         every = ((1 << len(run) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
-        spread = {o: lanes.replicate(o) * every for o in run[0].topology.opens}
         pairs = iter(ranges)
         for j in range(c):  # j > 0 only for a list longer than the group's shortest
-            for packed, (u, v) in zip(passes, pairs):  # the next `size` pairs
-                packed[0] |= spread[u] << j if j else spread[u]
+            chunk = every << j
+            for (ucols, vcols), (u, v) in zip(cols, pairs):  # the next `size` pairs
+                for x in worlds[u]:
+                    ucols[x] |= chunk
                 if v:
-                    packed[1] |= spread[v] << j if j else spread[v]
-    return lanes, passes
+                    for x in worlds[v]:
+                        vcols[x] |= chunk
+    return lanes, [[lanes.place(ucols), lanes.place(vcols)] for ucols, vcols in cols]
 
 
 def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator[list[int]]:

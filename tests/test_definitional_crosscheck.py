@@ -348,7 +348,9 @@ def test_chunked_draw_groups_match_scan():
 def test_packed_max_decodes_to_each_lanes_maximal():
     """_Lanes.maximal over one group that mixes topologies and carrier
     sizes: lane j's bits, block by block, are its own model's
-    Topology.maximal, with nothing past that model's carrier."""
+    Topology.maximal, with nothing past that model's carrier; rep is bit 0
+    of every world's block.  A lone model's rep is its carrier and its Max
+    the plain mask."""
     rng = Random(5)
     models = [
         SubsetModel(top, {"p": rng.getrandbits(top.n)})
@@ -368,8 +370,65 @@ def test_packed_max_decodes_to_each_lanes_maximal():
             assert got == top.maximal, (lane, top)
             short += got != (1 << top.n) - 1
     assert short > 0
+    assert lanes.rep == sum(1 << x * width for x in range(n))
     model = group[0][1][0]  # alone, it is one lane and Max the plain mask
-    assert _passes([(group[0][0], [model])])[0].maximal == model.topology.maximal
+    alone, _ = _passes([(group[0][0], [model])])
+    assert alone.width == 1
+    assert alone.rep == (1 << model.n) - 1
+    assert alone.maximal == model.topology.maximal
+
+
+def _decoded_layout(group):
+    """Each lane's (U, V) at every pass of _passes, read from the packed
+    bits alone, lane by lane."""
+    lanes, passes = _passes(group)
+
+    def mask(packed, lane):
+        return sum(1 << x for x, s in enumerate(lanes.shifts) if packed >> s + lane & 1)
+
+    lanes_seen = [[(mask(us, lane), mask(vs, lane)) for us, vs in passes] for lane in range(lanes.width)]
+    return lanes, lanes_seen
+
+
+def test_layout_runs_each_lanes_chunk_in_canonical_order():
+    """Each lane's (U, V) at every pass, decoded from the packed bits
+    alone, is its chunk of its model's pairs in canonical order, then
+    (0, 0) once the chunk runs out: _group_failures reads a pair's place
+    in its model's list off the lane and the pass.  Over mixed draw groups
+    on 1 to 6 worlds, runs of several models with more than one chunk each,
+    ae lists cut to the pairs whose V lies inside Max, ed/dense and a lone
+    model, under every semantics."""
+    rng = Random(7)
+    draws = [random_model(seed, 1 + seed % 6) for seed in range(12)]
+    tops = (random_model(20, 2).topology, random_model(21, 5).topology, Topology.discrete(3))
+    runs = [SubsetModel(top, {"p": rng.getrandbits(top.n)}) for top in tops for _ in range(3)]
+    clustered = [
+        SubsetModel(top, {"p": rng.getrandbits(top.n)}) for top in CLUSTERED for _ in range(2)
+    ]
+    chunked = cut = lone = 0
+    for kind, cls in KINDS:
+        for models in (draws, runs, clustered, draws[4:5]):
+            (group,) = _sweep_groups(models, kind, cls, DEFAULT_SCENARIO_BUDGET, maximal=True)
+            lists = []  # each model's pairs, in canonical order
+            for model in models:
+                top = model.topology
+                pairs = [(u, v or 0) for u, v in _ranges(top, kind, cls)]
+                if kind is Semantics.AE:  # sweep_validity's reduced ae list
+                    kept = [(u, v) for u, v in pairs if v & ~top.maximal == 0]
+                    cut += len(kept) < len(pairs)
+                    pairs = kept
+                lists.append(pairs)
+            size = min(map(len, lists))
+            want = []  # each lane's pairs, pass by pass
+            for pairs in lists:
+                for j in range(0, len(pairs), size):
+                    chunk = pairs[j : j + size]
+                    want.append(chunk + [(0, 0)] * (size - len(chunk)))
+                chunked += len(pairs) > size
+            lanes, seen = _decoded_layout(group)
+            assert seen == want, (kind, cls, len(models))
+            lone += lanes.width == 1
+    assert chunked >= 10 and cut >= 2 and lone == len(KINDS), (chunked, cut, lone)
 
 
 def test_failure_past_the_lane_bound():
