@@ -738,18 +738,14 @@ def _group_failures(
     scenario) with runs[r][1][m] the failing model: the lowest failing
     (run, model), the least world missing in any of its chunks, then the
     first of its pairs that misses that world, over the passes of _passes
-    as _values evaluates them.  A failure at world 0 in lane 0 (run 0's
-    model 0, its first chunk) settles a root, since no pair of the group
-    comes before it in scan order.
+    as _values evaluates them.
     """
     lanes, passes = _passes(runs)
     starts, chunks = lanes.starts, [c for _, c in lanes.runs]
     # per root, the least (run, model, world, pair) yet and the end lane of its model
     found: dict[int, tuple[tuple[int, int, int, int], int]] = {}
-    pending = live  # roots not yet settled
     for k, ((us, _), vals) in enumerate(zip(passes, _values(engine, lanes, passes))):
-        settled = set()
-        for idx in pending:
+        for idx in live:
             ext = vals[idx]
             if ext == us:
                 continue
@@ -769,10 +765,4 @@ def _group_failures(
             key = (r, m, x, (lane - low) * len(passes) + k)
             if hit is None or key < hit[0]:
                 found[idx] = (key, end)
-                if x == 0 and lane == 0:
-                    settled.add(idx)
-        if settled:
-            pending = [idx for idx in pending if idx not in settled]
-            if not pending:
-                break
     return {idx: (r, m, EDScenario(x, *runs[r][0][p])) for idx, ((r, m, x, p), _) in found.items()}

@@ -173,19 +173,20 @@ def stalnaker_images() -> dict[str, Formula]:
 
 @dataclass(frozen=True)
 class Batch:
-    """Deterministic model stream: exhaustive part, then seeded random part.
+    """Deterministic model stream over p and q, the atoms every suite
+    instance reads: exhaustive part, then seeded random part.
 
-    Built once, with the batch: draws, one model per (seed, size), and
-    swept, what run_suite sweeps: the isomorph-free exhaustive part
-    (_isomorph_free_models, atoms in their own order), then the draws.  A
-    draw isomorphic to an earlier model never fails first nor goes over a
-    budget first, so sweeping it changes no report.  models() is the
-    labeled stream (exhaustive_models, then the draws), for perfbench's
-    counters and the labeled-coverage checks.
+    Built once, with the batch: draws, random_model's model per (seed,
+    size), and swept, what run_suite sweeps: the isomorph-free exhaustive
+    part (_isomorph_free_models), then the draws.  A draw isomorphic to an
+    earlier model never fails first nor goes over a budget first, so
+    sweeping it changes no report.  models() is the labeled stream
+    (exhaustive_models, then the draws), for perfbench's counters and the
+    labeled-coverage checks.
     """
 
     exhaustive_n: int = 0
-    atoms: tuple[str, ...] = ("p", "q")
+    atoms: tuple[str, ...] = field(default=("p", "q"), init=False)
     seeds: tuple[int, ...] = ()
     sizes: tuple[int, ...] = ()
     draws: tuple[SubsetModel, ...] = field(init=False, repr=False, compare=False)
@@ -198,21 +199,11 @@ class Batch:
             raise SuiteError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
         if len(self.seeds) != len(self.sizes):
             raise SuiteError("seeds and sizes must align")
-        for i, name in enumerate(self.atoms):
-            if not fm.ATOM_RE.match(name):
-                raise SuiteError(f"bad atom name {name!r}")
-            if name in self.atoms[:i]:
-                raise SuiteError(f"repeated atom name {name!r}")
         for size in self.sizes:
             if not 1 <= size <= MAX_WORLDS:
                 raise SuiteError(f"size {size} outside 1..{MAX_WORLDS}")
-        draws = []
-        for seed, size in zip(self.seeds, self.sizes):
-            drawn = random_model(seed, size, atoms=len(self.atoms))
-            # the drawn masks, in draw order, valuate the batch's own atoms
-            valuation = dict(zip(self.atoms, drawn.valuation.values()))
-            draws.append(SubsetModel(drawn.topology, valuation))
-        object.__setattr__(self, "draws", tuple(draws))
+        draws = tuple(random_model(seed, size) for seed, size in zip(self.seeds, self.sizes))
+        object.__setattr__(self, "draws", draws)
         exhaustive = _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
         object.__setattr__(self, "swept", (*exhaustive, *self.draws))
 

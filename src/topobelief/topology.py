@@ -328,25 +328,28 @@ def generate_from_subbasis(n: int, subbasis: Iterable[int]) -> Topology:
     return Topology(n, _min_neighborhoods(n, subbasis))
 
 
-def _preorders(n: int) -> Iterator[tuple[int, ...]]:
+def _preorders(n: int) -> list[tuple[int, ...]]:
     """All reflexive transitive relations as per-point successor masks.
 
-    Each preorder on n points arises exactly once from its restriction to
-    the first n - 1 points, by adding the last point z: z's successors S
+    Each preorder on m points arises exactly once from its restriction to
+    the first m - 1 points, by adding the last point z: z's successors S
     are an up-set (an open of the smaller preorder), its predecessors D a
     down-set (the complement of one), and every member of D already
-    reaches all of S.
+    reaches all of S.  So sizes 1..n are built in turn, each from the last.
     """
-    if n == 0:
-        yield ()
-        return
-    z, full = 1 << n - 1, full_mask(n - 1)
-    for succ in _preorders(n - 1):
-        ups = _unions(succ)
-        for s in ups:
-            for d in (full & ~u for u in ups):
-                if all(not s & ~succ[x] for x in bits(d)):
-                    yield tuple(t | z if d >> x & 1 else t for x, t in enumerate(succ)) + (s | z,)
+    tables: list[tuple[int, ...]] = [()]
+    for m in range(1, n + 1):
+        z, full = 1 << m - 1, full_mask(m - 1)
+        larger = []
+        for succ in tables:
+            ups = _unions(succ)
+            for s in ups:
+                for d in (full & ~u for u in ups):
+                    if all(not s & ~succ[x] for x in bits(d)):
+                        grown = (t | z if d >> x & 1 else t for x, t in enumerate(succ))
+                        larger.append((*grown, s | z))
+        tables = larger
+    return tables
 
 
 def _is_transitive(succ: list[int]) -> bool:

@@ -220,7 +220,7 @@ def test_scan_order_where_range_order_differs():
             if not def_truth(point_p, s.x, s.u, s.v, f, kind)
         )
     # lane 1 fails at the first range; lane 0 misses world 1 at U={1} and
-    # world 0 only later, at U={0,1}, where its failure settles
+    # world 0 only later, at U={0,1}, which is the least failure of the group
     group = [point_p, SubsetModel(disc, {})]
     f = parse("K p")
     hit = sweep_validity(BatchEvaluator((f,), Semantics.STRONG), group)[f]

@@ -1,9 +1,8 @@
 """No function in the package calls itself, directly or through others.
 
 Every walk over a formula is a loop over postorder(f) or an explicit
-stack, so it works at any depth.  The exceptions are the recursive-descent
-parser, which parse bounds by formula.MAX_DEPTH, and the preorder
-enumerator, whose depth is a number of worlds, at most 4.
+stack, so it works at any depth.  The one exception is the
+recursive-descent parser, which parse bounds by formula.MAX_DEPTH.
 """
 
 import ast
@@ -20,7 +19,6 @@ ALLOWED = {
     "formula._Parser.formula",
     "formula._Parser.unary",
     "formula._Parser.atom",
-    "topology._preorders",  # depth n <= ENUMERATION_MAX = 4
 }
 
 

@@ -760,10 +760,20 @@ class TestIsomorphFreeSearch:
     """find_countermodel's exhaustive phase builds and sweeps only the first
     labeled model of each isomorphism class, and counts as the labeled stream."""
 
-    @pytest.mark.parametrize("names, kept", [([], 46), (["p"], 425), (["p", "q"], 5089)])
-    def test_source_is_the_isomorph_free_stream(self, names, kept):
-        got = list(_isomorph_free_models(4, names, None, {}))
-        assert got == list(isomorph_free(exhaustive_models(4, names)))
+    @pytest.mark.parametrize(
+        "max_n, names, kept",
+        [
+            pytest.param(4, [], 46, id="names0-46"),
+            pytest.param(4, ["p"], 425, id="names1-425"),
+            pytest.param(4, ["p", "q"], 5089, id="names2-5089"),
+            *[pytest.param(k, ["p"], kept, id=f"p-{k}") for k, kept in enumerate((0, 2, 12, 66, 425))],
+            pytest.param(3, ["q", "p"], 408, id="qp-3"),  # product order of the names as given
+            pytest.param(3, ["p", "q", "r"], 2848, id="pqr-3"),
+        ],
+    )
+    def test_source_is_the_isomorph_free_stream(self, max_n, names, kept):
+        got = list(_isomorph_free_models(max_n, names, None, {}))
+        assert got == list(isomorph_free(exhaustive_models(max_n, names)))
         assert len(got) == kept
 
     def test_three_atoms_split_into_runs(self):
