@@ -10,7 +10,8 @@ A model document, "subset" (opens) or "relational" (pairs), is a UTF-8
 JSON object; `dump` produces the bit-exact canonical form (sorted keys,
 two-space indent, canonical opens), so load then dump is the identity.
 The model streams live here too: exhaustive_models, the labeled one, and
-_isomorph_free_models, which the search and every batch's swept stream read.
+_isomorph_free_models, which the search and every batch's swept stream read;
+and _contraction_size, by which a batch leaves out models swept earlier.
 """
 
 from __future__ import annotations
@@ -457,6 +458,47 @@ def _isomorph_free_models(
                     if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
                         yield SubsetModel(top, dict(zip(names, masks)))
             start += costs[first] << n * len(names)
+
+
+def _contraction_size(model: SubsetModel, limit: int) -> int:
+    """The worlds of the model's bisimulation contraction, or, once that
+    count is known to pass limit, a count past limit.
+
+    The contraction is the quotient by the largest bisimulation of the
+    specialization preorder (x sees the y in mnb(x)) that respects every
+    atom's mask.  The worlds start as one block, split by each atom's mask
+    into valuation types; then each round splits every block by each
+    block's closure (the worlds whose mnb meets it), until a round splits
+    nothing, and the blocks are the bisimulation's classes.  Blocks only
+    split, so the count stops early at n (the model is its own
+    contraction) or past limit: as many types as worlds, or more types
+    than limit, decide before any round.
+    """
+    mnb = model.topology.min_neighborhoods
+    n = len(mnb)
+    blocks = [full_mask(n)]
+    splitters = model.valuation.values()
+    count = 0
+    while count < len(blocks):
+        count = len(blocks)
+        for mask in splitters:
+            split = []  # a loop, not a comprehension: this runs per model of a batch
+            for c in blocks:
+                if c & mask:
+                    split.append(c & mask)
+                if c & ~mask:
+                    split.append(c & ~mask)
+            blocks = split
+        if len(blocks) == n or len(blocks) > limit:
+            break
+        splitters = []
+        for c in blocks:
+            seen = 0
+            for x, nb in enumerate(mnb):
+                if nb & c:
+                    seen |= 1 << x
+            splitters.append(seen)
+    return len(blocks)
 
 
 def random_model(seed: int, n: int, atoms: int = 2) -> SubsetModel:

@@ -16,15 +16,17 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import formula as fm
 from .formula import Formula, Scheme, get_scheme, instantiate, parse
 from .model import (
+    DEFAULT_SCENARIO_BUDGET,
     SUBBASIS_DENSITY,
     EDScenario,
     ScenarioClass,
     SubsetModel,
+    _contraction_size,
     _document,
     _isomorph_free_models,
     exhaustive_models,
@@ -178,11 +180,31 @@ class Batch:
 
     Built once, with the batch: draws, random_model's model per (seed,
     size), and swept, what run_suite sweeps: the isomorph-free exhaustive
-    part (_isomorph_free_models), then the draws.  A draw isomorphic to an
-    earlier model never fails first nor goes over a budget first, so
-    sweeping it changes no report.  models() is the labeled stream
-    (exhaustive_models, then the draws), for perfbench's counters and the
-    labeled-coverage checks.
+    part (_isomorph_free_models), then the draws, less every model
+    _contracted drops.  models() is the labeled stream (exhaustive_models,
+    then the draws), for perfbench's counters and the labeled-coverage
+    checks.
+
+    Why a dropped model changes no report (Aiello, van Benthem &
+    Bezhanishvili, "Reasoning about space: the modal way", 2003, on
+    interior maps; Blackburn, de Rijke & Venema, "Modal Logic", 2001,
+    ch. 2, on bisimulation contraction).  The quotient map f of a model M
+    onto its contraction C (see _contraction_size) is an interior map, onto
+    and carrying p and q, and it maps the maximal clusters onto those of
+    C.  So truth at (x, X, V) in M is truth at (f(x), C, f(V)) in C under
+    strong, ed and ae semantics alike, and f(V) is open and admitted by
+    the class V is: nonempty if V is, holding Max if V does, C if V is X.
+    Restricted to an open U, f is an interior map of U onto the open f(U),
+    so truth at (x, U, V) in M is truth at (f(x), f(U), f(V)) in C.
+    Precondition: the exhaustive part holds every model of at most k =
+    exhaustive_n worlds up to isomorphism, in size order, and every draw
+    comes after it.  Then a model whose contraction is smaller than it
+    and has at most k worlds has a copy of its contraction earlier in the
+    stream, failing every root it fails, so it is never a root's first
+    failure; the isomorph-free reduction is the case where f is one to
+    one.  A model whose worst-case cost, |opens|² × n, exceeds the default
+    budget is kept, so a BudgetError comes where it does in the whole
+    stream.
     """
 
     exhaustive_n: int = 0
@@ -205,7 +227,8 @@ class Batch:
         draws = tuple(random_model(seed, size) for seed, size in zip(self.seeds, self.sizes))
         object.__setattr__(self, "draws", draws)
         exhaustive = _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
-        object.__setattr__(self, "swept", (*exhaustive, *self.draws))
+        swept = _contracted((*exhaustive, *draws), self.exhaustive_n)
+        object.__setattr__(self, "swept", tuple(swept))
 
     def models(self) -> Iterator[SubsetModel]:
         yield from exhaustive_models(self.exhaustive_n, self.atoms)
@@ -219,6 +242,19 @@ class Batch:
             "sizes": list(self.sizes),
             "density": SUBBASIS_DENSITY,
         }
+
+
+def _contracted(models: Iterable[SubsetModel], k: int) -> Iterator[SubsetModel]:
+    """The models, in order, less each whose contraction is smaller than
+    it and has at most k worlds, unless its worst-case cost, |opens|² × n,
+    exceeds DEFAULT_SCENARIO_BUDGET (the argument and its precondition are
+    Batch's)."""
+    for model in models:
+        size = _contraction_size(model, k)
+        top = model.topology
+        if size < top.n and size <= k and len(top.opens) ** 2 * top.n <= DEFAULT_SCENARIO_BUDGET:
+            continue
+        yield model
 
 
 def soundness_batch(

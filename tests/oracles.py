@@ -10,7 +10,7 @@ import functools
 from itertools import permutations, product
 
 from topobelief import formula as fm
-from topobelief.model import RelationalError, RelationalModel
+from topobelief.model import RelationalError, RelationalModel, SubsetModel
 from topobelief.semantics import Semantics
 from topobelief.topology import ENUMERATION_MAX, Topology, TopologyError, _relabelings, bits
 
@@ -185,6 +185,48 @@ def isomorph_free(models):
         if (table, *names, *[images[0][m] for m in masks]) not in seen:
             seen.update((table, *names, *[i[m] for m in masks]) for i in images)
             yield model
+
+
+def contract(model):
+    """The model's bisimulation contraction and the map onto it.
+
+    Pair elimination from the definition of a topo-bisimulation: start
+    from every pair of worlds that agree on every atom, and drop (x, y)
+    while some open around x has no open around y all of whose worlds are
+    paired with worlds of it, or the other way round.  In a finite space
+    the least open around a point (brute_min_neighborhoods) decides both
+    clauses.  What survives is the largest bisimulation, an equivalence;
+    its classes, numbered by least world, are the quotient's worlds, the
+    quotient's opens are the sets whose preimage is open (the quotient
+    topology), and each atom holds on the image of its set.  Returns
+    (quotient model, map as a tuple world -> class).
+    """
+    n, opens = model.n, model.topology.opens
+    around = brute_min_neighborhoods(n, opens)
+    atoms = sorted(model.valuation)
+    kind = [tuple(model.valuation[a] >> x & 1 for a in atoms) for x in range(n)]
+    pairs = {(x, y) for x in range(n) for y in range(n) if kind[x] == kind[y]}
+
+    def matched(x, y):  # every world around y is paired with one around x
+        return all(any((a, b) in pairs for a in bits(around[x])) for b in bits(around[y]))
+
+    while dropped := {(x, y) for x, y in pairs if not (matched(x, y) and matched(y, x))}:
+        pairs -= dropped
+    image = []
+    for x in range(n):
+        least = min(y for y in range(n) if (x, y) in pairs)
+        image.append(image[least] if least < x else max(image, default=-1) + 1)
+    m = max(image) + 1
+
+    def preimage(a):
+        return sum(1 << x for x in range(n) if a >> image[x] & 1)
+
+    quotient_opens = [a for a in range(1 << m) if preimage(a) in opens]
+    valuation = {
+        atom: sum(1 << c for c in {image[x] for x in bits(mask)})
+        for atom, mask in model.valuation.items()
+    }
+    return SubsetModel(Topology.from_opens(m, quotient_opens), valuation), tuple(image)
 
 
 def is_belief_relation(n, rel):

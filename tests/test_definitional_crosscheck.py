@@ -10,7 +10,7 @@ import time
 from itertools import count, product
 from random import Random
 
-from oracles import brute_closure, def_truth, indiscrete
+from oracles import brute_closure, contract, def_truth, indiscrete
 from topobelief.formula import MODALITIES, atoms, formula_corpus, modalities, parse, postorder
 from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
@@ -21,6 +21,7 @@ from topobelief.model import (
     dump,
     ed_scenarios,
     epistemic_scenarios,
+    exhaustive_models,
     random_model,
     range_pairs,
 )
@@ -85,6 +86,64 @@ def test_agrees_on_random_three_point_models():
                     assert satisfies(model, s, f, kind) == def_truth(
                         model, s.x, s.u, s.v, f, kind
                     ), (seed, kind, s.literal(), str(f))
+
+
+def test_truth_is_invariant_under_contraction():
+    """The contraction lemma of suites.Batch, from the definitions.
+
+    On every two-atom model to 3 worlds, with f the map onto the quotient
+    oracles.contract builds: truth at (x, U, V) equals truth at
+    (f(x), f(U), f(V)) there, under strong, ed and ae, for K, box and B of
+    p and of q and the corpus's two mixed formulas; and the quotient
+    admits the image of every scenario the model admits, strong and under
+    each class (all, consistent, dense, total).  def_truth does not read
+    the class, so with the admission check this covers all 9 columns.  A
+    model that is its own contraction comes back as itself, under the
+    identity.  Runtime target 20 s (about 5-7 s on a 2-vCPU VM).
+    """
+    started = time.perf_counter()
+    corpus = formula_corpus()
+    formulas = corpus[4:10] + corpus[-2:]  # K, box and B of p and of q; two mixed
+
+    def image(f, a):
+        return sum(1 << c for c in {f[x] for x in range(len(f)) if a >> x & 1})
+
+    contracted = 0
+    for model in exhaustive_models(3, ("p", "q")):
+        quotient, f = contract(model)
+        if quotient.n == model.n:
+            assert quotient == model and f == tuple(range(model.n))
+            continue
+        contracted += 1
+        for cls in (None, *ScenarioClass):
+            if cls is None:  # strong: the (x, U) scenarios
+                admitted = {(s.x, s.u) for s in epistemic_scenarios(quotient)}
+                mapped = {(f[s.x], image(f, s.u)) for s in epistemic_scenarios(model)}
+            else:
+                admitted = {(s.x, s.u, s.v) for s in ed_scenarios(quotient, cls)}
+                mapped = {(f[s.x], image(f, s.u), image(f, s.v)) for s in ed_scenarios(model, cls)}
+            assert mapped <= admitted, cls
+        seen = {}
+        for kind in (Semantics.STRONG, Semantics.ED, Semantics.AE):
+            if kind is Semantics.STRONG:
+                scenarios = epistemic_scenarios(model)
+            else:
+                scenarios = ed_scenarios(model, ScenarioClass.ALL)
+            for s in scenarios:
+                mapped = (f[s.x], image(f, s.u), None if s.v is None else image(f, s.v))
+                for g in formulas:
+                    key = (kind, mapped, g)
+                    if key not in seen:
+                        seen[key] = def_truth(quotient, *mapped, g, kind)
+                    assert def_truth(model, s.x, s.u, s.v, g, kind) == seen[key], (
+                        dump(model),
+                        kind,
+                        s.literal(),
+                        str(g),
+                    )
+    assert contracted == 816  # of the 1 924
+    elapsed = time.perf_counter() - started
+    assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
 
 
 SWEEP_ROOTS = (

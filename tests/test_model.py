@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import brute_closure, brute_min_neighborhoods
+from oracles import brute_closure, brute_min_neighborhoods, contract
 from topobelief.model import (
     BudgetError,
     EDScenario,
@@ -14,15 +14,18 @@ from topobelief.model import (
     RelationalModel,
     ScenarioClass,
     SubsetModel,
+    _contraction_size,
     check_scenario,
     dump,
     ed_scenarios,
     epistemic_scenarios,
+    exhaustive_models,
     load,
     parse_scenario,
     random_model,
     range_groups,
 )
+from topobelief.suites import soundness_batch
 from topobelief.topology import Topology, enumerate_topologies, find_violation
 
 SIERP_DOC = """
@@ -341,3 +344,43 @@ class TestRandomModel:
             text = dump(m)
             assert dump(load(text)) == text
             assert m.topology.min_neighborhoods == brute_min_neighborhoods(n, m.topology.opens)
+
+
+class TestContractionSize:
+    """_contraction_size against the pair-eliminating oracle (oracles.contract)."""
+
+    def test_size_is_the_oracles_under_every_limit(self):
+        """Every two-atom model to 3 worlds (1 924) and every draw of
+        soundness_batch() seeds 1 and 2 (400), under each limit 0..4: the
+        size is exact when the oracle's is at most the limit and past the
+        limit otherwise, so the keep rule (smaller than the model and at
+        most the limit) decides alike."""
+        models = (
+            *exhaustive_models(3, ("p", "q")),
+            *soundness_batch().draws,
+            *soundness_batch(first_seed=2).draws,
+        )
+        smaller = [0] * 5
+        for model in models:
+            size = contract(model)[0].n
+            for limit in range(5):
+                got = _contraction_size(model, limit)
+                assert min(got, limit + 1) == min(size, limit + 1), (model, limit, got, size)
+                assert (got < model.n and got <= limit) == (size < model.n and size <= limit)
+                assert got <= model.n
+                smaller[limit] += size < model.n and size <= limit
+        assert smaller == [0, 134, 848, 962, 1047]  # models it drops at k = limit
+
+    def test_contraction_reads_the_valuation(self):
+        """The same topology contracts by its valuation: the discrete space
+        on 3 worlds is its own contraction under three valuation types, and
+        one world under one."""
+        top = Topology.discrete(3)
+        assert _contraction_size(SubsetModel(top, {"p": 0b001, "q": 0b010}), 3) == 3
+        assert _contraction_size(SubsetModel(top, {"p": 0b111, "q": 0}), 3) == 1
+        assert _contraction_size(SubsetModel(top, {"p": 0b011, "q": 0}), 3) == 2
+        # on the chain where 0 sees 1 sees 2, p only at 2 leaves 0 and 1
+        # alike (both see p and not p), and p only at 1 tells all three apart
+        chain = Topology.from_opens(3, [0, 0b100, 0b110, 0b111])
+        assert _contraction_size(SubsetModel(chain, {"p": 0b100}), 3) == 2
+        assert _contraction_size(SubsetModel(chain, {"p": 0b010}), 3) == 3

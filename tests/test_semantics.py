@@ -31,6 +31,7 @@ from topobelief.model import (
     ModelError,
     ScenarioClass,
     SubsetModel,
+    _contraction_size,
     _isomorph_free_models,
     ed_scenarios,
     epistemic_scenarios,
@@ -718,8 +719,10 @@ class TestIsomorphFree:
         assert (len(models), len(kept)) == (1924, 408)
 
     def test_a_suite_run_sweeps_its_source_as_built(self, monkeypatch):
-        """sweep_validity drops nothing: a suite run sweeps the first labeled
-        model of each class, then every draw, in order."""
+        """sweep_validity drops nothing: a suite run sweeps batch.swept as
+        built, the first labeled model of each class that is its own
+        contraction (204 of 408), then the draws the keep rule keeps (126
+        of 200), in order, the draws as the same objects."""
         swept = []
         groups = semantics._sweep_groups
 
@@ -731,9 +734,14 @@ class TestIsomorphFree:
         batch = soundness_batch()
         assert run_suite(get_suite("sel"), batch).clean
         monkeypatch.undo()
-        draws = list(batch.models())[1924:]
-        assert swept == list(_isomorph_free_models(3, ("p", "q"), None, {})) + draws
-        assert (len(swept), len(draws)) == (408 + 200, 200)
+        source = list(_isomorph_free_models(3, ("p", "q"), None, {}))
+        exhaustive = [m for m in source if _contraction_size(m, 3) == m.n]
+        # every draw has 4 to 6 worlds and fits the budget, so it goes
+        # exactly when it contracts to 3 worlds or fewer
+        draws = [d for d in list(batch.models())[1924:] if _contraction_size(d, 3) > 3]
+        assert swept == exhaustive + draws
+        assert all(a is d for a, d in zip(swept[len(exhaustive) :], draws, strict=True))
+        assert (len(swept), len(exhaustive), len(draws)) == (204 + 126, 204, 126)
 
     def test_kept_count_to_four_worlds(self):
         models = list(Batch(exhaustive_n=4).models())

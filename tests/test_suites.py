@@ -6,13 +6,16 @@ import time
 
 import pytest
 
-from oracles import count_nodes, isomorph_free
+from oracles import contract, count_nodes, isomorph_free
 from topobelief import formula as fm
 from topobelief import semantics, suites
 from topobelief.formula import parse
 from topobelief.model import (
+    DEFAULT_SCENARIO_BUDGET,
+    BudgetError,
     ScenarioClass,
     SubsetModel,
+    _contraction_size,
     _isomorph_free_models,
     ed_scenarios,
     exhaustive_models,
@@ -20,13 +23,21 @@ from topobelief.model import (
     parse_scenario,
     random_model,
 )
-from topobelief.semantics import Semantics, find_countermodel, satisfies, valid_in_model
+from topobelief.semantics import (
+    BatchEvaluator,
+    Semantics,
+    find_countermodel,
+    satisfies,
+    sweep_validity,
+    valid_in_model,
+)
 from topobelief.suites import (
     BASE_SCHEMES,
     DEFAULT_INSTANTIATION,
     DEFAULT_MATRIX,
     Batch,
     SuiteError,
+    _contracted,
     expected_failures,
     get_suite,
     run_suite,
@@ -35,6 +46,7 @@ from topobelief.suites import (
     stalnaker_images,
     suite_names,
 )
+from topobelief.topology import Topology
 
 
 # sha256 of run_suite(...).to_json() per DEFAULT_MATRIX row on soundness_batch()
@@ -190,13 +202,30 @@ class TestRunSuite:
         assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
 
 
-class TestIsomorphFreeSweeps:
-    """Suite reports from the isomorph-free batch source equal, byte for
-    byte, the reports of the labeled streams (run_suite sent back to
-    batch.models())."""
+# strong under class all, then ed and ae under each class
+COLUMNS = ((Semantics.STRONG, ScenarioClass.ALL),) + tuple(
+    (kind, cls) for kind in (Semantics.ED, Semantics.AE) for cls in ScenarioClass
+)
 
-    # every suite under its own pair, and every DEFAULT_MATRIX row
-    ROWS = tuple(dict.fromkeys([(name, None, None) for name in suite_names()] + [*DEFAULT_MATRIX]))
+
+def _oracle_kept(models, k):
+    """The keep rule of Batch.swept, judged with oracles.contract: a model
+    goes only if its contraction is smaller, has at most k worlds, and its
+    worst-case cost fits the default budget."""
+    for model in models:
+        size, cost = contract(model)[0].n, len(model.topology.opens) ** 2 * model.n
+        if not (size < model.n and size <= k and cost <= DEFAULT_SCENARIO_BUDGET):
+            yield model
+
+
+class TestIsomorphFreeSweeps:
+    """Suite reports from a batch's swept stream (isomorph-free, then
+    without the models whose contraction is swept earlier) equal, byte for
+    byte, the reports of the labeled, unreduced streams (run_suite sent
+    back to batch.models())."""
+
+    # every suite under all 9 columns
+    ROWS = tuple((name, kind, cls) for name in suite_names() for kind, cls in COLUMNS)
 
     @staticmethod
     def _reports(rows, batch):
@@ -226,22 +255,26 @@ class TestIsomorphFreeSweeps:
         "batch",
         [
             soundness_batch(),
+            soundness_batch(first_seed=2),
             Batch(exhaustive_n=3),
             # draws of 1 to 3 worlds copy exhaustive models; some 4-world draws copy others
             Batch(exhaustive_n=3, seeds=tuple(range(1, 41)), sizes=(1, 2, 3, 4) * 10),
         ],
-        ids=["soundness", "exhaustive_3", "duplicate_draws"],
+        ids=["soundness", "soundness_2", "exhaustive_3", "duplicate_draws"],
     )
     def test_reports_equal_the_labeled_sweep(self, monkeypatch, batch):
+        """7 suites x 9 columns, 63 reports per batch.  Runtime target 60 s
+        for the four batches (about 20 s on a 2-vCPU VM)."""
         reduced = self._reports(self.ROWS, batch)
         labeled, swept = self._labeled(monkeypatch, batch)
         assert self._reports(self.ROWS, labeled) == reduced
-        assert set(swept) == {sum(1 for _ in batch.models())}  # 2 124, 1 924 and 1 964
+        assert set(swept) == {sum(1 for _ in batch.models())}  # 2 124, 2 124, 1 924 and 1 964
+        assert sum('"countermodel"' in report for report in reduced) > 0
 
     def test_four_world_report_equals_the_labeled_sweep(self, monkeypatch):
-        """el_kboxb_cb under ae/all on every model to 4 worlds (5 089 of the
-        92 804 swept).  Runtime target 5 s for the isomorph-free run (about
-        0.2-0.3 s on a 2-vCPU VM)."""
+        """el_kboxb_cb under ae/all on every model to 4 worlds (1 843 of the
+        92 804 swept).  Runtime target 5 s for the reduced run (about
+        0.1-0.2 s on a 2-vCPU VM)."""
         rows = [("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL)]
         batch = Batch(exhaustive_n=4)
         started = time.perf_counter()
@@ -249,14 +282,48 @@ class TestIsomorphFreeSweeps:
         elapsed = time.perf_counter() - started
         labeled, swept = self._labeled(monkeypatch, batch)
         assert self._reports(rows, labeled) == reduced
-        assert swept == [92_804]
+        assert (len(batch.swept), swept) == (1843, [92_804])
         assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
+
+    def test_first_failure_on_a_draw_that_contracts_past_the_exhaustive_part(self):
+        """A root that fails only where an open holds all four valuation
+        types fails first, on batch.swept as on the labeled stream, at draw
+        7 of soundness_batch() (seed 8, 5 worlds), which contracts to 4
+        worlds, one past exhaustive_n: dropping such draws would move it."""
+        f = parse("!(!K !(p & q) & !K !(p & !q) & !K !(!p & q) & !K !(!p & !q))")
+        batch = soundness_batch()
+        for kind, cls in COLUMNS:
+            first = sweep_validity(BatchEvaluator([f], kind), batch.swept, cls)[f]
+            labeled = sweep_validity(BatchEvaluator([f], kind), list(batch.models()), cls)[f]
+            assert first.model is labeled.model is batch.draws[7]
+            assert first.scenario == labeled.scenario
+            assert first.scenario.literal().startswith("x=0;U=0,1,2,3,4")
+        assert (batch.draws[7].n, contract(batch.draws[7])[0].n) == (5, 4)
+
+
+class TestContracted:
+    """The keep rule of Batch.swept (suites._contracted)."""
+
+    def test_a_model_over_budget_is_kept(self):
+        """A 16-world discrete model with a constant valuation contracts to
+        one world, but its worst-case cost, 65 536² x 16, exceeds the
+        default budget: it is kept, and a sweep still stops at it."""
+        top = Topology.discrete(16)
+        model = SubsetModel(top, {"p": 0, "q": 0})
+        assert _contraction_size(model, 4) == 1
+        assert len(top.opens) ** 2 * top.n > DEFAULT_SCENARIO_BUDGET
+        assert list(_contracted([model], 4)) == [model]
+        with pytest.raises(BudgetError):
+            sweep_validity(BatchEvaluator([parse("p")], Semantics.ED), _contracted([model], 4))
+        small = SubsetModel(Topology.discrete(4), {"p": 0, "q": 0})
+        assert list(_contracted([small], 4)) == []  # within budget, the same contraction goes
 
 
 class TestIsomorphFreeBatch:
     """Batch.swept, filtered by the reference filter (oracles.isomorph_free),
-    is isomorph_free(batch.models()) model for model and in order, and its
-    exhaustive part builds none of the models that filter drops."""
+    is the labeled stream under both reference filters, isomorph_free and
+    the keep rule judged by oracles.contract, model for model and in order;
+    and its exhaustive part builds none of the models isomorph_free drops."""
 
     @staticmethod
     def _models(stream):
@@ -280,7 +347,8 @@ class TestIsomorphFreeBatch:
     )
     def test_source_is_the_filtered_labeled_stream(self, batch):
         got = self._models(isomorph_free(batch.swept))
-        assert got == self._models(isomorph_free(batch.models()))
+        kept = _oracle_kept(isomorph_free(batch.models()), batch.exhaustive_n)
+        assert got == self._models(kept)
 
     def test_a_suite_run_builds_only_the_kept_models(self, monkeypatch):
         built, draws = [], []
@@ -334,11 +402,16 @@ class TestDrawnOnce:
         assert len(draws) == 200
 
     def test_both_streams_yield_the_batch_draws(self):
+        """The labeled stream ends with every draw object; the swept stream
+        ends with the 126 draws the keep rule keeps, the same objects, in
+        draw order."""
         batch = soundness_batch()
         labeled = list(batch.models())[-200:]
-        reduced = batch.swept[-200:]
+        reduced = batch.swept[204:]
         assert len(batch.draws) == 200
-        assert all(a is d and b is d for a, b, d in zip(labeled, reduced, batch.draws))
+        assert all(a is d for a, d in zip(labeled, batch.draws, strict=True))
+        kept = [d for d in batch.draws if any(d is r for r in reduced)]
+        assert kept == list(reduced) and len(kept) == 126
 
     def test_draws_stay_out_of_equality_hash_repr_and_describe(self):
         batch = soundness_batch(random_count=4)
@@ -361,17 +434,20 @@ class TestDrawnOnce:
 
 class TestBuiltOnce:
     """A batch builds the stream its suite runs sweep once, when it is
-    built: the isomorph-free exhaustive part, then its draw objects."""
+    built: the isomorph-free exhaustive part, then its draw objects, less
+    the models the keep rule drops (suites._contracted)."""
 
     @pytest.mark.parametrize(
-        "batch, kept",
-        [(soundness_batch(), 408), (Batch(exhaustive_n=4), 5089), (Batch(), 0)],
+        "batch, exhaustive, draws",
+        [(soundness_batch(), 204, 126), (Batch(exhaustive_n=4), 1843, 0), (Batch(), 0, 0)],
         ids=["soundness", "exhaustive_4", "empty"],
     )
-    def test_swept_is_the_source_then_the_draws(self, batch, kept):
-        exhaustive = list(_isomorph_free_models(batch.exhaustive_n, batch.atoms, None, {}))
-        assert batch.swept == (*exhaustive, *batch.draws) and len(exhaustive) == kept
-        assert all(a is d for a, d in zip(batch.swept[kept:], batch.draws, strict=True))
+    def test_swept_is_the_source_then_the_draws(self, batch, exhaustive, draws):
+        source = list(_isomorph_free_models(batch.exhaustive_n, batch.atoms, None, {}))
+        kept = tuple(_contracted((*source, *batch.draws), batch.exhaustive_n))
+        assert batch.swept == kept and len(kept) == exhaustive + draws
+        assert all(m.n <= batch.exhaustive_n for m in batch.swept[:exhaustive])
+        assert all(any(a is d for d in batch.draws) for a in batch.swept[exhaustive:])
 
     @pytest.mark.parametrize(
         "batch", [soundness_batch(), Batch(exhaustive_n=4)], ids=["soundness", "exhaustive_4"]
