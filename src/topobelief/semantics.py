@@ -554,6 +554,8 @@ def sweep_validity(
     models: Iterable[SubsetModel],
     scenario_class: ScenarioClass = ScenarioClass.ALL,
     budget: int = DEFAULT_SCENARIO_BUDGET,
+    *,
+    complete_to: int = 0,
 ) -> dict[Formula, BatchFailure]:
     """First failure per root formula across a model stream, in scan order.
 
@@ -577,6 +579,25 @@ def sweep_validity(
     an open the class admits and the first V in canonical order to share
     it.  The budget is still charged for every pair.
 
+    With complete_to = k, each topology is swept only at its pairs whose
+    U is the carrier or has more than k worlds.  This finds the same
+    failures (the open-subspace lemma; van Benthem & Bezhanishvili,
+    "Modal logics of space", 2007): an open U is an up-set of the
+    specialization order, so the subspace M|U has Max ∩ U for its Max; K
+    reads only U, box the interior, which inside U is that of M|U, B reads
+    V and U ∩ Max, and the classes read U, V and U ∩ Max.  So truth at
+    (x, U, V) in M is truth at that scenario of M|U, relabeled a model of
+    |U| worlds whose carrier is U, and the class admits it there.
+    Precondition: before each model M of the stream comes a copy, up to
+    isomorphism and contraction (see suites.Batch), of every model with
+    fewer worlds than M and at most k.  Then M fails at U != X with |U| <=
+    k only where the earlier copy of M|U fails at its carrier, which is
+    swept, so M is not the root's first failure; and a first failure
+    keeps its world and pair, since none of its model's failures is
+    dropped.  A
+    stream that does not meet the precondition takes k = 0, and every pair
+    is swept.  The budget is still charged for every pair.
+
     Every model of the stream is swept.  A stream without isomorphic
     copies is made at its source (see _isomorph_free_models).
     """
@@ -584,7 +605,10 @@ def sweep_validity(
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
-    for runs in _sweep_groups(models, engine.kind, scenario_class, budget, maximal=True):
+    groups = _sweep_groups(
+        models, engine.kind, scenario_class, budget, maximal=True, complete_to=complete_to
+    )
+    for runs in groups:
         for idx, (r, m, s) in _group_failures(engine, runs, list(live)).items():
             f = live.pop(idx)
             failures[f] = BatchFailure(f, runs[r][1][m], s)
@@ -601,6 +625,7 @@ def _sweep_groups(
     *,
     grow=False,
     maximal=False,
+    complete_to=0,
 ) -> Iterator[list[tuple[Ranges, list[SubsetModel]]]]:
     """The stream in lane groups, each a list of (ranges, run) in stream order.
 
@@ -617,8 +642,12 @@ def _sweep_groups(
     sweep_validity sets, an ae sweep under class all, consistent or dense
     keeps only the pairs whose V lies inside the topology's Max (see
     sweep_validity); under total each U has one pair, and nothing is
-    dropped.  Raises BudgetError at the first run whose ranges cost more
-    than the budget, once the groups before it are yielded.
+    dropped.  With complete_to = k, which only sweep_validity passes on
+    and only run_suite sets, every pair whose U is not the carrier and
+    has at most k worlds is dropped too (see sweep_validity).  Raises
+    BudgetError at the first run whose ranges cost more than the budget,
+    once the groups before it are yielded: the budget is charged for the
+    full list.
     """
     group: list[tuple[Ranges, list[SubsetModel]]] = []
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
@@ -633,8 +662,13 @@ def _sweep_groups(
             if group:
                 yield group
             raise
-        if maximal:
-            ranges = tuple(p for p in ranges if p[1] & ~top.maximal == 0)
+        if maximal or complete_to:
+            ranges = tuple(
+                (u, v)
+                for u, v in ranges
+                if (u == top.full or u.bit_count() > complete_to)
+                and not (maximal and v & ~top.maximal)
+            )
         if group and (len(group) < done or not grow):
             # the lanes of the grown group: while the chunk length holds, the
             # runs already in keep their chunks; when it shrinks, all are recut

@@ -205,6 +205,15 @@ class Batch:
     one.  A model whose worst-case cost, |opens|² × n, exceeds the default
     budget is kept, so a BudgetError comes where it does in the whole
     stream.
+
+    The same precondition lets run_suite sweep each model of swept only at
+    its pairs whose U is the carrier or has more than k worlds
+    (sweep_validity's complete_to, on the open-subspace lemma there): a
+    failure at a smaller U is one of the subspace M|U, whose contraction
+    has at most |U| worlds and so is, up to isomorphism, an earlier model
+    of swept, failing at its whole carrier.  The exhaustive part is in
+    size order, so its models sweep only U = X, and the draws, which come
+    after it, drop each other U of at most k worlds.
     """
 
     exhaustive_n: int = 0
@@ -408,7 +417,7 @@ def run_suite(
     premises = list(dict.fromkeys(instantiation))
     # the engine keeps each distinct root once, in first-seen order
     engine = BatchEvaluator([inst for _, inst in rows] + premises, kind)
-    failures = sweep_validity(engine, batch.swept, cls)
+    failures = sweep_validity(engine, batch.swept, cls, complete_to=batch.exhaustive_n)
 
     results = []
     for name, inst in rows:

@@ -229,6 +229,24 @@ def contract(model):
     return SubsetModel(Topology.from_opens(m, quotient_opens), valuation), tuple(image)
 
 
+def restrict(model, u):
+    """The subspace of the model on u, relabeled, and the map onto it.
+
+    Its worlds are those of u, numbered 0, 1, ... in increasing order; its
+    opens are the sets O ∩ u for each open O (the subspace topology), and
+    each atom holds on the image of its set within u.  Returns (subspace
+    model, map as a dict world of u -> new world).
+    """
+    place = {x: i for i, x in enumerate(bits(u))}
+
+    def image(a):
+        return sum(1 << place[x] for x in bits(a & u))
+
+    opens = sorted({image(o) for o in model.topology.opens})
+    valuation = {atom: image(mask) for atom, mask in model.valuation.items()}
+    return SubsetModel(Topology.from_opens(len(place), opens), valuation), place
+
+
 def is_belief_relation(n, rel):
     """Serial + transitive + Euclidean, by direct triple quantification."""
     serial = all(any((x, y) in rel for y in range(n)) for x in range(n))

@@ -10,7 +10,7 @@ import time
 from itertools import count, product
 from random import Random
 
-from oracles import brute_closure, contract, def_truth, indiscrete
+from oracles import brute_closure, contract, def_truth, indiscrete, restrict
 from topobelief.formula import MODALITIES, atoms, formula_corpus, modalities, parse, postorder
 from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
@@ -46,7 +46,7 @@ from topobelief.suites import (
     soundness_batch,
     suite_names,
 )
-from topobelief.topology import Topology, enumerate_topologies, generate_from_subbasis
+from topobelief.topology import Topology, bits, enumerate_topologies, generate_from_subbasis
 
 
 def _exhaustive_models(max_n):
@@ -142,6 +142,68 @@ def test_truth_is_invariant_under_contraction():
                         str(g),
                     )
     assert contracted == 816  # of the 1 924
+    elapsed = time.perf_counter() - started
+    assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
+
+
+def test_truth_is_invariant_under_open_subspaces():
+    """The open-subspace lemma of sweep_validity, from the definitions.
+
+    On every two-atom model to 3 worlds and every scenario (x, U, V) with
+    U open and not the carrier, with M|U the subspace oracles.restrict
+    builds and g its map: truth at (x, U, V) equals truth at (g(x),
+    g(U), g(V)) in M|U, g(U) being its carrier, under strong, ed and ae,
+    for K, box and B of p and of q and the corpus's two mixed formulas;
+    and M|U admits that scenario, strong and under each class (all,
+    consistent, dense, total).  def_truth does not read the class, so with
+    the admission check this covers all 9 columns.  Runtime target 20 s
+    (about 4 s on a 2-vCPU VM).
+    """
+    started = time.perf_counter()
+    corpus = formula_corpus()
+    formulas = corpus[4:10] + corpus[-2:]  # K, box and B of p and of q; two mixed
+
+    def image(g, a):
+        return sum(1 << g[x] for x in bits(a))
+
+    subspaces = {}  # (model, U) -> (M|U, g)
+    admitted = {}  # (M|U, class) -> the scenarios M|U admits
+    truth = {}  # (M|U, kind, scenario, formula) -> truth there
+    checked = 0
+    for model in exhaustive_models(3, ("p", "q")):
+        for cls in (None, *ScenarioClass):
+            if cls is None:  # strong: the (x, U) scenarios
+                scenarios = epistemic_scenarios(model)
+            else:
+                scenarios = ed_scenarios(model, cls)
+            for s in scenarios:
+                if s.u == model.topology.full:
+                    continue
+                if (model, s.u) not in subspaces:
+                    subspaces[model, s.u] = restrict(model, s.u)
+                sub, g = subspaces[model, s.u]
+                if (sub, cls) not in admitted:
+                    found = epistemic_scenarios(sub) if cls is None else ed_scenarios(sub, cls)
+                    admitted[sub, cls] = set(found)
+                v = None if s.v is None else image(g, s.v)
+                mapped = EDScenario(g[s.x], image(g, s.u), v)
+                assert mapped.u == sub.topology.full
+                assert mapped in admitted[sub, cls], (dump(model), cls, s.literal())
+                if cls not in (None, ScenarioClass.ALL):
+                    continue  # every class's scenarios are among class all's
+                for kind in (Semantics.STRONG,) if cls is None else (Semantics.ED, Semantics.AE):
+                    for f in formulas:
+                        key = (sub, kind, mapped, f)
+                        if key not in truth:
+                            truth[key] = def_truth(sub, mapped.x, mapped.u, mapped.v, f, kind)
+                        assert def_truth(model, s.x, s.u, s.v, f, kind) == truth[key], (
+                            dump(model),
+                            kind,
+                            s.literal(),
+                            str(f),
+                        )
+                        checked += 1
+    assert (checked, len(subspaces)) == (365_056, 4_672)  # truths checked; (M, U) pairs
     elapsed = time.perf_counter() - started
     assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
 

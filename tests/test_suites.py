@@ -301,6 +301,136 @@ class TestIsomorphFreeSweeps:
         assert (batch.draws[7].n, contract(batch.draws[7])[0].n) == (5, 4)
 
 
+class TestWholeCarrierSweeps:
+    """run_suite sweeps each model of batch.swept only at its pairs whose U
+    is the carrier or has more than batch.exhaustive_n worlds
+    (sweep_validity's complete_to); every other sweep takes every pair."""
+
+    def test_only_run_suite_drops_small_ranges(self, monkeypatch):
+        """run_suite passes its batch's exhaustive_n to _sweep_groups;
+        valid_in_model and find_countermodel pass nothing."""
+        seen = []
+        groups = semantics._sweep_groups
+
+        def spy(*args, complete_to=0, **kwargs):
+            seen.append(complete_to)
+            return groups(*args, complete_to=complete_to, **kwargs)
+
+        monkeypatch.setattr(semantics, "_sweep_groups", spy)
+        assert run_suite(get_suite("kd45_b"), Batch(exhaustive_n=2)).clean
+        assert seen == [2]
+        f = parse("B p -> p")
+        valid_in_model(random_model(1, 4), f, Semantics.STRONG)
+        find_countermodel(f, Semantics.STRONG, max_n=5, budget=5_000)
+        assert len(seen) > 2 and set(seen[1:]) == {0}
+
+    @pytest.mark.parametrize(
+        "kind, cls, pairs",
+        [
+            (Semantics.STRONG, ScenarioClass.ALL, (2_144, 709)),  # every U is one pair
+            (Semantics.AE, ScenarioClass.ALL, (8_540, 4_114)),  # pairs whose V lies in Max
+            (Semantics.ED, ScenarioClass.DENSE, (4_248, 2_262)),
+        ],
+    )
+    def test_pairs_swept_on_the_standard_batch(self, kind, cls, pairs):
+        """(U, V) pairs that _sweep_groups yields over soundness_batch().swept
+        (204 exhaustive models, then 126 draws) without and with
+        complete_to = 3.  The exhaustive models keep one U each."""
+        swept = soundness_batch().swept
+        counts = tuple(
+            sum(
+                len(ranges) * len(run)
+                for group in semantics._sweep_groups(
+                    swept, kind, cls, DEFAULT_SCENARIO_BUDGET, maximal=True, complete_to=k
+                )
+                for ranges, run in group
+            )
+            for k in (0, 3)
+        )
+        assert counts == pairs
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            soundness_batch(),
+            # draws of 1 to 6 worlds after a part complete to 2 worlds
+            Batch(exhaustive_n=2, seeds=tuple(range(1, 31)), sizes=(1, 2, 3, 4, 5, 6) * 5),
+        ],
+        ids=["soundness", "mixed_sizes"],
+    )
+    def test_reports_equal_the_full_pair_lists(self, monkeypatch, batch):
+        """7 suites x 9 columns, 63 reports per batch, equal byte for byte
+        to the reports of the same stream swept over its full pair lists.
+        Runtime target 20 s for the two batches (about 8-9 s on a 2-vCPU VM)."""
+        rows = [(name, kind, cls) for name in suite_names() for kind, cls in COLUMNS]
+        self._pin_to_full_lists(monkeypatch, rows, batch)
+
+    def test_four_world_reports_equal_the_full_pair_lists(self, monkeypatch):
+        """Four reports on every model to 4 worlds, where the exhaustive
+        models drop U's of 1 to 3 worlds: sel under strong and el_kboxb_cb
+        under ae/all, both clean, and sel under ae/all and el_kboxb_wf under
+        ed/consistent, with 7 and 6 countermodels."""
+        rows = [
+            ("sel", None, None),
+            ("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL),
+            ("sel", Semantics.AE, ScenarioClass.ALL),
+            ("el_kboxb_wf", Semantics.ED, ScenarioClass.CONSISTENT),
+        ]
+        self._pin_to_full_lists(monkeypatch, rows, Batch(exhaustive_n=4))
+
+    @staticmethod
+    def _pin_to_full_lists(monkeypatch, rows, batch):
+        reports = TestIsomorphFreeSweeps._reports
+        reduced = reports(rows, batch)
+        groups = semantics._sweep_groups
+        monkeypatch.setattr(
+            semantics, "_sweep_groups", lambda *args, complete_to=0, **kw: groups(*args, **kw)
+        )
+        assert reports(rows, batch) == reduced
+        assert sum('"countermodel"' in report for report in reduced) > 0
+
+    def test_first_failure_at_a_small_open_of_a_draw(self):
+        """A root whose first failure lies on a draw at an open U of four
+        worlds that is not the carrier (draw 14 of soundness_batch(), 6
+        worlds, U = {0, 1, 2, 5}), one world past exhaustive_n: batch.swept
+        swept as run_suite sweeps it finds it where the labeled stream, over
+        its full pair lists, does.  Dropping every U != X, or every U of at
+        most exhaustive_n + 1 worlds, would move it.  The root fails only
+        where U holds all four valuation types and B p fails at x."""
+        f = parse("!(!K !(p & q) & !K !(p & !q) & !K !(!p & q) & !K !(!p & !q)) | B p")
+        batch = soundness_batch()
+        labeled_stream = list(batch.models())
+        for kind, cls in COLUMNS:
+            if kind is Semantics.ED:
+                continue  # there it fails first at a whole carrier
+            first = sweep_validity(
+                BatchEvaluator([f], kind), batch.swept, cls, complete_to=batch.exhaustive_n
+            )[f]
+            labeled = sweep_validity(BatchEvaluator([f], kind), labeled_stream, cls)[f]
+            assert first.model is labeled.model is batch.draws[14]
+            assert first.scenario == labeled.scenario
+            assert first.scenario.literal().startswith("x=0;U=0,1,2,5")
+        assert batch.draws[14].n == 6
+
+    def test_a_model_over_budget_still_raises(self):
+        """The 16-world discrete model of TestContracted, after a batch
+        complete to 2 worlds: run_suite still raises BudgetError there, as
+        the budget is charged for the full pair lists."""
+        model = SubsetModel(Topology.discrete(16), {"p": 0, "q": 0})
+        batch = Batch(exhaustive_n=2)
+        object.__setattr__(batch, "swept", (*batch.swept, model))
+        for name in ("sel", "el_kboxb"):
+            with pytest.raises(BudgetError, match="exceeds budget"):
+                run_suite(get_suite(name), batch)
+        # the discrete 4-world space costs 16 x 4 = 64, though with k = 3 it
+        # sweeps only U = X, 4 scenarios
+        engine = BatchEvaluator([parse("K p -> p")], Semantics.STRONG)
+        discrete = [SubsetModel(Topology.discrete(4), {"p": 0b0101})]
+        assert sweep_validity(engine, discrete, budget=64, complete_to=3) == {}
+        with pytest.raises(BudgetError, match="cost 64 exceeds budget 63"):
+            sweep_validity(engine, discrete, budget=63, complete_to=3)
+
+
 class TestContracted:
     """The keep rule of Batch.swept (suites._contracted)."""
 
