@@ -594,9 +594,8 @@ def sweep_validity(
     k only where the earlier copy of M|U fails at its carrier, which is
     swept, so M is not the root's first failure; and a first failure
     keeps its world and pair, since none of its model's failures is
-    dropped.  A
-    stream that does not meet the precondition takes k = 0, and every pair
-    is swept.  The budget is still charged for every pair.
+    dropped.  A stream that does not meet the precondition takes k = 0,
+    and every pair is swept.  The budget is still charged for every pair.
 
     Every model of the stream is swept.  A stream without isomorphic
     copies is made at its source (see _isomorph_free_models).
@@ -642,9 +641,8 @@ def _sweep_groups(
     sweep_validity sets, an ae sweep under class all, consistent or dense
     keeps only the pairs whose V lies inside the topology's Max (see
     sweep_validity); under total each U has one pair, and nothing is
-    dropped.  With complete_to = k, which only sweep_validity passes on
-    and only run_suite sets, every pair whose U is not the carrier and
-    has at most k worlds is dropped too (see sweep_validity).  Raises
+    dropped.  With complete_to = k, every pair whose U is not the carrier
+    and has at most k worlds is dropped too (see sweep_validity).  Raises
     BudgetError at the first run whose ranges cost more than the budget,
     once the groups before it are yielded: the budget is charged for the
     full list.

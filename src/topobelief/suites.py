@@ -206,14 +206,8 @@ class Batch:
     budget is kept, so a BudgetError comes where it does in the whole
     stream.
 
-    The same precondition lets run_suite sweep each model of swept only at
-    its pairs whose U is the carrier or has more than k worlds
-    (sweep_validity's complete_to, on the open-subspace lemma there): a
-    failure at a smaller U is one of the subspace M|U, whose contraction
-    has at most |U| worlds and so is, up to isomorphism, an earlier model
-    of swept, failing at its whole carrier.  The exhaustive part is in
-    size order, so its models sweep only U = X, and the draws, which come
-    after it, drop each other U of at most k worlds.
+    The same precondition lets run_suite pass exhaustive_n as
+    sweep_validity's complete_to (see there).
     """
 
     exhaustive_n: int = 0

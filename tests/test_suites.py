@@ -353,41 +353,65 @@ class TestWholeCarrierSweeps:
         "batch",
         [
             soundness_batch(),
+            soundness_batch(first_seed=2),
+            Batch(exhaustive_n=3),
+            # draws of 1 to 3 worlds copy exhaustive models; some 4-world draws copy others
+            Batch(exhaustive_n=3, seeds=tuple(range(1, 41)), sizes=(1, 2, 3, 4) * 10),
             # draws of 1 to 6 worlds after a part complete to 2 worlds
             Batch(exhaustive_n=2, seeds=tuple(range(1, 31)), sizes=(1, 2, 3, 4, 5, 6) * 5),
         ],
-        ids=["soundness", "mixed_sizes"],
+        ids=["soundness", "soundness_2", "exhaustive_3", "duplicate_draws", "mixed_sizes"],
     )
-    def test_reports_equal_the_full_pair_lists(self, monkeypatch, batch):
+    def test_reports_equal_the_unreduced_sweep(self, monkeypatch, batch):
         """7 suites x 9 columns, 63 reports per batch, equal byte for byte
-        to the reports of the same stream swept over its full pair lists.
-        Runtime target 20 s for the two batches (about 8-9 s on a 2-vCPU VM)."""
+        to the reports of the labeled stream swept over its full pair
+        lists.  Runtime target 60 s for the five batches (about 25 s on a
+        2-vCPU VM)."""
         rows = [(name, kind, cls) for name in suite_names() for kind, cls in COLUMNS]
-        self._pin_to_full_lists(monkeypatch, rows, batch)
+        reports = self._pin_to_full_lists(monkeypatch, rows, batch, labeled=True)
+        assert sum('"countermodel"' in report for report in reports) == 18
 
     def test_four_world_reports_equal_the_full_pair_lists(self, monkeypatch):
         """Four reports on every model to 4 worlds, where the exhaustive
         models drop U's of 1 to 3 worlds: sel under strong and el_kboxb_cb
         under ae/all, both clean, and sel under ae/all and el_kboxb_wf under
-        ed/consistent, with 7 and 6 countermodels."""
+        ed/consistent, with 7 and 6 countermodels, each equal to the report
+        of the same stream over its full pair lists; and el_kboxb_cb under
+        ae/all equal to the report of the labeled stream (92 804 models)
+        over its full pair lists.  Runtime target 20 s (about 4 s on a
+        2-vCPU VM)."""
         rows = [
             ("sel", None, None),
             ("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL),
             ("sel", Semantics.AE, ScenarioClass.ALL),
             ("el_kboxb_wf", Semantics.ED, ScenarioClass.CONSISTENT),
         ]
-        self._pin_to_full_lists(monkeypatch, rows, Batch(exhaustive_n=4))
+        batch = Batch(exhaustive_n=4)
+        reports = self._pin_to_full_lists(monkeypatch, rows, batch)
+        assert ['"countermodel"' in report for report in reports] == [False, False, True, True]
+        self._pin_to_full_lists(monkeypatch, rows[1:2], batch, labeled=True)
 
     @staticmethod
-    def _pin_to_full_lists(monkeypatch, rows, batch):
+    def _pin_to_full_lists(monkeypatch, rows, batch, labeled=False):
+        """The rows' reports on the batch, as run_suite sweeps it, equal
+        those of its swept stream, or with labeled its labeled stream, over
+        full pair lists: neither complete_to nor the ae V inside Max rule.
+        Returns the reports."""
         reports = TestIsomorphFreeSweeps._reports
         reduced = reports(rows, batch)
+        unreduced = batch
+        if labeled:
+            unreduced = dataclasses.replace(batch)
+            object.__setattr__(unreduced, "swept", tuple(batch.models()))
         groups = semantics._sweep_groups
-        monkeypatch.setattr(
-            semantics, "_sweep_groups", lambda *args, complete_to=0, **kw: groups(*args, **kw)
-        )
-        assert reports(rows, batch) == reduced
-        assert sum('"countermodel"' in report for report in reduced) > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                semantics,
+                "_sweep_groups",
+                lambda *args, complete_to=0, maximal=False, **kw: groups(*args, **kw),
+            )
+            assert reports(rows, unreduced) == reduced
+        return reduced
 
     def test_first_failure_at_a_small_open_of_a_draw(self):
         """A root whose first failure lies on a draw at an open U of four
