@@ -220,7 +220,12 @@ Ranges = tuple[tuple[int, int | None], ...]  # (U, V) pairs in canonical order
 
 
 def range_groups(
-    top: Topology, cls: ScenarioClass | None, budget: int = DEFAULT_SCENARIO_BUDGET
+    top: Topology,
+    cls: ScenarioClass | None,
+    budget: int = DEFAULT_SCENARIO_BUDGET,
+    *,
+    above: int = 0,
+    inside: int | None = None,
 ) -> Ranges:
     """The (U, V) pairs a sweep of the topology visits, in canonical order:
     U by U, so the pairs of one U are adjacent.
@@ -230,6 +235,13 @@ def range_groups(
     open V inside it that the class admits, at |opens|² × worlds.  Raises
     BudgetError when the cost exceeds the budget.  The name dates from
     pairs grouped by U; it stays, as the benchmark's spans trace it.
+
+    Two reductions leave out pairs a sweep need not visit (the sweeps that
+    take them say why: semantics.sweep_validity and find_countermodel).
+    With above = k, a U other than the carrier is kept only if it has more
+    than k worlds; with inside a mask, a V is kept only if it lies inside
+    it (under strong there is no V, and inside is not read).  The budget
+    is charged for the full list all the same.
     """
     cost = len(top.opens) ** (1 if cls is None else 2) * top.n
     if cost > budget:
@@ -237,20 +249,23 @@ def range_groups(
             f"scenario sweep cost {cost} exceeds budget {budget}"
             f" ({len(top.opens)} opens on {top.n} worlds)"
         )
+    us = [u for u in top.opens if u]
+    if above:
+        full = top.full
+        us = [u for u in us if u == full or u.bit_count() > above]
     if cls is None:
-        return tuple((u, None) for u in top.opens if u)
+        return tuple((u, None) for u in us)
+    vs = top.opens if inside is None else [v for v in top.opens if v & ~inside == 0]
     out = []
-    for u in top.opens:
-        if u == 0:
-            continue
-        inside = [v for v in top.opens if v & ~u == 0]
+    for u in us:
+        admitted = [v for v in vs if v & ~u == 0]
         if cls is ScenarioClass.CONSISTENT:
-            inside = [v for v in inside if v]
+            admitted = [v for v in admitted if v]
         elif cls is ScenarioClass.DENSE:  # V open: U in cl V iff U ∩ Max in V
-            inside = [v for v in inside if u & top.maximal & ~v == 0]
+            admitted = [v for v in admitted if u & top.maximal & ~v == 0]
         elif cls is ScenarioClass.TOTAL:
-            inside = [u]
-        out.extend((u, v) for v in inside)  # every class admits V = U
+            admitted = [v for v in admitted if v == u]
+        out.extend((u, v) for v in admitted)  # every class admits V = U
     return tuple(out)
 
 
@@ -415,15 +430,19 @@ def exhaustive_models(max_n: int, atoms: Sequence[str]) -> Iterator[SubsetModel]
 
 
 def _isomorph_free_models(
-    max_n: int, names: Sequence[str], cls: ScenarioClass | None, starts: dict[Topology, int]
+    max_n: int,
+    names: Sequence[str],
+    cls: ScenarioClass | None,
+    starts: dict[Topology, tuple[int, Ranges]],
 ) -> Iterator[SubsetModel]:
     """The first labeled member of each isomorphism class of
     exhaustive_models(max_n, names), in the same order, built without the
     others; starts gets, for each topology that has models here, the
-    labeled scenarios before its first one, each labeled model costing its
-    ranges under cls (range_groups).  Its readers: find_countermodel's
-    exhaustive phase, which reads starts, and Batch, whose swept stream,
-    the one every suite run sweeps, starts with it.
+    labeled scenarios before its first one and its full ranges under cls
+    (range_groups), each labeled model costing the scenarios of its
+    ranges.  Its readers: find_countermodel's exhaustive phase, which reads
+    starts, and Batch, whose swept stream, the one every suite run sweeps,
+    starts with it.
 
     Two models are isomorphic when a relabeling of the worlds carries one's
     opens and valuation onto the other's, atom names kept.  Such a
@@ -453,7 +472,7 @@ def _isomorph_free_models(
             if i == first:
                 ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
                 costs[i] = sum(u.bit_count() for u, _ in ranges)
-                starts[top] = start
+                starts[top] = (start, ranges)
                 for masks in itertools.product(range(1 << n), repeat=len(names)):
                     if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
                         yield SubsetModel(top, dict(zip(names, masks)))

@@ -36,8 +36,11 @@ lane groups of their stream's same-topology runs, the search's groups
 growing as it goes (each at most as many runs as all before it), and a
 failure is the one a scenario-by-scenario scan finds: the first failing
 model, the least world missing there, then the first (U, V) in canonical
-order that misses that world.  An ae validity sweep visits only the (U, V) whose V
-lies inside Max, which finds the same failures (see sweep_validity).  The
+order that misses that world.  Every sweep visits only the (U, V) that can
+hold a first failure: under ae, those whose V lies inside Max, and where
+every model of at most k worlds comes earlier, those whose U is the
+carrier or has more than k worlds (see sweep_validity and
+find_countermodel).  The
 search's exhaustive phase, and the exhaustive part of the stream a batch
 holds for its suite runs, hold only the first model of each isomorphism
 class (model._isomorph_free_models, which says why that finds the same
@@ -236,6 +239,22 @@ def find_countermodel(
     total, since the last labeled model, the full valuation on the discrete
     space, is alone in its class.
 
+    Every model, exhaustive or drawn, is swept only at the pairs that can
+    hold the first hit, the reductions sweep_validity states: under ae
+    with class all, consistent or dense, the pairs whose V lies inside Max;
+    and, with k = min(max_n, ENUMERATION_MAX), the pairs whose U is the
+    carrier or has more than k worlds.  The first finds the same failures
+    on any stream.  The second is the open-subspace lemma; its
+    precondition, a copy earlier in the stream of every model with fewer
+    worlds than the model swept and at most k, holds here: the exhaustive
+    phase holds every model of at most k worlds over f's atoms, up to
+    isomorphism, in size order, and every draw comes after it.  So the
+    first hit is the one a sweep of every pair finds.  The counts still
+    read the full lists: the source records each swept topology's full
+    list beside its start, a draw's full list is ranged before its sweep,
+    and a model's cost and a hit's position are read off its topology's
+    full list.
+
     The exhaustive stream is swept in _sweep_groups' growing lane groups
     of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
     its own, made only once the group before it is counted and only while
@@ -244,8 +263,7 @@ def find_countermodel(
     counts only within the budget, and a draw whose sweep would cost over
     10^6 is skipped and not counted.  So found (the hit's count within the
     budget) and exhausted (the total within it) read as on the labeled
-    stream, however it is grouped.  Unlike sweep_validity, the search
-    sweeps every pair under ae too, so its counts read the full pair lists.
+    stream over every pair, however it is grouped.
     """
     if not 1 <= max_n <= MAX_WORLDS:
         raise SemanticsError(f"max_n {max_n} outside 1..{MAX_WORLDS}")
@@ -253,28 +271,35 @@ def find_countermodel(
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
     evaluations = 0
-    starts: dict[Topology, int] = {}  # labeled scenarios before each swept topology
+    drawn_ranges: Ranges = ()  # the full pairs of the random draw being swept
+    starts: dict[Topology, tuple[int, Ranges]] = {}  # labeled scenarios before, full pairs
     cls = scenario_class if kind.needs_doxastic_range else None
-    models = _isomorph_free_models(min(max_n, ENUMERATION_MAX), names, cls, starts)
-    groups = _sweep_groups(models, kind, scenario_class, DEFAULT_SCENARIO_BUDGET, grow=True)
+    k = min(max_n, ENUMERATION_MAX)
 
-    def before(model: SubsetModel, cost: int) -> int:  # scenarios counted before the model
-        start = starts.get(model.topology)
-        if start is None:  # a random draw, a group of its own
-            return evaluations
-        index = 0
-        for name in names:
-            index = index << model.n | model.valuation[name]
-        return start + index * cost
+    def sweep(models: Iterable[SubsetModel], grow: bool = False):
+        return _sweep_groups(
+            models,
+            kind,
+            scenario_class,
+            DEFAULT_SCENARIO_BUDGET,
+            grow=grow,
+            maximal=True,
+            complete_to=k,
+        )
+
+    groups = sweep(_isomorph_free_models(k, names, cls, starts), grow=True)
 
     def drawn():  # each random draw a group of its own, made while budget is left
+        nonlocal drawn_ranges
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
         for d in itertools.takewhile(lambda _: evaluations < budget, itertools.count()):
             model = _search_model(seed + d, sizes[d % len(sizes)], names)
             try:
-                yield from _sweep_groups((model,), kind, scenario_class, DEFAULT_SCENARIO_BUDGET)
+                drawn_ranges = range_groups(model.topology, cls)
             except BudgetError:
                 continue  # scenario space too large; skip the draw
+            yield from sweep((model,))
+
     if max_n > ENUMERATION_MAX:
         groups = itertools.chain(groups, drawn())
     for runs in groups:
@@ -282,11 +307,19 @@ def find_countermodel(
             break
         # the hit's model counts up to the hit, else the group's last model in full
         r, m, s = _group_failures(engine, runs, [root]).get(root, (-1, -1, None))
-        ranges, run = runs[r]
+        model = runs[r][1][m]
+        start, ranges = starts.get(model.topology, (None, drawn_ranges))
         cost = sum(u.bit_count() for u, _ in ranges)
-        evaluations = before(run[m], cost) + (cost if s is None else _stream_position(ranges, s))
+        if start is None:  # a random draw, a group of its own
+            start = evaluations
+        else:  # the labeled scenarios before its valuation
+            index = 0
+            for name in names:
+                index = index << model.n | model.valuation[name]
+            start += index * cost
+        evaluations = start + (cost if s is None else _stream_position(ranges, s))
         if s is not None and evaluations <= budget:
-            return SearchOutcome("found", run[m], s, evaluations)
+            return SearchOutcome("found", model, s, evaluations)
         if evaluations > budget:
             break
     else:
@@ -637,12 +670,12 @@ def _sweep_groups(
     find_countermodel sets, a group holds at most as many runs as all
     before it, so groups take 1, 1, 2, 4, ... runs: an early hit costs a
     small sweep and a long hunt few groups, while a sweep's first small
-    groups would only cost it passes.  With maximal, which only
-    sweep_validity sets, an ae sweep under class all, consistent or dense
-    keeps only the pairs whose V lies inside the topology's Max (see
-    sweep_validity); under total each U has one pair, and nothing is
-    dropped.  With complete_to = k, every pair whose U is not the carrier
-    and has at most k worlds is dropped too (see sweep_validity).  Raises
+    groups would only cost it passes.  With maximal, an ae sweep under
+    class all, consistent or dense ranges only the pairs whose V lies
+    inside the topology's Max (see sweep_validity); under total each U has
+    one pair, and nothing is dropped.  With complete_to = k, it ranges no
+    pair whose U is not the carrier and has at most k worlds (see
+    sweep_validity).  range_groups builds those reduced lists.  Raises
     BudgetError at the first run whose ranges cost more than the budget,
     once the groups before it are yielded: the budget is charged for the
     full list.
@@ -654,19 +687,13 @@ def _sweep_groups(
         cls = None  # epistemic ranges: each nonempty open U, no V
     maximal = maximal and kind is Semantics.AE and cls in _MAXIMAL_CLASSES
     for top, run in _runs(models):
+        inside = top.maximal if maximal else None
         try:
-            ranges = range_groups(top, cls, budget)
+            ranges = range_groups(top, cls, budget, above=complete_to, inside=inside)
         except BudgetError:
             if group:
                 yield group
             raise
-        if maximal or complete_to:
-            ranges = tuple(
-                (u, v)
-                for u, v in ranges
-                if (u == top.full or u.bit_count() > complete_to)
-                and not (maximal and v & ~top.maximal)
-            )
         if group and (len(group) < done or not grow):
             # the lanes of the grown group: while the chunk length holds, the
             # runs already in keep their chunks; when it shrinks, all are recut

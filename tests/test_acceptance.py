@@ -220,9 +220,9 @@ def test_criterion_07_almost_everywhere_alpha_bridge():
 
 def test_criterion_07_reduced_ae_sweep_matches_full_layout(monkeypatch):
     """Tightened check: the el_kboxb_cb report under ae/all on
-    Batch(exhaustive_n=4), swept as sweep_validity sweeps it (only the
-    pairs whose V lies inside Max), equals the report over the full pair
-    lists, byte for byte."""
+    Batch(exhaustive_n=4), swept as run_suite sweeps it (only the pairs
+    whose V lies inside Max and whose U is the carrier or has more than 4
+    worlds), equals the report over the full pair lists, byte for byte."""
     started = time.perf_counter()
     batch = Batch(exhaustive_n=4)
     suite = get_suite("el_kboxb_cb")
@@ -231,7 +231,9 @@ def test_criterion_07_reduced_ae_sweep_matches_full_layout(monkeypatch):
     assert elapsed < 15.0, f"runtime target exceeded: {elapsed:.1f}s"
     full_groups = semantics._sweep_groups
     monkeypatch.setattr(
-        semantics, "_sweep_groups", lambda *args, maximal=False, **kw: full_groups(*args, **kw)
+        semantics,
+        "_sweep_groups",
+        lambda *args, maximal=False, complete_to=0, **kw: full_groups(*args, **kw),
     )
     full = run_suite(suite, batch, semantics=Semantics.AE, scenario_class=ScenarioClass.ALL)
     assert reduced.to_json() == full.to_json()

@@ -746,11 +746,14 @@ REDUCED_CLASSES = (ScenarioClass.ALL, ScenarioClass.CONSISTENT, ScenarioClass.DE
 
 
 def _full_layout(monkeypatch):
-    """Make sweep_validity lay every ae sweep out over the full pair lists,
-    as _sweep_groups does by default, for the rest of the test."""
+    """Make every sweep lay its models out over the full pair lists, as
+    _sweep_groups does by default (neither the V inside Max rule nor the
+    whole-carrier rule), for the rest of the test."""
     reduced = semantics._sweep_groups
     monkeypatch.setattr(
-        semantics, "_sweep_groups", lambda *args, maximal=False, **kw: reduced(*args, **kw)
+        semantics,
+        "_sweep_groups",
+        lambda *args, maximal=False, complete_to=0, **kw: reduced(*args, **kw),
     )
 
 

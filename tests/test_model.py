@@ -238,6 +238,39 @@ class TestScenarios:
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
 
+    @pytest.mark.parametrize("cls", [None, *ScenarioClass], ids=lambda c: c and c.value or "strong")
+    def test_reduced_lists_are_the_filtered_full_list(self, cls):
+        """range_groups(..., above=k, inside=m) builds exactly the pairs of
+        the full list, in its order, whose U is the carrier or has more than
+        k worlds and, with m given, whose V lies inside m (strong has no V
+        to filter), and raises BudgetError at the full list's cost: every
+        topology to 4 worlds and 50 draws of 5 to 7 worlds, k in 0..4, with
+        m = Max and without.  Runtime target 10 s."""
+        started = time.perf_counter()
+        tops = [t for n in range(1, 5) for t in enumerate_topologies(n)]
+        tops += [random_model(seed, 5 + seed % 3).topology for seed in range(50)]
+        kept = 0
+        for top in tops:
+            full = range_groups(top, cls, budget=10**9)
+            cost = len(top.opens) ** (1 if cls is None else 2) * top.n
+            with pytest.raises(BudgetError, match=f"cost {cost} exceeds budget {cost - 1}"):
+                range_groups(top, cls, cost - 1)
+            for k in range(5):
+                for m in (None, top.maximal):
+                    want = tuple(
+                        (u, v)
+                        for u, v in full
+                        if (u == top.full or u.bit_count() > k)
+                        and (m is None or cls is None or v & ~m == 0)
+                    )
+                    assert range_groups(top, cls, cost, above=k, inside=m) == want, (top, k, m)
+                    with pytest.raises(BudgetError, match=f"cost {cost} exceeds budget {cost - 1}"):
+                        range_groups(top, cls, cost - 1, above=k, inside=m)
+                    kept += len(want) < len(full)
+        assert kept > len(tops)  # the reductions drop pairs
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
+
     def test_dense_stream_is_consistent(self, wedge):
         for s in ed_scenarios(wedge, ScenarioClass.DENSE):
             assert s.v != 0  # density of v in a nonempty u forces v nonempty

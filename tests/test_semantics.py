@@ -33,6 +33,7 @@ from topobelief.model import (
     SubsetModel,
     _contraction_size,
     _isomorph_free_models,
+    dump,
     ed_scenarios,
     epistemic_scenarios,
     exhaustive_models,
@@ -809,7 +810,8 @@ class TestIsomorphFreeSearch:
     @pytest.mark.parametrize("kind, cls", [(STRONG, ScenarioClass.ALL), (AE, ScenarioClass.DENSE)])
     def test_starts_count_every_labeled_model_before(self, kind, cls):
         """Each swept topology starts at the scenarios of every labeled
-        model before its first one, skipped topologies and valuations included."""
+        model before its first one, skipped topologies and valuations
+        included, and comes with its full pair list."""
         names = ["p"]
         rcls = cls if kind.needs_doxastic_range else None
         starts = {}
@@ -817,8 +819,9 @@ class TestIsomorphFreeSearch:
         assert set(starts) == kept and len(kept) == 46
         labeled, count = {}, 0
         for model in exhaustive_models(4, names):
-            labeled.setdefault(model.topology, count)
-            count += sum(u.bit_count() for u, _ in range_pairs(model.topology, rcls))
+            pairs = tuple(range_pairs(model.topology, rcls))
+            labeled.setdefault(model.topology, (count, pairs))
+            count += sum(u.bit_count() for u, _ in pairs)
         assert starts == {top: labeled[top] for top in kept}
 
     def test_warm_searches_equal_cold_ones(self):
@@ -881,3 +884,128 @@ class TestIsomorphFreeSearch:
         assert len(built) == 425  # of 5 930 labeled models
         monkeypatch.undo()
         assert built == list(isomorph_free(exhaustive_models(4, ["p"])))
+
+
+class TestReducedSearch:
+    """find_countermodel sweeps only the pairs that can hold its first hit
+    (under ae the V inside Max; with k = min(max_n, ENUMERATION_MAX), the U
+    that are the carrier or have more than k worlds), and its outcomes are
+    those of the search over every pair: status, model document, scenario
+    and evaluations."""
+
+    COLUMNS = ((STRONG, ScenarioClass.ALL),) + tuple(
+        (kind, cls) for kind in (ED, AE) for cls in ScenarioClass
+    )
+
+    @staticmethod
+    def _outcome(out):
+        return (out.status, out.model and dump(out.model), out.scenario, out.evaluations)
+
+    @staticmethod
+    def _unreduced(patch):
+        """Send every sweep to the full pair lists for the patch's scope."""
+        groups = semantics._sweep_groups
+        patch.setattr(
+            semantics,
+            "_sweep_groups",
+            lambda *args, maximal=False, complete_to=0, **kw: groups(*args, **kw),
+        )
+
+    def test_outcomes_equal_the_unreduced_search(self, monkeypatch):
+        """The 83 corpus formulas x 9 columns, max_n 3 and 5, at budgets
+        just below, at and just above each edge of the unreduced search: its
+        hit, or else its total (to 4 worlds for max_n 5, where the draws
+        begin, so the budget above it sweeps a draw).  Runtime target 20 s
+        (about 4 s on a 2-vCPU VM)."""
+        started = time.perf_counter()
+        cases = [
+            (f, kind, cls, max_n)
+            for f in formula_corpus()
+            for kind, cls in self.COLUMNS
+            for max_n in (3, 5)
+        ]
+        unreduced = {}
+        with monkeypatch.context() as patch:
+            self._unreduced(patch)
+            for f, kind, cls, max_n in cases:
+                edge = find_countermodel(f, kind, cls, min(max_n, 4), 10**6).evaluations
+                for budget in (edge - 1, edge, edge + 1):
+                    out = find_countermodel(f, kind, cls, max_n, budget)
+                    unreduced[f, kind, cls, max_n, budget] = self._outcome(out)
+        reduced = {key: self._outcome(find_countermodel(*key)) for key in unreduced}
+        assert reduced == unreduced
+        statuses = [out[0] for out in reduced.values()]
+        assert {s: statuses.count(s) for s in set(statuses)} == {
+            "found": 2 * 729 * 2,
+            "budget": 2 * 729 + 2 * 9 * 3 + 18,
+            "exhausted": 2 * 9 * 2,
+        }
+        elapsed = time.perf_counter() - started
+        assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
+
+    # five valuation types that exclude each other: a failure needs |U| >= 5
+    FIVE_TYPES = parse(
+        "!(hatK (p & q) & hatK (p & !q) & hatK (!p & q)"
+        " & hatK (!p & !q & box !p) & hatK (!p & !q & !box !p))"
+    )
+
+    @pytest.mark.parametrize(
+        "kind, cls", [(STRONG, ScenarioClass.ALL), (AE, ScenarioClass.ALL), (ED, ScenarioClass.DENSE)]
+    )
+    def test_a_hit_on_a_draw_at_an_open_of_five_worlds(self, monkeypatch, kind, cls):
+        """A root that fails only where U meets five valuation types holds
+        on every model to 4 worlds, and first fails on a 6-world draw at
+        U = {0, 1, 2, 3, 5}, which is not the carrier and has one world
+        more than k = 4; the reduced search finds it at the unreduced
+        search's count, and at budgets just below, at and above that count
+        reads as the unreduced search.  Raising k by one, or dropping every
+        U other than the carrier, would lose it."""
+        f = self.FIVE_TYPES
+        total = find_countermodel(f, kind, cls, max_n=4, budget=10**8)
+        assert total.status == "exhausted"
+        budget = total.evaluations + 20_000
+        out = find_countermodel(f, kind, cls, max_n=7, budget=budget)
+        assert (out.status, out.model.n) == ("found", 6)
+        assert out.scenario.literal().startswith("x=0;U=0,1,2,3,5")
+        assert out.scenario.u != out.model.topology.full
+        budgets = (budget, out.evaluations - 1, out.evaluations, out.evaluations + 1)
+        reduced = [self._outcome(find_countermodel(f, kind, cls, 7, b)) for b in budgets]
+        self._unreduced(monkeypatch)
+        assert reduced == [self._outcome(find_countermodel(f, kind, cls, 7, b)) for b in budgets]
+        assert [status for status, *_ in reduced] == ["found", "budget", "found", "found"]
+
+    def test_a_draw_over_the_sweep_budget_is_skipped_and_not_counted(self, monkeypatch):
+        """Under ed with max_n 13, the draws of seed 0 numbered 5 to 8 (10
+        to 13 worlds) cost over 10^6, |opens|² × n; the others cost 33 to
+        41 310 scenarios over their full lists.  With the budget at the
+        exhaustive total plus the full costs of draws 0-4 and 9-11, the
+        search makes twelve draws, sweeps the eight that fit and stops:
+        counting a skipped draw would end it sooner."""
+        f = parse("K p -> p")
+        sizes = range(5, 14)
+        full = {}
+        for d in range(12):
+            top = semantics._search_model(d, sizes[d % 9], ["p"]).topology
+            if len(top.opens) ** 2 * top.n <= DEFAULT_SCENARIO_BUDGET:
+                full[d] = sum(u.bit_count() for u, _ in range_pairs(top, ScenarioClass.ALL))
+        assert sorted(set(range(12)) - set(full)) == [5, 6, 7, 8]
+        exhaustive = find_countermodel(f, ED, max_n=4, budget=10**6).evaluations
+        assert exhaustive == 354_708
+        drawn, swept = [], set()
+        draw, sweep = semantics._search_model, semantics._group_failures
+
+        def recording_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def recording_sweep(engine, runs, live):
+            swept.update(id(model) for _, run in runs for model in run)
+            return sweep(engine, runs, live)
+
+        monkeypatch.setattr(semantics, "_search_model", recording_draw)
+        monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
+        budget = exhaustive + sum(full.values())
+        out = find_countermodel(f, ED, max_n=13, budget=budget)
+        assert (out.status, out.evaluations) == ("budget", budget)
+        assert len(drawn) == 12
+        assert [d for d, model in enumerate(drawn) if id(model) in swept] == sorted(full)

@@ -236,12 +236,13 @@ class TestIsomorphFreeSweeps:
 
     @staticmethod
     def _labeled(monkeypatch, batch):
-        """A copy of the batch whose swept stream is its labeled one, and
-        the length of every stream swept after that."""
+        """A copy of the batch whose swept stream is its labeled one, swept
+        over its full pair lists (neither maximal nor complete_to), and the
+        length of every stream swept after that."""
         swept = []
         groups = semantics._sweep_groups
 
-        def spy(models, *args, **kwargs):
+        def spy(models, *args, maximal=False, complete_to=0, **kwargs):
             models = list(models)
             swept.append(len(models))
             return groups(models, *args, **kwargs)
@@ -264,7 +265,8 @@ class TestIsomorphFreeSweeps:
     )
     def test_reports_equal_the_labeled_sweep(self, monkeypatch, batch):
         """7 suites x 9 columns, 63 reports per batch.  Runtime target 60 s
-        for the four batches (about 20 s on a 2-vCPU VM)."""
+        for the four batches (about 27 s on a 2-vCPU VM, the labeled side
+        swept over its full pair lists)."""
         reduced = self._reports(self.ROWS, batch)
         labeled, swept = self._labeled(monkeypatch, batch)
         assert self._reports(self.ROWS, labeled) == reduced
@@ -304,25 +306,37 @@ class TestIsomorphFreeSweeps:
 class TestWholeCarrierSweeps:
     """run_suite sweeps each model of batch.swept only at its pairs whose U
     is the carrier or has more than batch.exhaustive_n worlds
-    (sweep_validity's complete_to); every other sweep takes every pair."""
+    (sweep_validity's complete_to); find_countermodel takes the same rule
+    with k = min(max_n, ENUMERATION_MAX) (pinned in
+    test_semantics.TestReducedSearch), and valid_in_model takes every U."""
 
     def test_only_run_suite_drops_small_ranges(self, monkeypatch):
-        """run_suite passes its batch's exhaustive_n to _sweep_groups;
-        valid_in_model and find_countermodel pass nothing."""
+        """Of the three sweeps, run_suite alone drops the small ranges of its
+        batch's size: it passes exhaustive_n to _sweep_groups,
+        find_countermodel passes min(max_n, ENUMERATION_MAX), to its
+        exhaustive stream and its draws alike, and valid_in_model 0; all
+        three pass maximal."""
         seen = []
         groups = semantics._sweep_groups
 
-        def spy(*args, complete_to=0, **kwargs):
-            seen.append(complete_to)
-            return groups(*args, complete_to=complete_to, **kwargs)
+        def spy(*args, complete_to=0, maximal=False, **kwargs):
+            seen.append((complete_to, maximal))
+            return groups(*args, complete_to=complete_to, maximal=maximal, **kwargs)
 
         monkeypatch.setattr(semantics, "_sweep_groups", spy)
         assert run_suite(get_suite("kd45_b"), Batch(exhaustive_n=2)).clean
-        assert seen == [2]
-        f = parse("B p -> p")
+        assert seen == [(2, True)]
+        f = parse("K p -> p")
         valid_in_model(random_model(1, 4), f, Semantics.STRONG)
-        find_countermodel(f, Semantics.STRONG, max_n=5, budget=5_000)
-        assert len(seen) > 2 and set(seen[1:]) == {0}
+        assert seen[1:] == [(0, True)]
+        del seen[:]
+        assert find_countermodel(f, Semantics.STRONG, max_n=3).status == "exhausted"
+        assert seen == [(3, True)]
+        del seen[:]
+        # 76 426 scenarios to 4 worlds, then draws of 5 and 6 worlds
+        out = find_countermodel(f, Semantics.STRONG, max_n=6, budget=76_426 + 100)
+        assert out.status == "budget"
+        assert len(seen) > 2 and set(seen) == {(4, True)}
 
     @pytest.mark.parametrize(
         "kind, cls, pairs",
