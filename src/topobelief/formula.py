@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class FormulaError(Exception):
@@ -484,16 +484,53 @@ class Scheme:
 
 def instantiate(scheme: Scheme, subst: Mapping[str, Formula]) -> Formula:
     """Homomorphic substitution of every metavariable in the template."""
-    missing = scheme.metavariables() - set(subst)
+    names = sorted(scheme.metavariables())
+    missing = [name for name in names if name not in subst]
     if missing:
-        raise FormulaError(f"scheme {scheme.name}: no binding for {sorted(missing)}")
+        raise FormulaError(f"scheme {scheme.name}: no binding for {missing}")
+    return next(instances(scheme, [[subst[name] for name in names]]))
 
-    def swap(g: Formula) -> Formula | None:
-        if isinstance(g, Meta):
-            return subst[g.name]
-        return None
 
-    return _map_nodes(scheme.template, swap)
+def instances(scheme: Scheme, bindings: Iterable[Sequence[Formula]]) -> Iterator[Formula]:
+    """The template under each binding in turn, a binding giving a formula
+    for each metavariable in sorted name order.
+
+    postorder(template) is read once, into a plan: the nodes at or above a
+    metavariable, children first, each as its class and the places of its
+    children in a list that starts with the binding, then the nodes
+    without a metavariable that the rebuilt ones read.  Each instance is
+    built by one loop over the plan, so any depth is fine, and reads a
+    node already built straight from the intern table.
+    """
+    names = sorted(scheme.metavariables())
+    template = scheme.template
+    varying = {Meta(name) for name in names}
+    rebuilt = []  # the nodes at or above a metavariable, in postorder
+    for g in postorder(template):
+        if any(k in varying for k in g._children):
+            varying.add(g)
+            rebuilt.append(g)
+    place = {Meta(name): i for i, name in enumerate(names)}
+    # the nodes without a metavariable that the plan reads: children of
+    # rebuilt nodes, or the template itself when nothing is rebuilt
+    fixed: list[Formula] = []
+    for k in [k for g in rebuilt for k in g._children] or [template]:
+        if k not in varying and k not in place:
+            place[k] = len(names) + len(fixed)
+            fixed.append(k)
+    plan = []  # per rebuilt node: its class and its children's places (b None if unary)
+    for g in rebuilt:
+        place[g] = len(names) + len(fixed) + len(plan)
+        a, *b = (place[k] for k in g._children)
+        plan.append((type(g), a, b[0] if b else None))
+    root = place[template]
+    for binding in bindings:
+        built = [*binding, *fixed]
+        for cls, a, b in plan:  # the interned node if there is one, as __new__ would
+            key = (cls, built[a]) if b is None else (cls, built[a], built[b])
+            node = _NODES.get(key)
+            built.append(cls(*key[1:]) if node is None else node)
+        yield built[root]
 
 
 PHI = Meta("phi")

@@ -258,15 +258,33 @@ def range_groups(
     vs = top.opens if inside is None else [v for v in top.opens if v & ~inside == 0]
     out = []
     for u in us:
-        admitted = [v for v in vs if v & ~u == 0]
-        if cls is ScenarioClass.CONSISTENT:
-            admitted = [v for v in admitted if v]
-        elif cls is ScenarioClass.DENSE:  # V open: U in cl V iff U ∩ Max in V
-            admitted = [v for v in admitted if u & top.maximal & ~v == 0]
-        elif cls is ScenarioClass.TOTAL:
-            admitted = [v for v in admitted if v == u]
-        out.extend((u, v) for v in admitted)  # every class admits V = U
+        out += [(u, v) for v in _admitted(top, cls, u, vs)]
     return tuple(out)
+
+
+def _admitted(top: Topology, cls: ScenarioClass, u: int, vs: Sequence[int]) -> list[int]:
+    """The opens of vs, in their order, that the class admits as V with
+    the open U = u: those inside u, and of them the nonempty ones
+    (consistent), those whose closure holds u (dense) or u alone (total).
+    Every class admits V = U."""
+    admitted = [v for v in vs if v & ~u == 0]
+    if cls is ScenarioClass.CONSISTENT:
+        admitted = [v for v in admitted if v]
+    elif cls is ScenarioClass.DENSE:  # V open: U in cl V iff U ∩ Max in V
+        admitted = [v for v in admitted if u & top.maximal & ~v == 0]
+    elif cls is ScenarioClass.TOTAL:
+        admitted = [v for v in admitted if v == u]
+    return admitted
+
+
+def _range_cost(top: Topology, cls: ScenarioClass | None) -> int:
+    """The scenarios of range_groups(top, cls), the full list, counted
+    without building it: under strong the sum of |U| over the nonempty
+    opens, under a class |U| times the V it admits, summed per U."""
+    us = [u for u in top.opens if u]
+    if cls is None:
+        return sum(u.bit_count() for u in us)
+    return sum(u.bit_count() * len(_admitted(top, cls, u, top.opens)) for u in us)
 
 
 def range_pairs(

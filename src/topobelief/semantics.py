@@ -55,7 +55,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
@@ -69,6 +69,7 @@ from .model import (
     SubsetModel,
     _check_range,
     _isomorph_free_models,
+    _range_cost,
     _stream_position,
     check_scenario,
     random_model,
@@ -251,9 +252,9 @@ def find_countermodel(
     isomorphism, in size order, and every draw comes after it.  So the
     first hit is the one a sweep of every pair finds.  The counts still
     read the full lists: the source records each swept topology's full
-    list beside its start, a draw's full list is ranged before its sweep,
-    and a model's cost and a hit's position are read off its topology's
-    full list.
+    list beside its start, and a model's cost and a hit's position are
+    read off it; a draw's full cost is counted without building its list
+    (model._range_cost), and its full list is ranged only for a hit.
 
     The exhaustive stream is swept in _sweep_groups' growing lane groups
     of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
@@ -271,7 +272,6 @@ def find_countermodel(
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
     evaluations = 0
-    drawn_ranges: Ranges = ()  # the full pairs of the random draw being swept
     starts: dict[Topology, tuple[int, Ranges]] = {}  # labeled scenarios before, full pairs
     cls = scenario_class if kind.needs_doxastic_range else None
     k = min(max_n, ENUMERATION_MAX)
@@ -290,15 +290,14 @@ def find_countermodel(
     groups = sweep(_isomorph_free_models(k, names, cls, starts), grow=True)
 
     def drawn():  # each random draw a group of its own, made while budget is left
-        nonlocal drawn_ranges
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
         for d in itertools.takewhile(lambda _: evaluations < budget, itertools.count()):
             model = _search_model(seed + d, sizes[d % len(sizes)], names)
             try:
-                drawn_ranges = range_groups(model.topology, cls)
+                (group,) = sweep((model,))
             except BudgetError:
                 continue  # scenario space too large; skip the draw
-            yield from sweep((model,))
+            yield group
 
     if max_n > ENUMERATION_MAX:
         groups = itertools.chain(groups, drawn())
@@ -308,15 +307,17 @@ def find_countermodel(
         # the hit's model counts up to the hit, else the group's last model in full
         r, m, s = _group_failures(engine, runs, [root]).get(root, (-1, -1, None))
         model = runs[r][1][m]
-        start, ranges = starts.get(model.topology, (None, drawn_ranges))
-        cost = sum(u.bit_count() for u, _ in ranges)
-        if start is None:  # a random draw, a group of its own
-            start = evaluations
-        else:  # the labeled scenarios before its valuation
+        top = model.topology
+        if top in starts:  # the labeled scenarios before its valuation
+            start, ranges = starts[top]
+            cost = sum(u.bit_count() for u, _ in ranges)
             index = 0
             for name in names:
                 index = index << model.n | model.valuation[name]
             start += index * cost
+        else:  # a random draw, a group of its own: its full list is built only for a hit
+            start, cost = evaluations, _range_cost(top, cls)
+            ranges = () if s is None else range_groups(top, cls)
         evaluations = start + (cost if s is None else _stream_position(ranges, s))
         if s is not None and evaluations <= budget:
             return SearchOutcome("found", model, s, evaluations)
@@ -343,6 +344,9 @@ _MAX_GROUP_BITS = 6144  # lanes × carrier of a lane group, and of a run swept a
 # the classes that admit V & Max wherever they admit V (see sweep_validity)
 _MAXIMAL_CLASSES = (ScenarioClass.ALL, ScenarioClass.CONSISTENT, ScenarioClass.DENSE)
 _Group = Sequence[tuple[Ranges, Sequence[SubsetModel]]]  # (ranges, run) per run, in stream order
+# each node class's op as _run reads it: the class of an atom or a modality,
+# else the connective's truth function
+_OPS = {Atom: Atom} | {cls: c.truth or cls for cls, c in fm.CONNECTIVES.items()}
 
 
 class _Lanes:
@@ -359,10 +363,17 @@ class _Lanes:
     A packed value is built as the sum of col_x << x*W, col_x being the
     W-bit lane mask of world x (place): the atoms, the passes of _passes
     and maximal, each lane's Max, whose column at x is the lanes of the
-    runs whose Max holds x.  rep is bit 0 of every block.  Interior reads
-    one table per world x of (y, outside) pairs, outside being the lanes
-    whose mnb(x) lacks y.  With W = 1 a packed value is the plain subset
-    mask, interior is topology.mnb_interior and maximal is Topology.maximal.
+    runs whose Max holds x.  Interior reads one table per world x of (y,
+    outside) pairs, outside being the lanes whose mnb(x) lacks y.  fold
+    and spread move lane masks between the n blocks and one in
+    ceil(log2 n) steps each (SIMD within a register; Fisher & Dietz, LCPC
+    1998): fold halves the blocks still to OR, spread doubles the blocks
+    already copied, so neither costs a product or a pass per world.  Their
+    step tables, halves and steps, are built on first use, once per group,
+    so a group that never folds or spreads builds neither.  With W = 1 a
+    packed value is the plain subset mask, interior is
+    topology.mnb_interior, maximal is Topology.maximal, and nothing is
+    spread (see BatchEvaluator._run).
     """
 
     def __init__(self, runs: Sequence[Sequence[SubsetModel]], chunks: Sequence[int]):
@@ -373,7 +384,6 @@ class _Lanes:
         self.ones = ones = (1 << width) - 1
         n = max(run[0].n for run in runs)
         self.shifts = tuple(x * width for x in range(n))
-        self.rep = sum(1 << s for s in self.shifts)
         tops = [run[0].topology for run in runs]
         if width == 1:
             self.maximal = tops[0].maximal
@@ -425,12 +435,35 @@ class _Lanes:
         x, hit = next((x, hit) for x, hit in hits if hit)
         return x, (hit & -hit).bit_length() - 1
 
+    @cached_property
+    def steps(self) -> tuple[int, ...]:
+        """spread's shifts, W, 2W, 4W, ... until 2^j blocks cover all n."""
+        return tuple(self.width << j for j in range((len(self.shifts) - 1).bit_length()))
+
+    @cached_property
+    def halves(self) -> tuple[tuple[int, int], ...]:
+        """fold's steps: each keeps the first ceil(b/2) of the b blocks
+        left and ORs the rest onto them, as (shift, mask of the kept)."""
+        out = []
+        blocks = len(self.shifts)
+        while blocks > 1:
+            blocks -= blocks >> 1
+            out.append((blocks * self.width, (1 << blocks * self.width) - 1))
+        return tuple(out)
+
     def fold(self, m: int) -> int:
-        """OR of all blocks of m: the lanes in which m is nonempty."""
-        out = 0
-        for s in self.shifts:
-            out |= m >> s
-        return out & self.ones
+        """OR of all blocks of m: the lanes in which m is nonempty.  Each
+        step ORs the blocks past the first half onto that half."""
+        for s, low in self.halves:
+            m = m >> s | m & low
+        return m
+
+    def spread(self, col: int) -> int:
+        """The lane mask col copied into every block (and, past the n-th,
+        into blocks that a value masked by a range drops)."""
+        for s in self.steps:
+            col |= col << s
+        return col
 
     def _interior(self, a: int) -> int:
         """box at x is the AND over y of a's block at y, in the lanes whose mnb(x) holds y."""
@@ -474,31 +507,39 @@ class BatchEvaluator:
 
         One loop over postorder(f), children first and left to right, so
         any depth is fine; a node that cannot compile raises with the
-        nodes before it in that order already added.
+        nodes before it in that order already added.  Each node's op is
+        one lookup in _OPS, and its operands are read off its children.
         """
         index = self.index
         hit = index.get(f)
         if hit is not None:
             return hit
+        nodes, reads = self.nodes, self._reads_v
+        doxastic = self.kind.needs_doxastic_range
         for g in fm.postorder(f):
             if g in index:
                 continue
-            cls = type(g)
-            c = fm.CONNECTIVES.get(cls)
-            if c is not None:
-                kids = [index[k] for k in g._children]
-                a, b, *_ = kids + [0, 0]
-                reads_v = cls is Bel and self.kind.needs_doxastic_range
-                reads_v = reads_v or any(self._reads_v[k] for k in kids)
-            elif cls is Atom:
-                a, b, reads_v = g.name, 0, False
-                self.atom_names += (g.name,)
-            else:
+            op = _OPS.get(type(g))
+            if op is None:
                 raise SemanticsError(f"cannot compile node {g!r}")
-            idx = len(self.nodes)
-            self.nodes.append((cls if c is None or c.truth is None else c.truth, a, b))
+            kids = g._children
+            if len(kids) == 2:
+                left, right = kids
+                a, b = index[left], index[right]
+                reads_v = reads[a] or reads[b]
+            elif kids:
+                a, b = index[kids[0]], 0
+                reads_v = reads[a] or (op is Bel and doxastic)
+            elif op is Atom:
+                a, b, reads_v = g.name, 0, False
+                self.atom_names += (a,)
+            else:  # a constant
+                a = b = 0
+                reads_v = False
+            idx = len(nodes)
+            nodes.append((op, a, b))
             index[g] = idx
-            self._reads_v.append(reads_v)
+            reads.append(reads_v)
             (self.overlay_order if reads_v else self.base_order).append(idx)
         return index[f]
 
@@ -540,14 +581,15 @@ class BatchEvaluator:
         the ae clause at V = U, since the open U lies in cl(int(operand))
         exactly when U ∩ Max lies in the operand, see topology._maximal),
         and the modality holds on a lane's whole U where that lane misses
-        none: us & (rep * ok), where rep * ok copies the lane mask
-        ok = ones & ~fold(missing) into every block.
+        none: us & spread(ok), where spread copies the lane mask
+        ok = ones & ~fold(missing) into every block, each in ceil(log2 n)
+        shift steps (see _Lanes).
         """
         ones = lanes.ones
-        rep = lanes.rep
         wide = lanes.width > 1  # in one model a failing modality is just empty
         interior = lanes.interior
         fold = lanes.fold
+        spread = lanes.spread
         kind = self.kind
         nodes = self.nodes
         for i in order:
@@ -565,7 +607,7 @@ class BatchEvaluator:
                 if not missing:
                     out = us
                 elif wide:
-                    out = us & rep * (ones & ~fold(missing))
+                    out = us & spread(ones & ~fold(missing))
                 else:
                     out = 0
             elif op is Box:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import formula as fm
-from .formula import Formula, Scheme, get_scheme, instantiate, parse
+from .formula import Formula, Scheme, get_scheme, instances, parse
 from .model import (
     DEFAULT_SCENARIO_BUDGET,
     SUBBASIS_DENSITY,
@@ -376,12 +376,10 @@ class SuiteReport:
 def scheme_instances(
     scheme: Scheme, instantiation: Sequence[Formula] = DEFAULT_INSTANTIATION
 ) -> tuple[Formula, ...]:
-    """All instances of the scheme over the substitution set, deduplicated."""
-    names = sorted(scheme.metavariables())
-    out: dict[Formula, None] = {}
-    for values in itertools.product(instantiation, repeat=len(names)):
-        out.setdefault(instantiate(scheme, dict(zip(names, values))), None)
-    return tuple(out)
+    """All instances of the scheme over the substitution set, deduplicated,
+    in product order of its metavariables sorted by name."""
+    bindings = itertools.product(instantiation, repeat=len(scheme.metavariables()))
+    return tuple(dict.fromkeys(instances(scheme, bindings)))
 
 
 def run_suite(

@@ -469,9 +469,9 @@ def test_chunked_draw_groups_match_scan():
 def test_packed_max_decodes_to_each_lanes_maximal():
     """_Lanes.maximal over one group that mixes topologies and carrier
     sizes: lane j's bits, block by block, are its own model's
-    Topology.maximal, with nothing past that model's carrier; rep is bit 0
-    of every world's block.  A lone model's rep is its carrier and its Max
-    the plain mask."""
+    Topology.maximal, with nothing past that model's carrier; spread(1),
+    cut to the n blocks, is bit 0 of every world's block.  A lone model's
+    fold is 1 on a nonempty mask and its Max the plain mask."""
     rng = Random(5)
     models = [
         SubsetModel(top, {"p": rng.getrandbits(top.n)})
@@ -491,11 +491,11 @@ def test_packed_max_decodes_to_each_lanes_maximal():
             assert got == top.maximal, (lane, top)
             short += got != (1 << top.n) - 1
     assert short > 0
-    assert lanes.rep == sum(1 << x * width for x in range(n))
+    assert lanes.spread(1) & (1 << n * width) - 1 == sum(1 << x * width for x in range(n))
     model = group[0][1][0]  # alone, it is one lane and Max the plain mask
     alone, _ = _passes([(group[0][0], [model])])
     assert alone.width == 1
-    assert alone.rep == (1 << model.n) - 1
+    assert (alone.fold(model.topology.full), alone.fold(0)) == (1, 0)
     assert alone.maximal == model.topology.maximal
 
 

@@ -147,6 +147,25 @@ class TestSchemes:
         with pytest.raises(FormulaError, match="psi"):
             instantiate(get_scheme("K_K"), {"phi": p})
 
+    def test_instances_of_edge_templates(self):
+        """instances rebuilds only the nodes at or above a metavariable and
+        reads the others as they are: a template without one is itself, a
+        lone metavariable its binding, and a subtree without one is shared,
+        not rebuilt.  A binding lists the metavariables in sorted name
+        order, so phi before psi."""
+        fixed = fm.And(p, K(q))
+        phi, psi = Meta("phi"), Meta("psi")
+        cases = (
+            (fixed, [], fixed),
+            (phi, [q], q),
+            (Implies(fixed, Bel(fm.Or(phi, fixed))), [Not(p)], Implies(fixed, Bel(fm.Or(Not(p), fixed)))),
+            (Iff(psi, Box(phi)), [p, q], Iff(q, Box(p))),
+        )
+        for template, binding, want in cases:
+            scheme = fm.Scheme("t", template)
+            assert list(fm.instances(scheme, [binding, binding])) == [want, want]
+            assert instantiate(scheme, dict(zip(sorted(scheme.metavariables()), binding))) is want
+
     def test_unknown_scheme(self):
         with pytest.raises(FormulaError):
             get_scheme("XYZ")

@@ -1,4 +1,7 @@
+import functools
 import gc
+import operator
+import random
 import time
 
 import pytest
@@ -15,11 +18,13 @@ from oracles import (
 from topobelief import semantics
 from topobelief.formula import (
     ALPHA_MAP,
+    CONNECTIVES,
     Atom,
     Bel,
     E_MAP,
     Not,
     formula_corpus,
+    get_scheme,
     parse,
     postorder,
     translate,
@@ -57,8 +62,16 @@ from topobelief.semantics import (
     sweep_validity,
     valid_in_model,
 )
-from topobelief.suites import Batch, get_suite, run_suite, soundness_batch
-from topobelief.topology import Topology, _classes, bits, enumerate_topologies
+from topobelief.suites import (
+    DEFAULT_INSTANTIATION,
+    Batch,
+    get_suite,
+    run_suite,
+    scheme_instances,
+    soundness_batch,
+    suite_names,
+)
+from topobelief.topology import MAX_WORLDS, Topology, _classes, bits, enumerate_topologies
 
 STRONG, ED, AE = Semantics.STRONG, Semantics.ED, Semantics.AE
 
@@ -424,7 +437,7 @@ class TestFindCountermodel:
 
         f = parse("K p -> p")
         exhaustive = find_countermodel(f, STRONG, max_n=4).evaluations
-        drawn, swept = [], set()
+        drawn, swept = [], {}  # swept models stay referenced, so no id of theirs is reused
         draw, sweep = semantics._search_model, semantics._group_failures
 
         def recording_draw(*args):
@@ -432,7 +445,7 @@ class TestFindCountermodel:
             return drawn[-1]
 
         def recording_sweep(engine, runs, live):
-            swept.update(id(model) for _, run in runs for model in run)
+            swept.update((id(model), model) for _, run in runs for model in run)
             return sweep(engine, runs, live)
 
         monkeypatch.setattr(semantics, "_search_model", recording_draw)
@@ -706,6 +719,96 @@ class TestLaneWork:
         assert any(lanes.runs[0][0][0].n > 4 for lanes in lone)  # a draw of the random phase
 
 
+class TestLaneKernels:
+    """_Lanes.fold and _Lanes.spread, the log-step moves between a packed
+    value's n blocks and one lane mask, against the forms they replace:
+    the OR of n shifted blocks, and the product rep * ok with rep bit 0 of
+    every block."""
+
+    WIDTHS = (1, 2, 3, 7, 64, 1000)
+
+    @staticmethod
+    def _lanes(n, width):
+        """A _Lanes of the given width over one model of n worlds: one
+        model cut into `width` chunks."""
+        model = SubsetModel(Topology.discrete(n), {})
+        return semantics._Lanes([[model]], [width])
+
+    @staticmethod
+    def _values(rng, bits):
+        """Random packed values of the given size, sparse and dense ones,
+        and the edge cases 0, one bit and all ones."""
+        out = [0, (1 << bits) - 1, 1, 1 << bits - 1, 1 << rng.randrange(bits)]
+        out += [rng.getrandbits(bits) for _ in range(6)]
+        out += [rng.getrandbits(bits) & rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(6)]
+        return out
+
+    @pytest.mark.parametrize("n", range(1, MAX_WORLDS + 1))
+    def test_fold_and_spread_match_the_shift_loop_and_the_product(self, n):
+        """For n in 1..16 and W in 1, 2, 3, 7, 64, 1000 and 6144 // n:
+        fold(m) is the OR of the n blocks of m, for random m; spread(ok),
+        cut to the n blocks (and so us & spread(ok) for every packed us),
+        is rep * ok, for random W-bit ok.  A step table is built only on
+        first use, and at W = 1 nothing is spread: in one model a failing
+        modality is just empty."""
+        rng = random.Random(n)
+        for width in {*self.WIDTHS, _MAX_GROUP_BITS // n}:
+            lanes = self._lanes(n, width)
+            assert (lanes.width, len(lanes.shifts)) == (width, n)
+            assert not {"steps", "halves"} & set(vars(lanes))
+            ones, carrier = (1 << width) - 1, (1 << n * width) - 1
+            for m in self._values(rng, n * width):
+                assert lanes.fold(m) == functools.reduce(
+                    operator.or_, (m >> x * width & ones for x in range(n))
+                ), (n, width, m)
+            assert len(lanes.halves) == (n - 1).bit_length()
+            if width == 1:
+                continue
+            assert len(lanes.steps) == (n - 1).bit_length()
+            rep = sum(1 << x * width for x in range(n))
+            for ok, us in zip(self._values(rng, width), self._values(rng, n * width)):
+                assert lanes.spread(ok) & carrier == rep * ok, (n, width, ok)
+                assert us & lanes.spread(ok) == us & rep * ok
+
+
+class TestCompiledProgram:
+    """BatchEvaluator.add's program for the roots of every registered
+    suite, as run_suite compiles them, under each semantics."""
+
+    @pytest.mark.parametrize("kind", list(Semantics))
+    @pytest.mark.parametrize("name", suite_names())
+    def test_program_invariants(self, name, kind):
+        """Every subformula of the roots is one node, after its children;
+        its op is its connective's truth function, or its class for an atom
+        or a modality, and its operands its children's nodes (an atom's
+        name); the overlay holds exactly the nodes with a doxastic B (one
+        that reads V: ed or ae) at or below them, and the base the others,
+        each in index order."""
+        roots = [
+            inst for scheme in get_suite(name).schemes for inst in scheme_instances(get_scheme(scheme))
+        ]
+        roots += DEFAULT_INSTANTIATION
+        engine = BatchEvaluator(roots, kind)
+        assert engine.roots == {f: engine.index[f] for f in roots}
+        assert set(engine.index) == set().union(*(postorder(f) for f in roots))
+        node = {i: g for g, i in engine.index.items()}
+        assert sorted(node) == list(range(len(engine.nodes)))
+        overlay = []
+        for i, (op, a, b) in enumerate(engine.nodes):
+            g = node[i]
+            truth = CONNECTIVES[type(g)].truth if type(g) in CONNECTIVES else None
+            assert op is (type(g) if truth is None else truth)
+            kids = [engine.index[k] for k in g._children]
+            assert all(k < i for k in kids)
+            assert [a, b] == ([g.name, 0] if type(g) is Atom else (kids + [0, 0])[:2])
+            if kind.needs_doxastic_range and any(type(h) is Bel for h in postorder(g)):
+                overlay.append(i)
+        assert engine.overlay_order == overlay and (overlay or kind is STRONG)
+        assert engine.base_order == sorted(set(node) - set(overlay))
+        atoms = (node[i].name for i in sorted(node) if type(node[i]) is Atom)
+        assert engine.atom_names == tuple(dict.fromkeys(atoms))
+
+
 class TestIsomorphFree:
     """The reference filter (oracles.isomorph_free) keeps the first model of
     each isomorphism class, and a suite run sweeps its source as built."""
@@ -915,8 +1018,13 @@ class TestReducedSearch:
         """The 83 corpus formulas x 9 columns, max_n 3 and 5, at budgets
         just below, at and just above each edge of the unreduced search: its
         hit, or else its total (to 4 worlds for max_n 5, where the draws
-        begin, so the budget above it sweeps a draw).  Runtime target 20 s
-        (about 4 s on a 2-vCPU VM)."""
+        begin, so the budget above it sweeps a draw).  Every corpus hit
+        lies at the carrier of a model of at most 3 worlds, so the 9
+        columns of FIVE_TYPES at max_n 7 join them, at budgets around their
+        hit: it needs an open of k + 1 = 5 worlds that is not the carrier
+        (see test_a_hit_on_a_draw_at_an_open_of_five_worlds), and a search
+        that dropped those opens would miss it.  Runtime target 20 s (about
+        4 s on a 2-vCPU VM)."""
         started = time.perf_counter()
         cases = [
             (f, kind, cls, max_n)
@@ -932,12 +1040,18 @@ class TestReducedSearch:
                 for budget in (edge - 1, edge, edge + 1):
                     out = find_countermodel(f, kind, cls, max_n, budget)
                     unreduced[f, kind, cls, max_n, budget] = self._outcome(out)
+            for kind, cls in self.COLUMNS:
+                hit = find_countermodel(self.FIVE_TYPES, kind, cls, 7, 10**7)
+                assert hit.scenario.u.bit_count() == 5 and hit.scenario.u != hit.model.topology.full
+                for budget in (hit.evaluations - 1, hit.evaluations, hit.evaluations + 1):
+                    out = find_countermodel(self.FIVE_TYPES, kind, cls, 7, budget)
+                    unreduced[self.FIVE_TYPES, kind, cls, 7, budget] = self._outcome(out)
         reduced = {key: self._outcome(find_countermodel(*key)) for key in unreduced}
         assert reduced == unreduced
         statuses = [out[0] for out in reduced.values()]
         assert {s: statuses.count(s) for s in set(statuses)} == {
-            "found": 2 * 729 * 2,
-            "budget": 2 * 729 + 2 * 9 * 3 + 18,
+            "found": 2 * 729 * 2 + 9 * 2,
+            "budget": 2 * 729 + 2 * 9 * 3 + 18 + 9,
             "exhausted": 2 * 9 * 2,
         }
         elapsed = time.perf_counter() - started
@@ -991,7 +1105,7 @@ class TestReducedSearch:
         assert sorted(set(range(12)) - set(full)) == [5, 6, 7, 8]
         exhaustive = find_countermodel(f, ED, max_n=4, budget=10**6).evaluations
         assert exhaustive == 354_708
-        drawn, swept = [], set()
+        drawn, swept = [], {}  # swept models stay referenced, so no id of theirs is reused
         draw, sweep = semantics._search_model, semantics._group_failures
 
         def recording_draw(*args):
@@ -999,7 +1113,7 @@ class TestReducedSearch:
             return drawn[-1]
 
         def recording_sweep(engine, runs, live):
-            swept.update(id(model) for _, run in runs for model in run)
+            swept.update((id(model), model) for _, run in runs for model in run)
             return sweep(engine, runs, live)
 
         monkeypatch.setattr(semantics, "_search_model", recording_draw)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import pickle
 import time
@@ -118,6 +119,23 @@ class TestInstances:
     def test_deduplication(self):
         insts = scheme_instances(fm.get_scheme("T_K"), [parse("p"), parse("p")])
         assert len(insts) == 1
+
+    def test_instances_equal_instantiate_over_every_scheme(self):
+        """scheme_instances builds a scheme's instances from one plan
+        (formula.instances); on every registered scheme and the default
+        substitution set they are instantiate over the product of that set,
+        in order and deduplicated, and instantiate is the node-by-node
+        substitution of formula._map_nodes."""
+        for scheme in fm.SCHEMES.values():
+            names = sorted(scheme.metavariables())
+            expected = []
+            for values in itertools.product(DEFAULT_INSTANTIATION, repeat=len(names)):
+                subst = dict(zip(names, values))
+                inst = fm.instantiate(scheme, subst)
+                swap = {g: subst[g.name] for g in fm.postorder(scheme.template) if type(g) is fm.Meta}
+                assert inst is fm._map_nodes(scheme.template, swap.get)
+                expected.append(inst)
+            assert scheme_instances(scheme) == tuple(dict.fromkeys(expected)), scheme.name
 
 
 class TestRunSuite:
