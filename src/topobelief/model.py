@@ -280,7 +280,9 @@ def _admitted(top: Topology, cls: ScenarioClass, u: int, vs: Sequence[int]) -> l
 def _range_cost(top: Topology, cls: ScenarioClass | None) -> int:
     """The scenarios of range_groups(top, cls), the full list, counted
     without building it: under strong the sum of |U| over the nonempty
-    opens, under a class |U| times the V it admits, summed per U."""
+    opens, under a class |U| times the V it admits, summed per U.  It is
+    the search's one count of a model's scenarios, exhaustive or drawn
+    (see find_countermodel)."""
     us = [u for u in top.opens if u]
     if cls is None:
         return sum(u.bit_count() for u in us)
@@ -451,16 +453,16 @@ def _isomorph_free_models(
     max_n: int,
     names: Sequence[str],
     cls: ScenarioClass | None,
-    starts: dict[Topology, tuple[int, Ranges]],
+    starts: dict[Topology, tuple[int, int]],
 ) -> Iterator[SubsetModel]:
     """The first labeled member of each isomorphism class of
     exhaustive_models(max_n, names), in the same order, built without the
     others; starts gets, for each topology that has models here, the
-    labeled scenarios before its first one and its full ranges under cls
-    (range_groups), each labeled model costing the scenarios of its
-    ranges.  Its readers: find_countermodel's exhaustive phase, which reads
-    starts, and Batch, whose swept stream, the one every suite run sweeps,
-    starts with it.
+    labeled scenarios before its first one and the cost of each of its
+    models under cls, the scenarios of its full pair list counted by
+    _range_cost: no pair list is built here.  Its readers:
+    find_countermodel's exhaustive phase, which reads starts, and Batch,
+    whose swept stream, the one every suite run sweeps, starts with it.
 
     Two models are isomorphic when a relabeling of the worlds carries one's
     opens and valuation onto the other's, atom names kept.  Such a
@@ -488,9 +490,8 @@ def _isomorph_free_models(
         costs: dict[int, int] = {}  # per class, by its first member's position
         for i, (top, first, automorphisms) in enumerate(_classes(n)):
             if i == first:
-                ranges = range_groups(top, cls, DEFAULT_SCENARIO_BUDGET)
-                costs[i] = sum(u.bit_count() for u, _ in ranges)
-                starts[top] = (start, ranges)
+                costs[i] = _range_cost(top, cls)
+                starts[top] = (start, costs[i])
                 for masks in itertools.product(range(1 << n), repeat=len(names)):
                     if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
                         yield SubsetModel(top, dict(zip(names, masks)))

@@ -251,10 +251,10 @@ def find_countermodel(
     phase holds every model of at most k worlds over f's atoms, up to
     isomorphism, in size order, and every draw comes after it.  So the
     first hit is the one a sweep of every pair finds.  The counts still
-    read the full lists: the source records each swept topology's full
-    list beside its start, and a model's cost and a hit's position are
-    read off it; a draw's full cost is counted without building its list
-    (model._range_cost), and its full list is ranged only for a hit.
+    read the full lists, one way for every model: its cost is the
+    scenarios of its full list, counted without building it
+    (model._range_cost; the source records an exhaustive topology's beside
+    its start), and a full list is built only at a hit, for its position.
 
     The exhaustive stream is swept in _sweep_groups' growing lane groups
     of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
@@ -272,7 +272,7 @@ def find_countermodel(
     engine = BatchEvaluator((f,), kind)
     root = engine.roots[f]
     evaluations = 0
-    starts: dict[Topology, tuple[int, Ranges]] = {}  # labeled scenarios before, full pairs
+    starts: dict[Topology, tuple[int, int]] = {}  # labeled scenarios before, cost per model
     cls = scenario_class if kind.needs_doxastic_range else None
     k = min(max_n, ENUMERATION_MAX)
 
@@ -309,16 +309,14 @@ def find_countermodel(
         model = runs[r][1][m]
         top = model.topology
         if top in starts:  # the labeled scenarios before its valuation
-            start, ranges = starts[top]
-            cost = sum(u.bit_count() for u, _ in ranges)
+            start, cost = starts[top]
             index = 0
             for name in names:
                 index = index << model.n | model.valuation[name]
             start += index * cost
-        else:  # a random draw, a group of its own: its full list is built only for a hit
+        else:  # a random draw, a group of its own
             start, cost = evaluations, _range_cost(top, cls)
-            ranges = () if s is None else range_groups(top, cls)
-        evaluations = start + (cost if s is None else _stream_position(ranges, s))
+        evaluations = start + (cost if s is None else _stream_position(range_groups(top, cls), s))
         if s is not None and evaluations <= budget:
             return SearchOutcome("found", model, s, evaluations)
         if evaluations > budget:
@@ -619,7 +617,6 @@ class BatchEvaluator:
 
 @dataclass(frozen=True)
 class BatchFailure:
-    formula: Formula
     model: SubsetModel
     scenario: EDScenario
 
@@ -684,8 +681,7 @@ def sweep_validity(
     )
     for runs in groups:
         for idx, (r, m, s) in _group_failures(engine, runs, list(live)).items():
-            f = live.pop(idx)
-            failures[f] = BatchFailure(f, runs[r][1][m], s)
+            failures[live.pop(idx)] = BatchFailure(runs[r][1][m], s)
         if not live:
             break
     return failures

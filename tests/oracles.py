@@ -9,7 +9,7 @@ cross-check.
 import functools
 from itertools import permutations, product
 
-from topobelief import formula as fm
+from topobelief import formula as fm, semantics
 from topobelief.model import RelationalError, RelationalModel, SubsetModel
 from topobelief.semantics import Semantics
 from topobelief.topology import ENUMERATION_MAX, Topology, TopologyError, _relabelings, bits
@@ -185,6 +185,27 @@ def isomorph_free(models):
         if (table, *names, *[images[0][m] for m in masks]) not in seen:
             seen.update((table, *names, *[i[m] for m in masks]) for i in images)
             yield model
+
+
+def unreduced_sweeps(patch, swept=None):
+    """Send every sweep to the full pair lists for the patch's scope.
+
+    The reference that the reduced sweeps are checked against: the patch
+    (a monkeypatch or one of its contexts) replaces semantics._sweep_groups
+    with a wrapper that drops every reduction it takes, each keyword-only
+    parameter but grow (tests/test_semantics.py::TestReducedSearch guards
+    that), so the sweep visits every pair.  Given a list, it also appends
+    the length of each stream swept.
+    """
+    groups = semantics._sweep_groups
+
+    def full(models, *args, maximal=False, complete_to=0, **kwargs):
+        if swept is not None:
+            models = list(models)
+            swept.append(len(models))
+        return groups(models, *args, **kwargs)
+
+    patch.setattr(semantics, "_sweep_groups", full)
 
 
 def contract(model):

@@ -10,7 +10,7 @@ import time
 from itertools import count, product
 from random import Random
 
-from oracles import brute_closure, contract, def_truth, indiscrete, restrict
+from oracles import brute_closure, contract, def_truth, indiscrete, restrict, unreduced_sweeps
 from topobelief.formula import MODALITIES, atoms, formula_corpus, modalities, parse, postorder
 from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
@@ -745,18 +745,6 @@ AE_ROOTS = MIXED_ROOTS + (
 REDUCED_CLASSES = (ScenarioClass.ALL, ScenarioClass.CONSISTENT, ScenarioClass.DENSE)
 
 
-def _full_layout(monkeypatch):
-    """Make every sweep lay its models out over the full pair lists, as
-    _sweep_groups does by default (neither the V inside Max rule nor the
-    whole-carrier rule), for the rest of the test."""
-    reduced = semantics._sweep_groups
-    monkeypatch.setattr(
-        semantics,
-        "_sweep_groups",
-        lambda *args, maximal=False, complete_to=0, **kw: reduced(*args, **kw),
-    )
-
-
 def _clustered_stream():
     """Every valuation of p and q on each clustered topology, the three
     interleaved, so runs of one topology come back after the others."""
@@ -805,7 +793,7 @@ def test_reduced_ae_sweeps_match_full_sweeps(monkeypatch):
         ]
 
     reduced = sweeps()
-    _full_layout(monkeypatch)
+    unreduced_sweeps(monkeypatch)
     full = sweeps()
     outside = failures = 0  # failures, and those at a world outside Max
     for got, want in zip(reduced, full):
@@ -868,7 +856,7 @@ def test_reduced_ae_suite_reports_match_full_reports(monkeypatch):
         ]
 
     reduced = reports()
-    _full_layout(monkeypatch)
+    unreduced_sweeps(monkeypatch)
     assert reports() == reduced
     assert len(reduced) == 2 * 7 * 3
     assert any('"countermodel"' in report for report in reduced)

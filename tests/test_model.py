@@ -15,6 +15,7 @@ from topobelief.model import (
     ScenarioClass,
     SubsetModel,
     _contraction_size,
+    _range_cost,
     check_scenario,
     dump,
     ed_scenarios,
@@ -270,6 +271,21 @@ class TestScenarios:
         assert kept > len(tops)  # the reductions drop pairs
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
+
+    @pytest.mark.parametrize("cls", [None, *ScenarioClass], ids=lambda c: c and c.value or "strong")
+    def test_range_cost_counts_the_full_list(self, cls):
+        """_range_cost, the cost every search reads, is the number of
+        scenarios of the full pair list, the sum of |U| over it, without
+        building it: every topology to 4 worlds and 50 draws of 5 to 7
+        worlds.  Runtime target 5 s."""
+        started = time.perf_counter()
+        tops = [t for n in range(1, 5) for t in enumerate_topologies(n)]
+        tops += [random_model(seed, 5 + seed % 3).topology for seed in range(50)]
+        for top in tops:
+            full = range_groups(top, cls, budget=10**9)
+            assert _range_cost(top, cls) == sum(u.bit_count() for u, _ in full), top
+        elapsed = time.perf_counter() - started
+        assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
 
     def test_dense_stream_is_consistent(self, wedge):
         for s in ed_scenarios(wedge, ScenarioClass.DENSE):

@@ -1,5 +1,6 @@
 import functools
 import gc
+import inspect
 import operator
 import random
 import time
@@ -14,6 +15,7 @@ from oracles import (
     isomorphic,
     model_form,
     relabelings,
+    unreduced_sweeps,
 )
 from topobelief import semantics
 from topobelief.formula import (
@@ -65,6 +67,7 @@ from topobelief.semantics import (
 from topobelief.suites import (
     DEFAULT_INSTANTIATION,
     Batch,
+    expected_failures,
     get_suite,
     run_suite,
     scheme_instances,
@@ -914,7 +917,8 @@ class TestIsomorphFreeSearch:
     def test_starts_count_every_labeled_model_before(self, kind, cls):
         """Each swept topology starts at the scenarios of every labeled
         model before its first one, skipped topologies and valuations
-        included, and comes with its full pair list."""
+        included, and comes with the scenarios of each of its models: the
+        sum of |U| over its full pair list."""
         names = ["p"]
         rcls = cls if kind.needs_doxastic_range else None
         starts = {}
@@ -922,9 +926,9 @@ class TestIsomorphFreeSearch:
         assert set(starts) == kept and len(kept) == 46
         labeled, count = {}, 0
         for model in exhaustive_models(4, names):
-            pairs = tuple(range_pairs(model.topology, rcls))
-            labeled.setdefault(model.topology, (count, pairs))
-            count += sum(u.bit_count() for u, _ in pairs)
+            cost = sum(u.bit_count() for u, _ in range_pairs(model.topology, rcls))
+            labeled.setdefault(model.topology, (count, cost))
+            count += cost
         assert starts == {top: labeled[top] for top in kept}
 
     def test_warm_searches_equal_cold_ones(self):
@@ -988,6 +992,45 @@ class TestIsomorphFreeSearch:
         monkeypatch.undo()
         assert built == list(isomorph_free(exhaustive_models(4, ["p"])))
 
+    def test_only_a_hit_builds_a_full_pair_list(self, monkeypatch):
+        """Work counters on range_groups: building a batch ranges nothing
+        (its exhaustive part's costs are counted by _range_cost); the
+        exhausted 4-world hunts build only the reduced lists they sweep, 46
+        pairs under strong and 172 under ae; and each found search, on an
+        exhaustive model or a draw, adds one full list, for its hit's
+        position."""
+        calls = []  # (reduced, pairs built) per call
+        ranged = semantics.range_groups
+
+        def spy(*args, **kwargs):
+            pairs = ranged(*args, **kwargs)
+            calls.append(("above" in kwargs and "inside" in kwargs, len(pairs)))
+            return pairs
+
+        monkeypatch.setattr("topobelief.model.range_groups", spy)
+        monkeypatch.setattr(semantics, "range_groups", spy)
+        soundness_batch()
+        Batch(exhaustive_n=4)
+        assert calls == []
+        hunts = [("K p -> p", STRONG, 46), ("B (box p | box ! box p)", AE, 172)]
+        for text, kind, pairs in hunts:
+            calls.clear()
+            out = find_countermodel(parse(text), kind, max_n=4, budget=10**6)
+            assert out.status == "exhausted"
+            assert all(reduced for reduced, _ in calls)
+            assert sum(built for _, built in calls) == pairs
+        searches = [
+            (parse(e.formula), e.semantics, e.scenario_class, e.max_worlds, 200_000)
+            for e in expected_failures()
+        ]
+        searches.append((TestReducedSearch.FIVE_TYPES, STRONG, ScenarioClass.ALL, 7, 10**7))
+        for search in searches:
+            calls.clear()
+            out = find_countermodel(*search)
+            assert out.status == "found"
+            assert [reduced for reduced, _ in calls].count(False) == 1
+        assert out.model.n > 4  # the last hit lies on a draw
+
 
 class TestReducedSearch:
     """find_countermodel sweeps only the pairs that can hold its first hit
@@ -1004,15 +1047,19 @@ class TestReducedSearch:
     def _outcome(out):
         return (out.status, out.model and dump(out.model), out.scenario, out.evaluations)
 
-    @staticmethod
-    def _unreduced(patch):
-        """Send every sweep to the full pair lists for the patch's scope."""
-        groups = semantics._sweep_groups
-        patch.setattr(
-            semantics,
-            "_sweep_groups",
-            lambda *args, maximal=False, complete_to=0, **kw: groups(*args, **kw),
-        )
+    def test_the_unreduced_reference_drops_every_reduction(self, monkeypatch):
+        """unreduced_sweeps, the full-pair reference every reduced sweep is
+        pinned to, passes _sweep_groups no keyword-only parameter but grow:
+        a reduction added to _sweep_groups later fails here until the
+        reference drops it too."""
+        params = inspect.signature(_sweep_groups).parameters.values()
+        keywords = {p.name: object() for p in params if p.kind is p.KEYWORD_ONLY}
+        assert "grow" in keywords
+        passed = []
+        monkeypatch.setattr(semantics, "_sweep_groups", lambda *args, **kwargs: passed.append(kwargs))
+        unreduced_sweeps(monkeypatch)
+        semantics._sweep_groups([], STRONG, ScenarioClass.ALL, 1, **keywords)
+        assert passed == [{"grow": keywords["grow"]}]
 
     def test_outcomes_equal_the_unreduced_search(self, monkeypatch):
         """The 83 corpus formulas x 9 columns, max_n 3 and 5, at budgets
@@ -1034,7 +1081,7 @@ class TestReducedSearch:
         ]
         unreduced = {}
         with monkeypatch.context() as patch:
-            self._unreduced(patch)
+            unreduced_sweeps(patch)
             for f, kind, cls, max_n in cases:
                 edge = find_countermodel(f, kind, cls, min(max_n, 4), 10**6).evaluations
                 for budget in (edge - 1, edge, edge + 1):
@@ -1084,7 +1131,7 @@ class TestReducedSearch:
         assert out.scenario.u != out.model.topology.full
         budgets = (budget, out.evaluations - 1, out.evaluations, out.evaluations + 1)
         reduced = [self._outcome(find_countermodel(f, kind, cls, 7, b)) for b in budgets]
-        self._unreduced(monkeypatch)
+        unreduced_sweeps(monkeypatch)
         assert reduced == [self._outcome(find_countermodel(f, kind, cls, 7, b)) for b in budgets]
         assert [status for status, *_ in reduced] == ["found", "budget", "found", "found"]
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from oracles import contract, count_nodes, isomorph_free
+from oracles import contract, count_nodes, isomorph_free, unreduced_sweeps
 from topobelief import formula as fm
 from topobelief import semantics, suites
 from topobelief.formula import parse
@@ -258,16 +258,9 @@ class TestIsomorphFreeSweeps:
         over its full pair lists (neither maximal nor complete_to), and the
         length of every stream swept after that."""
         swept = []
-        groups = semantics._sweep_groups
-
-        def spy(models, *args, maximal=False, complete_to=0, **kwargs):
-            models = list(models)
-            swept.append(len(models))
-            return groups(models, *args, **kwargs)
-
         labeled = dataclasses.replace(batch)
         object.__setattr__(labeled, "swept", tuple(labeled.models()))
-        monkeypatch.setattr(semantics, "_sweep_groups", spy)
+        unreduced_sweeps(monkeypatch, swept)
         return labeled, swept
 
     @pytest.mark.parametrize(
@@ -435,13 +428,8 @@ class TestWholeCarrierSweeps:
         if labeled:
             unreduced = dataclasses.replace(batch)
             object.__setattr__(unreduced, "swept", tuple(batch.models()))
-        groups = semantics._sweep_groups
         with monkeypatch.context() as patch:
-            patch.setattr(
-                semantics,
-                "_sweep_groups",
-                lambda *args, complete_to=0, maximal=False, **kw: groups(*args, **kw),
-            )
+            unreduced_sweeps(patch)
             assert reports(rows, unreduced) == reduced
         return reduced
 
