@@ -243,7 +243,7 @@ def range_groups(
     it (under strong there is no V, and inside is not read).  The budget
     is charged for the full list all the same.
     """
-    cost = len(top.opens) ** (1 if cls is None else 2) * top.n
+    cost = _worst_case_cost(top, cls)
     if cost > budget:
         raise BudgetError(
             f"scenario sweep cost {cost} exceeds budget {budget}"
@@ -260,6 +260,15 @@ def range_groups(
     for u in us:
         out += [(u, v) for v in _admitted(top, cls, u, vs)]
     return tuple(out)
+
+
+def _worst_case_cost(top: Topology, cls: ScenarioClass | None) -> int:
+    """The cost a sweep of the topology is charged, whatever pairs it
+    keeps: |opens| × worlds under strong (cls None), |opens|² × worlds
+    under a class.  range_groups raises BudgetError on it, and
+    suites._contracted keeps a model whose cost under a class passes the
+    default budget."""
+    return len(top.opens) ** (1 if cls is None else 2) * top.n
 
 
 def _admitted(top: Topology, cls: ScenarioClass, u: int, vs: Sequence[int]) -> list[int]:

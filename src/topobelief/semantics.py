@@ -276,18 +276,18 @@ def find_countermodel(
     cls = scenario_class if kind.needs_doxastic_range else None
     k = min(max_n, ENUMERATION_MAX)
 
-    def sweep(models: Iterable[SubsetModel], grow: bool = False):
+    def sweep(models: Iterable[SubsetModel]):
         return _sweep_groups(
             models,
             kind,
             scenario_class,
             DEFAULT_SCENARIO_BUDGET,
-            grow=grow,
+            grow=True,
             maximal=True,
             complete_to=k,
         )
 
-    groups = sweep(_isomorph_free_models(k, names, cls, starts), grow=True)
+    groups = sweep(_isomorph_free_models(k, names, cls, starts))
 
     def drawn():  # each random draw a group of its own, made while budget is left
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)

@@ -29,6 +29,7 @@ from .model import (
     _contraction_size,
     _document,
     _isomorph_free_models,
+    _worst_case_cost,
     exhaustive_models,
     parse_scenario,
     random_model,
@@ -249,13 +250,18 @@ class Batch:
 
 def _contracted(models: Iterable[SubsetModel], k: int) -> Iterator[SubsetModel]:
     """The models, in order, less each whose contraction is smaller than
-    it and has at most k worlds, unless its worst-case cost, |opens|² × n,
-    exceeds DEFAULT_SCENARIO_BUDGET (the argument and its precondition are
+    it and has at most k worlds, unless its worst-case cost, |opens|² × n
+    (model._worst_case_cost, the cost range_groups charges), exceeds
+    DEFAULT_SCENARIO_BUDGET (the argument and its precondition are
     Batch's)."""
     for model in models:
         size = _contraction_size(model, k)
         top = model.topology
-        if size < top.n and size <= k and len(top.opens) ** 2 * top.n <= DEFAULT_SCENARIO_BUDGET:
+        if (
+            size < top.n
+            and size <= k
+            and _worst_case_cost(top, ScenarioClass.ALL) <= DEFAULT_SCENARIO_BUDGET
+        ):
             continue
         yield model
 

@@ -6,6 +6,7 @@ no bit tricks beyond masks), so a test that compares the two is a real
 cross-check.
 """
 
+import copy
 import functools
 from itertools import permutations, product
 
@@ -206,6 +207,17 @@ def unreduced_sweeps(patch, swept=None):
         return groups(models, *args, **kwargs)
 
     patch.setattr(semantics, "_sweep_groups", full)
+
+
+def labeled_batch(batch):
+    """A copy of the batch whose swept stream is its labeled one,
+    batch.models(): every model of its exhaustive part, isomorphic copies
+    and contractible models included, then every draw.  With
+    unreduced_sweeps, a suite run on it is the reference that the reduced
+    sweeps of the batch are checked against."""
+    labeled = copy.copy(batch)
+    object.__setattr__(labeled, "swept", tuple(batch.models()))
+    return labeled
 
 
 def contract(model):

@@ -9,7 +9,7 @@ PASS lines; pytest -v shows one line per criterion either way.
 import json
 import time
 
-from oracles import all_topologies_oracle
+from oracles import all_topologies_oracle, unreduced_sweeps
 from topobelief.cli import main as cli_main
 from topobelief.formula import (
     ALPHA_MAP,
@@ -32,7 +32,6 @@ from topobelief.relational import (
     relational_extension,
     to_subset_model,
 )
-from topobelief import semantics
 from topobelief.semantics import (
     BatchEvaluator,
     Evaluator,
@@ -222,19 +221,16 @@ def test_criterion_07_reduced_ae_sweep_matches_full_layout(monkeypatch):
     """Tightened check: the el_kboxb_cb report under ae/all on
     Batch(exhaustive_n=4), swept as run_suite sweeps it (only the pairs
     whose V lies inside Max and whose U is the carrier or has more than 4
-    worlds), equals the report over the full pair lists, byte for byte."""
+    worlds), equals the report over the full pair lists, byte for byte.
+    The full lists are oracles.unreduced_sweeps, whose guard
+    (test_semantics.TestReducedSearch) fails on any reduction it keeps."""
     started = time.perf_counter()
     batch = Batch(exhaustive_n=4)
     suite = get_suite("el_kboxb_cb")
     reduced = run_suite(suite, batch, semantics=Semantics.AE, scenario_class=ScenarioClass.ALL)
     elapsed = time.perf_counter() - started
     assert elapsed < 15.0, f"runtime target exceeded: {elapsed:.1f}s"
-    full_groups = semantics._sweep_groups
-    monkeypatch.setattr(
-        semantics,
-        "_sweep_groups",
-        lambda *args, maximal=False, complete_to=0, **kw: full_groups(*args, **kw),
-    )
+    unreduced_sweeps(monkeypatch)
     full = run_suite(suite, batch, semantics=Semantics.AE, scenario_class=ScenarioClass.ALL)
     assert reduced.to_json() == full.to_json()
     _report(7, "reduced almost-everywhere sweep equals the full layout", started)

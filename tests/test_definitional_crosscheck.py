@@ -43,7 +43,6 @@ from topobelief.suites import (
     Batch,
     get_suite,
     run_suite,
-    soundness_batch,
     suite_names,
 )
 from topobelief.topology import Topology, bits, enumerate_topologies, generate_from_subbasis
@@ -842,26 +841,6 @@ def test_strong_belief_agrees_on_random_models_of_five_to_eight_worlds():
                 assert ours == naive, (dump(model), s.literal(), str(f))
 
 
-def test_reduced_ae_suite_reports_match_full_reports(monkeypatch):
-    """Every suite under ae with class all, consistent and dense gives the
-    same report bytes over the reduced and the full layout."""
-    batches = (soundness_batch(), Batch(exhaustive_n=3))
-    cases = [(name, cls) for name in suite_names() for cls in REDUCED_CLASSES]
-
-    def reports():
-        return [
-            run_suite(get_suite(name), batch, semantics=Semantics.AE, scenario_class=cls).to_json()
-            for batch in batches
-            for name, cls in cases
-        ]
-
-    reduced = reports()
-    unreduced_sweeps(monkeypatch)
-    assert reports() == reduced
-    assert len(reduced) == 2 * 7 * 3
-    assert any('"countermodel"' in report for report in reduced)
-
-
 def _class_scenarios(model, kind, cls):
     if kind is Semantics.STRONG:
         return list(epistemic_scenarios(model))
@@ -874,6 +853,7 @@ def test_necessitation_is_sound_model_by_model():
     argument run_suite reads its rule rows from.  Every default premise and
     a few formulas valid on every model, on every model of
     Batch(exhaustive_n=2).  Runtime target 10 s."""
+    started = time.perf_counter()
     premises = DEFAULT_INSTANTIATION + tuple(map(parse, ("true", "p | ! p", "K p -> p")))
     cases = [(Semantics.STRONG, ScenarioClass.ALL)]
     cases += [(kind, cls) for kind in (Semantics.ED, Semantics.AE) for cls in ScenarioClass]
@@ -891,6 +871,8 @@ def test_necessitation_is_sound_model_by_model():
                         )
                         checked += 1
     assert checked >= 40_000, checked  # 42 807 scenario checks of 3 199 valid premises
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
 
 
 def test_suite_traces_read_only_their_instance(monkeypatch):

@@ -1049,7 +1049,8 @@ class TestReducedSearch:
 
     def test_the_unreduced_reference_drops_every_reduction(self, monkeypatch):
         """unreduced_sweeps, the full-pair reference every reduced sweep is
-        pinned to, passes _sweep_groups no keyword-only parameter but grow:
+        pinned to (the acceptance gate's criterion 07 included), passes
+        _sweep_groups no keyword-only parameter but grow:
         a reduction added to _sweep_groups later fails here until the
         reference drops it too."""
         params = inspect.signature(_sweep_groups).parameters.values()

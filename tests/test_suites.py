@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from oracles import contract, count_nodes, isomorph_free, unreduced_sweeps
+from oracles import contract, count_nodes, isomorph_free, labeled_batch, unreduced_sweeps
 from topobelief import formula as fm
 from topobelief import semantics, suites
 from topobelief.formula import parse
@@ -236,67 +236,41 @@ def _oracle_kept(models, k):
             yield model
 
 
+# every suite under all 9 columns
+ROWS = tuple((name, kind, cls) for name in suite_names() for kind, cls in COLUMNS)
+
+
+def _reports(rows, batch):
+    return [
+        run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls).to_json()
+        for name, kind, cls in rows
+    ]
+
+
 class TestIsomorphFreeSweeps:
-    """Suite reports from a batch's swept stream (isomorph-free, then
-    without the models whose contraction is swept earlier) equal, byte for
-    byte, the reports of the labeled, unreduced streams (run_suite sent
-    back to batch.models())."""
+    """A batch's swept stream (isomorph-free, then without the models
+    whose contraction is swept earlier) finds each root's first failure
+    where the labeled stream does.  The suite reports over it are pinned
+    to the labeled stream's in TestWholeCarrierSweeps."""
 
-    # every suite under all 9 columns
-    ROWS = tuple((name, kind, cls) for name in suite_names() for kind, cls in COLUMNS)
-
-    @staticmethod
-    def _reports(rows, batch):
-        return [
-            run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls).to_json()
-            for name, kind, cls in rows
-        ]
-
-    @staticmethod
-    def _labeled(monkeypatch, batch):
-        """A copy of the batch whose swept stream is its labeled one, swept
-        over its full pair lists (neither maximal nor complete_to), and the
-        length of every stream swept after that."""
-        swept = []
-        labeled = dataclasses.replace(batch)
-        object.__setattr__(labeled, "swept", tuple(labeled.models()))
-        unreduced_sweeps(monkeypatch, swept)
-        return labeled, swept
-
-    @pytest.mark.parametrize(
-        "batch",
-        [
-            soundness_batch(),
-            soundness_batch(first_seed=2),
-            Batch(exhaustive_n=3),
-            # draws of 1 to 3 worlds copy exhaustive models; some 4-world draws copy others
-            Batch(exhaustive_n=3, seeds=tuple(range(1, 41)), sizes=(1, 2, 3, 4) * 10),
-        ],
-        ids=["soundness", "soundness_2", "exhaustive_3", "duplicate_draws"],
-    )
-    def test_reports_equal_the_labeled_sweep(self, monkeypatch, batch):
-        """7 suites x 9 columns, 63 reports per batch.  Runtime target 60 s
-        for the four batches (about 27 s on a 2-vCPU VM, the labeled side
-        swept over its full pair lists)."""
-        reduced = self._reports(self.ROWS, batch)
-        labeled, swept = self._labeled(monkeypatch, batch)
-        assert self._reports(self.ROWS, labeled) == reduced
-        assert set(swept) == {sum(1 for _ in batch.models())}  # 2 124, 2 124, 1 924 and 1 964
-        assert sum('"countermodel"' in report for report in reduced) > 0
-
-    def test_four_world_report_equals_the_labeled_sweep(self, monkeypatch):
-        """el_kboxb_cb under ae/all on every model to 4 worlds (1 843 of the
-        92 804 swept).  Runtime target 5 s for the reduced run (about
-        0.1-0.2 s on a 2-vCPU VM)."""
-        rows = [("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL)]
-        batch = Batch(exhaustive_n=4)
-        started = time.perf_counter()
-        reduced = self._reports(rows, batch)
-        elapsed = time.perf_counter() - started
-        labeled, swept = self._labeled(monkeypatch, batch)
-        assert self._reports(rows, labeled) == reduced
-        assert (len(batch.swept), swept) == (1843, [92_804])
-        assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
+    def test_first_failure_on_a_model_a_topology_only_contraction_drops(self):
+        """p -> K p first fails on a 2-world model of the exhaustive part,
+        whose contraction with the valuation ignored has one world: a keep
+        rule that ignored the valuation would drop it, and every model of
+        more than one world, and move the first failure.  batch.swept,
+        swept as run_suite sweeps it, finds it where the labeled stream
+        does, in every column."""
+        f = parse("p -> K p")
+        batch = soundness_batch()
+        labeled_stream = list(batch.models())
+        for kind, cls in COLUMNS:
+            first = sweep_validity(
+                BatchEvaluator([f], kind), batch.swept, cls, complete_to=batch.exhaustive_n
+            )[f]
+            labeled = sweep_validity(BatchEvaluator([f], kind), labeled_stream, cls)[f]
+            assert first.model == labeled.model and first.model.n == 2
+            assert first.scenario == labeled.scenario
+            assert contract(SubsetModel(first.model.topology, {}))[0].n == 1
 
     def test_first_failure_on_a_draw_that_contracts_past_the_exhaustive_part(self):
         """A root that fails only where an open holds all four valuation
@@ -389,49 +363,57 @@ class TestWholeCarrierSweeps:
     )
     def test_reports_equal_the_unreduced_sweep(self, monkeypatch, batch):
         """7 suites x 9 columns, 63 reports per batch, equal byte for byte
-        to the reports of the labeled stream swept over its full pair
-        lists.  Runtime target 60 s for the five batches (about 25 s on a
-        2-vCPU VM)."""
-        rows = [(name, kind, cls) for name in suite_names() for kind, cls in COLUMNS]
-        reports = self._pin_to_full_lists(monkeypatch, rows, batch, labeled=True)
-        assert sum('"countermodel"' in report for report in reports) == 18
+        to the reports of the labeled stream (every reference stream as
+        long as batch.models(): 2 124, 2 124, 1 924, 1 964 and 98 models)
+        swept over its full pair lists, with 18 countermodels, at least one
+        of them in an ae row under class all, consistent or dense, where
+        the V inside Max rule applies.  Runtime target 20 s per batch
+        (about 4 s on a 2-vCPU VM)."""
+        started = time.perf_counter()
+        reduced = _reports(ROWS, batch)
+        swept = []
+        unreduced_sweeps(monkeypatch, swept)
+        assert _reports(ROWS, labeled_batch(batch)) == reduced
+        elapsed = time.perf_counter() - started
+        assert set(swept) == {sum(1 for _ in batch.models())}
+        found = [row for row, report in zip(ROWS, reduced) if '"countermodel"' in report]
+        assert len(found) == 18
+        ae_rows = [cls for _, kind, cls in found if kind is Semantics.AE]
+        assert set(ae_rows) - {ScenarioClass.TOTAL}
+        assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
 
     def test_four_world_reports_equal_the_full_pair_lists(self, monkeypatch):
-        """Four reports on every model to 4 worlds, where the exhaustive
-        models drop U's of 1 to 3 worlds: sel under strong and el_kboxb_cb
-        under ae/all, both clean, and sel under ae/all and el_kboxb_wf under
-        ed/consistent, with 7 and 6 countermodels, each equal to the report
-        of the same stream over its full pair lists; and el_kboxb_cb under
-        ae/all equal to the report of the labeled stream (92 804 models)
-        over its full pair lists.  Runtime target 20 s (about 4 s on a
-        2-vCPU VM)."""
+        """Four reports on every model to 4 worlds (1 843 of them swept),
+        where the exhaustive models drop U's of 1 to 3 worlds: el_kboxb_cb
+        under ae/all and sel under strong, both clean, and sel under ae/all
+        and el_kboxb_wf under ed/consistent, with 7 and 6 countermodels,
+        each equal to the report of the same stream over its full pair
+        lists; and el_kboxb_cb under ae/all equal to the report of the
+        labeled stream (92 804 models) over its full pair lists.  Runtime
+        targets 5 s for the reduced el_kboxb_cb run (about 0.1-0.2 s on a
+        2-vCPU VM) and 20 s in all (about 2 s)."""
         rows = [
-            ("sel", None, None),
             ("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL),
+            ("sel", None, None),
             ("sel", Semantics.AE, ScenarioClass.ALL),
             ("el_kboxb_wf", Semantics.ED, ScenarioClass.CONSISTENT),
         ]
         batch = Batch(exhaustive_n=4)
-        reports = self._pin_to_full_lists(monkeypatch, rows, batch)
-        assert ['"countermodel"' in report for report in reports] == [False, False, True, True]
-        self._pin_to_full_lists(monkeypatch, rows[1:2], batch, labeled=True)
-
-    @staticmethod
-    def _pin_to_full_lists(monkeypatch, rows, batch, labeled=False):
-        """The rows' reports on the batch, as run_suite sweeps it, equal
-        those of its swept stream, or with labeled its labeled stream, over
-        full pair lists: neither complete_to nor the ae V inside Max rule.
-        Returns the reports."""
-        reports = TestIsomorphFreeSweeps._reports
-        reduced = reports(rows, batch)
-        unreduced = batch
-        if labeled:
-            unreduced = dataclasses.replace(batch)
-            object.__setattr__(unreduced, "swept", tuple(batch.models()))
+        started = time.perf_counter()
+        reduced = _reports(rows[:1], batch)
+        elapsed = time.perf_counter() - started
+        reduced += _reports(rows[1:], batch)
+        assert ['"countermodel"' in report for report in reduced] == [False, False, True, True]
         with monkeypatch.context() as patch:
             unreduced_sweeps(patch)
-            assert reports(rows, unreduced) == reduced
-        return reduced
+            assert _reports(rows, batch) == reduced
+        swept = []
+        unreduced_sweeps(monkeypatch, swept)
+        assert _reports(rows[:1], labeled_batch(batch)) == reduced[:1]
+        assert (len(batch.swept), swept) == (1843, [92_804])
+        assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
+        elapsed = time.perf_counter() - started
+        assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
 
     def test_first_failure_at_a_small_open_of_a_draw(self):
         """A root whose first failure lies on a draw at an open U of four
