@@ -8,11 +8,16 @@ cross-check.
 
 import copy
 import functools
+import time
 from itertools import permutations, product
+from typing import NamedTuple
+
+import pytest
 
 from topobelief import formula as fm, semantics
 from topobelief.model import RelationalError, RelationalModel, SubsetModel
-from topobelief.semantics import Semantics
+from topobelief.semantics import ScenarioClass, Semantics
+from topobelief.suites import get_suite, run_suite, suite_names
 from topobelief.topology import ENUMERATION_MAX, Topology, TopologyError, _relabelings, bits
 
 
@@ -218,6 +223,45 @@ def labeled_batch(batch):
     labeled = copy.copy(batch)
     object.__setattr__(labeled, "swept", tuple(batch.models()))
     return labeled
+
+
+# strong under class all, then ed and ae under each class
+COLUMNS = ((Semantics.STRONG, ScenarioClass.ALL),) + tuple(
+    (kind, cls) for kind in (Semantics.ED, Semantics.AE) for cls in ScenarioClass
+)
+
+# every suite under all 9 columns
+SUITE_ROWS = tuple((name, kind, cls) for name in suite_names() for kind, cls in COLUMNS)
+
+
+def suite_reports(rows, batch):
+    """The JSON report of each (suite, semantics, class) row on the batch."""
+    return [
+        run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls).to_json()
+        for name, kind, cls in rows
+    ]
+
+
+class LabeledReference(NamedTuple):
+    reduced: list  # the SUITE_ROWS reports, as run_suite sweeps the batch
+    reference: list  # the same rows on labeled_batch(batch), unreduced_sweeps
+    swept: list  # the length of every stream the reference swept
+    seconds: float  # the time both runs took
+
+
+@functools.cache
+def labeled_reference(batch):
+    """The SUITE_ROWS reports on the batch, and on its labeled stream
+    swept over its full pair lists, computed once per batch: every test
+    that pins a batch's reports to this reference reads the same two runs
+    (tests/test_suites.py and tests/test_definitional_crosscheck.py)."""
+    started = time.perf_counter()
+    reduced = suite_reports(SUITE_ROWS, batch)
+    swept = []
+    with pytest.MonkeyPatch.context() as patch:
+        unreduced_sweeps(patch, swept)
+        reference = suite_reports(SUITE_ROWS, labeled_batch(batch))
+    return LabeledReference(reduced, reference, swept, time.perf_counter() - started)
 
 
 def contract(model):

@@ -10,7 +10,16 @@ import time
 from itertools import count, product
 from random import Random
 
-from oracles import brute_closure, contract, def_truth, indiscrete, restrict, unreduced_sweeps
+from oracles import (
+    SUITE_ROWS,
+    brute_closure,
+    contract,
+    def_truth,
+    indiscrete,
+    labeled_reference,
+    restrict,
+    unreduced_sweeps,
+)
 from topobelief.formula import MODALITIES, atoms, formula_corpus, modalities, parse, postorder
 from topobelief.model import (
     DEFAULT_SCENARIO_BUDGET,
@@ -43,6 +52,7 @@ from topobelief.suites import (
     Batch,
     get_suite,
     run_suite,
+    soundness_batch,
     suite_names,
 )
 from topobelief.topology import Topology, bits, enumerate_topologies, generate_from_subbasis
@@ -839,6 +849,24 @@ def test_strong_belief_agrees_on_random_models_of_five_to_eight_worlds():
                 ours = satisfies(model, s, f, Semantics.STRONG)
                 naive = def_truth(model, s.x, s.u, None, f, Semantics.STRONG)
                 assert ours == naive, (dump(model), s.literal(), str(f))
+
+
+def test_reduced_ae_suite_reports_match_full_reports():
+    """Every suite under ae with class all, consistent and dense gives the
+    same report bytes over the reduced and the full layout: the batch's
+    labeled stream swept over its full pair lists, read from the one
+    reference run per batch, oracles.labeled_reference, that the
+    tests/test_suites.py report pins share."""
+    reduced, full = [], []
+    for batch in (soundness_batch(), Batch(exhaustive_n=3)):
+        pin = labeled_reference(batch)
+        for (_, kind, cls), ours, theirs in zip(SUITE_ROWS, pin.reduced, pin.reference):
+            if kind is Semantics.AE and cls in REDUCED_CLASSES:
+                reduced.append(ours)
+                full.append(theirs)
+    assert full == reduced
+    assert len(reduced) == 2 * 7 * 3
+    assert any('"countermodel"' in report for report in reduced)
 
 
 def _class_scenarios(model, kind, cls):

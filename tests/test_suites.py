@@ -7,7 +7,17 @@ import time
 
 import pytest
 
-from oracles import contract, count_nodes, isomorph_free, labeled_batch, unreduced_sweeps
+from oracles import (
+    COLUMNS,
+    SUITE_ROWS,
+    contract,
+    count_nodes,
+    isomorph_free,
+    labeled_batch,
+    labeled_reference,
+    suite_reports,
+    unreduced_sweeps,
+)
 from topobelief import formula as fm
 from topobelief import semantics, suites
 from topobelief.formula import parse
@@ -220,12 +230,6 @@ class TestRunSuite:
         assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
 
 
-# strong under class all, then ed and ae under each class
-COLUMNS = ((Semantics.STRONG, ScenarioClass.ALL),) + tuple(
-    (kind, cls) for kind in (Semantics.ED, Semantics.AE) for cls in ScenarioClass
-)
-
-
 def _oracle_kept(models, k):
     """The keep rule of Batch.swept, judged with oracles.contract: a model
     goes only if its contraction is smaller, has at most k worlds, and its
@@ -236,22 +240,57 @@ def _oracle_kept(models, k):
             yield model
 
 
-# every suite under all 9 columns
-ROWS = tuple((name, kind, cls) for name in suite_names() for kind, cls in COLUMNS)
-
-
-def _reports(rows, batch):
-    return [
-        run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls).to_json()
-        for name, kind, cls in rows
-    ]
+# the batches whose 63 suite reports are pinned to oracles.labeled_reference
+REFERENCE_BATCHES = [
+    pytest.param(soundness_batch(), id="soundness"),
+    pytest.param(soundness_batch(first_seed=2), id="soundness_2"),
+    pytest.param(Batch(exhaustive_n=3), id="exhaustive_3"),
+    # draws of 1 to 3 worlds copy exhaustive models; some 4-world draws copy others
+    pytest.param(
+        Batch(exhaustive_n=3, seeds=tuple(range(1, 41)), sizes=(1, 2, 3, 4) * 10),
+        id="duplicate_draws",
+    ),
+    # draws of 1 to 6 worlds after a part complete to 2 worlds
+    pytest.param(
+        Batch(exhaustive_n=2, seeds=tuple(range(1, 31)), sizes=(1, 2, 3, 4, 5, 6) * 5),
+        id="mixed_sizes",
+    ),
+]
 
 
 class TestIsomorphFreeSweeps:
-    """A batch's swept stream (isomorph-free, then without the models
-    whose contraction is swept earlier) finds each root's first failure
-    where the labeled stream does.  The suite reports over it are pinned
-    to the labeled stream's in TestWholeCarrierSweeps."""
+    """Suite reports from a batch's swept stream (isomorph-free, then
+    without the models whose contraction is swept earlier) equal, byte for
+    byte, the reports of the labeled, unreduced streams (run_suite sent
+    back to batch.models()), and each root's first failure lies where the
+    labeled stream finds it."""
+
+    @pytest.mark.parametrize("batch", REFERENCE_BATCHES[:4])
+    def test_reports_equal_the_labeled_sweep(self, batch):
+        """7 suites x 9 columns, 63 reports per batch, from the one
+        reference run per batch (oracles.labeled_reference) that
+        TestWholeCarrierSweeps also reads: every reference stream as long
+        as batch.models(), 2 124, 2 124, 1 924 and 1 964 models."""
+        pin = labeled_reference(batch)
+        assert pin.reference == pin.reduced
+        assert set(pin.swept) == {sum(1 for _ in batch.models())}
+        assert sum('"countermodel"' in report for report in pin.reduced) > 0
+
+    def test_four_world_report_equals_the_labeled_sweep(self, monkeypatch):
+        """el_kboxb_cb under ae/all on every model to 4 worlds (1 843 of the
+        92 804 swept), equal to the report of the labeled stream over its
+        full pair lists.  Runtime target 5 s for the reduced run (about
+        0.1-0.2 s on a 2-vCPU VM)."""
+        rows = [("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL)]
+        batch = Batch(exhaustive_n=4)
+        started = time.perf_counter()
+        reduced = suite_reports(rows, batch)
+        elapsed = time.perf_counter() - started
+        swept = []
+        unreduced_sweeps(monkeypatch, swept)
+        assert suite_reports(rows, labeled_batch(batch)) == reduced
+        assert (len(batch.swept), swept) == (1843, [92_804])
+        assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
 
     def test_first_failure_on_a_model_a_topology_only_contraction_drops(self):
         """p -> K p first fails on a 2-world model of the exhaustive part,
@@ -348,70 +387,45 @@ class TestWholeCarrierSweeps:
         )
         assert counts == pairs
 
-    @pytest.mark.parametrize(
-        "batch",
-        [
-            soundness_batch(),
-            soundness_batch(first_seed=2),
-            Batch(exhaustive_n=3),
-            # draws of 1 to 3 worlds copy exhaustive models; some 4-world draws copy others
-            Batch(exhaustive_n=3, seeds=tuple(range(1, 41)), sizes=(1, 2, 3, 4) * 10),
-            # draws of 1 to 6 worlds after a part complete to 2 worlds
-            Batch(exhaustive_n=2, seeds=tuple(range(1, 31)), sizes=(1, 2, 3, 4, 5, 6) * 5),
-        ],
-        ids=["soundness", "soundness_2", "exhaustive_3", "duplicate_draws", "mixed_sizes"],
-    )
-    def test_reports_equal_the_unreduced_sweep(self, monkeypatch, batch):
+    @pytest.mark.parametrize("batch", REFERENCE_BATCHES)
+    def test_reports_equal_the_unreduced_sweep(self, batch):
         """7 suites x 9 columns, 63 reports per batch, equal byte for byte
         to the reports of the labeled stream (every reference stream as
         long as batch.models(): 2 124, 2 124, 1 924, 1 964 and 98 models)
         swept over its full pair lists, with 18 countermodels, at least one
         of them in an ae row under class all, consistent or dense, where
-        the V inside Max rule applies.  Runtime target 20 s per batch
-        (about 4 s on a 2-vCPU VM)."""
-        started = time.perf_counter()
-        reduced = _reports(ROWS, batch)
-        swept = []
-        unreduced_sweeps(monkeypatch, swept)
-        assert _reports(ROWS, labeled_batch(batch)) == reduced
-        elapsed = time.perf_counter() - started
-        assert set(swept) == {sum(1 for _ in batch.models())}
-        found = [row for row, report in zip(ROWS, reduced) if '"countermodel"' in report]
+        the V inside Max rule applies.  The reference is
+        oracles.labeled_reference, run once per batch.  Runtime target
+        20 s per batch for both runs (about 4 s on a 2-vCPU VM)."""
+        pin = labeled_reference(batch)
+        assert pin.reference == pin.reduced
+        assert set(pin.swept) == {sum(1 for _ in batch.models())}
+        found = [row for row, report in zip(SUITE_ROWS, pin.reduced) if '"countermodel"' in report]
         assert len(found) == 18
         ae_rows = [cls for _, kind, cls in found if kind is Semantics.AE]
         assert set(ae_rows) - {ScenarioClass.TOTAL}
-        assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
+        assert pin.seconds < 20.0, f"runtime target exceeded: {pin.seconds:.1f}s"
 
     def test_four_world_reports_equal_the_full_pair_lists(self, monkeypatch):
-        """Four reports on every model to 4 worlds (1 843 of them swept),
-        where the exhaustive models drop U's of 1 to 3 worlds: el_kboxb_cb
-        under ae/all and sel under strong, both clean, and sel under ae/all
-        and el_kboxb_wf under ed/consistent, with 7 and 6 countermodels,
-        each equal to the report of the same stream over its full pair
-        lists; and el_kboxb_cb under ae/all equal to the report of the
-        labeled stream (92 804 models) over its full pair lists.  Runtime
-        targets 5 s for the reduced el_kboxb_cb run (about 0.1-0.2 s on a
-        2-vCPU VM) and 20 s in all (about 2 s)."""
+        """Four reports on every model to 4 worlds, where the exhaustive
+        models drop U's of 1 to 3 worlds: sel under strong and el_kboxb_cb
+        under ae/all, both clean, and sel under ae/all and el_kboxb_wf under
+        ed/consistent, with 7 and 6 countermodels, each equal to the report
+        of the same stream over its full pair lists.  The labeled stream's
+        el_kboxb_cb report is pinned in TestIsomorphFreeSweeps.  Runtime
+        target 20 s (about 2 s on a 2-vCPU VM)."""
         rows = [
-            ("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL),
             ("sel", None, None),
+            ("el_kboxb_cb", Semantics.AE, ScenarioClass.ALL),
             ("sel", Semantics.AE, ScenarioClass.ALL),
             ("el_kboxb_wf", Semantics.ED, ScenarioClass.CONSISTENT),
         ]
         batch = Batch(exhaustive_n=4)
         started = time.perf_counter()
-        reduced = _reports(rows[:1], batch)
-        elapsed = time.perf_counter() - started
-        reduced += _reports(rows[1:], batch)
+        reduced = suite_reports(rows, batch)
         assert ['"countermodel"' in report for report in reduced] == [False, False, True, True]
-        with monkeypatch.context() as patch:
-            unreduced_sweeps(patch)
-            assert _reports(rows, batch) == reduced
-        swept = []
-        unreduced_sweeps(monkeypatch, swept)
-        assert _reports(rows[:1], labeled_batch(batch)) == reduced[:1]
-        assert (len(batch.swept), swept) == (1843, [92_804])
-        assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.1f}s"
+        unreduced_sweeps(monkeypatch)
+        assert suite_reports(rows, batch) == reduced
         elapsed = time.perf_counter() - started
         assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
 
