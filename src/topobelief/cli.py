@@ -6,12 +6,15 @@ found, 2 for usage or input errors (including exceeded budgets, a
 formula nested deeper than formula.MAX_DEPTH, which parse refuses, and a
 model document too deep for the JSON reader).  All output is deterministic
 for fixed inputs and seed.
+
+Each command returns (exit code, payload, text) and writes nothing to
+stdout; main writes the payload as canonical JSON (model._json) under
+--json and the text otherwise, after any --out file is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -24,6 +27,7 @@ from .model import (
     ScenarioClass,
     SubsetModel,
     _document,
+    _json,
     dump,
     load,
     parse_scenario,
@@ -45,6 +49,8 @@ _ERRORS = (
 )
 
 
+_Output = tuple[int, dict, str]  # exit code, --json payload, text
+
 _MODEL_KINDS = {SubsetModel: "subset", RelationalModel: "relational"}
 
 
@@ -62,22 +68,14 @@ def _load_model(path: str, cls: type):
     return model
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> _Output:
     model = _load_model(args.model, SubsetModel)
     scenario = parse_scenario(args.scenario)
     value = satisfies(model, scenario, parse(args.formula), Semantics(args.semantics))
-    if args.json:
-        _print_json({"verdict": value})
-    else:
-        print("true" if value else "false")
-    return 0 if value else 1
+    return (0 if value else 1), {"verdict": value}, "true\n" if value else "false\n"
 
 
-def _cmd_valid(args) -> int:
+def _cmd_valid(args) -> _Output:
     model = _load_model(args.model, SubsetModel)
     verdict = valid_in_model(
         model,
@@ -86,24 +84,20 @@ def _cmd_valid(args) -> int:
         ScenarioClass(args.scenario_class),
         budget=args.budget,
     )
-    if args.json:
-        payload = {"valid": verdict.valid}
-        if verdict.witness:
-            payload["witness"] = {
-                "scenario": verdict.witness.scenario.literal(),
-                "trace": [list(t) for t in verdict.witness.trace],
-            }
-        _print_json(payload)
-    elif verdict.valid:
-        print("valid")
-    else:
-        print(f"invalid at {verdict.witness.scenario.literal()}")
-        for text, value in verdict.witness.trace:
-            print(f"  {text}: {'true' if value else 'false'}")
-    return 0 if verdict.valid else 1
+    payload = {"valid": verdict.valid}
+    if verdict.valid:
+        return 0, payload, "valid\n"
+    witness = verdict.witness
+    payload["witness"] = {
+        "scenario": witness.scenario.literal(),
+        "trace": [list(t) for t in witness.trace],
+    }
+    lines = [f"invalid at {witness.scenario.literal()}"]
+    lines += [f"  {text}: {'true' if value else 'false'}" for text, value in witness.trace]
+    return 1, payload, "\n".join(lines) + "\n"
 
 
-def _cmd_countermodel(args) -> int:
+def _cmd_countermodel(args) -> _Output:
     if args.exhaustive is not None and args.max_n is not None:
         raise SuiteError("give --exhaustive or --max-n, not both")
     max_n = args.exhaustive if args.exhaustive is not None else args.max_n
@@ -121,25 +115,19 @@ def _cmd_countermodel(args) -> int:
     )
     if outcome.status == "budget":
         raise BudgetError(f"search budget exhausted after {outcome.evaluations} evaluations")
-    if outcome.status == "found" and args.out:
+    payload = {"status": outcome.status, "evaluations": outcome.evaluations}
+    if outcome.status != "found":
+        return 0, payload, f"exhausted: no countermodel with at most {max_n} worlds\n"
+    payload["model"] = _document(outcome.model)
+    payload["scenario"] = outcome.scenario.literal()
+    document = _json(payload["model"])
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump(outcome.model))
-    if args.json:
-        payload = {"status": outcome.status, "evaluations": outcome.evaluations}
-        if outcome.status == "found":
-            payload["model"] = _document(outcome.model)
-            payload["scenario"] = outcome.scenario.literal()
-        _print_json(payload)
-    elif outcome.status == "found":
-        print("countermodel found")
-        print(f"scenario: {outcome.scenario.literal()}")
-        sys.stdout.write(dump(outcome.model))
-    else:
-        print(f"exhausted: no countermodel with at most {max_n} worlds")
-    return 1 if outcome.status == "found" else 0
+            handle.write(document)
+    return 1, payload, f"countermodel found\nscenario: {payload['scenario']}\n" + document
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> _Output:
     suite = get_suite(args.name)
     try:
         sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
@@ -155,56 +143,37 @@ def _cmd_suite(args) -> int:
         semantics=Semantics(args.semantics) if args.semantics else None,
         scenario_class=ScenarioClass(args.scenario_class) if args.scenario_class else None,
     )
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
-    return 0 if report.clean else 1
+    return (0 if report.clean else 1), report.to_dict(), report.to_text()
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> _Output:
     model = _load_model(args.model, RelationalModel)
     subset = to_subset_model(model)
     document = dump(subset)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(document)
-    if args.json:
-        _print_json({"converted": True, "opens": len(subset.topology.opens)})
-    else:
-        if not args.out:
-            sys.stdout.write(document)
-        print(f"converted: {len(subset.topology.opens)} opens on {subset.n} worlds")
-    return 0
+    opens = len(subset.topology.opens)
+    text = f"converted: {opens} opens on {subset.n} worlds\n"
+    return 0, {"converted": True, "opens": opens}, text if args.out else document + text
 
 
-def _cmd_decompose(args) -> int:
-    model = _load_model(args.model, RelationalModel)
-    dec = decompose(model)
-    if args.json:
-        _print_json(
-            {
-                "components": [
-                    {"cell": bits(c.cell), "cluster": bits(c.final_cluster)}
-                    for c in dec.components
-                ]
-            }
-        )
-    else:
-        for comp in dec.components:
-            print(comp)
-    return 0
+def _cmd_decompose(args) -> _Output:
+    components = decompose(_load_model(args.model, RelationalModel)).components
+    payload = {
+        "components": [{"cell": bits(c.cell), "cluster": bits(c.final_cluster)} for c in components]
+    }
+    return 0, payload, "".join(f"{c}\n" for c in components)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Output:
     if args.max_n < 1:
         raise TopologyError(f"--max-n {args.max_n} is below 1")
     counts = {}
     for n in range(1, args.max_n + 1):
         counts[str(n)] = sum(1 for _ in enumerate_topologies(n))
-    if args.json:
-        _print_json({"counts": counts})
-    else:
-        for key, count in counts.items():
-            print(f"n={key}: {count} topologies")
-    return 0
+    text = "".join(f"n={key}: {count} topologies\n" for key, count in counts.items())
+    return 0, {"counts": counts}, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,7 +267,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        sys.stdout.write(_json(payload) if args.json else text)
+        return code
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -345,7 +345,13 @@ def _stream_position(ranges: Ranges, s: EDScenario) -> int:
 
 def dump(model) -> str:
     """Canonical JSON document for a subset or relational model."""
-    return json.dumps(_document(model), sort_keys=True, indent=2) + "\n"
+    return _json(_document(model))
+
+
+def _json(payload) -> str:
+    """The canonical JSON text of every document, report and CLI payload:
+    sorted keys, two-space indent, one final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _document(model) -> dict:

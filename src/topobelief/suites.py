@@ -29,6 +29,7 @@ from .model import (
     _contraction_size,
     _document,
     _isomorph_free_models,
+    _json,
     _worst_case_cost,
     exhaustive_models,
     parse_scenario,
@@ -350,7 +351,7 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json(self.to_dict())
 
     def to_text(self) -> str:
         lines = [

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from topobelief import cli
 from topobelief.cli import main
 from topobelief.model import dump, random_model
 from topobelief.relational import RelationalModel
@@ -332,6 +333,145 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["enumerate", "--worlds", "3"]) == 2
+
+
+
+_SIERP_DOC = """\
+{
+  "opens": [
+    [],
+    [
+      0
+    ],
+    [
+      0,
+      1
+    ]
+  ],
+  "type": "subset",
+  "valuation": {
+    "p": [
+      0
+    ]
+  },
+  "worlds": 2
+}
+"""
+
+_PIN_SUBSET_DOC = """\
+{
+  "opens": [
+    [],
+    [
+      1
+    ],
+    [
+      0,
+      1
+    ]
+  ],
+  "type": "subset",
+  "valuation": {
+    "p": [
+      1
+    ]
+  },
+  "worlds": 2
+}
+"""
+
+_FOUND_JSON = """\
+{
+  "evaluations": 16,
+  "model": {
+    "opens": [
+      [],
+      [
+        0
+      ],
+      [
+        0,
+        1
+      ]
+    ],
+    "type": "subset",
+    "valuation": {
+      "p": [
+        0
+      ]
+    },
+    "worlds": 2
+  },
+  "scenario": "x=1;U=0,1",
+  "status": "found"
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, code",
+    [
+        (
+            ["eval", "--model", "{sierp}", "--scenario", "x=1;U=0,1", "--formula", "B p & !p",
+             "--json"],
+            '{\n  "verdict": true\n}\n',
+            0,
+        ),
+        (
+            ["eval", "--model", "{sierp}", "--scenario", "x=1;U=0,1", "--formula", "p", "--json"],
+            '{\n  "verdict": false\n}\n',
+            1,
+        ),
+        (
+            ["countermodel", "--formula", "!box p -> box !box p", "--exhaustive", "3", "--json"],
+            _FOUND_JSON,
+            1,
+        ),
+        (
+            ["countermodel", "--formula", "K p -> p", "--exhaustive", "3", "--json"],
+            '{\n  "evaluations": 1610,\n  "status": "exhausted"\n}\n',
+            0,
+        ),
+        (
+            ["countermodel", "--formula", "K p -> p"],
+            "exhausted: no countermodel with at most 3 worlds\n",
+            0,
+        ),
+        (
+            ["countermodel", "--formula", "!box p -> box !box p"],
+            "countermodel found\nscenario: x=1;U=0,1\n" + _SIERP_DOC,
+            1,
+        ),
+        (["convert", "--model", "{pin}", "--json"], '{\n  "converted": true,\n  "opens": 3\n}\n', 0),
+        (["convert", "--model", "{pin}"], _PIN_SUBSET_DOC + "converted: 3 opens on 2 worlds\n", 0),
+        (
+            ["enumerate", "--max-n", "3", "--json"],
+            '{\n  "counts": {\n    "1": 1,\n    "2": 4,\n    "3": 29\n  }\n}\n',
+            0,
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(capsys, sierp_path, pin_path, argv, stdout, code):
+    """Outputs no other test reads, byte for byte: the --json forms of eval,
+    countermodel (found and exhausted), convert and enumerate, countermodel
+    with its default max_n of 3, and convert's document on stdout."""
+    paths = {"{sierp}": sierp_path, "{pin}": pin_path}
+    argv = [paths.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (code, stdout, "")
+
+
+def test_recursion_error_is_an_input_error(capsys, monkeypatch, sierp_path):
+    """A RecursionError from any step of a command is exit 2 with one error
+    line, never a traceback or the exit-1 verdict."""
+
+    def deep(text):
+        raise RecursionError
+
+    monkeypatch.setattr(cli, "parse", deep)
+    argv = ["eval", "--model", sierp_path, "--scenario", "x=1;U=0,1", "--formula", "p"]
+    assert run(capsys, *argv) == (
+        2, "", "error: input nested too deeply (recursion limit reached)\n"
+    )
 
 
 def _nested(shape, depth):

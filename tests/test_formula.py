@@ -481,3 +481,17 @@ class TestSharedSubformulas:
         assert instantiate(fm.Scheme("dag", dag(Meta("phi"), Bel)), {"phi": q}) is dag(q, Bel)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"runtime target exceeded: {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p $ q", "unknown operator token '$' (at offset 2)"),
+        ("(p", "expected ')' (at offset 2)"),
+        ("p q", "unexpected 'q' (at offset 2)"),
+    ],
+)
+def test_parse_rejects_outside_input(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message

@@ -11,6 +11,7 @@ from topobelief.model import (
     BudgetError,
     EDScenario,
     ModelError,
+    RelationalError,
     RelationalModel,
     ScenarioClass,
     SubsetModel,
@@ -433,3 +434,56 @@ class TestContractionSize:
         chain = Topology.from_opens(3, [0, 0b100, 0b110, 0b111])
         assert _contraction_size(SubsetModel(chain, {"p": 0b100}), 3) == 2
         assert _contraction_size(SubsetModel(chain, {"p": 0b010}), 3) == 3
+
+
+_SIERPINSKI = SubsetModel(Topology.from_opens(2, [0b00, 0b01, 0b11]), {"p": 0b01})
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: load("[1, 2]"), ModelError, "model document must be a JSON object"),
+        (
+            lambda: load('{"type": "subset", "worlds": 1, "opens": [[0]], "valuation": [0]}'),
+            ModelError,
+            "valuation must be an object",
+        ),
+        (
+            lambda: load('{"type": "subset", "worlds": 1}'),
+            ModelError,
+            "subset model needs opens or subbasis",
+        ),
+        (
+            lambda: load('{"type": "subset", "worlds": 1, "opens": 3}'),
+            ModelError,
+            "opens must be a list",
+        ),
+        (lambda: parse_scenario("x"), ModelError, "bad scenario field 'x'"),
+        (
+            lambda: check_scenario(_SIERPINSKI, EDScenario(2, 0b11)),
+            ModelError,
+            "world 2 out of range",
+        ),
+        (
+            lambda: check_scenario(_SIERPINSKI, EDScenario(1, 0b11, 0b10)),
+            ModelError,
+            "doxastic range is not open",
+        ),
+        (lambda: dump(object()), ModelError, "cannot dump object"),
+        (
+            lambda: SubsetModel(Topology.discrete(2), {"p": 0b100}),
+            ModelError,
+            "valuation of 'p' out of carrier range",
+        ),
+        (
+            lambda: RelationalModel(2, frozenset({(0, 2)})),
+            RelationalError,
+            "pair (0,2) out of range",
+        ),
+    ],
+)
+def test_outside_input_is_refused(check, error, message):
+    with pytest.raises(error) as info:
+        check()
+    assert type(info.value) is error
+    assert str(info.value) == message

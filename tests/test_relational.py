@@ -446,3 +446,13 @@ class TestRandomBeliefFrame:
                 union |= cell
             assert union == (1 << m.n) - 1
             assert sorted(min(bits(c)) for c in cells) == [min(bits(c)) for c in cells]
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [(lambda: relational.BrushDecomposition(()).cell_of(0), "world 0 not covered")],
+)
+def test_outside_input_is_refused(check, message):
+    with pytest.raises(RelationalError) as info:
+        check()
+    assert str(info.value) == message

@@ -24,6 +24,7 @@ from topobelief.formula import (
     Atom,
     Bel,
     E_MAP,
+    Meta,
     Not,
     formula_corpus,
     get_scheme,
@@ -625,6 +626,12 @@ class TestBatchEvaluatorAgreement:
                 with pytest.raises(BudgetError, match=f"exceeds budget {budget}"):
                     sweep_validity(engine, stream, budget=budget)
 
+    def test_sweep_without_roots_reads_no_model(self, wedge):
+        """An engine with no roots has no failure to find: the sweep returns
+        at once, so no model is charged, even at budget 0."""
+        engine = BatchEvaluator((), STRONG)
+        assert sweep_validity(engine, [wedge], budget=0) == {}
+
     def test_sweep_failure_replays(self, wedge):
         f = parse("box p | box ! box p")
         engine = BatchEvaluator((f,), STRONG)
@@ -1171,3 +1178,18 @@ class TestReducedSearch:
         assert (out.status, out.evaluations) == ("budget", budget)
         assert len(drawn) == 12
         assert [d for d, model in enumerate(drawn) if id(model) in swept] == sorted(full)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            lambda: BatchEvaluator((Meta("phi"),), STRONG),
+            "cannot compile node Meta(name='phi')",
+        ),
+    ],
+)
+def test_outside_input_is_refused(check, message):
+    with pytest.raises(SemanticsError) as info:
+        check()
+    assert str(info.value) == message
