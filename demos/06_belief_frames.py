@@ -23,7 +23,7 @@ from topobelief.topology import format_mask
 # The two-world pin: world 0 looks only at world 1, which looks at itself.
 pin = RelationalModel(2, frozenset({(0, 1), (1, 1)}), {"p": 0b10})
 props = classify(pin)
-print("pin flags:", {k: v for k, v in vars(props).items() if v})
+print("pin flags:", {k: getattr(props, k) for k in props._fields if getattr(props, k)})
 print("decomposition:", "; ".join(str(c) for c in decompose(pin).components))
 
 # world 0 believes p although p is false there

@@ -21,8 +21,9 @@ desugared form.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+from .record import Frozen, Record
 
 
 class FormulaError(Exception):
@@ -54,7 +55,7 @@ MAX_DEPTH = 128
 _NODES: dict[tuple, Formula] = {}
 
 
-class Formula:
+class Formula(Frozen):
     """Base class; every node is one of the variants below.
 
     Nodes are interned: __new__ is the only code that builds one, and it
@@ -62,6 +63,9 @@ class Formula:
     hash and == are the identity's and a node never changes.  A node
     stores its children and its depth once, when it is built; Atom and
     Meta carry a name, and every other node's fields are its children.
+    A new node is checked before it is interned: a child that is not a
+    formula, or a name that is not an ATOM_RE word or is a connective's
+    word (true, false, box, dia), raises FormulaError.
     """
 
     # _postorder is set by postorder(f), on f alone
@@ -76,22 +80,25 @@ class Formula:
         if node is None or named:  # a keyword left over, unknown or given twice, is an error
             if named or len(fields) != len(cls._fields):
                 raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+            kids, depth = fields, 0
+            if cls is Atom or cls is Meta:
+                word = fields[0]
+                if not isinstance(word, str) or not ATOM_RE.match(word) or word in _RESERVED:
+                    raise FormulaError(f"bad {cls.__name__.lower()} name {word!r}")
+                kids = ()
+            for k in kids:
+                if not isinstance(k, Formula):
+                    raise FormulaError(f"{cls.__name__} takes formulas, not {k!r}")
+                if k._depth >= depth:
+                    depth = k._depth + 1
             node = object.__new__(cls)
-            kids = () if cls is Atom or cls is Meta else fields
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_children", kids)
-            depth = 1 + max(getattr(k, "_depth", 0) for k in kids) if kids else 0
             object.__setattr__(node, "_depth", depth)
             object.__setattr__(node, "_postorder", None)
             _NODES[key] = node
         return node
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         """Pickle and copy rebuild through the constructor, so they get this
@@ -106,7 +113,7 @@ class Formula:
         return _rebuild, (tuple(entries),)
 
     def __repr__(self) -> str:
-        """Name(field=value!r, ...), as a dataclass writes it, at any depth:
+        """Name(field=value!r, ...), as a Record writes it, at any depth:
         one explicit stack of pending text and nodes."""
         out: list[str] = []
         stack: list = [self]
@@ -223,6 +230,10 @@ CONNECTIVES: dict[type[Formula], Connective] = {
 MODALITIES: dict[str, type[Formula]] = {c.word: cls for cls, c in CONNECTIVES.items() if c.dual}
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# the connective words an atom name would read as: true, false, box, dia
+_RESERVED = frozenset(
+    w for c in CONNECTIVES.values() for w in (c.word, c.dual) if w and ATOM_RE.match(w)
+)
 
 _INFIX = {c.word: (cls, c) for cls, c in CONNECTIVES.items() if len(c.operands) == 2}
 _PREFIX: dict[str, Callable[[Formula], Formula]] = {"~": Not}
@@ -471,10 +482,10 @@ def modal_depth(f: Formula) -> int:
     return depth[f]
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Record):
     """An axiom scheme: a template over metavariables phi, psi."""
 
+    __slots__ = _fields = ("name", "template")
     name: str
     template: Formula
 

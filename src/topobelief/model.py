@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
 from .formula import ATOM_RE, Formula
+from .record import Record
 from .topology import (
     MAX_WORLDS,
     Topology,
@@ -52,42 +52,50 @@ class BudgetError(Exception):
 DEFAULT_SCENARIO_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class SubsetModel:
+class SubsetModel(Record):
     """A finite topological space plus a valuation atom -> subset mask."""
 
+    __slots__ = _fields = ("topology", "valuation")
     topology: Topology
     valuation: Mapping[str, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "valuation", _valuation(self.valuation, self.n, ModelError))
+    def __init__(self, topology: Topology, valuation: Mapping[str, int]):
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "valuation", _valuation(valuation, topology.n, ModelError))
 
     @property
     def n(self) -> int:
         return self.topology.n
 
 
-@dataclass(frozen=True)
-class RelationalModel:
-    """Worlds 0..n-1, a binary relation, and a valuation atom -> mask."""
+class RelationalModel(Record):
+    """Worlds 0..n-1, a binary relation, and a valuation atom -> mask.
 
+    The successor table and the extension memo are derived, and neither
+    shown nor compared."""
+
+    __slots__ = ("n", "rel", "valuation", "succ", "_extensions")
+    _fields = ("n", "rel", "valuation")
     n: int
     rel: frozenset[tuple[int, int]]
-    valuation: Mapping[str, int] = field(default_factory=dict)
-    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)  # x -> R(x) mask
+    valuation: Mapping[str, int]
+    succ: tuple[int, ...]  # x -> R(x) mask
     # formula -> extension mask, filled by relational.relational_extension
-    _extensions: dict[Formula, int] = field(init=False, repr=False, compare=False)
+    _extensions: dict[Formula, int]
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_WORLDS:
-            raise RelationalError(f"world count {self.n} outside 1..{MAX_WORLDS}")
-        succ = [0] * self.n
-        for x, y in self.rel:
-            if not (0 <= x < self.n and 0 <= y < self.n):
+    # the default valuation is only read, into the model's own copy
+    def __init__(self, n: int, rel: frozenset[tuple[int, int]], valuation: Mapping[str, int] = {}):
+        if not 1 <= n <= MAX_WORLDS:
+            raise RelationalError(f"world count {n} outside 1..{MAX_WORLDS}")
+        succ = [0] * n
+        for x, y in rel:
+            if not (0 <= x < n and 0 <= y < n):
                 raise RelationalError(f"pair ({x},{y}) out of range")
             succ[x] |= 1 << y
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "succ", tuple(succ))
-        object.__setattr__(self, "valuation", _valuation(self.valuation, self.n, RelationalError))
+        object.__setattr__(self, "valuation", _valuation(valuation, n, RelationalError))
         object.__setattr__(self, "_extensions", {})
 
 
@@ -121,8 +129,7 @@ def _valuation(valuation: Mapping[str, int], n: int, error: type[Exception]) -> 
     return _FrozenValuation(valuation)
 
 
-@dataclass(frozen=True)
-class EDScenario:
+class EDScenario(Record):
     """Evaluation point: world x, epistemic range u, optional doxastic range v.
 
     v is absent for plain epistemic scenarios.  When present it must be an
@@ -130,9 +137,15 @@ class EDScenario:
     may be empty (the general case; belief then holds vacuously).
     """
 
+    __slots__ = _fields = ("x", "u", "v")
     x: int
     u: int
-    v: int | None = None
+    v: int | None
+
+    def __init__(self, x: int, u: int, v: int | None = None):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     def literal(self) -> str:
         out = f"x={self.x};U=" + ",".join(str(i) for i in bits(self.u))

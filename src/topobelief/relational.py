@@ -16,17 +16,19 @@ evaluation reads formula.CONNECTIVES, and B off the table (mnb_interior).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import formula as fm
 from .formula import Formula
 from .model import EDScenario, RelationalError, RelationalModel, SubsetModel, atom_names
+from .record import Record
 from .semantics import Evaluator, Semantics
 from .topology import Topology, _is_transitive, bits, format_mask, full_mask, mnb_interior
 
 
-@dataclass(frozen=True)
-class FrameProperties:
+class FrameProperties(Record):
+    __slots__ = _fields = (
+        "serial", "transitive", "euclidean", "belief_frame", "brush", "final_cluster", "pin"
+    )
     serial: bool
     transitive: bool
     euclidean: bool
@@ -51,8 +53,8 @@ def classify(m: RelationalModel) -> FrameProperties:
     )
 
 
-@dataclass(frozen=True)
-class BrushComponent:
+class BrushComponent(Record):
+    __slots__ = _fields = ("cell", "final_cluster")
     cell: int  # mask of the ~-equivalence class
     final_cluster: int  # mask of its reflexive points
 
@@ -60,8 +62,8 @@ class BrushComponent:
         return f"cell={format_mask(self.cell)} cluster={format_mask(self.final_cluster)}"
 
 
-@dataclass(frozen=True)
-class BrushDecomposition:
+class BrushDecomposition(Record):
+    __slots__ = _fields = ("components",)
     components: tuple[BrushComponent, ...]
 
     def cell_of(self, x: int) -> int:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
@@ -75,6 +74,7 @@ from .model import (
     random_model,
     range_groups,
 )
+from .record import Record
 from .topology import ENUMERATION_MAX, MAX_WORLDS, Topology, bits, mnb_interior
 
 
@@ -149,16 +149,20 @@ def satisfies(model: SubsetModel, s: EDScenario, f: Formula, kind: Semantics) ->
     return bool(ext >> s.x & 1)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
+    __slots__ = _fields = ("scenario", "trace")
     scenario: EDScenario
     trace: tuple[tuple[str, bool], ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = _fields = ("valid", "witness")
     valid: bool
-    witness: Witness | None = None
+    witness: Witness | None
+
+    def __init__(self, valid: bool, witness: Witness | None = None):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "witness", witness)
 
 
 def _trace(
@@ -196,8 +200,7 @@ def valid_in_model(
     return Verdict(False, Witness(hit.scenario, _trace(engine, model, f, hit.scenario)))
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of a countermodel hunt.
 
     status "found" carries the witness; "exhausted" means the whole
@@ -206,6 +209,7 @@ class SearchOutcome:
     budget ran out first.
     """
 
+    __slots__ = _fields = ("status", "model", "scenario", "evaluations")
     status: Literal["found", "exhausted", "budget"]
     model: SubsetModel | None
     scenario: EDScenario | None
@@ -615,8 +619,8 @@ class BatchEvaluator:
             vals[i] = out
 
 
-@dataclass(frozen=True)
-class BatchFailure:
+class BatchFailure(Record):
+    __slots__ = _fields = ("model", "scenario")
     model: SubsetModel
     scenario: EDScenario
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import formula as fm
@@ -35,6 +34,7 @@ from .model import (
     parse_scenario,
     random_model,
 )
+from .record import Record
 from .semantics import (
     BatchEvaluator,
     Semantics,
@@ -73,8 +73,8 @@ STRONG_BELIEF_SCHEMES: tuple[str, ...] = ("K_B", "sPI", "KB", "RB", "wF", "CB")
 RANGE_BELIEF_SCHEMES: tuple[str, ...] = ("K_B", "sPI", "KB", "RB")
 
 
-@dataclass(frozen=True)
-class LogicSuite:
+class LogicSuite(Record):
+    __slots__ = _fields = ("name", "schemes", "semantics", "scenario_class", "rules")
     name: str
     schemes: tuple[str, ...]
     semantics: Semantics
@@ -175,8 +175,7 @@ def stalnaker_images() -> dict[str, Formula]:
 # batches
 
 
-@dataclass(frozen=True)
-class Batch:
+class Batch(Record):
     """Deterministic model stream over p and q, the atoms every suite
     instance reads: exhaustive part, then seeded random part.
 
@@ -209,31 +208,39 @@ class Batch:
     stream.
 
     The same precondition lets run_suite pass exhaustive_n as
-    sweep_validity's complete_to (see there).
+    sweep_validity's complete_to (see there).  The atoms are fixed, and
+    draws and swept are neither shown nor compared.
     """
 
-    exhaustive_n: int = 0
-    atoms: tuple[str, ...] = field(default=("p", "q"), init=False)
-    seeds: tuple[int, ...] = ()
-    sizes: tuple[int, ...] = ()
-    draws: tuple[SubsetModel, ...] = field(init=False, repr=False, compare=False)
-    swept: tuple[SubsetModel, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("exhaustive_n", "seeds", "sizes", "draws", "swept")
+    _fields = ("exhaustive_n", "atoms", "seeds", "sizes")
+    atoms: tuple[str, ...] = ("p", "q")
+    exhaustive_n: int
+    seeds: tuple[int, ...]
+    sizes: tuple[int, ...]
+    draws: tuple[SubsetModel, ...]
+    swept: tuple[SubsetModel, ...]
 
-    def __post_init__(self):
-        if self.exhaustive_n < 0:
-            raise SuiteError(f"exhaustive size {self.exhaustive_n} is negative")
-        if self.exhaustive_n > ENUMERATION_MAX:
+    def __init__(self, exhaustive_n: int = 0, seeds: tuple[int, ...] = (), sizes: tuple[int, ...] = ()):
+        if exhaustive_n < 0:
+            raise SuiteError(f"exhaustive size {exhaustive_n} is negative")
+        if exhaustive_n > ENUMERATION_MAX:
             raise SuiteError(f"exhaustive enumeration gated at n <= {ENUMERATION_MAX}")
-        if len(self.seeds) != len(self.sizes):
+        if len(seeds) != len(sizes):
             raise SuiteError("seeds and sizes must align")
-        for size in self.sizes:
+        for size in sizes:
             if not 1 <= size <= MAX_WORLDS:
                 raise SuiteError(f"size {size} outside 1..{MAX_WORLDS}")
-        draws = tuple(random_model(seed, size) for seed, size in zip(self.seeds, self.sizes))
+        draws = tuple(random_model(seed, size) for seed, size in zip(seeds, sizes))
+        exhaustive = _isomorph_free_models(exhaustive_n, self.atoms, None, {})
+        object.__setattr__(self, "exhaustive_n", exhaustive_n)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "draws", draws)
-        exhaustive = _isomorph_free_models(self.exhaustive_n, self.atoms, None, {})
-        swept = _contracted((*exhaustive, *draws), self.exhaustive_n)
-        object.__setattr__(self, "swept", tuple(swept))
+        object.__setattr__(self, "swept", tuple(_contracted((*exhaustive, *draws), exhaustive_n)))
+
+    def __reduce__(self):
+        return Batch, (self.exhaustive_n, self.seeds, self.sizes)
 
     def models(self) -> Iterator[SubsetModel]:
         yield from exhaustive_models(self.exhaustive_n, self.atoms)
@@ -289,25 +296,45 @@ def soundness_batch(
 # suite runs
 
 
-@dataclass(frozen=True)
-class SchemeResult:
+class SchemeResult(Record):
+    __slots__ = _fields = (
+        "scheme", "instance", "status", "witness_model", "witness_scenario", "witness_trace"
+    )
     scheme: str
     instance: str
     status: str  # "valid" | "countermodel"
-    witness_model: dict | None = None
-    witness_scenario: str | None = None
-    witness_trace: tuple[tuple[str, bool], ...] | None = None
+    witness_model: dict | None
+    witness_scenario: str | None
+    witness_trace: tuple[tuple[str, bool], ...] | None
+
+    # written out: run_suite builds one per scheme instance
+    def __init__(
+        self,
+        scheme: str,
+        instance: str,
+        status: str,
+        witness_model: dict | None = None,
+        witness_scenario: str | None = None,
+        witness_trace: tuple[tuple[str, bool], ...] | None = None,
+    ):
+        store = object.__setattr__
+        store(self, "scheme", scheme)
+        store(self, "instance", instance)
+        store(self, "status", status)
+        store(self, "witness_model", witness_model)
+        store(self, "witness_scenario", witness_scenario)
+        store(self, "witness_trace", witness_trace)
 
 
-@dataclass(frozen=True)
-class RuleResult:
+class RuleResult(Record):
+    __slots__ = _fields = ("rule", "premise", "status")
     rule: str
     premise: str
     status: str  # "vacuous" | "valid"
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
+    __slots__ = _fields = ("suite", "semantics", "scenario_class", "batch", "results", "rules")
     suite: str
     semantics: str
     scenario_class: str
@@ -447,10 +474,12 @@ def run_suite(
 # certified non-theorems
 
 
-@dataclass(frozen=True)
-class ExpectedFailure:
+class ExpectedFailure(Record):
     """A formula that must fail, with a stored replayable witness."""
 
+    __slots__ = _fields = (
+        "label", "formula", "semantics", "scenario_class", "max_worlds", "witness_model", "witness_scenario"
+    )
     label: str
     formula: str
     semantics: Semantics

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
+
+from .record import Frozen, Record
 
 MAX_WORLDS = 16
 ENUMERATION_MAX = 4
@@ -97,10 +98,10 @@ def _unions(table: Iterable[int]) -> set[int]:
     return family
 
 
-@dataclass(frozen=True)
-class TopologyViolation:
+class TopologyViolation(Record):
     """Why a family of subsets fails to be a topology."""
 
+    __slots__ = _fields = ("kind", "left", "right", "missing")
     kind: str  # missing-empty | missing-carrier | missing-union | missing-intersection
     left: int | None
     right: int | None
@@ -170,7 +171,7 @@ def _as_topology(n: int, family: set[int]) -> "Topology | None":
     return t if set(t.opens) == family else None
 
 
-class Topology:
+class Topology(Frozen):
     """Carrier size plus minimal-neighborhood table, opens and Max derived; immutable."""
 
     __slots__ = ("n", "min_neighborhoods", "opens", "maximal")
@@ -182,12 +183,6 @@ class Topology:
         object.__setattr__(self, "min_neighborhoods", mnb)
         object.__setattr__(self, "opens", _canon(_unions(mnb)))
         object.__setattr__(self, "maximal", _maximal(mnb))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Topology, (self.n, self.min_neighborhoods)

@@ -1,6 +1,6 @@
 import copy
-import dataclasses
 import pickle
+import re
 import time
 
 import pytest
@@ -34,6 +34,7 @@ from topobelief.formula import (
     to_text,
     translate,
 )
+from topobelief.record import FrozenInstanceError
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -297,9 +298,9 @@ class TestInterning:
 
     def test_nodes_stay_frozen(self):
         f = parse("B p")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             f.sub = q
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             p.name = "q"
         assert f.sub is p and p.name == "p"
 
@@ -321,6 +322,34 @@ class TestInterning:
             Bel(p, q)
         for cls, *fields in fm._NODES:
             assert len(fields) == len(cls._fields), (cls, fields)
+
+    # a constructor call whose fields are not a formula's, and the error naming why
+    BAD_FIELDS = [
+        (Not, (3,), "Not takes formulas, not 3"),
+        (fm.And, (p, "q"), "And takes formulas, not 'q'"),
+        (Implies, (None, p), "Implies takes formulas, not None"),
+        (Atom, ("P q",), "bad atom name 'P q'"),
+        (Atom, ("",), "bad atom name ''"),
+        (Atom, (3,), "bad atom name 3"),
+        (Atom, ("box",), "bad atom name 'box'"),
+        (Atom, ("dia",), "bad atom name 'dia'"),
+        (Atom, ("true",), "bad atom name 'true'"),
+        (Atom, ("false",), "bad atom name 'false'"),
+        (Meta, ("phi psi",), "bad meta name 'phi psi'"),
+        (Meta, ("box",), "bad meta name 'box'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, fields, message", BAD_FIELDS, ids=[f"{c.__name__}{f!r}" for c, f, _ in BAD_FIELDS]
+    )
+    def test_bad_fields_raise_and_are_not_interned(self, cls, fields, message):
+        with pytest.raises(FormulaError, match=f"^{re.escape(message)}$"):
+            cls(*fields)
+        assert (cls, *fields) not in fm._NODES
+
+    def test_words_that_only_look_reserved_are_atoms(self):
+        for name in ("boxes", "dia_1", "truth", "k", "b"):
+            assert parse(name) is Atom(name) and to_text(Atom(name)) == name
 
 
 class TestPostorder:

@@ -1,7 +1,11 @@
 """The package's import graph: acyclic, with every import at module level,
-and every imported name read from the module that defines it."""
+and every imported name read from the module that defines it; and its
+import budget: what a fresh CLI process loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import topobelief
@@ -77,6 +81,35 @@ def test_no_import_inside_a_function():
                     n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))
                 ]
                 assert not inner, f"{name}.py: import inside {fn.name} at lines {inner}"
+
+
+def _imported_modules(tree) -> set[str]:
+    """The top-level names of the absolute imports in one module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    """The package's frozen classes are records (record.py): importing
+    dataclasses pulls in inspect, dis, ast and tokenize, and compiles each
+    class's methods, in every fresh CLI process."""
+    importers = sorted(n for n, tree in _trees().items() if "dataclasses" in _imported_modules(tree))
+    assert importers == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    probe = "import sys, topobelief.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "topobelief.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def _bound_names(node) -> list[str]:

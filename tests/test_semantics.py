@@ -986,13 +986,13 @@ class TestIsomorphFreeSearch:
 
     def test_builds_only_the_kept_models(self, monkeypatch):
         built = []
-        check = SubsetModel.__post_init__
+        check = SubsetModel.__init__
 
-        def spy(model):
+        def spy(model, *args):
             built.append(model)
-            check(model)
+            check(model, *args)
 
-        monkeypatch.setattr(SubsetModel, "__post_init__", spy)
+        monkeypatch.setattr(SubsetModel, "__init__", spy)
         out = find_countermodel(parse("K p -> p"), STRONG, max_n=4, budget=10**6)
         assert (out.status, out.evaluations) == ("exhausted", 76_426)
         assert len(built) == 425  # of 5 930 labeled models
