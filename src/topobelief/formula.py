@@ -76,7 +76,10 @@ class Formula(Frozen):
         if named:  # bind keywords in field order
             fields += tuple(named.pop(name) for name in cls._fields[len(fields) :] if name in named)
         key = (cls, *fields)
-        node = _NODES.get(key)
+        try:
+            node = _NODES.get(key)
+        except TypeError:  # an unhashable field is no formula's; the checks below name it
+            node = None
         if node is None or named:  # a keyword left over, unknown or given twice, is an error
             if named or len(fields) != len(cls._fields):
                 raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")

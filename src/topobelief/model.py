@@ -10,8 +10,9 @@ A model document, "subset" (opens) or "relational" (pairs), is a UTF-8
 JSON object; `dump` produces the bit-exact canonical form (sorted keys,
 two-space indent, canonical opens), so load then dump is the identity.
 The model streams live here too: exhaustive_models, the labeled one, and
-_isomorph_free_models, which the search and every batch's swept stream read;
-and _contraction_size, by which a batch leaves out models swept earlier.
+_isomorph_free_models, the runs of valuations which the search and every
+batch's swept stream read; and _contraction_size, by which a batch leaves
+out models swept earlier.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import json
 import random
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import ATOM_RE, Formula
 from .record import Record
@@ -482,15 +483,18 @@ def _isomorph_free_models(
     names: Sequence[str],
     cls: ScenarioClass | None,
     starts: dict[Topology, tuple[int, int]],
-) -> Iterator[SubsetModel]:
+) -> Iterator[tuple[Topology, Iterator[tuple[int, ...]]]]:
     """The first labeled member of each isomorphism class of
-    exhaustive_models(max_n, names), in the same order, built without the
-    others; starts gets, for each topology that has models here, the
-    labeled scenarios before its first one and the cost of each of its
-    models under cls, the scenarios of its full pair list counted by
-    _range_cost: no pair list is built here.  Its readers:
-    find_countermodel's exhaustive phase, which reads starts, and Batch,
-    whose swept stream, the one every suite run sweeps, starts with it.
+    exhaustive_models(max_n, names), in the same order, as runs: each
+    class's first topology with its kept valuations, each the masks of
+    names in order, in product order.  No model is built here, and each
+    run's valuations are generated as they are read (_orbit_least).
+    starts gets, for each topology that has models here, the labeled
+    scenarios before its first one and the cost of each of its models
+    under cls, the scenarios of its full pair list counted by _range_cost:
+    no pair list is built here.  Its readers: find_countermodel's
+    exhaustive phase, which reads starts and builds a model only for its
+    hit, and Batch, which builds only the models its keep rule keeps.
 
     Two models are isomorphic when a relabeling of the worlds carries one's
     opens and valuation onto the other's, atom names kept.  Such a
@@ -510,8 +514,9 @@ def _isomorph_free_models(
     given, of its valuation's images under the automorphisms, its
     stabilizer, which the class table gives (_classes: one orbit walk per
     class, when its first member appears).  So every other member is
-    skipped before any of its models is built, and is charged 2^(n·atoms)
-    times its class's cost, the same on every topology of the class.
+    skipped before any of its valuations is generated, and is charged
+    2^(n·atoms) times its class's cost, the same on every topology of the
+    class.
     """
     start = 0
     for n in range(1, max_n + 1):
@@ -520,15 +525,68 @@ def _isomorph_free_models(
             if i == first:
                 costs[i] = _range_cost(top, cls)
                 starts[top] = (start, costs[i])
-                for masks in itertools.product(range(1 << n), repeat=len(names)):
-                    if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
-                        yield SubsetModel(top, dict(zip(names, masks)))
+                yield top, _orbit_least(automorphisms, n, len(names))
             start += costs[first] << n * len(names)
 
 
-def _contraction_size(model: SubsetModel, limit: int) -> int:
-    """The worlds of the model's bisimulation contraction, or, once that
-    count is known to pass limit, a count past limit.
+def _orbit_least(
+    automorphisms: Sequence[Sequence[int]], n: int, count: int
+) -> Iterator[tuple[int, ...]]:
+    """Each tuple of count masks on n worlds that is the least, in product
+    order, of its images under the automorphisms (each the image of every
+    mask), in product order.
+
+    Read down a stabilizer chain (Sims, "Computational methods in the
+    study of permutation groups", 1970): a tuple is least exactly when its
+    first mask is least under the group and the rest is least under that
+    mask's stabilizer, since an automorphism that moves the first mask up
+    carries the whole tuple above it.  So a depth-first walk takes each
+    level's masks that are least under the automorphisms fixing the masks
+    before it (_orbit_minima), and once none is left keeps every tuple of
+    the rest.  Nothing is tested per tuple, and nothing generated is kept.
+    """
+    size = 1 << n
+    prefix: list[int] = []
+    # per level, len(prefix) + 1 of them: the automorphisms fixing the
+    # prefix, and that level's least masks still to take
+    levels = [(automorphisms, _orbit_minima(automorphisms, size))]
+    while levels:
+        group, minima = levels[-1]
+        if not group or len(prefix) == count:  # every tuple of the rest is kept
+            head = tuple(prefix)
+            for rest in itertools.product(range(size), repeat=count - len(prefix)):
+                yield head + rest
+        elif len(prefix) == count - 1:  # the last mask closes each tuple
+            head = tuple(prefix)
+            for m in minima:
+                yield (*head, m)
+        elif (m := next(minima, None)) is not None:
+            prefix.append(m)
+            fixing = [aut for aut in group if aut[m] == m]
+            levels.append((fixing, _orbit_minima(fixing, size)))
+            continue
+        levels.pop()
+        if prefix:
+            prefix.pop()
+
+
+def _orbit_minima(automorphisms: Sequence[Sequence[int]], size: int) -> Iterator[int]:
+    """The masks below size that are least in their orbits under the
+    automorphisms, ascending: a mask is yielded when no lesser one has
+    marked it as an image."""
+    marked = bytearray(size)
+    for m in range(size):
+        if not marked[m]:
+            yield m
+            for aut in automorphisms:
+                marked[aut[m]] = 1
+
+
+def _contraction_size(top: Topology, masks: Iterable[int], limit: int) -> int:
+    """The worlds of the bisimulation contraction of the model of top with
+    the given valuation masks, or, once that count is known to pass limit,
+    a count past limit.  It reads the topology's table and the masks, so
+    it decides before any model is built.
 
     The contraction is the quotient by the largest bisimulation of the
     specialization preorder (x sees the y in mnb(x)) that respects every
@@ -540,10 +598,10 @@ def _contraction_size(model: SubsetModel, limit: int) -> int:
     contraction) or past limit: as many types as worlds, or more types
     than limit, decide before any round.
     """
-    mnb = model.topology.min_neighborhoods
+    mnb = top.min_neighborhoods
     n = len(mnb)
     blocks = [full_mask(n)]
-    splitters = model.valuation.values()
+    splitters = masks
     count = 0
     while count < len(blocks):
         count = len(blocks)

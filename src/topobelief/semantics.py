@@ -55,6 +55,7 @@ import random
 from bisect import bisect_right
 from enum import Enum
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import formula as fm
@@ -105,7 +106,7 @@ class Evaluator:
         self.kind = kind
         self._needs_v = kind.needs_doxastic_range
         self._engine = BatchEvaluator((), kind)
-        self._lanes = _Lanes(((model,),), (1,))
+        self._lanes = _alone(model.topology)
         self._vals: dict[tuple[int, int | None], list[int]] = {}
 
     def extension(self, f: Formula, u: int, v: int | None = None) -> int:
@@ -174,7 +175,7 @@ def _trace(
     subs = fm.postorder(f)
     vals = [0] * len(engine.nodes)
     order = sorted(engine.index[g] for g in subs)
-    engine._run(_Lanes(((model,),), (1,)), model.valuation, s.u, s.v or 0, vals, order)
+    engine._run(_alone(model.topology), model.valuation, s.u, s.v or 0, vals, order)
     entries = [(fm.to_text(g), bool(vals[engine.index[g]] >> s.x & 1)) for g in subs]
     entries.sort(key=lambda item: (len(item[0]), item[0]))
     return tuple(entries)
@@ -234,15 +235,17 @@ def find_countermodel(
     fixed seed, and a larger budget can only extend the search, never change
     an already found witness.
 
-    The exhaustive phase builds and sweeps only the first labeled model of
-    each isomorphism class (_isomorph_free_models), and still counts as the
+    The exhaustive phase sweeps only the first labeled model of each
+    isomorphism class (_isomorph_free_models), and still counts as the
     labeled stream.  A skipped model's earlier copy fails first and costs
     the same (see _isomorph_free_models), so it never holds the first hit,
     and its scenarios are counted where it stood: a model's count starts at
     the labeled scenarios before its topology plus its valuation's product
-    index times its cost.  The count through the last model is the labeled
-    total, since the last labeled model, the full valuation on the discrete
-    space, is alone in its class.
+    index, read off its masks, times its cost.  The count through the last
+    model is the labeled total, since the last labeled model, the full
+    valuation on the discrete space, is alone in its class.  The source's
+    runs of valuations are swept as they come, and a SubsetModel is built
+    only for the hit returned.
 
     Every model, exhaustive or drawn, is swept only at the pairs that can
     hold the first hit, the reductions sweep_validity states: under ae
@@ -280,9 +283,9 @@ def find_countermodel(
     cls = scenario_class if kind.needs_doxastic_range else None
     k = min(max_n, ENUMERATION_MAX)
 
-    def sweep(models: Iterable[SubsetModel]):
+    def sweep(runs: Iterable[_Run]):
         return _sweep_groups(
-            models,
+            runs,
             kind,
             scenario_class,
             DEFAULT_SCENARIO_BUDGET,
@@ -298,7 +301,7 @@ def find_countermodel(
         for d in itertools.takewhile(lambda _: evaluations < budget, itertools.count()):
             model = _search_model(seed + d, sizes[d % len(sizes)], names)
             try:
-                (group,) = sweep((model,))
+                (group,) = sweep(_runs((model,), names))
             except BudgetError:
                 continue  # scenario space too large; skip the draw
             yield group
@@ -309,19 +312,20 @@ def find_countermodel(
         if evaluations >= budget:
             break
         # the hit's model counts up to the hit, else the group's last model in full
-        r, m, s = _group_failures(engine, runs, [root]).get(root, (-1, -1, None))
-        model = runs[r][1][m]
-        top = model.topology
+        r, m, s = _group_failures(engine, runs, names, [root]).get(root, (-1, -1, None))
+        top, valuations = runs[r][1]
+        masks = valuations[m]
         if top in starts:  # the labeled scenarios before its valuation
             start, cost = starts[top]
             index = 0
-            for name in names:
-                index = index << model.n | model.valuation[name]
+            for mask in masks:
+                index = index << top.n | mask
             start += index * cost
         else:  # a random draw, a group of its own
             start, cost = evaluations, _range_cost(top, cls)
         evaluations = start + (cost if s is None else _stream_position(range_groups(top, cls), s))
         if s is not None and evaluations <= budget:
+            model = SubsetModel(top, dict(zip(names, masks)))
             return SearchOutcome("found", model, s, evaluations)
         if evaluations > budget:
             break
@@ -345,7 +349,9 @@ def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
 _MAX_GROUP_BITS = 6144  # lanes × carrier of a lane group, and of a run swept alone
 # the classes that admit V & Max wherever they admit V (see sweep_validity)
 _MAXIMAL_CLASSES = (ScenarioClass.ALL, ScenarioClass.CONSISTENT, ScenarioClass.DENSE)
-_Group = Sequence[tuple[Ranges, Sequence[SubsetModel]]]  # (ranges, run) per run, in stream order
+# a run: one topology and valuations on it, each the masks of a names tuple in order
+_Run = tuple[Topology, Sequence[tuple[int, ...]]]
+_Group = Sequence[tuple[Ranges, _Run]]  # (ranges, run) per run, in stream order
 # each node class's op as _run reads it: the class of an atom or a modality,
 # else the connective's truth function
 _OPS = {Atom: Atom} | {cls: c.truth or cls for cls, c in fm.CONNECTIVES.items()}
@@ -354,9 +360,10 @@ _OPS = {Atom: Atom} | {cls: c.truth or cls for cls, c in fm.CONNECTIVES.items()}
 class _Lanes:
     """Packing of W lanes, over models of any topologies and sizes, into one int per value.
 
-    The models come as runs that each share one topology, in lane order,
-    and every model of run r takes chunks[r] consecutive lanes, one per
-    chunk of its range pairs, from lane starts[r] on (starts[-1] is W).
+    The models come as runs, each a topology and its models' valuations
+    (the masks of names, in order), in lane order, and every model of run
+    r takes chunks[r] consecutive lanes, one per chunk of its range pairs,
+    from lane starts[r] on (starts[-1] is W).
     The carrier is padded to the group's largest n.  World x owns the
     block of bits x*W .. x*W+W-1, and bit j of every block is lane j, so
     one bigint operation acts on all W lanes at once.
@@ -378,15 +385,16 @@ class _Lanes:
     spread (see BatchEvaluator._run).
     """
 
-    def __init__(self, runs: Sequence[Sequence[SubsetModel]], chunks: Sequence[int]):
+    def __init__(self, runs: Sequence[_Run], chunks: Sequence[int], names: Sequence[str]):
         self.runs = list(zip(runs, chunks))
-        lengths = (len(run) * c for run, c in self.runs)
+        self.names = names
+        lengths = (len(valuations) * c for (_, valuations), c in self.runs)
         self.starts = starts = list(itertools.accumulate(lengths, initial=0))
         self.width = width = starts[-1]
         self.ones = ones = (1 << width) - 1
-        n = max(run[0].n for run in runs)
+        tops = [top for top, _ in runs]
+        n = max(top.n for top in tops)
         self.shifts = tuple(x * width for x in range(n))
-        tops = [run[0].topology for run in runs]
         if width == 1:
             self.maximal = tops[0].maximal
             self.interior = partial(mnb_interior, tops[0].min_neighborhoods)
@@ -410,26 +418,24 @@ class _Lanes:
         """The packed value whose block at world x is the lane mask cols[x]."""
         return sum(col << s for col, s in zip(cols, self.shifts) if col)
 
-    def pack(self, names: Iterable[str]) -> Mapping[str, int]:
-        """Each atom's packed truth value across the group's lanes.
+    def pack(self) -> Mapping[str, int]:
+        """Each of names' packed truth value across the group's lanes.
 
-        World x's column collects the lanes whose model makes the atom
-        true at x; the packed value places each column at x's block.
+        World x's column of an atom collects the lanes whose model makes
+        the atom true at x; the packed value places each column at x's
+        block.
         """
-        out = {}
-        for name in names:
-            cols = [0] * len(self.shifts)
-            for (run, c), start in zip(self.runs, self.starts):
-                lanes = ((1 << c) - 1) << start  # the lanes of the run's first model
-                for model in run:
-                    m = model.valuation.get(name, 0)
+        cols = [[0] * len(self.shifts) for _ in self.names]  # per atom, per world
+        for ((_, valuations), c), start in zip(self.runs, self.starts):
+            lanes = ((1 << c) - 1) << start  # the lanes of the run's first model
+            for masks in valuations:
+                for atom, m in zip(cols, masks):
                     while m:
                         low = m & -m
-                        cols[low.bit_length() - 1] |= lanes
+                        atom[low.bit_length() - 1] |= lanes
                         m ^= low
-                    lanes <<= c
-            out[name] = self.place(cols)
-        return out
+                lanes <<= c
+        return {name: self.place(atom) for name, atom in zip(self.names, cols)}
 
     def first_miss(self, m: int, mask: int) -> tuple[int, int]:
         """Least world whose block of m meets the lane mask, and the lowest lane of mask there."""
@@ -478,6 +484,12 @@ class _Lanes:
                 acc &= block[y] | outside
             out |= acc << self.shifts[x]
         return out
+
+
+def _alone(top: Topology) -> _Lanes:
+    """The W = 1 layout of one model on top, whose valuation _run reads as
+    its plain masks."""
+    return _Lanes([(top, [()])], [1], ())
 
 
 class BatchEvaluator:
@@ -550,7 +562,7 @@ class BatchEvaluator:
         W = 1 pass.  No sweep calls it (sweeps run _values); the benchmark's
         probes and spans do."""
         vals = [0] * len(self.nodes)
-        self._run(_Lanes(((model,),), (1,)), model.valuation, u, 0, vals, self.base_order)
+        self._run(_alone(model.topology), model.valuation, u, 0, vals, self.base_order)
         return vals
 
     def overlay_pass(self, model: SubsetModel, u: int, v: int, vals: list[int]) -> None:
@@ -560,7 +572,7 @@ class BatchEvaluator:
         Overlay nodes are recomputed wholesale on every call, so reusing
         one array across successive doxastic ranges is safe.
         """
-        self._run(_Lanes(((model,),), (1,)), model.valuation, u, v, vals, self.overlay_order)
+        self._run(_alone(model.topology), model.valuation, u, v, vals, self.overlay_order)
 
     def _run(
         self,
@@ -674,25 +686,42 @@ def sweep_validity(
     and every pair is swept.  The budget is still charged for every pair.
 
     Every model of the stream is swept.  A stream without isomorphic
-    copies is made at its source (see _isomorph_free_models).
+    copies is made at its source (see _isomorph_free_models).  The stream
+    enters the sweep through _runs, as the engine's atoms' masks, and each
+    failure is named by the stream's own model.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
+    names = engine.atom_names
+    read: list[SubsetModel] = []  # the models read, from the next group's first on
+
+    def reading():
+        for model in models:
+            read.append(model)
+            yield model
+
     groups = _sweep_groups(
-        models, engine.kind, scenario_class, budget, maximal=True, complete_to=complete_to
+        _runs(reading(), names),
+        engine.kind,
+        scenario_class,
+        budget,
+        maximal=True,
+        complete_to=complete_to,
     )
     for runs in groups:
-        for idx, (r, m, s) in _group_failures(engine, runs, list(live)).items():
-            failures[live.pop(idx)] = BatchFailure(runs[r][1][m], s)
+        before = list(itertools.accumulate((len(vals) for _, (_, vals) in runs), initial=0))
+        for idx, (r, m, s) in _group_failures(engine, runs, names, list(live)).items():
+            failures[live.pop(idx)] = BatchFailure(read[before[r] + m], s)
         if not live:
             break
+        del read[: before[-1]]
     return failures
 
 
 def _sweep_groups(
-    models: Iterable[SubsetModel],
+    runs: Iterable[tuple[Topology, Iterable[tuple[int, ...]]]],
     kind: Semantics,
     cls: ScenarioClass,
     budget: int,
@@ -700,35 +729,37 @@ def _sweep_groups(
     grow=False,
     maximal=False,
     complete_to=0,
-) -> Iterator[list[tuple[Ranges, list[SubsetModel]]]]:
-    """The stream in lane groups, each a list of (ranges, run) in stream order.
+) -> Iterator[list[tuple[Ranges, _Run]]]:
+    """The runs in lane groups, each a list of (ranges, run) in stream order.
 
-    A run is a stretch of consecutive models with one topology (see _runs),
-    and ranges are that topology's (U, V) pairs from range_groups, read as
-    they are by _chunks, _passes and the failure decoding.  Consecutive
-    runs share a group while the lanes _chunks lays it out in, times its
-    largest carrier, stay within _MAX_GROUP_BITS: each value holds that
-    many bits, one value per compiled node.  With grow, which only
-    find_countermodel sets, a group holds at most as many runs as all
-    before it, so groups take 1, 1, 2, 4, ... runs: an early hit costs a
-    small sweep and a long hunt few groups, while a sweep's first small
-    groups would only cost it passes.  With maximal, an ae sweep under
-    class all, consistent or dense ranges only the pairs whose V lies
-    inside the topology's Max (see sweep_validity); under total each U has
-    one pair, and nothing is dropped.  With complete_to = k, it ranges no
-    pair whose U is not the carrier and has at most k worlds (see
-    sweep_validity).  range_groups builds those reduced lists.  Raises
-    BudgetError at the first run whose ranges cost more than the budget,
-    once the groups before it are yielded: the budget is charged for the
-    full list.
+    A run is a topology and valuations on it, read as they come: a source
+    run of _isomorph_free_models, or a stretch of a model stream (_runs).
+    Each is cut into runs of at most _MAX_GROUP_BITS // n valuations, one
+    lane per model times the carrier n staying under the cap, and ranges
+    are its topology's (U, V) pairs from range_groups, read as they are by
+    _chunks, _passes and the failure decoding.  Consecutive runs share a
+    group while the lanes _chunks lays it out in, times its largest
+    carrier, stay within _MAX_GROUP_BITS: each value holds that many bits,
+    one value per compiled node.  With grow, which only find_countermodel
+    sets, a group holds at most as many runs as all before it, so groups
+    take 1, 1, 2, 4, ... runs: an early hit costs a small sweep and a long
+    hunt few groups, while a sweep's first small groups would only cost it
+    passes.  With maximal, an ae sweep under class all, consistent or
+    dense ranges only the pairs whose V lies inside the topology's Max
+    (see sweep_validity); under total each U has one pair, and nothing is
+    dropped.  With complete_to = k, it ranges no pair whose U is not the
+    carrier and has at most k worlds (see sweep_validity).  range_groups
+    builds those reduced lists.  Raises BudgetError at the first run whose
+    ranges cost more than the budget, once the groups before it are
+    yielded: the budget is charged for the full list.
     """
-    group: list[tuple[Ranges, list[SubsetModel]]] = []
+    group: list[tuple[Ranges, _Run]] = []
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
     done = 0  # runs of the groups yielded so far
     if not kind.needs_doxastic_range:
         cls = None  # epistemic ranges: each nonempty open U, no V
     maximal = maximal and kind is Semantics.AE and cls in _MAXIMAL_CLASSES
-    for top, run in _runs(models):
+    for top, stretch in runs:
         inside = top.maximal if maximal else None
         try:
             ranges = range_groups(top, cls, budget, above=complete_to, inside=inside)
@@ -736,22 +767,25 @@ def _sweep_groups(
             if group:
                 yield group
             raise
-        if group and (len(group) < done or not grow):
-            # the lanes of the grown group: while the chunk length holds, the
-            # runs already in keep their chunks; when it shrinks, all are recut
-            least = min(size, len(ranges))
-            new, grown = ([(ranges, run)], lanes) if least == size else (group + [(ranges, run)], 0)
-            _, chunks = _chunks(new, least)
-            grown += sum(len(models) * c for (_, models), c in zip(new, chunks))
-            if grown * max(carrier, top.n) <= _MAX_GROUP_BITS:
-                group.append((ranges, run))
-                lanes, carrier, size = grown, max(carrier, top.n), least
-                continue
-        if group:
-            yield group
-            done += len(group)
-        group = [(ranges, run)]
-        lanes, carrier, size = len(run), top.n, len(ranges)
+        stretch = iter(stretch)
+        while valuations := list(itertools.islice(stretch, _MAX_GROUP_BITS // top.n)):
+            run = (top, valuations)
+            if group and (len(group) < done or not grow):
+                # the lanes of the grown group: while the chunk length holds, the
+                # runs already in keep their chunks; when it shrinks, all are recut
+                least = min(size, len(ranges))
+                new, grown = ([(ranges, run)], lanes) if least == size else (group + [(ranges, run)], 0)
+                _, chunks = _chunks(new, least)
+                grown += sum(len(vals) * c for (_, (_, vals)), c in zip(new, chunks))
+                if grown * max(carrier, top.n) <= _MAX_GROUP_BITS:
+                    group.append((ranges, run))
+                    lanes, carrier, size = grown, max(carrier, top.n), least
+                    continue
+            if group:
+                yield group
+                done += len(group)
+            group = [(ranges, run)]
+            lanes, carrier, size = len(valuations), top.n, len(ranges)
     if group:
         yield group
 
@@ -770,19 +804,22 @@ def _chunks(runs: _Group, size: int = 0) -> tuple[int, list[int]]:
     return size, [-(-len(ranges) // size) for ranges, _ in runs]
 
 
-def _runs(models: Iterable[SubsetModel]) -> Iterator[tuple[Topology, list[SubsetModel]]]:
-    """Each stretch of consecutive models of one topology (one that comes
-    back starts a new stretch), cut into runs of _MAX_GROUP_BITS // n
-    models: one lane per model times the carrier n stays under the cap."""
-    for top, stretch in itertools.groupby(models, key=lambda model: model.topology):
-        while run := list(itertools.islice(stretch, _MAX_GROUP_BITS // top.n)):
-            yield top, run
+def _runs(
+    models: Iterable[SubsetModel], names: Sequence[str]
+) -> Iterator[tuple[Topology, Iterator[tuple[int, ...]]]]:
+    """A model stream as runs, the one way models enter a sweep: each
+    stretch of consecutive models of one topology (one that comes back
+    starts a new stretch), with each model's masks of names in order, an
+    atom it does not value being false everywhere.  Like the source's, a
+    run's valuations are read as they come, before the next run."""
+    for top, stretch in itertools.groupby(models, key=attrgetter("topology")):
+        yield top, (tuple([model.valuation.get(name, 0) for name in names]) for model in stretch)
 
 
-def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
+def _passes(runs: _Group, names: Sequence[str]) -> tuple[_Lanes, list[list[int]]]:
     """A lane group's one pass schedule: its _Lanes and each pass's packed
     [U, V], one pass per pair of a chunk, for runs given as (ranges, run)
-    in stream order.
+    in stream order, each valuation the masks of names in order.
 
     Each model's (U, V) pairs, in canonical order, are cut into chunks as
     long as the group's shortest list (see _chunks), one lane per chunk in
@@ -796,15 +833,15 @@ def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
     masks, V = None read as 0.
     """
     size, chunks = _chunks(runs)
-    lanes = _Lanes([run for _, run in runs], chunks)
+    lanes = _Lanes([run for _, run in runs], chunks, names)
     if lanes.width == 1:
         return lanes, [[u, v or 0] for u, v in runs[0][0]]
     n = len(lanes.shifts)
     cols = [([0] * n, [0] * n) for _ in range(size)]  # each pass's U and V column per world
-    opens = {o for _, run in runs for o in run[0].topology.opens}
+    opens = {o for _, (top, _) in runs for o in top.opens}
     worlds = {o: bits(o) for o in opens}  # each mask's worlds, looked up once
-    for (ranges, run), c, start in zip(runs, chunks, lanes.starts):
-        every = ((1 << len(run) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
+    for (ranges, (_, valuations)), c, start in zip(runs, chunks, lanes.starts):
+        every = ((1 << len(valuations) * c) - 1) // ((1 << c) - 1) << start  # each model's chunk 0
         pairs = iter(ranges)
         for j in range(c):  # j > 0 only for a list longer than the group's shortest
             chunk = every << j
@@ -820,7 +857,7 @@ def _passes(runs: _Group) -> tuple[_Lanes, list[list[int]]]:
 def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator[list[int]]:
     """Every node's packed values at each pass in turn, in one list that
     the next pass overwrites; the base nodes rerun only when U changes."""
-    atoms = lanes.pack(engine.atom_names)
+    atoms = lanes.pack()
     vals = [0] * len(engine.nodes)
     last_us = None
     for us, vs in passes:
@@ -833,15 +870,16 @@ def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator
 
 
 def _group_failures(
-    engine: BatchEvaluator, runs: _Group, live: list[int]
-) -> dict[int, tuple[int, EDScenario]]:
+    engine: BatchEvaluator, runs: _Group, names: Sequence[str], live: list[int]
+) -> dict[int, tuple[int, int, EDScenario]]:
     """Per live root, the group's first failure in scan order, as (r, m,
-    scenario) with runs[r][1][m] the failing model: the lowest failing
-    (run, model), the least world missing in any of its chunks, then the
-    first of its pairs that misses that world, over the passes of _passes
-    as _values evaluates them.
+    scenario) with valuation m of runs[r][1] the failing model's: the
+    lowest failing (run, model), the least world missing in any of its
+    chunks, then the first of its pairs that misses that world, over the
+    passes of _passes as _values evaluates them.  Each valuation holds the
+    masks of names, in order.
     """
-    lanes, passes = _passes(runs)
+    lanes, passes = _passes(runs, names)
     starts, chunks = lanes.starts, [c for _, c in lanes.runs]
     # per root, the least (run, model, world, pair) yet and the end lane of its model
     found: dict[int, tuple[tuple[int, int, int, int], int]] = {}

@@ -182,9 +182,10 @@ class Batch(Record):
     Built once, with the batch: draws, random_model's model per (seed,
     size), and swept, what run_suite sweeps: the isomorph-free exhaustive
     part (_isomorph_free_models), then the draws, less every model
-    _contracted drops.  models() is the labeled stream (exhaustive_models,
-    then the draws), for perfbench's counters and the labeled-coverage
-    checks.
+    _contracted drops.  The keep rule reads each exhaustive valuation's
+    masks on its topology, so only the kept exhaustive models are built.
+    models() is the labeled stream (exhaustive_models, then the draws),
+    for perfbench's counters and the labeled-coverage checks.
 
     Why a dropped model changes no report (Aiello, van Benthem &
     Bezhanishvili, "Reasoning about space: the modal way", 2003, on
@@ -232,12 +233,19 @@ class Batch(Record):
             if not 1 <= size <= MAX_WORLDS:
                 raise SuiteError(f"size {size} outside 1..{MAX_WORLDS}")
         draws = tuple(random_model(seed, size) for seed, size in zip(seeds, sizes))
-        exhaustive = _isomorph_free_models(exhaustive_n, self.atoms, None, {})
+        atoms, k = self.atoms, exhaustive_n
+        swept = [
+            SubsetModel(top, dict(zip(atoms, masks)))
+            for top, valuations in _isomorph_free_models(k, atoms, None, {})
+            for masks in valuations
+            if not _contracted(top, masks, k)
+        ]
+        swept += (d for d in draws if not _contracted(d.topology, d.valuation.values(), k))
         object.__setattr__(self, "exhaustive_n", exhaustive_n)
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "swept", tuple(_contracted((*exhaustive, *draws), exhaustive_n)))
+        object.__setattr__(self, "swept", tuple(swept))
 
     def __reduce__(self):
         return Batch, (self.exhaustive_n, self.seeds, self.sizes)
@@ -256,22 +264,19 @@ class Batch(Record):
         }
 
 
-def _contracted(models: Iterable[SubsetModel], k: int) -> Iterator[SubsetModel]:
-    """The models, in order, less each whose contraction is smaller than
-    it and has at most k worlds, unless its worst-case cost, |opens|² × n
-    (model._worst_case_cost, the cost range_groups charges), exceeds
-    DEFAULT_SCENARIO_BUDGET (the argument and its precondition are
-    Batch's)."""
-    for model in models:
-        size = _contraction_size(model, k)
-        top = model.topology
-        if (
-            size < top.n
-            and size <= k
-            and _worst_case_cost(top, ScenarioClass.ALL) <= DEFAULT_SCENARIO_BUDGET
-        ):
-            continue
-        yield model
+def _contracted(top: Topology, masks: Iterable[int], k: int) -> bool:
+    """Whether the keep rule drops the model of top with these valuation
+    masks, decided on the topology's table and the masks, before any model
+    is built: its contraction is smaller than it and has at most k worlds,
+    and its worst-case cost, |opens|² × n (model._worst_case_cost, the
+    cost range_groups charges), fits DEFAULT_SCENARIO_BUDGET (the argument
+    and its precondition are Batch's)."""
+    size = _contraction_size(top, masks, k)
+    return (
+        size < top.n
+        and size <= k
+        and _worst_case_cost(top, ScenarioClass.ALL) <= DEFAULT_SCENARIO_BUDGET
+    )
 
 
 def soundness_batch(

@@ -15,10 +15,17 @@ from typing import NamedTuple
 import pytest
 
 from topobelief import formula as fm, semantics
-from topobelief.model import RelationalError, RelationalModel, SubsetModel
+from topobelief.model import RelationalError, RelationalModel, SubsetModel, _isomorph_free_models
 from topobelief.semantics import ScenarioClass, Semantics
 from topobelief.suites import get_suite, run_suite, suite_names
-from topobelief.topology import ENUMERATION_MAX, Topology, TopologyError, _relabelings, bits
+from topobelief.topology import (
+    ENUMERATION_MAX,
+    Topology,
+    TopologyError,
+    _classes,
+    _relabelings,
+    bits,
+)
 
 
 def brute_interior(opens, a):
@@ -193,6 +200,49 @@ def isomorph_free(models):
             yield model
 
 
+def orbit_least(automorphisms, n, count):
+    """Each tuple of count masks on n worlds that is the least, in product
+    order, of its images under the automorphisms, in product order: the
+    reference for model._orbit_least, testing every tuple against every
+    automorphism."""
+    for masks in product(range(1 << n), repeat=count):
+        if all(tuple(map(aut.__getitem__, masks)) >= masks for aut in automorphisms):
+            yield masks
+
+
+# (worlds, atoms) of each source the stabilizer chain is checked on
+CHAIN_SIZES = ((4, 1), (4, 2), (3, 3))
+
+
+def chain_mismatches():
+    """Each (worlds, atoms) of CHAIN_SIZES where model._isomorph_free_models,
+    over that many of p, q and r, is not each class's first topology with
+    orbit_least's tuples for its automorphisms (topology._classes), in the
+    same order."""
+    out = []
+    for max_n, count in CHAIN_SIZES:
+        runs = _isomorph_free_models(max_n, "pqr"[:count], None, {})
+        got = [(top, list(valuations)) for top, valuations in runs]
+        want = [
+            (top, list(orbit_least(automorphisms, n, count)))
+            for n in range(1, max_n + 1)
+            for i, (top, first, automorphisms) in enumerate(_classes(n))
+            if i == first
+        ]
+        if got != want:
+            out.append((max_n, count))
+    return out
+
+
+def source_models(runs, names):
+    """The models of a source's runs (model._isomorph_free_models), each
+    valuation's masks those of names in order, built as the stream they
+    stand for."""
+    for top, valuations in runs:
+        for masks in valuations:
+            yield SubsetModel(top, dict(zip(names, masks)))
+
+
 def unreduced_sweeps(patch, swept=None):
     """Send every sweep to the full pair lists for the patch's scope.
 
@@ -201,15 +251,15 @@ def unreduced_sweeps(patch, swept=None):
     with a wrapper that drops every reduction it takes, each keyword-only
     parameter but grow (tests/test_semantics.py::TestReducedSearch guards
     that), so the sweep visits every pair.  Given a list, it also appends
-    the length of each stream swept.
+    the number of models of each stream swept.
     """
     groups = semantics._sweep_groups
 
-    def full(models, *args, maximal=False, complete_to=0, **kwargs):
+    def full(runs, *args, maximal=False, complete_to=0, **kwargs):
         if swept is not None:
-            models = list(models)
-            swept.append(len(models))
-        return groups(models, *args, **kwargs)
+            runs = [(top, list(valuations)) for top, valuations in runs]
+            swept.append(sum(len(valuations) for _, valuations in runs))
+        return groups(runs, *args, **kwargs)
 
     patch.setattr(semantics, "_sweep_groups", full)
 

@@ -37,6 +37,7 @@ from topobelief.semantics import (
     Evaluator,
     Semantics,
     _passes,
+    _runs,
     _sweep_groups,
     _values,
     find_countermodel,
@@ -108,8 +109,9 @@ def _lane_groups(kind: Semantics, max_n: int):
     """Each lane group of the sweep of Batch(exhaustive_n=max_n) under kind
     on scenario class all, with its layout from _passes."""
     models = Batch(exhaustive_n=max_n).models()
-    for runs in _sweep_groups(models, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET):
-        yield _passes(runs)
+    runs = _runs(models, Batch.atoms)
+    for group in _sweep_groups(runs, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET):
+        yield _passes(group, Batch.atoms)
 
 
 def _range_pair_count(kind: Semantics, max_n: int) -> int:

@@ -294,6 +294,7 @@ def test_sweep_matches_scan_on_exhaustive_and_random_models():
 
 SIERP = Topology.from_opens(2, [0, 1, 3])
 DISC = Topology.discrete(2)
+NAMES = ("p", "q", "r")  # the atoms of the hand-built streams, as their runs hold them
 # one topology object comes back after another one, valuations name
 # different atoms (a missing atom is false everywhere), and p first
 # fails on the discrete space, before the Sierpinski space returns
@@ -318,16 +319,21 @@ def test_sweep_matches_scan_on_hand_built_streams():
 
 
 def test_runs_are_adjacent_stretches_cut_at_the_bit_cap():
-    """A run is a stretch of consecutive models of equal topologies (one
-    object or many), so a topology that comes back starts a new run; and a
-    run holds at most _MAX_GROUP_BITS // n models."""
-    runs = list(_runs(REGROUPED))
-    assert [len(run) for _, run in runs] == [2, 2, 3, 1]
+    """A run of a model stream is a stretch of consecutive models of equal
+    topologies (one object or many), so a topology that comes back starts
+    a new run, each model's valuation the masks of the names given (a
+    missing atom is 0); and a swept run holds at most _MAX_GROUP_BITS // n
+    models."""
+    runs = [(top, list(valuations)) for top, valuations in _runs(REGROUPED, NAMES)]
+    assert [len(valuations) for _, valuations in runs] == [2, 2, 3, 1]
     assert [top for top, _ in runs] == [SIERP, DISC, SIERP, DISC]
-    assert [model for _, run in runs for model in run] == list(REGROUPED)
+    masks = [tuple(m.valuation.get(name, 0) for name in NAMES) for m in REGROUPED]
+    assert [v for _, valuations in runs for v in valuations] == masks
     cap = _MAX_GROUP_BITS // 3
     models = [SubsetModel(Topology.discrete(3), {"p": i % 8}) for i in range(2 * cap + 5)]
-    assert [len(run) for _, run in _runs(models)] == [cap, cap, 5]
+    runs = _runs(models, NAMES)
+    groups = _sweep_groups(runs, Semantics.STRONG, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+    assert [len(valuations) for group in groups for _, (_, valuations) in group] == [cap, cap, 5]
 
 
 def test_scan_order_where_range_order_differs():
@@ -378,7 +384,7 @@ KINDS = (
 
 def _lane_lengths(group):
     """Each lane's pair count: the passes of _passes where its U is nonempty."""
-    lanes, passes = _passes(group)
+    lanes, passes = _passes(group, NAMES)
     live = [lanes.fold(us) for us, _ in passes]
     return [sum(fold >> lane & 1 for fold in live) for lane in range(lanes.width)]
 
@@ -424,7 +430,7 @@ def test_mixed_groups_match_scan():
     draw_lengths = set()
     for kind, cls in KINDS:
         for models in (draws, runs):
-            (group,) = _sweep_groups(models, kind, cls, DEFAULT_SCENARIO_BUDGET)
+            (group,) = _sweep_groups(_runs(models, NAMES), kind, cls, DEFAULT_SCENARIO_BUDGET)
             assert len({m.n for m in models}) >= 3
             lengths = set(_lane_lengths(group))
             if models is runs:
@@ -457,13 +463,13 @@ def test_chunked_draw_groups_match_scan():
     later_chunk = second_group = 0
     for kind, cls in KINDS:
         for stream, positions in _check_rotations(models, roots, kind, cls):
-            groups = list(_sweep_groups(stream, kind, cls, DEFAULT_SCENARIO_BUDGET))
+            groups = list(_sweep_groups(_runs(stream, NAMES), kind, cls, DEFAULT_SCENARIO_BUDGET))
             assert len(groups) >= 2, (kind, cls)
-            first = sum(len(run) for _, run in groups[0])
+            first = sum(len(valuations) for _, (_, valuations) in groups[0])
             second_group += sum(pos >= first for pos in positions)
-            # the chunk of late's first pair missing each world
-            (group,) = [g for g in groups if any(run[0] is late for _, run in g)]
-            size = len(_passes(group)[1])
+            # the chunk of late's first pair missing each world (late's is the one 2-world run)
+            (group,) = [g for g in groups if any(top == late.topology for _, (top, _) in g)]
+            size = len(_passes(group, NAMES)[1])
             pairs = list(_ranges(late.topology, kind, cls))
             chunk = {}
             for i, (u, v) in enumerate(pairs):
@@ -487,31 +493,31 @@ def test_packed_max_decodes_to_each_lanes_maximal():
         for n in (3, 1, 4, 2)
         for top in list(enumerate_topologies(n))[::3]
     ]
-    group = next(_sweep_groups(models, Semantics.ED, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET))
-    lanes, _ = _passes(group)
-    assert len({run[0].n for _, run in group}) == 4
+    runs = _runs(models, NAMES)
+    group = next(_sweep_groups(runs, Semantics.ED, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET))
+    lanes, _ = _passes(group, NAMES)
+    assert len({top.n for _, (top, _) in group}) == 4
     width, n = lanes.width, len(lanes.shifts)
     assert width > len(group) and lanes.maximal < 1 << n * width
     short = 0  # lanes whose Max is not their whole carrier
-    for (_, run), start, end in zip(group, lanes.starts, lanes.starts[1:]):
-        top = run[0].topology
+    for (_, (top, _)), start, end in zip(group, lanes.starts, lanes.starts[1:]):
         for lane in range(start, end):
             got = sum(1 << x for x in range(n) if lanes.maximal >> x * width + lane & 1)
             assert got == top.maximal, (lane, top)
             short += got != (1 << top.n) - 1
     assert short > 0
     assert lanes.spread(1) & (1 << n * width) - 1 == sum(1 << x * width for x in range(n))
-    model = group[0][1][0]  # alone, it is one lane and Max the plain mask
-    alone, _ = _passes([(group[0][0], [model])])
+    ranges, (top, valuations) = group[0]  # its first model alone is one lane, Max the plain mask
+    alone, _ = _passes([(ranges, (top, valuations[:1]))], NAMES)
     assert alone.width == 1
-    assert (alone.fold(model.topology.full), alone.fold(0)) == (1, 0)
-    assert alone.maximal == model.topology.maximal
+    assert (alone.fold(top.full), alone.fold(0)) == (1, 0)
+    assert alone.maximal == top.maximal
 
 
 def _decoded_layout(group):
     """Each lane's (U, V) at every pass of _passes, read from the packed
     bits alone, lane by lane."""
-    lanes, passes = _passes(group)
+    lanes, passes = _passes(group, NAMES)
 
     def mask(packed, lane):
         return sum(1 << x for x, s in enumerate(lanes.shifts) if packed >> s + lane & 1)
@@ -538,7 +544,8 @@ def test_layout_runs_each_lanes_chunk_in_canonical_order():
     chunked = cut = lone = 0
     for kind, cls in KINDS:
         for models in (draws, runs, clustered, draws[4:5]):
-            (group,) = _sweep_groups(models, kind, cls, DEFAULT_SCENARIO_BUDGET, maximal=True)
+            stream = _runs(models, NAMES)
+            (group,) = _sweep_groups(stream, kind, cls, DEFAULT_SCENARIO_BUDGET, maximal=True)
             lists = []  # each model's pairs, in canonical order
             for model in models:
                 top = model.topology
@@ -573,8 +580,10 @@ def test_failure_past_the_lane_bound():
     roots = [parse(text) for text in ("p", "K p", "box p", "p -> B p", "K p -> p")]
     for kind in (Semantics.STRONG, Semantics.ED):
         widths = [
-            sum(len(run) for _, run in group)
-            for group in _sweep_groups(models, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+            sum(len(valuations) for _, (_, valuations) in group)
+            for group in _sweep_groups(
+                _runs(models, NAMES), kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET
+            )
         ]
         assert widths == [cap, 100]
         failures = sweep_validity(BatchEvaluator(roots, kind), models)

@@ -414,7 +414,7 @@ class TestContractionSize:
         for model in models:
             size = contract(model)[0].n
             for limit in range(5):
-                got = _contraction_size(model, limit)
+                got = _contraction_size(model.topology, model.valuation.values(), limit)
                 assert min(got, limit + 1) == min(size, limit + 1), (model, limit, got, size)
                 assert (got < model.n and got <= limit) == (size < model.n and size <= limit)
                 assert got <= model.n
@@ -426,14 +426,14 @@ class TestContractionSize:
         on 3 worlds is its own contraction under three valuation types, and
         one world under one."""
         top = Topology.discrete(3)
-        assert _contraction_size(SubsetModel(top, {"p": 0b001, "q": 0b010}), 3) == 3
-        assert _contraction_size(SubsetModel(top, {"p": 0b111, "q": 0}), 3) == 1
-        assert _contraction_size(SubsetModel(top, {"p": 0b011, "q": 0}), 3) == 2
+        assert _contraction_size(top, (0b001, 0b010), 3) == 3
+        assert _contraction_size(top, (0b111, 0), 3) == 1
+        assert _contraction_size(top, (0b011, 0), 3) == 2
         # on the chain where 0 sees 1 sees 2, p only at 2 leaves 0 and 1
         # alike (both see p and not p), and p only at 1 tells all three apart
         chain = Topology.from_opens(3, [0, 0b100, 0b110, 0b111])
-        assert _contraction_size(SubsetModel(chain, {"p": 0b100}), 3) == 2
-        assert _contraction_size(SubsetModel(chain, {"p": 0b010}), 3) == 3
+        assert _contraction_size(chain, (0b100,), 3) == 2
+        assert _contraction_size(chain, (0b010,), 3) == 3
 
 
 _SIERPINSKI = SubsetModel(Topology.from_opens(2, [0b00, 0b01, 0b11]), {"p": 0b01})

@@ -1,20 +1,25 @@
 import functools
 import gc
 import inspect
+import itertools
 import operator
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    CHAIN_SIZES,
     canonical_form,
+    chain_mismatches,
     def_truth,
     isomorph_free,
     isomorphic,
     model_form,
     relabelings,
+    source_models,
     unreduced_sweeps,
 )
 from topobelief import semantics
@@ -78,6 +83,7 @@ from topobelief.suites import (
 from topobelief.topology import MAX_WORLDS, Topology, _classes, bits, enumerate_topologies
 
 STRONG, ED, AE = Semantics.STRONG, Semantics.ED, Semantics.AE
+NAMES = ("p", "q")  # the atoms of random_model, as a model stream's runs hold them
 
 
 class TestExtension:
@@ -441,23 +447,23 @@ class TestFindCountermodel:
 
         f = parse("K p -> p")
         exhaustive = find_countermodel(f, STRONG, max_n=4).evaluations
-        drawn, swept = [], {}  # swept models stay referenced, so no id of theirs is reused
+        drawn, swept = [], []  # each draw's topology is an object of its own
         draw, sweep = semantics._search_model, semantics._group_failures
 
         def recording_draw(*args):
             drawn.append(draw(*args))
             return drawn[-1]
 
-        def recording_sweep(engine, runs, live):
-            swept.update((id(model), model) for _, run in runs for model in run)
-            return sweep(engine, runs, live)
+        def recording_sweep(engine, runs, names, live):
+            swept.extend(top for _, (top, _) in runs)
+            return sweep(engine, runs, names, live)
 
         monkeypatch.setattr(semantics, "_search_model", recording_draw)
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
         out = find_countermodel(f, STRONG, max_n=6, budget=exhaustive + extra)
         assert out.status == "budget"
         assert len(drawn) == draws
-        assert [id(model) in swept for model in drawn] == [True] * len(drawn)
+        assert [any(top is model.topology for top in swept) for model in drawn] == [True] * draws
 
     @pytest.mark.parametrize("text, kind", [("K p -> p", STRONG), ("B (box p | box ! box p)", AE)])
     def test_a_hunt_sweeps_growing_groups(self, monkeypatch, text, kind):
@@ -467,9 +473,9 @@ class TestFindCountermodel:
 
         sizes, sweep = [], semantics._group_failures
 
-        def recording_sweep(engine, runs, live):
+        def recording_sweep(engine, runs, names, live):
             sizes.append(len(runs))
-            return sweep(engine, runs, live)
+            return sweep(engine, runs, names, live)
 
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
         out = find_countermodel(parse(text), kind, max_n=4, budget=10**6)
@@ -499,15 +505,22 @@ def _assert_oracle_bits(m, kind, u, v, f, ext):
         assert bool(ext >> x & 1) == want, (kind.value, x, u, v, str(f))
 
 
-def _lane_values(engine, lanes, passes):
+def _lane_values(engine, lanes, passes, models):
     """Each lane's model, U, V and every node's value, decoded to plain
-    subset masks, at each of the passes where the lane has a (U, V) pair.
+    subset masks, at each of the passes where the lane has a (U, V) pair;
+    models are the group's models, in stream order.
 
     Checks on the way that at every pass every node value of every lane,
     one out of pairs included, is empty at the worlds past that lane's own
     carrier: the wide closure, the dual of interior over every world of
     the padded carrier, is exact only then."""
-    models = [model for run, c in lanes.runs for model in run for _ in range(c)]
+    stream = iter(models)
+    models = [
+        model
+        for (_, valuations), c in lanes.runs
+        for model in itertools.islice(stream, len(valuations))
+        for _ in range(c)
+    ]
 
     def mask(packed, lane):
         return sum(1 << x for x, s in enumerate(lanes.shifts) if packed >> s + lane & 1)
@@ -543,11 +556,12 @@ class TestBatchEvaluatorAgreement:
             engine = BatchEvaluator(AGREEMENT_CORPUS, kind)
             cls = None if kind is STRONG else ScenarioClass.ALL
             for models in (group, lone):
-                (runs,) = _sweep_groups(models, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
-                lanes, passes = _passes(runs)
+                stream = _runs(models, NAMES)
+                (runs,) = _sweep_groups(stream, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+                lanes, passes = _passes(runs, NAMES)
                 assert (lanes.width == 1) == (models is lone)
                 seen = {id(m): set() for m in models}
-                for m, u, v, masks in _lane_values(engine, lanes, passes):
+                for m, u, v, masks in _lane_values(engine, lanes, passes, models):
                     v = None if kind is STRONG else v
                     seen[id(m)].add((u, v))
                     for f, idx in engine.index.items():
@@ -562,8 +576,9 @@ class TestBatchEvaluatorAgreement:
             m = random_model(seed, 2 + seed % 4)
             for kind in (STRONG, ED, AE):
                 engine = BatchEvaluator(AGREEMENT_CORPUS, kind)
-                (runs,) = _sweep_groups([m], kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
-                lanes, passes = _passes(runs)
+                stream = _runs([m], NAMES)
+                (runs,) = _sweep_groups(stream, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+                lanes, passes = _passes(runs, NAMES)
                 assert lanes.width == 1
                 for (u, v), vals in zip(passes, _values(engine, lanes, passes)):
                     got = engine.base_pass(m, u)
@@ -694,11 +709,11 @@ class TestLaneWork:
         strong the exhaustive models sweep one pair each, so a group may
         mix them with draws (kd45_b's 330 models fill one group)."""
         batch = soundness_batch()
-        draws = {id(d) for d in batch.draws}
         useful = lane_passes = 0
         for lanes, group_useful, group_passes in self._groups(monkeypatch, name, kind, cls, batch):
             assert lanes.width * len(lanes.shifts) <= _MAX_GROUP_BITS
-            if lanes.width > 1 and any(id(m) in draws for run, _ in lanes.runs for m in run):
+            # the draws are the models past exhaustive_n worlds
+            if lanes.width > 1 and any(top.n > batch.exhaustive_n for (top, _), _ in lanes.runs):
                 useful += group_useful
                 lane_passes += group_passes
         assert useful >= 0.9 * lane_passes > 0, (useful, lane_passes)
@@ -724,7 +739,7 @@ class TestLaneWork:
         f = parse("K p -> p")
         exhaustive = find_countermodel(f, STRONG, max_n=4).evaluations
         assert find_countermodel(f, STRONG, max_n=8, budget=exhaustive + 500).status == "budget"
-        lone = [lanes for lanes, _ in seen if sum(len(run) for run, _ in lanes.runs) == 1]
+        lone = [lanes for lanes, _ in seen if sum(len(vals) for (_, vals), _ in lanes.runs) == 1]
         assert {lanes.width for lanes in lone} == {1}
         assert any(lanes.runs[0][0][0].n > 4 for lanes in lone)  # a draw of the random phase
 
@@ -741,8 +756,7 @@ class TestLaneKernels:
     def _lanes(n, width):
         """A _Lanes of the given width over one model of n worlds: one
         model cut into `width` chunks."""
-        model = SubsetModel(Topology.discrete(n), {})
-        return semantics._Lanes([[model]], [width])
+        return semantics._Lanes([(Topology.discrete(n), [()])], [width], ())
 
     @staticmethod
     def _values(rng, bits):
@@ -842,21 +856,26 @@ class TestIsomorphFree:
         contraction (204 of 408), then the draws the keep rule keeps (126
         of 200), in order, the draws as the same objects."""
         swept = []
-        groups = semantics._sweep_groups
+        runs = semantics._runs
 
-        def spy(models, *args, **kwargs):
+        def spy(models, names):  # the one way a model stream enters a sweep
+            models = list(models)
             swept.extend(models)
-            return groups(swept, *args, **kwargs)
+            return runs(models, names)
 
-        monkeypatch.setattr(semantics, "_sweep_groups", spy)
+        monkeypatch.setattr(semantics, "_runs", spy)
         batch = soundness_batch()
         assert run_suite(get_suite("sel"), batch).clean
         monkeypatch.undo()
-        source = list(_isomorph_free_models(3, ("p", "q"), None, {}))
-        exhaustive = [m for m in source if _contraction_size(m, 3) == m.n]
+        source = source_models(_isomorph_free_models(3, batch.atoms, None, {}), batch.atoms)
+        exhaustive = [m for m in source if _contraction_size(m.topology, m.valuation.values(), 3) == m.n]
         # every draw has 4 to 6 worlds and fits the budget, so it goes
         # exactly when it contracts to 3 worlds or fewer
-        draws = [d for d in list(batch.models())[1924:] if _contraction_size(d, 3) > 3]
+        draws = [
+            d
+            for d in list(batch.models())[1924:]
+            if _contraction_size(d.topology, d.valuation.values(), 3) > 3
+        ]
         assert swept == exhaustive + draws
         assert all(a is d for a, d in zip(swept[len(exhaustive) :], draws, strict=True))
         assert (len(swept), len(exhaustive), len(draws)) == (204 + 126, 204, 126)
@@ -898,24 +917,26 @@ class TestIsomorphFreeSearch:
         ],
     )
     def test_source_is_the_isomorph_free_stream(self, max_n, names, kept):
-        got = list(_isomorph_free_models(max_n, names, None, {}))
+        got = list(source_models(_isomorph_free_models(max_n, names, None, {}), names))
         assert got == list(isomorph_free(exhaustive_models(max_n, names)))
         assert len(got) == kept
 
     def test_three_atoms_split_into_runs(self):
         """On the 4-point chain, the first class of 4 worlds with no
         automorphism but the identity, all 4 096 valuations of three atoms
-        are kept, in runs of 1 536; the stream through them is the filtered
-        labeled stream."""
+        are kept, and a sweep cuts them into runs of 1 536; the stream
+        through them is the filtered labeled stream."""
         names = ["p", "q", "r"]
         chain = next(t for t in enumerate_topologies(4) if len(canonical_form(t)[1]) == 1)
         head, runs = [], []
-        for top, run in _runs(_isomorph_free_models(4, names, None, {})):
+        source = _isomorph_free_models(4, names, None, {})
+        groups = _sweep_groups(source, STRONG, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+        for top, valuations in (run for group in groups for _, run in group):
             if runs and top != chain:
                 break
-            head.extend(run)
+            head.extend(source_models([(top, valuations)], names))
             if top == chain:
-                runs.append(len(run))
+                runs.append(len(valuations))
         assert runs == [1536, 1536, 1024]
         labeled = isomorph_free(exhaustive_models(4, names))
         assert head == [next(labeled) for _ in head]
@@ -929,7 +950,7 @@ class TestIsomorphFreeSearch:
         names = ["p"]
         rcls = cls if kind.needs_doxastic_range else None
         starts = {}
-        kept = {m.topology for m in _isomorph_free_models(4, names, rcls, starts)}
+        kept = {top for top, _ in _isomorph_free_models(4, names, rcls, starts)}
         assert set(starts) == kept and len(kept) == 46
         labeled, count = {}, 0
         for model in exhaustive_models(4, names):
@@ -985,6 +1006,10 @@ class TestIsomorphFreeSearch:
         assert len(built) == 389
 
     def test_builds_only_the_kept_models(self, monkeypatch):
+        """The search sweeps valuations, not models: the exhausted K p -> p
+        hunt to 4 worlds (425 isomorph-free of 5 930 labeled models) builds
+        no SubsetModel, and a found search builds one, the hit it returns,
+        through the checked constructor."""
         built = []
         check = SubsetModel.__init__
 
@@ -995,9 +1020,48 @@ class TestIsomorphFreeSearch:
         monkeypatch.setattr(SubsetModel, "__init__", spy)
         out = find_countermodel(parse("K p -> p"), STRONG, max_n=4, budget=10**6)
         assert (out.status, out.evaluations) == ("exhausted", 76_426)
-        assert len(built) == 425  # of 5 930 labeled models
-        monkeypatch.undo()
-        assert built == list(isomorph_free(exhaustive_models(4, ["p"])))
+        assert built == []
+        out = find_countermodel(parse("p -> K p"), STRONG, max_n=4)
+        assert (out.status, out.scenario.literal()) == ("found", "x=0;U=0,1")
+        assert len(built) == 1 and built[0] is out.model
+
+    def test_the_chain_yields_the_reference_tuples(self):
+        """Each run's valuations, read down the stabilizer chain
+        (model._orbit_least), are the tuples oracles.orbit_least keeps by
+        testing each against every automorphism, in the same order, for
+        every class to 4 worlds with 1 and 2 atoms and to 3 worlds with 3."""
+        assert chain_mismatches() == []
+        counts = [
+            sum(sum(1 for _ in valuations) for _, valuations in _isomorph_free_models(n, "pqr"[:k], None, {}))
+            for n, k in CHAIN_SIZES
+        ]
+        assert counts == [425, 5089, 2848]
+
+    def test_the_source_generates_valuations_as_they_are_read(self):
+        """Taking the first run of the three-atom source to 4 worlds
+        generates none of the rest of it: the source stops at its first
+        class, whose valuations are a generator not yet started.  Read to
+        the end, the source yields its 70 270 valuations while holding
+        none of them: its peak allocation stays under 256 KB, where a list
+        of them takes about 5 MB."""
+        names = ("p", "q", "r")
+        for n in range(1, 5):
+            _classes(n)  # the class table is built once per process, before the count
+        starts = {}
+        source = _isomorph_free_models(4, names, None, starts)
+        top, valuations = next(source)
+        assert top.n == 1 and len(starts) == 1
+        assert inspect.getgeneratorstate(valuations) == inspect.GEN_CREATED
+        assert list(valuations) == list(itertools.product(range(2), repeat=3))
+        assert len(starts) == 1
+        tracemalloc.start()
+        try:
+            count = sum(1 for _, valuations in source for _ in valuations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count + 8, len(starts)) == (70_270, 46)
+        assert peak < 256 * 1024, peak
 
     def test_only_a_hit_builds_a_full_pair_list(self, monkeypatch):
         """Work counters on range_groups: building a batch ranges nothing
@@ -1160,16 +1224,16 @@ class TestReducedSearch:
         assert sorted(set(range(12)) - set(full)) == [5, 6, 7, 8]
         exhaustive = find_countermodel(f, ED, max_n=4, budget=10**6).evaluations
         assert exhaustive == 354_708
-        drawn, swept = [], {}  # swept models stay referenced, so no id of theirs is reused
+        drawn, swept = [], []  # each draw's topology is an object of its own
         draw, sweep = semantics._search_model, semantics._group_failures
 
         def recording_draw(*args):
             drawn.append(draw(*args))
             return drawn[-1]
 
-        def recording_sweep(engine, runs, live):
-            swept.update((id(model), model) for _, run in runs for model in run)
-            return sweep(engine, runs, live)
+        def recording_sweep(engine, runs, names, live):
+            swept.extend(top for _, (top, _) in runs)
+            return sweep(engine, runs, names, live)
 
         monkeypatch.setattr(semantics, "_search_model", recording_draw)
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
@@ -1177,7 +1241,8 @@ class TestReducedSearch:
         out = find_countermodel(f, ED, max_n=13, budget=budget)
         assert (out.status, out.evaluations) == ("budget", budget)
         assert len(drawn) == 12
-        assert [d for d, model in enumerate(drawn) if id(model) in swept] == sorted(full)
+        swept_draws = [d for d, model in enumerate(drawn) if any(top is model.topology for top in swept)]
+        assert swept_draws == sorted(full)
 
 
 @pytest.mark.parametrize(

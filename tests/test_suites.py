@@ -14,6 +14,7 @@ from oracles import (
     isomorph_free,
     labeled_batch,
     labeled_reference,
+    source_models,
     suite_reports,
     unreduced_sweeps,
 )
@@ -374,14 +375,19 @@ class TestWholeCarrierSweeps:
         """(U, V) pairs that _sweep_groups yields over soundness_batch().swept
         (204 exhaustive models, then 126 draws) without and with
         complete_to = 3.  The exhaustive models keep one U each."""
-        swept = soundness_batch().swept
+        batch = soundness_batch()
         counts = tuple(
             sum(
-                len(ranges) * len(run)
+                len(ranges) * len(valuations)
                 for group in semantics._sweep_groups(
-                    swept, kind, cls, DEFAULT_SCENARIO_BUDGET, maximal=True, complete_to=k
+                    semantics._runs(batch.swept, batch.atoms),
+                    kind,
+                    cls,
+                    DEFAULT_SCENARIO_BUDGET,
+                    maximal=True,
+                    complete_to=k,
                 )
-                for ranges, run in group
+                for ranges, (_, valuations) in group
             )
             for k in (0, 3)
         )
@@ -479,14 +485,13 @@ class TestContracted:
         one world, but its worst-case cost, 65 536² x 16, exceeds the
         default budget: it is kept, and a sweep still stops at it."""
         top = Topology.discrete(16)
-        model = SubsetModel(top, {"p": 0, "q": 0})
-        assert _contraction_size(model, 4) == 1
+        assert _contraction_size(top, (0, 0), 4) == 1
         assert len(top.opens) ** 2 * top.n > DEFAULT_SCENARIO_BUDGET
-        assert list(_contracted([model], 4)) == [model]
+        assert not _contracted(top, (0, 0), 4)
         with pytest.raises(BudgetError):
-            sweep_validity(BatchEvaluator([parse("p")], Semantics.ED), _contracted([model], 4))
-        small = SubsetModel(Topology.discrete(4), {"p": 0, "q": 0})
-        assert list(_contracted([small], 4)) == []  # within budget, the same contraction goes
+            sweep_validity(BatchEvaluator([parse("p")], Semantics.ED), [SubsetModel(top, {"p": 0})])
+        # within budget, the same contraction goes
+        assert _contracted(Topology.discrete(4), (0, 0), 4)
 
 
 class TestIsomorphFreeBatch:
@@ -538,12 +543,14 @@ class TestIsomorphFreeBatch:
         report = run_suite(get_suite("sel"), batch)
         monkeypatch.undo()
         assert report.clean
-        # 408 exhaustive models, not the 1 924 labeled ones, and the 200
-        # draws as random_model builds them
+        # the 204 exhaustive models the keep rule keeps, not the 408
+        # isomorph-free or the 1 924 labeled ones, and the 200 draws as
+        # random_model builds them
         assert len(draws) == 200
         exhaustive = [m for m in built if m.n <= batch.exhaustive_n]
-        assert exhaustive == list(isomorph_free(exhaustive_models(3, batch.atoms)))
-        assert (len(exhaustive), len(built)) == (408, 408 + 200)
+        kept = _oracle_kept(isomorph_free(exhaustive_models(3, batch.atoms)), batch.exhaustive_n)
+        assert exhaustive == list(kept)
+        assert (len(exhaustive), len(built)) == (204, 204 + 200)
 
 
 class TestDrawnOnce:
@@ -614,8 +621,12 @@ class TestBuiltOnce:
         ids=["soundness", "exhaustive_4", "empty"],
     )
     def test_swept_is_the_source_then_the_draws(self, batch, exhaustive, draws):
-        source = list(_isomorph_free_models(batch.exhaustive_n, batch.atoms, None, {}))
-        kept = tuple(_contracted((*source, *batch.draws), batch.exhaustive_n))
+        runs = _isomorph_free_models(batch.exhaustive_n, batch.atoms, None, {})
+        source = source_models(runs, batch.atoms)
+        k = batch.exhaustive_n
+        kept = tuple(
+            m for m in (*source, *batch.draws) if not _contracted(m.topology, m.valuation.values(), k)
+        )
         assert batch.swept == kept and len(kept) == exhaustive + draws
         assert all(m.n <= batch.exhaustive_n for m in batch.swept[:exhaustive])
         assert all(any(a is d for d in batch.draws) for a in batch.swept[exhaustive:])
