@@ -312,7 +312,7 @@ def find_countermodel(
         if evaluations >= budget:
             break
         # the hit's model counts up to the hit, else the group's last model in full
-        r, m, s = _group_failures(engine, runs, names, [root]).get(root, (-1, -1, None))
+        r, m, s = _group_failures(engine, runs, *_passes(runs, names), [root]).get(root, (-1, -1, None))
         top, valuations = runs[r][1]
         masks = valuations[m]
         if top in starts:  # the labeled scenarios before its valuation
@@ -418,8 +418,9 @@ class _Lanes:
         """The packed value whose block at world x is the lane mask cols[x]."""
         return sum(col << s for col, s in zip(cols, self.shifts) if col)
 
-    def pack(self) -> Mapping[str, int]:
-        """Each of names' packed truth value across the group's lanes.
+    @cached_property
+    def atoms(self) -> Mapping[str, int]:
+        """Each of names' packed truth value across the group's lanes, kept.
 
         World x's column of an atom collects the lanes whose model makes
         the atom true at x; the packed value places each column at x's
@@ -688,13 +689,38 @@ def sweep_validity(
     Every model of the stream is swept.  A stream without isomorphic
     copies is made at its source (see _isomorph_free_models).  The stream
     enters the sweep through _runs, as the engine's atoms' masks, and each
-    failure is named by the stream's own model.
+    failure is named by the stream's own model.  Given a suites.Batch, it
+    sweeps batch.swept through the layouts the batch keeps (_memoized).
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
-    names = engine.atom_names
+    memo = getattr(models, "_layouts", None)  # a suites.Batch's layouts of its swept stream
+    stream = models if memo is None else models.swept
+    layouts = _layouts(stream, engine.atom_names, engine.kind, scenario_class, budget, complete_to)
+    if memo is not None:
+        layouts = _memoized(memo, _layout_key(engine, scenario_class, budget, complete_to), layouts)
+    for runs, read, lanes, passes in layouts:
+        for idx, (r, m, s) in _group_failures(engine, runs, lanes, passes, list(live)).items():
+            m += sum(len(valuations) for _, (_, valuations) in runs[:r])
+            failures[live.pop(idx)] = BatchFailure(read[m], s)
+        if not live:
+            break
+    return failures
+
+
+def _layouts(
+    models: Iterable[SubsetModel],
+    names: Sequence[str],
+    kind: Semantics,
+    cls: ScenarioClass,
+    budget: int,
+    complete_to: int,
+) -> Iterator[tuple[_Group, list[SubsetModel], _Lanes, list[list[int]]]]:
+    """A model stream laid out, as sweep_validity scans it: per lane group
+    of _sweep_groups, its runs, its models and _passes' lanes and passes
+    (the lanes keep their atoms once packed).  It reads no formula."""
     read: list[SubsetModel] = []  # the models read, from the next group's first on
 
     def reading():
@@ -703,21 +729,39 @@ def sweep_validity(
             yield model
 
     groups = _sweep_groups(
-        _runs(reading(), names),
-        engine.kind,
-        scenario_class,
-        budget,
-        maximal=True,
-        complete_to=complete_to,
+        _runs(reading(), names), kind, cls, budget, maximal=True, complete_to=complete_to
     )
     for runs in groups:
-        before = list(itertools.accumulate((len(vals) for _, (_, vals) in runs), initial=0))
-        for idx, (r, m, s) in _group_failures(engine, runs, names, list(live)).items():
-            failures[live.pop(idx)] = BatchFailure(read[before[r] + m], s)
-        if not live:
-            break
-        del read[: before[-1]]
-    return failures
+        count = sum(len(valuations) for _, (_, valuations) in runs)
+        group, read[:count] = read[:count], ()
+        yield (runs, group, *_passes(runs, names))
+
+
+def _layout_key(engine: BatchEvaluator, cls: ScenarioClass, budget: int, complete_to: int) -> tuple:
+    """What _layouts reads besides the stream: atom names, ranges (_shape), budget and k."""
+    return engine.atom_names, *_shape(engine.kind, cls, True), budget, complete_to
+
+
+def _memoized(memo: dict, key: tuple, layouts: Iterator) -> Iterator:
+    """The layouts memo[key] holds, then each that layouts, the first
+    sweep's own, adds as a sweep reads past them: a sweep that stops lays
+    out no further group.  A BudgetError keeps its place, raised at the
+    same group by every sweep; any other error drops the key."""
+    laid, source = memo.setdefault(key, ([], layouts))
+    for i in itertools.count():
+        if i == len(laid):
+            try:
+                laid.append(next(source))
+            except StopIteration:
+                return
+            except BudgetError as error:
+                laid.append(error.with_traceback(None))  # no frame is kept with the batch
+            except BaseException:
+                memo.pop(key, None)
+                raise
+        if isinstance(laid[i], BudgetError):
+            raise BudgetError(*laid[i].args)
+        yield laid[i]
 
 
 def _sweep_groups(
@@ -756,9 +800,7 @@ def _sweep_groups(
     group: list[tuple[Ranges, _Run]] = []
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
     done = 0  # runs of the groups yielded so far
-    if not kind.needs_doxastic_range:
-        cls = None  # epistemic ranges: each nonempty open U, no V
-    maximal = maximal and kind is Semantics.AE and cls in _MAXIMAL_CLASSES
+    cls, maximal = _shape(kind, cls, maximal)
     for top, stretch in runs:
         inside = top.maximal if maximal else None
         try:
@@ -788,6 +830,14 @@ def _sweep_groups(
             lanes, carrier, size = len(valuations), top.n, len(ranges)
     if group:
         yield group
+
+
+def _shape(kind: Semantics, cls: ScenarioClass, maximal: bool) -> tuple[ScenarioClass | None, bool]:
+    """The class a sweep ranges under (None under strong: each nonempty open
+    U, no V) and whether it keeps only the V inside Max (ae, some classes)."""
+    if not kind.needs_doxastic_range:
+        return None, False
+    return cls, maximal and kind is Semantics.AE and cls in _MAXIMAL_CLASSES
 
 
 def _chunks(runs: _Group, size: int = 0) -> tuple[int, list[int]]:
@@ -857,7 +907,7 @@ def _passes(runs: _Group, names: Sequence[str]) -> tuple[_Lanes, list[list[int]]
 def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator[list[int]]:
     """Every node's packed values at each pass in turn, in one list that
     the next pass overwrites; the base nodes rerun only when U changes."""
-    atoms = lanes.pack()
+    atoms = lanes.atoms
     vals = [0] * len(engine.nodes)
     last_us = None
     for us, vs in passes:
@@ -870,16 +920,15 @@ def _values(engine: BatchEvaluator, lanes: _Lanes, passes: Iterable) -> Iterator
 
 
 def _group_failures(
-    engine: BatchEvaluator, runs: _Group, names: Sequence[str], live: list[int]
+    engine: BatchEvaluator, runs: _Group, lanes: _Lanes, passes: list[list[int]], live: list[int]
 ) -> dict[int, tuple[int, int, EDScenario]]:
     """Per live root, the group's first failure in scan order, as (r, m,
     scenario) with valuation m of runs[r][1] the failing model's: the
     lowest failing (run, model), the least world missing in any of its
     chunks, then the first of its pairs that misses that world, over the
-    passes of _passes as _values evaluates them.  Each valuation holds the
-    masks of names, in order.
+    lanes and passes _passes lays the group out in, as _values evaluates
+    them: the scan, which reads a group already laid out.
     """
-    lanes, passes = _passes(runs, names)
     starts, chunks = lanes.starts, [c for _, c in lanes.runs]
     # per root, the least (run, model, world, pair) yet and the end lane of its model
     found: dict[int, tuple[tuple[int, int, int, int], int]] = {}

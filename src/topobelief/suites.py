@@ -210,10 +210,11 @@ class Batch(Record):
 
     The same precondition lets run_suite pass exhaustive_n as
     sweep_validity's complete_to (see there).  The atoms are fixed, and
-    draws and swept are neither shown nor compared.
+    neither draws, swept nor _layouts, the lane layouts of swept per range
+    shape that sweep_validity fills (semantics._memoized), is shown or compared.
     """
 
-    __slots__ = ("exhaustive_n", "seeds", "sizes", "draws", "swept")
+    __slots__ = ("exhaustive_n", "seeds", "sizes", "draws", "swept", "_layouts")
     _fields = ("exhaustive_n", "atoms", "seeds", "sizes")
     atoms: tuple[str, ...] = ("p", "q")
     exhaustive_n: int
@@ -246,6 +247,7 @@ class Batch(Record):
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "swept", tuple(swept))
+        object.__setattr__(self, "_layouts", {})
 
     def __reduce__(self):
         return Batch, (self.exhaustive_n, self.seeds, self.sizes)
@@ -448,7 +450,7 @@ def run_suite(
     premises = list(dict.fromkeys(instantiation))
     # the engine keeps each distinct root once, in first-seen order
     engine = BatchEvaluator([inst for _, inst in rows] + premises, kind)
-    failures = sweep_validity(engine, batch.swept, cls, complete_to=batch.exhaustive_n)
+    failures = sweep_validity(engine, batch, cls, complete_to=batch.exhaustive_n)
 
     results = []
     for name, inst in rows:

@@ -6,7 +6,6 @@ no bit tricks beyond masks), so a test that compares the two is a real
 cross-check.
 """
 
-import copy
 import functools
 import time
 from itertools import permutations, product
@@ -17,7 +16,7 @@ import pytest
 from topobelief import formula as fm, semantics
 from topobelief.model import RelationalError, RelationalModel, SubsetModel, _isomorph_free_models
 from topobelief.semantics import ScenarioClass, Semantics
-from topobelief.suites import get_suite, run_suite, suite_names
+from topobelief.suites import Batch, get_suite, run_suite, suite_names
 from topobelief.topology import (
     ENUMERATION_MAX,
     Topology,
@@ -250,8 +249,10 @@ def unreduced_sweeps(patch, swept=None):
     (a monkeypatch or one of its contexts) replaces semantics._sweep_groups
     with a wrapper that drops every reduction it takes, each keyword-only
     parameter but grow (tests/test_semantics.py::TestReducedSearch guards
-    that), so the sweep visits every pair.  Given a list, it also appends
-    the number of models of each stream swept.
+    that), so the sweep visits every pair.  It also sends every sweep past
+    the layouts a batch keeps (semantics._memoized), which a reduced run
+    on the same batch may have filled, and adds none to them.  Given a
+    list, it also appends the number of models of each stream swept.
     """
     groups = semantics._sweep_groups
 
@@ -262,6 +263,7 @@ def unreduced_sweeps(patch, swept=None):
         return groups(runs, *args, **kwargs)
 
     patch.setattr(semantics, "_sweep_groups", full)
+    patch.setattr(semantics, "_memoized", lambda memo, key, layouts: layouts)
 
 
 def labeled_batch(batch):
@@ -269,9 +271,14 @@ def labeled_batch(batch):
     batch.models(): every model of its exhaustive part, isomorphic copies
     and contractible models included, then every draw.  With
     unreduced_sweeps, a suite run on it is the reference that the reduced
-    sweeps of the batch are checked against."""
-    labeled = copy.copy(batch)
+    sweeps of the batch are checked against.  The copy shares the batch's
+    fields and draw objects, builds no draw, and starts with no layouts,
+    since its swept stream is not the batch's."""
+    labeled = object.__new__(Batch)
+    for name in ("exhaustive_n", "seeds", "sizes", "draws"):
+        object.__setattr__(labeled, name, getattr(batch, name))
     object.__setattr__(labeled, "swept", tuple(batch.models()))
+    object.__setattr__(labeled, "_layouts", {})
     return labeled
 
 
@@ -289,6 +296,20 @@ def suite_reports(rows, batch):
     return [
         run_suite(get_suite(name), batch, semantics=kind, scenario_class=cls).to_json()
         for name, kind, cls in rows
+    ]
+
+
+def back_to_back_mismatches():
+    """The rows of el_kboxb_d, in the 9 COLUMNS, whose report from one
+    batch that runs them all back to back, each on the layouts the rows
+    before it left (suites.Batch), differs from the report of a fresh
+    batch.  The suite's D_B fails under class all alone."""
+    rows = [("el_kboxb_d", kind, cls) for kind, cls in COLUMNS]
+    back_to_back = suite_reports(rows, Batch(exhaustive_n=2))
+    return [
+        row
+        for row, report in zip(rows, back_to_back)
+        if report != suite_reports([row], Batch(exhaustive_n=2))[0]
     ]
 
 

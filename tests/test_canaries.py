@@ -12,8 +12,22 @@ import itertools
 
 import pytest
 
-from oracles import chain_mismatches
-from topobelief import model
+from oracles import (
+    COLUMNS,
+    SUITE_ROWS,
+    all_topologies_oracle,
+    back_to_back_mismatches,
+    brute_closure,
+    chain_mismatches,
+    labeled_batch,
+    suite_reports,
+    unreduced_sweeps,
+)
+from topobelief import model, semantics, suites
+from topobelief.formula import parse
+from topobelief.model import DEFAULT_SCENARIO_BUDGET, ScenarioClass
+from topobelief.semantics import Semantics, find_countermodel
+from topobelief.suites import Batch
 
 
 def _least_under_the_whole_group(automorphisms, n, count):
@@ -25,6 +39,71 @@ def _least_under_the_whole_group(automorphisms, n, count):
     return itertools.product(least, repeat=count)
 
 
+def _key_without_the_class(engine, cls, budget, complete_to):
+    """semantics._layout_key with the scenario class dropped: ed under one
+    class reads the layouts of another."""
+    return engine.atom_names, engine.kind, budget, complete_to
+
+
+def _one_world_too_far(engine, models, cls, budget=DEFAULT_SCENARIO_BUDGET, *, complete_to=0):
+    """suites.sweep_validity as run_suite would call it with complete_to =
+    batch.exhaustive_n + 1: it drops each U of exhaustive_n + 1 worlds
+    that is not the carrier, though no batch holds every model that size."""
+    return semantics.sweep_validity(engine, models, cls, budget, complete_to=complete_to + 1)
+
+
+def _pairs_not_scenarios(top, cls):
+    """model._range_cost counting each (U, V) pair once, not |U| times."""
+    us = [u for u in top.opens if u]
+    if cls is None:
+        return len(us)
+    return sum(len(model._admitted(top, cls, u, top.opens)) for u in us)
+
+
+def reference_mismatches():
+    """The SUITE_ROWS whose report on a batch complete to 1 world, with
+    draws of 2 to 4 worlds, differs from the report of its labeled stream
+    over the full pair lists (oracles.unreduced_sweeps), each run afresh."""
+    batch = Batch(exhaustive_n=1, seeds=tuple(range(1, 21)), sizes=(2, 3, 4) * 6 + (2, 3))
+    reduced = suite_reports(SUITE_ROWS, batch)
+    with pytest.MonkeyPatch.context() as patch:
+        unreduced_sweeps(patch)
+        reference = suite_reports(SUITE_ROWS, labeled_batch(batch))
+    return [row for row, a, b in zip(SUITE_ROWS, reduced, reference) if a != b]
+
+
+def _labeled_scenarios(max_n, cls):
+    """Scenarios of every labeled model of one atom to max_n worlds, from
+    the open families of oracles.all_topologies_oracle: each (x, U), or
+    (x, U, V) with V open inside U that the class admits."""
+    total = 0
+    for n in range(1, max_n + 1):
+        for opens in all_topologies_oracle(n):
+            for u in filter(None, opens):
+                vs = [v for v in opens if v & ~u == 0]
+                if cls is ScenarioClass.CONSISTENT:
+                    vs = [v for v in vs if v]
+                elif cls is ScenarioClass.DENSE:
+                    vs = [v for v in vs if u & ~brute_closure(n, opens, v) == 0]
+                elif cls is ScenarioClass.TOTAL:
+                    vs = [u]
+                total += (1 << n) * u.bit_count() * (1 if cls is None else len(vs))
+    return total
+
+
+def search_count_mismatches():
+    """The columns where the exhausted search for the valid K p -> p to 3
+    worlds counts other than every labeled model's scenarios."""
+    f = parse("K p -> p")
+    out = []
+    for kind, cls in COLUMNS:
+        outcome = find_countermodel(f, kind, cls, max_n=3, budget=10**7)
+        want = _labeled_scenarios(3, None if kind is Semantics.STRONG else cls)
+        if (outcome.status, outcome.evaluations) != ("exhausted", want):
+            out.append((kind, cls))
+    return out
+
+
 # (owner, function name, mutant, check): the check returns what it finds
 # wrong, empty on correct code
 CANARIES = [
@@ -34,6 +113,27 @@ CANARIES = [
         _least_under_the_whole_group,
         chain_mismatches,
         id="each-atom-least-under-the-whole-group",
+    ),
+    pytest.param(
+        semantics,
+        "_layout_key",
+        _key_without_the_class,
+        back_to_back_mismatches,
+        id="layout-memo-key-without-the-class",
+    ),
+    pytest.param(
+        suites,
+        "sweep_validity",
+        _one_world_too_far,
+        reference_mismatches,
+        id="run-suite-complete-to-one-more",
+    ),
+    pytest.param(
+        model,
+        "_range_cost",
+        _pairs_not_scenarios,
+        search_count_mismatches,
+        id="range-cost-counts-pairs",
     ),
 ]
 

@@ -454,9 +454,9 @@ class TestFindCountermodel:
             drawn.append(draw(*args))
             return drawn[-1]
 
-        def recording_sweep(engine, runs, names, live):
+        def recording_sweep(engine, runs, *laid):
             swept.extend(top for _, (top, _) in runs)
-            return sweep(engine, runs, names, live)
+            return sweep(engine, runs, *laid)
 
         monkeypatch.setattr(semantics, "_search_model", recording_draw)
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
@@ -473,9 +473,9 @@ class TestFindCountermodel:
 
         sizes, sweep = [], semantics._group_failures
 
-        def recording_sweep(engine, runs, names, live):
+        def recording_sweep(engine, runs, *laid):
             sizes.append(len(runs))
-            return sweep(engine, runs, names, live)
+            return sweep(engine, runs, *laid)
 
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
         out = find_countermodel(parse(text), kind, max_n=4, budget=10**6)
@@ -1133,6 +1133,22 @@ class TestReducedSearch:
         semantics._sweep_groups([], STRONG, ScenarioClass.ALL, 1, **keywords)
         assert passed == [{"grow": keywords["grow"]}]
 
+    def test_the_unreduced_reference_sweeps_past_a_batchs_layouts(self, monkeypatch):
+        """A run reduced on a batch lays its swept stream out and keeps the
+        layouts; the same row under unreduced_sweeps on the same batch
+        object (as criterion 07 runs it) still sweeps the whole stream over
+        its full pair lists, and adds no layout to the batch's."""
+        batch = Batch(exhaustive_n=3)
+        suite = get_suite("el_kboxb_cb")
+        reduced = run_suite(suite, batch)
+        kept = dict(batch._layouts)
+        assert kept
+        swept = []
+        unreduced_sweeps(monkeypatch, swept)
+        assert run_suite(suite, batch) == reduced
+        assert swept == [len(batch.swept)]
+        assert batch._layouts == kept
+
     def test_outcomes_equal_the_unreduced_search(self, monkeypatch):
         """The 83 corpus formulas x 9 columns, max_n 3 and 5, at budgets
         just below, at and just above each edge of the unreduced search: its
@@ -1231,9 +1247,9 @@ class TestReducedSearch:
             drawn.append(draw(*args))
             return drawn[-1]
 
-        def recording_sweep(engine, runs, names, live):
+        def recording_sweep(engine, runs, *laid):
             swept.extend(top for _, (top, _) in runs)
-            return sweep(engine, runs, names, live)
+            return sweep(engine, runs, *laid)
 
         monkeypatch.setattr(semantics, "_search_model", recording_draw)
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     COLUMNS,
     SUITE_ROWS,
+    back_to_back_mismatches,
     contract,
     count_nodes,
     isomorph_free,
@@ -48,6 +49,7 @@ from topobelief.suites import (
     DEFAULT_INSTANTIATION,
     DEFAULT_MATRIX,
     Batch,
+    LogicSuite,
     SuiteError,
     _contracted,
     expected_failures,
@@ -639,6 +641,126 @@ class TestBuiltOnce:
         assert run_suite(get_suite("sel"), batch).clean
         assert run_suite(get_suite("el_kboxb_cb"), batch).clean
         assert built == []
+
+
+class TestLaidOnce:
+    """A batch lays its swept stream out once per range shape (its
+    _layouts, read through semantics._memoized): later suite runs of that
+    shape reuse the lane groups, passes and packed atoms, and every report
+    and BudgetError is the one a fresh batch gives."""
+
+    @staticmethod
+    def _counts(monkeypatch):
+        counts = {}
+        for name in ("range_groups", "_runs", "_passes"):
+            original = getattr(semantics, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(semantics, name, counting)
+        return counts
+
+    def test_later_strong_runs_lay_nothing_out(self, monkeypatch):
+        """el_kbox, sel and kd45_b, all strong/all, on soundness_batch():
+        the first lays out the 139 runs (13 exhaustive topologies and 126
+        draws) in one group, as every run did before; the next two make no
+        range_groups, _runs or _passes call."""
+        counts = self._counts(monkeypatch)
+        batch = soundness_batch()
+        seen = []
+        for name in ("el_kbox", "sel", "kd45_b"):
+            counts.clear()
+            assert run_suite(get_suite(name), batch).clean
+            seen.append(dict(counts))
+        assert seen == [{"_runs": 1, "range_groups": 139, "_passes": 1}, {}, {}]
+
+    def test_back_to_back_columns_read_as_fresh_batches(self):
+        assert back_to_back_mismatches() == []
+
+    def test_a_run_whose_roots_fail_early_lays_out_no_later_group(self, monkeypatch):
+        """D_B over p and q under ed/all fails on the first, one-world
+        model, and so do the premises p and q: the run lays out the first
+        of the stream's three groups alone.  A run of the same shape with
+        live roots then lays out the other two."""
+        counts = self._counts(monkeypatch)
+        batch = soundness_batch()
+        early = LogicSuite("d", ("D_B",), Semantics.ED, ScenarioClass.ALL, ())
+        report = run_suite(early, batch, instantiation=(parse("p"), parse("q")))
+        assert [r.status for r in report.results] == ["countermodel"] * 2
+        assert counts["_passes"] == 1
+        assert run_suite(get_suite("el_kboxb"), batch).clean
+        assert counts["_passes"] == 3
+
+    def test_budget_errors_come_where_a_fresh_batch_raises(self):
+        """Draw 2 of the batch (seed 5, 9 worlds, 384 opens) costs over the
+        default budget under ed: run after run on one batch, in any order,
+        a run with a root live there raises at it, a run whose roots all
+        fail before it does not, and each reads as on a fresh batch."""
+        shape = (2, (1, 5, 2), (4, 9, 4))
+        early = LogicSuite("d", ("D_B",), Semantics.ED, ScenarioClass.ALL, ())
+
+        def outcome(batch, suite, **kwargs):
+            try:
+                return run_suite(suite, batch, **kwargs).to_json()
+            except BudgetError as error:
+                return str(error)
+
+        runs = [
+            (early, {"instantiation": (parse("p"), parse("q"))}),
+            (get_suite("el_kboxb"), {}),
+            (early, {"instantiation": (parse("p"), parse("q"))}),
+            (get_suite("el_kboxb"), {}),
+            (get_suite("sel"), {"semantics": Semantics.ED, "scenario_class": ScenarioClass.ALL}),
+        ]
+        batch = Batch(*shape)
+        got = [outcome(batch, suite, **kwargs) for suite, kwargs in runs]
+        assert got == [outcome(Batch(*shape), suite, **kwargs) for suite, kwargs in runs]
+        assert [text.startswith("scenario sweep cost") for text in got] == [
+            False, True, False, True, True
+        ]
+
+    def test_a_layout_stopped_by_another_error_is_laid_out_again(self, monkeypatch):
+        """An error other than BudgetError while the second group is laid
+        out ends that run; the next run of the shape lays the stream out
+        afresh and reads as on a fresh batch, not as a stream cut short."""
+        batch, calls = soundness_batch(), []
+        passes = semantics._passes
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return passes(*args)
+
+        monkeypatch.setattr(semantics, "_passes", failing)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(get_suite("el_kboxb"), batch)
+        again = run_suite(get_suite("el_kboxb"), batch)
+        assert again == run_suite(get_suite("el_kboxb"), soundness_batch())
+        assert len(calls) == 2 + 3 + 3
+
+    def test_the_layouts_stay_out_of_equality_repr_and_pickle(self):
+        batch = soundness_batch(random_count=4)
+        run_suite(get_suite("kd45_b"), batch)
+        assert batch._layouts
+        fresh = soundness_batch(random_count=4)
+        assert batch == fresh and hash(batch) == hash(fresh) and repr(batch) == repr(fresh)
+        assert pickle.loads(pickle.dumps(batch))._layouts == {}
+
+    def test_the_labeled_copy_shares_the_draws_and_starts_with_no_layouts(self, monkeypatch):
+        """oracles.labeled_batch draws and builds nothing beyond its labeled
+        stream, keeps the batch's draw objects, and reads none of the
+        batch's layouts, which are of another stream."""
+        batch = soundness_batch()
+        run_suite(get_suite("kd45_b"), batch)
+        draws = TestDrawnOnce._spy(monkeypatch, suites, "random_model")
+        labeled = labeled_batch(batch)
+        assert draws == []
+        assert labeled.draws is batch.draws and labeled.draws[0] is batch.draws[0]
+        assert labeled == batch and labeled.swept == tuple(batch.models())
+        assert batch._layouts and labeled._layouts == {}
 
 
 class TestClassMonotonicity:
