@@ -280,19 +280,11 @@ def find_countermodel(
     root = engine.roots[f]
     evaluations = 0
     starts: dict[Topology, tuple[int, int]] = {}  # labeled scenarios before, cost per model
-    cls = scenario_class if kind.needs_doxastic_range else None
+    cls, _ = _shape(kind, scenario_class)
     k = min(max_n, ENUMERATION_MAX)
 
     def sweep(runs: Iterable[_Run]):
-        return _sweep_groups(
-            runs,
-            kind,
-            scenario_class,
-            DEFAULT_SCENARIO_BUDGET,
-            grow=True,
-            maximal=True,
-            complete_to=k,
-        )
+        return _sweep_groups(runs, kind, scenario_class, DEFAULT_SCENARIO_BUDGET, grow=True, complete_to=k)
 
     groups = sweep(_isomorph_free_models(k, names, cls, starts))
 
@@ -688,17 +680,22 @@ def sweep_validity(
 
     Every model of the stream is swept.  A stream without isomorphic
     copies is made at its source (see _isomorph_free_models).  The stream
-    enters the sweep through _runs, as the engine's atoms' masks, and each
-    failure is named by the stream's own model.  Given a suites.Batch, it
-    sweeps batch.swept through the layouts the batch keeps (_memoized).
+    enters the sweep through _runs, as the masks of the engine's atoms,
+    and each failure is named by the stream's own model.  Given a
+    suites.Batch, it sweeps batch.swept through the layouts the batch
+    keeps (_memoized), packed over Batch.atoms, which every model of the
+    batch values, and keyed by range shape, budget and k (_layout_key):
+    runs whose engines read the atoms in another order, or only some of
+    them, share one layout, and an engine atom outside Batch.atoms reads
+    false everywhere.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
     memo = getattr(models, "_layouts", None)  # a suites.Batch's layouts of its swept stream
-    stream = models if memo is None else models.swept
-    layouts = _layouts(stream, engine.atom_names, engine.kind, scenario_class, budget, complete_to)
+    stream, names = (models, engine.atom_names) if memo is None else (models.swept, models.atoms)
+    layouts = _layouts(stream, names, engine.kind, scenario_class, budget, complete_to)
     if memo is not None:
         layouts = _memoized(memo, _layout_key(engine, scenario_class, budget, complete_to), layouts)
     for runs, read, lanes, passes in layouts:
@@ -728,18 +725,16 @@ def _layouts(
             read.append(model)
             yield model
 
-    groups = _sweep_groups(
-        _runs(reading(), names), kind, cls, budget, maximal=True, complete_to=complete_to
-    )
-    for runs in groups:
+    for runs in _sweep_groups(_runs(reading(), names), kind, cls, budget, complete_to=complete_to):
         count = sum(len(valuations) for _, (_, valuations) in runs)
         group, read[:count] = read[:count], ()
         yield (runs, group, *_passes(runs, names))
 
 
 def _layout_key(engine: BatchEvaluator, cls: ScenarioClass, budget: int, complete_to: int) -> tuple:
-    """What _layouts reads besides the stream: atom names, ranges (_shape), budget and k."""
-    return engine.atom_names, *_shape(engine.kind, cls, True), budget, complete_to
+    """What _layouts reads of a batch besides its stream and atoms: the
+    range shape (_shape), budget and k."""
+    return *_shape(engine.kind, cls), budget, complete_to
 
 
 def _memoized(memo: dict, key: tuple, layouts: Iterator) -> Iterator:
@@ -771,7 +766,6 @@ def _sweep_groups(
     budget: int,
     *,
     grow=False,
-    maximal=False,
     complete_to=0,
 ) -> Iterator[list[tuple[Ranges, _Run]]]:
     """The runs in lane groups, each a list of (ranges, run) in stream order.
@@ -788,19 +782,21 @@ def _sweep_groups(
     sets, a group holds at most as many runs as all before it, so groups
     take 1, 1, 2, 4, ... runs: an early hit costs a small sweep and a long
     hunt few groups, while a sweep's first small groups would only cost it
-    passes.  With maximal, an ae sweep under class all, consistent or
-    dense ranges only the pairs whose V lies inside the topology's Max
-    (see sweep_validity); under total each U has one pair, and nothing is
-    dropped.  With complete_to = k, it ranges no pair whose U is not the
-    carrier and has at most k worlds (see sweep_validity).  range_groups
-    builds those reduced lists.  Raises BudgetError at the first run whose
-    ranges cost more than the budget, once the groups before it are
-    yielded: the budget is charged for the full list.
+    passes.  The column's range shape (_shape) gives the class, and under
+    ae with class all, consistent or dense only the pairs whose V lies
+    inside the topology's Max (see sweep_validity); under total each U has
+    one pair, and nothing is dropped.  With complete_to = k, it ranges no
+    pair whose U is not the carrier and has at most k worlds (see
+    sweep_validity).  range_groups builds those reduced lists.  A batch's
+    layouts of these groups are packed over Batch.atoms and keyed by
+    shape, budget and k (see sweep_validity).  Raises BudgetError at the
+    first run whose ranges cost more than the budget, once the groups
+    before it are yielded: the budget is charged for the full list.
     """
     group: list[tuple[Ranges, _Run]] = []
     lanes = carrier = size = 0  # the group's lanes, carrier and chunk length
     done = 0  # runs of the groups yielded so far
-    cls, maximal = _shape(kind, cls, maximal)
+    cls, maximal = _shape(kind, cls)
     for top, stretch in runs:
         inside = top.maximal if maximal else None
         try:
@@ -832,12 +828,14 @@ def _sweep_groups(
         yield group
 
 
-def _shape(kind: Semantics, cls: ScenarioClass, maximal: bool) -> tuple[ScenarioClass | None, bool]:
-    """The class a sweep ranges under (None under strong: each nonempty open
-    U, no V) and whether it keeps only the V inside Max (ae, some classes)."""
+def _shape(kind: Semantics, cls: ScenarioClass) -> tuple[ScenarioClass | None, bool]:
+    """The range shape of a column, the one owner of what its sweeps range:
+    the class (None under strong: each nonempty open U, no V) and whether
+    only the V inside Max are kept (ae under all, consistent and dense;
+    see sweep_validity)."""
     if not kind.needs_doxastic_range:
         return None, False
-    return cls, maximal and kind is Semantics.AE and cls in _MAXIMAL_CLASSES
+    return cls, kind is Semantics.AE and cls in _MAXIMAL_CLASSES
 
 
 def _chunks(runs: _Group, size: int = 0) -> tuple[int, list[int]]:

@@ -210,8 +210,9 @@ class Batch(Record):
 
     The same precondition lets run_suite pass exhaustive_n as
     sweep_validity's complete_to (see there).  The atoms are fixed, and
-    neither draws, swept nor _layouts, the lane layouts of swept per range
-    shape that sweep_validity fills (semantics._memoized), is shown or compared.
+    neither draws, swept nor _layouts is shown or compared: the lane
+    layouts of swept that sweep_validity fills (semantics._memoized),
+    packed over atoms and keyed by range shape, budget and k.
     """
 
     __slots__ = ("exhaustive_n", "seeds", "sizes", "draws", "swept", "_layouts")

@@ -248,21 +248,24 @@ def unreduced_sweeps(patch, swept=None):
     The reference that the reduced sweeps are checked against: the patch
     (a monkeypatch or one of its contexts) replaces semantics._sweep_groups
     with a wrapper that drops every reduction it takes, each keyword-only
-    parameter but grow (tests/test_semantics.py::TestReducedSearch guards
-    that), so the sweep visits every pair.  It also sends every sweep past
-    the layouts a batch keeps (semantics._memoized), which a reduced run
-    on the same batch may have filled, and adds none to them.  Given a
-    list, it also appends the number of models of each stream swept.
+    parameter but grow, and semantics._shape with one that keeps its
+    class but no V inside Max alone (tests/test_semantics.py::
+    TestReducedSearch guards both), so the sweep visits every pair.  It
+    also sends every sweep past the layouts a batch keeps
+    (semantics._memoized), which a reduced run on the same batch may have
+    filled, and adds none to them.  Given a list, it also appends the
+    number of models of each stream swept.
     """
-    groups = semantics._sweep_groups
+    groups, shape = semantics._sweep_groups, semantics._shape
 
-    def full(runs, *args, maximal=False, complete_to=0, **kwargs):
+    def full(runs, *args, complete_to=0, **kwargs):
         if swept is not None:
             runs = [(top, list(valuations)) for top, valuations in runs]
             swept.append(sum(len(valuations) for _, valuations in runs))
         return groups(runs, *args, **kwargs)
 
     patch.setattr(semantics, "_sweep_groups", full)
+    patch.setattr(semantics, "_shape", lambda kind, cls: (shape(kind, cls)[0], False))
     patch.setattr(semantics, "_memoized", lambda memo, key, layouts: layouts)
 
 

@@ -203,8 +203,9 @@ def _differing(images: dict[Formula, Formula], max_n: int) -> tuple[list, int]:
     return out, checked
 
 
-def test_criterion_07_almost_everywhere_alpha_bridge():
+def test_criterion_07_almost_everywhere_alpha_bridge(monkeypatch):
     started = time.perf_counter()
+    unreduced_sweeps(monkeypatch)  # every (U, V) pair, the ae V outside Max included
     corpus = formula_corpus()
     differing, checked = _differing({f: translate(f, ALPHA_MAP) for f in corpus}, 4)
     assert not differing, [(k, str(f)) for k, f in differing[:3]]

@@ -42,7 +42,20 @@ def _least_under_the_whole_group(automorphisms, n, count):
 def _key_without_the_class(engine, cls, budget, complete_to):
     """semantics._layout_key with the scenario class dropped: ed under one
     class reads the layouts of another."""
-    return engine.atom_names, engine.kind, budget, complete_to
+    return engine.kind, budget, complete_to
+
+
+def _max_under_ed_too(kind, cls):
+    """semantics._shape keeping only the V inside Max under ed with class
+    all, consistent or dense too, where ed belief reads V outside Max."""
+    if not kind.needs_doxastic_range:
+        return None, False
+    return cls, cls in semantics._MAXIMAL_CLASSES
+
+
+def _every_open_inside_u(top, cls, u, vs):
+    """model._admitted without the class filter: every open V inside U."""
+    return [v for v in vs if v & ~u == 0]
 
 
 def _one_world_too_far(engine, models, cls, budget=DEFAULT_SCENARIO_BUDGET, *, complete_to=0):
@@ -122,6 +135,13 @@ CANARIES = [
         id="layout-memo-key-without-the-class",
     ),
     pytest.param(
+        semantics,
+        "_shape",
+        _max_under_ed_too,
+        reference_mismatches,
+        id="shape-keeps-max-under-ed",
+    ),
+    pytest.param(
         suites,
         "sweep_validity",
         _one_world_too_far,
@@ -134,6 +154,13 @@ CANARIES = [
         _pairs_not_scenarios,
         search_count_mismatches,
         id="range-cost-counts-pairs",
+    ),
+    pytest.param(
+        model,
+        "_admitted",
+        _every_open_inside_u,
+        search_count_mismatches,
+        id="admitted-without-the-class-filter",
     ),
 ]
 

@@ -545,7 +545,7 @@ def test_layout_runs_each_lanes_chunk_in_canonical_order():
     for kind, cls in KINDS:
         for models in (draws, runs, clustered, draws[4:5]):
             stream = _runs(models, NAMES)
-            (group,) = _sweep_groups(stream, kind, cls, DEFAULT_SCENARIO_BUDGET, maximal=True)
+            (group,) = _sweep_groups(stream, kind, cls, DEFAULT_SCENARIO_BUDGET)
             lists = []  # each model's pairs, in canonical order
             for model in models:
                 top = model.topology

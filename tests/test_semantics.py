@@ -549,7 +549,8 @@ class TestBatchEvaluatorAgreement:
         def_truth: a group of random models on 2, 3 and 4 worlds, whose
         lanes run the wide interior and closure, and a lone model on n
         worlds, one lane on plain subset masks.  Each model's lanes cover
-        its range pairs exactly."""
+        its full range pairs exactly (oracles.unreduced_sweeps), the ae
+        pairs whose V is outside Max included."""
         group = [random_model(seed + 1 + i, 2 + (n + i) % 3) for i in range(3)]
         lone = [random_model(seed, n)]
         for kind in (STRONG, ED, AE):
@@ -557,7 +558,9 @@ class TestBatchEvaluatorAgreement:
             cls = None if kind is STRONG else ScenarioClass.ALL
             for models in (group, lone):
                 stream = _runs(models, NAMES)
-                (runs,) = _sweep_groups(stream, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+                with pytest.MonkeyPatch.context() as patch:
+                    unreduced_sweeps(patch)
+                    (runs,) = _sweep_groups(stream, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
                 lanes, passes = _passes(runs, NAMES)
                 assert (lanes.width == 1) == (models is lone)
                 seen = {id(m): set() for m in models}
@@ -1121,17 +1124,22 @@ class TestReducedSearch:
     def test_the_unreduced_reference_drops_every_reduction(self, monkeypatch):
         """unreduced_sweeps, the full-pair reference every reduced sweep is
         pinned to (the acceptance gate's criterion 07 included), passes
-        _sweep_groups no keyword-only parameter but grow:
-        a reduction added to _sweep_groups later fails here until the
-        reference drops it too."""
+        _sweep_groups no keyword-only parameter but grow, and its _shape
+        keeps each column's class but keeps no V inside Max alone in any of
+        the 9 columns: a reduction added to _sweep_groups or _shape later
+        fails here until the reference drops it too."""
         params = inspect.signature(_sweep_groups).parameters.values()
         keywords = {p.name: object() for p in params if p.kind is p.KEYWORD_ONLY}
         assert "grow" in keywords
+        shapes = [semantics._shape(kind, cls) for kind, cls in self.COLUMNS]
+        assert any(maximal for _, maximal in shapes)
         passed = []
         monkeypatch.setattr(semantics, "_sweep_groups", lambda *args, **kwargs: passed.append(kwargs))
         unreduced_sweeps(monkeypatch)
         semantics._sweep_groups([], STRONG, ScenarioClass.ALL, 1, **keywords)
         assert passed == [{"grow": keywords["grow"]}]
+        unreduced = [semantics._shape(kind, cls) for kind, cls in self.COLUMNS]
+        assert unreduced == [(cls, False) for cls, _ in shapes]
 
     def test_the_unreduced_reference_sweeps_past_a_batchs_layouts(self, monkeypatch):
         """A run reduced on a batch lays its swept stream out and keeps the

@@ -341,29 +341,28 @@ class TestWholeCarrierSweeps:
         """Of the three sweeps, run_suite alone drops the small ranges of its
         batch's size: it passes exhaustive_n to _sweep_groups,
         find_countermodel passes min(max_n, ENUMERATION_MAX), to its
-        exhaustive stream and its draws alike, and valid_in_model 0; all
-        three pass maximal."""
+        exhaustive stream and its draws alike, and valid_in_model 0."""
         seen = []
         groups = semantics._sweep_groups
 
-        def spy(*args, complete_to=0, maximal=False, **kwargs):
-            seen.append((complete_to, maximal))
-            return groups(*args, complete_to=complete_to, maximal=maximal, **kwargs)
+        def spy(*args, complete_to=0, **kwargs):
+            seen.append(complete_to)
+            return groups(*args, complete_to=complete_to, **kwargs)
 
         monkeypatch.setattr(semantics, "_sweep_groups", spy)
         assert run_suite(get_suite("kd45_b"), Batch(exhaustive_n=2)).clean
-        assert seen == [(2, True)]
+        assert seen == [2]
         f = parse("K p -> p")
         valid_in_model(random_model(1, 4), f, Semantics.STRONG)
-        assert seen[1:] == [(0, True)]
+        assert seen[1:] == [0]
         del seen[:]
         assert find_countermodel(f, Semantics.STRONG, max_n=3).status == "exhausted"
-        assert seen == [(3, True)]
+        assert seen == [3]
         del seen[:]
         # 76 426 scenarios to 4 worlds, then draws of 5 and 6 worlds
         out = find_countermodel(f, Semantics.STRONG, max_n=6, budget=76_426 + 100)
         assert out.status == "budget"
-        assert len(seen) > 2 and set(seen) == {(4, True)}
+        assert len(seen) > 2 and set(seen) == {4}
 
     @pytest.mark.parametrize(
         "kind, cls, pairs",
@@ -386,7 +385,6 @@ class TestWholeCarrierSweeps:
                     kind,
                     cls,
                     DEFAULT_SCENARIO_BUDGET,
-                    maximal=True,
                     complete_to=k,
                 )
                 for ranges, (_, valuations) in group
@@ -692,6 +690,34 @@ class TestLaidOnce:
         assert counts["_passes"] == 1
         assert run_suite(get_suite("el_kboxb"), batch).clean
         assert counts["_passes"] == 3
+
+    def test_runs_that_read_other_atoms_share_one_layout(self):
+        """The layouts are packed over Batch.atoms and keyed by range shape,
+        budget and k, not by the atoms an engine compiled: D_B over p
+        alone, whose roots fail on the first model, lays out the first
+        ed/all group, and el_kboxb, over p and q, lays out the other two
+        under the same key, reporting as on a fresh batch."""
+        batch = soundness_batch()
+        early = LogicSuite("d", ("D_B",), Semantics.ED, ScenarioClass.ALL, ())
+        report = run_suite(early, batch, instantiation=(parse("p"),))
+        assert [r.status for r in report.results] == ["countermodel"]
+        assert [len(laid) for laid, _ in batch._layouts.values()] == [1]
+        suite = get_suite("el_kboxb")
+        assert run_suite(suite, batch) == run_suite(suite, soundness_batch())
+        assert [len(laid) for laid, _ in batch._layouts.values()] == [3]
+
+    def test_an_atom_outside_the_batch_reads_false_on_a_laid_out_batch(self):
+        """An instantiation over r, which no model of the batch values,
+        reads r false everywhere: its report on a batch already laid out
+        by a run over p and q is the one a fresh batch gives."""
+        suite = get_suite("el_kboxb")
+        batch = soundness_batch()
+        assert run_suite(suite, batch).clean
+        outside = (parse("p"), parse("r"), parse("q -> r"))
+        report = run_suite(suite, batch, instantiation=outside)
+        assert report == run_suite(suite, soundness_batch(), instantiation=outside)
+        assert len(batch._layouts) == 1
+        assert {r.status for r in report.rules if r.premise == "r"} == {"vacuous"}
 
     def test_budget_errors_come_where_a_fresh_batch_raises(self):
         """Draw 2 of the batch (seed 5, 9 worlds, 384 opens) costs over the
