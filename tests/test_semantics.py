@@ -574,13 +574,17 @@ class TestBatchEvaluatorAgreement:
 
     def test_one_lane_passes_match_values(self):
         """base_pass and overlay_pass, which the benchmark's probes and
-        spans time, give a lone model's one-lane _values, node for node."""
+        spans time, give a lone model's one-lane _values, node for node,
+        on its full range pairs (oracles.unreduced_sweeps), the ae pairs
+        whose V is outside Max included."""
         for seed in range(6):
             m = random_model(seed, 2 + seed % 4)
             for kind in (STRONG, ED, AE):
                 engine = BatchEvaluator(AGREEMENT_CORPUS, kind)
                 stream = _runs([m], NAMES)
-                (runs,) = _sweep_groups(stream, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
+                with pytest.MonkeyPatch.context() as patch:
+                    unreduced_sweeps(patch)
+                    (runs,) = _sweep_groups(stream, kind, ScenarioClass.ALL, DEFAULT_SCENARIO_BUDGET)
                 lanes, passes = _passes(runs, NAMES)
                 assert lanes.width == 1
                 for (u, v), vals in zip(passes, _values(engine, lanes, passes)):
