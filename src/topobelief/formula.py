@@ -5,10 +5,12 @@ interned (hash-consed, after Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): building a node returns the one already made from
 the same class and fields, so equal formulas are one object, `==` is
 identity and hashing is O(1) at any depth.  Each node keeps its children
-and its depth, and postorder(f) lists f's distinct subformulas children
-first.  Every walk over a formula is a loop, so every function here works
-at any depth except parse, the one place that limits it: parse refuses
-input nested deeper than MAX_DEPTH with NestingError.  The surface syntax is
+and its depth, postorder(f) lists f's distinct subformulas children
+first, and to_text(f) keeps the text of each node it writes at most
+MAX_DEPTH deep, so a later call appends that node whole.  Every walk
+over a formula is a loop, so every function here works at any depth
+except parse, the one place that limits it: parse refuses input nested
+deeper than MAX_DEPTH with NestingError.  The surface syntax is
 ASCII only.  Each connective, `true` and `false` included, is defined once,
 in CONNECTIVES: its word, precedence and operand contexts, which the parser,
 the printer and every node's arity read, and a Boolean one's truth
@@ -65,11 +67,15 @@ class Formula(Frozen):
     Meta carry a name, and every other node's fields are its children.
     A new node is checked before it is interned: a child that is not a
     formula, or a name that is not an ATOM_RE word or is a connective's
-    word (true, false, box, dia), raises FormulaError.
+    word (true, false, box, dia), raises FormulaError.  Two slots start
+    as None and are filled on demand: _postorder (see postorder) and
+    _text, the node's text once to_text has written it, kept only on a
+    node at most MAX_DEPTH deep, so no character of a text is kept more
+    than MAX_DEPTH + 1 times.
     """
 
-    # _postorder is set by postorder(f), on f alone
-    __slots__ = ("_children", "_depth", "_postorder")
+    # _postorder is set by postorder(f), on f alone; _text by to_text
+    __slots__ = ("_children", "_depth", "_postorder", "_text")
     _fields: tuple[str, ...] = ()  # each variant's, in constructor order
 
     def __new__(cls, *fields, **named):
@@ -100,6 +106,7 @@ class Formula(Frozen):
             object.__setattr__(node, "_children", kids)
             object.__setattr__(node, "_depth", depth)
             object.__setattr__(node, "_postorder", None)
+            object.__setattr__(node, "_text", None)
             _NODES[key] = node
         return node
 
@@ -355,8 +362,17 @@ def parse(text: str) -> Formula:
 def to_text(f: Formula) -> str:
     """Canonical rendering; round-trips through parse.
 
-    Written left to right with an explicit stack of pending text and
-    (subformula, context) pairs, so it is linear in the text at any depth.
+    Written left to right with an explicit stack of pending text,
+    (subformula, context) pairs and end markers, so it is linear in the
+    text at any depth.  A node with kept text (Formula._text) is appended
+    whole, in parentheses where its context needs them.  A node at most
+    MAX_DEPTH deep that has none gets an end marker [start, node] when it
+    is expanded, start being where its own text begins in the output,
+    after any "(" its context adds; when the marker pops, that slice is
+    joined into one string, which takes the slice's place and is kept on
+    the node.  A deeper node, which only code can build, is written and
+    keeps nothing, so each character of a text is kept by at most
+    MAX_DEPTH + 1 nodes and a deep chain stays linear in time and memory.
     """
     out: list[str] = []
     stack: list = [(f, 0)]
@@ -364,6 +380,12 @@ def to_text(f: Formula) -> str:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
+            continue
+        if type(item) is list:  # end marker: the node's text is out[start:]
+            start, g = item
+            text = "".join(out[start:])
+            out[start:] = [text]
+            object.__setattr__(g, "_text", text)
             continue
         g, context = item
         cls = type(g)
@@ -376,6 +398,11 @@ def to_text(f: Formula) -> str:
         if c.prec < context:
             out.append("(")
             stack.append(")")
+        if g._text is not None:
+            out.append(g._text)
+            continue
+        if g._depth <= MAX_DEPTH:
+            stack.append([len(out), g])
         if not c.operands:
             out.append(c.word)
         elif len(c.operands) == 2:
@@ -396,7 +423,8 @@ def postorder(f: Formula) -> tuple[Formula, ...]:
 
     One iterative depth-first walk, so any depth is fine; the tuple is
     stored on f alone, not on its descendants, so a chain's memory stays
-    linear in its length.
+    linear in its length.  (to_text keeps text on every node it writes,
+    but only up to MAX_DEPTH deep, which bounds that memory instead.)
     """
     out = f._postorder
     if out is None:

@@ -452,6 +452,42 @@ def count_nodes(f, cls):
     return count
 
 
+def uncached_text(f):
+    """formula.to_text as it was before nodes kept their text: every node
+    of the tree written afresh, with the same explicit stack."""
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, context = item
+        cls = type(g)
+        c = fm.CONNECTIVES.get(cls)
+        if c is None:
+            if cls is fm.Atom or cls is fm.Meta:
+                out.append(g.name)
+                continue
+            raise fm.FormulaError(f"not a formula node: {g!r}")
+        if c.prec < context:
+            out.append("(")
+            stack.append(")")
+        if not c.operands:
+            out.append(c.word)
+        elif len(c.operands) == 2:
+            left, right = c.operands
+            stack += [(g.right, right), f" {c.word} ", (g.left, left)]
+        else:
+            word, sub = c.word, g.sub
+            inner = fm.CONNECTIVES.get(type(sub))
+            if cls is fm.Not and inner is not None and inner.dual and type(sub.sub) is fm.Not:
+                word, sub = inner.dual, sub.sub.sub
+            out.append(f"{word} ")
+            stack.append((sub, c.operands[0]))
+    return "".join(out)
+
+
 def def_truth(model, x, u, v, f, kind):
     """Truth of f at (x, u, v) by pointwise recursion on the definitions.
 

@@ -39,6 +39,12 @@ def _least_under_the_whole_group(automorphisms, n, count):
     return itertools.product(least, repeat=count)
 
 
+def _minima_without_marking(automorphisms, size):
+    """model._orbit_minima marking no mask's images: every mask is taken
+    as least in its orbit, at every level of the chain."""
+    return iter(range(size))
+
+
 def _key_without_the_class(engine, cls, budget, complete_to):
     """semantics._layout_key with the scenario class dropped: ed under one
     class reads the layouts of another."""
@@ -126,6 +132,13 @@ CANARIES = [
         _least_under_the_whole_group,
         chain_mismatches,
         id="each-atom-least-under-the-whole-group",
+    ),
+    pytest.param(
+        model,
+        "_orbit_minima",
+        _minima_without_marking,
+        chain_mismatches,
+        id="orbit-minima-without-marking",
     ),
     pytest.param(
         semantics,

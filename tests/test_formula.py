@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_nodes
+from oracles import count_nodes, uncached_text
 from topobelief import formula as fm
 from topobelief.formula import (
     ALPHA_MAP,
@@ -35,6 +35,7 @@ from topobelief.formula import (
     translate,
 )
 from topobelief.record import FrozenInstanceError
+from topobelief.suites import DEFAULT_INSTANTIATION, DEFAULT_MATRIX, get_suite, scheme_instances
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -129,6 +130,82 @@ class TestRoundTrip:
     def test_corpus_round_trips(self):
         for f in formula_corpus():
             assert parse(to_text(f)) == f
+
+
+def _forget_text(f):
+    """Drop the text every subformula of f keeps, so the next print of
+    each writes it afresh."""
+    for g in postorder(f):
+        object.__setattr__(g, "_text", None)
+
+
+def _matrix_instances():
+    """Every instance DEFAULT_MATRIX prints, and the premises of its rules."""
+    out = dict.fromkeys(DEFAULT_INSTANTIATION)
+    for name, _, _ in DEFAULT_MATRIX:
+        for scheme in get_suite(name).schemes:
+            out.update(dict.fromkeys(scheme_instances(get_scheme(scheme))))
+    return tuple(out)
+
+
+class TestKeptText:
+    """to_text keeps each node's text once written; every later print of
+    the node, alone or inside another formula, reads as if written afresh
+    (oracles.uncached_text)."""
+
+    @staticmethod
+    def assert_every_subformula_prints_as_uncached(f):
+        """Print f's subformulas from the root down, then from the leaves
+        up, each time with no text kept at the start."""
+        order = postorder(f)
+        for first in (order[::-1], order):
+            _forget_text(f)
+            for g in first:
+                assert to_text(g) == uncached_text(g)
+            for g in order:
+                assert g._text in (None, uncached_text(g))
+                assert to_text(g) == uncached_text(g)
+
+    @given(formulas)
+    def test_every_subformula_of_random_formulas(self, f):
+        self.assert_every_subformula_prints_as_uncached(f)
+
+    def test_every_subformula_of_the_corpus(self):
+        for f in formula_corpus():
+            self.assert_every_subformula_prints_as_uncached(f)
+
+    def test_every_instance_of_the_default_matrix(self):
+        for f in _matrix_instances():
+            self.assert_every_subformula_prints_as_uncached(f)
+
+    @pytest.mark.parametrize("root_first", [True, False])
+    def test_duals_print_by_their_own_node(self, root_first):
+        inner, dual = Box(Not(p)), dia(p)
+        _forget_text(dual)
+        for g in (dual, inner) if root_first else (inner, dual):
+            to_text(g)
+        assert dual._text == to_text(dual) == "dia p"
+        assert inner._text == to_text(inner) == "box ! p"
+        assert to_text(Not(dual)) == "! dia p" and to_text(K(inner)) == "K box ! p"
+
+    @pytest.mark.parametrize("root_first", [True, False])
+    @pytest.mark.parametrize(
+        "outer, inner, text",
+        [
+            (K(fm.And(p, q)), fm.And(p, q), "K (p & q)"),
+            (Not(Implies(p, q)), Implies(p, q), "! (p -> q)"),
+            (fm.And(fm.Or(p, q), r), fm.Or(p, q), "(p | q) & r"),
+            (fm.And(p, fm.And(q, r)), fm.And(q, r), "p & (q & r)"),
+            (Implies(Implies(p, q), r), Implies(p, q), "(p -> q) -> r"),
+            (Iff(p, fm.Or(q, r)), fm.Or(q, r), "p <-> q | r"),
+        ],
+    )
+    def test_binary_nodes_inside_other_nodes(self, root_first, outer, inner, text):
+        _forget_text(outer)
+        for g in (outer, inner) if root_first else (inner, outer):
+            to_text(g)
+        assert inner._text == to_text(inner) == uncached_text(inner)
+        assert outer._text == to_text(outer) == text
 
 
 class TestSchemes:
@@ -439,6 +516,14 @@ class TestDeepChain:
         for _ in range(self.DEPTH // 2):
             expected = "B hatB " + expected
         assert to_text(f) == str(f) == expected
+        # text is kept up to MAX_DEPTH deep and no deeper, so each
+        # character is kept at most MAX_DEPTH + 1 times
+        kept = [g for g in postorder(f) if g._text is not None]
+        assert max(g._depth for g in kept) == fm.MAX_DEPTH
+        assert sum(len(g._text) for g in kept) <= (fm.MAX_DEPTH + 1) * len(expected)
+        for g in kept:
+            assert g._text == uncached_text(g)
+        assert to_text(f) == expected
         text = repr(f)
         assert text.startswith("Bel(sub=Not(sub=Bel(sub=Not(sub=")
         assert text.endswith("Atom(name='p')" + "))" * self.DEPTH)
