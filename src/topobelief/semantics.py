@@ -244,8 +244,8 @@ def find_countermodel(
     index, read off its masks, times its cost.  The count through the last
     model is the labeled total, since the last labeled model, the full
     valuation on the discrete space, is alone in its class.  The source's
-    runs of valuations are swept as they come, and a SubsetModel is built
-    only for the hit returned.
+    runs and the draws, runs of one valuation (_search_run), are swept as
+    they come, and a SubsetModel is built only for the hit returned.
 
     Every model, exhaustive or drawn, is swept only at the pairs that can
     hold the first hit, the reductions sweep_validity states: under ae
@@ -291,9 +291,8 @@ def find_countermodel(
     def drawn():  # each random draw a group of its own, made while budget is left
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
         for d in itertools.takewhile(lambda _: evaluations < budget, itertools.count()):
-            model = _search_model(seed + d, sizes[d % len(sizes)], names)
             try:
-                (group,) = sweep(_runs((model,), names))
+                (group,) = sweep([_search_run(seed + d, sizes[d % len(sizes)], len(names))])
             except BudgetError:
                 continue  # scenario space too large; skip the draw
             yield group
@@ -328,11 +327,12 @@ def find_countermodel(
     return SearchOutcome("budget", None, None, max(budget, 0))
 
 
-def _search_model(seed: int, size: int, atoms: list[str]) -> SubsetModel:
-    """Random-phase draw: seeded topology plus valuations of the given atoms."""
-    base = random_model(seed, size, atoms=0)
+def _search_run(seed: int, size: int, count: int) -> _Run:
+    """Random-phase draw, a run of one valuation: random_model's seeded
+    topology and count masks, one per atom, from a generator of their own."""
+    top = random_model(seed, size, atoms=0).topology
     rng = random.Random(f"{seed}:valuation")
-    return SubsetModel(base.topology, {name: rng.getrandbits(base.n) for name in atoms})
+    return top, [tuple(rng.getrandbits(top.n) for _ in range(count))]
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +635,6 @@ def sweep_validity(
     models: Iterable[SubsetModel],
     scenario_class: ScenarioClass = ScenarioClass.ALL,
     budget: int = DEFAULT_SCENARIO_BUDGET,
-    *,
-    complete_to: int = 0,
 ) -> dict[Formula, BatchFailure]:
     """First failure per root formula across a model stream, in scan order.
 
@@ -644,7 +642,7 @@ def sweep_validity(
     stream (restricted to scenarios of the class).  A failed root is not
     re-checked.
 
-    The stream is read lazily one lane group at a time (see _sweep_groups),
+    The stream is laid out lazily, a lane group at a time (_sweep_groups),
     each model in one or more lanes (see _chunks); a group's models may
     differ in topology and size.  A root's failure is the one a
     scenario-by-scenario scan finds: the stream's first failing model, the
@@ -660,81 +658,79 @@ def sweep_validity(
     an open the class admits and the first V in canonical order to share
     it.  The budget is still charged for every pair.
 
-    With complete_to = k, each topology is swept only at its pairs whose
-    U is the carrier or has more than k worlds.  This finds the same
-    failures (the open-subspace lemma; van Benthem & Bezhanishvili,
-    "Modal logics of space", 2007): an open U is an up-set of the
-    specialization order, so the subspace M|U has Max ∩ U for its Max; K
-    reads only U, box the interior, which inside U is that of M|U, B reads
-    V and U ∩ Max, and the classes read U, V and U ∩ Max.  So truth at
-    (x, U, V) in M is truth at that scenario of M|U, relabeled a model of
-    |U| worlds whose carrier is U, and the class admits it there.
+    With k = batch.exhaustive_n for a suites.Batch, each topology is swept
+    only at its pairs whose U is the carrier or has more than k worlds.
+    This finds the same failures (the open-subspace lemma; van Benthem &
+    Bezhanishvili, "Modal logics of space", 2007): an open U is an up-set
+    of the specialization order, so the subspace M|U has Max ∩ U for its
+    Max; K reads only U, box the interior, which inside U is that of M|U,
+    B reads V and U ∩ Max, and the classes read U, V and U ∩ Max.  So
+    truth at (x, U, V) in M is truth at that scenario of M|U, relabeled a
+    model of |U| worlds whose carrier is U, and the class admits it there.
     Precondition: before each model M of the stream comes a copy, up to
-    isomorphism and contraction (see suites.Batch), of every model with
-    fewer worlds than M and at most k.  Then M fails at U != X with |U| <=
-    k only where the earlier copy of M|U fails at its carrier, which is
-    swept, so M is not the root's first failure; and a first failure
-    keeps its world and pair, since none of its model's failures is
-    dropped.  A stream that does not meet the precondition takes k = 0,
-    and every pair is swept.  The budget is still charged for every pair.
+    isomorphism and contraction, of every model with fewer worlds than M
+    and at most k, which a batch's swept stream holds (see suites.Batch).
+    Then M fails at U != X with |U| <= k only where the earlier copy of
+    M|U fails at its carrier, which is swept, so M is not the root's first
+    failure; and a first failure keeps its world and pair, since none of
+    its model's failures is dropped.  Any other stream takes k = 0, and
+    every pair is swept.  The budget is still charged for every pair.
 
     Every model of the stream is swept.  A stream without isomorphic
     copies is made at its source (see _isomorph_free_models).  The stream
-    enters the sweep through _runs, as the masks of the engine's atoms,
-    and each failure is named by the stream's own model.  Given a
-    suites.Batch, it sweeps batch.swept through the layouts the batch
-    keeps (_memoized), packed over Batch.atoms, which every model of the
-    batch values, and keyed by range shape, budget and k (_layout_key):
-    runs whose engines read the atoms in another order, or only some of
-    them, share one layout, and an engine atom outside Batch.atoms reads
-    false everywhere.
+    is batch.swept for a suites.Batch, and any other is read once, into a
+    tuple; it enters the sweep through _runs, as the masks of the engine's
+    atoms, and each failure is named by the stream's own model, at its
+    position: the models of the groups before, then its offset in its
+    group.  Given a batch, it sweeps through the layouts the batch keeps
+    (_memoized), packed over Batch.atoms, which every model of the batch
+    values, and keyed by range shape and budget (_layout_key): runs whose
+    engines read the atoms in another order, or only some of them, share
+    one layout, and an engine atom outside Batch.atoms reads false
+    everywhere.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
     if not live:
         return failures
     memo = getattr(models, "_layouts", None)  # a suites.Batch's layouts of its swept stream
-    stream, names = (models, engine.atom_names) if memo is None else (models.swept, models.atoms)
-    layouts = _layouts(stream, names, engine.kind, scenario_class, budget, complete_to)
+    if memo is None:
+        stream, names, k = tuple(models), engine.atom_names, 0
+    else:
+        stream, names, k = models.swept, models.atoms, models.exhaustive_n
+    layouts = _layouts(stream, names, engine.kind, scenario_class, budget, k)
     if memo is not None:
-        layouts = _memoized(memo, _layout_key(engine, scenario_class, budget, complete_to), layouts)
-    for runs, read, lanes, passes in layouts:
+        layouts = _memoized(memo, _layout_key(engine, scenario_class, budget), layouts)
+    seen = 0  # the models of the groups before
+    for runs, lanes, passes in layouts:
         for idx, (r, m, s) in _group_failures(engine, runs, lanes, passes, list(live)).items():
             m += sum(len(valuations) for _, (_, valuations) in runs[:r])
-            failures[live.pop(idx)] = BatchFailure(read[m], s)
+            failures[live.pop(idx)] = BatchFailure(stream[seen + m], s)
         if not live:
             break
+        seen += sum(len(valuations) for _, (_, valuations) in runs)
     return failures
 
 
 def _layouts(
-    models: Iterable[SubsetModel],
+    models: Sequence[SubsetModel],
     names: Sequence[str],
     kind: Semantics,
     cls: ScenarioClass,
     budget: int,
-    complete_to: int,
-) -> Iterator[tuple[_Group, list[SubsetModel], _Lanes, list[list[int]]]]:
-    """A model stream laid out, as sweep_validity scans it: per lane group
-    of _sweep_groups, its runs, its models and _passes' lanes and passes
-    (the lanes keep their atoms once packed).  It reads no formula."""
-    read: list[SubsetModel] = []  # the models read, from the next group's first on
-
-    def reading():
-        for model in models:
-            read.append(model)
-            yield model
-
-    for runs in _sweep_groups(_runs(reading(), names), kind, cls, budget, complete_to=complete_to):
-        count = sum(len(valuations) for _, (_, valuations) in runs)
-        group, read[:count] = read[:count], ()
-        yield (runs, group, *_passes(runs, names))
+    k: int,
+) -> Iterator[tuple[_Group, _Lanes, list[list[int]]]]:
+    """A model stream laid out, as sweep_validity scans it with k: per lane
+    group of _sweep_groups, its runs and _passes' lanes and passes (the
+    lanes keep their atoms once packed).  It reads no formula."""
+    for runs in _sweep_groups(_runs(models, names), kind, cls, budget, complete_to=k):
+        yield (runs, *_passes(runs, names))
 
 
-def _layout_key(engine: BatchEvaluator, cls: ScenarioClass, budget: int, complete_to: int) -> tuple:
-    """What _layouts reads of a batch besides its stream and atoms: the
-    range shape (_shape), budget and k."""
-    return *_shape(engine.kind, cls), budget, complete_to
+def _layout_key(engine: BatchEvaluator, cls: ScenarioClass, budget: int) -> tuple:
+    """What _layouts reads of a batch besides its stream, atoms and k,
+    which are the batch's own: the range shape (_shape) and budget."""
+    return *_shape(engine.kind, cls), budget
 
 
 def _memoized(memo: dict, key: tuple, layouts: Iterator) -> Iterator:
@@ -789,7 +785,7 @@ def _sweep_groups(
     pair whose U is not the carrier and has at most k worlds (see
     sweep_validity).  range_groups builds those reduced lists.  A batch's
     layouts of these groups are packed over Batch.atoms and keyed by
-    shape, budget and k (see sweep_validity).  Raises BudgetError at the
+    shape and budget (see sweep_validity).  Raises BudgetError at the
     first run whose ranges cost more than the budget, once the groups
     before it are yielded: the budget is charged for the full list.
     """
@@ -855,7 +851,7 @@ def _chunks(runs: _Group, size: int = 0) -> tuple[int, list[int]]:
 def _runs(
     models: Iterable[SubsetModel], names: Sequence[str]
 ) -> Iterator[tuple[Topology, Iterator[tuple[int, ...]]]]:
-    """A model stream as runs, the one way models enter a sweep: each
+    """A caller's model stream as runs, the one way it enters a sweep: each
     stretch of consecutive models of one topology (one that comes back
     starts a new stretch), with each model's masks of names in order, an
     atom it does not value being false everywhere.  Like the source's, a

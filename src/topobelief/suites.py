@@ -208,11 +208,11 @@ class Batch(Record):
     budget is kept, so a BudgetError comes where it does in the whole
     stream.
 
-    The same precondition lets run_suite pass exhaustive_n as
-    sweep_validity's complete_to (see there).  The atoms are fixed, and
-    neither draws, swept nor _layouts is shown or compared: the lane
+    The same precondition lets sweep_validity take k = exhaustive_n for
+    the batch, and for no other stream (see there).  The atoms are fixed,
+    and neither draws, swept nor _layouts is shown or compared: the lane
     layouts of swept that sweep_validity fills (semantics._memoized),
-    packed over atoms and keyed by range shape, budget and k.
+    packed over atoms and keyed by range shape and budget.
     """
 
     __slots__ = ("exhaustive_n", "seeds", "sizes", "draws", "swept", "_layouts")
@@ -451,7 +451,7 @@ def run_suite(
     premises = list(dict.fromkeys(instantiation))
     # the engine keeps each distinct root once, in first-seen order
     engine = BatchEvaluator([inst for _, inst in rows] + premises, kind)
-    failures = sweep_validity(engine, batch, cls, complete_to=batch.exhaustive_n)
+    failures = sweep_validity(engine, batch, cls)
 
     results = []
     for name, inst in rows:

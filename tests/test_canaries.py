@@ -25,9 +25,9 @@ from oracles import (
 )
 from topobelief import model, semantics, suites
 from topobelief.formula import parse
-from topobelief.model import DEFAULT_SCENARIO_BUDGET, ScenarioClass
+from topobelief.model import BudgetError, ScenarioClass
 from topobelief.semantics import Semantics, find_countermodel
-from topobelief.suites import Batch
+from topobelief.suites import Batch, get_suite, run_suite, soundness_batch
 
 
 def _least_under_the_whole_group(automorphisms, n, count):
@@ -45,10 +45,10 @@ def _minima_without_marking(automorphisms, size):
     return iter(range(size))
 
 
-def _key_without_the_class(engine, cls, budget, complete_to):
+def _key_without_the_class(engine, cls, budget):
     """semantics._layout_key with the scenario class dropped: ed under one
     class reads the layouts of another."""
-    return engine.kind, budget, complete_to
+    return engine.kind, budget
 
 
 def _max_under_ed_too(kind, cls):
@@ -64,11 +64,39 @@ def _every_open_inside_u(top, cls, u, vs):
     return [v for v in vs if v & ~u == 0]
 
 
-def _one_world_too_far(engine, models, cls, budget=DEFAULT_SCENARIO_BUDGET, *, complete_to=0):
-    """suites.sweep_validity as run_suite would call it with complete_to =
-    batch.exhaustive_n + 1: it drops each U of exhaustive_n + 1 worlds
-    that is not the carrier, though no batch holds every model that size."""
-    return semantics.sweep_validity(engine, models, cls, budget, complete_to=complete_to + 1)
+_layouts = semantics._layouts
+
+
+def _one_world_too_far(models, names, kind, cls, budget, k):
+    """semantics._layouts laying a batch out with k = exhaustive_n + 1: it
+    drops each U of exhaustive_n + 1 worlds that is not the carrier,
+    though no batch holds every model that size."""
+    return _layouts(models, names, kind, cls, budget, k + 1)
+
+
+def _keeping_a_cut_layout(memo, key, layouts):
+    """semantics._memoized without its memo.pop: after an error other than
+    BudgetError the key keeps the groups laid out before it, so the next
+    sweep of the shape reads those and ends there, as if the stream did."""
+    laid, source = memo.setdefault(key, ([], layouts))
+    for i in itertools.count():
+        if i == len(laid):
+            try:
+                laid.append(next(source))
+            except StopIteration:
+                return
+            except BudgetError as error:
+                laid.append(error)
+        if isinstance(laid[i], BudgetError):
+            raise BudgetError(*laid[i].args)
+        yield laid[i]
+
+
+def _contraction_of_the_topology(top, masks, limit):
+    """model._contraction_size reading the topology alone, as if no atom
+    held anywhere: a batch then drops every model whose topology contracts
+    to at most exhaustive_n worlds, whatever its valuation."""
+    return model._contraction_size(top, (), limit)
 
 
 def _pairs_not_scenarios(top, cls):
@@ -89,6 +117,38 @@ def reference_mismatches():
         unreduced_sweeps(patch)
         reference = suite_reports(SUITE_ROWS, labeled_batch(batch))
     return [row for row, a, b in zip(SUITE_ROWS, reduced, reference) if a != b]
+
+
+class _Stop(Exception):
+    """The error, not a BudgetError, that stops a layout in relaid_mismatches."""
+
+
+def relaid_mismatches():
+    """What a run of el_kboxb on soundness_batch() gets wrong after an
+    error other than BudgetError stopped the same shape's layout at its
+    second group: a report other than a fresh batch's, or a layout of
+    other than the stream's 3 groups."""
+    batch, calls = soundness_batch(), []
+    passes = semantics._passes
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise _Stop
+        return passes(*args)
+
+    suite = get_suite("el_kboxb")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_passes", failing)
+        with pytest.raises(_Stop):
+            run_suite(suite, batch)
+        again = run_suite(suite, batch)
+    out = []
+    if again != run_suite(suite, soundness_batch()):
+        out.append("report")
+    if len(calls) != 2 + 3:
+        out.append(f"{len(calls) - 2} groups laid out again")
+    return out
 
 
 def _labeled_scenarios(max_n, cls):
@@ -155,11 +215,25 @@ CANARIES = [
         id="shape-keeps-max-under-ed",
     ),
     pytest.param(
-        suites,
-        "sweep_validity",
+        semantics,
+        "_layouts",
         _one_world_too_far,
         reference_mismatches,
         id="run-suite-complete-to-one-more",
+    ),
+    pytest.param(
+        semantics,
+        "_memoized",
+        _keeping_a_cut_layout,
+        relaid_mismatches,
+        id="memo-keeps-a-layout-cut-by-another-error",
+    ),
+    pytest.param(
+        suites,
+        "_contraction_size",
+        _contraction_of_the_topology,
+        reference_mismatches,
+        id="contraction-on-the-topology-alone",
     ),
     pytest.param(
         model,

@@ -41,7 +41,7 @@ from topobelief.semantics import (
     Semantics,
     _passes,
     _runs,
-    _search_model,
+    _search_run,
     _sweep_groups,
     find_countermodel,
     satisfies,
@@ -606,7 +606,8 @@ def _search_stream(names, max_n, seed):
     if max_n > 4:
         sizes = range(5, max_n + 1)
         for draw in count():
-            yield _search_model(seed + draw, sizes[draw % len(sizes)], names)
+            top, (masks,) = _search_run(seed + draw, sizes[draw % len(sizes)], len(names))
+            yield SubsetModel(top, dict(zip(names, masks)))
 
 
 def _search_events(f, kind, cls, max_n, seed=0):

@@ -448,7 +448,7 @@ class TestFindCountermodel:
         f = parse("K p -> p")
         exhaustive = find_countermodel(f, STRONG, max_n=4).evaluations
         drawn, swept = [], []  # each draw's topology is an object of its own
-        draw, sweep = semantics._search_model, semantics._group_failures
+        draw, sweep = semantics._search_run, semantics._group_failures
 
         def recording_draw(*args):
             drawn.append(draw(*args))
@@ -458,12 +458,38 @@ class TestFindCountermodel:
             swept.extend(top for _, (top, _) in runs)
             return sweep(engine, runs, *laid)
 
-        monkeypatch.setattr(semantics, "_search_model", recording_draw)
+        monkeypatch.setattr(semantics, "_search_run", recording_draw)
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
         out = find_countermodel(f, STRONG, max_n=6, budget=exhaustive + extra)
         assert out.status == "budget"
         assert len(drawn) == draws
-        assert [any(top is model.topology for top in swept) for model in drawn] == [True] * draws
+        assert [any(top is run[0] for top in swept) for run in drawn] == [True] * draws
+
+    def test_a_random_hunt_builds_at_most_one_model_per_draw(self, monkeypatch):
+        """The random phase draws runs, not models: the random K p -> p hunt
+        (seed 1, max_n 10, budget 200 000) makes 228 draws and builds one
+        SubsetModel per draw, random_model's, whose topology it keeps; the
+        draw's masks come from its own generator, and no model is built
+        from them."""
+        from topobelief import semantics
+
+        built, drawn = [], []
+        check, draw = SubsetModel.__init__, semantics._search_run
+
+        def spy(model, *args):
+            built.append(model)
+            check(model, *args)
+
+        def counting_draw(*args):
+            drawn.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(SubsetModel, "__init__", spy)
+        monkeypatch.setattr(semantics, "_search_run", counting_draw)
+        out = find_countermodel(parse("K p -> p"), STRONG, max_n=10, budget=200_000, seed=1)
+        assert out.status == "budget"
+        assert len(drawn) == 228
+        assert len(built) <= len(drawn)
 
     @pytest.mark.parametrize("text, kind", [("K p -> p", STRONG), ("B (box p | box ! box p)", AE)])
     def test_a_hunt_sweeps_growing_groups(self, monkeypatch, text, kind):
@@ -485,17 +511,15 @@ class TestFindCountermodel:
         assert all(size <= sum(sizes[:i]) for i, size in enumerate(sizes) if i)
 
     def test_random_phase_draws_cover_the_formula_atoms(self):
-        from topobelief.semantics import _search_model
+        from topobelief.semantics import _search_run
 
-        model = _search_model(11, 6, ["my_atom", "zz9"])
-        again = _search_model(11, 6, ["my_atom", "zz9"])
-        assert model.valuation == again.valuation
-        assert set(model.valuation) == {"my_atom", "zz9"}
-        assert model.topology.opens == again.topology.opens
+        top, (masks,) = _search_run(11, 6, 2)
+        again, (again_masks,) = _search_run(11, 6, 2)
+        assert masks == again_masks
+        assert len(masks) == 2
+        assert top.opens == again.opens
         # over a few draws the valuations are not all degenerate
-        assert any(
-            any(_search_model(s, 5, ["my_atom"]).valuation.values()) for s in range(5)
-        )
+        assert any(any(_search_run(s, 5, 1)[1][0]) for s in range(5))
 
 
 def _assert_oracle_bits(m, kind, u, v, f, ext):
@@ -1246,14 +1270,14 @@ class TestReducedSearch:
         sizes = range(5, 14)
         full = {}
         for d in range(12):
-            top = semantics._search_model(d, sizes[d % 9], ["p"]).topology
+            top, _ = semantics._search_run(d, sizes[d % 9], 1)
             if len(top.opens) ** 2 * top.n <= DEFAULT_SCENARIO_BUDGET:
                 full[d] = sum(u.bit_count() for u, _ in range_pairs(top, ScenarioClass.ALL))
         assert sorted(set(range(12)) - set(full)) == [5, 6, 7, 8]
         exhaustive = find_countermodel(f, ED, max_n=4, budget=10**6).evaluations
         assert exhaustive == 354_708
         drawn, swept = [], []  # each draw's topology is an object of its own
-        draw, sweep = semantics._search_model, semantics._group_failures
+        draw, sweep = semantics._search_run, semantics._group_failures
 
         def recording_draw(*args):
             drawn.append(draw(*args))
@@ -1263,13 +1287,13 @@ class TestReducedSearch:
             swept.extend(top for _, (top, _) in runs)
             return sweep(engine, runs, *laid)
 
-        monkeypatch.setattr(semantics, "_search_model", recording_draw)
+        monkeypatch.setattr(semantics, "_search_run", recording_draw)
         monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
         budget = exhaustive + sum(full.values())
         out = find_countermodel(f, ED, max_n=13, budget=budget)
         assert (out.status, out.evaluations) == ("budget", budget)
         assert len(drawn) == 12
-        swept_draws = [d for d, model in enumerate(drawn) if any(top is model.topology for top in swept)]
+        swept_draws = [d for d, (draw_top, _) in enumerate(drawn) if any(top is draw_top for top in swept)]
         assert swept_draws == sorted(full)
 
 

@@ -306,9 +306,7 @@ class TestIsomorphFreeSweeps:
         batch = soundness_batch()
         labeled_stream = list(batch.models())
         for kind, cls in COLUMNS:
-            first = sweep_validity(
-                BatchEvaluator([f], kind), batch.swept, cls, complete_to=batch.exhaustive_n
-            )[f]
+            first = sweep_validity(BatchEvaluator([f], kind), batch, cls)[f]
             labeled = sweep_validity(BatchEvaluator([f], kind), labeled_stream, cls)[f]
             assert first.model == labeled.model and first.model.n == 2
             assert first.scenario == labeled.scenario
@@ -332,14 +330,16 @@ class TestIsomorphFreeSweeps:
 
 class TestWholeCarrierSweeps:
     """run_suite sweeps each model of batch.swept only at its pairs whose U
-    is the carrier or has more than batch.exhaustive_n worlds
-    (sweep_validity's complete_to); find_countermodel takes the same rule
-    with k = min(max_n, ENUMERATION_MAX) (pinned in
-    test_semantics.TestReducedSearch), and valid_in_model takes every U."""
+    is the carrier or has more than batch.exhaustive_n worlds (the k that
+    sweep_validity reads off a batch); find_countermodel takes the same
+    rule with k = min(max_n, ENUMERATION_MAX) (pinned in
+    test_semantics.TestReducedSearch), and valid_in_model, like any stream
+    that is not a batch, takes every U."""
 
     def test_only_run_suite_drops_small_ranges(self, monkeypatch):
         """Of the three sweeps, run_suite alone drops the small ranges of its
-        batch's size: it passes exhaustive_n to _sweep_groups,
+        batch's size: sweep_validity passes the batch's exhaustive_n to
+        _sweep_groups, and 0 for a plain tuple of the same models,
         find_countermodel passes min(max_n, ENUMERATION_MAX), to its
         exhaustive stream and its draws alike, and valid_in_model 0."""
         seen = []
@@ -350,11 +350,14 @@ class TestWholeCarrierSweeps:
             return groups(*args, complete_to=complete_to, **kwargs)
 
         monkeypatch.setattr(semantics, "_sweep_groups", spy)
-        assert run_suite(get_suite("kd45_b"), Batch(exhaustive_n=2)).clean
+        batch = Batch(exhaustive_n=2)
+        assert run_suite(get_suite("kd45_b"), batch).clean
         assert seen == [2]
         f = parse("K p -> p")
-        valid_in_model(random_model(1, 4), f, Semantics.STRONG)
+        assert sweep_validity(BatchEvaluator([f], Semantics.STRONG), batch.swept) == {}
         assert seen[1:] == [0]
+        valid_in_model(random_model(1, 4), f, Semantics.STRONG)
+        assert seen[2:] == [0]
         del seen[:]
         assert find_countermodel(f, Semantics.STRONG, max_n=3).status == "exhausted"
         assert seen == [3]
@@ -449,9 +452,7 @@ class TestWholeCarrierSweeps:
         for kind, cls in COLUMNS:
             if kind is Semantics.ED:
                 continue  # there it fails first at a whole carrier
-            first = sweep_validity(
-                BatchEvaluator([f], kind), batch.swept, cls, complete_to=batch.exhaustive_n
-            )[f]
+            first = sweep_validity(BatchEvaluator([f], kind), batch, cls)[f]
             labeled = sweep_validity(BatchEvaluator([f], kind), labeled_stream, cls)[f]
             assert first.model is labeled.model is batch.draws[14]
             assert first.scenario == labeled.scenario
@@ -468,13 +469,14 @@ class TestWholeCarrierSweeps:
         for name in ("sel", "el_kboxb"):
             with pytest.raises(BudgetError, match="exceeds budget"):
                 run_suite(get_suite(name), batch)
-        # the discrete 4-world space costs 16 x 4 = 64, though with k = 3 it
-        # sweeps only U = X, 4 scenarios
+        # the discrete 4-world space costs 16 x 4 = 64, though on a batch
+        # complete to 3 worlds it sweeps only U = X, 4 scenarios
         engine = BatchEvaluator([parse("K p -> p")], Semantics.STRONG)
-        discrete = [SubsetModel(Topology.discrete(4), {"p": 0b0101})]
-        assert sweep_validity(engine, discrete, budget=64, complete_to=3) == {}
+        discrete = Batch(exhaustive_n=3)
+        object.__setattr__(discrete, "swept", (SubsetModel(Topology.discrete(4), {"p": 0b0101}),))
+        assert sweep_validity(engine, discrete, budget=64) == {}
         with pytest.raises(BudgetError, match="cost 64 exceeds budget 63"):
-            sweep_validity(engine, discrete, budget=63, complete_to=3)
+            sweep_validity(engine, discrete, budget=63)
 
 
 class TestContracted:
