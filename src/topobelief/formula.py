@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .record import Frozen, Record
+from .record import Frozen, Record, _bind
 
 
 class FormulaError(Exception):
@@ -79,16 +79,14 @@ class Formula(Frozen):
     _fields: tuple[str, ...] = ()  # each variant's, in constructor order
 
     def __new__(cls, *fields, **named):
-        if named:  # bind keywords in field order
-            fields += tuple(named.pop(name) for name in cls._fields[len(fields) :] if name in named)
+        if named or len(fields) != len(cls._fields):
+            fields = _bind(cls, fields, named)
         key = (cls, *fields)
         try:
             node = _NODES.get(key)
         except TypeError:  # an unhashable field is no formula's; the checks below name it
             node = None
-        if node is None or named:  # a keyword left over, unknown or given twice, is an error
-            if named or len(fields) != len(cls._fields):
-                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        if node is None:
             kids, depth = fields, 0
             if cls is Atom or cls is Meta:
                 word = fields[0]

@@ -34,6 +34,16 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """A constructor's arguments in the field order of cls._fields, for
+    Record and Formula alike."""
+    names = cls._fields
+    unknown = set(kwargs) - set(names[len(args) :])  # unknown, or given twice
+    if unknown or len(args) + len(kwargs) != len(names):
+        raise TypeError(f"{cls.__name__} takes the fields {names}")
+    return args + tuple(kwargs[name] for name in names[len(args) :])
+
+
 class Record(Frozen):
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -41,19 +51,10 @@ class Record(Frozen):
     def __init__(self, *args, **kwargs):
         names = self._fields
         if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
+            args = _bind(type(self), args, kwargs)
         store = object.__setattr__
         for name, value in zip(names, args):
             store(self, name, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The constructor's arguments in field order."""
-        names = cls._fields
-        unknown = set(kwargs) - set(names[len(args) :])  # unknown, or given twice
-        if unknown or len(args) + len(kwargs) != len(names):
-            raise TypeError(f"{cls.__name__} takes the fields {names}")
-        return args + tuple(kwargs[name] for name in names[len(args) :])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

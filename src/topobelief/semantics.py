@@ -642,9 +642,9 @@ def sweep_validity(
     stream (restricted to scenarios of the class).  A failed root is not
     re-checked.
 
-    The stream is laid out lazily, a lane group at a time (_sweep_groups),
-    each model in one or more lanes (see _chunks); a group's models may
-    differ in topology and size.  A root's failure is the one a
+    The stream is laid out in lane groups (_sweep_groups), each model in
+    one or more lanes (see _chunks); a group's models may differ in
+    topology and size.  A root's failure is the one a
     scenario-by-scenario scan finds: the stream's first failing model, the
     least world missing there, then the first (U, V) in canonical order
     that misses that world (the order epistemic_scenarios and ed_scenarios
@@ -682,12 +682,13 @@ def sweep_validity(
     tuple; it enters the sweep through _runs, as the masks of the engine's
     atoms, and each failure is named by the stream's own model, at its
     position: the models of the groups before, then its offset in its
-    group.  Given a batch, it sweeps through the layouts the batch keeps
-    (_memoized), packed over Batch.atoms, which every model of the batch
-    values, and keyed by range shape and budget (_layout_key): runs whose
-    engines read the atoms in another order, or only some of them, share
-    one layout, and an engine atom outside Batch.atoms reads false
-    everywhere.
+    group.  A plain stream is laid out lazily: a sweep whose roots have all
+    failed lays out no further group.  A batch's layouts are kept
+    (_memoized), each laid out whole by the first sweep of its key,
+    packed over Batch.atoms, which every model of the batch values, and
+    keyed by range shape and budget (_layout_key): runs whose engines read
+    the atoms in another order, or only some of them, share one layout,
+    and an engine atom outside Batch.atoms reads false everywhere.
     """
     live = {idx: f for f, idx in engine.roots.items()}
     failures: dict[Formula, BatchFailure] = {}
@@ -702,7 +703,10 @@ def sweep_validity(
     if memo is not None:
         layouts = _memoized(memo, _layout_key(engine, scenario_class, budget), layouts)
     seen = 0  # the models of the groups before
-    for runs, lanes, passes in layouts:
+    for layout in layouts:
+        if isinstance(layout, BudgetError):  # where a fresh layout of the batch raises
+            raise BudgetError(*layout.args)
+        runs, lanes, passes = layout
         for idx, (r, m, s) in _group_failures(engine, runs, lanes, passes, list(live)).items():
             m += sum(len(valuations) for _, (_, valuations) in runs[:r])
             failures[live.pop(idx)] = BatchFailure(stream[seen + m], s)
@@ -733,26 +737,20 @@ def _layout_key(engine: BatchEvaluator, cls: ScenarioClass, budget: int) -> tupl
     return *_shape(engine.kind, cls), budget
 
 
-def _memoized(memo: dict, key: tuple, layouts: Iterator) -> Iterator:
-    """The layouts memo[key] holds, then each that layouts, the first
-    sweep's own, adds as a sweep reads past them: a sweep that stops lays
-    out no further group.  A BudgetError keeps its place, raised at the
-    same group by every sweep; any other error drops the key."""
-    laid, source = memo.setdefault(key, ([], layouts))
-    for i in itertools.count():
-        if i == len(laid):
-            try:
-                laid.append(next(source))
-            except StopIteration:
-                return
-            except BudgetError as error:
-                laid.append(error.with_traceback(None))  # no frame is kept with the batch
-            except BaseException:
-                memo.pop(key, None)
-                raise
-        if isinstance(laid[i], BudgetError):
-            raise BudgetError(*laid[i].args)
-        yield laid[i]
+def _memoized(memo: dict, key: tuple, layouts: Iterator) -> list:
+    """memo[key], the key's layouts, laid out whole by its first sweep.  A
+    BudgetError keeps its place, last, and a sweep raises it only on
+    reaching it, as on a fresh batch; any other error ends the layout
+    before the key is set, so the next sweep lays the stream out afresh."""
+    if key not in memo:
+        laid = []
+        try:
+            for layout in layouts:
+                laid.append(layout)
+        except BudgetError as error:
+            laid.append(error.with_traceback(None))  # no frame is kept with the batch
+        memo[key] = laid
+    return memo[key]
 
 
 def _sweep_groups(

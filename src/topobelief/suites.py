@@ -212,7 +212,8 @@ class Batch(Record):
     the batch, and for no other stream (see there).  The atoms are fixed,
     and neither draws, swept nor _layouts is shown or compared: the lane
     layouts of swept that sweep_validity fills (semantics._memoized),
-    packed over atoms and keyed by range shape and budget.
+    packed over atoms and keyed by range shape and budget, each laid out
+    whole by the first run of its shape.
     """
 
     __slots__ = ("exhaustive_n", "seeds", "sizes", "draws", "swept", "_layouts")

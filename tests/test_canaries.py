@@ -19,15 +19,23 @@ from oracles import (
     back_to_back_mismatches,
     brute_closure,
     chain_mismatches,
+    def_truth,
     labeled_batch,
     suite_reports,
     unreduced_sweeps,
 )
 from topobelief import model, semantics, suites
-from topobelief.formula import parse
-from topobelief.model import BudgetError, ScenarioClass
+from topobelief.formula import atoms, parse
+from topobelief.model import (
+    BudgetError,
+    ScenarioClass,
+    ed_scenarios,
+    epistemic_scenarios,
+    exhaustive_models,
+)
 from topobelief.semantics import Semantics, find_countermodel
-from topobelief.suites import Batch, get_suite, run_suite, soundness_batch
+from topobelief.suites import Batch, expected_failures, get_suite, run_suite, soundness_batch
+from topobelief.topology import MAX_WORLDS
 
 
 def _least_under_the_whole_group(automorphisms, n, count):
@@ -74,22 +82,34 @@ def _one_world_too_far(models, names, kind, cls, budget, k):
     return _layouts(models, names, kind, cls, budget, k + 1)
 
 
+def _every_smaller_open_dropped(models, names, kind, cls, budget, k):
+    """semantics._layouts laying a batch out with k = MAX_WORLDS: it drops
+    every U that is not the carrier, whatever the batch holds."""
+    return _layouts(models, names, kind, cls, budget, MAX_WORLDS)
+
+
+_stream_position = semantics._stream_position
+
+
+def _one_past_the_hit(ranges, s):
+    """model._stream_position one too high, as semantics reads it: a found
+    search counts one scenario past its hit."""
+    return _stream_position(ranges, s) + 1
+
+
 def _keeping_a_cut_layout(memo, key, layouts):
-    """semantics._memoized without its memo.pop: after an error other than
-    BudgetError the key keeps the groups laid out before it, so the next
-    sweep of the shape reads those and ends there, as if the stream did."""
-    laid, source = memo.setdefault(key, ([], layouts))
-    for i in itertools.count():
-        if i == len(laid):
-            try:
-                laid.append(next(source))
-            except StopIteration:
-                return
-            except BudgetError as error:
-                laid.append(error)
-        if isinstance(laid[i], BudgetError):
-            raise BudgetError(*laid[i].args)
-        yield laid[i]
+    """semantics._memoized setting memo[key] before it lays the stream out:
+    after an error other than BudgetError the key keeps the groups laid
+    out before it, so the next sweep of the shape reads those and ends
+    there, as if the stream did."""
+    if key not in memo:
+        laid = memo[key] = []
+        try:
+            for layout in layouts:
+                laid.append(layout)
+        except BudgetError as error:
+            laid.append(error)
+    return memo[key]
 
 
 def _contraction_of_the_topology(top, masks, limit):
@@ -183,6 +203,26 @@ def search_count_mismatches():
     return out
 
 
+def found_count_mismatches():
+    """The expected_failures() entries whose search to the entry's size
+    counts other than a scan of the labeled stream (exhaustive_models,
+    each model's scenarios in canonical order) up to the first scenario
+    where def_truth falsifies the formula, that scenario included."""
+    out = []
+    for entry in expected_failures():
+        f, kind, cls = parse(entry.formula), entry.semantics, entry.scenario_class
+        outcome = find_countermodel(f, kind, cls, max_n=entry.max_worlds)
+        scan = (
+            (m, s)
+            for m in exhaustive_models(entry.max_worlds, sorted(atoms(f)))
+            for s in (epistemic_scenarios(m) if kind is Semantics.STRONG else ed_scenarios(m, cls))
+        )
+        want = next((i for i, (m, s) in enumerate(scan, 1) if not def_truth(m, s.x, s.u, s.v, f, kind)), 0)
+        if (outcome.status, outcome.evaluations) != ("found", want):
+            out.append(entry.label)
+    return out
+
+
 # (owner, function name, mutant, check): the check returns what it finds
 # wrong, empty on correct code
 CANARIES = [
@@ -223,6 +263,13 @@ CANARIES = [
     ),
     pytest.param(
         semantics,
+        "_layouts",
+        _every_smaller_open_dropped,
+        reference_mismatches,
+        id="run-suite-drops-every-open-but-the-carrier",
+    ),
+    pytest.param(
+        semantics,
         "_memoized",
         _keeping_a_cut_layout,
         relaid_mismatches,
@@ -248,6 +295,13 @@ CANARIES = [
         _every_open_inside_u,
         search_count_mismatches,
         id="admitted-without-the-class-filter",
+    ),
+    pytest.param(
+        semantics,
+        "_stream_position",
+        _one_past_the_hit,
+        found_count_mismatches,
+        id="stream-position-one-past-the-hit",
     ),
 ]
 

@@ -679,34 +679,34 @@ class TestLaidOnce:
     def test_back_to_back_columns_read_as_fresh_batches(self):
         assert back_to_back_mismatches() == []
 
-    def test_a_run_whose_roots_fail_early_lays_out_no_later_group(self, monkeypatch):
+    def test_a_run_whose_roots_fail_early_lays_out_the_whole_shape(self, monkeypatch):
         """D_B over p and q under ed/all fails on the first, one-world
-        model, and so do the premises p and q: the run lays out the first
-        of the stream's three groups alone.  A run of the same shape with
-        live roots then lays out the other two."""
+        model, and so do the premises p and q: the run still lays out all
+        three of the stream's groups.  A run of the same shape with live
+        roots then lays out none."""
         counts = self._counts(monkeypatch)
         batch = soundness_batch()
         early = LogicSuite("d", ("D_B",), Semantics.ED, ScenarioClass.ALL, ())
         report = run_suite(early, batch, instantiation=(parse("p"), parse("q")))
         assert [r.status for r in report.results] == ["countermodel"] * 2
-        assert counts["_passes"] == 1
+        assert counts["_passes"] == 3
         assert run_suite(get_suite("el_kboxb"), batch).clean
         assert counts["_passes"] == 3
 
     def test_runs_that_read_other_atoms_share_one_layout(self):
-        """The layouts are packed over Batch.atoms and keyed by range shape,
-        budget and k, not by the atoms an engine compiled: D_B over p
-        alone, whose roots fail on the first model, lays out the first
-        ed/all group, and el_kboxb, over p and q, lays out the other two
-        under the same key, reporting as on a fresh batch."""
+        """The layouts are packed over Batch.atoms and keyed by range shape
+        and budget, not by the atoms an engine compiled: D_B over p
+        alone, whose roots fail on the first model, lays out the three
+        ed/all groups, and el_kboxb, over p and q, reads them under the
+        same key, reporting as on a fresh batch."""
         batch = soundness_batch()
         early = LogicSuite("d", ("D_B",), Semantics.ED, ScenarioClass.ALL, ())
         report = run_suite(early, batch, instantiation=(parse("p"),))
         assert [r.status for r in report.results] == ["countermodel"]
-        assert [len(laid) for laid, _ in batch._layouts.values()] == [1]
+        assert [len(laid) for laid in batch._layouts.values()] == [3]
         suite = get_suite("el_kboxb")
         assert run_suite(suite, batch) == run_suite(suite, soundness_batch())
-        assert [len(laid) for laid, _ in batch._layouts.values()] == [3]
+        assert [len(laid) for laid in batch._layouts.values()] == [3]
 
     def test_an_atom_outside_the_batch_reads_false_on_a_laid_out_batch(self):
         """An instantiation over r, which no model of the batch values,
