@@ -540,34 +540,26 @@ def _orbit_least(
     study of permutation groups", 1970): a tuple is least exactly when its
     first mask is least under the group and the rest is least under that
     mask's stabilizer, since an automorphism that moves the first mask up
-    carries the whole tuple above it.  So a depth-first walk takes each
-    level's masks that are least under the automorphisms fixing the masks
-    before it (_orbit_minima), and once none is left keeps every tuple of
-    the rest.  Nothing is tested per tuple, and nothing generated is kept.
+    carries the whole tuple above it.  So the walk pops frames off one
+    stack, each a prefix and the automorphisms fixing it: with none left,
+    or a whole tuple, it yields every tuple of the rest; one mask short,
+    the prefix with each least mask (_orbit_minima); else it pushes a
+    frame per least mask, with its stabilizer, the least on top.  At most
+    count · 2^n frames wait; no tuple is tested, and nothing generated is kept.
     """
     size = 1 << n
-    prefix: list[int] = []
-    # per level, len(prefix) + 1 of them: the automorphisms fixing the
-    # prefix, and that level's least masks still to take
-    levels = [(automorphisms, _orbit_minima(automorphisms, size))]
-    while levels:
-        group, minima = levels[-1]
+    stack = [((), automorphisms)]
+    while stack:
+        prefix, group = stack.pop()
         if not group or len(prefix) == count:  # every tuple of the rest is kept
-            head = tuple(prefix)
             for rest in itertools.product(range(size), repeat=count - len(prefix)):
-                yield head + rest
+                yield prefix + rest
         elif len(prefix) == count - 1:  # the last mask closes each tuple
-            head = tuple(prefix)
-            for m in minima:
-                yield (*head, m)
-        elif (m := next(minima, None)) is not None:
-            prefix.append(m)
-            fixing = [aut for aut in group if aut[m] == m]
-            levels.append((fixing, _orbit_minima(fixing, size)))
-            continue
-        levels.pop()
-        if prefix:
-            prefix.pop()
+            for m in _orbit_minima(group, size):
+                yield (*prefix, m)
+        else:
+            for m in reversed(list(_orbit_minima(group, size))):
+                stack.append(((*prefix, m), [aut for aut in group if aut[m] == m]))
 
 
 def _orbit_minima(automorphisms: Sequence[Sequence[int]], size: int) -> Iterator[int]:

@@ -209,18 +209,19 @@ def orbit_least(automorphisms, n, count):
             yield masks
 
 
-# (worlds, atoms) of each source the stabilizer chain is checked on
-CHAIN_SIZES = ((4, 1), (4, 2), (3, 3))
+# (worlds, atoms) of each source the stabilizer chain is checked on, from
+# no atom (one model per class) to a chain four levels deep
+CHAIN_SIZES = ((4, 0), (4, 1), (4, 2), (3, 3), (3, 4))
 
 
 def chain_mismatches():
     """Each (worlds, atoms) of CHAIN_SIZES where model._isomorph_free_models,
-    over that many of p, q and r, is not each class's first topology with
+    over that many of p, q, r and s, is not each class's first topology with
     orbit_least's tuples for its automorphisms (topology._classes), in the
     same order."""
     out = []
     for max_n, count in CHAIN_SIZES:
-        runs = _isomorph_free_models(max_n, "pqr"[:count], None, {})
+        runs = _isomorph_free_models(max_n, "pqrs"[:count], None, {})
         got = [(top, list(valuations)) for top, valuations in runs]
         want = [
             (top, list(orbit_least(automorphisms, n, count)))

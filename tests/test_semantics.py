@@ -1060,13 +1060,14 @@ class TestIsomorphFreeSearch:
         """Each run's valuations, read down the stabilizer chain
         (model._orbit_least), are the tuples oracles.orbit_least keeps by
         testing each against every automorphism, in the same order, for
-        every class to 4 worlds with 1 and 2 atoms and to 3 worlds with 3."""
+        every class to 4 worlds with 0, 1 and 2 atoms and to 3 worlds with
+        3 and 4."""
         assert chain_mismatches() == []
         counts = [
-            sum(sum(1 for _ in valuations) for _, valuations in _isomorph_free_models(n, "pqr"[:k], None, {}))
+            sum(sum(1 for _ in valuations) for _, valuations in _isomorph_free_models(n, "pqrs"[:k], None, {}))
             for n, k in CHAIN_SIZES
         ]
-        assert counts == [425, 5089, 2848]
+        assert counts == [46, 425, 5089, 2848, 21_248]
 
     def test_the_source_generates_valuations_as_they_are_read(self):
         """Taking the first run of the three-atom source to 4 worlds
