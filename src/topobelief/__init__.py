@@ -27,8 +27,6 @@ from .model import (
     ScenarioClass,
     SubsetModel,
     dump,
-    ed_scenarios,
-    epistemic_scenarios,
     load,
     parse_scenario,
     random_model,
@@ -84,9 +82,7 @@ __all__ = [
     "classify",
     "decompose",
     "dump",
-    "ed_scenarios",
     "enumerate_topologies",
-    "epistemic_scenarios",
     "eval_relational",
     "expected_failures",
     "extension",

@@ -3,12 +3,12 @@
 range_groups is the one definition of the scenarios a sweep visits and of
 their cost: the (U, V) pairs of a topology, with V None under strong
 semantics, charged against a budget before any is built.  Every sweep
-reads its ranges from it, and the scan order (x ascending, then U, then V
-in canonical order) is defined once, by _scenarios, beside it.
+reads its ranges from it, in one scan order (x ascending, then U, then V
+in canonical order), the one _stream_position counts.
 
 A model document, "subset" (opens) or "relational" (pairs), is a UTF-8
-JSON object; `dump` produces the bit-exact canonical form (sorted keys,
-two-space indent, canonical opens), so load then dump is the identity.
+JSON object; `dump` produces the bit-exact canonical form (_json's
+layout, canonical opens), so load then dump is the identity.
 The model streams live here too: exhaustive_models, the labeled one, and
 _isomorph_free_models, the runs of valuations which the search and every
 batch's swept stream read; and _contraction_size, by which a batch leaves
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -319,34 +320,6 @@ def range_pairs(
     return list(range_groups(top, cls, budget))
 
 
-def epistemic_scenarios(
-    model: SubsetModel, budget: int = DEFAULT_SCENARIO_BUDGET
-) -> Iterator[EDScenario]:
-    """All (x, U) with x in U open, in scan order (see _scenarios)."""
-    return _scenarios(model, None, budget)
-
-
-def ed_scenarios(
-    model: SubsetModel,
-    cls: ScenarioClass = ScenarioClass.ALL,
-    budget: int = DEFAULT_SCENARIO_BUDGET,
-) -> Iterator[EDScenario]:
-    """All (x, U, V) of the class, in scan order (see _scenarios)."""
-    return _scenarios(model, cls, budget)
-
-
-def _scenarios(model: SubsetModel, cls: ScenarioClass | None, budget: int) -> Iterator[EDScenario]:
-    """The scan order of a model's scenarios: x ascending, then each (U, V)
-    of range_groups whose U holds x, in canonical order."""
-    top = model.topology
-    pairs = range_pairs(top, cls, budget)
-    for x in range(top.n):
-        bit = 1 << x
-        for u, v in pairs:
-            if u & bit:
-                yield EDScenario(x, u, v)
-
-
 def _stream_position(ranges: Ranges, s: EDScenario) -> int:
     """1-based position of s in its model's scan order, given its ranges."""
     lower = sum((u & ((1 << s.x) - 1)).bit_count() for u, _ in ranges)
@@ -362,10 +335,81 @@ def dump(model) -> str:
     return _json(_document(model))
 
 
+_ascii = json.encoder.encode_basestring_ascii  # the C escaper, when built
+_C_INDENT = sys.version_info >= (3, 13)  # json's C encoder writes indent
+
+
 def _json(payload) -> str:
     """The canonical JSON text of every document, report and CLI payload:
-    sorted keys, two-space indent, one final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    byte for byte json.dumps(payload, sort_keys=True, indent=2) + "\n".
+    Object keys are sorted; each member or element has a line of its own,
+    indented two spaces per level, with "," ending every line but the
+    container's last and ": " after a key; an empty container is {} or
+    []; strings escape every non-ASCII character; one newline ends it.
+
+    From Python 3.13 on, json.dumps writes indented text in C, and this
+    calls it.  Earlier versions take the C encoder only when indent is
+    None; with indent, each piece of a report goes up a stack of
+    pure-Python generators.  There this walks an explicit stack of open
+    containers and appends each piece once to one list: strings through
+    the C escaper, ints through int.__repr__, true, false and null itself,
+    and any other value (a float, or a type JSON lacks) through
+    json.dumps, so its text or TypeError is the stdlib's.  Types are
+    tested in the stdlib's order, bool before int, and a cycle raises the
+    stdlib's ValueError.
+    """
+    if _C_INDENT:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    append = out.append
+    # a frame per open container: the container, its (key, value) pairs or
+    # elements still to write, the newline and indent of its lines, the
+    # separator between two of them and the text that closes it
+    stack = [(None, iter((payload,)), "\n", "", "\n")]
+    sep = ""
+    while stack:
+        container, items, newline, comma, close = stack[-1]
+        keyed = isinstance(container, dict)
+        for value in items:
+            append(sep)
+            sep = comma
+            if keyed:
+                key, value = value
+                # a key that is no string is written as json.dumps quotes it
+                append(_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4])
+                append(": ")
+            if isinstance(value, str):
+                append(_ascii(value))
+            elif value is None:
+                append("null")
+            elif value is True:
+                append("true")
+            elif value is False:
+                append("false")
+            elif isinstance(value, int):
+                append(int.__repr__(value))
+            elif not isinstance(value, (list, tuple, dict)):
+                append(json.dumps(value))
+            elif not value:
+                append("{}" if isinstance(value, dict) else "[]")
+            else:
+                # a cycle grows the stack without end: look for one once it is deep
+                if len(stack) > 32 and any(value is frame[0] for frame in stack):
+                    raise ValueError("Circular reference detected")
+                sep = newline + "  "
+                if isinstance(value, dict):
+                    append("{")
+                    frame = (value, iter(sorted(value.items())), sep, "," + sep, newline + "}")
+                else:
+                    append("[")
+                    frame = (value, iter(value), sep, "," + sep, newline + "]")
+                stack.append(frame)
+                break
+        else:
+            append(close)
+            stack.pop()
+            sep = stack[-1][3] if stack else ""
+    return "".join(out)
 
 
 def _document(model) -> dict:

@@ -647,9 +647,9 @@ def sweep_validity(
     topology and size.  A root's failure is the one a
     scenario-by-scenario scan finds: the stream's first failing model, the
     least world missing there, then the first (U, V) in canonical order
-    that misses that world (the order epistemic_scenarios and ed_scenarios
-    yield).  A group names each failure by its run and its model in that
-    run (see _group_failures).  Raises BudgetError on reaching a model whose
+    that misses that world (the scan order model._stream_position counts
+    in).  A group names each failure by its run and its model in that run
+    (see _group_failures).  Raises BudgetError on reaching a model whose
     sweep costs more than the budget while some root is still live.
 
     Under ae with class all, consistent or dense, each topology is swept

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import indiscrete
-from topobelief.model import SubsetModel
+from topobelief.model import RelationalModel, SubsetModel, dump
 from topobelief.topology import Topology
 
 
@@ -26,3 +26,18 @@ def indiscrete2():
 @pytest.fixture
 def discrete2():
     return SubsetModel(Topology.discrete(2), {"p": 0b10})
+
+
+@pytest.fixture
+def sierp_path(tmp_path, sierpinski):
+    path = tmp_path / "sierp.json"
+    path.write_text(dump(sierpinski))
+    return str(path)
+
+
+@pytest.fixture
+def pin_path(tmp_path):
+    pin = RelationalModel(2, frozenset({(0, 1), (1, 1)}), {"p": 0b10})
+    path = tmp_path / "pin.json"
+    path.write_text(dump(pin))
+    return str(path)

@@ -7,6 +7,7 @@ cross-check.
 """
 
 import functools
+import json
 import time
 from itertools import permutations, product
 from typing import NamedTuple
@@ -14,7 +15,15 @@ from typing import NamedTuple
 import pytest
 
 from topobelief import formula as fm, semantics
-from topobelief.model import RelationalError, RelationalModel, SubsetModel, _isomorph_free_models
+from topobelief.model import (
+    DEFAULT_SCENARIO_BUDGET,
+    EDScenario,
+    RelationalError,
+    RelationalModel,
+    SubsetModel,
+    _isomorph_free_models,
+    range_pairs,
+)
 from topobelief.semantics import ScenarioClass, Semantics
 from topobelief.suites import Batch, get_suite, run_suite, suite_names
 from topobelief.topology import (
@@ -25,6 +34,36 @@ from topobelief.topology import (
     _relabelings,
     bits,
 )
+
+
+def stdlib_json(payload):
+    """The canonical JSON text as the stdlib writes it, the reference for
+    model._json."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def epistemic_scenarios(model, budget=DEFAULT_SCENARIO_BUDGET):
+    """All (x, U) with x in U open, in scan order (see _scenarios)."""
+    return _scenarios(model, None, budget)
+
+
+def ed_scenarios(model, cls=ScenarioClass.ALL, budget=DEFAULT_SCENARIO_BUDGET):
+    """All (x, U, V) of the class, in scan order (see _scenarios)."""
+    return _scenarios(model, cls, budget)
+
+
+def _scenarios(model, cls, budget):
+    """The scan order of a model's scenarios, one at a time: x ascending,
+    then each (U, V) of model.range_pairs whose U holds x, in canonical
+    order.  The sweeps never build these; they are the
+    scenario-by-scenario reference the tests compare them with."""
+    top = model.topology
+    pairs = range_pairs(top, cls, budget)
+    for x in range(top.n):
+        bit = 1 << x
+        for u, v in pairs:
+            if u & bit:
+                yield EDScenario(x, u, v)
 
 
 def brute_interior(opens, a):

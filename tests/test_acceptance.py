@@ -9,7 +9,7 @@ PASS lines; pytest -v shows one line per criterion either way.
 import json
 import time
 
-from oracles import all_topologies_oracle, unreduced_sweeps
+from oracles import all_topologies_oracle, stdlib_json, unreduced_sweeps
 from topobelief.cli import main as cli_main
 from topobelief.formula import (
     ALPHA_MAP,
@@ -275,7 +275,7 @@ def test_criterion_10_cli_determinism_and_round_trip(capsys, tmp_path):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1.encode() == out2.encode()
-    json.loads(out1)
+    assert out1 == stdlib_json(json.loads(out1))
 
     witness_path = tmp_path / "witness.json"
     code = cli_main(
@@ -289,6 +289,8 @@ def test_criterion_10_cli_determinism_and_round_trip(capsys, tmp_path):
     )
     out = capsys.readouterr().out
     assert code == 1
+    witness = witness_path.read_text()
+    assert witness == stdlib_json(json.loads(witness))
     scenario = next(
         line.split(": ", 1)[1] for line in out.splitlines() if line.startswith("scenario")
     )

@@ -21,6 +21,8 @@ from oracles import (
     brute_closure,
     chain_mismatches,
     def_truth,
+    ed_scenarios,
+    epistemic_scenarios,
     labeled_batch,
     suite_reports,
     unreduced_sweeps,
@@ -30,8 +32,6 @@ from topobelief.formula import atoms, parse
 from topobelief.model import (
     BudgetError,
     ScenarioClass,
-    ed_scenarios,
-    epistemic_scenarios,
     exhaustive_models,
 )
 from topobelief.semantics import Semantics, find_countermodel

@@ -9,20 +9,6 @@ from topobelief.model import dump, random_model
 from topobelief.relational import RelationalModel
 
 
-@pytest.fixture
-def sierp_path(tmp_path, sierpinski):
-    path = tmp_path / "sierp.json"
-    path.write_text(dump(sierpinski))
-    return str(path)
-
-@pytest.fixture
-def pin_path(tmp_path):
-    pin = RelationalModel(2, frozenset({(0, 1), (1, 1)}), {"p": 0b10})
-    path = tmp_path / "pin.json"
-    path.write_text(dump(pin))
-    return str(path)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -15,6 +15,8 @@ from oracles import (
     brute_closure,
     contract,
     def_truth,
+    ed_scenarios,
+    epistemic_scenarios,
     indiscrete,
     labeled_reference,
     restrict,
@@ -28,8 +30,6 @@ from topobelief.model import (
     ScenarioClass,
     SubsetModel,
     dump,
-    ed_scenarios,
-    epistemic_scenarios,
     exhaustive_models,
     random_model,
     range_pairs,

@@ -225,8 +225,16 @@ def unread_public_names(
 ) -> list[str]:
     """Each public module-level def or class of the package that is not
     read in the package (counted as for private names), not exported in
-    topobelief.__all__, and not read in the outside trees."""
-    read = _read(trees) | exported | _read(outside)
+    topobelief.__all__, and not read in the outside trees, where a string
+    constant counts as a read: the benchmark's spans look up the calls
+    they trace by name (perfbench/spans.py, install)."""
+    named = {
+        node.value
+        for tree in outside.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    read = _read(trees) | exported | _read(outside) | named
     return [
         f"{name}.py: {node.name} is read nowhere in the package, the demos or the benchmark"
         for name, tree in trees.items()
@@ -240,9 +248,14 @@ def unread_public_names(
 def test_public_finder_names_each_public_name_nothing_reads():
     trees = {
         "a": ast.parse("from .b import used\ndef orphan():\n    pass\nclass Shown:\n    pass\n"),
-        "b": ast.parse("def used():\n    pass\ndef demo_only():\n    pass\nX = 1\n"),
+        "b": ast.parse(
+            "def used():\n    pass\ndef demo_only():\n    pass\ndef traced():\n    pass\nX = 1\n"
+        ),
     }
-    outside = {"demo": ast.parse("from topobelief.b import demo_only\n")}
+    outside = {
+        "demo": ast.parse("from topobelief.b import demo_only\n"),
+        "bench": ast.parse("CALLS = ('traced',)\n"),
+    }
     assert unread_public_names(trees, {"Shown"}, outside) == [
         "a.py: orphan is read nowhere in the package, the demos or the benchmark"
     ]

@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from oracles import brute_closure, brute_min_neighborhoods, contract
+from oracles import (
+    brute_closure,
+    brute_min_neighborhoods,
+    contract,
+    ed_scenarios,
+    epistemic_scenarios,
+)
 from topobelief.model import (
     BudgetError,
     EDScenario,
@@ -19,8 +25,6 @@ from topobelief.model import (
     _range_cost,
     check_scenario,
     dump,
-    ed_scenarios,
-    epistemic_scenarios,
     exhaustive_models,
     load,
     parse_scenario,

@@ -15,6 +15,8 @@ from oracles import (
     canonical_form,
     chain_mismatches,
     def_truth,
+    ed_scenarios,
+    epistemic_scenarios,
     isomorph_free,
     isomorphic,
     model_form,
@@ -47,8 +49,6 @@ from topobelief.model import (
     _contraction_size,
     _isomorph_free_models,
     dump,
-    ed_scenarios,
-    epistemic_scenarios,
     exhaustive_models,
     parse_scenario,
     random_model,

@@ -12,6 +12,7 @@ from oracles import (
     back_to_back_mismatches,
     contract,
     count_nodes,
+    ed_scenarios,
     isomorph_free,
     labeled_batch,
     labeled_reference,
@@ -29,7 +30,6 @@ from topobelief.model import (
     SubsetModel,
     _contraction_size,
     _isomorph_free_models,
-    ed_scenarios,
     exhaustive_models,
     load,
     parse_scenario,
