@@ -336,6 +336,9 @@ def dump(model) -> str:
 
 
 _ascii = json.encoder.encode_basestring_ascii  # the C escaper, when built
+_LEAF = {str: _ascii, int: int.__repr__}  # a list of one of these is one join
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_chain = itertools.chain.from_iterable
 _C_INDENT = sys.version_info >= (3, 13)  # json's C encoder writes indent
 
 
@@ -347,16 +350,18 @@ def _json(payload) -> str:
     container's last and ": " after a key; an empty container is {} or
     []; strings escape every non-ASCII character; one newline ends it.
 
-    From Python 3.13 on, json.dumps writes indented text in C, and this
-    calls it.  Earlier versions take the C encoder only when indent is
-    None; with indent, each piece of a report goes up a stack of
-    pure-Python generators.  There this walks an explicit stack of open
-    containers and appends each piece once to one list: strings through
-    the C escaper, ints through int.__repr__, true, false and null itself,
-    and any other value (a float, or a type JSON lacks) through
-    json.dumps, so its text or TypeError is the stdlib's.  Types are
-    tested in the stdlib's order, bool before int, and a cycle raises the
-    stdlib's ValueError.
+    Before 3.13, json.dumps runs its C encoder only when indent is None
+    and writes indented text through nested pure-Python generators.  So
+    on 3.10-3.12 this walks an explicit stack of open containers and
+    appends each piece once to one list: a string through the C escaper,
+    an int through int.__repr__, a list of only strings or only ints as
+    one join, a list of nonempty objects of scalars (a report's results)
+    as one call of the C encoder, true, false and null as literals, and
+    any other value (a float, or a type JSON lacks) through json.dumps, so
+    its text or TypeError is the stdlib's.  Types are tested in the
+    stdlib's order, bool before int, and a cycle raises its ValueError.
+    From 3.13 json.dumps writes indent in C, faster than this, and this
+    calls it; the writer goes once requires-python reaches 3.13.
     """
     if _C_INDENT:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -396,13 +401,31 @@ def _json(payload) -> str:
                 # a cycle grows the stack without end: look for one once it is deep
                 if len(stack) > 32 and any(value is frame[0] for frame in stack):
                     raise ValueError("Circular reference detected")
-                sep = newline + "  "
+                pad = newline + "  "
                 if isinstance(value, dict):
                     append("{")
-                    frame = (value, iter(sorted(value.items())), sep, "," + sep, newline + "}")
+                    frame = (value, iter(sorted(value.items())), pad, "," + pad, newline + "}")
                 else:
+                    kinds = set(map(type, value))
+                    kind = kinds.pop() if len(kinds) == 1 else None
+                    if kind in _LEAF:
+                        append("[" + pad + ("," + pad).join(map(_LEAF[kind], value)) + newline + "]")
+                        continue
+                    objects = kind is dict and all(value)
+                    if objects and _SCALARS.issuperset(map(type, _chain(map(dict.values, value)))):
+                        # json's C encoder writes these objects in one call, with
+                        # their members' line break as its separator; "}" that
+                        # separator "{" then occurs only between two objects, as
+                        # no escaped string holds a newline
+                        inner = pad + "  "
+                        encoder = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
+                        text = encoder.encode(value)[2:-2]
+                        text = text.replace("}," + inner + "{", pad + "}," + pad + "{" + inner)
+                        append("[" + pad + "{" + inner + text + pad + "}" + newline + "]")
+                        continue
                     append("[")
-                    frame = (value, iter(value), sep, "," + sep, newline + "]")
+                    frame = (value, iter(value), pad, "," + pad, newline + "]")
+                sep = pad
                 stack.append(frame)
                 break
         else:

@@ -7,6 +7,8 @@ hand-written edge cases.  The writer is checked on every Python, also on
 those where _json calls the stdlib instead.
 """
 
+from enum import IntEnum
+
 import pytest
 
 from oracles import stdlib_json
@@ -17,6 +19,15 @@ from topobelief.suites import DEFAULT_MATRIX, get_suite, run_suite, soundness_ba
 
 
 class Opaque:
+    pass
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
     pass
 
 
@@ -46,6 +57,22 @@ EDGE_CASES = {
     "big int": 2**70,
     "big ints": [2**70, -(2**70), {"big": 2**70}],
     "tuples": (1, (2, 3), [4, ()]),
+    "strings only": ["b", "a \u00e9", 'q " \\ \n', "\U0001d11e", ""],
+    "ints only": [3, -1, 0, 2**70, -(2**70)],
+    "a tuple of ints": (0, 1, 2),
+    "bools only": [True, False],
+    "strings beside ints": ["a", 1, "b", 2],
+    "int and str subclasses": [Level.LOW, Level.HIGH, Tag("tag \u00e9"), {"k": [Level.HIGH]}],
+    "objects of scalars": [
+        {"b": "}", "a": "{", "c": '}, {"x": [1], \n'},
+        {"y": None, "x": 1.5, "z": True, "w": -0.0, "v": float("nan"), "u": 2**70},
+        {"\u00e9 }": "\U0001d11e {"},
+    ],
+    "objects of scalars, nested": {"k": [{"r": [{"b": 1, "a": "x"}, {"c": False}]}]},
+    "objects of scalars, number keys": [{2: "int", 1.5: "float", False: "bool"}, {None: 0}],
+    "objects and an empty object": [{"a": 1}, {}],
+    "objects, one holding a list": [{"a": 1}, {"b": [1, "x"]}],
+    "objects beside a scalar": [{"a": 1}, 2],
     "key order": {"b": 1, "a": 2, "B": 3, "": 4, "aa": 5, "\u00e9": 6, "\U0001d11e": 7},
     "number keys": {2: "int", 1.5: "float", False: "bool"},
     "null key": {None: "null"},
@@ -60,6 +87,9 @@ UNSUPPORTED = {
     "bytes": {"a": [b"bytes"]},
     "tuple key": {(1, 2): "tuple key"},
     "unorderable keys": {"a": 1, 2: "b"},
+    "object of a list of objects": [{"a": Opaque()}],
+    "tuple key in a list of objects": [{"a": 1}, {(1, 2): "tuple key"}],
+    "unorderable keys in a list of objects": [{"a": 1, 2: "b"}],
 }
 
 

@@ -220,21 +220,31 @@ def test_every_private_name_is_read_in_the_package():
     assert unread_private_names(_trees()) == []
 
 
+def _traced_by_name(outside: dict[str, ast.Module]) -> set[str]:
+    """The names in a `calls` table of the outside trees: perfbench's
+    spans.install looks each one up with getattr to wrap it, a read by name
+    that no Name or attribute node shows.  Other string constants do not
+    count."""
+    return {
+        node.value
+        for tree in outside.values()
+        for assign in ast.walk(tree)
+        if isinstance(assign, ast.Assign) and isinstance(assign.value, ast.Dict)
+        and any(isinstance(t, ast.Name) and t.id == "calls" for t in assign.targets)
+        for names in assign.value.values
+        for node in ast.walk(names)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
 def unread_public_names(
     trees: dict[str, ast.Module], exported: set[str], outside: dict[str, ast.Module]
 ) -> list[str]:
     """Each public module-level def or class of the package that is not
     read in the package (counted as for private names), not exported in
-    topobelief.__all__, and not read in the outside trees, where a string
-    constant counts as a read: the benchmark's spans look up the calls
-    they trace by name (perfbench/spans.py, install)."""
-    named = {
-        node.value
-        for tree in outside.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
-    read = _read(trees) | exported | _read(outside) | named
+    topobelief.__all__, and not read in the outside trees (counted the same
+    way, plus the names their spans table traces, see _traced_by_name)."""
+    read = _read(trees) | exported | _read(outside) | _traced_by_name(outside)
     return [
         f"{name}.py: {node.name} is read nowhere in the package, the demos or the benchmark"
         for name, tree in trees.items()
@@ -249,15 +259,17 @@ def test_public_finder_names_each_public_name_nothing_reads():
     trees = {
         "a": ast.parse("from .b import used\ndef orphan():\n    pass\nclass Shown:\n    pass\n"),
         "b": ast.parse(
-            "def used():\n    pass\ndef demo_only():\n    pass\ndef traced():\n    pass\nX = 1\n"
+            "def used():\n    pass\ndef demo_only():\n    pass\ndef traced():\n    pass\n"
+            "def counted():\n    pass\nX = 1\n"
         ),
     }
     outside = {
         "demo": ast.parse("from topobelief.b import demo_only\n"),
-        "bench": ast.parse("CALLS = ('traced',)\n"),
+        "bench": ast.parse("calls = {b: ('traced',)}\nCOUNTERS = ('counted',)\n"),
     }
     assert unread_public_names(trees, {"Shown"}, outside) == [
-        "a.py: orphan is read nowhere in the package, the demos or the benchmark"
+        "a.py: orphan is read nowhere in the package, the demos or the benchmark",
+        "b.py: counted is read nowhere in the package, the demos or the benchmark",
     ]
 
 
