@@ -12,7 +12,8 @@ layout, canonical opens), so load then dump is the identity.
 The model streams live here too: exhaustive_models, the labeled one, and
 _isomorph_free_models, the runs of valuations which the search and every
 batch's swept stream read; and _contraction_size, by which a batch leaves
-out models swept earlier.
+out models swept earlier and the search counts, without sweeping, the
+draws its exhaustive phase has swept.
 """
 
 from __future__ import annotations
@@ -656,6 +657,11 @@ def _contraction_size(top: Topology, masks: Iterable[int], limit: int) -> int:
     split, so the count stops early at n (the model is its own
     contraction) or past limit: as many types as worlds, or more types
     than limit, decide before any round.
+
+    Its readers: suites._contracted, Batch's keep rule, with limit
+    exhaustive_n; and find_countermodel's random phase, with limit k =
+    min(max_n, ENUMERATION_MAX), which counts, without sweeping it, a
+    draw whose count is at most k.
     """
     mnb = top.min_neighborhoods
     n = len(mnb)

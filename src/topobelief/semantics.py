@@ -44,8 +44,9 @@ find_countermodel).  The
 search's exhaustive phase, and the exhaustive part of the stream a batch
 holds for its suite runs, hold only the first model of each isomorphism
 class (model._isomorph_free_models, which says why that finds the same
-failures); the search counts the others where they stand (see
-find_countermodel).
+failures); the search counts the others where they stand, and counts
+without sweeping each random draw whose contraction its exhaustive phase
+holds (see find_countermodel).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .model import (
     ScenarioClass,
     SubsetModel,
     _check_range,
+    _contraction_size,
     _isomorph_free_models,
     _range_cost,
     _stream_position,
@@ -263,6 +265,24 @@ def find_countermodel(
     (model._range_cost; the source records an exhaustive topology's beside
     its start), and a full list is built only at a hit, for its position.
 
+    A draw whose bisimulation contraction has at most k worlds is counted
+    and not swept.  Truth at (x, U, V) in a model is truth at (f(x),
+    f(U), f(V)) in its contraction, f(V) admitted by the class, under
+    strong, ed and ae alike (the argument is suites.Batch's).  The
+    precondition is the search's own: the contraction is a model of at
+    most k worlds over f's atoms, which the exhaustive phase holds up to
+    isomorphism, and that phase ended with no hit before any draw was
+    made.  So such a draw holds no hit.  Its group is built as any draw's,
+    so range_groups still skips one over budget uncounted, and it is
+    counted at its full cost, as a swept draw without a hit is, but never
+    laid out (_passes) or scanned (_group_failures).  The rule read is
+    _contraction_size(top, masks, k) <= k, not suites._contracted, whose
+    budget clause keeps a model with |opens|² × n over the default budget
+    so that a batch raises BudgetError where its whole stream does.  Here
+    range_groups has charged the draw's cost under the column's class
+    before the test, so that clause would only keep swept, under strong
+    (|opens| × n), draws that cannot hit.
+
     The exhaustive stream is swept in _sweep_groups' growing lane groups
     of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
     its own, made only once the group before it is counted and only while
@@ -302,8 +322,12 @@ def find_countermodel(
     for runs in groups:
         if evaluations >= budget:
             break
-        # the hit's model counts up to the hit, else the group's last model in full
-        r, m, s = _group_failures(engine, runs, *_passes(runs, names), [root]).get(root, (-1, -1, None))
+        top, valuations = runs[-1][1]
+        if top in starts or _contraction_size(top, valuations[-1], k) > k:
+            # the hit's model counts up to the hit, else the group's last model in full
+            r, m, s = _group_failures(engine, runs, *_passes(runs, names), [root]).get(root, (-1, -1, None))
+        else:  # a draw whose contraction the exhaustive phase swept: no hit
+            r, m, s = -1, -1, None
         top, valuations = runs[r][1]
         masks = valuations[m]
         if top in starts:  # the labeled scenarios before its valuation

@@ -289,9 +289,11 @@ def unreduced_sweeps(patch, swept=None):
     (a monkeypatch or one of its contexts) replaces semantics._sweep_groups
     with a wrapper that drops every reduction it takes, each keyword-only
     parameter but grow, and semantics._shape with one that keeps its
-    class but no V inside Max alone (tests/test_semantics.py::
-    TestReducedSearch guards both), so the sweep visits every pair.  It
-    also sends every sweep past the layouts a batch keeps
+    class but no V inside Max alone, so the sweep visits every pair, and
+    the semantics._contraction_size that find_countermodel reads with one
+    that puts every draw's contraction past its limit, so the search
+    sweeps every draw (tests/test_semantics.py::TestReducedSearch guards
+    all three).  It also sends every sweep past the layouts a batch keeps
     (semantics._memoized), which a reduced run on the same batch may have
     filled, and adds none to them.  Given a list, it also appends the
     number of models of each stream swept.
@@ -307,6 +309,7 @@ def unreduced_sweeps(patch, swept=None):
     patch.setattr(semantics, "_sweep_groups", full)
     patch.setattr(semantics, "_shape", lambda kind, cls: (shape(kind, cls)[0], False))
     patch.setattr(semantics, "_memoized", lambda memo, key, layouts: layouts)
+    patch.setattr(semantics, "_contraction_size", lambda top, masks, limit: limit + 1)
 
 
 def labeled_batch(batch):
@@ -328,6 +331,13 @@ def labeled_batch(batch):
 # strong under class all, then ed and ae under each class
 COLUMNS = ((Semantics.STRONG, ScenarioClass.ALL),) + tuple(
     (kind, cls) for kind in (Semantics.ED, Semantics.AE) for cls in ScenarioClass
+)
+
+# five valuation types that exclude each other: a failure needs |U| >= 5, so
+# every search to 4 worlds exhausts, and each column's first hit lies on a draw
+FIVE_TYPES = fm.parse(
+    "!(hatK (p & q) & hatK (p & !q) & hatK (!p & q)"
+    " & hatK (!p & !q & box !p) & hatK (!p & !q & !box !p))"
 )
 
 # every suite under all 9 columns

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     COLUMNS,
+    FIVE_TYPES,
     SUITE_ROWS,
     all_topologies_oracle,
     back_to_back_mismatches,
@@ -127,6 +128,13 @@ def _contraction_of_the_topology(top, masks, limit):
     held anywhere: a batch then drops every model whose topology contracts
     to at most exhaustive_n worlds, whatever its valuation."""
     return model._contraction_size(top, (), limit)
+
+
+def _contracted_one_world_more(top, masks, limit):
+    """model._contraction_size as find_countermodel reads it, one short:
+    the search counts, unswept, each draw whose contraction has k + 1
+    worlds, though its exhaustive phase holds no model that size."""
+    return model._contraction_size(top, masks, limit + 1) - 1
 
 
 def _pairs_not_scenarios(top, cls):
@@ -243,6 +251,25 @@ def found_count_mismatches():
     return out
 
 
+def random_phase_mismatches():
+    """The columns where the search for FIVE_TYPES to 7 worlds reads
+    other than the search that sweeps every draw over every pair
+    (oracles.unreduced_sweeps): status, model document, scenario and
+    evaluations.  In each column it exhausts 4 worlds, and its first hit
+    lies on a 6-world draw whose contraction has 5 worlds."""
+    searches = [(FIVE_TYPES, kind, cls, 7, 10**7) for kind, cls in COLUMNS]
+
+    def outcome(search):
+        out = find_countermodel(*search)
+        return out.status, out.model and model.dump(out.model), out.scenario, out.evaluations
+
+    reduced = [outcome(search) for search in searches]
+    with pytest.MonkeyPatch.context() as patch:
+        unreduced_sweeps(patch)
+        reference = [outcome(search) for search in searches]
+    return [search[1:3] for search, a, b in zip(searches, reduced, reference) if a != b]
+
+
 # (owner, function name, mutant, check): the check returns what it finds
 # wrong, empty on correct code
 CANARIES = [
@@ -329,6 +356,13 @@ CANARIES = [
         _one_past_the_hit,
         found_count_mismatches,
         id="stream-position-one-past-the-hit",
+    ),
+    pytest.param(
+        semantics,
+        "_contraction_size",
+        _contracted_one_world_more,
+        random_phase_mismatches,
+        id="search-counts-draws-contracted-to-one-more",
     ),
 ]
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     CHAIN_SIZES,
+    FIVE_TYPES,
     canonical_form,
     chain_mismatches,
     def_truth,
@@ -443,6 +444,11 @@ class TestFindCountermodel:
     # search, and a budget spent exactly by a draw draws no further model
     @pytest.mark.parametrize("extra, draws", [(10, 1), (49, 2), (63, 3), (100, 4)])
     def test_every_draw_is_swept(self, monkeypatch, extra, draws):
+        """Every draw is swept, or counted as contracted: a draw whose
+        contraction has at most k = 4 worlds is counted at its full cost
+        and never scanned, any other is scanned.  The first four draws of
+        seed 0 contract to 3, 3, 2 and 3 worlds, so none is scanned, and
+        each is counted in full."""
         from topobelief import semantics
 
         f = parse("K p -> p")
@@ -463,7 +469,9 @@ class TestFindCountermodel:
         out = find_countermodel(f, STRONG, max_n=6, budget=exhaustive + extra)
         assert out.status == "budget"
         assert len(drawn) == draws
-        assert [any(top is run[0] for top in swept) for run in drawn] == [True] * draws
+        contracted = [_contraction_size(top, masks, 4) <= 4 for top, (masks,) in drawn]
+        assert [any(top is run[0] for top in swept) for run in drawn] == [not c for c in contracted]
+        assert contracted == [True] * draws
 
     def test_a_random_hunt_builds_at_most_one_model_per_draw(self, monkeypatch):
         """The random phase draws runs, not models: the random K p -> p hunt
@@ -490,6 +498,32 @@ class TestFindCountermodel:
         assert out.status == "budget"
         assert len(drawn) == 228
         assert len(built) <= len(drawn)
+
+    def test_a_random_hunt_scans_only_the_draws_it_cannot_count(self, monkeypatch):
+        """The random K p -> p hunt (seed 1, max_n 10, budget 200 000)
+        makes 228 draws, and 199 of them contract to at most k = 4 worlds:
+        those are counted at their full cost, so exactly 29 draws reach
+        _group_failures, the draws whose contraction has more than 4
+        worlds, in draw order."""
+        from topobelief import semantics
+
+        drawn, swept = [], []
+        draw, sweep = semantics._search_run, semantics._group_failures
+
+        def recording_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def recording_sweep(engine, runs, *laid):
+            swept.extend(top for _, (top, _) in runs if top.n > 4)
+            return sweep(engine, runs, *laid)
+
+        monkeypatch.setattr(semantics, "_search_run", recording_draw)
+        monkeypatch.setattr(semantics, "_group_failures", recording_sweep)
+        out = find_countermodel(parse("K p -> p"), STRONG, max_n=10, budget=200_000, seed=1)
+        assert (out.status, out.evaluations, len(drawn)) == ("budget", 200_000, 228)
+        assert len(swept) == 29
+        assert swept == [top for top, (masks,) in drawn if _contraction_size(top, masks, 4) > 4]
 
     @pytest.mark.parametrize("text, kind", [("K p -> p", STRONG), ("B (box p | box ! box p)", AE)])
     def test_a_hunt_sweeps_growing_groups(self, monkeypatch, text, kind):
@@ -1126,7 +1160,7 @@ class TestIsomorphFreeSearch:
             (parse(e.formula), e.semantics, e.scenario_class, e.max_worlds, 200_000)
             for e in expected_failures()
         ]
-        searches.append((TestReducedSearch.FIVE_TYPES, STRONG, ScenarioClass.ALL, 7, 10**7))
+        searches.append((FIVE_TYPES, STRONG, ScenarioClass.ALL, 7, 10**7))
         for search in searches:
             calls.clear()
             out = find_countermodel(*search)
@@ -1156,12 +1190,20 @@ class TestReducedSearch:
         _sweep_groups no keyword-only parameter but grow, and its _shape
         keeps each column's class but keeps no V inside Max alone in any of
         the 9 columns: a reduction added to _sweep_groups or _shape later
-        fails here until the reference drops it too."""
+        fails here until the reference drops it too.  Its
+        semantics._contraction_size, the name find_countermodel reads,
+        puts every draw past the limit, so the search sweeps each of the
+        first 20 draws of the seed-1 hunt (max_n 10, one atom), 15 of which
+        it otherwise counts as contracted to at most k = 4 worlds."""
         params = inspect.signature(_sweep_groups).parameters.values()
         keywords = {p.name: object() for p in params if p.kind is p.KEYWORD_ONLY}
         assert "grow" in keywords
         shapes = [semantics._shape(kind, cls) for kind, cls in self.COLUMNS]
         assert any(maximal for _, maximal in shapes)
+        draws = [semantics._search_run(1 + d, 5 + d % 6, 1) for d in range(20)]
+        assert semantics._contraction_size is _contraction_size
+        counted = [semantics._contraction_size(top, masks, 4) <= 4 for top, (masks,) in draws]
+        assert counted.count(True) == 15
         passed = []
         monkeypatch.setattr(semantics, "_sweep_groups", lambda *args, **kwargs: passed.append(kwargs))
         unreduced_sweeps(monkeypatch)
@@ -1169,6 +1211,7 @@ class TestReducedSearch:
         assert passed == [{"grow": keywords["grow"]}]
         unreduced = [semantics._shape(kind, cls) for kind, cls in self.COLUMNS]
         assert unreduced == [(cls, False) for cls, _ in shapes]
+        assert not any(semantics._contraction_size(top, masks, 4) <= 4 for top, (masks,) in draws)
 
     def test_the_unreduced_reference_sweeps_past_a_batchs_layouts(self, monkeypatch):
         """A run reduced on a batch lays its swept stream out and keeps the
@@ -1213,11 +1256,11 @@ class TestReducedSearch:
                     out = find_countermodel(f, kind, cls, max_n, budget)
                     unreduced[f, kind, cls, max_n, budget] = self._outcome(out)
             for kind, cls in self.COLUMNS:
-                hit = find_countermodel(self.FIVE_TYPES, kind, cls, 7, 10**7)
+                hit = find_countermodel(FIVE_TYPES, kind, cls, 7, 10**7)
                 assert hit.scenario.u.bit_count() == 5 and hit.scenario.u != hit.model.topology.full
                 for budget in (hit.evaluations - 1, hit.evaluations, hit.evaluations + 1):
-                    out = find_countermodel(self.FIVE_TYPES, kind, cls, 7, budget)
-                    unreduced[self.FIVE_TYPES, kind, cls, 7, budget] = self._outcome(out)
+                    out = find_countermodel(FIVE_TYPES, kind, cls, 7, budget)
+                    unreduced[FIVE_TYPES, kind, cls, 7, budget] = self._outcome(out)
         reduced = {key: self._outcome(find_countermodel(*key)) for key in unreduced}
         assert reduced == unreduced
         statuses = [out[0] for out in reduced.values()]
@@ -1229,11 +1272,42 @@ class TestReducedSearch:
         elapsed = time.perf_counter() - started
         assert elapsed < 20.0, f"runtime target exceeded: {elapsed:.1f}s"
 
-    # five valuation types that exclude each other: a failure needs |U| >= 5
-    FIVE_TYPES = parse(
-        "!(hatK (p & q) & hatK (p & !q) & hatK (!p & q)"
-        " & hatK (!p & !q & box !p) & hatK (!p & !q & !box !p))"
-    )
+    def test_random_phase_outcomes_equal_the_unreduced_search(self, monkeypatch):
+        """Searches that count draws as contracted, against the search
+        that sweeps every draw over every pair (oracles.unreduced_sweeps):
+        the random K p -> p hunt (seed 1, max_n 10, budget 200 000, 199 of
+        its 228 draws counted); FIVE_TYPES at max_n 6 under strong, ed and
+        ae, found on draw 73 after 41 contracted draws, at budget 2·10^6
+        (10^7 under ed and ae) and just below, at and above its hit; and
+        the valid K (p & q) -> B q under ed and ae at max_n 7, budget
+        6·10^6 (376 draws, 181 counted).  15 outcomes; runtime target 10 s
+        (about 1.5 s on a 2-vCPU VM)."""
+        started = time.perf_counter()
+        searches = [
+            (parse("K p -> p"), STRONG, ScenarioClass.ALL, 10, 200_000, 1),
+            (FIVE_TYPES, STRONG, ScenarioClass.ALL, 6, 2 * 10**6, 0),
+            (FIVE_TYPES, ED, ScenarioClass.ALL, 6, 10**7, 0),
+            (FIVE_TYPES, AE, ScenarioClass.ALL, 6, 10**7, 0),
+            (parse("K (p & q) -> B q"), ED, ScenarioClass.ALL, 7, 6 * 10**6, 0),
+            (parse("K (p & q) -> B q"), AE, ScenarioClass.ALL, 7, 6 * 10**6, 0),
+        ]
+        keys = []
+        for f, kind, cls, max_n, budget, seed in searches:
+            out = find_countermodel(f, kind, cls, max_n, budget, seed)
+            budgets = [budget]
+            if out.status == "found":
+                assert out.model.n == 6
+                budgets += [out.evaluations - 1, out.evaluations, out.evaluations + 1]
+            keys += [(f, kind, cls, max_n, b, seed) for b in budgets]
+        reduced = [self._outcome(find_countermodel(*key)) for key in keys]
+        with monkeypatch.context() as patch:
+            unreduced_sweeps(patch)
+            assert reduced == [self._outcome(find_countermodel(*key)) for key in keys]
+        statuses = [status for status, *_ in reduced]
+        assert (len(statuses), statuses.count("found"), statuses.count("budget")) == (15, 9, 6)
+        assert reduced[1][3] == 1_213_199
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0, f"runtime target exceeded: {elapsed:.1f}s"
 
     @pytest.mark.parametrize(
         "kind, cls", [(STRONG, ScenarioClass.ALL), (AE, ScenarioClass.ALL), (ED, ScenarioClass.DENSE)]
@@ -1246,7 +1320,7 @@ class TestReducedSearch:
         search's count, and at budgets just below, at and above that count
         reads as the unreduced search.  Raising k by one, or dropping every
         U other than the carrier, would lose it."""
-        f = self.FIVE_TYPES
+        f = FIVE_TYPES
         total = find_countermodel(f, kind, cls, max_n=4, budget=10**8)
         assert total.status == "exhausted"
         budget = total.evaluations + 20_000
@@ -1265,8 +1339,12 @@ class TestReducedSearch:
         to 13 worlds) cost over 10^6, |opens|² × n; the others cost 33 to
         41 310 scenarios over their full lists.  With the budget at the
         exhaustive total plus the full costs of draws 0-4 and 9-11, the
-        search makes twelve draws, sweeps the eight that fit and stops:
-        counting a skipped draw would end it sooner."""
+        search makes twelve draws, sweeps or counts as contracted the eight
+        that fit and stops: counting a skipped draw would end it sooner.
+        Each of the twelve contracts to at most k = 4 worlds, so none is
+        scanned; the four over budget are skipped although they contract,
+        as the group of a draw is built, and its budget charged, before
+        its contraction is tested."""
         f = parse("K p -> p")
         sizes = range(5, 14)
         full = {}
@@ -1295,7 +1373,9 @@ class TestReducedSearch:
         assert (out.status, out.evaluations) == ("budget", budget)
         assert len(drawn) == 12
         swept_draws = [d for d, (draw_top, _) in enumerate(drawn) if any(top is draw_top for top in swept)]
-        assert swept_draws == sorted(full)
+        contracted = [d for d, (top, (masks,)) in enumerate(drawn) if _contraction_size(top, masks, 4) <= 4]
+        assert swept_draws == []
+        assert contracted == list(range(12))
 
 
 @pytest.mark.parametrize(
