@@ -281,9 +281,10 @@ def range_groups(
 def _worst_case_cost(top: Topology, cls: ScenarioClass | None) -> int:
     """The cost a sweep of the topology is charged, whatever pairs it
     keeps: |opens| × worlds under strong (cls None), |opens|² × worlds
-    under a class.  range_groups raises BudgetError on it, and
-    suites._contracted keeps a model whose cost under a class passes the
-    default budget."""
+    under a class.  range_groups raises BudgetError on it,
+    find_countermodel skips a random draw on it before ranging any
+    (semantics._draw_swept), and suites._contracted keeps a model whose
+    cost under a class passes the default budget."""
     return len(top.opens) ** (1 if cls is None else 2) * top.n
 
 
@@ -308,10 +309,11 @@ def _range_cost(top: Topology, cls: ScenarioClass | None) -> int:
     opens, under a class |U| times the V it admits, summed per U.  It is
     the search's one count of a model's scenarios, exhaustive or drawn
     (see find_countermodel)."""
-    us = [u for u in top.opens if u]
+    opens = top.opens
+    us = [u for u in opens if u]
     if cls is None:
         return sum(u.bit_count() for u in us)
-    return sum(u.bit_count() * len(_admitted(top, cls, u, top.opens)) for u in us)
+    return sum(u.bit_count() * len(_admitted(top, cls, u, opens)) for u in us)
 
 
 def range_pairs(

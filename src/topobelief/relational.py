@@ -43,7 +43,7 @@ def classify(m: RelationalModel) -> FrameProperties:
     succ = m.succ
     serial = all(succ)
     transitive = _is_transitive(succ)
-    euclidean = all(not s & ~succ[y] for s in succ for y in bits(s))
+    euclidean = _is_euclidean(succ)
     belief = serial and transitive and euclidean
     cluster = succ[0]
     brush = cluster != 0 and all(s == cluster for s in succ)
@@ -53,10 +53,19 @@ def classify(m: RelationalModel) -> FrameProperties:
     )
 
 
+def _is_euclidean(succ: tuple[int, ...]) -> bool:
+    """xRy and xRz give yRz: each successor's successors hold R(x)."""
+    return all(not s & ~succ[y] for s in succ for y in bits(s))
+
+
 class BrushComponent(Record):
     __slots__ = _fields = ("cell", "final_cluster")
     cell: int  # mask of the ~-equivalence class
     final_cluster: int  # mask of its reflexive points
+
+    def __init__(self, cell: int, final_cluster: int):  # built once per brush of every frame
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "final_cluster", final_cluster)
 
     def __str__(self) -> str:
         return f"cell={format_mask(self.cell)} cluster={format_mask(self.final_cluster)}"
@@ -89,11 +98,16 @@ def decompose(m: RelationalModel) -> BrushDecomposition:
     zRw, transitivity yRw).  So each cell is a class of equal successor sets
     and its final cluster, its reflexive points, is that common set.
     Components are reported sorted by least world.
+
+    It builds one BrushComponent per cell and the decomposition, nothing
+    more: the frame conditions are tested on the successor table as
+    classify tests them, without its FrameProperties record.
     """
-    if not classify(m).belief_frame:
+    succ = m.succ
+    if not (all(succ) and _is_transitive(succ) and _is_euclidean(succ)):
         raise RelationalError("not a belief frame (needs serial, transitive, Euclidean)")
     cells: dict[int, int] = {}  # successor set -> cell, in least-world order
-    for x, s in enumerate(m.succ):
+    for x, s in enumerate(succ):
         cells[s] = cells.get(s, 0) | 1 << x
     return BrushDecomposition(tuple(BrushComponent(c, s) for s, c in cells.items()))
 
@@ -114,11 +128,14 @@ def to_subset_model(m: RelationalModel) -> SubsetModel:
 def eval_relational(m: RelationalModel, x: int, f: Formula) -> bool:
     """Standard Kripke evaluation of a pure-belief formula at world x.
 
-    It reads f's extension from the frame's table, so asking every world
-    computes the extension once."""
+    It reads f's extension from the frame's table, a stored one before
+    any call, so asking every world computes the extension once."""
     if not 0 <= x < m.n:
         raise RelationalError(f"world {x} out of range")
-    return bool(relational_extension(m, f) >> x & 1)
+    ext = m._extensions.get(f)
+    if ext is None:
+        ext = relational_extension(m, f)
+    return ext >> x & 1 == 1
 
 
 def relational_extension(m: RelationalModel, f: Formula) -> int:

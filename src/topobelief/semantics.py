@@ -73,6 +73,7 @@ from .model import (
     _isomorph_free_models,
     _range_cost,
     _stream_position,
+    _worst_case_cost,
     check_scenario,
     random_model,
     range_groups,
@@ -113,16 +114,20 @@ class Evaluator:
 
     def extension(self, f: Formula, u: int, v: int | None = None) -> int:
         """Worlds of u satisfying f under the ranges (a subset mask)."""
+        engine = self._engine
+        idx = engine.index.get(f)
+        vals = self._vals.get((u, v))
+        if vals is not None and idx is not None and idx < len(vals):
+            return vals[idx]  # a stored list's ranges passed the checks below
         if self._needs_v:
             if v is None:
                 raise SemanticsError(f"{self.kind.value} semantics needs a doxastic range")
         elif v is not None:
             raise SemanticsError("strong semantics takes no doxastic range")
-        engine = self._engine
-        idx = engine.index.get(f)
         if idx is None:
             idx = engine.add(f)
-        vals = self._vals.setdefault((u, v), [])
+        if vals is None:
+            vals = self._vals[(u, v)] = []
         filled = len(vals)
         if idx >= filled:
             count = len(engine.nodes)
@@ -272,16 +277,24 @@ def find_countermodel(
     precondition is the search's own: the contraction is a model of at
     most k worlds over f's atoms, which the exhaustive phase holds up to
     isomorphism, and that phase ended with no hit before any draw was
-    made.  So such a draw holds no hit.  Its group is built as any draw's,
-    so range_groups still skips one over budget uncounted, and it is
-    counted at its full cost, as a swept draw without a hit is, but never
-    laid out (_passes) or scanned (_group_failures).  The rule read is
+    made.  So such a draw holds no hit.  The budget test comes first
+    (_draw_swept): a draw whose sweep would cost over 10^6 under the
+    column's class is skipped uncounted, however far it contracts.  A
+    contracted draw is then counted at its full cost, as a swept draw
+    without a hit is, but never ranged (range_groups), laid out (_passes)
+    or scanned (_group_failures).  The rule read is
     _contraction_size(top, masks, k) <= k, not suites._contracted, whose
     budget clause keeps a model with |opens|² × n over the default budget
     so that a batch raises BudgetError where its whole stream does.  Here
-    range_groups has charged the draw's cost under the column's class
-    before the test, so that clause would only keep swept, under strong
-    (|opens| × n), draws that cannot hit.
+    the draw's cost under the column's class has been checked before the
+    test, so that clause would only keep swept, under strong (|opens| ×
+    n), draws that cannot hit.
+
+    What it builds: a reduced pair list per exhaustive topology and per
+    scanned draw (through _sweep_groups), a full one only at a hit, for
+    its position, and, past what each draw builds (_search_run), a
+    SubsetModel only for the hit returned; a draw that is skipped or
+    counted builds nothing more.
 
     The exhaustive stream is swept in _sweep_groups' growing lane groups
     of 1, 1, 2, 4, ... same-topology runs; each random draw is a group of
@@ -311,20 +324,19 @@ def find_countermodel(
     def drawn():  # each random draw a group of its own, made while budget is left
         sizes = range(ENUMERATION_MAX + 1, max_n + 1)
         for d in itertools.takewhile(lambda _: evaluations < budget, itertools.count()):
-            try:
-                (group,) = sweep([_search_run(seed + d, sizes[d % len(sizes)], len(names))])
-            except BudgetError:
+            run = _search_run(seed + d, sizes[d % len(sizes)], len(names))
+            swept = _draw_swept(run, cls, k)
+            if swept is None:
                 continue  # scenario space too large; skip the draw
-            yield group
+            # a counted draw is a group whose run has no pair ranged
+            yield next(sweep([run])) if swept else [((), run)]
 
     if max_n > ENUMERATION_MAX:
         groups = itertools.chain(groups, drawn())
     for runs in groups:
         if evaluations >= budget:
             break
-        top, valuations = runs[-1][1]
-        if top in starts or _contraction_size(top, valuations[-1], k) > k:
-            # the hit's model counts up to the hit, else the group's last model in full
+        if runs[0][0]:  # ranged: the hit's model counts up to the hit, else the last in full
             r, m, s = _group_failures(engine, runs, *_passes(runs, names), [root]).get(root, (-1, -1, None))
         else:  # a draw whose contraction the exhaustive phase swept: no hit
             r, m, s = -1, -1, None
@@ -349,6 +361,20 @@ def find_countermodel(
             return SearchOutcome("exhausted", None, None, evaluations)
     # every other way out means the budget ran out; a negative one reads as 0
     return SearchOutcome("budget", None, None, max(budget, 0))
+
+
+def _draw_swept(run: _Run, cls: ScenarioClass | None, k: int) -> bool | None:
+    """How the search treats a random draw, a run of one valuation: None
+    for a draw whose sweep costs over DEFAULT_SCENARIO_BUDGET
+    (model._worst_case_cost, the comparison range_groups raises on), which
+    is skipped and not counted; else whether it is ranged and scanned,
+    False for a draw whose contraction has at most k worlds, which is
+    counted at its full cost (see find_countermodel).  The budget comes
+    first, so a draw over it is skipped however far it contracts."""
+    top, (masks,) = run
+    if _worst_case_cost(top, cls) > DEFAULT_SCENARIO_BUDGET:
+        return None
+    return _contraction_size(top, masks, k) > k
 
 
 def _search_run(seed: int, size: int, count: int) -> _Run:
@@ -531,6 +557,7 @@ class BatchEvaluator:
         self.base_order: list[int] = []
         self.overlay_order: list[int] = []  # nodes that read the doxastic range
         self._reads_v: list[bool] = []
+        self._doxastic = kind.needs_doxastic_range
         self.roots = {f: self.add(f) for f in roots}
 
     def add(self, f: Formula) -> int:
@@ -545,8 +572,7 @@ class BatchEvaluator:
         hit = index.get(f)
         if hit is not None:
             return hit
-        nodes, reads = self.nodes, self._reads_v
-        doxastic = self.kind.needs_doxastic_range
+        nodes, reads, doxastic = self.nodes, self._reads_v, self._doxastic
         for g in fm.postorder(f):
             if g in index:
                 continue
@@ -618,9 +644,9 @@ class BatchEvaluator:
         """
         ones = lanes.ones
         wide = lanes.width > 1  # in one model a failing modality is just empty
+        if wide:
+            fold, spread = lanes.fold, lanes.spread
         interior = lanes.interior
-        fold = lanes.fold
-        spread = lanes.spread
         kind = self.kind
         nodes = self.nodes
         for i in order:

@@ -5,13 +5,13 @@ Every finite space is Alexandroff: each point x has a smallest open
 neighborhood mnb(x), and the opens are exactly the unions of mnb sets.
 That table (the specialization preorder, as successor masks) is what a
 Topology is: every builder hands one over, and the open-set family is
-derived from it, deduplicated and in canonical order (cardinality, then
-numeric bit pattern), so dumps and reports are deterministic.  Generation
-ANDs the subbasis members around each point, enumeration extends each
-preorder on n - 1 points by one more point, and validation takes each
-point's first containing open as its table and compares the family with
-that table's unions; each then folds the table into its unions in O(F·n)
-for F opens.
+derived from it on first read, deduplicated and in canonical order
+(cardinality, then numeric bit pattern), so dumps and reports are
+deterministic.  Generation ANDs the subbasis members around each point,
+enumeration extends each preorder on n - 1 points by one more point, and
+validation takes each point's first containing open as its table and
+compares the family with that table's unions; the unions, the open
+family included, are folded from a table in O(F·n) for F opens.
 The table also backs equality, hashing and the interior/closure
 operators; mnb_interior is interior without the subset check, for the
 evaluation engine and relational B.  It also gives Max, the union of the
@@ -172,17 +172,32 @@ def _as_topology(n: int, family: set[int]) -> "Topology | None":
 
 
 class Topology(Frozen):
-    """Carrier size plus minimal-neighborhood table, opens and Max derived; immutable."""
+    """Carrier size plus minimal-neighborhood table, opens and Max derived; immutable.
 
-    __slots__ = ("n", "min_neighborhoods", "opens", "maximal")
+    Building one stores the table and its Max.  The open family, the
+    table's unions in canonical order, is built the first time opens is
+    read and kept in its slot, so a topology that only the engine reads
+    (interior and belief read the table and Max) never builds it.
+    """
+
+    __slots__ = ("n", "min_neighborhoods", "maximal", "_opens")
 
     def __init__(self, n: int, mnb: tuple[int, ...]):
         # private; use from_opens / generate_from_subbasis for validated input.
         # mnb must be a preorder's successor masks for the result to verify.
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "min_neighborhoods", mnb)
-        object.__setattr__(self, "opens", _canon(_unions(mnb)))
         object.__setattr__(self, "maximal", _maximal(mnb))
+        object.__setattr__(self, "_opens", None)
+
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """Every union of the table's sets, in canonical order."""
+        opens = self._opens
+        if opens is None:
+            opens = _canon(_unions(self.min_neighborhoods))
+            object.__setattr__(self, "_opens", opens)
+        return opens
 
     def __reduce__(self):
         return Topology, (self.n, self.min_neighborhoods)

@@ -149,6 +149,17 @@ def upset_family(n, succ):
     return frozenset(family)
 
 
+def eager_opens(mnb):
+    """The open family of a minimal-neighborhood table, derived whole and at
+    once: every union of its sets, folded in one set at a time, then in
+    canonical order (cardinality, then value).  It is the reference for
+    Topology.opens, which derives the same family on first read."""
+    family = {0}
+    for m in mnb:
+        family |= {u | m for u in family}
+    return tuple(sorted(family, key=lambda o: (o.bit_count(), o)))
+
+
 def all_topologies_oracle(n):
     """Set of open-set families of every labeled topology on n points."""
     return {upset_family(n, succ) for succ in reflexive_transitive_relations(n)}

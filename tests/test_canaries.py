@@ -137,6 +137,16 @@ def _contracted_one_world_more(top, masks, limit):
     return model._contraction_size(top, masks, limit + 1) - 1
 
 
+def _contraction_before_the_budget(run, cls, k):
+    """semantics._draw_swept testing the contraction before the budget: a
+    draw over the sweep budget that contracts to at most k worlds is
+    counted at its full cost instead of skipped."""
+    top, (masks,) = run
+    if semantics._contraction_size(top, masks, k) <= k:
+        return False
+    return None if model._worst_case_cost(top, cls) > model.DEFAULT_SCENARIO_BUDGET else True
+
+
 def _pairs_not_scenarios(top, cls):
     """model._range_cost counting each (U, V) pair once, not |U| times."""
     us = [u for u in top.opens if u]
@@ -251,13 +261,11 @@ def found_count_mismatches():
     return out
 
 
-def random_phase_mismatches():
-    """The columns where the search for FIVE_TYPES to 7 worlds reads
-    other than the search that sweeps every draw over every pair
-    (oracles.unreduced_sweeps): status, model document, scenario and
-    evaluations.  In each column it exhausts 4 worlds, and its first hit
-    lies on a 6-world draw whose contraction has 5 worlds."""
-    searches = [(FIVE_TYPES, kind, cls, 7, 10**7) for kind, cls in COLUMNS]
+def _unreduced_mismatches(searches):
+    """The searches, each find_countermodel's arguments, whose outcome
+    (status, model document, scenario and evaluations) differs from that
+    of the search that sweeps every draw over every pair
+    (oracles.unreduced_sweeps)."""
 
     def outcome(search):
         out = find_countermodel(*search)
@@ -267,7 +275,39 @@ def random_phase_mismatches():
     with pytest.MonkeyPatch.context() as patch:
         unreduced_sweeps(patch)
         reference = [outcome(search) for search in searches]
-    return [search[1:3] for search, a, b in zip(searches, reduced, reference) if a != b]
+    return [search for search, a, b in zip(searches, reduced, reference) if a != b]
+
+
+def random_phase_mismatches():
+    """The columns where the search for FIVE_TYPES to 7 worlds reads
+    other than the unreduced search (_unreduced_mismatches).  In each
+    column it exhausts 4 worlds, and its first hit lies on a 6-world draw
+    whose contraction has 5 worlds."""
+    searches = [(FIVE_TYPES, kind, cls, 7, 10**7) for kind, cls in COLUMNS]
+    return [search[1:3] for search in _unreduced_mismatches(searches)]
+
+
+# five types of one atom that exclude each other, so a failure needs |U| >= 5:
+# the last two are the worlds outside p whose every open meets p, told apart
+# by whether every open around them meets the interior of p as well
+FIVE_TYPES_OF_ONE_ATOM = parse(
+    "!(hatK (p & box p) & hatK (p & !box p) & hatK (!p & box !p)"
+    " & hatK (!p & !box !p & !box !(p & box p)) & hatK (!p & !box !p & box !(p & box p)))"
+)
+
+
+def over_budget_draw_mismatches():
+    """The semantics, ed and ae under class all, where the search for
+    FIVE_TYPES_OF_ONE_ATOM to 16 worlds (budget 600 000, seed 0) reads
+    other than the unreduced search (_unreduced_mismatches).  Its
+    exhaustive phase costs 354 708 scenarios, and its first hit lies on
+    draw 29, of 10 worlds, after draws over the sweep budget that contract
+    to at most 4 worlds (the first is draw 5)."""
+    searches = [
+        (FIVE_TYPES_OF_ONE_ATOM, kind, ScenarioClass.ALL, 16, 600_000)
+        for kind in (Semantics.ED, Semantics.AE)
+    ]
+    return [search[1] for search in _unreduced_mismatches(searches)]
 
 
 # (owner, function name, mutant, check): the check returns what it finds
@@ -363,6 +403,13 @@ CANARIES = [
         _contracted_one_world_more,
         random_phase_mismatches,
         id="search-counts-draws-contracted-to-one-more",
+    ),
+    pytest.param(
+        semantics,
+        "_draw_swept",
+        _contraction_before_the_budget,
+        over_budget_draw_mismatches,
+        id="search-counts-contracted-draws-over-budget",
     ),
 ]
 

@@ -161,6 +161,29 @@ class TestCountermodel:
         assert code in (0, 1, 2)
         assert elapsed < 30.0, f"runtime target exceeded: {elapsed:.1f}s"
 
+    @pytest.mark.parametrize("semantics", ["ed", "ae"])
+    def test_default_budget_ends_before_the_first_draw(self, capsys, monkeypatch, semantics):
+        """Under ed and ae the one-atom exhaustive phase to 4 worlds costs
+        354 708 scenarios, past the default budget of 200 000, so --max-n 16
+        exits 2 with status budget and draws no random model; a budget of
+        400 000 reaches the draws (README, "Scale and determinism")."""
+        from topobelief import semantics as engine
+
+        drawn, draw = [], engine._search_run
+
+        def counting_draw(*args):
+            drawn.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(engine, "_search_run", counting_draw)
+        argv = ["countermodel", "--formula", "K p -> p", "--max-n", "16", "--semantics", semantics]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "search budget exhausted after 200000 evaluations" in err
+        assert drawn == []
+        code, _, _ = run(capsys, *argv, "--budget", "400000")
+        assert code == 2 and drawn
+
     def test_conflicting_modes_rejected(self, capsys):
         code, _, err = run(
             capsys, "countermodel", "--formula", "p", "--exhaustive", "2", "--max-n", "5"

@@ -525,6 +525,27 @@ class TestFindCountermodel:
         assert len(swept) == 29
         assert swept == [top for top, (masks,) in drawn if _contraction_size(top, masks, 4) > 4]
 
+    def test_a_random_hunt_ranges_only_the_draws_it_scans(self, monkeypatch):
+        """The random K p -> p hunt (seed 1, max_n 10, budget 200 000)
+        calls range_groups once per exhaustive topology (46) and once per
+        scanned draw (29), 75 calls building 852 pairs: a draw counted as
+        contracted is never ranged, and the budget skip reads
+        model._worst_case_cost, not a pair list."""
+        from topobelief import semantics
+
+        built = []
+        ranged = semantics.range_groups
+
+        def spy(*args, **kwargs):
+            pairs = ranged(*args, **kwargs)
+            built.append(len(pairs))
+            return pairs
+
+        monkeypatch.setattr(semantics, "range_groups", spy)
+        out = find_countermodel(parse("K p -> p"), STRONG, max_n=10, budget=200_000, seed=1)
+        assert (out.status, out.evaluations) == ("budget", 200_000)
+        assert (len(built), sum(built)) == (75, 852)
+
     @pytest.mark.parametrize("text, kind", [("K p -> p", STRONG), ("B (box p | box ! box p)", AE)])
     def test_a_hunt_sweeps_growing_groups(self, monkeypatch, text, kind):
         # one sweep per same-topology run would be 46 sweeps to 4 worlds, a run

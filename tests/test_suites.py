@@ -341,7 +341,9 @@ class TestWholeCarrierSweeps:
         batch's size: sweep_validity passes the batch's exhaustive_n to
         _sweep_groups, and 0 for a plain tuple of the same models,
         find_countermodel passes min(max_n, ENUMERATION_MAX), to its
-        exhaustive stream and its draws alike, and valid_in_model 0."""
+        exhaustive stream and every draw it scans alike (a draw it counts
+        as contracted, or skips over budget, is not ranged), and
+        valid_in_model 0."""
         seen = []
         groups = semantics._sweep_groups
 
@@ -362,10 +364,11 @@ class TestWholeCarrierSweeps:
         assert find_countermodel(f, Semantics.STRONG, max_n=3).status == "exhausted"
         assert seen == [3]
         del seen[:]
-        # 76 426 scenarios to 4 worlds, then draws of 5 and 6 worlds
-        out = find_countermodel(f, Semantics.STRONG, max_n=6, budget=76_426 + 100)
+        # the exhaustive stream to 4 worlds, then draws of 5 to 10 worlds, 29
+        # of them scanned
+        out = find_countermodel(f, Semantics.STRONG, max_n=10, budget=200_000, seed=1)
         assert out.status == "budget"
-        assert len(seen) > 2 and set(seen) == {4}
+        assert len(seen) == 1 + 29 and set(seen) == {4}
 
     @pytest.mark.parametrize(
         "kind, cls, pairs",

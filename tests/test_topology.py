@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import permutations
 from random import Random
 
@@ -11,11 +13,16 @@ from oracles import (
     brute_min_neighborhoods,
     canonical_form,
     closure_oracle,
+    eager_opens,
     indiscrete,
     relabel,
     upset_family,
 )
+from topobelief.formula import formula_corpus
 from topobelief.model import random_model
+from topobelief.record import FrozenInstanceError
+from topobelief.relational import decompose, random_belief_frame, to_subset_model
+from topobelief.semantics import Evaluator, Semantics
 from topobelief.topology import (
     Topology,
     TopologyError,
@@ -272,6 +279,73 @@ class TestMaximal:
         assert indiscrete(3).maximal == 0b111
         assert Topology.discrete(3).maximal == 0b111
         _check_maximal(t, range(16))
+
+
+def _built(t):
+    """Whether t has derived its open family, read without deriving it."""
+    return t._opens is not None
+
+
+def _random_topologies():
+    """random_model's topologies of 5 to 16 points, three per size, none read yet."""
+    return [random_model(seed, n).topology for n in range(5, 17) for seed in range(3)]
+
+
+class TestLazyOpens:
+    """A topology derives its open family the first time opens is read and
+    keeps it; building one, ==, hashing, pickling and the engine read only
+    the table and Max."""
+
+    def test_opens_equal_the_eager_derivation(self):
+        for n in (1, 2, 3, 4):
+            for t in enumerate_topologies(n):
+                assert t.opens == eager_opens(t.min_neighborhoods)
+        for t in _random_topologies():
+            assert not _built(t)
+            opens = t.opens
+            assert _built(t) and t.opens is opens
+            assert opens == eager_opens(t.min_neighborhoods)
+
+    def test_the_bridge_builds_no_open_family(self):
+        """to_subset_model's topologies of 120 seeded belief frames, each
+        read by an Evaluator at every world's cell for every formula of the
+        bridge corpus (the B fragment), derive no open family."""
+        corpus = formula_corpus(connectives=("B",))
+        tops = []
+        for i in range(120):
+            frame = random_belief_frame(seed=i, n=i % 6 + 1)
+            dec = decompose(frame)
+            subset = to_subset_model(frame)
+            ev = Evaluator(subset, Semantics.STRONG)
+            for x in range(frame.n):
+                for g in corpus:
+                    ev.extension(g, dec.cell_of(x))
+            tops.append(subset.topology)
+        assert not any(_built(t) for t in tops)
+
+    def test_identity_agrees_with_the_reference(self):
+        """==, hash, pickle and copy read the table, so they derive no
+        family, and agree with a topology built from the reference opens;
+        the copies derive the same family, and verify accepts it."""
+        tops = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+        for t in [Topology(t.n, t.min_neighborhoods) for t in tops] + _random_topologies():
+            reference = Topology.from_opens(t.n, eager_opens(t.min_neighborhoods))
+            again = [pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)]
+            assert t == reference and hash(t) == hash(reference)
+            assert all(c == t and hash(c) == hash(t) for c in again)
+            assert not any(_built(c) for c in [t, *again])
+            assert repr(t) == repr(reference)
+            assert all(c.opens == reference.opens for c in again)
+            assert verify(t) is None
+
+    def test_opens_stay_frozen(self):
+        t = Topology.discrete(3)
+        for _ in range(2):  # before the first read, then after it
+            with pytest.raises(FrozenInstanceError, match="opens"):
+                t.opens = ()
+            with pytest.raises(FrozenInstanceError, match="opens"):
+                del t.opens
+            assert t.opens == eager_opens(t.min_neighborhoods)
 
 
 class TestEnumeration:
